@@ -24,8 +24,8 @@ from . import __version__
 from .dataio import bundled_device_table, group_for_fit, load_device_table
 from .errors import QSurfLossError
 from .lossmodel import FITTERS, LossModel
-from .participation import InterfaceRegion, InterfaceSpec, psm_width_sweep, write_sweep_csv
-from .pipeline import PipelineConfig, run_pipeline, write_report_json
+from .participation import write_sweep_csv
+from .pipeline import PipelineConfig, SweepConfig, run_pipeline, write_report_json
 from .qubitfit import (
     PurcellParams,
     fit_exponential,
@@ -59,7 +59,8 @@ def _fail(exc: Exception) -> None:
 @click.option("--t-sm-nm", type=float, default=1.0, show_default=True,
               help="Substrate-metal layer thickness, nm.")
 @click.option("--eps-sm", type=float, default=10.15, show_default=True,
-              help="Relative permittivity of the layer (and substrate).")
+              help="Relative permittivity of the SM layer; the substrate "
+                   "stays sapphire.")
 @click.option("--cutoff-um", type=float, default=None,
               help="Fixed edge cutoff in um; default scales with the width.")
 @click.option("--fingers", type=int, default=7, show_default=True,
@@ -71,22 +72,12 @@ def _fail(exc: Exception) -> None:
 def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, fingers,
           elements, out) -> None:
     """Compute the participation-versus-width curve of an interdigital cell."""
-    import numpy as np
-
-    spec = InterfaceSpec(InterfaceRegion.SM, thickness_nm=t_sm_nm, eps_rel=eps_sm)
-    widths = (
-        [width_min]
-        if points == 1
-        else list(np.linspace(width_min, width_max, points))
-    )
     try:
-        result = psm_width_sweep(
-            widths,
-            spec=spec,
-            n_fingers=fingers,
-            discretization=elements,
-            cutoff_um=cutoff_um,
-        )
+        result, _ = SweepConfig(
+            width_min_um=width_min, width_max_um=width_max, points=points,
+            t_sm_nm=t_sm_nm, eps_sm_rel=eps_sm, cutoff_um=cutoff_um,
+            n_fingers=fingers, elements_per_strip=elements,
+        ).run()
     except QSurfLossError as exc:
         _fail(exc)
     write_sweep_csv(result, out)

@@ -22,7 +22,7 @@ participation ratio is u_i over the total electric energy per unit length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -41,26 +41,14 @@ SM_LAYER_THICKNESS_NM = 1.0
 #: Amorphous-layer thickness at the metal-air interface of the junction
 #: electrodes, nm; recorded for user-supplied junction geometries.
 JUNCTION_MA_LAYER_THICKNESS_NM = 5.5
+#: Edge cutoffs of the standard cutoff-sensitivity study, um.
+SENSITIVITY_CUTOFFS_UM = (0.05, 0.1, 0.2)
 
 
 class InterfaceRegion(str, Enum):
     SM = "SM"
     SA = "SA"
     MA = "MA"
-
-
-class FieldRule(str, Enum):
-    UNDER_METAL_PERP = "under_metal_perp"
-    GAP_MIXED = "gap_mixed"
-    METAL_SURFACE_PERP = "metal_surface_perp"
-
-
-#: Fixed pairing of interface region and applicable field rule.
-REGION_FIELD_RULE = {
-    InterfaceRegion.SM: FieldRule.UNDER_METAL_PERP,
-    InterfaceRegion.SA: FieldRule.GAP_MIXED,
-    InterfaceRegion.MA: FieldRule.METAL_SURFACE_PERP,
-}
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,6 @@ class InterfaceSpec:
     region: InterfaceRegion
     thickness_nm: float = SM_LAYER_THICKNESS_NM
     eps_rel: float = SAPPHIRE_EPS_REL
-    field_rule: FieldRule | None = None
 
     def __post_init__(self) -> None:
         region = InterfaceRegion(self.region)
@@ -79,18 +66,10 @@ class InterfaceSpec:
             raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")
         if self.eps_rel < 1.0:
             raise InvalidInputError(f"layer eps_rel must be >= 1, got {self.eps_rel}")
-        expected = REGION_FIELD_RULE[region]
-        if self.field_rule is None:
-            object.__setattr__(self, "field_rule", expected)
-        elif FieldRule(self.field_rule) is not expected:
-            raise InvalidInputError(
-                f"region {region.value} requires field rule {expected.value}"
-            )
 
     def with_region(self, region: InterfaceRegion) -> "InterfaceSpec":
         """Same layer parameters applied at a different interface."""
-        return InterfaceSpec(region=region, thickness_nm=self.thickness_nm,
-                             eps_rel=self.eps_rel)
+        return replace(self, region=region)
 
 
 #: Default substrate-metal layer (1 nm disordered layer, sapphire-like).
@@ -204,20 +183,19 @@ def layer_energy(
         strip_sel = sol.strips
         gap_sel = sol.gaps
 
-    rule = FieldRule(spec.field_rule)
-    if rule is FieldRule.UNDER_METAL_PERP:
+    if spec.region is InterfaceRegion.SM:
         scale = eps_sub / eps_i
         total = sum(
             _strip_square_integral(s, scale * s.e_perp_sub, cutoff_m)
             for s in strip_sel
         )
-    elif rule is FieldRule.METAL_SURFACE_PERP:
+    elif spec.region is InterfaceRegion.MA:
         scale = eps_vac / eps_i
         total = sum(
             _strip_square_integral(s, scale * s.e_perp_vac, cutoff_m)
             for s in strip_sel
         )
-    elif rule is FieldRule.GAP_MIXED:
+    else:
         if not gap_sel:
             raise InvalidInputError(
                 "no gap field samples available for the SA region"
@@ -229,8 +207,6 @@ def layer_energy(
         total = sum(
             _gap_square_integral(g, cutoff_m, x_min, x_max) for g in gap_sel
         )
-    else:  # pragma: no cover - enum is exhaustive
-        raise InvalidInputError(f"unknown field rule {spec.field_rule}")
 
     return 0.5 * eps_i * t * total
 
@@ -303,18 +279,31 @@ def psm_width_sweep(
 ) -> list[SweepPoint]:
     """Substrate-metal participation versus gap/finger width.
 
-    Builds an interdigital unit cell per width (equal gap and finger width,
-    alternating drive) and extracts the representative-cell participation.
-    With ``cutoff_um=None`` each geometry keeps its width-proportional edge
-    cutoff, which preserves the 1/width scale law across the sweep.
+    The sweep cell is an interdigital unit cell (equal gap and finger width,
+    alternating drive) and each point is its representative-cell
+    participation.  One solve at the first width w0 serves every point by
+    the scale law ``p(w, c) = p(w0, c * w0 / w) * w0 / w``.  With
+    ``cutoff_um=None`` each width keeps its width-proportional edge cutoff,
+    which makes p * width constant across the sweep.
 
     SA and MA companion layers with the same thickness and permittivity are
     evaluated alongside by default so the emitted curve carries all three
     columns for sensitivity comparison.
 
-    Solver failures at individual widths are recorded on the corresponding
-    point and the sweep continues.
+    A failed reference solve is recorded on every point, and a ratio outside
+    [0, 1] on its own point; the sweep still returns all points.
     """
+    return _width_sweep(widths_um, spec, n_fingers, discretization, cutoff_um,
+                        eps_sub_rel, include_companion_regions)[0]
+
+
+def _width_sweep(
+    widths_um: Sequence[float], spec: InterfaceSpec, n_fingers: int,
+    discretization: int, cutoff_um: float | None,
+    eps_sub_rel: float = SAPPHIRE_EPS_REL, include_companion_regions: bool = True,
+) -> tuple[list[SweepPoint], FieldSolution | None]:
+    """``psm_width_sweep`` plus its reference solution at the first width
+    (``None`` when the sweep is empty or the solve failed)."""
     widths = [float(w) for w in widths_um]
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise InvalidInputError("widths must be strictly ascending")
@@ -328,31 +317,56 @@ def psm_width_sweep(
         specs += [spec.with_region(InterfaceRegion.SA),
                   spec.with_region(InterfaceRegion.MA)]
 
-    points: list[SweepPoint] = []
-    for w in widths:
-        geom = interdigital_unit_cell(
-            w,
-            n_fingers,
-            eps_sub_rel=eps_sub_rel,
-            discretization=discretization,
-            edge_cutoff=cutoff_um,
-        )
-        point = SweepPoint(width_um=w, n_fingers=n_fingers,
-                           cutoff_um=geom.edge_cutoff)
+    # every width's geometry validates its own cutoff against that width
+    geoms = [
+        interdigital_unit_cell(w, n_fingers, eps_sub_rel=eps_sub_rel,
+                               discretization=discretization,
+                               edge_cutoff=cutoff_um)
+        for w in widths
+    ]
+    points = [SweepPoint(width_um=w, n_fingers=n_fingers,
+                         cutoff_um=g.edge_cutoff)
+              for w, g in zip(widths, geoms)]
+    try:
+        reference = solve_cross_section(geoms[0]) if geoms else None
+    except QSurfLossError as exc:
+        for point in points:
+            point.error = str(exc)
+        return points, None
+    for point in points:
         try:
-            sol = solve_cross_section(geom)
-            pset = participation_set(sol, specs)
-            point.p_sm, point.p_sa, point.p_ma = pset.p_sm, pset.p_sa, pset.p_ma
+            pset = _at_width(reference, specs, point.width_um, point.cutoff_um)
         except QSurfLossError as exc:
             point.error = str(exc)
-        points.append(point)
-    return points
+        else:
+            point.p_sm, point.p_sa, point.p_ma = pset.p_sm, pset.p_sa, pset.p_ma
+    return points, reference
+
+
+def _at_width(
+    reference: FieldSolution,
+    specs: Sequence[InterfaceSpec],
+    width_um: float,
+    cutoff_um: float,
+) -> ParticipationSet:
+    """Participation of the sweep cell at ``width_um`` from its ``reference``
+    solution at another width.
+
+    Scaling the lateral geometry by s maps sigma(x) to sigma(x / s) / s, also
+    in the discretized equations (charge neutrality cancels the ln(s) term of
+    the kernel).  The energy is unchanged and each layer energy falls by 1/s,
+    as if the layer were s times thinner: ``p(s * cell, c, t) = p(cell, c / s,
+    t / s)`` (Wenner et al., APL 99, 113513 (2011)), bounded on that value.
+    """
+    s = width_um / reference.geometry.strips[0].width
+    thinner = [replace(spec, thickness_nm=spec.thickness_nm / s) for spec in specs]
+    return participation_set(reference, thinner, cutoff_um=cutoff_um / s)
 
 
 def cutoff_sensitivity(
     sol: FieldSolution,
     spec: InterfaceSpec = DEFAULT_SM_SPEC,
-    cutoffs_um: Iterable[float] = (0.05, 0.1, 0.2),
+    cutoffs_um: Iterable[float] = SENSITIVITY_CUTOFFS_UM,
 ) -> list[tuple[float, float]]:
     """Participation of ``spec``'s region at several edge cutoffs.
 

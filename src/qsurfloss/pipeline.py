@@ -32,15 +32,16 @@ from .lossmodel import (
     model_inverse_q,
     normalized_pr,
 )
+from .solver import FieldSolution
 from .participation import (
+    SENSITIVITY_CUTOFFS_UM,
     InterfaceRegion,
     InterfaceSpec,
-    cutoff_sensitivity,
-    psm_width_sweep,
+    SweepPoint,
+    _at_width,
+    _width_sweep,
     write_sweep_csv,
 )
-from .solver import solve_cross_section
-from .geometry import interdigital_unit_cell
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -61,11 +62,19 @@ class SweepConfig:
     def widths(self) -> list[float]:
         if self.points < 1 or self.width_max_um <= self.width_min_um:
             raise InvalidInputError("bad sweep range")
-        if self.points == 1:
-            return [self.width_min_um]
         return list(
             np.linspace(self.width_min_um, self.width_max_um, self.points)
         )
+
+    @property
+    def spec(self) -> InterfaceSpec:
+        return InterfaceSpec(InterfaceRegion.SM, thickness_nm=self.t_sm_nm,
+                             eps_rel=self.eps_sm_rel)
+
+    def run(self) -> tuple[list[SweepPoint], FieldSolution | None]:
+        """The sweep's points and its reference solution at the first width."""
+        return _width_sweep(self.widths(), self.spec, self.n_fingers,
+                            self.elements_per_strip, self.cutoff_um)
 
 
 @dataclass
@@ -92,20 +101,16 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        sweep = None
-        if raw.get("sweep"):
-            sweep = SweepConfig(**raw["sweep"])
-        cfg = cls(
-            dataset=raw.get("dataset"),
-            models=tuple(raw.get("models", ("sm+j", "sm+q0"))),
-            weighting=raw.get("weighting", "invvar"),
-            grouping=raw.get("grouping", "per_die_design"),
-            output_dir=raw.get("output_dir", "."),
-            sweep=sweep,
-            surface_grid_points=int(raw.get("surface_grid_points", 25)),
-        )
-        cfg.validate()
+            try:
+                raw = json.load(fh)
+                sweep = SweepConfig(**raw["sweep"]) if raw.get("sweep") else None
+                cfg = cls(**{**raw, "sweep": sweep})
+                cfg.models = tuple(cfg.models)
+                cfg.surface_grid_points = int(cfg.surface_grid_points)
+                cfg.validate()
+            except (AttributeError, TypeError, ValueError) as exc:
+                # malformed JSON, a non-object, an unknown key or a bad value
+                raise InvalidInputError(f"bad config {path}: {exc}") from exc
         return cfg
 
 
@@ -158,7 +163,7 @@ def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
             ])
 
 
-def _write_model_surface(points, fit: LossFitResult, path, n: int) -> None:
+def _write_model_surface(points, fit: LossFitResult, n: int, path) -> None:
     p_sm_vals = np.geomspace(
         min(p.p_sm for p in points), max(p.p_sm for p in points), n
     )
@@ -174,32 +179,27 @@ def _write_model_surface(points, fit: LossFitResult, path, n: int) -> None:
                 writer.writerow([f"{psm:.9g}", f"{pj:.9g}", f"{1.0 / inv_q:.9g}"])
 
 
-def _cutoff_sensitivity_block(sweep_cfg: SweepConfig, spec: InterfaceSpec) -> dict:
-    """p_sm at the standard cutoff triple for one representative width.
-
-    The edge cutoff regularizes the strip-edge field singularity, so every
-    sweep report carries the sensitivity of p_sm to that choice.
-    """
-    width = min(max(10.0, sweep_cfg.width_min_um), sweep_cfg.width_max_um)
-    geom = interdigital_unit_cell(
-        width,
-        sweep_cfg.n_fingers,
-        discretization=sweep_cfg.elements_per_strip,
-    )
-    sol = solve_cross_section(geom)
-    values = cutoff_sensitivity(sol, spec)
-    return {
-        "width_um": width,
-        "values": [{"cutoff_um": c, "p_sm": p} for c, p in values],
-    }
+def _emit(manifest, errors, out_dir: Path, kind: str, write, *args,
+          status: str = "written") -> None:
+    """Write ``<kind>.csv`` with ``write(*args, path)`` and list it; a failed
+    writer removes its half-written file and becomes a stage error."""
+    path = out_dir / f"{kind}.csv"
+    try:
+        write(*args, path)
+    except QSurfLossError as exc:
+        path.unlink(missing_ok=True)
+        errors.append({"stage": f"write[{kind}]", "error": str(exc)})
+    else:
+        manifest.append({"path": path.name, "kind": kind, "status": status})
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the configured stages and write the report bundle.
 
     Returns the report dictionary (also written as ``report.json``).  Fit
-    degenerations do not abort the run; they are recorded under ``errors``
-    and flip ``status`` to ``"partial"`` so callers can exit nonzero.
+    degenerations, failed file writers and a failed sweep do not abort the
+    run; they are recorded under ``errors`` and flip ``status`` to
+    ``"partial"`` so callers can exit nonzero.
 
     Raises
     ------
@@ -263,48 +263,25 @@ def run_pipeline(config: PipelineConfig) -> dict:
             report["fits"][model.value] = entry
 
         if fits:
-            path = out_dir / "q_vs_psm.csv"
-            _write_q_vs_psm(points, fits, path)
-            manifest.append({"path": path.name, "kind": "q_vs_psm",
-                             "status": "written"})
+            _emit(manifest, errors, out_dir, "q_vs_psm", _write_q_vs_psm,
+                  points, fits)
         if LossModel.SM_PLUS_J.value in fits:
             fit = fits[LossModel.SM_PLUS_J.value]
-            path = out_dir / "q_vs_normalized_pr.csv"
-            _write_q_vs_npr(points, fit, path)
-            manifest.append({"path": path.name, "kind": "q_vs_normalized_pr",
-                             "status": "written"})
-            path = out_dir / "q_model_surface.csv"
-            _write_model_surface(points, fit, path, config.surface_grid_points)
-            manifest.append({"path": path.name, "kind": "q_model_surface",
-                             "status": "written"})
+            _emit(manifest, errors, out_dir, "q_vs_normalized_pr",
+                  _write_q_vs_npr, points, fit)
+            _emit(manifest, errors, out_dir, "q_model_surface",
+                  _write_model_surface, points, fit, config.surface_grid_points)
 
     if config.sweep is not None:
         sweep_cfg = config.sweep
-        spec = InterfaceSpec(
-            InterfaceRegion.SM,
-            thickness_nm=sweep_cfg.t_sm_nm,
-            eps_rel=sweep_cfg.eps_sm_rel,
-        )
         try:
-            sweep_points = psm_width_sweep(
-                sweep_cfg.widths(),
-                spec=spec,
-                n_fingers=sweep_cfg.n_fingers,
-                discretization=sweep_cfg.elements_per_strip,
-                cutoff_um=sweep_cfg.cutoff_um,
-            )
+            sweep_points, reference = sweep_cfg.run()
         except QSurfLossError as exc:
             errors.append({"stage": "sweep", "error": str(exc)})
         else:
-            path = out_dir / "psm_width_sweep.csv"
-            write_sweep_csv(sweep_points, path)
-            status = (
-                "partial"
-                if any(p.error for p in sweep_points)
-                else "written"
-            )
-            manifest.append({"path": path.name, "kind": "psm_width_sweep",
-                             "status": status})
+            _emit(manifest, errors, out_dir, "psm_width_sweep", write_sweep_csv,
+                  sweep_points, status="partial"
+                  if any(p.error for p in sweep_points) else "written")
             report["sweep"] = {
                 "n_fingers": sweep_cfg.n_fingers,
                 "t_sm_nm": sweep_cfg.t_sm_nm,
@@ -320,8 +297,23 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     }
                     for p in sweep_points
                 ],
-                "cutoff_sensitivity": _cutoff_sensitivity_block(sweep_cfg, spec),
             }
+            # every sweep report carries p_sm against the edge cutoff, which
+            # regularizes the edge singularity, at one width
+            width = min(max(10.0, sweep_cfg.width_min_um), sweep_cfg.width_max_um)
+            try:
+                if reference is None:
+                    raise QSurfLossError(sweep_points[0].error)
+                values = [(c, _at_width(reference, [sweep_cfg.spec], width, c).p_sm)
+                          for c in SENSITIVITY_CUTOFFS_UM]
+            except QSurfLossError as exc:
+                errors.append({"stage": "sweep.cutoff_sensitivity",
+                               "error": str(exc)})
+            else:
+                report["sweep"]["cutoff_sensitivity"] = {
+                    "width_um": width,
+                    "values": [{"cutoff_um": c, "p_sm": p} for c, p in values],
+                }
 
     report["status"] = "partial" if errors else "ok"
     manifest.append({"path": "report.json", "kind": "report",

@@ -18,7 +18,7 @@ from qsurfloss import (
     solve_cross_section,
     write_sweep_csv,
 )
-from qsurfloss.participation import FieldRule, JUNCTION_MA_SPEC
+from qsurfloss.participation import JUNCTION_MA_SPEC
 from qsurfloss.solver import FieldSolution, StripFields
 
 UM = 1e-6
@@ -68,12 +68,6 @@ def uniform_field_solution(width_um, e_field, depth_um, eps_sub_rel):
 
 
 class TestInterfaceSpec:
-    def test_field_rule_pairing_is_fixed(self):
-        spec = InterfaceSpec(InterfaceRegion.SA)
-        assert spec.field_rule is FieldRule.GAP_MIXED
-        with pytest.raises(InvalidInputError, match="field rule"):
-            InterfaceSpec(InterfaceRegion.SM, field_rule=FieldRule.GAP_MIXED)
-
     def test_junction_layer_thickness_default(self):
         assert JUNCTION_MA_SPEC.thickness_nm == 5.5
         assert JUNCTION_MA_SPEC.eps_rel == 10.15
@@ -228,21 +222,68 @@ class TestWidthSweep:
         with pytest.raises(InvalidInputError, match="SM"):
             psm_width_sweep([1.0], spec=DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA))
 
-    def test_failed_points_marked_and_sweep_continues(self, monkeypatch):
+    @pytest.mark.parametrize("cutoff_um", [None, 0.043])
+    def test_one_solve_matches_direct_solves(self, cutoff_um, monkeypatch):
+        """The scale law checked, not assumed: every sweep point equals a
+        direct solve at its own width, with the width-proportional and with
+        a fixed cutoff, from a single solve."""
         import qsurfloss.participation as participation_module
 
+        calls = []
         real_solve = participation_module.solve_cross_section
 
-        def flaky(geom, *args, **kwargs):
-            if geom.strips[0].width == 2.0:
-                raise NumericalFailureError("synthetic failure")
+        def counted(geom, *args, **kwargs):
+            calls.append(geom.strips[0].width)
             return real_solve(geom, *args, **kwargs)
 
-        monkeypatch.setattr(participation_module, "solve_cross_section", flaky)
+        monkeypatch.setattr(participation_module, "solve_cross_section", counted)
+        widths = [1.3, 4.0, 11.7]
+        points = psm_width_sweep(widths, discretization=64, cutoff_um=cutoff_um)
+        assert calls == [1.3]
+        specs = [
+            DEFAULT_SM_SPEC,
+            DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA),
+            DEFAULT_SM_SPEC.with_region(InterfaceRegion.MA),
+        ]
+        for w, point in zip(widths, points):
+            geom = interdigital_unit_cell(w, 7, discretization=64,
+                                          edge_cutoff=cutoff_um)
+            direct = participation_set(real_solve(geom), specs)
+            assert point.error is None
+            assert point.cutoff_um == geom.edge_cutoff
+            for region, value in ((InterfaceRegion.SM, point.p_sm),
+                                  (InterfaceRegion.SA, point.p_sa),
+                                  (InterfaceRegion.MA, point.p_ma)):
+                assert value == pytest.approx(direct[region], rel=1e-9)
+
+    def test_bound_checked_on_each_scaled_point(self):
+        """A 300 nm layer breaks the thin-layer bound only at 0.5 um, although
+        the reference solve sits at that width."""
+        spec = InterfaceSpec(InterfaceRegion.SM, thickness_nm=300.0)
+        points = psm_width_sweep([0.5, 1.0, 2.0, 5.0, 20.0], spec=spec,
+                                 discretization=64)
+        assert "outside [0, 1]" in points[0].error and points[0].p_sm is None
+        for point in points[1:]:
+            assert point.error is None
+            assert 0.0 < point.p_sm < 1.0
+
+    def test_failed_reference_solve_marks_every_point(self, monkeypatch):
+        import qsurfloss.participation as participation_module
+
+        def failing(geom, *args, **kwargs):
+            raise NumericalFailureError("synthetic failure")
+
+        monkeypatch.setattr(participation_module, "solve_cross_section", failing)
         points = psm_width_sweep([1.0, 2.0, 3.0], discretization=64)
-        assert points[0].error is None and points[0].p_sm is not None
-        assert points[1].error == "synthetic failure" and points[1].p_sm is None
-        assert points[2].error is None
+        assert [p.error for p in points] == ["synthetic failure"] * 3
+        assert all(p.p_sm is None and p.cutoff_um is not None for p in points)
+
+    def test_fixed_cutoff_must_fit_the_narrowest_width(self):
+        with pytest.raises(InvalidInputError, match="edge_cutoff"):
+            psm_width_sweep([1.0, 2.0], discretization=64, cutoff_um=0.6)
+
+    def test_empty_sweep(self):
+        assert psm_width_sweep([]) == []
 
     def test_csv_emission(self, tmp_path):
         points = psm_width_sweep([1.0, 2.0], discretization=64)

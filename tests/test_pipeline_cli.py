@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qsurfloss import InvalidInputError, PipelineConfig, SweepConfig, run_pipeline
+from qsurfloss import (
+    DEFAULT_SM_SPEC,
+    InvalidInputError,
+    NumericalFailureError,
+    PipelineConfig,
+    SweepConfig,
+    cutoff_sensitivity,
+    interdigital_unit_cell,
+    run_pipeline,
+    solve_cross_section,
+)
 from qsurfloss.cli import main
 from qsurfloss.dataio import COLUMNS
 
@@ -17,6 +27,16 @@ def make_degenerate_table(path):
         f"X{i}-1,dumbbell_2d,4.0,6.0,40,{100 + 10 * i},5.0,10.0,"
         f"{2.0 + 0.1 * i},0.2,1.0,0.5"
         for i in range(4)
+    ]
+    path.write_text(",".join(COLUMNS) + "\n" + "\n".join(rows) + "\n")
+
+
+def make_rising_q_table(path):
+    """Q rises with p_sm: the sm+j fit clamps tan_d_sm to zero."""
+    rows = [
+        f"X{i}-1,dumbbell_2d,4.0,6.0,40,100,5.0,10.0,{1.0 + 0.5 * i},0.1,"
+        f"{5.0 + 5 * i},{1.0 + 0.3 * (i % 2)}"
+        for i in range(5)
     ]
     path.write_text(",".join(COLUMNS) + "\n" + "\n".join(rows) + "\n")
 
@@ -73,6 +93,71 @@ class TestRunPipeline:
         p_sms = [v["p_sm"] for v in sensitivity]
         assert p_sms[0] > p_sms[1] > p_sms[2] > 0
 
+    def test_cutoff_block_matches_a_direct_solve(self, tmp_path):
+        """The block is scaled from the sweep's reference solution at 2 um;
+        a direct solve at the block's 10 um width must agree."""
+        config = PipelineConfig(
+            models=(),
+            output_dir=str(tmp_path / "out"),
+            sweep=SweepConfig(width_min_um=2.0, width_max_um=12.0, points=2,
+                              elements_per_strip=64),
+        )
+        block = run_pipeline(config)["sweep"]["cutoff_sensitivity"]
+        assert block["width_um"] == 10.0
+        sol = solve_cross_section(
+            interdigital_unit_cell(10.0, 7, discretization=64)
+        )
+        direct = cutoff_sensitivity(sol, DEFAULT_SM_SPEC)
+        for entry, (c, p) in zip(block["values"], direct):
+            assert entry["cutoff_um"] == c
+            assert entry["p_sm"] == pytest.approx(p, rel=1e-9)
+
+    def test_failed_sweep_solve_still_writes_report(self, tmp_path,
+                                                    monkeypatch):
+        import qsurfloss.participation as participation_module
+
+        def failing(geom, *args, **kwargs):
+            raise NumericalFailureError("synthetic failure")
+
+        monkeypatch.setattr(participation_module, "solve_cross_section", failing)
+        out = tmp_path / "out"
+        config = PipelineConfig(
+            models=(),
+            output_dir=str(out),
+            sweep=SweepConfig(width_min_um=2.0, width_max_um=4.0, points=2,
+                              elements_per_strip=64),
+        )
+        report = run_pipeline(config)
+        assert report["status"] == "partial"
+        assert report["errors"] == [{"stage": "sweep.cutoff_sensitivity",
+                                     "error": "synthetic failure"}]
+        assert all(p["error"] == "synthetic failure"
+                   for p in report["sweep"]["points"])
+        assert "cutoff_sensitivity" not in report["sweep"]
+        assert report["outputs"][0] == {"path": "psm_width_sweep.csv",
+                                        "kind": "psm_width_sweep",
+                                        "status": "partial"}
+        written = json.loads((out / "report.json").read_text())
+        assert written["status"] == "partial"
+
+    def test_writer_failure_is_a_stage_error(self, tmp_path):
+        """A clamped tan_d_sm makes the normalized-participation writer fail;
+        the run still writes report.json and lists no half-written file."""
+        table = tmp_path / "devices.csv"
+        make_rising_q_table(table)
+        out = tmp_path / "out"
+        report = run_pipeline(PipelineConfig(
+            dataset=str(table), models=("sm+j",), grouping="per_device",
+            output_dir=str(out),
+        ))
+        assert report["fits"]["sm+j"]["parameters"]["tan_d_sm"] == 0.0
+        assert report["status"] == "partial"
+        assert report["errors"] == [{"stage": "write[q_vs_normalized_pr]",
+                                     "error": "tan_d_sm must be > 0 to normalize"}]
+        listed = {entry["path"] for entry in report["outputs"]}
+        assert listed == {"q_vs_psm.csv", "q_model_surface.csv", "report.json"}
+        assert {p.name for p in out.iterdir()} == listed
+
     def test_degenerate_fit_marks_report_partial(self, tmp_path):
         table = tmp_path / "devices.csv"
         make_degenerate_table(table)
@@ -103,6 +188,41 @@ class TestRunPipeline:
         cfg_path.write_text(json.dumps({"models": ["sm+cubic"]}))
         with pytest.raises(ValueError):
             PipelineConfig.from_json(cfg_path)
+
+
+def _run_report(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    return CliRunner().invoke(main, ["report", "--config", str(cfg)])
+
+
+def _assert_one_line_error(result, match):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert match in lines[0]
+
+
+class TestConfigErrors:
+    def test_malformed_json(self, tmp_path):
+        result = _run_report(tmp_path, '{"models": ["sm+j",]')
+        _assert_one_line_error(result, "Expecting value")
+
+    def test_unknown_sweep_key(self, tmp_path):
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(tmp_path / "out"),
+            "sweep": {"width_min_um": 1.0, "pionts": 3},
+        }))
+        _assert_one_line_error(result, "unexpected keyword argument 'pionts'")
+
+    def test_unknown_top_level_key(self, tmp_path):
+        result = _run_report(tmp_path, json.dumps({
+            "modles": ["sm+j"],
+            "output_dir": str(tmp_path / "out"),
+        }))
+        _assert_one_line_error(result, "unexpected keyword argument 'modles'")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -174,6 +294,15 @@ class TestCli:
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4
+
+    def test_sweep_command_rejects_zero_points(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main, ["sweep", "--points", "0", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "bad sweep range" in result.output
+        assert not out.exists()
 
     def test_report_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
