@@ -27,11 +27,10 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 from .errors import InvalidInputError, QSurfLossError
 from .geometry import SAPPHIRE_EPS_REL, interdigital_unit_cell
-from .solver import FieldSolution, solve_cross_section
+from .solver import FieldSolution, epsilon_0, solve_cross_section
 
 UM = 1e-6
 NM = 1e-9

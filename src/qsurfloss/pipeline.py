@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,9 @@ from .participation import (
 )
 
 REPORT_SCHEMA_VERSION = 1
+
+#: ``SweepConfig`` fields that take integers; the others take real numbers.
+_SWEEP_INT_FIELDS = ("points", "n_fingers", "elements_per_strip")
 
 
 @dataclass
@@ -90,9 +94,25 @@ class PipelineConfig:
     surface_grid_points: int = 25
 
     def validate(self) -> None:
-        for m in self.models:
-            LossModel(m)
-        Weighting(self.weighting)
+        for value, enum in [(m, LossModel) for m in self.models] + [
+                (self.weighting, Weighting)]:
+            try:
+                enum(value)
+            except ValueError:
+                raise InvalidInputError(
+                    f"unknown {enum.__name__} {value!r}") from None
+        if self.sweep is not None:
+            for f in fields(SweepConfig):
+                value = getattr(self.sweep, f.name)
+                if f.name in _SWEEP_INT_FIELDS:
+                    kind, noun = numbers.Integral, "an integer"
+                else:
+                    kind, noun = numbers.Real, "a number"
+                if value is None and f.name == "cutoff_um":
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise InvalidInputError(
+                        f"sweep {f.name} must be {noun}, got {value!r}")
         if self.grouping not in ("per_die_design", "per_device"):
             raise InvalidInputError(f"unknown grouping {self.grouping!r}")
         if self.dataset is not None and not Path(self.dataset).exists():
@@ -279,9 +299,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
         except QSurfLossError as exc:
             errors.append({"stage": "sweep", "error": str(exc)})
         else:
+            failed = [p.width_um for p in sweep_points if p.error]
             _emit(manifest, errors, out_dir, "psm_width_sweep", write_sweep_csv,
-                  sweep_points, status="partial"
-                  if any(p.error for p in sweep_points) else "written")
+                  sweep_points, status="partial" if failed else "written")
+            if failed:
+                errors.append({"stage": "sweep", "error": "failed at width "
+                               + ", ".join(f"{w:.9g}" for w in failed) + " um"})
             report["sweep"] = {
                 "n_fingers": sweep_cfg.n_fingers,
                 "t_sm_nm": sweep_cfg.t_sm_nm,

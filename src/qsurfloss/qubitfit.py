@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit, least_squares
 
 from .errors import FitFailureError, InvalidInputError
 
@@ -122,6 +121,9 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
             "no visible decay: population range is within the noise floor"
         )
     p0 = _initial_guess(t, y)
+
+    # imported here so that loading the package stays free of scipy
+    from scipy.optimize import curve_fit, least_squares
 
     try:
         if loss == "linear":

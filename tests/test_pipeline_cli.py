@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qsurfloss
 from qsurfloss import (
     DEFAULT_SM_SPEC,
     InvalidInputError,
@@ -129,8 +134,10 @@ class TestRunPipeline:
         )
         report = run_pipeline(config)
         assert report["status"] == "partial"
-        assert report["errors"] == [{"stage": "sweep.cutoff_sensitivity",
-                                     "error": "synthetic failure"}]
+        assert report["errors"] == [
+            {"stage": "sweep", "error": "failed at width 2, 4 um"},
+            {"stage": "sweep.cutoff_sensitivity", "error": "synthetic failure"},
+        ]
         assert all(p["error"] == "synthetic failure"
                    for p in report["sweep"]["points"])
         assert "cutoff_sensitivity" not in report["sweep"]
@@ -189,6 +196,35 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             PipelineConfig.from_json(cfg_path)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"models": ("sm+cubic",)}, "unknown LossModel 'sm+cubic'"),
+        ({"weighting": "uniform"}, "unknown Weighting 'uniform'"),
+    ])
+    def test_unknown_enum_value_is_invalid_input(self, tmp_path, kwargs, message):
+        out = tmp_path / "out"
+        with pytest.raises(InvalidInputError) as info:
+            run_pipeline(PipelineConfig(output_dir=str(out), **kwargs))
+        assert str(info.value) == message
+        assert not out.exists()
+
+    def test_failed_sweep_point_fails_the_run(self, tmp_path):
+        """A 300 nm layer breaks the thin-layer bound only at 0.5 um."""
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "models": [],
+            "output_dir": str(out),
+            "sweep": {"width_min_um": 0.5, "width_max_um": 20.0, "points": 4,
+                      "t_sm_nm": 300.0, "elements_per_strip": 64},
+        }))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert report["errors"] == [{"stage": "sweep",
+                                     "error": "failed at width 0.5 um"}]
+        errors = [p["error"] is not None for p in report["sweep"]["points"]]
+        assert errors == [True, False, False, False]
+        assert "cutoff_sensitivity" in report["sweep"]
+
 
 def _run_report(tmp_path, text):
     cfg = tmp_path / "cfg.json"
@@ -224,8 +260,43 @@ class TestConfigErrors:
         _assert_one_line_error(result, "unexpected keyword argument 'modles'")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sweep, message", [
+        ({"points": "3"}, "sweep points must be an integer, got '3'"),
+        ({"points": 3.0}, "sweep points must be an integer, got 3.0"),
+        ({"n_fingers": True}, "sweep n_fingers must be an integer, got True"),
+        ({"elements_per_strip": [64]}, "sweep elements_per_strip must be an integer"),
+        ({"width_min_um": "1"}, "sweep width_min_um must be a number, got '1'"),
+        ({"t_sm_nm": False}, "sweep t_sm_nm must be a number, got False"),
+        ({"cutoff_um": "0.1"}, "sweep cutoff_um must be a number, got '0.1'"),
+    ])
+    def test_wrongly_typed_sweep_field(self, tmp_path, sweep, message):
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(tmp_path / "out"), "sweep": sweep,
+        }))
+        _assert_one_line_error(result, "bad config")
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_typed_sweep_fields_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "width_min_um": 1, "width_max_um": 2.5, "points": 2,
+            "cutoff_um": None, "elements_per_strip": 64,
+        }}))
+        assert PipelineConfig.from_json(cfg).sweep.widths() == [1.0, 2.5]
+
 
 class TestCli:
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(qsurfloss.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        probe = ("import sys, qsurfloss.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_fit_loss_bundled(self):
         runner = CliRunner()
         result = runner.invoke(main, ["fit-loss", "--model", "sm+j"])

@@ -91,11 +91,12 @@ class TestFitExponential:
         assert estimate.t1_us == pytest.approx(T1_REF, rel=0.15)
 
     def test_negative_t1_rejected(self, monkeypatch):
-        # guard against optimizer escapes to a negative rate
-        import qsurfloss.qubitfit as qubitfit_module
+        # guard against optimizer escapes to a negative rate; fit_exponential
+        # imports curve_fit when called, so the patch goes on scipy itself
+        import scipy.optimize
 
         monkeypatch.setattr(
-            qubitfit_module,
+            scipy.optimize,
             "curve_fit",
             lambda *a, **k: (np.array([1.0, -50.0, 0.0]), np.eye(3)),
         )

@@ -1,17 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.constants
 
 from qsurfloss import (
+    DEFAULT_SM_SPEC,
     ConvergenceError,
     CrossSection,
+    InterfaceRegion,
     InvalidInputError,
     Strip,
     field_energy_quadrature,
+    interdigital_unit_cell,
+    participation_set,
     reconstruct_gap_voltage,
     refine_until_converged,
     solution_to_csv,
     solve_cross_section,
 )
+from qsurfloss.solver import epsilon_0
 
 from conftest import cps_capacitance
 
@@ -166,3 +174,96 @@ class TestCsvExport:
         ]
         # two strips and one gap, 256 samples each
         assert len(lines) - 1 == 3 * 256
+
+
+def test_vacuum_permittivity_literal():
+    assert epsilon_0 == scipy.constants.epsilon_0
+
+
+def edge_pair_reference(sol):
+    """``sol`` re-solved with every kernel entry taken from its element's two
+    edges and the full dense system, as before node assembly and the fold."""
+    a = np.concatenate([s.edges[:-1] for s in sol.strips])
+    b = np.concatenate([s.edges[1:] for s in sol.strips])
+    xc, n, scale = 0.5 * (a + b), a.size, 2.0 * np.pi * sol.eps_bar
+
+    def antiderivative(u):
+        return u * (np.log(np.abs(u)) - 1.0)
+
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = -(antiderivative(b - xc[:, None])
+                       - antiderivative(a - xc[:, None])) / scale
+    system[:n, n] = 1.0
+    system[n, :n] = b - a
+    pots = sol.geometry.potentials
+    rhs = np.append(np.repeat(pots, sol.elements_per_strip), 0.0)
+    sigma = np.linalg.solve(system, rhs)[:n]
+    strips = [replace(s, charge_density=q, e_perp_sub=q / (2.0 * sol.eps_bar),
+                      e_perp_vac=q / (2.0 * sol.eps_bar))
+              for s, q in zip(sol.strips, np.split(sigma, len(sol.strips)))]
+    gaps = [replace(g, e_par=(np.log(np.abs(g.centers[:, None] - a))
+                              - np.log(np.abs(g.centers[:, None] - b))) @ sigma / scale)
+            for g in sol.gaps]
+    energy = 0.5 * sum(s.charge * s.potential for s in strips)
+    return replace(sol, strips=strips, gaps=gaps, energy_per_len=energy,
+                   capacitance_per_len=2.0 * energy / (max(pots) - min(pots)) ** 2)
+
+
+def shifted(geom, index, dx_um):
+    """``geom`` with one strip moved by ``dx_um``."""
+    strips = [Strip(s.x_start + (dx_um if i == index else 0.0), s.width, s.potential)
+              for i, s in enumerate(geom.strips)]
+    return replace(geom, strips=strips)
+
+
+IDC_256 = interdigital_unit_cell(1.0, 7, discretization=256)
+IDC_33 = interdigital_unit_cell(3.0, 7, discretization=33)
+NEAR_SYMMETRIC = shifted(interdigital_unit_cell(1.0, 7, discretization=64), 2, 1e-3)
+ASYMMETRIC = CrossSection(
+    [Strip(0.0, 5.0, 1.0), Strip(7.0, 4.0, -1.0), Strip(13.0, 6.0, 0.3),
+     Strip(21.0, 5.0, 1.0)],
+    discretization=64,
+)
+
+
+class TestNodeAssemblyAndMirrorFold:
+    """Both paths against the edge-pair reference; a mirror-even section is
+    solved at half size, anything else at full size."""
+
+    @pytest.mark.parametrize("geom, system_size", [
+        (IDC_256, 3 * 256 + 128 + 1),
+        (IDC_33, 3 * 33 + 17 + 1),  # the centre strip's middle element once
+        (NEAR_SYMMETRIC, 7 * 64 + 1),
+        (ASYMMETRIC, 4 * 64 + 1),
+    ], ids=["idc-256", "idc-33", "near-symmetric", "asymmetric"])
+    def test_matches_edge_pair_reference(self, geom, system_size, monkeypatch):
+        sizes = []
+        dense_solve = np.linalg.solve
+
+        def spy(system, rhs):
+            sizes.append(system.shape[0])
+            return dense_solve(system, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        sol = solve_cross_section(geom)
+        assert sizes == [system_size]
+        ref = edge_pair_reference(sol)
+
+        assert sol.strip_charges() == pytest.approx(ref.strip_charges(), rel=1e-9)
+        assert sol.energy_per_len == pytest.approx(ref.energy_per_len, rel=1e-9)
+        assert sol.capacitance_per_len == pytest.approx(
+            ref.capacitance_per_len, rel=1e-9)
+        e_par, e_ref = sol.e_par_gap, ref.e_par_gap
+        assert np.max(np.abs(e_par - e_ref)) <= 1e-9 * np.max(np.abs(e_ref))
+        specs = [DEFAULT_SM_SPEC.with_region(r) for r in InterfaceRegion]
+        got = participation_set(sol, specs)
+        want = participation_set(ref, specs)
+        for region in InterfaceRegion:
+            assert got[region] == pytest.approx(want[region], rel=1e-9)
+
+    def test_folded_solution_keeps_the_full_layout(self):
+        sol = solve_cross_section(IDC_33)
+        assert [s.charge_density.size for s in sol.strips] == [33] * 7
+        assert [g.e_par.size for g in sol.gaps] == [33] * 6
+        for left, right in zip(sol.strips, sol.strips[::-1]):
+            assert np.array_equal(left.charge_density, right.charge_density[::-1])
