@@ -1,16 +1,22 @@
-"""Two-term interface dielectric-loss model and its linear fits.
+"""Interface dielectric-loss model and its linear fits.
 
 The inverse quality factor decomposes into participation-weighted loss
 tangents, ``1/Q = sum_i P_i tan(delta_i)``.  With the capacitor's
 substrate-metal participation ``p_sm`` and the lumped junction-region
-participation ``p_j`` this yields two fit variants on the observable 1/Q:
+participation ``p_j`` this yields three fit variants on the observable 1/Q:
 
+* ``SM_ONLY``:     1/Q = p_sm * tan_d_sm
 * ``SM_PLUS_Q0``:  1/Q = p_sm * tan_d_sm + 1/Q0   (geometry-independent rest)
 * ``SM_PLUS_J``:   1/Q = p_sm * tan_d_sm + p_j * tan_d_j
 
-Both are linear least squares with optional inverse-variance weighting,
-``var(1/Q) = q_std^2 / q_mean^4``; loss tangents are constrained
-non-negative by a clamped active set.
+``_TERMS`` lists each model's parameters and the design column each one
+multiplies.  Every fit is linear least squares, optionally inverse-variance
+weighted with ``var(1/Q) = q_std^2 / q_mean^4``, so every point then needs
+a spread.  An active set that drops the most negative parameter and refits
+keeps the loss tangents non-negative.  For at most two parameters this is
+exact NNLS (Lawson & Hanson, 1974) when every design column and weight is
+non-negative, which holds for every model here (participations and the
+intercept are >= 0); on signed columns it can stop on the wrong face.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ class LossModel(str, Enum):
 class Weighting(str, Enum):
     NONE = "none"
     INVERSE_VARIANCE = "invvar"
+
+
+#: Per model, each parameter in fit order with the design column it
+#: multiplies: ``p_sm``, ``p_j`` or the constant ``1``.
+_TERMS: dict[LossModel, tuple[tuple[str, str], ...]] = {
+    LossModel.SM_ONLY: (("tan_d_sm", "p_sm"),),
+    LossModel.SM_PLUS_Q0: (("tan_d_sm", "p_sm"), ("inv_q0", "1")),
+    LossModel.SM_PLUS_J: (("tan_d_sm", "p_sm"), ("tan_d_j", "p_j")),
+}
 
 
 @dataclass
@@ -83,14 +98,10 @@ class LossFitResult:
         return self.stderr[name] / abs(value)
 
     def to_json_dict(self) -> dict:
-        params: dict[str, float | None] = {"tan_d_sm": self.tan_d_sm}
-        if self.model is LossModel.SM_PLUS_J:
-            params["tan_d_j"] = self.tan_d_j
-        if self.model is LossModel.SM_PLUS_Q0:
-            params["q0"] = self.q0
+        params = {"tan_d_sm": self.tan_d_sm, "tan_d_j": self.tan_d_j, "q0": self.q0}
         return {
             "model": self.model.value,
-            "parameters": params,
+            "parameters": {k: v for k, v in params.items() if v is not None},
             "stderr": dict(self.stderr),
             "covariance": None if self.covariance is None else self.covariance.tolist(),
             "residuals_inv_q": None if self.residuals is None else self.residuals.tolist(),
@@ -123,23 +134,28 @@ def normalized_pr(p_sm: float, p_j: float, tan_d_sm: float, tan_d_j: float) -> f
 def _weights(points: Sequence[LossDataPoint], weighting: Weighting) -> np.ndarray:
     if weighting is Weighting.NONE:
         return np.ones(len(points))
-    w = np.empty(len(points))
-    for i, p in enumerate(points):
-        if p.q_std:
-            w[i] = p.q_mean**4 / p.q_std**2   # 1 / var(1/Q)
-        else:
-            w[i] = 1.0  # no spread published: unit weight
-    return w
+    missing = [p.group_id for p in points if not p.q_std]
+    if missing:
+        shown = ", ".join(repr(g) for g in missing[:3])
+        raise InvalidInputError(
+            f"inverse-variance weighting needs a q_std > 0 on every point; "
+            f"{len(missing)} of {len(points)} have none ({shown}"
+            f"{', ...' if len(missing) > 3 else ''}); use weighting 'none'"
+        )
+    return np.array([p.q_mean**4 / p.q_std**2 for p in points])   # 1 / var(1/Q)
 
 
 def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Weighted least squares with parameters clamped to be non-negative.
 
-    Returns (beta, covariance, residuals).  A parameter whose unconstrained
-    optimum is negative is fixed at zero and the rest refit; clamped
-    parameters report zero variance.  The covariance of the free parameters
-    is ``(X'WX)^-1`` scaled by the reduced chi-square (set to NaN when the
-    system is exactly determined).
+    Returns (beta, covariance, residuals, condition number).  While the
+    free parameters' optimum has a negative entry, the most negative one is
+    fixed at zero and the rest refit; clamped parameters report zero
+    variance.  Dropped parameters are never re-checked.  That is exact NNLS
+    for at most two columns when every column and weight is non-negative:
+    the Gram entry ``g12 >= 0`` then rules out the other face.  The
+    covariance of the free parameters is ``(X'WX)^-1`` scaled by the reduced
+    chi-square (set to NaN when the system is exactly determined).
     """
     n, k = X.shape
     sw = np.sqrt(w)
@@ -168,7 +184,11 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     dof = n - len(free)
     cov = np.zeros((k, k))
     if free:
-        gram_inv = np.linalg.inv(Xw[:, free].T @ Xw[:, free])
+        # scaled by a power of two, which is exact, so that the Gram of a
+        # very small or large design neither underflows nor overflows
+        exp = np.frexp(np.max(np.abs(Xw[:, free])))[1]
+        unit = np.ldexp(Xw[:, free], -exp)
+        gram_inv = np.ldexp(np.linalg.inv(unit.T @ unit), -2 * exp)
         chi2 = float(np.sum(w * residuals**2))
         scale = chi2 / dof if dof > 0 else np.nan
         sub = gram_inv * scale
@@ -178,18 +198,39 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     return beta, cov, residuals, cond
 
 
-def _prepare(points: Sequence[LossDataPoint], n_params: int,
-             require_psm_range: bool = False):
-    if len(points) < n_params:
-        raise InvalidInputError(
-            f"need at least {n_params} points for a {n_params}-parameter fit"
-        )
-    p_sm = np.array([p.p_sm for p in points])
-    p_j = np.array([p.p_j for p in points])
-    y = np.array([1.0 / p.q_mean for p in points])
-    if require_psm_range and np.ptp(p_sm) == 0:
+def _fit(model: LossModel, points: Sequence[LossDataPoint],
+         weighting: Weighting | str) -> LossFitResult:
+    """Least-squares fit of ``model`` as laid out in ``_TERMS``."""
+    weighting = Weighting(weighting)
+    names, columns = zip(*_TERMS[model])
+    k = len(names)
+    if len(points) < k:
+        raise InvalidInputError(f"need at least {k} points for a {k}-parameter fit")
+    design = {
+        "p_sm": np.array([p.p_sm for p in points]),
+        "p_j": np.array([p.p_j for p in points]),
+        "1": np.ones(len(points)),
+    }
+    if "1" in columns and np.ptp(design["p_sm"]) == 0:
         raise DegenerateFitError("all points share the same p_sm; nothing to fit")
-    return p_sm, p_j, y
+    X = np.column_stack([design[c] for c in columns])
+    y = np.array([1.0 / p.q_mean for p in points])
+    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, _weights(points, weighting))
+    params = dict(zip(names, beta.tolist()))
+    inv_q0 = params.get("inv_q0")
+    return LossFitResult(
+        model=model,
+        tan_d_sm=params["tan_d_sm"],
+        tan_d_j=params.get("tan_d_j"),
+        q0=None if inv_q0 is None else (1.0 / inv_q0 if inv_q0 > 0 else math.inf),
+        stderr={name: float(np.sqrt(cov[i, i])) for i, name in enumerate(names)},
+        covariance=cov,
+        residuals=res,
+        predicted_inv_q=X @ beta,
+        weighting=weighting,
+        n_points=len(points),
+        condition_number=float(cond),
+    )
 
 
 def fit_sm_plus_q0(
@@ -197,28 +238,7 @@ def fit_sm_plus_q0(
     weighting: Weighting | str = Weighting.INVERSE_VARIANCE,
 ) -> LossFitResult:
     """Fit ``1/Q = p_sm * tan_d_sm + 1/Q0`` by (weighted) linear least squares."""
-    weighting = Weighting(weighting)
-    p_sm, _, y = _prepare(points, 2, require_psm_range=True)
-    X = np.column_stack([p_sm, np.ones_like(p_sm)])
-    w = _weights(points, weighting)
-    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, w)
-    tan_d_sm, inv_q0 = beta
-    stderr = {
-        "tan_d_sm": float(np.sqrt(cov[0, 0])),
-        "inv_q0": float(np.sqrt(cov[1, 1])),
-    }
-    return LossFitResult(
-        model=LossModel.SM_PLUS_Q0,
-        tan_d_sm=float(tan_d_sm),
-        q0=float(1.0 / inv_q0) if inv_q0 > 0 else math.inf,
-        stderr=stderr,
-        covariance=cov,
-        residuals=res,
-        predicted_inv_q=X @ beta,
-        weighting=weighting,
-        n_points=len(points),
-        condition_number=float(cond),
-    )
+    return _fit(LossModel.SM_PLUS_Q0, points, weighting)
 
 
 def fit_sm_plus_j(
@@ -226,27 +246,7 @@ def fit_sm_plus_j(
     weighting: Weighting | str = Weighting.INVERSE_VARIANCE,
 ) -> LossFitResult:
     """Fit ``1/Q = p_sm * tan_d_sm + p_j * tan_d_j``."""
-    weighting = Weighting(weighting)
-    p_sm, p_j, y = _prepare(points, 2)
-    X = np.column_stack([p_sm, p_j])
-    w = _weights(points, weighting)
-    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, w)
-    stderr = {
-        "tan_d_sm": float(np.sqrt(cov[0, 0])),
-        "tan_d_j": float(np.sqrt(cov[1, 1])),
-    }
-    return LossFitResult(
-        model=LossModel.SM_PLUS_J,
-        tan_d_sm=float(beta[0]),
-        tan_d_j=float(beta[1]),
-        stderr=stderr,
-        covariance=cov,
-        residuals=res,
-        predicted_inv_q=X @ beta,
-        weighting=weighting,
-        n_points=len(points),
-        condition_number=float(cond),
-    )
+    return _fit(LossModel.SM_PLUS_J, points, weighting)
 
 
 def fit_sm_only(
@@ -254,22 +254,7 @@ def fit_sm_only(
     weighting: Weighting | str = Weighting.INVERSE_VARIANCE,
 ) -> LossFitResult:
     """Single-term fit ``1/Q = p_sm * tan_d_sm`` (the naive capacitor-only model)."""
-    weighting = Weighting(weighting)
-    p_sm, _, y = _prepare(points, 1)
-    X = p_sm[:, None]
-    w = _weights(points, weighting)
-    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, w)
-    return LossFitResult(
-        model=LossModel.SM_ONLY,
-        tan_d_sm=float(beta[0]),
-        stderr={"tan_d_sm": float(np.sqrt(cov[0, 0]))},
-        covariance=cov,
-        residuals=res,
-        predicted_inv_q=X @ beta,
-        weighting=weighting,
-        n_points=len(points),
-        condition_number=float(cond),
-    )
+    return _fit(LossModel.SM_ONLY, points, weighting)
 
 
 FITTERS = {
@@ -281,10 +266,6 @@ FITTERS = {
 
 def model_inverse_q(result: LossFitResult, p_sm: float, p_j: float) -> float:
     """Evaluate a fitted model's 1/Q prediction for one device."""
-    if result.model is LossModel.SM_PLUS_Q0:
-        return predict_inverse_q(p_sm, 0.0, result.tan_d_sm) + (
-            0.0 if math.isinf(result.q0) else 1.0 / result.q0
-        )
-    if result.model is LossModel.SM_PLUS_J:
-        return predict_inverse_q(p_sm, p_j, result.tan_d_sm, result.tan_d_j)
-    return predict_inverse_q(p_sm, 0.0, result.tan_d_sm)
+    return predict_inverse_q(p_sm, p_j, result.tan_d_sm, result.tan_d_j or 0.0) + (
+        1.0 / result.q0 if result.q0 is not None and math.isfinite(result.q0) else 0.0
+    )

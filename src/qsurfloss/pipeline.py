@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import DegenerateFitError, InvalidInputError, QSurfLossError
+from .errors import InvalidInputError, QSurfLossError
 from .lossmodel import (
     FITTERS,
     LossFitResult,
@@ -216,10 +216,11 @@ def _emit(manifest, errors, out_dir: Path, kind: str, write, *args,
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the configured stages and write the report bundle.
 
-    Returns the report dictionary (also written as ``report.json``).  Fit
-    degenerations, failed file writers and a failed sweep do not abort the
-    run; they are recorded under ``errors`` and flip ``status`` to
-    ``"partial"`` so callers can exit nonzero.
+    Returns the report dictionary (also written as ``report.json``).  A fit
+    that fails (too few points, a degenerate design, a point without spread
+    under inverse-variance weighting), a failed file writer and a failed
+    sweep do not abort the run; they are recorded under ``errors`` and flip
+    ``status`` to ``"partial"`` so callers can exit nonzero.
 
     Raises
     ------
@@ -264,7 +265,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             model = LossModel(model_name)
             try:
                 fit = FITTERS[model](points, weighting=config.weighting)
-            except DegenerateFitError as exc:
+            except QSurfLossError as exc:
                 errors.append({"stage": f"fit[{model.value}]", "error": str(exc)})
                 continue
             fits[model.value] = fit

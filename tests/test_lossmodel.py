@@ -1,7 +1,11 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsurfloss import (
     DegenerateFitError,
@@ -11,9 +15,17 @@ from qsurfloss import (
     fit_sm_only,
     fit_sm_plus_j,
     fit_sm_plus_q0,
+    group_for_fit,
     model_inverse_q,
     normalized_pr,
     predict_inverse_q,
+)
+from qsurfloss.lossmodel import (
+    CONDITION_LIMIT,
+    FITTERS,
+    LossFitResult,
+    Weighting,
+    _clamped_weighted_lstsq,
 )
 
 # loss tangents extracted from the bundled dataset (two-term model)
@@ -175,6 +187,21 @@ class TestWeighting:
         assert b.tan_d_sm == pytest.approx(a.tan_d_sm, rel=1e-9)
         assert b.tan_d_j == pytest.approx(a.tan_d_j, rel=1e-9)
 
+    def test_invvar_requires_spread_on_every_point(self):
+        """A point without q_std (None or 0) has no inverse variance; it is
+        refused rather than given an arbitrary weight."""
+        points = [
+            LossDataPoint(p_sm=s, p_j=j, q_mean=2e6, q_std=std, group_id=g)
+            for s, j, std, g in [(1e-4, 0.5e-4, 2e5, "a"), (3e-4, 0.2e-4, None, "b"),
+                                 (7e-4, 0.6e-4, 0.0, "c"), (1.5e-3, 0.1e-4, 2e5, "d")]
+        ]
+        with pytest.raises(InvalidInputError) as info:
+            fit_sm_plus_j(points, weighting="invvar")
+        assert str(info.value) == (
+            "inverse-variance weighting needs a q_std > 0 on every point; "
+            "2 of 4 have none ('b', 'c'); use weighting 'none'")
+        assert fit_sm_plus_j(points, weighting="none").n_points == 4
+
     def test_residual_orthogonality_unweighted(self, grouped_points):
         fit = fit_sm_plus_j(grouped_points, weighting="none")
         res = fit.residuals
@@ -188,23 +215,93 @@ class TestWeighting:
             assert cosine < 1e-9
 
 
+def negative_junction_points():
+    """Data generated with a negative junction coefficient."""
+    rng = np.random.default_rng(7)
+    p_sm = np.linspace(2e-4, 2e-3, 8)
+    p_j = rng.uniform(0.1e-4, 0.4e-4, 8)
+    inv_q = 1e-3 * p_sm - 2e-3 * p_j
+    return [
+        LossDataPoint(p_sm=s, p_j=j, q_mean=1.0 / y)
+        for s, j, y in zip(p_sm, p_j, inv_q)
+    ]
+
+
 class TestNonNegativity:
     def test_negative_optimum_clamped_to_zero(self):
-        """Data generated with a negative junction coefficient must come back
-        clamped at zero, refit on the remaining column."""
-        rng = np.random.default_rng(7)
-        p_sm = np.linspace(2e-4, 2e-3, 8)
-        p_j = rng.uniform(0.1e-4, 0.4e-4, 8)
-        inv_q = 1e-3 * p_sm - 2e-3 * p_j
-        points = [
-            LossDataPoint(p_sm=s, p_j=j, q_mean=1.0 / y)
-            for s, j, y in zip(p_sm, p_j, inv_q)
-        ]
+        """A negative junction coefficient must come back clamped at zero,
+        refit on the remaining column."""
+        points = negative_junction_points()
         fit = fit_sm_plus_j(points, weighting="none")
         assert fit.tan_d_j == 0.0
         assert fit.stderr["tan_d_j"] == 0.0
         only = fit_sm_only(points, weighting="none")
         assert fit.tan_d_sm == pytest.approx(only.tan_d_sm, rel=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_active_set_reaches_nnls_minimum(self, data):
+        """The drop-the-most-negative active set is exact NNLS for k <= 2
+        design columns when every column entry is >= 0 and every weight > 0
+        (then g12 >= 0 in the Gram matrix): its weighted residual equals the
+        least one over all 2^k active sets, each solved unconstrained and
+        kept when non-negative."""
+        k = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(k, 8))
+
+        def column(lo, hi):
+            return np.array(data.draw(st.lists(
+                st.floats(lo, hi, allow_subnormal=False), min_size=n, max_size=n)))
+
+        X = np.column_stack([column(0.0, 1.0) for _ in range(k)])
+        y = column(-1.0, 1.0)
+        w = column(1e-3, 1e3)
+        sw = np.sqrt(w)
+        assume(np.linalg.cond(X * sw[:, None]) < CONDITION_LIMIT)
+
+        def chi2(beta):
+            return float(np.sum(w * (y - X @ beta) ** 2))
+
+        beta, *_ = _clamped_weighted_lstsq(X, y, w)
+        assert np.all(beta >= 0)
+        best = chi2(np.zeros(k))
+        for r in range(1, k + 1):
+            for active in map(list, itertools.combinations(range(k), r)):
+                sol, *_ = np.linalg.lstsq(X[:, active] * sw[:, None], y * sw,
+                                          rcond=None)
+                if np.all(sol >= 0):
+                    candidate = np.zeros(k)
+                    candidate[active] = sol
+                    best = min(best, chi2(candidate))
+        # an exact fit leaves best at rounding level; floor it at the scale
+        # of the problem, chi2 at beta = 0
+        assert chi2(beta) <= best + 1e-9 * max(best, 1e-9 * chi2(np.zeros(k)))
+
+
+class TestCovariance:
+    def test_power_of_two_scaling_is_exact(self, grouped_points):
+        """The free-parameter covariance is bit for bit ``(X'WX)^-1`` times
+        the reduced chi-square, formed without rescaling."""
+        X = np.column_stack([[p.p_sm for p in grouped_points],
+                             [p.p_j for p in grouped_points]])
+        y = np.array([1.0 / p.q_mean for p in grouped_points])
+        w = np.array([p.q_mean**4 / p.q_std**2 for p in grouped_points])
+        beta, cov, res, _ = _clamped_weighted_lstsq(X, y, w)
+        assert np.all(beta > 0)
+        Xw = X * np.sqrt(w)[:, None]
+        chi2 = float(np.sum(w * res**2))
+        expected = np.linalg.inv(Xw.T @ Xw) * (chi2 / (len(y) - 2))
+        np.testing.assert_array_equal(cov, expected)
+
+    def test_tiny_design_does_not_underflow(self):
+        """A well-conditioned design of magnitude 1e-200 squares to 0 in its
+        Gram matrix unless it is rescaled first."""
+        x = np.array([1.0, 2.0, 3.0])
+        y = 0.5 * x * np.array([1.0, 1.1, 0.9])
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta, *_ = _clamped_weighted_lstsq(1e-200 * x[:, None], 1e-200 * y,
+                                               np.ones(3))
+        assert beta[0] == pytest.approx(float(x @ y / (x @ x)), rel=1e-12)
 
 
 class TestSerialization:
@@ -215,3 +312,204 @@ class TestSerialization:
         assert parsed["model"] == LossModel.SM_PLUS_J.value
         assert parsed["parameters"]["tan_d_sm"] == pytest.approx(fit.tan_d_sm)
         assert len(parsed["residuals_inv_q"]) == len(grouped_points)
+
+
+# The per-model fitters, JSON layout and prediction as they were before the
+# model table, kept as the reference that the table-driven fitter must match
+# bit for bit.  They share the clamped solver, and every case given to them
+# with inverse-variance weighting carries a spread on each point.
+
+def _reference_prepare(points, n_params, require_psm_range=False):
+    if len(points) < n_params:
+        raise InvalidInputError(
+            f"need at least {n_params} points for a {n_params}-parameter fit"
+        )
+    p_sm = np.array([p.p_sm for p in points])
+    p_j = np.array([p.p_j for p in points])
+    y = np.array([1.0 / p.q_mean for p in points])
+    if require_psm_range and np.ptp(p_sm) == 0:
+        raise DegenerateFitError("all points share the same p_sm; nothing to fit")
+    return p_sm, p_j, y
+
+
+def _reference_weights(points, weighting):
+    if weighting is Weighting.NONE:
+        return np.ones(len(points))
+    w = np.empty(len(points))
+    for i, p in enumerate(points):
+        w[i] = p.q_mean**4 / p.q_std**2
+    return w
+
+
+def reference_fit_sm_plus_q0(points, weighting):
+    weighting = Weighting(weighting)
+    p_sm, _, y = _reference_prepare(points, 2, require_psm_range=True)
+    X = np.column_stack([p_sm, np.ones_like(p_sm)])
+    w = _reference_weights(points, weighting)
+    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, w)
+    tan_d_sm, inv_q0 = beta
+    stderr = {
+        "tan_d_sm": float(np.sqrt(cov[0, 0])),
+        "inv_q0": float(np.sqrt(cov[1, 1])),
+    }
+    return LossFitResult(
+        model=LossModel.SM_PLUS_Q0,
+        tan_d_sm=float(tan_d_sm),
+        q0=float(1.0 / inv_q0) if inv_q0 > 0 else math.inf,
+        stderr=stderr,
+        covariance=cov,
+        residuals=res,
+        predicted_inv_q=X @ beta,
+        weighting=weighting,
+        n_points=len(points),
+        condition_number=float(cond),
+    )
+
+
+def reference_fit_sm_plus_j(points, weighting):
+    weighting = Weighting(weighting)
+    p_sm, p_j, y = _reference_prepare(points, 2)
+    X = np.column_stack([p_sm, p_j])
+    w = _reference_weights(points, weighting)
+    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, w)
+    stderr = {
+        "tan_d_sm": float(np.sqrt(cov[0, 0])),
+        "tan_d_j": float(np.sqrt(cov[1, 1])),
+    }
+    return LossFitResult(
+        model=LossModel.SM_PLUS_J,
+        tan_d_sm=float(beta[0]),
+        tan_d_j=float(beta[1]),
+        stderr=stderr,
+        covariance=cov,
+        residuals=res,
+        predicted_inv_q=X @ beta,
+        weighting=weighting,
+        n_points=len(points),
+        condition_number=float(cond),
+    )
+
+
+def reference_fit_sm_only(points, weighting):
+    weighting = Weighting(weighting)
+    p_sm, _, y = _reference_prepare(points, 1)
+    X = p_sm[:, None]
+    w = _reference_weights(points, weighting)
+    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, w)
+    return LossFitResult(
+        model=LossModel.SM_ONLY,
+        tan_d_sm=float(beta[0]),
+        stderr={"tan_d_sm": float(np.sqrt(cov[0, 0]))},
+        covariance=cov,
+        residuals=res,
+        predicted_inv_q=X @ beta,
+        weighting=weighting,
+        n_points=len(points),
+        condition_number=float(cond),
+    )
+
+
+REFERENCE_FITTERS = {
+    LossModel.SM_ONLY: reference_fit_sm_only,
+    LossModel.SM_PLUS_Q0: reference_fit_sm_plus_q0,
+    LossModel.SM_PLUS_J: reference_fit_sm_plus_j,
+}
+
+
+def reference_json_dict(result):
+    params = {"tan_d_sm": result.tan_d_sm}
+    if result.model is LossModel.SM_PLUS_J:
+        params["tan_d_j"] = result.tan_d_j
+    if result.model is LossModel.SM_PLUS_Q0:
+        params["q0"] = result.q0
+    return {
+        "model": result.model.value,
+        "parameters": params,
+        "stderr": dict(result.stderr),
+        "covariance": result.covariance.tolist(),
+        "residuals_inv_q": result.residuals.tolist(),
+        "weighting": result.weighting.value,
+        "n_points": result.n_points,
+        "condition_number": result.condition_number,
+    }
+
+
+def reference_model_inverse_q(result, p_sm, p_j):
+    if result.model is LossModel.SM_PLUS_Q0:
+        return predict_inverse_q(p_sm, 0.0, result.tan_d_sm) + (
+            0.0 if math.isinf(result.q0) else 1.0 / result.q0
+        )
+    if result.model is LossModel.SM_PLUS_J:
+        return predict_inverse_q(p_sm, p_j, result.tan_d_sm, result.tan_d_j)
+    return predict_inverse_q(p_sm, 0.0, result.tan_d_sm)
+
+
+def negative_intercept_points():
+    """1/Q below the origin line: the Q0 fit clamps 1/Q0 to 0 (Q0 = inf)."""
+    p_sm = np.linspace(2e-4, 2e-3, 6)
+    return [LossDataPoint(p_sm=s, p_j=0.0, q_mean=1.0 / (1e-3 * s - 1e-8))
+            for s in p_sm]
+
+
+ALL_MODELS = tuple(LossModel)
+REFERENCE_CASES = {
+    # case: (points, weighting, models)
+    "per-die/none": ("per_die_design", "none", ALL_MODELS),
+    "per-die/invvar": ("per_die_design", "invvar", ALL_MODELS),
+    "per-device/none": ("per_device", "none", ALL_MODELS),
+    "two-point-q0": (lambda: synthetic_points(8e-4, inv_q0=1e-7, p_sm=[1e-4, 1e-3]),
+                     "none", (LossModel.SM_PLUS_Q0,)),
+    "negative-junction": (negative_junction_points, "none",
+                          (LossModel.SM_ONLY, LossModel.SM_PLUS_J)),
+    "clamped-intercept": (negative_intercept_points, "none", (LossModel.SM_PLUS_Q0,)),
+}
+
+
+def case_points(records, source):
+    if callable(source):
+        return source()
+    points = group_for_fit(records, mode=source)
+    points.sort(key=lambda p: (p.p_sm, p.p_j, p.group_id))
+    return points
+
+
+def assert_same_fit(got, want):
+    assert got.model is want.model
+    assert (got.tan_d_sm, got.tan_d_j, got.q0) == (want.tan_d_sm, want.tan_d_j, want.q0)
+    assert got.stderr.keys() == want.stderr.keys()
+    # exact equality; NaN (an exactly determined system) equals NaN
+    np.testing.assert_array_equal(list(got.stderr.values()), list(want.stderr.values()))
+    np.testing.assert_array_equal(got.covariance, want.covariance)
+    np.testing.assert_array_equal(got.residuals, want.residuals)
+    np.testing.assert_array_equal(got.predicted_inv_q, want.predicted_inv_q)
+    assert got.condition_number == want.condition_number
+    assert json.dumps(got.to_json_dict()) == json.dumps(reference_json_dict(want))
+
+
+class TestAgainstPerModelFitters:
+    @pytest.mark.parametrize("case, model", [
+        (case, model)
+        for case, (_, _, models) in REFERENCE_CASES.items() for model in models
+    ], ids=lambda v: v.value if isinstance(v, LossModel) else v)
+    def test_fit_matches_reference(self, records, case, model):
+        source, weighting, _ = REFERENCE_CASES[case]
+        points = case_points(records, source)
+        got = FITTERS[model](points, weighting=weighting)
+        assert_same_fit(got, REFERENCE_FITTERS[model](points, weighting))
+        if case == "clamped-intercept":
+            assert got.q0 == math.inf
+
+    def test_model_inverse_q_matches_reference_on_surface_grid(self, grouped_points):
+        """The q_model_surface grid (25 x 25 over the data's p ranges) for
+        every model, and for a Q0 fit with Q0 = inf."""
+        fits = [FITTERS[m](grouped_points) for m in LossModel]
+        fits.append(fit_sm_plus_q0(negative_intercept_points(), weighting="none"))
+        p_sm = np.geomspace(min(p.p_sm for p in grouped_points),
+                            max(p.p_sm for p in grouped_points), 25)
+        p_j = np.geomspace(min(p.p_j for p in grouped_points),
+                           max(p.p_j for p in grouped_points), 25)
+        for fit in fits:
+            for s in p_sm:
+                for j in p_j:
+                    assert model_inverse_q(fit, float(s), float(j)) == (
+                        reference_model_inverse_q(fit, float(s), float(j)))

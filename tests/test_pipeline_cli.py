@@ -36,12 +36,12 @@ def make_degenerate_table(path):
     path.write_text(",".join(COLUMNS) + "\n" + "\n".join(rows) + "\n")
 
 
-def make_rising_q_table(path):
+def make_rising_q_table(path, n_rows=5):
     """Q rises with p_sm: the sm+j fit clamps tan_d_sm to zero."""
     rows = [
         f"X{i}-1,dumbbell_2d,4.0,6.0,40,100,5.0,10.0,{1.0 + 0.5 * i},0.1,"
         f"{5.0 + 5 * i},{1.0 + 0.3 * (i % 2)}"
-        for i in range(5)
+        for i in range(n_rows)
     ]
     path.write_text(",".join(COLUMNS) + "\n" + "\n".join(rows) + "\n")
 
@@ -225,6 +225,44 @@ class TestRunPipeline:
         assert errors == [True, False, False, False]
         assert "cutoff_sensitivity" in report["sweep"]
 
+    def test_one_row_table_fails_every_fit(self, tmp_path):
+        """Too few points is an input error of the fit, not of the run: each
+        model becomes a fit stage error and report.json is still written."""
+        table = tmp_path / "devices.csv"
+        make_rising_q_table(table, n_rows=1)
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "dataset": str(table), "models": ["sm+j", "sm+q0"],
+            "output_dir": str(out),
+        }))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert report["fits"] == {}
+        message = "need at least 2 points for a 2-parameter fit"
+        assert report["errors"] == [{"stage": "fit[sm+j]", "error": message},
+                                    {"stage": "fit[sm+q0]", "error": message}]
+        assert {p.name for p in out.iterdir()} == {"report.json"}
+
+    def test_invvar_without_spread_fails_the_fit(self, tmp_path):
+        """Per device, the ten bundled D8/D9 devices publish no q_std, so an
+        inverse-variance fit has no weight for them."""
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "models": ["sm+j"], "grouping": "per_device", "output_dir": str(out),
+        }))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert report["n_fit_points"] == 32
+        assert report["fits"] == {}
+        assert report["errors"] == [{
+            "stage": "fit[sm+j]",
+            "error": "inverse-variance weighting needs a q_std > 0 on every "
+                     "point; 10 of 32 have none ('D8-1', 'D8-2', 'D8-3', ...); "
+                     "use weighting 'none'",
+        }]
+
 
 def _run_report(tmp_path, text):
     cfg = tmp_path / "cfg.json"
@@ -314,6 +352,14 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["model"] == "sm+q0"
         assert payload["grouping"] == "per_die_design"
+
+    def test_fit_loss_per_device_needs_weights_none(self):
+        result = CliRunner().invoke(main, ["fit-loss", "--group", "per-device"])
+        _assert_one_line_error(result, "10 of 32 have none")
+        result = CliRunner().invoke(
+            main, ["fit-loss", "--group", "per-device", "--weights", "none"])
+        assert result.exit_code == 0, result.output
+        assert "on 32 points (per-device, weights=none)" in result.output
 
     def test_fit_loss_degenerate_exits_nonzero(self, tmp_path):
         table = tmp_path / "devices.csv"
