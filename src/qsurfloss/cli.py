@@ -23,7 +23,7 @@ import click
 from . import __version__
 from .dataio import bundled_device_table, group_for_fit, load_device_table
 from .errors import QSurfLossError
-from .lossmodel import FITTERS, LossModel
+from .lossmodel import FITTERS, LossModel, Weighting
 from .participation import write_sweep_csv
 from .pipeline import PipelineConfig, SweepConfig, run_pipeline, write_report_json
 from .qubitfit import (
@@ -35,6 +35,7 @@ from .qubitfit import (
 )
 
 GROUP_MODES = {"per-die": "per_die_design", "per-device": "per_device"}
+_SWEEP = SweepConfig()  # qsurfloss sweep takes a report's sweep defaults
 
 
 @click.group()
@@ -50,23 +51,23 @@ def _fail(exc: Exception) -> None:
 
 
 @main.command()
-@click.option("--width-min", type=float, default=1.0, show_default=True,
-              help="Smallest gap/finger width, um.")
-@click.option("--width-max", type=float, default=20.0, show_default=True,
-              help="Largest gap/finger width, um.")
-@click.option("--points", type=int, default=20, show_default=True,
+@click.option("--width-min", type=float, default=_SWEEP.width_min_um,
+              show_default=True, help="Smallest gap/finger width, um.")
+@click.option("--width-max", type=float, default=_SWEEP.width_max_um,
+              show_default=True, help="Largest gap/finger width, um.")
+@click.option("--points", type=int, default=_SWEEP.points, show_default=True,
               help="Number of sweep points.")
-@click.option("--t-sm-nm", type=float, default=1.0, show_default=True,
+@click.option("--t-sm-nm", type=float, default=_SWEEP.t_sm_nm, show_default=True,
               help="Substrate-metal layer thickness, nm.")
-@click.option("--eps-sm", type=float, default=10.15, show_default=True,
+@click.option("--eps-sm", type=float, default=_SWEEP.eps_sm_rel, show_default=True,
               help="Relative permittivity of the SM layer; the substrate "
                    "stays sapphire.")
-@click.option("--cutoff-um", type=float, default=None,
+@click.option("--cutoff-um", type=float, default=_SWEEP.cutoff_um,
               help="Fixed edge cutoff in um; default scales with the width.")
-@click.option("--fingers", type=int, default=7, show_default=True,
+@click.option("--fingers", type=int, default=_SWEEP.n_fingers, show_default=True,
               help="Fingers in the unit-cell array (odd, >= 5).")
-@click.option("--elements", type=int, default=256, show_default=True,
-              help="Boundary elements per strip.")
+@click.option("--elements", type=int, default=_SWEEP.elements_per_strip,
+              show_default=True, help="Boundary elements per strip.")
 @click.option("--out", type=click.Path(dir_okay=False), default="psm_width_sweep.csv",
               show_default=True, help="Output CSV path.")
 def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, fingers,
@@ -90,10 +91,10 @@ def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, fingers,
 @main.command("fit-loss")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Device table CSV; bundled dataset when omitted.")
-@click.option("--model", type=click.Choice(["sm+q0", "sm+j"]), default="sm+j",
-              show_default=True)
-@click.option("--weights", type=click.Choice(["none", "invvar"]), default="invvar",
-              show_default=True)
+@click.option("--model", type=click.Choice([m.value for m in LossModel]),
+              default=LossModel.SM_PLUS_J.value, show_default=True)
+@click.option("--weights", type=click.Choice([w.value for w in Weighting]),
+              default=Weighting.INVERSE_VARIANCE.value, show_default=True)
 @click.option("--group", type=click.Choice(sorted(GROUP_MODES)), default="per-die",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,

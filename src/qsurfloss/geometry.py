@@ -8,7 +8,7 @@ between vacuum (above) and a dielectric substrate half-space (below).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -26,6 +26,9 @@ DEFAULT_EDGE_CUTOFF_UM = 0.1
 #: exclusion equals the ~1 nm disordered-layer thickness scale where the
 #: thin-layer approximation itself breaks down.
 INTERDIGITAL_CUTOFF_FRACTION = 1e-3
+
+#: Gap/finger widths (um) an interdigital cell, and so a width sweep, accepts.
+INTERDIGITAL_WIDTH_RANGE_UM = (0.1, 100.0)
 
 
 @dataclass(frozen=True)
@@ -129,15 +132,7 @@ class CrossSection:
         strips = [
             Strip(s.x_start, s.width, float(v)) for s, v in zip(self.strips, potentials)
         ]
-        return CrossSection(
-            strips,
-            eps_sub_rel=self.eps_sub_rel,
-            eps_vac_rel=self.eps_vac_rel,
-            edge_cutoff=self.edge_cutoff,
-            discretization=self.discretization,
-            representative_cell=self.representative_cell,
-            label=self.label,
-        )
+        return replace(self, strips=strips)
 
     def scaled(self, factor: float) -> "CrossSection":
         """Copy with every lateral dimension (including the cutoff) scaled."""
@@ -147,15 +142,7 @@ class CrossSection:
             Strip(s.x_start * factor, s.width * factor, s.potential)
             for s in self.strips
         ]
-        return CrossSection(
-            strips,
-            eps_sub_rel=self.eps_sub_rel,
-            eps_vac_rel=self.eps_vac_rel,
-            edge_cutoff=self.edge_cutoff * factor,
-            discretization=self.discretization,
-            representative_cell=self.representative_cell,
-            label=self.label,
-        )
+        return replace(self, strips=strips, edge_cutoff=self.edge_cutoff * factor)
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -197,17 +184,15 @@ def dump_cross_section(geom: CrossSection, path) -> None:
 def interdigital_unit_cell(
     gap_and_finger_width: float,
     n_fingers: int,
-    v_drive: float = 1.0,
-    eps_sub_rel: float = SAPPHIRE_EPS_REL,
     discretization: int = 128,
     edge_cutoff: float | None = None,
 ) -> CrossSection:
     """Finite strip array standing in for the periodic interdigital interior.
 
-    ``n_fingers`` equal-width strips separated by equal gaps carry
-    alternating potentials ``+v_drive/2, -v_drive/2, ...``.  The center strip
-    is flagged as the representative cell so that participation extraction
-    sees a cell shielded from the finite-array edges; for that reason
+    ``n_fingers`` equal-width strips on sapphire, separated by equal gaps,
+    carry alternating potentials ``+0.5, -0.5, ...`` V.  The center strip is
+    flagged as the representative cell so that participation extraction sees
+    a cell shielded from the finite-array edges; for that reason
     ``n_fingers`` must be odd and at least 5.
 
     The edge cutoff defaults to ``width * INTERDIGITAL_CUTOFF_FRACTION``
@@ -215,9 +200,10 @@ def interdigital_unit_cell(
     the cutoff proportional to the feature size.
     """
     w = float(gap_and_finger_width)
-    if not 0.1 <= w <= 100.0:
+    lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
+    if not lo <= w <= hi:
         raise InvalidInputError(
-            f"gap/finger width must lie in [0.1, 100] um, got {w}"
+            f"gap/finger width must lie in [{lo:g}, {hi:g}] um, got {w}"
         )
     if n_fingers % 2 == 0:
         raise InvalidInputError(f"n_fingers must be odd, got {n_fingers}")
@@ -226,12 +212,11 @@ def interdigital_unit_cell(
     if edge_cutoff is None:
         edge_cutoff = w * INTERDIGITAL_CUTOFF_FRACTION
     strips = [
-        Strip(i * 2.0 * w, w, +0.5 * v_drive if i % 2 == 0 else -0.5 * v_drive)
+        Strip(i * 2.0 * w, w, 0.5 if i % 2 == 0 else -0.5)
         for i in range(n_fingers)
     ]
     return CrossSection(
         strips,
-        eps_sub_rel=eps_sub_rel,
         edge_cutoff=edge_cutoff,
         discretization=discretization,
         representative_cell=n_fingers // 2,

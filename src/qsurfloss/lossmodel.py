@@ -184,14 +184,18 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     dof = n - len(free)
     cov = np.zeros((k, k))
     if free:
-        # scaled by a power of two, which is exact, so that the Gram of a
-        # very small or large design neither underflows nor overflows
-        exp = np.frexp(np.max(np.abs(Xw[:, free])))[1]
-        unit = np.ldexp(Xw[:, free], -exp)
-        gram_inv = np.ldexp(np.linalg.inv(unit.T @ unit), -2 * exp)
-        chi2 = float(np.sum(w * residuals**2))
+        # the design and the residuals are each scaled by a power of two,
+        # which is exact, so that neither the Gram of a very small or large
+        # design nor chi-square underflows or overflows; one ldexp undoes
+        # both, and a variance beyond the float range reads inf
+        x_exp = np.frexp(np.max(np.abs(Xw[:, free])))[1]
+        r_exp = np.frexp(np.max(np.abs(residuals)))[1]
+        unit = np.ldexp(Xw[:, free], -x_exp)
+        chi2 = float(np.sum(w * np.ldexp(residuals, -r_exp)**2))
         scale = chi2 / dof if dof > 0 else np.nan
-        sub = gram_inv * scale
+        with np.errstate(over="ignore"):
+            sub = np.ldexp(np.linalg.inv(unit.T @ unit) * scale,
+                           2 * (r_exp - x_exp))
         for a, ia in enumerate(free):
             for b, ib in enumerate(free):
                 cov[ia, ib] = sub[a, b]

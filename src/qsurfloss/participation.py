@@ -8,12 +8,13 @@ the thickness.  The layer energy per unit length is
 
 with E_layer obtained from the surface solution by the region's field rule:
 
-* SM: purely normal field under the metal, substrate side; continuity of the
-  normal displacement gives ``E_layer = (eps_sub / eps_i) * E_perp_sub``.
+* SM and MA: purely normal field on the substrate (SM) or vacuum (MA) face of
+  the metal.  Both faces carry the same ``E_perp = sigma / (2 eps_bar)``, and
+  continuity of the normal displacement gives ``E_layer = (eps_side / eps_i)
+  * E_perp`` with eps_side = eps_sub for SM and eps_vac for MA.
 * SA: layer just inside the exposed substrate; the tangential component is
-  continuous and the normal component scales by ``eps_sub / eps_i`` (it is
-  identically zero at y = 0 in the zero-thickness model).
-* MA: vacuum side of the metal; ``E_layer = (eps_vac / eps_i) * E_perp_vac``.
+  continuous and the normal component is identically zero at y = 0 in the
+  zero-thickness model, so only ``E_par`` contributes.
 
 The surface charge (and with it E^2) diverges as 1/r toward strip edges, so
 every layer integral excludes a cutoff distance around each strip edge; the
@@ -29,7 +30,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, QSurfLossError
-from .geometry import SAPPHIRE_EPS_REL, interdigital_unit_cell
+from .geometry import (
+    INTERDIGITAL_CUTOFF_FRACTION,
+    INTERDIGITAL_WIDTH_RANGE_UM,
+    SAPPHIRE_EPS_REL,
+    interdigital_unit_cell,
+)
 from .solver import FieldSolution, epsilon_0, solve_cross_section
 
 UM = 1e-6
@@ -109,10 +115,12 @@ class ParticipationSet:
         }[InterfaceRegion(region)]
 
 
-def _cell_bounds(sol: FieldSolution) -> tuple[int, float, float]:
-    """Representative-cell strip index and the cell's x-extent in metres."""
+def _cell_bounds(sol: FieldSolution) -> tuple[float, float]:
+    """x-extent in metres of the representative cell, the strip plus half of
+    each adjacent gap; the whole line when the geometry flags no cell."""
     ci = sol.geometry.representative_cell
-    assert ci is not None
+    if ci is None:
+        return -np.inf, np.inf
     strip = sol.strips[ci]
     left = strip.x_left
     right = strip.x_right
@@ -120,7 +128,7 @@ def _cell_bounds(sol: FieldSolution) -> tuple[int, float, float]:
         left = 0.5 * (sol.strips[ci - 1].x_right + strip.x_left)
     if ci < len(sol.strips) - 1:
         right = 0.5 * (strip.x_right + sol.strips[ci + 1].x_left)
-    return ci, left, right
+    return left, right
 
 
 def _strip_square_integral(
@@ -150,98 +158,66 @@ def layer_energy(
     sol: FieldSolution,
     spec: InterfaceSpec,
     cutoff_um: float | None = None,
-    restrict_to_cell: bool | None = None,
 ) -> float:
     """Electric energy per unit length stored in one thin interface layer (J/m).
 
     ``cutoff_um`` overrides the geometry's edge cutoff.  When the geometry
     flags a representative cell (finger arrays), the integral is restricted
-    to that cell by default; pass ``restrict_to_cell=False`` to integrate
-    over the whole array.
+    to that cell; otherwise it covers the whole array.
     """
     geom = sol.geometry
     cutoff_m = (geom.edge_cutoff if cutoff_um is None else cutoff_um) * UM
     if cutoff_m < 0:
         raise InvalidInputError("cutoff must be >= 0")
-    if restrict_to_cell is None:
-        restrict_to_cell = geom.representative_cell is not None
-    if restrict_to_cell and geom.representative_cell is None:
-        raise InvalidInputError("geometry flags no representative cell")
 
     eps_i = spec.eps_rel * epsilon_0
-    eps_sub = geom.eps_sub_rel * epsilon_0
-    eps_vac = geom.eps_vac_rel * epsilon_0
     t = spec.thickness_nm * NM
 
-    if restrict_to_cell:
-        ci, x_min, x_max = _cell_bounds(sol)
-        strip_sel = [sol.strips[ci]]
-        gap_sel = [g for g in sol.gaps if g.index in (ci - 1, ci)]
-    else:
-        x_min, x_max = -np.inf, np.inf
-        strip_sel = sol.strips
-        gap_sel = sol.gaps
-
-    if spec.region is InterfaceRegion.SM:
-        scale = eps_sub / eps_i
-        total = sum(
-            _strip_square_integral(s, scale * s.e_perp_sub, cutoff_m)
-            for s in strip_sel
-        )
-    elif spec.region is InterfaceRegion.MA:
-        scale = eps_vac / eps_i
-        total = sum(
-            _strip_square_integral(s, scale * s.e_perp_vac, cutoff_m)
-            for s in strip_sel
-        )
-    else:
-        if not gap_sel:
+    x_min, x_max = _cell_bounds(sol)
+    if spec.region is InterfaceRegion.SA:
+        if not sol.gaps:
             raise InvalidInputError(
                 "no gap field samples available for the SA region"
             )
-        # tangential component continuous into the layer; the normal
-        # component (scaled by eps_sub/eps_i) is identically zero on the
-        # exposed interface in the zero-thickness model, so only E_par
-        # contributes here.
         total = sum(
-            _gap_square_integral(g, cutoff_m, x_min, x_max) for g in gap_sel
+            _gap_square_integral(g, cutoff_m, x_min, x_max) for g in sol.gaps
+        )
+    else:
+        scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
+                 else geom.eps_vac_rel) * epsilon_0 / eps_i
+        total = sum(
+            _strip_square_integral(s, scale * s.e_perp, cutoff_m)
+            for s in sol.strips if x_min <= s.x_left and s.x_right <= x_max
         )
 
     return 0.5 * eps_i * t * total
-
-
-def _cell_energy(sol: FieldSolution) -> float:
-    """Energy share of the representative cell, J/m (periodic-interior proxy)."""
-    ci, _, _ = _cell_bounds(sol)
-    strip = sol.strips[ci]
-    return 0.5 * abs(strip.charge * strip.potential)
 
 
 def participation_set(
     sol: FieldSolution,
     specs: Sequence[InterfaceSpec],
     cutoff_um: float | None = None,
-    restrict_to_cell: bool | None = None,
 ) -> ParticipationSet:
     """Participation ratio of each requested interface layer.
 
     ``p_region = layer_energy / U`` where U is the total energy per unit
-    length, or the representative cell's energy share when the integrals are
-    cell restricted.  Duplicate regions in ``specs`` are rejected; regions
+    length, or the representative cell's energy share when the geometry
+    flags one.  Duplicate regions in ``specs`` are rejected; regions
     not requested come back as ``None``.
     """
     regions = [InterfaceRegion(s.region) for s in specs]
     if len(set(regions)) != len(regions):
         raise InvalidInputError("duplicate interface regions in specs")
     geom = sol.geometry
-    if restrict_to_cell is None:
-        restrict_to_cell = geom.representative_cell is not None
-    u_total = _cell_energy(sol) if restrict_to_cell else sol.energy_per_len
+    if geom.representative_cell is None:
+        u_total = sol.energy_per_len
+    else:  # the cell's energy share, J/m (periodic-interior proxy)
+        cell = sol.strips[geom.representative_cell]
+        u_total = 0.5 * abs(cell.charge * cell.potential)
 
     values: dict[InterfaceRegion, float] = {}
     for spec in specs:
-        u = layer_energy(sol, spec, cutoff_um=cutoff_um,
-                         restrict_to_cell=restrict_to_cell)
+        u = layer_energy(sol, spec, cutoff_um=cutoff_um)
         values[InterfaceRegion(spec.region)] = u / u_total
 
     cutoff = geom.edge_cutoff if cutoff_um is None else cutoff_um
@@ -271,63 +247,60 @@ def psm_width_sweep(
     widths_um: Sequence[float],
     spec: InterfaceSpec = DEFAULT_SM_SPEC,
     n_fingers: int = 7,
-    eps_sub_rel: float = SAPPHIRE_EPS_REL,
     discretization: int = 256,
     cutoff_um: float | None = None,
-    include_companion_regions: bool = True,
 ) -> list[SweepPoint]:
     """Substrate-metal participation versus gap/finger width.
 
-    The sweep cell is an interdigital unit cell (equal gap and finger width,
-    alternating drive) and each point is its representative-cell
-    participation.  One solve at the first width w0 serves every point by
-    the scale law ``p(w, c) = p(w0, c * w0 / w) * w0 / w``.  With
-    ``cutoff_um=None`` each width keeps its width-proportional edge cutoff,
-    which makes p * width constant across the sweep.
+    The sweep cell is an interdigital unit cell on sapphire (equal gap and
+    finger width, alternating drive) and each point is its
+    representative-cell participation.  One solve at the first width w0
+    serves every point by the scale law ``p(w, c) = p(w0, c * w0 / w) * w0 /
+    w``.  With ``cutoff_um=None`` each width keeps its width-proportional
+    edge cutoff, which makes p * width constant across the sweep.
 
     SA and MA companion layers with the same thickness and permittivity are
-    evaluated alongside by default so the emitted curve carries all three
-    columns for sensitivity comparison.
+    evaluated alongside, so the emitted curve carries all three columns for
+    sensitivity comparison.
 
     A failed reference solve is recorded on every point, and a ratio outside
     [0, 1] on its own point; the sweep still returns all points.
     """
-    return _width_sweep(widths_um, spec, n_fingers, discretization, cutoff_um,
-                        eps_sub_rel, include_companion_regions)[0]
+    return _width_sweep(widths_um, spec, n_fingers, discretization, cutoff_um)[0]
 
 
 def _width_sweep(
     widths_um: Sequence[float], spec: InterfaceSpec, n_fingers: int,
     discretization: int, cutoff_um: float | None,
-    eps_sub_rel: float = SAPPHIRE_EPS_REL, include_companion_regions: bool = True,
 ) -> tuple[list[SweepPoint], FieldSolution | None]:
     """``psm_width_sweep`` plus its reference solution at the first width
     (``None`` when the sweep is empty or the solve failed)."""
     widths = [float(w) for w in widths_um]
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise InvalidInputError("widths must be strictly ascending")
-    if any(not 0.5 <= w <= 50.0 for w in widths):
-        raise InvalidInputError("sweep widths must lie in [0.5, 50] um")
+    lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
+    if any(not lo <= w <= hi for w in widths):
+        raise InvalidInputError(f"sweep widths must lie in [{lo:g}, {hi:g}] um")
     if InterfaceRegion(spec.region) is not InterfaceRegion.SM:
         raise InvalidInputError("sweep spec must describe the SM region")
+    if not widths:
+        return [], None
 
-    specs = [spec]
-    if include_companion_regions:
-        specs += [spec.with_region(InterfaceRegion.SA),
-                  spec.with_region(InterfaceRegion.MA)]
-
-    # every width's geometry validates its own cutoff against that width
-    geoms = [
-        interdigital_unit_cell(w, n_fingers, eps_sub_rel=eps_sub_rel,
-                               discretization=discretization,
-                               edge_cutoff=cutoff_um)
+    specs = [spec, spec.with_region(InterfaceRegion.SA),
+             spec.with_region(InterfaceRegion.MA)]
+    # the first width is the narrowest, so its cell also rejects a fixed
+    # cutoff too wide for any other width
+    cell = interdigital_unit_cell(widths[0], n_fingers,
+                                  discretization=discretization,
+                                  edge_cutoff=cutoff_um)
+    points = [
+        SweepPoint(width_um=w, n_fingers=n_fingers,
+                   cutoff_um=(w * INTERDIGITAL_CUTOFF_FRACTION
+                              if cutoff_um is None else cutoff_um))
         for w in widths
     ]
-    points = [SweepPoint(width_um=w, n_fingers=n_fingers,
-                         cutoff_um=g.edge_cutoff)
-              for w, g in zip(widths, geoms)]
     try:
-        reference = solve_cross_section(geoms[0]) if geoms else None
+        reference = solve_cross_section(cell)
     except QSurfLossError as exc:
         for point in points:
             point.error = str(exc)

@@ -99,6 +99,9 @@ def _initial_guess(delays: np.ndarray, populations: np.ndarray):
     return a0, t10, b0
 
 
+# an optimizer's trial step to T1 < 0 overflows the model to inf, and the
+# optimizer rejects that step
+@np.errstate(over="ignore")
 def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     """Least-squares fit of ``A exp(-t/T1) + B`` to one decay trace.
 

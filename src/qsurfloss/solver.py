@@ -72,8 +72,7 @@ class StripFields:
     centers: np.ndarray      # collocation points, shape (n,)
     widths: np.ndarray       # element widths, shape (n,)
     charge_density: np.ndarray  # sigma, C/m^2 (per unit length / per metre of x)
-    e_perp_sub: np.ndarray   # signed normal field on the substrate side, V/m
-    e_perp_vac: np.ndarray   # signed normal field on the vacuum side, V/m
+    e_perp: np.ndarray       # normal field sigma/(2 eps_bar) on both faces, V/m
 
     @property
     def charge(self) -> float:
@@ -83,7 +82,7 @@ class StripFields:
 
 @dataclass
 class GapFields:
-    """Field samples on the exposed substrate between two adjacent strips."""
+    """Tangential field on the exposed substrate between two adjacent strips."""
 
     index: int
     x_left: float
@@ -91,8 +90,6 @@ class GapFields:
     centers: np.ndarray
     widths: np.ndarray
     e_par: np.ndarray        # tangential field, V/m
-    e_perp_sub: np.ndarray   # exactly zero in the zero-thickness model
-    e_perp_vac: np.ndarray
 
 
 @dataclass
@@ -121,10 +118,6 @@ class FieldSolution:
         if not self.gaps:
             return np.zeros(0)
         return np.concatenate([g.e_par for g in self.gaps])
-
-    @property
-    def total_charge(self) -> float:
-        return float(sum(s.charge for s in self.strips))
 
     def strip_charges(self) -> list[float]:
         return [s.charge for s in self.strips]
@@ -269,7 +262,6 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
     strips: list[StripFields] = []
     for si, s in enumerate(geom.strips):
         sig = sigma[si]
-        e_n = sig / (2.0 * eps_bar)  # same magnitude above and below the plane
         strips.append(
             StripFields(
                 index=si,
@@ -280,8 +272,7 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
                 centers=centers[si],
                 widths=widths[si],
                 charge_density=sig,
-                e_perp_sub=e_n,
-                e_perp_vac=e_n,
+                e_perp=sig / (2.0 * eps_bar),
             )
         )
 
@@ -292,7 +283,6 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
         nodes = cosine_graded_nodes(ga, gb, n_elem)
         gap_centers = 0.5 * (nodes[:-1] + nodes[1:])
         e_par = tangential_field(gap_centers, strips, eps_bar)
-        zeros = np.zeros_like(gap_centers)
         gaps.append(
             GapFields(
                 index=gi,
@@ -301,8 +291,6 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
                 centers=gap_centers,
                 widths=np.diff(nodes),
                 e_par=e_par,
-                e_perp_sub=zeros,
-                e_perp_vac=zeros,
             )
         )
 
@@ -451,8 +439,9 @@ def field_energy_quadrature(
 def solution_to_csv(sol: FieldSolution, path) -> None:
     """Write surface samples as CSV: x, sigma, E_perp_sub, E_perp_vac, E_par.
 
-    Strip rows carry the charge density and normal fields (tangential field
-    is zero on a conductor); gap rows carry the tangential field.  An extra
+    Strip rows carry the charge density and the normal field, the same in
+    both normal-field columns (tangential field is zero on a conductor); gap
+    rows carry the tangential field.  An extra
     ``segment`` column identifies the source segment.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -460,7 +449,7 @@ def solution_to_csv(sol: FieldSolution, path) -> None:
         writer.writerow(["x_um", "sigma_c_per_m2", "e_perp_sub_v_per_m",
                          "e_perp_vac_v_per_m", "e_par_v_per_m", "segment"])
         for s in sol.strips:
-            for x, sg, en in zip(s.centers, s.charge_density, s.e_perp_sub):
+            for x, sg, en in zip(s.centers, s.charge_density, s.e_perp):
                 writer.writerow([f"{x / UM:.9g}", f"{sg:.9g}", f"{en:.9g}",
                                  f"{en:.9g}", "0", f"strip{s.index}"])
         for g in sol.gaps:

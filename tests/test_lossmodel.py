@@ -295,13 +295,27 @@ class TestCovariance:
 
     def test_tiny_design_does_not_underflow(self):
         """A well-conditioned design of magnitude 1e-200 squares to 0 in its
-        Gram matrix unless it is rescaled first."""
+        Gram matrix, and its chi-square underflows, unless each is rescaled
+        first; at 1e200 both overflow.  Scaling X and y together leaves beta
+        and the covariance unchanged."""
         x = np.array([1.0, 2.0, 3.0])
         y = 0.5 * x * np.array([1.0, 1.1, 0.9])
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta, *_ = _clamped_weighted_lstsq(1e-200 * x[:, None], 1e-200 * y,
-                                               np.ones(3))
-        assert beta[0] == pytest.approx(float(x @ y / (x @ x)), rel=1e-12)
+        _, unit_cov, *_ = _clamped_weighted_lstsq(x[:, None], y, np.ones(3))
+        assert np.all(unit_cov > 0)
+        for scale in (1e-200, 1e200):
+            beta, cov, *_ = _clamped_weighted_lstsq(scale * x[:, None],
+                                                    scale * y, np.ones(3))
+            assert beta[0] == pytest.approx(float(x @ y / (x @ x)), rel=1e-12)
+            np.testing.assert_allclose(cov, unit_cov, rtol=1e-12, atol=0)
+
+    def test_unrepresentable_variance_reads_inf(self):
+        """The true variance here is 1/(3e-223)^2 ~ 1e445: it saturates to
+        inf instead of raising an overflow warning."""
+        X = np.array([[3.1742278738215514e-223], [0.0]])
+        beta, cov, *_ = _clamped_weighted_lstsq(X, np.array([0.0, 1.0]),
+                                                np.ones(2))
+        assert beta[0] == 0.0
+        assert cov[0, 0] == np.inf
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.constants import epsilon_0
@@ -18,6 +20,7 @@ from qsurfloss import (
     solve_cross_section,
     write_sweep_csv,
 )
+from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import JUNCTION_MA_SPEC
 from qsurfloss.solver import FieldSolution, StripFields
 
@@ -48,8 +51,7 @@ def uniform_field_solution(width_um, e_field, depth_um, eps_sub_rel):
         centers=centers,
         widths=np.diff(edges),
         charge_density=2.0 * eps_bar * e,
-        e_perp_sub=e,
-        e_perp_vac=e,
+        e_perp=e,
     )
     energy = (
         0.5 * eps_sub_rel * epsilon_0 * e_field**2 * depth_um * UM * width_um * UM
@@ -97,10 +99,6 @@ class TestLayerEnergy:
         sm = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM))
         sa = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SA))
         assert sm > sa > 0.0
-
-    def test_cell_restriction_requires_flag(self, two_strip_sol):
-        with pytest.raises(InvalidInputError, match="representative cell"):
-            layer_energy(two_strip_sol, DEFAULT_SM_SPEC, restrict_to_cell=True)
 
     def test_missing_gap_samples_rejected(self):
         sol = uniform_field_solution(50.0, 1e5, 1.0, 10.15)
@@ -173,8 +171,9 @@ class TestParticipationSet:
 
     def test_whole_array_close_to_cell(self, interdigital_sol_1um):
         cell = participation_set(interdigital_sol_1um, [DEFAULT_SM_SPEC])
+        whole_array = replace(interdigital_sol_1um.geometry, representative_cell=None)
         whole = participation_set(
-            interdigital_sol_1um, [DEFAULT_SM_SPEC], restrict_to_cell=False
+            solve_cross_section(whole_array), [DEFAULT_SM_SPEC]
         )
         # finite-array edges perturb the whole-array ratio by O(10%)
         assert whole.p_sm == pytest.approx(cell.p_sm, rel=0.25)
@@ -217,8 +216,9 @@ class TestWidthSweep:
     def test_width_validation(self):
         with pytest.raises(InvalidInputError, match="ascending"):
             psm_width_sweep([2.0, 1.0])
-        with pytest.raises(InvalidInputError, match="0.5"):
-            psm_width_sweep([0.1, 1.0])
+        for widths in ([0.05, 1.0], [1.0, 200.0]):
+            with pytest.raises(InvalidInputError, match=r"\[0\.1, 100\] um"):
+                psm_width_sweep(widths)
         with pytest.raises(InvalidInputError, match="SM"):
             psm_width_sweep([1.0], spec=DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA))
 
@@ -279,8 +279,30 @@ class TestWidthSweep:
         assert all(p.p_sm is None and p.cutoff_um is not None for p in points)
 
     def test_fixed_cutoff_must_fit_the_narrowest_width(self):
-        with pytest.raises(InvalidInputError, match="edge_cutoff"):
-            psm_width_sweep([1.0, 2.0], discretization=64, cutoff_um=0.6)
+        """The sweep's one cell, at the first width, rejects a fixed cutoff
+        of at least half that width with the geometry's own message."""
+        for cutoff_um in (0.5, 0.6):
+            with pytest.raises(InvalidInputError,
+                               match=r"edge_cutoff must lie in \[0, 0\.5\) um"):
+                psm_width_sweep([1.0, 2.0], discretization=64, cutoff_um=cutoff_um)
+
+    def test_one_cell_per_sweep(self, monkeypatch):
+        import qsurfloss.participation as participation_module
+
+        built = []
+        real_cell = participation_module.interdigital_unit_cell
+
+        def counted(width, *args, **kwargs):
+            built.append(width)
+            return real_cell(width, *args, **kwargs)
+
+        monkeypatch.setattr(participation_module, "interdigital_unit_cell", counted)
+        widths = [0.1, 1.0, 2.5, 40.0, 100.0]  # the cell's whole width range
+        points = psm_width_sweep(widths, discretization=64)
+        assert built == [0.1]
+        assert [p.cutoff_um for p in points] == [
+            w * INTERDIGITAL_CUTOFF_FRACTION for w in widths]
+        assert all(p.error is None for p in points)
 
     def test_empty_sweep(self):
         assert psm_width_sweep([]) == []

@@ -361,6 +361,13 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "on 32 points (per-device, weights=none)" in result.output
 
+    def test_fit_loss_sm_only(self):
+        result = CliRunner().invoke(
+            main, ["fit-loss", "--model", "sm", "--weights", "none"])
+        assert result.exit_code == 0, result.output
+        assert "model sm on 24 points" in result.output
+        assert "tan_d_sm" in result.output
+
     def test_fit_loss_degenerate_exits_nonzero(self, tmp_path):
         table = tmp_path / "devices.csv"
         make_degenerate_table(table)
@@ -411,6 +418,14 @@ class TestCli:
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4
+
+    def test_sweep_command_reaches_the_cell_width_range(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main, ["sweep", "--width-min", "0.3", "--width-max", "2",
+                   "--points", "4", "--elements", "64", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "(4 widths, 0 failed)" in result.output
 
     def test_sweep_command_rejects_zero_points(self, tmp_path):
         out = tmp_path / "sweep.csv"

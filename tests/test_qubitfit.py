@@ -90,6 +90,14 @@ class TestFitExponential:
         estimate = fit_exponential(trace, loss="soft_l1")
         assert estimate.t1_us == pytest.approx(T1_REF, rel=0.15)
 
+    def test_robust_fit_steps_past_a_negative_t1_trial(self):
+        """The optimizer tries a T1 < 0 on this trace; the model overflows to
+        inf there without a numpy warning, and the step is rejected."""
+        trace = make_trace(noise=0.02, seed=2)
+        trace.populations[25] += 0.3
+        estimate = fit_exponential(trace, loss="soft_l1")
+        assert estimate.t1_us == pytest.approx(T1_REF, rel=0.15)
+
     def test_negative_t1_rejected(self, monkeypatch):
         # guard against optimizer escapes to a negative rate; fit_exponential
         # imports curve_fit when called, so the patch goes on scipy itself

@@ -107,16 +107,6 @@ class TestInvariants:
         b = solve_cross_section(two_strip_geom)
         assert np.array_equal(a.charge_density, b.charge_density)
 
-    def test_normal_fields_match_above_and_below(self, two_strip_sol):
-        for s in two_strip_sol.strips:
-            assert np.array_equal(s.e_perp_sub, s.e_perp_vac)
-
-    def test_gap_normal_field_is_zero(self, two_strip_sol):
-        # exact property of the zero-thickness interface model
-        gap = two_strip_sol.gaps[0]
-        assert np.all(gap.e_perp_sub == 0.0)
-        assert np.all(gap.e_perp_vac == 0.0)
-
 
 class TestErrors:
     def test_equal_potentials_rejected(self):
@@ -174,6 +164,11 @@ class TestCsvExport:
         ]
         # two strips and one gap, 256 samples each
         assert len(lines) - 1 == 3 * 256
+        # the one normal field of a strip fills both normal-field columns
+        rows = [line.split(",") for line in lines[1:257]]
+        e_perp = two_strip_sol.strips[0].e_perp
+        assert [float(r[2]) for r in rows] == pytest.approx(e_perp, rel=1e-8)
+        assert all(r[2] == r[3] for r in rows)
 
 
 def test_vacuum_permittivity_literal():
@@ -198,8 +193,7 @@ def edge_pair_reference(sol):
     pots = sol.geometry.potentials
     rhs = np.append(np.repeat(pots, sol.elements_per_strip), 0.0)
     sigma = np.linalg.solve(system, rhs)[:n]
-    strips = [replace(s, charge_density=q, e_perp_sub=q / (2.0 * sol.eps_bar),
-                      e_perp_vac=q / (2.0 * sol.eps_bar))
+    strips = [replace(s, charge_density=q, e_perp=q / (2.0 * sol.eps_bar))
               for s, q in zip(sol.strips, np.split(sigma, len(sol.strips)))]
     gaps = [replace(g, e_par=(np.log(np.abs(g.centers[:, None] - a))
                               - np.log(np.abs(g.centers[:, None] - b))) @ sigma / scale)
