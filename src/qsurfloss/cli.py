@@ -64,20 +64,14 @@ def _fail(exc: Exception) -> None:
                    "stays sapphire.")
 @click.option("--cutoff-um", type=float, default=_SWEEP.cutoff_um,
               help="Fixed edge cutoff in um; default scales with the width.")
-@click.option("--fingers", type=int, default=_SWEEP.n_fingers, show_default=True,
-              help="Fingers in the unit-cell array (odd, >= 5).")
-@click.option("--elements", type=int, default=_SWEEP.elements_per_strip,
-              show_default=True, help="Boundary elements per strip.")
 @click.option("--out", type=click.Path(dir_okay=False), default="psm_width_sweep.csv",
               show_default=True, help="Output CSV path.")
-def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, fingers,
-          elements, out) -> None:
-    """Compute the participation-versus-width curve of an interdigital cell."""
+def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, out) -> None:
+    """Compute the participation-versus-width curve of the interdigital array."""
     try:
-        result, _ = SweepConfig(
+        result = SweepConfig(
             width_min_um=width_min, width_max_um=width_max, points=points,
             t_sm_nm=t_sm_nm, eps_sm_rel=eps_sm, cutoff_um=cutoff_um,
-            n_fingers=fingers, elements_per_strip=elements,
         ).run()
     except QSurfLossError as exc:
         _fail(exc)

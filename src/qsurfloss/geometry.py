@@ -187,13 +187,16 @@ def interdigital_unit_cell(
     discretization: int = 128,
     edge_cutoff: float | None = None,
 ) -> CrossSection:
-    """Finite strip array standing in for the periodic interdigital interior.
+    """Finite interdigital array whose center cell approximates the periodic
+    interior.
 
     ``n_fingers`` equal-width strips on sapphire, separated by equal gaps,
     carry alternating potentials ``+0.5, -0.5, ...`` V.  The center strip is
     flagged as the representative cell so that participation extraction sees
     a cell shielded from the finite-array edges; for that reason
-    ``n_fingers`` must be odd and at least 5.
+    ``n_fingers`` must be odd and at least 5.  The width sweep evaluates the
+    infinite array in closed form instead; solving this cell with more
+    fingers converges to that closed form and so cross-checks it.
 
     The edge cutoff defaults to ``width * INTERDIGITAL_CUTOFF_FRACTION``
     rather than the global fixed default, so that sweeping the width keeps

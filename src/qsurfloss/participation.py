@@ -1,4 +1,4 @@
-"""Thin-lossy-layer participation ratios from a solved cross section.
+"""Thin-lossy-layer participation ratios of coplanar capacitor cross sections.
 
 Each interface (substrate-metal, substrate-air, metal-air) is a thin layer of
 thickness t and permittivity eps_i in which the field is taken uniform across
@@ -19,24 +19,28 @@ with E_layer obtained from the surface solution by the region's field rule:
 The surface charge (and with it E^2) diverges as 1/r toward strip edges, so
 every layer integral excludes a cutoff distance around each strip edge; the
 participation ratio is u_i over the total electric energy per unit length.
+
+A solved cross section (:func:`participation_set`) serves any strip layout.
+The width sweep is the infinite interdigital array, whose conformal map gives
+the same integrals in closed form with no solve (:func:`psm_width_sweep`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, QSurfLossError
+from .errors import InvalidInputError
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
     INTERDIGITAL_WIDTH_RANGE_UM,
     SAPPHIRE_EPS_REL,
-    interdigital_unit_cell,
 )
-from .solver import FieldSolution, epsilon_0, solve_cross_section
+from .solver import FieldSolution, epsilon_0
 
 UM = 1e-6
 NM = 1e-9
@@ -239,42 +243,77 @@ class SweepPoint:
     p_sa: float | None = None
     p_ma: float | None = None
     cutoff_um: float | None = None
-    n_fingers: int = 0
     error: str | None = None
+
+
+#: K(1/sqrt(2)), the complete elliptic integral of the first kind at the
+#: modulus of an interdigital array whose gap equals its finger width.
+_K_EQUAL_GAP = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
+
+
+def _check_cutoff(cutoff_um: float, width_um: float) -> None:
+    """Reject an edge cutoff that the exact array at ``width_um`` cannot take."""
+    if not 0.0 <= cutoff_um < width_um / 2:
+        raise InvalidInputError(
+            f"edge_cutoff must lie in [0, {width_um / 2}) um, got {cutoff_um}"
+        )
+    if cutoff_um == 0.0:
+        raise InvalidInputError(
+            "edge_cutoff must be > 0: the edge integrals of the exact array "
+            "diverge as ln(1 / cutoff)"
+        )
+
+
+def _periodic_idc(
+    width_um: float, cutoff_um: float, spec: InterfaceSpec
+) -> ParticipationSet:
+    """SM, SA and MA participation of one cell of the infinite interdigital
+    array on sapphire, gap = finger width = w, every layer set by ``spec``.
+
+    The map t = sin^2(pi x / P), P = 2w, and a Schwarz-Christoffel map take
+    the alternately driven (+-V) array to a rectangle (Igreja & Dias, Sens.
+    Actuators A 112, 291 (2004)).  At gap = width the modulus is k = k' =
+    1/sqrt(2), so each strip carries q = 4 eps_bar V and its charge is
+    sigma(x) = A / sqrt(1/2 - sin^2(pi x / P)), A = pi q / (4 w K).  The gap
+    field has the same profile, and with both edges cut by c each integral
+    is 4 A^2 w L / pi, L = -ln tan(pi c / (2w)).  Over the cell energy
+    1/2 |q V| that gives ``base = (t / w) pi L / (4 eps_bar K^2)`` times
+    eps_sub^2 / eps_i (SM), eps_i (SA) or 1 / eps_i (MA), with relative
+    permittivities throughout.
+    """
+    _check_cutoff(cutoff_um, width_um)
+    eps_bar = 0.5 * (SAPPHIRE_EPS_REL + 1.0)
+    log_term = -math.log(math.tan(0.5 * math.pi * cutoff_um / width_um))
+    base = (spec.thickness_nm * 1e-3 / width_um * math.pi * log_term
+            / (4.0 * eps_bar * _K_EQUAL_GAP**2))
+    return ParticipationSet(
+        p_sm=base * SAPPHIRE_EPS_REL**2 / spec.eps_rel,
+        p_sa=base * spec.eps_rel,
+        p_ma=base / spec.eps_rel,
+        cutoff_used=cutoff_um,
+        geometry_id=f"periodic interdigital w={width_um:g}um",
+    )
 
 
 def psm_width_sweep(
     widths_um: Sequence[float],
     spec: InterfaceSpec = DEFAULT_SM_SPEC,
-    n_fingers: int = 7,
-    discretization: int = 256,
     cutoff_um: float | None = None,
 ) -> list[SweepPoint]:
     """Substrate-metal participation versus gap/finger width.
 
-    The sweep cell is an interdigital unit cell on sapphire (equal gap and
-    finger width, alternating drive) and each point is its
-    representative-cell participation.  One solve at the first width w0
-    serves every point by the scale law ``p(w, c) = p(w0, c * w0 / w) * w0 /
-    w``.  With ``cutoff_um=None`` each width keeps its width-proportional
-    edge cutoff, which makes p * width constant across the sweep.
+    Each point is one cell of the infinite interdigital array on sapphire
+    (equal gap and finger width, alternating drive), evaluated in closed
+    form from its conformal map, so no cross section is solved.  With
+    ``cutoff_um=None`` each width keeps its width-proportional edge cutoff,
+    which makes p * width constant across the sweep; a fixed cutoff must lie
+    in (0, w / 2) at the first, narrowest width.
 
     SA and MA companion layers with the same thickness and permittivity are
     evaluated alongside, so the emitted curve carries all three columns for
-    sensitivity comparison.
-
-    A failed reference solve is recorded on every point, and a ratio outside
-    [0, 1] on its own point; the sweep still returns all points.
+    sensitivity comparison.  A ratio outside [0, 1] is recorded on its own
+    point; the sweep still returns all points.
     """
-    return _width_sweep(widths_um, spec, n_fingers, discretization, cutoff_um)[0]
-
-
-def _width_sweep(
-    widths_um: Sequence[float], spec: InterfaceSpec, n_fingers: int,
-    discretization: int, cutoff_um: float | None,
-) -> tuple[list[SweepPoint], FieldSolution | None]:
-    """``psm_width_sweep`` plus its reference solution at the first width
-    (``None`` when the sweep is empty or the solve failed)."""
     widths = [float(w) for w in widths_um]
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise InvalidInputError("widths must be strictly ascending")
@@ -283,56 +322,21 @@ def _width_sweep(
         raise InvalidInputError(f"sweep widths must lie in [{lo:g}, {hi:g}] um")
     if InterfaceRegion(spec.region) is not InterfaceRegion.SM:
         raise InvalidInputError("sweep spec must describe the SM region")
-    if not widths:
-        return [], None
+    if widths and cutoff_um is not None:
+        _check_cutoff(cutoff_um, widths[0])
 
-    specs = [spec, spec.with_region(InterfaceRegion.SA),
-             spec.with_region(InterfaceRegion.MA)]
-    # the first width is the narrowest, so its cell also rejects a fixed
-    # cutoff too wide for any other width
-    cell = interdigital_unit_cell(widths[0], n_fingers,
-                                  discretization=discretization,
-                                  edge_cutoff=cutoff_um)
-    points = [
-        SweepPoint(width_um=w, n_fingers=n_fingers,
-                   cutoff_um=(w * INTERDIGITAL_CUTOFF_FRACTION
-                              if cutoff_um is None else cutoff_um))
-        for w in widths
-    ]
-    try:
-        reference = solve_cross_section(cell)
-    except QSurfLossError as exc:
-        for point in points:
-            point.error = str(exc)
-        return points, None
-    for point in points:
+    points = []
+    for w in widths:
+        c = w * INTERDIGITAL_CUTOFF_FRACTION if cutoff_um is None else cutoff_um
+        point = SweepPoint(width_um=w, cutoff_um=c)
         try:
-            pset = _at_width(reference, specs, point.width_um, point.cutoff_um)
-        except QSurfLossError as exc:
+            pset = _periodic_idc(w, c, spec)
+        except InvalidInputError as exc:
             point.error = str(exc)
         else:
             point.p_sm, point.p_sa, point.p_ma = pset.p_sm, pset.p_sa, pset.p_ma
-    return points, reference
-
-
-def _at_width(
-    reference: FieldSolution,
-    specs: Sequence[InterfaceSpec],
-    width_um: float,
-    cutoff_um: float,
-) -> ParticipationSet:
-    """Participation of the sweep cell at ``width_um`` from its ``reference``
-    solution at another width.
-
-    Scaling the lateral geometry by s maps sigma(x) to sigma(x / s) / s, also
-    in the discretized equations (charge neutrality cancels the ln(s) term of
-    the kernel).  The energy is unchanged and each layer energy falls by 1/s,
-    as if the layer were s times thinner: ``p(s * cell, c, t) = p(cell, c / s,
-    t / s)`` (Wenner et al., APL 99, 113513 (2011)), bounded on that value.
-    """
-    s = width_um / reference.geometry.strips[0].width
-    thinner = [replace(spec, thickness_nm=spec.thickness_nm / s) for spec in specs]
-    return participation_set(reference, thinner, cutoff_um=cutoff_um / s)
+        points.append(point)
+    return points
 
 
 def cutoff_sensitivity(
@@ -362,7 +366,7 @@ def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["width_um", "p_sm", "p_sa", "p_ma", "cutoff_um",
-                         "n_fingers", "error"])
+                         "error"])
         for p in points:
             writer.writerow([
                 f"{p.width_um:.9g}",
@@ -370,6 +374,5 @@ def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
                 "" if p.p_sa is None else f"{p.p_sa:.9g}",
                 "" if p.p_ma is None else f"{p.p_ma:.9g}",
                 "" if p.cutoff_um is None else f"{p.cutoff_um:.9g}",
-                p.n_fingers,
                 p.error or "",
             ])

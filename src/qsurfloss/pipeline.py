@@ -33,21 +33,23 @@ from .lossmodel import (
     model_inverse_q,
     normalized_pr,
 )
-from .solver import FieldSolution
 from .participation import (
     SENSITIVITY_CUTOFFS_UM,
     InterfaceRegion,
     InterfaceSpec,
     SweepPoint,
-    _at_width,
-    _width_sweep,
+    _periodic_idc,
+    psm_width_sweep,
     write_sweep_csv,
 )
 
 REPORT_SCHEMA_VERSION = 1
 
 #: ``SweepConfig`` fields that take integers; the others take real numbers.
-_SWEEP_INT_FIELDS = ("points", "n_fingers", "elements_per_strip")
+_SWEEP_INT_FIELDS = ("points",)
+#: Sweep keys of the finite-array proxy the closed form replaced; a config
+#: may still carry them, and they are ignored.
+_RETIRED_SWEEP_KEYS = ("n_fingers", "elements_per_strip")
 
 
 @dataclass
@@ -60,8 +62,6 @@ class SweepConfig:
     t_sm_nm: float = 1.0
     eps_sm_rel: float = 10.15
     cutoff_um: float | None = None  # None: width-proportional cutoff
-    n_fingers: int = 7
-    elements_per_strip: int = 256
 
     def widths(self) -> list[float]:
         if self.points < 1 or self.width_max_um <= self.width_min_um:
@@ -75,10 +75,8 @@ class SweepConfig:
         return InterfaceSpec(InterfaceRegion.SM, thickness_nm=self.t_sm_nm,
                              eps_rel=self.eps_sm_rel)
 
-    def run(self) -> tuple[list[SweepPoint], FieldSolution | None]:
-        """The sweep's points and its reference solution at the first width."""
-        return _width_sweep(self.widths(), self.spec, self.n_fingers,
-                            self.elements_per_strip, self.cutoff_um)
+    def run(self) -> list[SweepPoint]:
+        return psm_width_sweep(self.widths(), self.spec, self.cutoff_um)
 
 
 @dataclass
@@ -123,7 +121,10 @@ class PipelineConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-                sweep = SweepConfig(**raw["sweep"]) if raw.get("sweep") else None
+                sweep = raw.get("sweep")
+                sweep = SweepConfig(**{k: v for k, v in sweep.items()
+                                       if k not in _RETIRED_SWEEP_KEYS}
+                                    ) if sweep else None
                 cfg = cls(**{**raw, "sweep": sweep})
                 cfg.models = tuple(cfg.models)
                 cfg.surface_grid_points = int(cfg.surface_grid_points)
@@ -296,7 +297,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.sweep is not None:
         sweep_cfg = config.sweep
         try:
-            sweep_points, reference = sweep_cfg.run()
+            sweep_points = sweep_cfg.run()
         except QSurfLossError as exc:
             errors.append({"stage": "sweep", "error": str(exc)})
         else:
@@ -307,7 +308,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 errors.append({"stage": "sweep", "error": "failed at width "
                                + ", ".join(f"{w:.9g}" for w in failed) + " um"})
             report["sweep"] = {
-                "n_fingers": sweep_cfg.n_fingers,
                 "t_sm_nm": sweep_cfg.t_sm_nm,
                 "eps_sm_rel": sweep_cfg.eps_sm_rel,
                 "points": [
@@ -326,9 +326,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             # regularizes the edge singularity, at one width
             width = min(max(10.0, sweep_cfg.width_min_um), sweep_cfg.width_max_um)
             try:
-                if reference is None:
-                    raise QSurfLossError(sweep_points[0].error)
-                values = [(c, _at_width(reference, [sweep_cfg.spec], width, c).p_sm)
+                values = [(c, _periodic_idc(width, c, sweep_cfg.spec).p_sm)
                           for c in SENSITIVITY_CUTOFFS_UM]
             except QSurfLossError as exc:
                 errors.append({"stage": "sweep.cutoff_sensitivity",

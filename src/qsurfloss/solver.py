@@ -113,12 +113,6 @@ class FieldSolution:
         """Concatenated element charge densities over all strips."""
         return np.concatenate([s.charge_density for s in self.strips])
 
-    @property
-    def e_par_gap(self) -> np.ndarray:
-        if not self.gaps:
-            return np.zeros(0)
-        return np.concatenate([g.e_par for g in self.gaps])
-
     def strip_charges(self) -> list[float]:
         return [s.charge for s in self.strips]
 
@@ -337,7 +331,6 @@ def tangential_field(
 def refine_until_converged(
     geom: CrossSection,
     rel_tol: float,
-    max_levels: int = 8,
     max_total_elements: int = 8192,
 ) -> FieldSolution:
     """Double the per-strip discretization until the energy stabilizes.
@@ -349,9 +342,8 @@ def refine_until_converged(
     Raises
     ------
     ConvergenceError
-        If the tolerance is not met before ``max_levels`` doublings or the
-        total element budget is exhausted; the error reports the last two
-        energies.
+        If the tolerance is not met before the next doubling would exceed
+        ``max_total_elements``; the error reports the last two energies.
     """
     if not 0.0 < rel_tol <= 0.1:
         raise InvalidInputError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
@@ -360,10 +352,8 @@ def refine_until_converged(
     prev = solve_cross_section(geom, n_elem)
     energies = [prev.energy_per_len]
     levels = 0
-    for _ in range(max_levels):
+    while 2 * n_elem * n_strips <= max_total_elements:
         next_elem = 2 * n_elem
-        if next_elem * n_strips > max_total_elements:
-            break
         sol = solve_cross_section(geom, next_elem)
         levels += 1
         energies.append(sol.energy_per_len)

@@ -117,13 +117,12 @@ def test_criterion_4_junction_dominance(records, grouped_points):
 
 
 def test_criterion_5_width_sweep():
-    """Participation versus width over 1-20 um at 256 elements/strip:
-    strictly decreasing, endpoints within a factor of 2 of 3.3e-3 and
+    """Participation versus width over 1-20 um of the infinite interdigital
+    array: strictly decreasing, endpoints within a factor of 2 of 3.3e-3 and
     2.1e-4, and p_sm * width flat to +/-15%."""
     start = time.perf_counter()
     widths = [float(w) for w in range(1, 21)]
-    points = psm_width_sweep(widths, spec=DEFAULT_SM_SPEC, n_fingers=7,
-                             discretization=256)
+    points = psm_width_sweep(widths, spec=DEFAULT_SM_SPEC)
     assert all(p.error is None for p in points)
     values = [p.p_sm for p in points]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -12,7 +12,6 @@ import qsurfloss
 from qsurfloss import (
     DEFAULT_SM_SPEC,
     InvalidInputError,
-    NumericalFailureError,
     PipelineConfig,
     SweepConfig,
     cutoff_sensitivity,
@@ -21,6 +20,7 @@ from qsurfloss import (
     solve_cross_section,
 )
 from qsurfloss.cli import main
+from qsurfloss.solver import FieldSolution
 from qsurfloss.dataio import COLUMNS
 
 EXPECTED_FIT_CSVS = {"q_vs_psm.csv", "q_vs_normalized_pr.csv", "q_model_surface.csv"}
@@ -84,8 +84,7 @@ class TestRunPipeline:
         config = PipelineConfig(
             models=(),
             output_dir=str(out),
-            sweep=SweepConfig(width_min_um=2.0, width_max_um=4.0, points=2,
-                              elements_per_strip=64),
+            sweep=SweepConfig(width_min_um=2.0, width_max_um=4.0, points=2),
         )
         report = run_pipeline(config)
         assert report["status"] == "ok"
@@ -99,46 +98,41 @@ class TestRunPipeline:
         assert p_sms[0] > p_sms[1] > p_sms[2] > 0
 
     def test_cutoff_block_matches_a_direct_solve(self, tmp_path):
-        """The block is scaled from the sweep's reference solution at 2 um;
-        a direct solve at the block's 10 um width must agree."""
+        """The block is the infinite array in closed form; the solved center
+        cell of a 41-finger array at the block's 10 um width must agree to
+        0.5 % (measured +0.24 %, -0.18 %, -0.03 %)."""
         config = PipelineConfig(
             models=(),
             output_dir=str(tmp_path / "out"),
-            sweep=SweepConfig(width_min_um=2.0, width_max_um=12.0, points=2,
-                              elements_per_strip=64),
+            sweep=SweepConfig(width_min_um=2.0, width_max_um=12.0, points=2),
         )
         block = run_pipeline(config)["sweep"]["cutoff_sensitivity"]
         assert block["width_um"] == 10.0
         sol = solve_cross_section(
-            interdigital_unit_cell(10.0, 7, discretization=64)
+            interdigital_unit_cell(10.0, 41, discretization=64)
         )
         direct = cutoff_sensitivity(sol, DEFAULT_SM_SPEC)
         for entry, (c, p) in zip(block["values"], direct):
             assert entry["cutoff_um"] == c
-            assert entry["p_sm"] == pytest.approx(p, rel=1e-9)
+            assert entry["p_sm"] == pytest.approx(p, rel=5e-3)
 
-    def test_failed_sweep_solve_still_writes_report(self, tmp_path,
-                                                    monkeypatch):
-        import qsurfloss.participation as participation_module
-
-        def failing(geom, *args, **kwargs):
-            raise NumericalFailureError("synthetic failure")
-
-        monkeypatch.setattr(participation_module, "solve_cross_section", failing)
+    def test_failed_sweep_solve_still_writes_report(self, tmp_path):
+        """A 3 um layer leaves [0, 1] at every width and in the cutoff block."""
         out = tmp_path / "out"
         config = PipelineConfig(
             models=(),
             output_dir=str(out),
             sweep=SweepConfig(width_min_um=2.0, width_max_um=4.0, points=2,
-                              elements_per_strip=64),
+                              t_sm_nm=3000.0),
         )
         report = run_pipeline(config)
         assert report["status"] == "partial"
-        assert report["errors"] == [
-            {"stage": "sweep", "error": "failed at width 2, 4 um"},
-            {"stage": "sweep.cutoff_sensitivity", "error": "synthetic failure"},
-        ]
-        assert all(p["error"] == "synthetic failure"
+        assert [e["stage"] for e in report["errors"]] == [
+            "sweep", "sweep.cutoff_sensitivity"]
+        assert report["errors"][0]["error"] == "failed at width 2, 4 um"
+        broken = "outside [0, 1]; the thin-layer approximation has broken down"
+        assert broken in report["errors"][1]["error"]
+        assert all(broken in p["error"] and p["p_sm"] is None
                    for p in report["sweep"]["points"])
         assert "cutoff_sensitivity" not in report["sweep"]
         assert report["outputs"][0] == {"path": "psm_width_sweep.csv",
@@ -146,6 +140,45 @@ class TestRunPipeline:
                                         "status": "partial"}
         written = json.loads((out / "report.json").read_text())
         assert written["status"] == "partial"
+
+    def test_report_sweep_builds_no_field_solution(self, tmp_path, monkeypatch):
+        built = []
+        real_init = FieldSolution.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FieldSolution, "__init__", counted)
+        solve_cross_section(interdigital_unit_cell(1.0, 5, discretization=8))
+        assert len(built) == 1  # the counter sees a solve
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(out),
+            "sweep": {"width_min_um": 1.0, "width_max_um": 17.0, "points": 20},
+        }))
+        assert result.exit_code == 0, result.output
+        assert len(built) == 1
+        assert (out / "psm_width_sweep.csv").exists()
+
+    @pytest.mark.parametrize("cutoff_um, message", [
+        (0.0, "edge_cutoff must be > 0"),
+        (0.6, "edge_cutoff must lie in [0, 0.5) um, got 0.6"),
+    ], ids=["zero", "half-width"])
+    def test_bad_fixed_cutoff_fails_the_sweep_stage(self, tmp_path, cutoff_um,
+                                                    message):
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "models": [], "output_dir": str(out),
+            "sweep": {"width_min_um": 1.0, "width_max_um": 2.0, "points": 2,
+                      "cutoff_um": cutoff_um},
+        }))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert [e["stage"] for e in report["errors"]] == ["sweep"]
+        assert report["errors"][0]["error"].startswith(message)
+        assert "sweep" not in report
 
     def test_writer_failure_is_a_stage_error(self, tmp_path):
         """A clamped tan_d_sm makes the normalized-participation writer fail;
@@ -214,7 +247,7 @@ class TestRunPipeline:
             "models": [],
             "output_dir": str(out),
             "sweep": {"width_min_um": 0.5, "width_max_um": 20.0, "points": 4,
-                      "t_sm_nm": 300.0, "elements_per_strip": 64},
+                      "t_sm_nm": 300.0},
         }))
         assert result.exit_code == 1
         report = json.loads((out / "report.json").read_text())
@@ -301,8 +334,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("sweep, message", [
         ({"points": "3"}, "sweep points must be an integer, got '3'"),
         ({"points": 3.0}, "sweep points must be an integer, got 3.0"),
-        ({"n_fingers": True}, "sweep n_fingers must be an integer, got True"),
-        ({"elements_per_strip": [64]}, "sweep elements_per_strip must be an integer"),
+        ({"width_max_um": None}, "sweep width_max_um must be a number, got None"),
+        ({"eps_sm_rel": [10]}, "sweep eps_sm_rel must be a number, got [10]"),
         ({"width_min_um": "1"}, "sweep width_min_um must be a number, got '1'"),
         ({"t_sm_nm": False}, "sweep t_sm_nm must be a number, got False"),
         ({"cutoff_um": "0.1"}, "sweep cutoff_um must be a number, got '0.1'"),
@@ -316,12 +349,16 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_typed_sweep_fields_accepted(self, tmp_path):
+        """The finite-array keys ``n_fingers`` and ``elements_per_strip`` are
+        retired: accepted and ignored, whatever their value."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {
             "width_min_um": 1, "width_max_um": 2.5, "points": 2,
-            "cutoff_um": None, "elements_per_strip": 64,
+            "cutoff_um": None, "n_fingers": True, "elements_per_strip": [64],
         }}))
-        assert PipelineConfig.from_json(cfg).sweep.widths() == [1.0, 2.5]
+        sweep = PipelineConfig.from_json(cfg).sweep
+        assert sweep == SweepConfig(width_min_um=1, width_max_um=2.5, points=2)
+        assert sweep.widths() == [1.0, 2.5]
 
 
 class TestCli:
@@ -413,7 +450,7 @@ class TestCli:
         result = runner.invoke(
             main,
             ["sweep", "--width-min", "2", "--width-max", "6", "--points", "3",
-             "--elements", "64", "--out", str(out)],
+             "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().splitlines()
@@ -423,9 +460,22 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         result = CliRunner().invoke(
             main, ["sweep", "--width-min", "0.3", "--width-max", "2",
-                   "--points", "4", "--elements", "64", "--out", str(out)])
+                   "--points", "4", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert "(4 widths, 0 failed)" in result.output
+
+    @pytest.mark.parametrize("cutoff_um, message", [
+        ("0", "edge_cutoff must be > 0"),
+        ("0.6", "edge_cutoff must lie in [0, 0.5) um, got 0.6"),
+    ], ids=["zero", "half-width"])
+    def test_sweep_command_rejects_a_bad_fixed_cutoff(self, tmp_path, cutoff_um,
+                                                      message):
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main, ["sweep", "--width-min", "1", "--width-max", "2",
+                   "--cutoff-um", cutoff_um, "--out", str(out)])
+        _assert_one_line_error(result, message)
+        assert not out.exists()
 
     def test_sweep_command_rejects_zero_points(self, tmp_path):
         out = tmp_path / "sweep.csv"

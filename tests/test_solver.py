@@ -247,7 +247,7 @@ class TestNodeAssemblyAndMirrorFold:
         assert sol.energy_per_len == pytest.approx(ref.energy_per_len, rel=1e-9)
         assert sol.capacitance_per_len == pytest.approx(
             ref.capacitance_per_len, rel=1e-9)
-        e_par, e_ref = sol.e_par_gap, ref.e_par_gap
+        e_par, e_ref = (np.concatenate([g.e_par for g in s.gaps]) for s in (sol, ref))
         assert np.max(np.abs(e_par - e_ref)) <= 1e-9 * np.max(np.abs(e_ref))
         specs = [DEFAULT_SM_SPEC.with_region(r) for r in InterfaceRegion]
         got = participation_set(sol, specs)
