@@ -325,6 +325,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
             # every sweep report carries p_sm against the edge cutoff, which
             # regularizes the edge singularity, at one width
             width = min(max(10.0, sweep_cfg.width_min_um), sweep_cfg.width_max_um)
+            if width <= 2.0 * max(SENSITIVITY_CUTOFFS_UM):
+                # the largest cutoff would leave the half cell; the block is
+                # closed form, so a narrow sweep takes it at 0.5 um instead
+                width = 0.5
             try:
                 values = [(c, _periodic_idc(width, c, sweep_cfg.spec).p_sm)
                           for c in SENSITIVITY_CUTOFFS_UM]

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,10 @@ class DecayTrace:
             raise InvalidInputError(
                 f"need at least 8 samples, got {self.delays_us.size}"
             )
-        if np.any(np.diff(self.delays_us) <= 0):
+        if not np.all(np.isfinite(self.delays_us)):
+            raise InvalidInputError("delays must be finite")
+        # a comparison, not np.diff, which overflows on delays near +-1e308
+        if np.any(self.delays_us[1:] <= self.delays_us[:-1]):
             raise InvalidInputError("delays must be strictly increasing")
         if not np.all(np.isfinite(self.populations)):
             raise InvalidInputError("populations must be finite")
@@ -75,10 +79,6 @@ class T1Statistics:
     bin_edges: np.ndarray
 
 
-def _decay(t, amplitude, t1, offset):
-    return amplitude * np.exp(-t / t1) + offset
-
-
 def _noise_floor(populations: np.ndarray) -> float:
     """Noise scale from second differences (insensitive to smooth decay)."""
     if populations.size < 3:
@@ -86,77 +86,213 @@ def _noise_floor(populations: np.ndarray) -> float:
     return float(np.std(np.diff(populations, 2)) / math.sqrt(6.0))
 
 
-def _initial_guess(delays: np.ndarray, populations: np.ndarray):
-    """Deterministic start values: A from endpoint drop, B from the tail,
-    T1 from the first crossing of 1/e of the range."""
+def _initial_guess(delays: np.ndarray, populations: np.ndarray) -> float:
+    """Deterministic T1 start: the first delay whose population lies
+    closest to 1/e of the way from the last population to the first."""
     a0 = populations[0] - populations[-1]
-    b0 = populations[-1]
-    target = b0 + a0 / math.e
+    target = populations[-1] + a0 / math.e
     idx = int(np.argmin(np.abs(populations - target)))
-    t10 = delays[idx]
+    t10 = float(delays[idx])
     if t10 <= delays[0]:
-        t10 = delays[0] + (delays[-1] - delays[0]) / 3.0
-    return a0, t10, b0
+        t10 = float(delays[0] + (delays[-1] - delays[0]) / 3.0)
+    return t10
 
 
-# an optimizer's trial step to T1 < 0 overflows the model to inf, and the
-# optimizer rejects that step
-@np.errstate(over="ignore")
+#: Losses ``fit_exponential`` accepts.
+LOSSES = ("linear", "soft_l1")
+
+#: A Gauss-Newton step in s = ln T1 is cut to at most this length, so that
+#: one step changes T1 by at most a factor e ...
+_MAX_STEP = 1.0
+#: ... the search stops once a step is this short ...
+_STEP_TOL = 1e-9
+#: ... and gives up after this many accepted steps.
+_MAX_ITER = 1000
+#: The search also gives up once T1 exceeds this many delay spans: the decay
+#: is then a straight line to ~1e-4 of its drop, and A and T1 are no longer
+#: separately determined.
+_T1_MAX_SPANS = 1e4
+_S_MAX = math.log(_T1_MAX_SPANS)
+#: Trial steps below this s (delays mapped onto [0, 1]) are rejected;
+#: exp(-s) stays finite.
+_S_MIN = -700.0
+_EPS = float(np.finfo(float).eps)
+
+
+class _Weights:
+    """Weights w with the T1-independent rows w * (1, y, x, xy, x^2) and
+    their sums."""
+
+    def __init__(self, basis: np.ndarray, w: np.ndarray) -> None:
+        self.w = w
+        self.rows = basis * w
+        self.sums = self.rows.sum(axis=1).tolist()
+
+
+class _Projection(NamedTuple):
+    """The weighted least-squares ``A f + C`` at one T1, with f =
+    exp(-x/T1) - 1, and the Gauss-Newton step in s = ln T1 from there."""
+
+    cost: float      # weighted sum of squared residuals
+    step: float      # -g/h
+    h: float         # Schur complement of s in the 3x3 normal matrix
+    a: float
+    c: float         # offset of the f basis: B = C - A
+    f: np.ndarray
+    r: np.ndarray    # residual, model - y
+
+
+def _project(
+    x: np.ndarray, y: np.ndarray, wt: _Weights, s: float
+) -> _Projection | None:
+    """Variable projection of ``A exp(-x e^-s) + B`` onto y at fixed s.
+
+    A and C = A + B solve the 2x2 weighted normal equations of the basis
+    {f, 1}; ``np.expm1`` keeps f accurate as T1 grows past the delays.
+    With z = x (1 + f), the model's derivative in s is ``A k z`` (k = e^-s).
+    Eliminating A and C from the 3x3 Gauss-Newton system in (A, s, C)
+    leaves the reduced gradient g and the Schur complement h.  Every sum is
+    a weighted moment, taken in two matrix-vector products.
+
+    Returns None where the projection is singular: the 2x2 determinant or h
+    vanishes to rounding (f is constant, or the fit does not depend on T1,
+    as when every delay but the first lies far beyond T1), or s < _S_MIN.
+    """
+    if s < _S_MIN:
+        return None
+    k = math.exp(-s)
+    f = np.expm1(x * -k)
+    sf, sfy, sxf, sxyf, sxxf = (wt.rows @ f).tolist()
+    sff, sxff, sxxff = (wt.rows[::2] @ (f * f)).tolist()
+    s1, sy, sx, sxy, sxx = wt.sums
+    det = s1 * sff - sf * sf
+    if not det > _EPS * s1 * sff:
+        return None
+    a = (s1 * sfy - sf * sy) / det
+    c = (sy - a * sf) / s1
+    sz, szf, szy = sxf + sx, sxff + sxf, sxyf + sxy
+    szz = sxxff + 2.0 * sxxf + sxx
+    ak = a * k
+    ak2 = ak * ak
+    h = ak2 * (szz - (s1 * szf * szf - 2.0 * sf * szf * sz + sff * sz * sz) / det)
+    if not h > _EPS * ak2 * szz:
+        return None
+    r = a * f + (c - y)
+    g = ak * (a * szf + c * sz - szy)
+    return _Projection(float((wt.w * r) @ r), -g / h, h, a, c, f, r)
+
+
 def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     """Least-squares fit of ``A exp(-t/T1) + B`` to one decay trace.
 
-    The start values follow a fixed rule, so the fit is deterministic.  The
-    quoted ``fit_err`` is the 1-sigma T1 uncertainty from the Jacobian at
-    the optimum.  ``loss="soft_l1"`` switches to a robust cost for traces
-    with readout outliers.
+    A and B enter linearly, so for every T1 they are a closed-form weighted
+    least-squares solve; what is left is a damped Gauss-Newton search in
+    s = ln T1, which keeps T1 > 0 (variable projection: Golub & Pereyra,
+    Inverse Problems 19, R1 (2003)).  The search starts from a fixed rule,
+    so the fit is deterministic.  It cuts a step in s to at most 1 (a
+    factor e in T1), takes it only if the cost goes down, halving it until
+    it does, and stops when a step is at most 1e-9.  The quoted ``fit_err``
+    is the 1-sigma T1 uncertainty from the chi2-scaled Gauss-Newton
+    covariance in (A, T1, B) at the optimum.
+
+    ``loss="soft_l1"`` switches to the robust cost ``sum 2(sqrt(1+r^2)-1)``
+    for traces with readout outliers, minimized by iteratively reweighted
+    least squares with weights ``(1+r^2)^(-1/2)`` in the same loop.  Its
+    covariance is the Gauss-Newton one of the robust cost: Jacobian rows
+    scaled by ``sqrt(max((1+r^2)^(-3/2), eps))`` and chi2 = sum(rho)/dof.
+
+    The fit runs on delays mapped onto [0, 1], and on populations divided
+    by their largest magnitude where that exceeds 1, so no intermediate
+    overflows for any finite trace.
 
     Raises
     ------
+    InvalidInputError
+        If ``loss`` is not one of :data:`LOSSES`.
     FitFailureError
-        If no decay is visible above the noise floor, the optimizer fails,
-        or the fitted T1 comes out non-positive.
+        If no decay is visible above the noise floor, the projection turns
+        singular, T1 runs off to infinity, the search does not converge in
+        1000 steps, or T1 or the amplitude are not representable floats.
     """
-    t = trace.delays_us
-    y = trace.populations
-    span = float(np.ptp(y))
-    if span <= 3.0 * _noise_floor(y):
+    if loss not in LOSSES:
+        raise InvalidInputError(
+            f"loss must be one of {', '.join(LOSSES)}, got {loss!r}"
+        )
+    # halving first keeps the span finite for any finite delays
+    half = 0.5 * trace.delays_us
+    half_span = float(half[-1] - half[0])
+    x = (half - half[0]) / half_span
+    lo, hi = float(trace.populations.min()), float(trace.populations.max())
+    y_scale = max(1.0, -lo, hi)
+    y = trace.populations / y_scale
+    if hi / y_scale - lo / y_scale <= 3.0 * _noise_floor(y):
         raise FitFailureError(
             "no visible decay: population range is within the noise floor"
         )
-    p0 = _initial_guess(t, y)
 
-    # imported here so that loading the package stays free of scipy
-    from scipy.optimize import curve_fit, least_squares
-
-    try:
-        if loss == "linear":
-            popt, pcov = curve_fit(_decay, t, y, p0=p0, maxfev=10000)
-        else:
-            res = least_squares(
-                lambda p: _decay(t, *p) - y, x0=p0, loss=loss, max_nfev=10000
+    robust = loss == "soft_l1"
+    # soft_l1 acts on residuals in the trace's units, y_scale * r; in the
+    # form v / hypot(v, r) its weight cannot overflow
+    v = 1.0 / y_scale
+    n = x.size
+    basis = np.vstack((np.ones(n), y, x, x * y, x * x))
+    wt = _Weights(basis, np.ones(n))
+    s = math.log(_initial_guess(x, y))
+    fit = _project(x, y, wt, s)
+    for _ in range(_MAX_ITER):
+        if robust and fit is not None:
+            wt = _Weights(basis, v / np.hypot(v, fit.r))
+            fit = _project(x, y, wt, s)
+        if fit is None:
+            raise FitFailureError(
+                "singular projection: the fit does not determine T1"
             )
-            if not res.success:
-                raise FitFailureError(
-                    f"robust fit did not converge: {res.message} "
-                    f"({res.nfev} evaluations)"
-                )
-            popt = res.x
-            # Gauss-Newton covariance at the optimum, chi2-scaled
-            jtj_inv = np.linalg.pinv(res.jac.T @ res.jac)
-            dof = max(t.size - 3, 1)
-            pcov = jtj_inv * 2.0 * res.cost / dof
-    except RuntimeError as exc:
-        raise FitFailureError(f"exponential fit did not converge: {exc}") from exc
+        step = min(max(fit.step, -_MAX_STEP), _MAX_STEP)
+        while abs(step) > _STEP_TOL:
+            trial = _project(x, y, wt, s + step)
+            if trial is not None and trial.cost < fit.cost:
+                break
+            step *= 0.5
+        else:
+            break
+        s += step
+        fit = trial
+        if s > _S_MAX:
+            raise FitFailureError(
+                f"T1 runs off to infinity: beyond {_T1_MAX_SPANS:g} delay "
+                "spans the trace is a straight line"
+            )
+    else:
+        raise FitFailureError(
+            f"T1 search did not converge in {_MAX_ITER} steps"
+        )
 
-    amplitude, t1, offset = popt
-    if t1 <= 0:
-        raise FitFailureError(f"fit produced non-positive T1 = {t1:.3g} us")
-    fit_err = float(np.sqrt(pcov[1, 1])) if np.all(np.isfinite(pcov)) else math.inf
+    # variance of s = ln T1; var(T1) = T1^2 var(s)
+    if robust:
+        # rows scaled by sqrt(rho' + 2 z rho''), which is (1 + z)^(-3/4) for
+        # soft_l1 with z = (y_scale r)^2, and chi2 = sum(rho) / dof
+        u = np.hypot(v, fit.r)
+        e = fit.f + 1.0
+        jac = np.column_stack((e, (fit.a * math.exp(-s)) * x * e, np.ones(n)))
+        jac *= np.sqrt(np.maximum((v / u) ** 3, _EPS))[:, None]
+        chi2 = 2.0 * v * float(np.sum(u - v)) / (n - 3)
+        var_s = float(np.linalg.pinv(jac.T @ jac)[1, 1]) * chi2
+    else:
+        var_s = fit.cost / (n - 3) / fit.h
+    t1 = 2.0 * half_span * math.exp(s)
+    if not 0.0 < t1 < math.inf:
+        raise FitFailureError(f"T1 = {t1:.3g} is not a representable time")
+    try:
+        amplitude = fit.a * y_scale * math.exp(float(trace.delays_us[0]) / t1)
+    except OverflowError:
+        raise FitFailureError(
+            "the amplitude at zero delay is not a representable float"
+        ) from None
     return T1Estimate(
-        t1_us=float(t1),
-        fit_err_us=fit_err,
-        amplitude=float(amplitude),
-        offset=float(offset),
+        t1_us=t1,
+        fit_err_us=t1 * math.sqrt(var_s),
+        amplitude=amplitude,
+        offset=(fit.c - fit.a) * y_scale,
     )
 
 

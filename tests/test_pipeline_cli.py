@@ -116,6 +116,25 @@ class TestRunPipeline:
             assert entry["cutoff_um"] == c
             assert entry["p_sm"] == pytest.approx(p, rel=5e-3)
 
+    @pytest.mark.parametrize("width_max_um, block_width_um",
+                             [(0.3, 0.5), (0.4, 0.5), (0.45, 0.45)])
+    def test_narrow_sweep_takes_the_cutoff_block_at_half_a_micron(
+            self, tmp_path, width_max_um, block_width_um):
+        """At 0.4 um and below, the 0.2 um cutoff leaves the half cell, so a
+        sweep that ends there carries the closed-form block at 0.5 um; one
+        that ends above 0.4 um keeps it at its last width."""
+        report = run_pipeline(PipelineConfig(
+            models=(),
+            output_dir=str(tmp_path / "out"),
+            sweep=SweepConfig(width_min_um=0.1, width_max_um=width_max_um,
+                              points=3),
+        ))
+        assert report["status"] == "ok", report["errors"]
+        block = report["sweep"]["cutoff_sensitivity"]
+        assert block["width_um"] == block_width_um
+        assert [v["cutoff_um"] for v in block["values"]] == [0.05, 0.1, 0.2]
+        assert all(v["p_sm"] > 0 for v in block["values"])
+
     def test_failed_sweep_solve_still_writes_report(self, tmp_path):
         """A 3 um layer leaves [0, 1] at every width and in the cutoff block."""
         out = tmp_path / "out"
@@ -362,15 +381,33 @@ class TestConfigErrors:
 
 
 class TestCli:
-    def test_import_leaves_scipy_unloaded(self):
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        """Neither importing the CLI nor fitting a T1 trace, through the
+        Python API with either loss or through ``fit-t1``, loads scipy."""
         src = str(Path(qsurfloss.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        probe = ("import sys, qsurfloss.cli; "
-                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        trace = tmp_path / "trace.csv"
+        trace.write_text("delay_us,population\n" + "\n".join(
+            f"{t:g},{np.exp(-t / 100.0):.9f}" for t in range(0, 300, 10)))
+        report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        fits = "\n".join([
+            "import numpy as np",
+            "from click.testing import CliRunner",
+            "from qsurfloss import DecayTrace, fit_exponential",
+            "t = np.linspace(0.0, 300.0, 32)",
+            "for loss in ('linear', 'soft_l1'):",
+            "    fit_exponential(DecayTrace(t, np.exp(-t / 100.0)), loss=loss)",
+            f"result = CliRunner().invoke(qsurfloss.cli.main, "
+            f"['fit-t1', '--trace', {str(trace)!r}])",
+            "assert result.exit_code == 0, result.output",
+        ])
+        for probe in ("import sys, qsurfloss.cli",
+                      "import sys, qsurfloss.cli\n" + fits):
+            result = subprocess.run(
+                [sys.executable, "-c", probe + "\n" + report], env=env,
+                capture_output=True, text=True, check=True)
+            assert result.stdout.strip() == "[]"
 
     def test_fit_loss_bundled(self):
         runner = CliRunner()
