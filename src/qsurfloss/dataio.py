@@ -21,20 +21,24 @@ from .lossmodel import LossDataPoint
 
 GEOMETRIES = ("interdigital_2d", "dumbbell_2d", "dumbbell_3d")
 
-COLUMNS = (
-    "device_id",
-    "geometry",
-    "omega_q_ghz",
-    "omega_c_ghz",
-    "g_mhz",
-    "t1_mean_us",
-    "t1_std_us",
-    "t_purcell_ms",
-    "q_mean_1e6",
-    "q_std_1e6",
-    "p_sm_1e4",
-    "p_j_1e4",
+#: The device-table format, one entry per file column: the column name, the
+#: ``DeviceRecord`` field it fills, the factor from file units to record units
+#: (None for text) and whether the cell may be left empty.
+_COLUMNS = (
+    ("device_id", "device_id", None, False),
+    ("geometry", "geometry", None, False),
+    ("omega_q_ghz", "omega_q_ghz", 1.0, False),
+    ("omega_c_ghz", "omega_c_ghz", 1.0, False),
+    ("g_mhz", "g_mhz", 1.0, False),
+    ("t1_mean_us", "t1_mean_us", 1.0, False),
+    ("t1_std_us", "t1_std_us", 1.0, True),
+    ("t_purcell_ms", "t_purcell_ms", 1.0, False),
+    ("q_mean_1e6", "q_mean", 1e6, False),
+    ("q_std_1e6", "q_std", 1e6, True),
+    ("p_sm_1e4", "p_sm", 1e-4, False),
+    ("p_j_1e4", "p_j", 1e-4, False),
 )
+COLUMNS = tuple(column for column, *_ in _COLUMNS)
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,28 +114,16 @@ class DeviceRecord:
         return self.omega_c_rad - self.omega_q_rad
 
 
-def _parse_optional(value: str) -> float | None:
-    value = value.strip()
-    return None if value == "" else float(value)
-
-
 def _record_from_row(row: dict) -> DeviceRecord:
-    return DeviceRecord(
-        device_id=row["device_id"].strip(),
-        geometry=row["geometry"].strip(),
-        omega_q_ghz=float(row["omega_q_ghz"]),
-        omega_c_ghz=float(row["omega_c_ghz"]),
-        g_mhz=float(row["g_mhz"]),
-        t1_mean_us=float(row["t1_mean_us"]),
-        t1_std_us=_parse_optional(row["t1_std_us"]),
-        t_purcell_ms=float(row["t_purcell_ms"]),
-        q_mean=float(row["q_mean_1e6"]) * 1e6,
-        q_std=(lambda v: None if v is None else v * 1e6)(
-            _parse_optional(row["q_std_1e6"])
-        ),
-        p_sm=float(row["p_sm_1e4"]) * 1e-4,
-        p_j=float(row["p_j_1e4"]) * 1e-4,
-    )
+    values = {}
+    for column, name, factor, optional in _COLUMNS:
+        if row[column] is None:
+            raise ValueError(f"no {column} cell")
+        cell = row[column].strip()
+        if factor is not None:
+            cell = None if optional and not cell else float(cell) * factor
+        values[name] = cell
+    return DeviceRecord(**values)
 
 
 def load_device_table(path) -> list[DeviceRecord]:
@@ -142,7 +134,10 @@ def load_device_table(path) -> list[DeviceRecord]:
     violates a field invariant.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _load_records(fh, str(path))
+        try:
+            return _load_records(fh, str(path))
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load_records(fh, source: str) -> list[DeviceRecord]:
@@ -156,9 +151,9 @@ def _load_records(fh, source: str) -> list[DeviceRecord]:
     for i, row in enumerate(reader, start=2):
         try:
             records.append(_record_from_row(row))
-        except (TypeError, ValueError, KeyError) as exc:
-            if isinstance(exc, RecordValidationError):
-                raise
+        except RecordValidationError:
+            raise
+        except ValueError as exc:
             raise TableFormatError(f"{source}: malformed row {i}: {exc}") from exc
     return records
 
@@ -185,20 +180,9 @@ def save_device_table(records: Iterable[DeviceRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
         for r in records:
-            writer.writerow([
-                r.device_id,
-                r.geometry,
-                f"{r.omega_q_ghz:.10g}",
-                f"{r.omega_c_ghz:.10g}",
-                f"{r.g_mhz:.10g}",
-                f"{r.t1_mean_us:.10g}",
-                "" if r.t1_std_us is None else f"{r.t1_std_us:.10g}",
-                f"{r.t_purcell_ms:.10g}",
-                f"{r.q_mean / 1e6:.10g}",
-                "" if r.q_std is None else f"{r.q_std / 1e6:.10g}",
-                f"{r.p_sm / 1e-4:.10g}",
-                f"{r.p_j / 1e-4:.10g}",
-            ])
+            cells = [(getattr(r, name), factor) for _, name, factor, _ in _COLUMNS]
+            writer.writerow([v if factor is None else "" if v is None
+                             else f"{v / factor:.10g}" for v, factor in cells])
 
 
 def group_for_fit(

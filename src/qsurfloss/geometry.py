@@ -165,14 +165,20 @@ class CrossSection:
                 representative_cell=d.get("representative_cell"),
                 label=str(d.get("label", "")),
             )
-        except (KeyError, TypeError) as exc:
+        except InvalidInputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad cross-section document: {exc}") from exc
 
 
 def load_cross_section(path) -> CrossSection:
     """Read a cross section from a JSON document mirroring the field names."""
     with open(path, "r", encoding="utf-8") as fh:
-        return CrossSection.from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise InvalidInputError(f"bad cross-section document: {exc}") from exc
+    return CrossSection.from_json_dict(doc)
 
 
 def dump_cross_section(geom: CrossSection, path) -> None:

@@ -28,7 +28,7 @@ the same integrals in closed form with no solve (:func:`psm_width_sweep`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -257,7 +257,7 @@ def _check_cutoff(cutoff_um: float, width_um: float) -> None:
         raise InvalidInputError(
             f"edge_cutoff must lie in [0, {width_um / 2}) um, got {cutoff_um}"
         )
-    if cutoff_um == 0.0:
+    if cutoff_um / width_um == 0.0:  # zero, or too small against the width
         raise InvalidInputError(
             "edge_cutoff must be > 0: the edge integrals of the exact array "
             "diverge as ln(1 / cutoff)"
@@ -360,19 +360,15 @@ def cutoff_sensitivity(
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
-    """Emit a width sweep as CSV, one row per width."""
+    """Emit a width sweep as CSV, one row per width and one column per
+    ``SweepPoint`` field: numbers at 9 significant digits, None empty."""
     import csv
 
+    names = [f.name for f in fields(SweepPoint)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["width_um", "p_sm", "p_sa", "p_ma", "cutoff_um",
-                         "error"])
+        writer.writerow(names)
         for p in points:
-            writer.writerow([
-                f"{p.width_um:.9g}",
-                "" if p.p_sm is None else f"{p.p_sm:.9g}",
-                "" if p.p_sa is None else f"{p.p_sa:.9g}",
-                "" if p.p_ma is None else f"{p.p_ma:.9g}",
-                "" if p.cutoff_um is None else f"{p.cutoff_um:.9g}",
-                p.error or "",
-            ])
+            values = [getattr(p, name) for name in names]
+            writer.writerow(["" if v is None else v if isinstance(v, str)
+                             else f"{v:.9g}" for v in values])

@@ -18,6 +18,8 @@ import csv
 import json
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
 from .errors import InvalidInputError, QSurfLossError
+from .geometry import SAPPHIRE_EPS_REL
 from .lossmodel import (
     FITTERS,
     LossFitResult,
@@ -35,6 +38,7 @@ from .lossmodel import (
 )
 from .participation import (
     SENSITIVITY_CUTOFFS_UM,
+    SM_LAYER_THICKNESS_NM,
     InterfaceRegion,
     InterfaceSpec,
     SweepPoint,
@@ -45,8 +49,8 @@ from .participation import (
 
 REPORT_SCHEMA_VERSION = 1
 
-#: ``SweepConfig`` fields that take integers; the others take real numbers.
-_SWEEP_INT_FIELDS = ("points",)
+#: Points per axis of the ``q_model_surface.csv`` grid.
+_SURFACE_GRID_POINTS = 25
 #: Sweep keys of the finite-array proxy the closed form replaced; a config
 #: may still carry them, and they are ignored.
 _RETIRED_SWEEP_KEYS = ("n_fingers", "elements_per_strip")
@@ -59,9 +63,24 @@ class SweepConfig:
     width_min_um: float = 1.0
     width_max_um: float = 20.0
     points: int = 20
-    t_sm_nm: float = 1.0
-    eps_sm_rel: float = 10.15
+    t_sm_nm: float = SM_LAYER_THICKNESS_NM
+    eps_sm_rel: float = SAPPHIRE_EPS_REL
     cutoff_um: float | None = None  # None: width-proportional cutoff
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "cutoff_um":
+                continue
+            if f.name == "points":
+                kind, noun = numbers.Integral, "an integer"
+            else:
+                kind, noun = numbers.Real, "a number"
+            # the bound also refuses NaN, infinities and ints beyond a float
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not abs(value) <= sys.float_info.max):
+                raise InvalidInputError(
+                    f"sweep {f.name} must be {noun}, got {value!r}")
 
     def widths(self) -> list[float]:
         if self.points < 1 or self.width_max_um <= self.width_min_um:
@@ -89,7 +108,6 @@ class PipelineConfig:
     grouping: str = "per_die_design"
     output_dir: str = "."
     sweep: SweepConfig | None = None
-    surface_grid_points: int = 25
 
     def validate(self) -> None:
         for value, enum in [(m, LossModel) for m in self.models] + [
@@ -99,21 +117,14 @@ class PipelineConfig:
             except ValueError:
                 raise InvalidInputError(
                     f"unknown {enum.__name__} {value!r}") from None
-        if self.sweep is not None:
-            for f in fields(SweepConfig):
-                value = getattr(self.sweep, f.name)
-                if f.name in _SWEEP_INT_FIELDS:
-                    kind, noun = numbers.Integral, "an integer"
-                else:
-                    kind, noun = numbers.Real, "a number"
-                if value is None and f.name == "cutoff_um":
-                    continue
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise InvalidInputError(
-                        f"sweep {f.name} must be {noun}, got {value!r}")
         if self.grouping not in ("per_die_design", "per_device"):
             raise InvalidInputError(f"unknown grouping {self.grouping!r}")
-        if self.dataset is not None and not Path(self.dataset).exists():
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise InvalidInputError(
+                f"output_dir must be a path, got {self.output_dir!r}")
+        if self.dataset is not None and not (
+                isinstance(self.dataset, (str, os.PathLike))
+                and Path(self.dataset).is_file()):
             raise InvalidInputError(f"dataset not found: {self.dataset}")
 
     @classmethod
@@ -127,7 +138,6 @@ class PipelineConfig:
                                     ) if sweep else None
                 cfg = cls(**{**raw, "sweep": sweep})
                 cfg.models = tuple(cfg.models)
-                cfg.surface_grid_points = int(cfg.surface_grid_points)
                 cfg.validate()
             except (AttributeError, TypeError, ValueError) as exc:
                 # malformed JSON, a non-object, an unknown key or a bad value
@@ -184,13 +194,11 @@ def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
             ])
 
 
-def _write_model_surface(points, fit: LossFitResult, n: int, path) -> None:
-    p_sm_vals = np.geomspace(
-        min(p.p_sm for p in points), max(p.p_sm for p in points), n
-    )
-    p_j_vals = np.geomspace(
-        min(p.p_j for p in points), max(p.p_j for p in points), n
-    )
+def _write_model_surface(points, fit: LossFitResult, path) -> None:
+    p_sm_vals = np.geomspace(min(p.p_sm for p in points),
+                             max(p.p_sm for p in points), _SURFACE_GRID_POINTS)
+    p_j_vals = np.geomspace(min(p.p_j for p in points),
+                            max(p.p_j for p in points), _SURFACE_GRID_POINTS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p_sm", "p_j", "q_model"])
@@ -271,17 +279,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 continue
             fits[model.value] = fit
             entry = fit.to_json_dict()
-            entry["points"] = [
-                {
-                    "group_id": p.group_id,
-                    "p_sm": p.p_sm,
-                    "p_j": p.p_j,
-                    "q_mean": p.q_mean,
-                    "q_std": p.q_std,
-                    "n_devices": p.n_devices,
-                }
-                for p in points
-            ]
+            entry["points"] = [dict(vars(p)) for p in points]
             report["fits"][model.value] = entry
 
         if fits:
@@ -292,7 +290,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             _emit(manifest, errors, out_dir, "q_vs_normalized_pr",
                   _write_q_vs_npr, points, fit)
             _emit(manifest, errors, out_dir, "q_model_surface",
-                  _write_model_surface, points, fit, config.surface_grid_points)
+                  _write_model_surface, points, fit)
 
     if config.sweep is not None:
         sweep_cfg = config.sweep
@@ -310,17 +308,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             report["sweep"] = {
                 "t_sm_nm": sweep_cfg.t_sm_nm,
                 "eps_sm_rel": sweep_cfg.eps_sm_rel,
-                "points": [
-                    {
-                        "width_um": p.width_um,
-                        "p_sm": p.p_sm,
-                        "p_sa": p.p_sa,
-                        "p_ma": p.p_ma,
-                        "cutoff_um": p.cutoff_um,
-                        "error": p.error,
-                    }
-                    for p in sweep_points
-                ],
+                "points": [dict(vars(p)) for p in sweep_points],
             }
             # every sweep report carries p_sm against the edge cutoff, which
             # regularizes the edge singularity, at one width

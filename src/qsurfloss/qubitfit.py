@@ -459,23 +459,30 @@ def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:
     """Read a trace CSV with columns ``delay_us, population`` (+ JSON sidecar)."""
     delays, pops = [], []
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"delay_us", "population"} <= set(
-            reader.fieldnames
-        ):
-            raise InvalidInputError(
-                f"{csv_path}: expected columns delay_us, population"
-            )
-        for i, row in enumerate(reader, start=2):
-            try:
-                delays.append(float(row["delay_us"]))
-                pops.append(float(row["population"]))
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"{csv_path}: bad row {i}: {exc}") from exc
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not {"delay_us", "population"} <= set(
+                reader.fieldnames
+            ):
+                raise InvalidInputError(
+                    f"{csv_path}: expected columns delay_us, population"
+                )
+            for i, row in enumerate(reader, start=2):
+                try:
+                    delays.append(float(row["delay_us"]))
+                    pops.append(float(row["population"]))
+                except (TypeError, ValueError) as exc:
+                    raise InvalidInputError(
+                        f"{csv_path}: bad row {i}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{csv_path}: not UTF-8 text: {exc}") from exc
     meta = {}
     if meta_path is not None:
         with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise InvalidInputError(f"{meta_path}: bad metadata: {exc}") from exc
     return DecayTrace(np.array(delays), np.array(pops), meta=meta)
 
 
@@ -490,12 +497,7 @@ def write_histogram_csv(stats: T1Statistics, path) -> None:
 
 def t1_report_dict(estimate: T1Estimate, trace: DecayTrace | None = None) -> dict:
     """JSON-ready summary of one T1 fit."""
-    report = {
-        "t1_us": estimate.t1_us,
-        "fit_err_us": estimate.fit_err_us,
-        "amplitude": estimate.amplitude,
-        "offset": estimate.offset,
-    }
+    report = dict(vars(estimate))
     if trace is not None:
         report["n_points"] = int(trace.delays_us.size)
         report["meta"] = trace.meta

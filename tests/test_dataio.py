@@ -1,14 +1,21 @@
+import csv
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsurfloss import (
     DeviceRecord,
+    QSurfLossError,
     RecordValidationError,
     TableFormatError,
     group_for_fit,
     load_device_table,
     save_device_table,
 )
-from qsurfloss.dataio import COLUMNS
+from qsurfloss.dataio import COLUMNS, GEOMETRIES
+
+HEADER = ",".join(COLUMNS) + "\n"
 
 
 class TestBundledTable:
@@ -104,11 +111,92 @@ class TestLoader:
         with pytest.raises(RecordValidationError, match="omega_c_ghz"):
             load_device_table(path)
 
+    def test_row_with_only_an_id_is_a_format_error(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(HEADER + "D1-1\n")
+        with pytest.raises(TableFormatError, match="row 2: no geometry cell"):
+            load_device_table(path)
+
+    def test_non_utf8_table_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(HEADER.encode() + "D1-1,g\xe9om\n".encode("latin-1"))
+        with pytest.raises(TableFormatError, match="not UTF-8"):
+            load_device_table(path)
+
     def test_round_trip(self, records, tmp_path):
         path = tmp_path / "devices.csv"
         save_device_table(records, path)
         again = load_device_table(path)
         assert again == records
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "devices.csv"
+
+
+#: Table cells: arbitrary text, numbers in any float spelling, geometries.
+CELLS = st.one_of(st.text(max_size=8), st.floats().map(repr),
+                  st.sampled_from(GEOMETRIES), st.just(""))
+
+
+@st.composite
+def valid_records(draw):
+    """Records whose invariants hold with a margin that survives the file's
+    10 significant digits."""
+    positive = st.floats(1e-3, 1e3)
+    omega_q, t1 = draw(positive), draw(positive)
+    return DeviceRecord(
+        device_id=draw(st.from_regex(r"[A-Za-z0-9]{1,4}-[A-Za-z0-9]{1,4}",
+                                     fullmatch=True)),
+        geometry=draw(st.sampled_from(GEOMETRIES)),
+        omega_q_ghz=omega_q,
+        omega_c_ghz=omega_q * draw(st.floats(1.001, 3.0)),
+        g_mhz=draw(positive),
+        t1_mean_us=t1,
+        t1_std_us=draw(st.none() | st.floats(0.0, 1e3)),
+        t_purcell_ms=t1 * draw(st.floats(1.001e-3, 1.0)),
+        q_mean=draw(st.floats(1e3, 1e9)),
+        q_std=draw(st.none() | st.floats(0.0, 1e9)),
+        p_sm=draw(st.floats(1e-7, 0.1)),
+        p_j=draw(st.floats(1e-7, 0.1)),
+    )
+
+
+class TestTableProperties:
+    """Every device table either loads or raises a ``QSurfLossError``."""
+
+    @given(rows=st.lists(st.lists(CELLS, max_size=14), max_size=4))
+    @example(rows=[["D1-1"]])
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_rows_load_or_raise_a_typed_error(self, table_path, rows):
+        with open(table_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(HEADER)
+            csv.writer(fh).writerows(rows)
+        try:
+            load_device_table(table_path)
+        except QSurfLossError:
+            pass
+
+    @given(data=st.binary(max_size=64)
+           | st.binary(max_size=64).map(lambda b: HEADER.encode() + b))
+    @example(data=HEADER.encode() + b"D1-1,\xff\n")
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_load_or_raise_a_typed_error(self, table_path, data):
+        table_path.write_bytes(data)
+        try:
+            load_device_table(table_path)
+        except QSurfLossError:
+            pass
+
+    @given(records=st.lists(valid_records(), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_valid_records_round_trip_byte_identical(self, table_path,
+                                                     records):
+        save_device_table(records, table_path)
+        first = table_path.read_bytes()
+        save_device_table(load_device_table(table_path), table_path)
+        assert table_path.read_bytes() == first
 
 
 class TestGrouping:

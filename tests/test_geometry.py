@@ -116,3 +116,25 @@ class TestJsonInterface:
         path.write_text(json.dumps({"eps_sub_rel": 10.15}))
         with pytest.raises(InvalidInputError):
             load_cross_section(path)
+
+    def test_malformed_json_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"strips": [')
+        with pytest.raises(InvalidInputError, match="bad cross-section document"):
+            load_cross_section(path)
+
+    def test_non_integer_discretization_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        doc = interdigital_unit_cell(3.0, 5).to_json_dict()
+        path.write_text(json.dumps({**doc, "discretization": "a"}))
+        with pytest.raises(InvalidInputError, match="bad cross-section document"):
+            load_cross_section(path)
+
+    def test_invalid_geometry_keeps_its_message(self, tmp_path):
+        path = tmp_path / "bad.json"
+        doc = interdigital_unit_cell(3.0, 5).to_json_dict()
+        path.write_text(json.dumps({**doc, "discretization": 4}))
+        with pytest.raises(InvalidInputError) as info:
+            load_cross_section(path)
+        assert str(info.value) == (
+            "discretization must be >= 8 elements per strip, got 4")

@@ -339,6 +339,13 @@ class TestWidthSweep:
                                match=r"edge_cutoff must lie in \[0, 0\.5\) um"):
                 psm_width_sweep([1.0, 2.0], cutoff_um=cutoff_um)
 
+    def test_cutoff_too_small_for_a_width_fails_that_point(self):
+        """At 20 um the smallest subnormal cutoff underflows against the
+        width, where ln(1 / cutoff) has no finite value."""
+        points = psm_width_sweep([1.0, 20.0], cutoff_um=5e-324)
+        assert points[0].error is None
+        assert points[1].error.startswith("edge_cutoff must be > 0")
+
     def test_cutoff_rule_over_the_width_range(self):
         widths = [0.1, 1.0, 2.5, 40.0, 100.0]  # the cell's whole width range
         points = psm_width_sweep(widths)

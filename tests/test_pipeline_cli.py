@@ -2,17 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qsurfloss
 from qsurfloss import (
     DEFAULT_SM_SPEC,
     InvalidInputError,
     PipelineConfig,
+    QSurfLossError,
     SweepConfig,
     cutoff_sensitivity,
     interdigital_unit_cell,
@@ -61,6 +65,8 @@ class TestRunPipeline:
         assert 5.7e6 <= sm_q0["q0"] <= 8.5e6
         names = {p.name for p in (tmp_path / "out").iterdir()}
         assert EXPECTED_FIT_CSVS | {"report.json"} <= names
+        surface = (tmp_path / "out" / "q_model_surface.csv").read_text()
+        assert len(surface.splitlines()) == 1 + 25 * 25
 
     def test_reports_are_byte_identical(self, tmp_path):
         blobs = []
@@ -342,6 +348,31 @@ class TestConfigErrors:
         }))
         _assert_one_line_error(result, "unexpected keyword argument 'pionts'")
 
+    @pytest.mark.parametrize("output_dir", [5, None])
+    def test_output_dir_must_be_a_path(self, tmp_path, output_dir):
+        result = _run_report(tmp_path, json.dumps({"output_dir": output_dir}))
+        _assert_one_line_error(result, "bad config")
+        assert f"output_dir must be a path, got {output_dir!r}" in result.output
+        with pytest.raises(InvalidInputError, match="output_dir must be a path"):
+            run_pipeline(PipelineConfig(output_dir=output_dir))
+
+    def test_surface_grid_points_is_not_a_config_key(self, tmp_path):
+        """The model surface is a fixed 25 x 25 grid."""
+        result = _run_report(tmp_path, json.dumps({
+            "surface_grid_points": 25, "output_dir": str(tmp_path / "out"),
+        }))
+        _assert_one_line_error(result, "bad config")
+        assert "unexpected keyword argument 'surface_grid_points'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_config_checks_its_own_types(self):
+        with pytest.raises(InvalidInputError,
+                           match="sweep points must be an integer, got '3'"):
+            SweepConfig(points="3").run()
+        with pytest.raises(InvalidInputError,
+                           match="sweep width_max_um must be a number, got inf"):
+            SweepConfig(width_max_um=float("inf"))
+
     def test_unknown_top_level_key(self, tmp_path):
         result = _run_report(tmp_path, json.dumps({
             "modles": ["sm+j"],
@@ -378,6 +409,71 @@ class TestConfigErrors:
         sweep = PipelineConfig.from_json(cfg).sweep
         assert sweep == SweepConfig(width_min_um=1, width_max_um=2.5, points=2)
         assert sweep.widths() == [1.0, 2.5]
+
+
+#: Any JSON value; ``points`` is drawn from a small range instead, because
+#: nothing bounds the number of sweep points.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+SWEEP_KEYS = [f.name for f in fields(SweepConfig)] + ["n_fingers"]
+TOP_KEYS = ["dataset", "models", "weighting", "grouping", "output_dir", "sweep",
+            "surface_grid_points"]
+TABLE = "<valid table>"
+
+
+@st.composite
+def config_edits(draw):
+    """One top-level or sweep key of a working config and a value for it."""
+    key = draw(st.sampled_from([(k,) for k in TOP_KEYS]
+                               + [("sweep", k) for k in SWEEP_KEYS]))
+    if key[-1] == "points":
+        values = st.integers(-3, 40) | JSON_VALUES.filter(
+            lambda v: isinstance(v, bool) or not isinstance(v, int))
+    elif key[-1] == "output_dir":  # a string would write outside the test dir
+        values = JSON_VALUES.filter(lambda v: not isinstance(v, str))
+    elif key[-1] == "dataset":  # no existing path outside the test dir
+        values = st.just(TABLE) | JSON_VALUES.filter(
+            lambda v: not isinstance(v, str) or not os.path.lexists(v))
+    else:
+        values = JSON_VALUES
+    return key, draw(values)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("configs")
+    make_rising_q_table(path / "devices.csv")
+    return path
+
+
+class TestConfigProperties:
+    @given(edit=config_edits())
+    @example(edit=(("output_dir",), 5))
+    @example(edit=(("sweep", "cutoff_um"), 5e-324))
+    @settings(max_examples=200, deadline=None)
+    def test_one_arbitrary_value_gives_a_report_or_a_typed_error(
+            self, config_dir, edit):
+        (*path, key), value = edit
+        out = config_dir / "out"
+        config = {"models": ["sm+j"], "weighting": "none",
+                  "output_dir": str(out),
+                  "sweep": {"width_min_um": 1.0, "width_max_um": 20.0,
+                            "points": 3}}
+        target = config[path[0]] if path else config
+        target[key] = str(config_dir / "devices.csv") if value == TABLE else value
+        cfg_path = config_dir / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        (out / "report.json").unlink(missing_ok=True)
+        try:
+            report = run_pipeline(PipelineConfig.from_json(cfg_path))
+        except QSurfLossError:
+            return
+        assert report["status"] in ("ok", "partial")
+        assert (out / "report.json").exists()
 
 
 class TestCli:
@@ -453,6 +549,35 @@ class TestCli:
         )
         assert result.exit_code == 1
         assert "error:" in result.output
+
+    def test_id_only_row_is_one_error_line(self, tmp_path):
+        table = tmp_path / "devices.csv"
+        table.write_text(",".join(COLUMNS) + "\nD1-1\n")
+        message = "malformed row 2: no geometry cell"
+        result = CliRunner().invoke(main, ["fit-loss", "--input", str(table)])
+        _assert_one_line_error(result, message)
+        result = _run_report(tmp_path, json.dumps({
+            "dataset": str(table), "output_dir": str(tmp_path / "out")}))
+        _assert_one_line_error(result, message)
+
+    def test_non_utf8_table_is_one_error_line(self, tmp_path):
+        table = tmp_path / "devices.csv"
+        table.write_bytes(",".join(COLUMNS).encode() + b"\nD1-1,\xff\n")
+        result = CliRunner().invoke(main, ["fit-loss", "--input", str(table)])
+        _assert_one_line_error(result, "not UTF-8 text")
+
+    def test_fit_t1_bad_files_are_one_error_line(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"delay_us,population\n0,1\xff\n")
+        result = CliRunner().invoke(main, ["fit-t1", "--trace", str(trace)])
+        _assert_one_line_error(result, "not UTF-8 text")
+        trace.write_text("delay_us,population\n" + "\n".join(
+            f"{t},{np.exp(-t / 50.0)}" for t in range(0, 100, 10)))
+        meta = tmp_path / "meta.json"
+        meta.write_text("{")
+        result = CliRunner().invoke(
+            main, ["fit-t1", "--trace", str(trace), "--meta", str(meta)])
+        _assert_one_line_error(result, "bad metadata")
 
     def test_purcell_from_chi(self):
         runner = CliRunner()

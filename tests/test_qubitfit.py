@@ -390,6 +390,21 @@ class TestTraceIO:
         with pytest.raises(InvalidInputError, match="row 2"):
             load_decay_trace(path)
 
+    def test_non_utf8_trace(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"delay_us,population\n1.0,0.9\xff\n")
+        with pytest.raises(InvalidInputError, match="not UTF-8"):
+            load_decay_trace(path)
+
+    def test_malformed_metadata(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("delay_us,population\n" + "\n".join(
+            f"{t},{math.exp(-t / 50.0)}" for t in range(0, 100, 10)))
+        meta = tmp_path / "trace.json"
+        meta.write_text('{"device": ')
+        with pytest.raises(InvalidInputError, match="bad metadata"):
+            load_decay_trace(path, meta)
+
     def test_report_dict(self):
         trace = make_trace()
         estimate = fit_exponential(trace)
