@@ -115,6 +115,9 @@ class DeviceRecord:
 
 
 def _record_from_row(row: dict) -> DeviceRecord:
+    if None in row:  # DictReader files the cells beyond the header there
+        raise ValueError(f"{len(COLUMNS) + len(row[None])} cells, "
+                         f"header has {len(COLUMNS)}")
     values = {}
     for column, name, factor, optional in _COLUMNS:
         if row[column] is None:

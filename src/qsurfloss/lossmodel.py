@@ -111,11 +111,11 @@ class LossFitResult:
         }
 
 
-def predict_inverse_q(
-    p_sm: float, p_j: float, tan_d_sm: float, tan_d_j: float = 0.0
-) -> float:
-    """Modeled 1/Q for one device, ``p_sm*tan_d_sm + p_j*tan_d_j``."""
-    if min(p_sm, p_j, tan_d_sm, tan_d_j) < 0:
+def predict_inverse_q(p_sm: float | np.ndarray, p_j: float | np.ndarray,
+                      tan_d_sm: float, tan_d_j: float = 0.0):
+    """Modeled 1/Q, ``p_sm*tan_d_sm + p_j*tan_d_j``, for one device or, with
+    array participations, elementwise over their broadcast."""
+    if any(np.any(np.less(v, 0)) for v in (p_sm, p_j, tan_d_sm, tan_d_j)):
         raise InvalidInputError("participations and loss tangents must be >= 0")
     return p_sm * tan_d_sm + p_j * tan_d_j
 
@@ -193,9 +193,11 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         unit = np.ldexp(Xw[:, free], -x_exp)
         chi2 = float(np.sum(w * np.ldexp(residuals, -r_exp)**2))
         scale = chi2 / dof if dof > 0 else np.nan
+        # (X'X)^-1 = V diag(s^-2) V' from the SVD of X, not an inverse of the
+        # Gram, whose condition number is the square of the accepted one
+        _, s, vt = np.linalg.svd(unit, full_matrices=False)
         with np.errstate(over="ignore"):
-            sub = np.ldexp(np.linalg.inv(unit.T @ unit) * scale,
-                           2 * (r_exp - x_exp))
+            sub = np.ldexp((vt.T / s**2) @ vt * scale, 2 * (r_exp - x_exp))
         for a, ia in enumerate(free):
             for b, ib in enumerate(free):
                 cov[ia, ib] = sub[a, b]
@@ -268,8 +270,10 @@ FITTERS = {
 }
 
 
-def model_inverse_q(result: LossFitResult, p_sm: float, p_j: float) -> float:
-    """Evaluate a fitted model's 1/Q prediction for one device."""
+def model_inverse_q(result: LossFitResult, p_sm: float | np.ndarray,
+                    p_j: float | np.ndarray):
+    """Evaluate a fitted model's 1/Q prediction for one device, or
+    elementwise over array participations."""
     return predict_inverse_q(p_sm, p_j, result.tan_d_sm, result.tan_d_j or 0.0) + (
         1.0 / result.q0 if result.q0 is not None and math.isfinite(result.q0) else 0.0
     )

@@ -365,10 +365,9 @@ def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
     import csv
 
     names = [f.name for f in fields(SweepPoint)]
+    columns = [["" if v is None else v if isinstance(v, str) else "%.9g" % v
+                for v in (getattr(p, name) for p in points)] for name in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for p in points:
-            values = [getattr(p, name) for name in names]
-            writer.writerow(["" if v is None else v if isinstance(v, str)
-                             else f"{v:.9g}" for v in values])
+        writer.writerows(zip(*columns))

@@ -49,6 +49,9 @@ from .participation import (
 
 REPORT_SCHEMA_VERSION = 1
 
+#: Most points a width sweep may ask for; each costs a row of the sweep CSV
+#: and of ``report.json``.
+MAX_SWEEP_POINTS = 10_000
 #: Points per axis of the ``q_model_surface.csv`` grid.
 _SURFACE_GRID_POINTS = 25
 #: Sweep keys of the finite-array proxy the closed form replaced; a config
@@ -81,6 +84,9 @@ class SweepConfig:
                     or not abs(value) <= sys.float_info.max):
                 raise InvalidInputError(
                     f"sweep {f.name} must be {noun}, got {value!r}")
+        if self.points > MAX_SWEEP_POINTS:
+            raise InvalidInputError(f"sweep points must be at most "
+                                    f"{MAX_SWEEP_POINTS}, got {self.points}")
 
     def widths(self) -> list[float]:
         if self.points < 1 or self.width_max_um <= self.width_min_um:
@@ -157,55 +163,66 @@ def _nine_digits(obj):
 
 
 def write_report_json(report: dict, path) -> None:
+    text = json.dumps(_nine_digits(report), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_nine_digits(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _write_rows(path, header, columns) -> None:
+    """Write a header and the rows that zip ``columns`` together.  The csv
+    module quotes a cell that needs it and ends each line in CRLF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def _q_std_cells(points) -> list[str]:
+    """A point's spread at 9 digits, empty when it is None or 0."""
+    return ["%.9g" % p.q_std if p.q_std else "" for p in points]
 
 
 def _write_q_vs_psm(points, fits: dict[str, LossFitResult], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        headers = ["group_id", "p_sm", "q_measured", "q_std"]
-        headers += [f"q_model[{name}]" for name in fits]
-        writer.writerow(headers)
-        for p in points:
-            row = [p.group_id, f"{p.p_sm:.9g}", f"{p.q_mean:.9g}",
-                   "" if not p.q_std else f"{p.q_std:.9g}"]
-            for fit in fits.values():
-                inv_q = model_inverse_q(fit, p.p_sm, p.p_j)
-                row.append(f"{1.0 / inv_q:.9g}" if inv_q > 0 else "")
-            writer.writerow(row)
+    p_sm = np.array([p.p_sm for p in points])
+    p_j = np.array([p.p_j for p in points])
+    columns = [[p.group_id for p in points],
+               ["%.9g" % v for v in p_sm.tolist()],
+               ["%.9g" % p.q_mean for p in points],
+               _q_std_cells(points)]
+    for fit in fits.values():
+        inv_q = model_inverse_q(fit, p_sm, p_j).tolist()
+        columns.append(["%.9g" % (1.0 / v) if v > 0 else "" for v in inv_q])
+    _write_rows(path, ["group_id", "p_sm", "q_measured", "q_std"]
+                + [f"q_model[{name}]" for name in fits], columns)
 
 
 def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group_id", "normalized_pr", "q_measured", "q_std",
-                         "q_model"])
-        for p in points:
-            npr = normalized_pr(p.p_sm, p.p_j, fit.tan_d_sm, fit.tan_d_j)
-            inv_q = fit.tan_d_sm * npr
-            writer.writerow([
-                p.group_id,
-                f"{npr:.9g}",
-                f"{p.q_mean:.9g}",
-                "" if not p.q_std else f"{p.q_std:.9g}",
-                f"{1.0 / inv_q:.9g}",
-            ])
+    npr = normalized_pr(np.array([p.p_sm for p in points]),
+                        np.array([p.p_j for p in points]),
+                        fit.tan_d_sm, fit.tan_d_j)
+    inv_q = (fit.tan_d_sm * npr).tolist()
+    _write_rows(path, ["group_id", "normalized_pr", "q_measured", "q_std",
+                       "q_model"],
+                [[p.group_id for p in points],
+                 ["%.9g" % v for v in npr.tolist()],
+                 ["%.9g" % p.q_mean for p in points],
+                 _q_std_cells(points),
+                 ["%.9g" % (1.0 / v) for v in inv_q]])
 
 
 def _write_model_surface(points, fit: LossFitResult, path) -> None:
-    p_sm_vals = np.geomspace(min(p.p_sm for p in points),
-                             max(p.p_sm for p in points), _SURFACE_GRID_POINTS)
-    p_j_vals = np.geomspace(min(p.p_j for p in points),
-                            max(p.p_j for p in points), _SURFACE_GRID_POINTS)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p_sm", "p_j", "q_model"])
-        for psm in p_sm_vals:
-            for pj in p_j_vals:
-                inv_q = model_inverse_q(fit, float(psm), float(pj))
-                writer.writerow([f"{psm:.9g}", f"{pj:.9g}", f"{1.0 / inv_q:.9g}"])
+    p_sm = np.geomspace(min(p.p_sm for p in points),
+                        max(p.p_sm for p in points), _SURFACE_GRID_POINTS)
+    p_j = np.geomspace(min(p.p_j for p in points),
+                       max(p.p_j for p in points), _SURFACE_GRID_POINTS)
+    inv_q = model_inverse_q(fit, p_sm[:, None], p_j[None, :])
+    sm_cells = ["%.9g" % v for v in p_sm.tolist()]
+    j_cells = ["%.9g" % v for v in p_j.tolist()]
+    # row-major over (p_sm, p_j), the order of the grid's flattened 1/Q
+    _write_rows(path, ["p_sm", "p_j", "q_model"],
+                [[c for c in sm_cells for _ in j_cells],
+                 j_cells * len(sm_cells),
+                 ["%.9g" % (1.0 / v) for v in inv_q.ravel().tolist()]])
 
 
 def _emit(manifest, errors, out_dir: Path, kind: str, write, *args,
@@ -234,8 +251,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Raises
     ------
     InvalidInputError
-        If the configuration is invalid or the dataset is empty (nothing is
-        written in that case).
+        If the configuration is invalid, the dataset is empty or
+        ``output_dir`` cannot be created (nothing is written in that case).
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -266,7 +283,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         points.sort(key=lambda p: (p.p_sm, p.p_j, p.group_id))
         report["n_fit_points"] = len(points)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at or above the path, or no permission
+        raise InvalidInputError(
+            f"cannot create output_dir {str(out_dir)!r}: {exc.strerror}") from exc
 
     fits: dict[str, LossFitResult] = {}
     if points is not None:

@@ -83,7 +83,11 @@ def _noise_floor(populations: np.ndarray) -> float:
     """Noise scale from second differences (insensitive to smooth decay)."""
     if populations.size < 3:
         return 0.0
-    return float(np.std(np.diff(populations, 2)) / math.sqrt(6.0))
+    # the standard deviation of the second differences, with the sum of
+    # squares taken as one dot product
+    d2 = np.diff(populations, 2)
+    d2 -= d2.mean()
+    return math.sqrt(float(d2 @ d2) / d2.size) / math.sqrt(6.0)
 
 
 def _initial_guess(delays: np.ndarray, populations: np.ndarray) -> float:

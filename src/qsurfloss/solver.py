@@ -434,15 +434,24 @@ def solution_to_csv(sol: FieldSolution, path) -> None:
     rows carry the tangential field.  An extra
     ``segment`` column identifies the source segment.
     """
+    def cells(arrays) -> list[str]:
+        return ["%.9g" % v for a in arrays for v in a.tolist()]
+
+    strips, gaps = sol.strips, sol.gaps
+    n_strip = sum(s.centers.size for s in strips)
+    n_gap = sum(g.centers.size for g in gaps)
+    e_perp = cells(s.e_perp for s in strips) + ["0"] * n_gap
+    columns = [
+        cells(seg.centers / UM for seg in [*strips, *gaps]),
+        cells(s.charge_density for s in strips) + ["0"] * n_gap,
+        e_perp,
+        e_perp,
+        ["0"] * n_strip + cells(g.e_par for g in gaps),
+        [f"strip{s.index}" for s in strips for _ in range(s.centers.size)]
+        + [f"gap{g.index}" for g in gaps for _ in range(g.centers.size)],
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_um", "sigma_c_per_m2", "e_perp_sub_v_per_m",
                          "e_perp_vac_v_per_m", "e_par_v_per_m", "segment"])
-        for s in sol.strips:
-            for x, sg, en in zip(s.centers, s.charge_density, s.e_perp):
-                writer.writerow([f"{x / UM:.9g}", f"{sg:.9g}", f"{en:.9g}",
-                                 f"{en:.9g}", "0", f"strip{s.index}"])
-        for g in sol.gaps:
-            for x, ep in zip(g.centers, g.e_par):
-                writer.writerow([f"{x / UM:.9g}", "0", "0", "0",
-                                 f"{ep:.9g}", f"gap{g.index}"])
+        writer.writerows(zip(*columns))

@@ -117,6 +117,18 @@ class TestLoader:
         with pytest.raises(TableFormatError, match="row 2: no geometry cell"):
             load_device_table(path)
 
+    @pytest.mark.parametrize("extra", [",x,y", ","])
+    def test_extra_cells_are_a_format_error(self, tmp_path, extra):
+        """A row longer than the header used to load with its extra cells
+        dropped; a trailing comma is an extra empty cell too."""
+        row = "D1-1,interdigital_2d,4.4,6.5,37,36.8,5.7,9.0,1.04,0.16,8.67,0.22"
+        path = tmp_path / "long.csv"
+        path.write_text(HEADER + row + "\n" + row + extra + "\n")
+        n = 12 + extra.count(",")
+        with pytest.raises(TableFormatError, match=f"malformed row 3: {n} "
+                           f"cells, header has 12$"):
+            load_device_table(path)
+
     def test_non_utf8_table_is_a_format_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(HEADER.encode() + "D1-1,g\xe9om\n".encode("latin-1"))
@@ -126,8 +138,11 @@ class TestLoader:
     def test_round_trip(self, records, tmp_path):
         path = tmp_path / "devices.csv"
         save_device_table(records, path)
+        first = path.read_bytes()
         again = load_device_table(path)
         assert again == records
+        save_device_table(again, path)
+        assert path.read_bytes() == first
 
 
 @pytest.fixture(scope="module")
@@ -168,15 +183,22 @@ class TestTableProperties:
 
     @given(rows=st.lists(st.lists(CELLS, max_size=14), max_size=4))
     @example(rows=[["D1-1"]])
+    @example(rows=[["D1-1"] * 13])
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_rows_load_or_raise_a_typed_error(self, table_path, rows):
         with open(table_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(HEADER)
             csv.writer(fh).writerows(rows)
+        long_first = bool(rows) and len(rows[0]) > len(COLUMNS)
         try:
             load_device_table(table_path)
-        except QSurfLossError:
-            pass
+        except QSurfLossError as exc:
+            if long_first:  # an overlong first row fails before any check
+                assert isinstance(exc, TableFormatError)
+                assert str(exc).endswith(f"malformed row 2: {len(rows[0])} "
+                                         f"cells, header has {len(COLUMNS)}")
+        else:
+            assert not long_first
 
     @given(data=st.binary(max_size=64)
            | st.binary(max_size=64).map(lambda b: HEADER.encode() + b))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -280,8 +281,9 @@ class TestNonNegativity:
 
 class TestCovariance:
     def test_power_of_two_scaling_is_exact(self, grouped_points):
-        """The free-parameter covariance is bit for bit ``(X'WX)^-1`` times
-        the reduced chi-square, formed without rescaling."""
+        """The free-parameter covariance is bit for bit ``(X'WX)^-1 =
+        V diag(s^-2) V'`` from the SVD of the weighted design, times the
+        reduced chi-square, formed without rescaling."""
         X = np.column_stack([[p.p_sm for p in grouped_points],
                              [p.p_j for p in grouped_points]])
         y = np.array([1.0 / p.q_mean for p in grouped_points])
@@ -290,8 +292,41 @@ class TestCovariance:
         assert np.all(beta > 0)
         Xw = X * np.sqrt(w)[:, None]
         chi2 = float(np.sum(w * res**2))
-        expected = np.linalg.inv(Xw.T @ Xw) * (chi2 / (len(y) - 2))
+        _, s, vt = np.linalg.svd(Xw, full_matrices=False)
+        expected = (vt.T / s**2) @ vt * (chi2 / (len(y) - 2))
         np.testing.assert_array_equal(cov, expected)
+        np.testing.assert_allclose(
+            cov, np.linalg.inv(Xw.T @ Xw) * (chi2 / (len(y) - 2)), rtol=1e-9)
+
+    def test_gram_beyond_float_precision_still_has_a_covariance(self):
+        """cond(Xw) = 1.6e8 passes the limit, but the Gram matrix, with the
+        square of that condition number, is singular to working precision:
+        the covariance comes from the SVD of the design instead."""
+        X = np.array([[0.0, 1.192092896e-7], [0.11983567809715504, 0.25]])
+        w = np.array([1.0, 898.9375])
+        beta, cov, res, cond = _clamped_weighted_lstsq(X, np.zeros(2), w)
+        assert cond < CONDITION_LIMIT
+        np.testing.assert_array_equal(beta, [0.0, 0.0])
+        np.testing.assert_array_equal(res, [0.0, 0.0])
+        # exactly determined: no degrees of freedom, so the scale is NaN
+        assert np.isnan(cov).all()
+
+        # a third point along the first keeps cond(Xw) near 1e8 and gives
+        # chi-square a degree of freedom; the exact (X'WX)^-1 is the check
+        # (an inverse of the rounded Gram misses it by ~40 %)
+        X = np.vstack([X, [0.0, 2.384185792e-7]])
+        w = np.append(w, 1.0)
+        y = X @ [1e-3, 4e-3] * [1.0, 1.0, 0.5]
+        beta, cov, res, cond = _clamped_weighted_lstsq(X, y, w)
+        assert cond > 5e7 and np.all(beta > 0)
+        (a, b), (_, d) = [[sum(Fraction(wi) * Fraction(xi) * Fraction(xj)
+                               for wi, xi, xj in zip(w, X[:, i], X[:, j]))
+                           for j in range(2)] for i in range(2)]
+        det = a * d - b * b
+        scale = float(np.sum(w * res**2))
+        exact = np.array([[float(d / det), float(-b / det)],
+                          [float(-b / det), float(a / det)]]) * scale
+        np.testing.assert_allclose(cov, exact, rtol=1e-6)
 
     def test_tiny_design_does_not_underflow(self):
         """A well-conditioned design of magnitude 1e-200 squares to 0 in its

@@ -26,6 +26,7 @@ from qsurfloss import (
 from qsurfloss.cli import main
 from qsurfloss.solver import FieldSolution
 from qsurfloss.dataio import COLUMNS
+from qsurfloss.pipeline import MAX_SWEEP_POINTS
 
 EXPECTED_FIT_CSVS = {"q_vs_psm.csv", "q_vs_normalized_pr.csv", "q_model_surface.csv"}
 
@@ -356,6 +357,34 @@ class TestConfigErrors:
         with pytest.raises(InvalidInputError, match="output_dir must be a path"):
             run_pipeline(PipelineConfig(output_dir=output_dir))
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_output_dir_blocked_by_a_file(self, tmp_path, below):
+        """An output_dir that is a file, or lies under one, is one error line
+        naming the path, not a traceback."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        result = _run_report(tmp_path, json.dumps({"output_dir": str(out)}))
+        _assert_one_line_error(result, f"cannot create output_dir {str(out)!r}")
+        with pytest.raises(InvalidInputError, match="cannot create output_dir"):
+            run_pipeline(PipelineConfig(output_dir=str(out)))
+        assert blocker.read_text() == ""
+
+    def test_sweep_points_are_bounded(self, tmp_path):
+        """Each sweep point costs a row of the CSV and of report.json;
+        MAX_SWEEP_POINTS bounds them in a config and in the Python API."""
+        message = f"sweep points must be at most {MAX_SWEEP_POINTS}, got "
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(tmp_path / "out"),
+            "sweep": {"points": MAX_SWEEP_POINTS + 1},
+        }))
+        _assert_one_line_error(result, message + str(MAX_SWEEP_POINTS + 1))
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(InvalidInputError, match=message + "100000000"):
+            SweepConfig(points=10**8)
+        assert len(SweepConfig(points=MAX_SWEEP_POINTS).widths()) == (
+            MAX_SWEEP_POINTS)
+
     def test_surface_grid_points_is_not_a_config_key(self, tmp_path):
         """The model surface is a fixed 25 x 25 grid."""
         result = _run_report(tmp_path, json.dumps({
@@ -411,8 +440,8 @@ class TestConfigErrors:
         assert sweep.widths() == [1.0, 2.5]
 
 
-#: Any JSON value; ``points`` is drawn from a small range instead, because
-#: nothing bounds the number of sweep points.
+#: Any JSON value; an integer ``points`` is drawn from a small range or
+#: above ``MAX_SWEEP_POINTS``, so that no draw runs a long sweep.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -431,8 +460,9 @@ def config_edits(draw):
     key = draw(st.sampled_from([(k,) for k in TOP_KEYS]
                                + [("sweep", k) for k in SWEEP_KEYS]))
     if key[-1] == "points":
-        values = st.integers(-3, 40) | JSON_VALUES.filter(
-            lambda v: isinstance(v, bool) or not isinstance(v, int))
+        values = (st.integers(-3, 40) | st.integers(min_value=MAX_SWEEP_POINTS + 1)
+                  | JSON_VALUES.filter(
+                      lambda v: isinstance(v, bool) or not isinstance(v, int)))
     elif key[-1] == "output_dir":  # a string would write outside the test dir
         values = JSON_VALUES.filter(lambda v: not isinstance(v, str))
     elif key[-1] == "dataset":  # no existing path outside the test dir
@@ -637,6 +667,14 @@ class TestCli:
             main, ["sweep", "--width-min", "1", "--width-max", "2",
                    "--cutoff-um", cutoff_um, "--out", str(out)])
         _assert_one_line_error(result, message)
+        assert not out.exists()
+
+    def test_sweep_command_bounds_points(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main, ["sweep", "--points", str(MAX_SWEEP_POINTS + 1),
+                   "--out", str(out)])
+        _assert_one_line_error(result, f"at most {MAX_SWEEP_POINTS}")
         assert not out.exists()
 
     def test_sweep_command_rejects_zero_points(self, tmp_path):

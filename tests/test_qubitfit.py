@@ -19,7 +19,12 @@ from qsurfloss import (
     q_statistics_from_rounds,
     t1_statistics,
 )
-from qsurfloss.qubitfit import LOSSES, t1_report_dict, write_histogram_csv
+from qsurfloss.qubitfit import (
+    LOSSES,
+    _noise_floor,
+    t1_report_dict,
+    write_histogram_csv,
+)
 
 T1_REF = 316.8  # us
 
@@ -96,6 +101,18 @@ def arbitrary_traces(draw):
         populations = [amplitude * math.exp(-rate * i / n) + offset + jitter * u
                        for i, u in enumerate(noise)]
     return DecayTrace(np.array(delays), np.array(populations))
+
+
+class TestNoiseFloor:
+    @given(trace=arbitrary_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_standard_deviation_of_second_differences(self, trace):
+        """The dot-product form agrees with the numpy std it replaced, on
+        populations scaled into [-1, 1] as ``fit_exponential`` passes them."""
+        y = trace.populations
+        y = y / max(1.0, -float(y.min()), float(y.max()))
+        old = float(np.std(np.diff(y, 2)) / math.sqrt(6.0))
+        assert math.isclose(_noise_floor(y), old, rel_tol=1e-15, abs_tol=0.0)
 
 
 class TestDecayTraceValidation:

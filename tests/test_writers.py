@@ -1,0 +1,239 @@
+"""The report-bundle writers against the row-by-row writers they replaced.
+
+Each writer now formats whole columns and writes them with one
+``writerows`` call, and ``report.json`` is encoded once.  The references
+below are the previous writers, kept here so that every case is compared
+byte for byte.
+"""
+
+import csv
+import json
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsurfloss import (
+    CrossSection,
+    LossDataPoint,
+    LossFitResult,
+    LossModel,
+    Strip,
+    fit_sm_plus_j,
+    interdigital_unit_cell,
+    psm_width_sweep,
+    solution_to_csv,
+    solve_cross_section,
+    write_sweep_csv,
+)
+from qsurfloss.participation import SweepPoint
+from qsurfloss.pipeline import (
+    _nine_digits,
+    _write_model_surface,
+    _write_q_vs_npr,
+    _write_q_vs_psm,
+    write_report_json,
+)
+from qsurfloss.solver import UM
+
+
+def reference_inverse_q(fit, p_sm, p_j):
+    """The scalar model 1/Q in the previous evaluation order."""
+    inv_q = p_sm * fit.tan_d_sm + p_j * (fit.tan_d_j or 0.0)
+    return inv_q + (1.0 / fit.q0 if fit.q0 is not None
+                    and math.isfinite(fit.q0) else 0.0)
+
+
+def reference_q_vs_psm(points, fits, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        headers = ["group_id", "p_sm", "q_measured", "q_std"]
+        headers += [f"q_model[{name}]" for name in fits]
+        writer.writerow(headers)
+        for p in points:
+            row = [p.group_id, f"{p.p_sm:.9g}", f"{p.q_mean:.9g}",
+                   "" if not p.q_std else f"{p.q_std:.9g}"]
+            for fit in fits.values():
+                inv_q = reference_inverse_q(fit, p.p_sm, p.p_j)
+                row.append(f"{1.0 / inv_q:.9g}" if inv_q > 0 else "")
+            writer.writerow(row)
+
+
+def reference_q_vs_npr(points, fit, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["group_id", "normalized_pr", "q_measured", "q_std",
+                         "q_model"])
+        for p in points:
+            npr = p.p_sm + (fit.tan_d_j / fit.tan_d_sm) * p.p_j
+            inv_q = fit.tan_d_sm * npr
+            writer.writerow([
+                p.group_id,
+                f"{npr:.9g}",
+                f"{p.q_mean:.9g}",
+                "" if not p.q_std else f"{p.q_std:.9g}",
+                f"{1.0 / inv_q:.9g}",
+            ])
+
+
+def reference_model_surface(points, fit, path):
+    p_sm_vals = np.geomspace(min(p.p_sm for p in points),
+                             max(p.p_sm for p in points), 25)
+    p_j_vals = np.geomspace(min(p.p_j for p in points),
+                            max(p.p_j for p in points), 25)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["p_sm", "p_j", "q_model"])
+        for psm in p_sm_vals:
+            for pj in p_j_vals:
+                inv_q = reference_inverse_q(fit, float(psm), float(pj))
+                writer.writerow([f"{psm:.9g}", f"{pj:.9g}",
+                                 f"{1.0 / inv_q:.9g}"])
+
+
+def reference_sweep_csv(points, path):
+    names = [f.name for f in fields(SweepPoint)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for p in points:
+            values = [getattr(p, name) for name in names]
+            writer.writerow(["" if v is None else v if isinstance(v, str)
+                             else f"{v:.9g}" for v in values])
+
+
+def reference_solution_csv(sol, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_um", "sigma_c_per_m2", "e_perp_sub_v_per_m",
+                         "e_perp_vac_v_per_m", "e_par_v_per_m", "segment"])
+        for s in sol.strips:
+            for x, sg, en in zip(s.centers, s.charge_density, s.e_perp):
+                writer.writerow([f"{x / UM:.9g}", f"{sg:.9g}", f"{en:.9g}",
+                                 f"{en:.9g}", "0", f"strip{s.index}"])
+        for g in sol.gaps:
+            for x, ep in zip(g.centers, g.e_par):
+                writer.writerow([f"{x / UM:.9g}", "0", "0", "0",
+                                 f"{ep:.9g}", f"gap{g.index}"])
+
+
+def reference_report_json(report, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_nine_digits(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def assert_same_bytes(tmp_path, write, reference, *args):
+    new, old = tmp_path / "new", tmp_path / "old"
+    write(*args, new)
+    reference(*args, old)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def fit_of(model, tan_d_sm, tan_d_j=None, q0=None):
+    return LossFitResult(model=model, tan_d_sm=tan_d_sm, tan_d_j=tan_d_j, q0=q0)
+
+
+@pytest.fixture(scope="module")
+def bundled_fit(grouped_points):
+    return fit_sm_plus_j(grouped_points)
+
+
+class TestPipelineWriters:
+    @pytest.mark.parametrize("case", ["sm+j", "clamped tan_d_j", "q0 = inf"])
+    def test_model_surface(self, tmp_path, grouped_points, bundled_fit, case):
+        """The bundled sm+j fit, a clamped tan_d_j, and an sm+q0 fit whose
+        intercept clamped to zero (q0 = inf)."""
+        fit = {"sm+j": bundled_fit,
+               "clamped tan_d_j": fit_of(LossModel.SM_PLUS_J, 8.9e-4, 0.0),
+               "q0 = inf": fit_of(LossModel.SM_PLUS_Q0, 9.3e-4, q0=math.inf),
+               }[case]
+        assert_same_bytes(tmp_path, _write_model_surface,
+                          reference_model_surface, grouped_points, fit)
+
+    def test_q_vs_psm_quotes_and_empty_cells(self, tmp_path, grouped_points):
+        """A group id with a comma and a quote is quoted, a q_std of None or 0
+        and a non-positive model 1/Q are empty cells."""
+        points = [
+            LossDataPoint(p_sm=2e-4, p_j=3e-5, q_mean=2.5e6, q_std=None,
+                          group_id='D1:"a",b'),
+            LossDataPoint(p_sm=4e-4, p_j=1e-5, q_mean=1.5e6, q_std=0.0,
+                          group_id="D2,c"),
+            LossDataPoint(p_sm=0.0, p_j=0.0, q_mean=9.0e6, q_std=1.2e5,
+                          group_id="zero\nparticipation"),
+        ]
+        fits = {"sm+j": fit_of(LossModel.SM_PLUS_J, 8.9e-4, 3.5e-3),
+                "sm": fit_of(LossModel.SM_ONLY, 1.1e-3),
+                "sm+q0": fit_of(LossModel.SM_PLUS_Q0, 7e-4, q0=6.7e6)}
+        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+                          points, fits)
+        text = (tmp_path / "new").read_bytes()
+        assert b'"D1:""a"",b"' in text and text.count(b"\r\n") == 4
+        assert b',,' in text
+        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+                          grouped_points, fits)
+
+    def test_q_vs_npr(self, tmp_path, grouped_points, bundled_fit):
+        assert_same_bytes(tmp_path, _write_q_vs_npr, reference_q_vs_npr,
+                          grouped_points, bundled_fit)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_points_and_fits(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 6))
+        spreads = st.none() | st.just(0.0) | st.floats(1.0, 1e7)
+        ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+        points = [LossDataPoint(
+            p_sm=data.draw(st.floats(1e-7, 1e-2)),
+            p_j=data.draw(st.floats(1e-7, 1e-2)),
+            q_mean=data.draw(st.floats(1e3, 1e9)),
+            q_std=data.draw(spreads), group_id=data.draw(ids)) for _ in range(n)]
+        tangent = st.floats(1e-6, 1e-2)
+        fits = {"sm+j": fit_of(LossModel.SM_PLUS_J, data.draw(tangent),
+                               data.draw(st.just(0.0) | tangent)),
+                "sm+q0": fit_of(LossModel.SM_PLUS_Q0, data.draw(tangent),
+                                q0=data.draw(st.just(math.inf)
+                                             | st.floats(1e3, 1e9)))}
+        tmp_path = tmp_path_factory.mktemp("writers")
+        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+                          points, fits)
+        for fit in fits.values():
+            assert_same_bytes(tmp_path, _write_model_surface,
+                              reference_model_surface, points, fit)
+        assert_same_bytes(tmp_path, _write_q_vs_npr, reference_q_vs_npr,
+                          points, fits["sm+j"])
+
+    def test_report_json_writes_nonfinite_as_null(self, tmp_path):
+        report = {"b": [1.0, math.nan, -math.inf, np.float64(2.0 / 3.0)],
+                  "a": {"z": math.inf, "y": "text", "x": None, "w": 7},
+                  "c": (1e-320, 123456789.5)}
+        assert_same_bytes(tmp_path, write_report_json, reference_report_json,
+                          report)
+        assert json.loads((tmp_path / "new").read_text()) == {
+            "a": {"w": 7, "x": None, "y": "text", "z": None},
+            "b": [1.0, None, None, 0.666666667],
+            "c": [1e-320, 123456790.0]}
+
+
+class TestSweepAndFieldWriters:
+    def test_sweep_csv_with_a_failed_point(self, tmp_path):
+        points = psm_width_sweep([1.0, 20.0], cutoff_um=5e-324)
+        assert points[1].error
+        points.append(SweepPoint(width_um=3.0, cutoff_um=0.6,
+                                 error="edge_cutoff must lie in [0, 1.5) um"))
+        assert_same_bytes(tmp_path, write_sweep_csv, reference_sweep_csv,
+                          points)
+        assert_same_bytes(tmp_path, write_sweep_csv, reference_sweep_csv,
+                          psm_width_sweep(np.linspace(1.0, 20.0, 20)))
+
+    @pytest.mark.parametrize("section", [
+        interdigital_unit_cell(2.0, 7, discretization=64),
+        CrossSection([Strip(0.0, 4.0, 1.0), Strip(6.0, 8.0, 0.0),
+                      Strip(17.0, 5.0, -0.3)], discretization=64),
+    ], ids=["folded-idc", "asymmetric"])
+    def test_solution_csv(self, tmp_path, section):
+        assert_same_bytes(tmp_path, solution_to_csv, reference_solution_csv,
+                          solve_cross_section(section))
