@@ -73,23 +73,18 @@ class DeviceRecord:
             fail("geometry", f"must be one of {GEOMETRIES}, got {self.geometry!r}")
         if "-" not in self.device_id:
             fail("device_id", "must look like '<die>-<index>'")
-        for name in ("omega_q_ghz", "omega_c_ghz", "g_mhz"):
-            if getattr(self, name) <= 0:
+        # Each check is written so that NaN fails it.
+        for name in ("omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us",
+                     "q_mean", "p_sm", "p_j"):
+            if not getattr(self, name) > 0:
                 fail(name, "must be > 0")
-        if self.omega_c_ghz <= self.omega_q_ghz:
+        if not self.omega_c_ghz > self.omega_q_ghz:
             fail("omega_c_ghz", "must exceed omega_q_ghz (dispersive readout)")
-        if self.t1_mean_us <= 0:
-            fail("t1_mean_us", "must be > 0")
-        if self.t1_std_us is not None and self.t1_std_us < 0:
-            fail("t1_std_us", "must be >= 0 when present")
-        if self.t_purcell_ms * 1e3 <= self.t1_mean_us:
+        if not self.t_purcell_ms * 1e3 > self.t1_mean_us:
             fail("t_purcell_ms", "must exceed the measured T1")
-        if self.q_mean <= 0:
-            fail("q_mean", "must be > 0")
-        if self.q_std is not None and self.q_std < 0:
-            fail("q_std", "must be >= 0 when present")
-        if self.p_sm <= 0 or self.p_j <= 0:
-            fail("p_sm/p_j", "must be > 0")
+        for name in ("t1_std_us", "q_std"):
+            if getattr(self, name) is not None and not getattr(self, name) >= 0:
+                fail(name, "must be >= 0 when present")
 
     @property
     def die_id(self) -> str:

@@ -66,11 +66,12 @@ class LossDataPoint:
     n_devices: int = 1
 
     def __post_init__(self) -> None:
-        if self.p_sm < 0 or self.p_j < 0:
+        # Each check is written so that NaN fails it.
+        if not (self.p_sm >= 0 and self.p_j >= 0):
             raise InvalidInputError("participation ratios must be >= 0")
-        if self.q_mean <= 0:
+        if not self.q_mean > 0:
             raise InvalidInputError("q_mean must be > 0")
-        if self.q_std is not None and self.q_std < 0:
+        if self.q_std is not None and not self.q_std >= 0:
             raise InvalidInputError("q_std must be >= 0 when present")
 
 

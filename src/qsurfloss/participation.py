@@ -135,27 +135,10 @@ def _cell_bounds(sol: FieldSolution) -> tuple[float, float]:
     return left, right
 
 
-def _strip_square_integral(
-    strip_fields, values: np.ndarray, cutoff_m: float
-) -> float:
-    """integral values^2 dx over one strip, excluding cutoff at both edges."""
-    a = np.maximum(strip_fields.edges[:-1], strip_fields.x_left + cutoff_m)
-    b = np.minimum(strip_fields.edges[1:], strip_fields.x_right - cutoff_m)
-    eff = np.clip(b - a, 0.0, None)
+def _square_integral(a, b, values: np.ndarray, lo: float, hi: float) -> float:
+    """integral values^2 dx over the elements [a, b] clipped to [lo, hi]."""
+    eff = np.clip(np.minimum(b, hi) - np.maximum(a, lo), 0.0, None)
     return float(np.sum(values**2 * eff))
-
-
-def _gap_square_integral(gap, cutoff_m: float, x_min: float, x_max: float) -> float:
-    """integral e_par^2 dx over one gap restricted to [x_min, x_max],
-    excluding cutoff next to each bounding strip edge."""
-    lo = max(gap.x_left + cutoff_m, x_min)
-    hi = min(gap.x_right - cutoff_m, x_max)
-    if hi <= lo:
-        return 0.0
-    a = np.maximum(gap.centers - 0.5 * gap.widths, lo)
-    b = np.minimum(gap.centers + 0.5 * gap.widths, hi)
-    eff = np.clip(b - a, 0.0, None)
-    return float(np.sum(gap.e_par**2 * eff))
 
 
 def layer_energy(
@@ -184,13 +167,17 @@ def layer_energy(
                 "no gap field samples available for the SA region"
             )
         total = sum(
-            _gap_square_integral(g, cutoff_m, x_min, x_max) for g in sol.gaps
+            _square_integral(g.centers - 0.5 * g.widths, g.centers + 0.5 * g.widths,
+                             g.e_par, max(g.x_left + cutoff_m, x_min),
+                             min(g.x_right - cutoff_m, x_max))
+            for g in sol.gaps
         )
     else:
         scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
                  else geom.eps_vac_rel) * epsilon_0 / eps_i
         total = sum(
-            _strip_square_integral(s, scale * s.e_perp, cutoff_m)
+            _square_integral(s.edges[:-1], s.edges[1:], scale * s.e_perp,
+                             s.x_left + cutoff_m, s.x_right - cutoff_m)
             for s in sol.strips if x_min <= s.x_left and s.x_right <= x_max
         )
 

@@ -437,26 +437,19 @@ def q_statistics_from_rounds(
     t1_rounds_us,
     t_purcell_ms: float,
     omega_q_ghz: float,
-    per_round: bool = True,
 ) -> tuple[float, float]:
     """Mean and population std of Q over repeated T1 measurements.
 
-    ``per_round=True`` subtracts the Purcell channel and converts each round
-    to Q before averaging (subtract, convert, then apply statistics);
-    ``per_round=False`` converts the mean T1 instead, in which case the
-    spread is propagated from the T1 spread.
+    Each round is Purcell-subtracted and converted to Q before the
+    statistics are taken (subtract, convert, then apply statistics).
     """
     values = np.asarray(list(t1_rounds_us), dtype=float)
     if values.size == 0:
         raise InvalidInputError("need at least one round")
-    if per_round:
-        qs = np.array(
-            [purcell_subtract_q(v, t_purcell_ms, omega_q_ghz) for v in values]
-        )
-        return float(qs.mean()), float(qs.std())
-    q_of_mean = purcell_subtract_q(float(values.mean()), t_purcell_ms, omega_q_ghz)
-    rel_spread = float(values.std()) / float(values.mean())
-    return q_of_mean, q_of_mean * rel_spread
+    qs = np.array(
+        [purcell_subtract_q(v, t_purcell_ms, omega_q_ghz) for v in values]
+    )
+    return float(qs.mean()), float(qs.std())
 
 
 def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:

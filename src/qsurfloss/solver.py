@@ -23,13 +23,14 @@ the jump of the charge density there.
 
 A mirror-even section (strip i and strip S-1-i at equal potentials with
 mirror-image extents, to 1e-12 of the span; every interdigital cell is one)
-carries a mirror-symmetric charge, so it is solved as a folded half-size
-system: the unknowns are the elements left of the axis (the self-mirrored
-middle element of an odd centre strip counts once), each column adds the
-column of the mirror element, each neutrality weight the mirror element's
-width, and the solution is mirrored back onto every element.  That is about
-8x less LU work.  Any other section, including a mirror-symmetric one at
-odd drive, is solved in full by the same assembly code.
+carries a mirror-symmetric charge.  Every strip has the same number of
+elements, so in the flat list of N elements element j mirrors element
+N-1-j, and the section is solved as a folded system in the first
+ceil(N/2) charges: the column and neutrality weight of each later element
+are added onto those of its mirror, and the solution is read back through
+the same mirror.  That is about 8x less LU work.  Any other section,
+including a mirror-symmetric one at odd drive, is solved in full by the same
+assembly loop.
 
 Internal solution arrays are in SI units (m, C/m^2, V/m, F/m, J/m); geometry
 input remains in micrometres.
@@ -182,53 +183,33 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
     centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
     widths = [e[1:] - e[:-1] for e in edges]
 
-    # Unknown blocks (strip, mirror strip or None, elements): one per strip,
-    # or, for a mirror-even section, one per strip left of the axis whose
-    # elements also stand for their mirror images.  The centre strip of an
-    # odd count mirrors onto itself and keeps its left half, plus a
-    # self-mirrored middle element when n_elem is odd.
+    # Every strip has n_elem elements, so in the flat element list of a
+    # mirror-even section element j mirrors element N-1-j and only the first
+    # n = ceil(N/2) charges are unknown; otherwise n = N.
     n_strips = len(edges)
-    if _is_mirror_even(geom):
-        blocks = [(si, n_strips - 1 - si, n_elem) for si in range(n_strips // 2)]
-        if n_strips % 2:
-            c = n_strips // 2
-            blocks.append((c, c, (n_elem + 1) // 2))
-    else:
-        blocks = [(si, None, n_elem) for si in range(n_strips)]
-    xc = np.concatenate([centers[si][:k] for si, _, k in blocks])
-    n = xc.size
+    N = n_strips * n_elem
+    n = (N + 1) // 2 if _is_mirror_even(geom) else N
+    xc = np.concatenate(centers)[:n]
 
     # phi(x_i) = -1/(2 pi eps_bar) * sum_j sigma_j int_j ln|x_i - x'| dx' + c.
     # Per strip the element integrals are differences of the antiderivative
-    # at adjacent nodes, so it is evaluated once per node and row.  A folded
-    # column adds its mirror element's column; node k of a strip mirrors
-    # node n_elem-k of its partner, so the fold subtracts the partner's
-    # node values in reverse order before differencing.
+    # at adjacent nodes, so it is evaluated once per node and row.  Columns
+    # of elements j >= n are added, reversed, onto their mirrors' columns
+    # N-1-j < n, which an earlier strip or this one has already written.
     system = np.empty((n + 1, n + 1))
-    weights = np.empty(n)
-    col = 0
-    for si, mi, k in blocks:
-        f = _log_antiderivative(edges[si][None, :] - xc[:, None])
-        w = widths[si][:k]
-        if mi is not None:
-            partner = f if mi == si else _log_antiderivative(
-                edges[mi][None, :] - xc[:, None])
-            f = f - partner[:, ::-1]
-            w = w + widths[mi][::-1][:k]
-        np.subtract(f[:, 1:k + 1], f[:, :k], out=system[:n, col:col + k])
-        weights[col:col + k] = w
-        if mi == si and n_elem % 2:
-            # the self-mirrored middle element counts once
-            system[:n, col + k - 1] *= 0.5
-            weights[col + k - 1] *= 0.5
-        col += k
+    for si, e in enumerate(edges):
+        lo = si * n_elem
+        k = min(max(n - lo, 0), n_elem)
+        f = _log_antiderivative(e[None, :] - xc[:, None])
+        np.subtract(f[:, 1:k + 1], f[:, :k], out=system[:n, lo:lo + k])
+        system[:n, N - lo - n_elem:N - lo - k] += (f[:, k + 1:] - f[:, k:-1])[:, ::-1]
     system[:n, :n] /= -(2.0 * np.pi * eps_bar)
     system[:n, n] = 1.0       # floating reference constant
-    system[n, :n] = weights   # global charge neutrality
+    w = np.concatenate(widths)
+    system[n, :n] = w[:n]     # global charge neutrality
+    system[n, :N - n] += w[n:][::-1]
     system[n, n] = 0.0
-    rhs = np.concatenate(
-        [np.full(k, geom.strips[si].potential) for si, _, k in blocks] + [[0.0]]
-    )
+    rhs = np.append(np.repeat(pots, n_elem)[:n], 0.0)
 
     try:
         unknowns = np.linalg.solve(system, rhs)
@@ -240,22 +221,10 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
             f"linear solve did not converge: relative residual {residual:.3e}"
         )
     offset = float(unknowns[n])
-
-    # mirror the folded charge back onto every element
-    sigma: list[np.ndarray] = [np.empty(0)] * n_strips
-    col = 0
-    for si, mi, k in blocks:
-        part = unknowns[col:col + k]
-        col += k
-        if mi == si:
-            part = np.concatenate([part, part[:n_elem // 2][::-1]])
-        elif mi is not None:
-            sigma[mi] = part[::-1].copy()
-        sigma[si] = part
+    sigma = np.split(np.concatenate([unknowns[:n], unknowns[:N - n][::-1]]), n_strips)
 
     strips: list[StripFields] = []
-    for si, s in enumerate(geom.strips):
-        sig = sigma[si]
+    for si, (s, sig) in enumerate(zip(geom.strips, sigma)):
         strips.append(
             StripFields(
                 index=si,

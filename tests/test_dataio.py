@@ -135,6 +135,19 @@ class TestLoader:
         with pytest.raises(TableFormatError, match="not UTF-8"):
             load_device_table(path)
 
+    @pytest.mark.parametrize("column", COLUMNS[2:])
+    def test_nan_cell_is_rejected_naming_its_field(self, records, tmp_path, column):
+        """NaN passes ``<= 0``-style checks; every numeric field refuses it."""
+        path = tmp_path / "devices.csv"
+        save_device_table(records, path)
+        header, first, *rest = path.read_text().splitlines()
+        cells = first.split(",")
+        cells[COLUMNS.index(column)] = "nan"
+        path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        field = column.removesuffix("_1e6").removesuffix("_1e4")
+        with pytest.raises(RecordValidationError, match=f"field '{field}'"):
+            load_device_table(path)
+
     def test_round_trip(self, records, tmp_path):
         path = tmp_path / "devices.csv"
         save_device_table(records, path)

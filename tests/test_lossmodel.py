@@ -74,6 +74,15 @@ class TestNormalizedPr:
             normalized_pr(1e-4, 1e-4, 0.0, TAN_J)
 
 
+class TestLossDataPoint:
+    @pytest.mark.parametrize("name", ["p_sm", "p_j", "q_mean", "q_std"])
+    def test_nan_rejected(self, name):
+        values = dict(p_sm=1e-4, p_j=1e-5, q_mean=1e6, q_std=1e5)
+        values[name] = float("nan")
+        with pytest.raises(InvalidInputError):
+            LossDataPoint(**values)
+
+
 def synthetic_points(tan_sm, tan_j=None, inv_q0=0.0, p_sm=None, p_j=None):
     p_sm = [1e-4, 5e-4, 2e-3] if p_sm is None else p_sm
     p_j = [0.0] * len(p_sm) if p_j is None else p_j

@@ -21,6 +21,7 @@ from qsurfloss import (
     cutoff_sensitivity,
     interdigital_unit_cell,
     run_pipeline,
+    save_device_table,
     solve_cross_section,
 )
 from qsurfloss.cli import main
@@ -589,6 +590,19 @@ class TestCli:
         result = _run_report(tmp_path, json.dumps({
             "dataset": str(table), "output_dir": str(tmp_path / "out")}))
         _assert_one_line_error(result, message)
+
+    @pytest.mark.parametrize("column, field", [
+        ("q_mean_1e6", "q_mean"), ("q_std_1e6", "q_std"), ("p_sm_1e4", "p_sm")])
+    def test_nan_cell_is_one_error_line(self, records, tmp_path, column, field):
+        """A NaN cell used to load and end the fit in a LinAlgError traceback."""
+        table = tmp_path / "devices.csv"
+        save_device_table(records, table)
+        header, first, *rest = table.read_text().splitlines()
+        cells = first.split(",")
+        cells[COLUMNS.index(column)] = "nan"
+        table.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        result = CliRunner().invoke(main, ["fit-loss", "--input", str(table)])
+        _assert_one_line_error(result, f"field '{field}'")
 
     def test_non_utf8_table_is_one_error_line(self, tmp_path):
         table = tmp_path / "devices.csv"

@@ -368,13 +368,6 @@ class TestQStatisticsFromRounds:
         assert mean == pytest.approx(np.mean(qs), rel=1e-12)
         assert std == pytest.approx(np.std(qs), rel=1e-12)
 
-    def test_mean_t1_variant(self):
-        rounds = [180.0, 200.0, 210.0, 190.0]
-        mean, _ = q_statistics_from_rounds(rounds, 10.0, 4.5, per_round=False)
-        assert mean == pytest.approx(
-            purcell_subtract_q(float(np.mean(rounds)), 10.0, 4.5), rel=1e-12
-        )
-
     def test_identical_rounds_coincide(self):
         a, _ = q_statistics_from_rounds([150.0] * 5, 8.0, 4.2)
         b = purcell_subtract_q(150.0, 8.0, 4.2)

@@ -218,6 +218,11 @@ ASYMMETRIC = CrossSection(
      Strip(21.0, 5.0, 1.0)],
     discretization=64,
 )
+EVEN_STRIPS_33 = CrossSection(
+    [Strip(0.0, 3.0, 1.0), Strip(5.0, 2.0, -1.0), Strip(9.0, 2.0, -1.0),
+     Strip(13.0, 3.0, 1.0)],
+    discretization=33,
+)
 
 
 class TestNodeAssemblyAndMirrorFold:
@@ -229,7 +234,8 @@ class TestNodeAssemblyAndMirrorFold:
         (IDC_33, 3 * 33 + 17 + 1),  # the centre strip's middle element once
         (NEAR_SYMMETRIC, 7 * 64 + 1),
         (ASYMMETRIC, 4 * 64 + 1),
-    ], ids=["idc-256", "idc-33", "near-symmetric", "asymmetric"])
+        (EVEN_STRIPS_33, 2 * 33 + 1),  # no centre strip: the fold ends between strips
+    ], ids=["idc-256", "idc-33", "near-symmetric", "asymmetric", "even-strips-33"])
     def test_matches_edge_pair_reference(self, geom, system_size, monkeypatch):
         sizes = []
         dense_solve = np.linalg.solve
