@@ -23,13 +23,11 @@ from .geometry import (
     SAPPHIRE_EPS_REL,
     CrossSection,
     Strip,
-    dump_cross_section,
     interdigital_unit_cell,
     load_cross_section,
 )
 from .solver import (
     FieldSolution,
-    field_energy_quadrature,
     reconstruct_gap_voltage,
     refine_until_converged,
     solution_to_csv,
@@ -37,7 +35,6 @@ from .solver import (
 )
 from .participation import (
     DEFAULT_SM_SPEC,
-    JUNCTION_MA_SPEC,
     InterfaceRegion,
     InterfaceSpec,
     ParticipationSet,

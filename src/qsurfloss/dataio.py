@@ -73,18 +73,20 @@ class DeviceRecord:
             fail("geometry", f"must be one of {GEOMETRIES}, got {self.geometry!r}")
         if "-" not in self.device_id:
             fail("device_id", "must look like '<die>-<index>'")
-        # Each check is written so that NaN fails it.
+        # math.isfinite refuses NaN and both infinities.
         for name in ("omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us",
-                     "q_mean", "p_sm", "p_j"):
-            if not getattr(self, name) > 0:
-                fail(name, "must be > 0")
+                     "t_purcell_ms", "q_mean", "p_sm", "p_j"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                fail(name, "must be finite and > 0")
         if not self.omega_c_ghz > self.omega_q_ghz:
             fail("omega_c_ghz", "must exceed omega_q_ghz (dispersive readout)")
         if not self.t_purcell_ms * 1e3 > self.t1_mean_us:
             fail("t_purcell_ms", "must exceed the measured T1")
         for name in ("t1_std_us", "q_std"):
-            if getattr(self, name) is not None and not getattr(self, name) >= 0:
-                fail(name, "must be >= 0 when present")
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                fail(name, "must be finite and >= 0 when present")
 
     @property
     def die_id(self) -> str:

@@ -22,7 +22,7 @@ class NumericalFailureError(QSurfLossError, RuntimeError):
 
 
 class ConvergenceError(QSurfLossError, RuntimeError):
-    """Mesh refinement exhausted its budget before meeting the tolerance."""
+    """Refinement exhausted its budget before meeting the tolerance."""
 
 
 class DegenerateFitError(QSurfLossError, RuntimeError):

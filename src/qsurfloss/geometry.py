@@ -60,7 +60,8 @@ class CrossSection:
         Exclusion distance (um) around strip edges applied to layer-energy
         integrals; must be smaller than half the narrowest strip.
     discretization:
-        Boundary elements per strip (>= 8).
+        Chebyshev terms per strip (>= 8), where a solve or a refinement
+        starts.
     representative_cell:
         Index of the strip whose cell (strip plus half of each adjacent
         gap) represents the periodic interior of a finger array; ``None``
@@ -71,7 +72,7 @@ class CrossSection:
     eps_sub_rel: float = SAPPHIRE_EPS_REL
     eps_vac_rel: float = 1.0
     edge_cutoff: float = DEFAULT_EDGE_CUTOFF_UM
-    discretization: int = 128
+    discretization: int = 16
     representative_cell: int | None = None
     label: str = ""
 
@@ -105,7 +106,7 @@ class CrossSection:
             )
         if self.discretization < 8:
             raise InvalidInputError(
-                f"discretization must be >= 8 elements per strip, got {self.discretization}"
+                f"discretization must be >= 8 terms per strip, got {self.discretization}"
             )
         if self.representative_cell is not None and not (
             0 <= self.representative_cell < len(self.strips)
@@ -161,7 +162,7 @@ class CrossSection:
                 eps_sub_rel=float(d.get("eps_sub_rel", SAPPHIRE_EPS_REL)),
                 eps_vac_rel=float(d.get("eps_vac_rel", 1.0)),
                 edge_cutoff=float(d.get("edge_cutoff", DEFAULT_EDGE_CUTOFF_UM)),
-                discretization=int(d.get("discretization", 128)),
+                discretization=int(d.get("discretization", 16)),
                 representative_cell=d.get("representative_cell"),
                 label=str(d.get("label", "")),
             )
@@ -190,7 +191,7 @@ def dump_cross_section(geom: CrossSection, path) -> None:
 def interdigital_unit_cell(
     gap_and_finger_width: float,
     n_fingers: int,
-    discretization: int = 128,
+    discretization: int = 16,
     edge_cutoff: float | None = None,
 ) -> CrossSection:
     """Finite interdigital array whose center cell approximates the periodic

@@ -66,13 +66,16 @@ class LossDataPoint:
     n_devices: int = 1
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it.
-        if not (self.p_sm >= 0 and self.p_j >= 0):
-            raise InvalidInputError("participation ratios must be >= 0")
-        if not self.q_mean > 0:
-            raise InvalidInputError("q_mean must be > 0")
-        if self.q_std is not None and not self.q_std >= 0:
-            raise InvalidInputError("q_std must be >= 0 when present")
+        # math.isfinite refuses NaN and both infinities.
+        for name in ("p_sm", "p_j"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{name} must be finite and >= 0")
+        if not (math.isfinite(self.q_mean) and self.q_mean > 0):
+            raise InvalidInputError("q_mean must be finite and > 0")
+        if self.q_std is not None and not (math.isfinite(self.q_std)
+                                           and self.q_std >= 0):
+            raise InvalidInputError("q_std must be finite and >= 0 when present")
 
 
 @dataclass

@@ -32,24 +32,19 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InvalidInputError
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
     INTERDIGITAL_WIDTH_RANGE_UM,
     SAPPHIRE_EPS_REL,
 )
-from .solver import FieldSolution, epsilon_0
+from .solver import FieldSolution, edge_cut_square_integral, epsilon_0
 
 UM = 1e-6
 NM = 1e-9
 
 #: Disordered-layer thickness at the substrate-metal interface, nm.
 SM_LAYER_THICKNESS_NM = 1.0
-#: Amorphous-layer thickness at the metal-air interface of the junction
-#: electrodes, nm; recorded for user-supplied junction geometries.
-JUNCTION_MA_LAYER_THICKNESS_NM = 5.5
 #: Edge cutoffs of the standard cutoff-sensitivity study, um.
 SENSITIVITY_CUTOFFS_UM = (0.05, 0.1, 0.2)
 
@@ -83,10 +78,6 @@ class InterfaceSpec:
 
 #: Default substrate-metal layer (1 nm disordered layer, sapphire-like).
 DEFAULT_SM_SPEC = InterfaceSpec(InterfaceRegion.SM)
-#: Junction-electrode metal-air layer recorded from cross-section imaging.
-JUNCTION_MA_SPEC = InterfaceSpec(
-    InterfaceRegion.MA, thickness_nm=JUNCTION_MA_LAYER_THICKNESS_NM
-)
 
 
 @dataclass
@@ -119,28 +110,6 @@ class ParticipationSet:
         }[InterfaceRegion(region)]
 
 
-def _cell_bounds(sol: FieldSolution) -> tuple[float, float]:
-    """x-extent in metres of the representative cell, the strip plus half of
-    each adjacent gap; the whole line when the geometry flags no cell."""
-    ci = sol.geometry.representative_cell
-    if ci is None:
-        return -np.inf, np.inf
-    strip = sol.strips[ci]
-    left = strip.x_left
-    right = strip.x_right
-    if ci > 0:
-        left = 0.5 * (sol.strips[ci - 1].x_right + strip.x_left)
-    if ci < len(sol.strips) - 1:
-        right = 0.5 * (strip.x_right + sol.strips[ci + 1].x_left)
-    return left, right
-
-
-def _square_integral(a, b, values: np.ndarray, lo: float, hi: float) -> float:
-    """integral values^2 dx over the elements [a, b] clipped to [lo, hi]."""
-    eff = np.clip(np.minimum(b, hi) - np.maximum(a, lo), 0.0, None)
-    return float(np.sum(values**2 * eff))
-
-
 def layer_energy(
     sol: FieldSolution,
     spec: InterfaceSpec,
@@ -154,32 +123,20 @@ def layer_energy(
     """
     geom = sol.geometry
     cutoff_m = (geom.edge_cutoff if cutoff_um is None else cutoff_um) * UM
-    if cutoff_m < 0:
-        raise InvalidInputError("cutoff must be >= 0")
-
     eps_i = spec.eps_rel * epsilon_0
     t = spec.thickness_nm * NM
 
-    x_min, x_max = _cell_bounds(sol)
+    x_min, x_max, _ = sol.cell()
     if spec.region is InterfaceRegion.SA:
         if not sol.gaps:
             raise InvalidInputError(
                 "no gap field samples available for the SA region"
             )
-        total = sum(
-            _square_integral(g.centers - 0.5 * g.widths, g.centers + 0.5 * g.widths,
-                             g.e_par, max(g.x_left + cutoff_m, x_min),
-                             min(g.x_right - cutoff_m, x_max))
-            for g in sol.gaps
-        )
+        total = edge_cut_square_integral(sol, cutoff_m, x_min, x_max, gaps=True)
     else:
         scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
                  else geom.eps_vac_rel) * epsilon_0 / eps_i
-        total = sum(
-            _square_integral(s.edges[:-1], s.edges[1:], scale * s.e_perp,
-                             s.x_left + cutoff_m, s.x_right - cutoff_m)
-            for s in sol.strips if x_min <= s.x_left and s.x_right <= x_max
-        )
+        total = scale**2 * edge_cut_square_integral(sol, cutoff_m, x_min, x_max)
 
     return 0.5 * eps_i * t * total
 
@@ -200,11 +157,7 @@ def participation_set(
     if len(set(regions)) != len(regions):
         raise InvalidInputError("duplicate interface regions in specs")
     geom = sol.geometry
-    if geom.representative_cell is None:
-        u_total = sol.energy_per_len
-    else:  # the cell's energy share, J/m (periodic-interior proxy)
-        cell = sol.strips[geom.representative_cell]
-        u_total = 0.5 * abs(cell.charge * cell.potential)
+    u_total = sol.cell()[2]
 
     values: dict[InterfaceRegion, float] = {}
     for spec in specs:

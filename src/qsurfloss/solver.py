@@ -1,45 +1,41 @@
-"""Boundary-element electrostatics for coplanar strips on a dielectric half-space.
+"""Chebyshev-collocation electrostatics for coplanar strips on a dielectric
+half-space.
 
-The strips are zero-thickness conductors lying on the y = 0 interface between
+The strips are zero-thickness conductors on the y = 0 interface between
 vacuum (above) and the substrate (below).  For charge confined to that plane
 the two-media problem is equivalent to a homogeneous medium with permittivity
 ``eps_bar = (eps_vac + eps_sub)/2 * eps0``; the potential is symmetric in y,
-so field magnitudes sampled just above and just below the plane coincide, and
-the normal field component vanishes on the exposed substrate in the gaps.
+so field magnitudes just above and just below the plane coincide, and the
+normal field vanishes on the exposed substrate in the gaps.
 
-The integral equation ``phi(x) = V_i`` on each strip is discretized with
-piecewise-constant charge elements on a cosine-graded per-strip mesh
-(clustering resolves the inverse-square-root edge singularity), collocated at
-element midpoints.  A floating reference constant plus a global charge-
-neutrality row make the two-terminal capacitance well defined and exactly
-scale invariant.
+On strip j (centre c, half-width h, t = (x - c)/h) the charge density is
+``sigma = sum_{n<M} a_n T_n(t) / sqrt(1 - t^2)``, which builds in Meixner's
+inverse-square-root edge condition (IEEE Trans. AP 20, 442 (1972)).  The log
+kernel is diagonal in this basis (Erdogan & Gupta, Q. Appl. Math. 29, 525
+(1972)): int ln|t - s| T_n(s) / sqrt(1 - s^2) ds is -pi T_n(t)/n (n >= 1)
+and -pi ln 2 (n = 0) on the strip, and -(pi/n) u^n and
+pi ln((|t| + sqrt(t^2 - 1))/2) beyond it, u = t - sgn(t) sqrt(t^2 - 1).
+``phi = V_i`` is collocated at the M Chebyshev-Gauss points of every strip.
+A floating reference constant and the neutrality row ``sum_j pi h_j a_j0 =
+0`` make the capacitance well defined and exactly scale invariant; the strip
+charge is ``pi h a_0``.
 
-The kernel is assembled from element nodes: the integral of ``ln|x - x'|``
-over an element is the difference of the antiderivative ``u (ln|u| - 1)`` at
-its two nodes, so each strip needs n+1 evaluations per collocation row, not
-2n, and adjacent node values are differenced straight into the system
-matrix.  Gap fields are sampled the same way, one log per node weighted by
-the jump of the charge density there.
+The gap field ``E_x = sum_n a_n sgn(t) u^n / (2 eps_bar sqrt(t^2 - 1))``
+and the gap voltage, a difference of the exterior kernel, are closed forms.
+Beyond a strip, |t| is taken as 1 + d/h from the offset d to the nearest
+edge, so rounding does not enter sqrt(t^2 - 1) there.  The edge-cut
+integrals of sigma^2 and E_x^2 substitute x = mid + half tanh(s), which
+makes the integrands smooth for Gauss-Legendre quadrature.
 
-A mirror-even section (strip i and strip S-1-i at equal potentials with
-mirror-image extents, to 1e-12 of the span; every interdigital cell is one)
-carries a mirror-symmetric charge.  Every strip has the same number of
-elements, so in the flat list of N elements element j mirrors element
-N-1-j, and the section is solved as a folded system in the first
-ceil(N/2) charges: the column and neutrality weight of each later element
-are added onto those of its mirror, and the solution is read back through
-the same mirror.  That is about 8x less LU work.  Any other section,
-including a mirror-symmetric one at odd drive, is solved in full by the same
-assembly loop.
-
-Internal solution arrays are in SI units (m, C/m^2, V/m, F/m, J/m); geometry
-input remains in micrometres.
+Solution arrays are in SI units (m, C/m^2, V/m, F/m, J/m); geometry input
+remains in micrometres.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,30 +51,23 @@ epsilon_0 = 8.8541878188e-12
 SOLVE_RESIDUAL_TOL = 1e-8
 
 
-def cosine_graded_nodes(a: float, b: float, n: int) -> np.ndarray:
-    """n+1 node positions on [a, b] clustered toward both endpoints."""
-    k = np.arange(n + 1)
-    return a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * k / n))
-
-
 @dataclass
 class StripFields:
-    """Per-strip discretization and surface solution (SI units)."""
+    """Per-strip Chebyshev coefficients and surface solution (SI units)."""
 
     index: int
     x_left: float
     x_right: float
     potential: float
-    edges: np.ndarray        # element boundaries, shape (n+1,)
-    centers: np.ndarray      # collocation points, shape (n,)
-    widths: np.ndarray       # element widths, shape (n,)
-    charge_density: np.ndarray  # sigma, C/m^2 (per unit length / per metre of x)
-    e_perp: np.ndarray       # normal field sigma/(2 eps_bar) on both faces, V/m
+    coefficients: np.ndarray    # a_n of sigma = sum a_n T_n(t)/sqrt(1-t^2), C/m^2
+    centers: np.ndarray         # Chebyshev-Gauss collocation points, shape (M,)
+    charge_density: np.ndarray  # sigma at the centers, C/m^2
+    e_perp: np.ndarray          # normal field sigma/(2 eps_bar) on both faces, V/m
 
     @property
     def charge(self) -> float:
-        """Total line charge of the strip, C/m."""
-        return float(np.sum(self.charge_density * self.widths))
+        """Total line charge of the strip, pi h a_0, C/m."""
+        return float(0.5 * np.pi * (self.x_right - self.x_left) * self.coefficients[0])
 
 
 @dataclass
@@ -88,8 +77,7 @@ class GapFields:
     index: int
     x_left: float
     x_right: float
-    centers: np.ndarray
-    widths: np.ndarray
+    centers: np.ndarray      # Chebyshev-Gauss points of the gap, shape (M,)
     e_par: np.ndarray        # tangential field, V/m
 
 
@@ -105,43 +93,76 @@ class FieldSolution:
     eps_bar: float              # effective homogeneous permittivity, F/m
     reference_offset: float     # floating potential constant, V
     residual_norm: float
-    elements_per_strip: int
+    elements_per_strip: int     # Chebyshev terms per strip, M
     refinement_levels: int = 0
     estimated_rel_error: float | None = None
 
     @property
     def charge_density(self) -> np.ndarray:
-        """Concatenated element charge densities over all strips."""
+        """Concatenated charge densities at the collocation points."""
         return np.concatenate([s.charge_density for s in self.strips])
 
     def strip_charges(self) -> list[float]:
         return [s.charge for s in self.strips]
 
+    def cell(self) -> tuple[float, float, float]:
+        """x-bounds in metres and energy in J/m of the representative cell.
 
-def _log_antiderivative(u: np.ndarray) -> np.ndarray:
-    """Antiderivative of ln|u|, i.e. u*(ln|u| - 1), continuous through 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(np.abs(u))
-        out -= 1.0
-        out *= u
-    out[u == 0.0] = 0.0
-    return out
-
-
-def _is_mirror_even(geom: CrossSection) -> bool:
-    """Whether strip i and strip S-1-i sit at equal potentials and have
-    mirror-image extents (to 1e-12 of the span) about the section's centre."""
-    lo, hi = geom.extent
-    tol = 1e-12 * (hi - lo)
-    return all(
-        a.potential == b.potential
-        and abs(a.x_start + b.x_end - (lo + hi)) <= tol
-        and abs(a.x_end + b.x_start - (lo + hi)) <= tol
-        for a, b in zip(geom.strips, reversed(geom.strips))
-    )
+        The cell is the flagged strip plus half of each adjacent gap, and its
+        energy is that strip's share 1/2 |q V| (periodic-interior proxy).
+        Without a flagged cell it is the whole line and the total energy.
+        """
+        ci = self.geometry.representative_cell
+        if ci is None:
+            return -np.inf, np.inf, self.energy_per_len
+        strip = self.strips[ci]
+        left, right = strip.x_left, strip.x_right
+        if ci > 0:
+            left = 0.5 * (self.strips[ci - 1].x_right + left)
+        if ci < len(self.strips) - 1:
+            right = 0.5 * (right + self.strips[ci + 1].x_left)
+        return left, right, 0.5 * abs(strip.charge * strip.potential)
 
 
-def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldSolution:
+def _exterior(
+    x: np.ndarray, left: np.ndarray, right: np.ndarray, m: int
+) -> tuple[np.ndarray, ...]:
+    """sgn(t), |t| - 1, sqrt(t^2 - 1) and u**n (n < m) of every strip
+    [left, right] at points x on y = 0 beyond its edges, of shape
+    (points, strips) and (m, points, strips); |t| - 1 is the offset from the
+    nearest edge over the half-width."""
+    x = x[:, None]
+    beyond = x >= right
+    sign = np.where(beyond, 1.0, -1.0)
+    e = np.maximum(np.where(beyond, x - right, left - x), 0.0) / (0.5 * (right - left))
+    root = np.sqrt(e * (e + 2.0))
+    u = sign / (1.0 + e + root)
+    powers = np.empty((m,) + e.shape)
+    powers[0] = 1.0
+    for n in range(1, m):  # contiguous products; np.cumprod is ~4x slower here
+        np.multiply(powers[n - 1], u, out=powers[n])
+    return sign, e, root, powers
+
+
+def _log_kernel(
+    x: np.ndarray, left: np.ndarray, right: np.ndarray, m: int
+) -> np.ndarray:
+    """Potential at points x beyond each strip of a unit coefficient
+    b_n = a_n h / (2 eps_bar): u^n / n for n >= 1 and -(acosh|t| + ln(h/2))
+    for n = 0, shape (m, points, strips)."""
+    _, e, root, kernel = _exterior(x, left, right, m)
+    kernel[1:] /= np.arange(1, m)[:, None, None]
+    kernel[0] = -(np.log1p(e + root) + np.log(0.5 * (right - left) / 2.0))
+    return kernel
+
+
+def _strip_bounds(strips: list[StripFields]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left edges, right edges and coefficients of the strips, stacked."""
+    return (np.array([s.x_left for s in strips]), np.array([s.x_right for s in strips]),
+            np.array([s.coefficients for s in strips]))
+
+
+def solve_cross_section(geom: CrossSection, terms: int | None = None) -> FieldSolution:
     """Solve the electrostatic problem for a strip-array cross section.
 
     Parameters
@@ -149,14 +170,15 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
     geom:
         Validated cross section; needs at least two strips at differing
         potentials.
-    n_elem:
-        Elements per strip; defaults to ``geom.discretization``.
+    terms:
+        Chebyshev terms per strip, M; defaults to ``geom.discretization``.
 
     Returns
     -------
     FieldSolution
-        Charge density per element, normal fields on strips, tangential
-        fields in gaps, capacitance and electric energy per unit length.
+        Coefficients and charge density per strip, normal fields on strips,
+        tangential fields at the Chebyshev points of each gap, capacitance
+        and electric energy per unit length.
 
     Raises
     ------
@@ -167,10 +189,9 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
         ``SOLVE_RESIDUAL_TOL``.
     """
     geom.validate()
-    if n_elem is None:
-        n_elem = geom.discretization
-    if n_elem < 8:
-        raise InvalidInputError(f"need >= 8 elements per strip, got {n_elem}")
+    m = geom.discretization if terms is None else terms
+    if m < 8:
+        raise InvalidInputError(f"need >= 8 terms per strip, got {m}")
     pots = geom.potentials
     if len(geom.strips) < 2 or max(pots) == min(pots):
         raise InvalidInputError(
@@ -178,123 +199,179 @@ def solve_cross_section(geom: CrossSection, n_elem: int | None = None) -> FieldS
         )
 
     eps_bar = 0.5 * (geom.eps_vac_rel + geom.eps_sub_rel) * epsilon_0
-    edges = [cosine_graded_nodes(s.x_start * UM, s.x_end * UM, n_elem)
-             for s in geom.strips]
-    centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    widths = [e[1:] - e[:-1] for e in edges]
+    n_strips = len(geom.strips)
+    left = np.array([s.x_start for s in geom.strips]) * UM
+    right = np.array([s.x_end for s in geom.strips]) * UM
+    half = 0.5 * (right - left)
+    theta = np.pi * (m - 0.5 - np.arange(m)) / m      # t_k = cos(theta_k) ascending
+    cheb = np.cos(np.outer(theta, np.arange(m)))      # T_n(t_k)
+    rise = 2.0 * np.cos(0.5 * theta) ** 2             # 1 + t_k
+    centers = left[:, None] + half[:, None] * rise
 
-    # Every strip has n_elem elements, so in the flat element list of a
-    # mirror-even section element j mirrors element N-1-j and only the first
-    # n = ceil(N/2) charges are unknown; otherwise n = N.
-    n_strips = len(edges)
-    N = n_strips * n_elem
-    n = (N + 1) // 2 if _is_mirror_even(geom) else N
-    xc = np.concatenate(centers)[:n]
-
-    # phi(x_i) = -1/(2 pi eps_bar) * sum_j sigma_j int_j ln|x_i - x'| dx' + c.
-    # Per strip the element integrals are differences of the antiderivative
-    # at adjacent nodes, so it is evaluated once per node and row.  Columns
-    # of elements j >= n are added, reversed, onto their mirrors' columns
-    # N-1-j < n, which an earlier strip or this one has already written.
-    system = np.empty((n + 1, n + 1))
-    for si, e in enumerate(edges):
-        lo = si * n_elem
-        k = min(max(n - lo, 0), n_elem)
-        f = _log_antiderivative(e[None, :] - xc[:, None])
-        np.subtract(f[:, 1:k + 1], f[:, :k], out=system[:n, lo:lo + k])
-        system[:n, N - lo - n_elem:N - lo - k] += (f[:, k + 1:] - f[:, k:-1])[:, ::-1]
-    system[:n, :n] /= -(2.0 * np.pi * eps_bar)
-    system[:n, n] = 1.0       # floating reference constant
-    w = np.concatenate(widths)
-    system[n, :n] = w[:n]     # global charge neutrality
-    system[n, :N - n] += w[n:][::-1]
-    system[n, n] = 0.0
-    rhs = np.append(np.repeat(pots, n_elem)[:n], 0.0)
+    # Row (i, k): sum_j,n b_jn K_n(x_ik) + c = V_i in b_jn = a_jn h_j/(2 eps_bar).
+    # Off-strip blocks are the exterior kernel, diagonal blocks the interior
+    # T_n(t_k)/n and -ln(h/2) of the diagonal log kernel.
+    N = n_strips * m
+    system = np.zeros((N + 1, N + 1))
+    blocks = system[:N, :N].reshape(n_strips, m, n_strips, m)
+    blocks[...] = _log_kernel(centers.ravel(), left, right, m).transpose(
+        1, 2, 0).reshape(n_strips, m, n_strips, m)
+    interior = np.empty((n_strips, m, m))
+    interior[:, :, 1:] = cheb[:, 1:] / np.arange(1, m)
+    interior[:, :, 0] = -np.log(half / 2.0)[:, None]
+    every = np.arange(n_strips)
+    blocks[every, :, every, :] = interior
+    system[:N, N] = 1.0            # floating reference constant
+    system[N, :N:m] = 1.0          # neutrality: sum_j b_j0 = 0
+    rhs = np.append(np.repeat(pots, m), 0.0)
 
     try:
         unknowns = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"singular boundary-element system: {exc}") from exc
+        raise NumericalFailureError(f"singular collocation system: {exc}") from exc
     residual = np.linalg.norm(system @ unknowns - rhs) / np.linalg.norm(rhs)
     if not np.isfinite(residual) or residual > SOLVE_RESIDUAL_TOL:
         raise NumericalFailureError(
             f"linear solve did not converge: relative residual {residual:.3e}"
         )
-    offset = float(unknowns[n])
-    sigma = np.split(np.concatenate([unknowns[:n], unknowns[:N - n][::-1]]), n_strips)
+    coeffs = unknowns[:N].reshape(n_strips, m) * (2.0 * eps_bar / half[:, None])
+    sigma = coeffs @ cheb.T / np.sin(theta)
 
-    strips: list[StripFields] = []
-    for si, (s, sig) in enumerate(zip(geom.strips, sigma)):
-        strips.append(
-            StripFields(
-                index=si,
-                x_left=s.x_start * UM,
-                x_right=s.x_end * UM,
-                potential=s.potential,
-                edges=edges[si],
-                centers=centers[si],
-                widths=widths[si],
-                charge_density=sig,
-                e_perp=sig / (2.0 * eps_bar),
-            )
-        )
+    strips = [
+        StripFields(index=si, x_left=left[si], x_right=right[si], potential=v,
+                    coefficients=coeffs[si], centers=centers[si],
+                    charge_density=sigma[si], e_perp=sigma[si] / (2.0 * eps_bar))
+        for si, v in enumerate(pots)
+    ]
 
-    gaps: list[GapFields] = []
-    for gi in range(n_strips - 1):
-        ga = geom.strips[gi].x_end * UM
-        gb = geom.strips[gi + 1].x_start * UM
-        nodes = cosine_graded_nodes(ga, gb, n_elem)
-        gap_centers = 0.5 * (nodes[:-1] + nodes[1:])
-        e_par = tangential_field(gap_centers, strips, eps_bar)
-        gaps.append(
-            GapFields(
-                index=gi,
-                x_left=ga,
-                x_right=gb,
-                centers=gap_centers,
-                widths=np.diff(nodes),
-                e_par=e_par,
-            )
-        )
+    gap_left, gap_right = right[:-1], left[1:]
+    gap_centers = gap_left[:, None] + 0.5 * (gap_right - gap_left)[:, None] * rise
+    e_par = tangential_field(gap_centers.ravel(), strips, eps_bar).reshape(-1, m)
+    gaps = [
+        GapFields(index=gi, x_left=gap_left[gi], x_right=gap_right[gi],
+                  centers=gap_centers[gi], e_par=e_par[gi])
+        for gi in range(n_strips - 1)
+    ]
 
-    charges = np.array([s.charge for s in strips])
-    energy = 0.5 * float(np.sum(charges * np.array(pots)))
+    energy = 0.5 * float(np.dot([s.charge for s in strips], pots))
     if not energy > 0.0:
         raise NumericalFailureError(
             f"non-physical solution: stored energy {energy:.3e} J/m"
         )
     dv = max(pots) - min(pots)
-    capacitance = 2.0 * energy / dv**2
 
     return FieldSolution(
         geometry=geom,
         strips=strips,
         gaps=gaps,
-        capacitance_per_len=capacitance,
+        capacitance_per_len=2.0 * energy / dv**2,
         energy_per_len=energy,
         eps_bar=eps_bar,
-        reference_offset=offset,
+        reference_offset=float(unknowns[N]),
         residual_norm=float(residual),
-        elements_per_strip=n_elem,
+        elements_per_strip=m,
     )
 
 
 def tangential_field(
     x: np.ndarray, strips: list[StripFields], eps_bar: float
 ) -> np.ndarray:
-    """In-plane field E_x at points x on y = 0 outside the metal.
+    """In-plane field E_x at points x on y = 0 outside the metal, the sum of
+    ``a_n sgn(t) u^n / (2 eps_bar sqrt(t^2 - 1))`` over every strip and term."""
+    left, right, coeffs = _strip_bounds(strips)
+    sign, _, root, powers = _exterior(np.asarray(x, dtype=float), left, right,
+                                      coeffs.shape[1])
+    series = np.einsum("nps,sn->ps", powers, coeffs)
+    return (series * sign / root).sum(axis=1) / (2.0 * eps_bar)
 
-    Element j contributes ``sigma_j (ln|x - a_j| - ln|x - b_j|)``; over a
-    strip the sum telescopes to one log per node, weighted by the jump of
-    sigma there (zero outside the strip).
+
+def reconstruct_gap_voltage(sol: FieldSolution, gap_index: int = 0) -> float:
+    """Potential drop across a gap, the integral of ``E_par`` over it.
+
+    It is the difference of the exterior log kernel of every strip at the
+    gap's two ends, so it is exact for the solved coefficients; it must
+    reproduce the potential difference between the bounding strips, which
+    checks the collocation between the points.
     """
-    nodes = np.concatenate([s.edges for s in strips])
-    jumps = np.concatenate(
-        [np.diff(s.charge_density, prepend=0.0, append=0.0) for s in strips]
-    )
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(x[:, None] - nodes[None, :]))
-    return (logs @ jumps) / (2.0 * np.pi * eps_bar)
+    if not sol.gaps:
+        raise InvalidInputError("solution has no gaps")
+    g = sol.gaps[gap_index]
+    left, right, coeffs = _strip_bounds(sol.strips)
+    kernel = _log_kernel(np.array([g.x_left, g.x_right]), left, right, coeffs.shape[1])
+    volts = coeffs * (0.5 * (right - left) / (2.0 * sol.eps_bar))[:, None]
+    phi = np.einsum("nps,sn->p", kernel, volts)
+    return float(phi[0] - phi[1])
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of k-point Gauss-Legendre on [-1, 1], built once."""
+    return np.polynomial.legendre.leggauss(k)
+
+
+def edge_cut_square_integral(
+    sol: FieldSolution,
+    cutoff_m: float,
+    x_min: float = -np.inf,
+    x_max: float = np.inf,
+    gaps: bool = False,
+) -> float:
+    """Integral of E_perp^2 dx over the strips inside [x_min, x_max], or with
+    ``gaps=True`` of E_x^2 dx over the gaps clipped to it, cut ``cutoff_m``
+    away from every strip edge; (V/m)^2 m.
+
+    On a segment [L, R], x = mid + half tanh(s) cancels the inverse-square-
+    root ends (dx/ds = half / cosh^2 s), so Gauss-Legendre quadrature in s
+    with a number of points growing with the terms per strip is exact to
+    rounding.
+    """
+    if not cutoff_m > 0:
+        raise InvalidInputError(
+            "edge cutoff must be > 0: the edge integrals diverge as ln(1 / cutoff)"
+        )
+    segments = sol.gaps if gaps else [
+        s for s in sol.strips if x_min <= s.x_left and s.x_right <= x_max]
+    cut = [(seg, max(seg.x_left + cutoff_m, x_min), min(seg.x_right - cutoff_m, x_max))
+           for seg in segments]
+    cut = [(seg, lo, hi) for seg, lo, hi in cut if lo < hi]
+    if not cut:
+        return 0.0
+    left, right, lo, hi = (np.array(v) for v in zip(
+        *[(seg.x_left, seg.x_right, lo, hi) for seg, lo, hi in cut]))
+    if np.any(lo <= left) or np.any(hi >= right):
+        raise InvalidInputError(
+            f"edge cutoff {cutoff_m / UM:g} um is below the resolution of the "
+            "section's coordinates"
+        )
+    half = 0.5 * (right - left)
+    s_lo = 0.5 * np.log((lo - left) / (right - lo))
+    s_hi = 0.5 * np.log((hi - left) / (right - hi))
+    nodes, weights = _gauss_legendre(sol.elements_per_strip + 32)
+    s = 0.5 * (s_lo + s_hi) + 0.5 * np.outer(nodes, s_hi - s_lo)
+    if gaps:
+        x = left + 2.0 * half / (1.0 + np.exp(-2.0 * s))
+        field = tangential_field(x.ravel(), sol.strips, sol.eps_bar).reshape(x.shape)
+        dx_ds = half / np.cosh(s) ** 2
+    else:  # sigma^2 dx = h (sum a_n T_n(t))^2 ds at t = tanh(s)
+        coeffs = np.array([seg.coefficients for seg, _, _ in cut])
+        field = np.polynomial.chebyshev.chebval(np.tanh(s), coeffs.T, tensor=False)
+        field /= 2.0 * sol.eps_bar
+        dx_ds = half
+    return float(weights @ (field**2 * dx_ds) @ (0.5 * (s_hi - s_lo)))
+
+
+def _refinement_measures(sol: FieldSolution) -> list[float]:
+    """Energy and, at a positive cutoff, the strip and gap square integrals
+    over the cell energy: p_sm and p_ma are fixed multiples of the first,
+    p_sa of the second."""
+    cutoff_m = sol.geometry.edge_cutoff * UM
+    if cutoff_m == 0.0:
+        return [sol.energy_per_len]
+    x_min, x_max, u_cell = sol.cell()
+    return [sol.energy_per_len] + [
+        edge_cut_square_integral(sol, cutoff_m, x_min, x_max, gaps=on_gaps) / u_cell
+        for on_gaps in (False, True)
+    ]
 
 
 def refine_until_converged(
@@ -302,105 +379,56 @@ def refine_until_converged(
     rel_tol: float,
     max_total_elements: int = 8192,
 ) -> FieldSolution:
-    """Double the per-strip discretization until the energy stabilizes.
+    """Double the Chebyshev terms per strip until the solution stabilizes.
 
-    Stops once the energy per unit length changes by less than ``rel_tol``
-    between successive levels; the returned solution carries the achieved
-    level and the last relative change as the discretization-error estimate.
+    Stops once the energy per unit length and the participations at the
+    geometry's edge cutoff all change by less than ``rel_tol`` between
+    successive levels (the energy alone at a zero cutoff, where the layer
+    integrals diverge); the returned solution carries the achieved level and
+    the largest last relative change as the discretization-error estimate.
 
     Raises
     ------
     ConvergenceError
         If the tolerance is not met before the next doubling would exceed
-        ``max_total_elements``; the error reports the last two energies.
+        ``max_total_elements`` terms over all strips; the error reports the
+        last two energies.
     """
     if not 0.0 < rel_tol <= 0.1:
         raise InvalidInputError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
     n_strips = len(geom.strips)
-    n_elem = geom.discretization
-    prev = solve_cross_section(geom, n_elem)
+    m = geom.discretization
+    prev = solve_cross_section(geom, m)
     energies = [prev.energy_per_len]
+    measures = _refinement_measures(prev)
     levels = 0
-    while 2 * n_elem * n_strips <= max_total_elements:
-        next_elem = 2 * n_elem
-        sol = solve_cross_section(geom, next_elem)
+    while 2 * m * n_strips <= max_total_elements:
+        m *= 2
+        sol = solve_cross_section(geom, m)
         levels += 1
         energies.append(sol.energy_per_len)
-        change = abs(sol.energy_per_len - prev.energy_per_len) / prev.energy_per_len
+        new = _refinement_measures(sol)
+        change = max(abs(a - b) / max(abs(b), np.finfo(float).tiny)
+                     for a, b in zip(new, measures))
         if change < rel_tol:
             sol.refinement_levels = levels
             sol.estimated_rel_error = change
             return sol
-        prev, n_elem = sol, next_elem
+        measures = new
     last = ", ".join(f"{u:.9e}" for u in energies[-2:])
     raise ConvergenceError(
-        f"energy did not converge to rel_tol={rel_tol:g} within the element "
-        f"budget; last level {n_elem} elements/strip, last energies [{last}] J/m"
+        f"solution did not converge to rel_tol={rel_tol:g} within the term "
+        f"budget; last level {m} terms/strip, last energies [{last}] J/m"
     )
-
-
-def reconstruct_gap_voltage(sol: FieldSolution, gap_index: int = 0) -> float:
-    """Potential drop across a gap from the sampled tangential field.
-
-    Midpoint-rule line integral of ``E_par`` over the gap; up to sampling
-    error it must reproduce the potential difference between the bounding
-    strips, which makes it an independent check of the field samples.
-    """
-    if not sol.gaps:
-        raise InvalidInputError("solution has no gaps")
-    g = sol.gaps[gap_index]
-    return float(np.sum(g.e_par * g.widths))
-
-
-def field_energy_quadrature(
-    sol: FieldSolution,
-    n_x: int = 700,
-    n_y: int = 360,
-    span_factor: float = 25.0,
-) -> float:
-    """Total electric energy per unit length from a 2D field quadrature.
-
-    Reconstructs E(x, y) in the upper half-plane from the element charges
-    (closed-form field of each uniformly charged strip element) and
-    integrates the energy density on a graded tensor grid.  By the up-down
-    symmetry of the interface problem this equals the energy in both
-    half-spaces when weighted with ``eps_bar``.  Serves as the independent
-    oracle for ``energy_per_len``; expect agreement at the percent level.
-    """
-    a = np.concatenate([s.edges[:-1] for s in sol.strips])
-    b = np.concatenate([s.edges[1:] for s in sol.strips])
-    sigma = sol.charge_density
-    eps_bar = sol.eps_bar
-
-    lo = sol.strips[0].x_left
-    hi = sol.strips[-1].x_right
-    span = hi - lo
-    far = span_factor * span
-
-    x_core = np.linspace(lo - 0.5 * span, hi + 0.5 * span, n_x)
-    x_wing = np.geomspace(span / n_x, far, n_x // 3)
-    xs = np.unique(np.concatenate([x_core, lo - 0.5 * span - x_wing, hi + 0.5 * span + x_wing]))
-    ys = np.geomspace(span * 1e-5, far, n_y)
-
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    ex = np.zeros_like(X)
-    ey = np.zeros_like(X)
-    pref = 1.0 / (2.0 * np.pi * eps_bar)
-    for j in range(sigma.size):
-        dxa = X - a[j]
-        dxb = X - b[j]
-        ex += sigma[j] * pref * 0.5 * np.log((dxa**2 + Y**2) / (dxb**2 + Y**2))
-        ey += sigma[j] * pref * (np.arctan(dxa / Y) - np.arctan(dxb / Y))
-    density = ex**2 + ey**2
-    return float(eps_bar * np.trapezoid(np.trapezoid(density, ys, axis=1), xs))
 
 
 def solution_to_csv(sol: FieldSolution, path) -> None:
     """Write surface samples as CSV: x, sigma, E_perp_sub, E_perp_vac, E_par.
 
-    Strip rows carry the charge density and the normal field, the same in
-    both normal-field columns (tangential field is zero on a conductor); gap
-    rows carry the tangential field.  An extra
+    Strip rows sit at the Chebyshev points of each strip and carry the charge
+    density and the normal field, the same in both normal-field columns
+    (tangential field is zero on a conductor); gap rows sit at the Chebyshev
+    points of each gap and carry the tangential field.  An extra
     ``segment`` column identifies the source segment.
     """
     def cells(arrays) -> list[str]:

@@ -31,7 +31,7 @@ def two_strip_geom() -> CrossSection:
     return CrossSection(
         [Strip(0.0, 10.0, +0.5), Strip(20.0, 10.0, -0.5)],
         eps_sub_rel=10.15,
-        discretization=256,
+        discretization=16,
     )
 
 
@@ -42,7 +42,7 @@ def two_strip_sol(two_strip_geom):
 
 @pytest.fixture(scope="session")
 def interdigital_sol_1um():
-    return solve_cross_section(interdigital_unit_cell(1.0, 7, discretization=256))
+    return solve_cross_section(interdigital_unit_cell(1.0, 7, discretization=16))
 
 
 @pytest.fixture(scope="session")

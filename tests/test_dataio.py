@@ -135,18 +135,28 @@ class TestLoader:
         with pytest.raises(TableFormatError, match="not UTF-8"):
             load_device_table(path)
 
-    @pytest.mark.parametrize("column", COLUMNS[2:])
-    def test_nan_cell_is_rejected_naming_its_field(self, records, tmp_path, column):
-        """NaN passes ``<= 0``-style checks; every numeric field refuses it."""
+    @staticmethod
+    def assert_cell_rejected(records, tmp_path, column, cell):
         path = tmp_path / "devices.csv"
         save_device_table(records, path)
         header, first, *rest = path.read_text().splitlines()
         cells = first.split(",")
-        cells[COLUMNS.index(column)] = "nan"
+        cells[COLUMNS.index(column)] = cell
         path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
         field = column.removesuffix("_1e6").removesuffix("_1e4")
         with pytest.raises(RecordValidationError, match=f"field '{field}'"):
             load_device_table(path)
+
+    @pytest.mark.parametrize("column", COLUMNS[2:])
+    def test_nan_cell_is_rejected_naming_its_field(self, records, tmp_path, column):
+        """NaN passes ``<= 0``-style checks; every numeric field refuses it."""
+        self.assert_cell_rejected(records, tmp_path, column, "nan")
+
+    @pytest.mark.parametrize("column", COLUMNS[2:])
+    def test_inf_cell_is_rejected_naming_its_field(self, records, tmp_path, column):
+        """inf passes ``> 0`` and ``> T1`` checks; it used to end in a
+        condition-number error, or as a zero-weight point in ``q_std``."""
+        self.assert_cell_rejected(records, tmp_path, column, "inf")
 
     def test_round_trip(self, records, tmp_path):
         path = tmp_path / "devices.csv"

@@ -137,4 +137,4 @@ class TestJsonInterface:
         with pytest.raises(InvalidInputError) as info:
             load_cross_section(path)
         assert str(info.value) == (
-            "discretization must be >= 8 elements per strip, got 4")
+            "discretization must be >= 8 terms per strip, got 4")

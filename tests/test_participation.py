@@ -24,41 +24,42 @@ from qsurfloss import (
     write_sweep_csv,
 )
 from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
-from qsurfloss.participation import _K_EQUAL_GAP, JUNCTION_MA_SPEC
+from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
 from qsurfloss.solver import FieldSolution, StripFields
 
 UM = 1e-6
 NM = 1e-9
 
 
-def uniform_field_solution(width_um, e_field, depth_um, eps_sub_rel):
-    """Hand-built solution with a uniform normal field under one plate.
+def single_term_solution(width_um, e_field, depth_um, eps_sub_rel, cutoff_um):
+    """Hand-built one-strip solution whose normal field is the single edge
+    term ``E_perp = e_field / sqrt(1 - t^2)``.
 
-    Total energy is set to that of a substrate-filled parallel-plate gap of
-    the given depth, so layer ratios have the closed form t/d when the layer
-    shares the substrate permittivity.
+    Its edge-cut square integral is closed form, 2 h e_field^2 atanh(1 - c/h),
+    and the total energy is set to that of a substrate-filled parallel-plate
+    gap of the given depth under the same cut field profile, so layer ratios
+    have the closed form t/d when the layer shares the substrate permittivity.
     """
     geom = CrossSection(
-        [Strip(0.0, width_um, 1.0)], eps_sub_rel=eps_sub_rel, edge_cutoff=0.0
+        [Strip(0.0, width_um, 1.0)], eps_sub_rel=eps_sub_rel, edge_cutoff=cutoff_um
     )
     eps_bar = 0.5 * (1.0 + eps_sub_rel) * epsilon_0
-    edges = np.linspace(0.0, width_um * UM, 17)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    e = np.full(centers.size, e_field)
+    half, m = 0.5 * width_um * UM, 16
+    theta = np.pi * (m - 0.5 - np.arange(m)) / m
+    coefficients = np.zeros(m)
+    coefficients[0] = 2.0 * eps_bar * e_field
     strip = StripFields(
         index=0,
         x_left=0.0,
-        x_right=width_um * UM,
+        x_right=2.0 * half,
         potential=1.0,
-        edges=edges,
-        centers=centers,
-        widths=np.diff(edges),
-        charge_density=2.0 * eps_bar * e,
-        e_perp=e,
+        coefficients=coefficients,
+        centers=half * (1.0 + np.cos(theta)),
+        charge_density=coefficients[0] / np.sin(theta),
+        e_perp=e_field / np.sin(theta),
     )
-    energy = (
-        0.5 * eps_sub_rel * epsilon_0 * e_field**2 * depth_um * UM * width_um * UM
-    )
+    square_integral = 2.0 * half * e_field**2 * math.atanh(1.0 - cutoff_um * UM / half)
+    energy = 0.5 * eps_sub_rel * epsilon_0 * depth_um * UM * square_integral
     return FieldSolution(
         geometry=geom,
         strips=[strip],
@@ -68,15 +69,11 @@ def uniform_field_solution(width_um, e_field, depth_um, eps_sub_rel):
         eps_bar=eps_bar,
         reference_offset=0.0,
         residual_norm=0.0,
-        elements_per_strip=16,
+        elements_per_strip=m,
     )
 
 
 class TestInterfaceSpec:
-    def test_junction_layer_thickness_default(self):
-        assert JUNCTION_MA_SPEC.thickness_nm == 5.5
-        assert JUNCTION_MA_SPEC.eps_rel == 10.15
-
     def test_bad_thickness(self):
         with pytest.raises(InvalidInputError):
             InterfaceSpec(InterfaceRegion.SM, thickness_nm=0.0)
@@ -84,12 +81,20 @@ class TestInterfaceSpec:
 
 class TestLayerEnergy:
     def test_parallel_plate_ratio(self):
-        """Uniform field, substrate-filled gap of 1 um, 1 nm layer with the
+        """Edge-singular field under one plate, total energy of a substrate-
+        filled gap of 1 um under the same cut field, 1 nm layer with the
         substrate permittivity: energy ratio must be exactly t/d = 1e-3."""
-        sol = uniform_field_solution(50.0, 1e5, 1.0, 10.15)
+        sol = single_term_solution(50.0, 1e5, 1.0, 10.15, cutoff_um=0.05)
         spec = InterfaceSpec(InterfaceRegion.SM, thickness_nm=1.0, eps_rel=10.15)
-        ratio = layer_energy(sol, spec, cutoff_um=0.0) / sol.energy_per_len
-        assert ratio == pytest.approx(1.0e-3, rel=1e-9)
+        ratio = layer_energy(sol, spec) / sol.energy_per_len
+        assert ratio == pytest.approx(1.0e-3, rel=1e-12)
+
+    def test_zero_cutoff_rejected(self, two_strip_sol):
+        """The edge integrals diverge as ln(1 / cutoff)."""
+        for region in InterfaceRegion:
+            with pytest.raises(InvalidInputError, match="cutoff must be > 0"):
+                layer_energy(two_strip_sol, DEFAULT_SM_SPEC.with_region(region),
+                             cutoff_um=0.0)
 
     def test_linear_in_thickness(self, two_strip_sol):
         one = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 1.0))
@@ -103,8 +108,15 @@ class TestLayerEnergy:
         sa = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SA))
         assert sm > sa > 0.0
 
+    def test_unresolvable_cutoff_rejected(self, two_strip_sol):
+        """1e-15 um is below one rounding step of x = 10 um, so the cut
+        interval would start on the edge itself."""
+        with pytest.raises(InvalidInputError, match="below the resolution"):
+            layer_energy(two_strip_sol, DEFAULT_SM_SPEC, cutoff_um=1e-15)
+        assert layer_energy(two_strip_sol, DEFAULT_SM_SPEC, cutoff_um=1e-12) > 0
+
     def test_missing_gap_samples_rejected(self):
-        sol = uniform_field_solution(50.0, 1e5, 1.0, 10.15)
+        sol = single_term_solution(50.0, 1e5, 1.0, 10.15, cutoff_um=0.05)
         with pytest.raises(InvalidInputError, match="gap field samples"):
             layer_energy(sol, DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA))
 
@@ -116,7 +128,7 @@ class TestParticipationSet:
         assert pset.p_sa is None and pset.p_ma is None
 
     def test_interdigital_20um_matches_published_scale(self):
-        sol = solve_cross_section(interdigital_unit_cell(20.0, 7, discretization=256))
+        sol = solve_cross_section(interdigital_unit_cell(20.0, 7, discretization=16))
         pset = participation_set(sol, [DEFAULT_SM_SPEC])
         assert 0.5 * 2.1e-4 <= pset.p_sm <= 2.0 * 2.1e-4
 
@@ -229,12 +241,12 @@ def periodic_reference(width_um, gap_um, cutoff_um, spec, eps_sub=10.15):
 @pytest.fixture(scope="module")
 def finite_arrays_1um():
     """Center-cell participation of 1 um interdigital arrays solved with 11,
-    21 and 41 fingers at a 0.02 um cutoff."""
+    21, 41 and 161 fingers at a 0.02 um cutoff."""
     specs = [DEFAULT_SM_SPEC.with_region(r) for r in InterfaceRegion]
     return {
         n: participation_set(solve_cross_section(interdigital_unit_cell(
-            1.0, n, discretization=64, edge_cutoff=0.02)), specs)
-        for n in (11, 21, 41)
+            1.0, n, discretization=16 if n < 100 else 8, edge_cutoff=0.02)), specs)
+        for n in (11, 21, 41, 161)
     }
 
 
@@ -287,18 +299,28 @@ class TestPeriodicArray:
                                          rel=1e-12)
 
     def test_finite_arrays_converge_to_the_closed_form(self, finite_arrays_1um):
-        """The boundary-element center cell approaches the infinite array as
-        fingers are added: p_sm errors of about 2.5 %, 0.56 % and 0.03 %."""
+        """The solved center cell approaches the infinite array as fingers
+        are added: p_sm truncation errors of +2.26 %, -0.83 % and -0.30 %."""
         exact = psm_width_sweep([1.0], cutoff_um=0.02)[0].p_sm
         errors = [abs(finite_arrays_1um[n].p_sm / exact - 1.0)
                   for n in (11, 21, 41)]
         assert errors[0] > errors[1] > errors[2]
 
+    def test_161_finger_center_cell_matches_the_periodic_array(
+            self, finite_arrays_1um):
+        """Every region within 5e-4 (measured -3.8e-4, -0.6e-4, -3.8e-4),
+        closer than at 41 fingers."""
+        exact = _periodic_idc(1.0, 0.02, DEFAULT_SM_SPEC)
+        for region in InterfaceRegion:
+            error = finite_arrays_1um[161][region] / exact[region] - 1.0
+            assert abs(error) <= 5e-4
+            assert abs(error) < abs(finite_arrays_1um[41][region] / exact[region] - 1.0)
+
 
 class TestWidthSweep:
     def test_single_width_consistent_with_participation_set(self, finite_arrays_1um):
         """A one-width sweep agrees with the solved center cell of a 41-finger
-        array to 0.5 % in every region (measured -0.03 %, -0.17 %, -0.03 %)."""
+        array to 0.5 % in every region (measured -0.30 %, -0.05 %, -0.30 %)."""
         point = psm_width_sweep([1.0], cutoff_um=0.02)[0]
         pset = finite_arrays_1um[41]
         for region, value in ((InterfaceRegion.SM, point.p_sm),

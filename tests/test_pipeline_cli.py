@@ -108,7 +108,7 @@ class TestRunPipeline:
     def test_cutoff_block_matches_a_direct_solve(self, tmp_path):
         """The block is the infinite array in closed form; the solved center
         cell of a 41-finger array at the block's 10 um width must agree to
-        0.5 % (measured +0.24 %, -0.18 %, -0.03 %)."""
+        0.5 % (measured -0.27 %, -0.28 %, -0.30 %)."""
         config = PipelineConfig(
             models=(),
             output_dir=str(tmp_path / "out"),
@@ -117,7 +117,7 @@ class TestRunPipeline:
         block = run_pipeline(config)["sweep"]["cutoff_sensitivity"]
         assert block["width_um"] == 10.0
         sol = solve_cross_section(
-            interdigital_unit_cell(10.0, 41, discretization=64)
+            interdigital_unit_cell(10.0, 41, discretization=16)
         )
         direct = cutoff_sensitivity(sol, DEFAULT_SM_SPEC)
         for entry, (c, p) in zip(block["values"], direct):
