@@ -121,22 +121,38 @@ def layer_energy(
     flags a representative cell (finger arrays), the integral is restricted
     to that cell; otherwise it covers the whole array.
     """
+    cutoff = sol.geometry.edge_cutoff if cutoff_um is None else cutoff_um
+    return _layer_energy(sol, spec, cutoff * UM, {})
+
+
+def _layer_energy(
+    sol: FieldSolution,
+    spec: InterfaceSpec,
+    cutoff_m: float,
+    integrals: dict[bool, float],
+) -> float:
+    """:func:`layer_energy` at ``cutoff_m``.  The edge-cut square integral
+    over the strips (SM, MA) or the gaps (SA) is read from ``integrals``,
+    keyed by ``gaps``, or evaluated and stored there: SM and MA differ
+    only by a constant factor."""
     geom = sol.geometry
-    cutoff_m = (geom.edge_cutoff if cutoff_um is None else cutoff_um) * UM
     eps_i = spec.eps_rel * epsilon_0
     t = spec.thickness_nm * NM
 
-    x_min, x_max, _ = sol.cell()
-    if spec.region is InterfaceRegion.SA:
-        if not sol.gaps:
-            raise InvalidInputError(
-                "no gap field samples available for the SA region"
-            )
-        total = edge_cut_square_integral(sol, cutoff_m, x_min, x_max, gaps=True)
-    else:
+    gaps = spec.region is InterfaceRegion.SA
+    if gaps and not sol.gaps:
+        raise InvalidInputError(
+            "no gap field samples available for the SA region"
+        )
+    if gaps not in integrals:
+        x_min, x_max, _ = sol.cell()
+        integrals[gaps] = edge_cut_square_integral(
+            sol, cutoff_m, x_min, x_max, gaps=gaps)
+    total = integrals[gaps]
+    if not gaps:
         scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
                  else geom.eps_vac_rel) * epsilon_0 / eps_i
-        total = scale**2 * edge_cut_square_integral(sol, cutoff_m, x_min, x_max)
+        total = scale**2 * total
 
     return 0.5 * eps_i * t * total
 
@@ -158,13 +174,14 @@ def participation_set(
         raise InvalidInputError("duplicate interface regions in specs")
     geom = sol.geometry
     u_total = sol.cell()[2]
+    cutoff = geom.edge_cutoff if cutoff_um is None else cutoff_um
 
+    integrals: dict[bool, float] = {}
     values: dict[InterfaceRegion, float] = {}
     for spec in specs:
-        u = layer_energy(sol, spec, cutoff_um=cutoff_um)
+        u = _layer_energy(sol, spec, cutoff * UM, integrals)
         values[InterfaceRegion(spec.region)] = u / u_total
 
-    cutoff = geom.edge_cutoff if cutoff_um is None else cutoff_um
     return ParticipationSet(
         p_sm=values.get(InterfaceRegion.SM),
         p_sa=values.get(InterfaceRegion.SA),

@@ -151,21 +151,66 @@ class PipelineConfig:
         return cfg
 
 
-def _nine_digits(obj):
-    """Recursively round floats to 9 significant digits for stable output."""
-    if isinstance(obj, float):
-        return float(f"{obj:.9g}") if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _nine_digits(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_nine_digits(v) for v in obj]
-    return obj
+#: json's string quoting, in C where the interpreter has it.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj, pad: str, out: list) -> None:
+    """Append the chunks of ``obj`` to ``out`` as ``json.dumps(obj,
+    indent=2, sort_keys=True)`` writes them, with each finite float rounded
+    to 9 significant digits and each other float written as null; ``pad``
+    is the line break and indent that ``obj`` starts after.
+
+    ``indent`` keeps ``json.dumps`` on its pure-Python encoder; this one
+    recursion formats the same bytes with the C quoting and number reprs.
+    """
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(repr(float(f"{obj:.9g}")) if math.isfinite(obj) else "null")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_report_json(report: dict, path) -> None:
-    text = json.dumps(_nine_digits(report), indent=2, sort_keys=True)
+    """Write ``report`` as sorted, 2-space-indented JSON, floats rounded to
+    9 significant digits and non-finite ones written as null."""
+    out: list[str] = []
+    _encode(report, "\n", out)
+    out.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(out))
 
 
 def _write_rows(path, header, columns) -> None:

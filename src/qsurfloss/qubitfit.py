@@ -84,8 +84,10 @@ def _noise_floor(populations: np.ndarray) -> float:
     if populations.size < 3:
         return 0.0
     # the standard deviation of the second differences, with the sum of
-    # squares taken as one dot product
-    d2 = np.diff(populations, 2)
+    # squares taken as one dot product; the slice differences are those of
+    # np.diff at a fraction of its call cost
+    d1 = populations[1:] - populations[:-1]
+    d2 = d1[1:] - d1[:-1]
     d2 -= d2.mean()
     return math.sqrt(float(d2 @ d2) / d2.size) / math.sqrt(6.0)
 
@@ -105,7 +107,7 @@ def _initial_guess(delays: np.ndarray, populations: np.ndarray) -> float:
 #: Losses ``fit_exponential`` accepts.
 LOSSES = ("linear", "soft_l1")
 
-#: A Gauss-Newton step in s = ln T1 is cut to at most this length, so that
+#: A step in s = ln T1 is cut to at most this length, so that
 #: one step changes T1 by at most a factor e ...
 _MAX_STEP = 1.0
 #: ... the search stops once a step is this short ...
@@ -123,9 +125,22 @@ _S_MIN = -700.0
 _EPS = float(np.finfo(float).eps)
 
 
+def _basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The T1-independent rows (1, y, x, xy, x^2, x^2 y) of the weighted
+    moments; rows 0, 2 and 4 depend on the delays alone."""
+    basis = np.empty((6, x.size))
+    basis[0] = 1.0
+    basis[1] = y
+    basis[2] = x
+    np.multiply(x, y, out=basis[3])
+    np.multiply(x, x, out=basis[4])
+    np.multiply(basis[4], y, out=basis[5])
+    return basis
+
+
 class _Weights:
-    """Weights w with the T1-independent rows w * (1, y, x, xy, x^2) and
-    their sums."""
+    """Weights w with the T1-independent rows w * (1, y, x, xy, x^2, x^2 y)
+    and their sums."""
 
     def __init__(self, basis: np.ndarray, w: np.ndarray) -> None:
         self.w = w
@@ -135,15 +150,26 @@ class _Weights:
 
 class _Projection(NamedTuple):
     """The weighted least-squares ``A f + C`` at one T1, with f =
-    exp(-x/T1) - 1, and the Gauss-Newton step in s = ln T1 from there."""
+    exp(-x/T1) - 1, and the step in s = ln T1 from there."""
 
-    cost: float      # weighted sum of squared residuals
-    step: float      # -g/h
-    h: float         # Schur complement of s in the 3x3 normal matrix
+    cost: float      # weighted sum of squared residuals, phi(s)
+    step: float      # Newton step -g/curv, or -g/h where curv <= 0
+    h: float         # Schur complement of s in the 3x3 Gauss-Newton matrix
+    curv: float      # phi''(s)/2: the same in the full Hessian of cost/2
     a: float
     c: float         # offset of the f basis: B = C - A
     f: np.ndarray
     r: np.ndarray    # residual, model - y
+
+
+def _eliminated(
+    s1: float, sf: float, sff: float, det: float, p: float, q: float
+) -> float:
+    """What eliminating A and C takes off the s-diagonal of a symmetric
+    matrix in (A, s, C): ``(p, q) M^-1 (p, q)^T`` for the A-C block
+    ``M = [[sff, sf], [sf, s1]]`` of determinant det, where p and q are
+    the s-row entries against A and C."""
+    return (s1 * p * p - 2.0 * sf * p * q + sff * q * q) / det
 
 
 def _project(
@@ -154,9 +180,14 @@ def _project(
     A and C = A + B solve the 2x2 weighted normal equations of the basis
     {f, 1}; ``np.expm1`` keeps f accurate as T1 grows past the delays.
     With z = x (1 + f), the model's derivative in s is ``A k z`` (k = e^-s).
-    Eliminating A and C from the 3x3 Gauss-Newton system in (A, s, C)
-    leaves the reduced gradient g and the Schur complement h.  Every sum is
-    a weighted moment, taken in two matrix-vector products.
+    Eliminating A and C from the 3x3 system in (A, s, C) leaves the reduced
+    gradient g = phi'/2, the Gauss-Newton Schur complement h, and the exact
+    curvature phi''/2.  The last is the Schur complement of the full
+    Hessian of cost/2, which adds the residual's curvature: ``sum w r f_s``
+    to the (A, s) entry and ``A sum w r f_ss`` to the (s, s) one.  The step
+    is Newton's, -g/curv; where curv <= 0, away from a minimum, it is
+    Gauss-Newton's, -g/h.  Every sum is a weighted moment, taken in two
+    matrix-vector products.
 
     Returns None where the projection is singular: the 2x2 determinant or h
     vanishes to rounding (f is constant, or the fit does not depend on T1,
@@ -166,9 +197,9 @@ def _project(
         return None
     k = math.exp(-s)
     f = np.expm1(x * -k)
-    sf, sfy, sxf, sxyf, sxxf = (wt.rows @ f).tolist()
+    sf, sfy, sxf, sxyf, sxxf, sxxyf = (wt.rows @ f).tolist()
     sff, sxff, sxxff = (wt.rows[::2] @ (f * f)).tolist()
-    s1, sy, sx, sxy, sxx = wt.sums
+    s1, sy, sx, sxy, sxx, sxxy = wt.sums
     det = s1 * sff - sf * sf
     if not det > _EPS * s1 * sff:
         return None
@@ -178,32 +209,45 @@ def _project(
     szz = sxxff + 2.0 * sxxf + sxx
     ak = a * k
     ak2 = ak * ak
-    h = ak2 * (szz - (s1 * szf * szf - 2.0 * sf * szf * sz + sff * sz * sz) / det)
+    h = ak2 * (szz - _eliminated(s1, sf, sff, det, szf, sz))
     if not h > _EPS * ak2 * szz:
         return None
+    # sum w r z and sum w r x z, with r = A f + C - y; f_s = k z and
+    # f_ss = k z (k x - 1), so sum w r f_s = k rz and
+    # sum w r f_ss = k (k rxz - rz)
+    rz = a * szf + c * sz - szy
+    rxz = a * (sxxff + sxxf) + c * (sxxf + sxx) - (sxxyf + sxxy)
+    curv = (ak2 * szz + ak * (k * rxz - rz)
+            - _eliminated(s1, sf, sff, det, ak * szf + k * rz, ak * sz))
+    g = ak * rz
     r = a * f + (c - y)
-    g = ak * (a * szf + c * sz - szy)
-    return _Projection(float((wt.w * r) @ r), -g / h, h, a, c, f, r)
+    return _Projection(float((wt.w * r) @ r), -g / (curv if curv > 0.0 else h),
+                       h, curv, a, c, f, r)
 
 
 def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     """Least-squares fit of ``A exp(-t/T1) + B`` to one decay trace.
 
     A and B enter linearly, so for every T1 they are a closed-form weighted
-    least-squares solve; what is left is a damped Gauss-Newton search in
+    least-squares solve; what is left is a damped Newton search in
     s = ln T1, which keeps T1 > 0 (variable projection: Golub & Pereyra,
-    Inverse Problems 19, R1 (2003)).  The search starts from a fixed rule,
-    so the fit is deterministic.  It cuts a step in s to at most 1 (a
-    factor e in T1), takes it only if the cost goes down, halving it until
-    it does, and stops when a step is at most 1e-9.  The quoted ``fit_err``
-    is the 1-sigma T1 uncertainty from the chi2-scaled Gauss-Newton
-    covariance in (A, T1, B) at the optimum.
+    Inverse Problems 19, R1 (2003)).  Each step divides the gradient of
+    this reduced cost by its exact second derivative, residual curvature
+    included, so the search converges quadratically also where the
+    residual is large and the valley flat.  Where that derivative is not
+    positive, away from a minimum, the step falls back to Gauss-Newton's.
+    The search starts from a fixed rule, so the fit is deterministic.  It
+    cuts a step in s to at most 1 (a factor e in T1), takes it only if the
+    cost goes down, halving it until it does, and stops when a step is at
+    most 1e-9.  The quoted ``fit_err`` is the 1-sigma T1 uncertainty from
+    the chi2-scaled Gauss-Newton covariance in (A, T1, B) at the optimum.
 
     ``loss="soft_l1"`` switches to the robust cost ``sum 2(sqrt(1+r^2)-1)``
     for traces with readout outliers, minimized by iteratively reweighted
     least squares with weights ``(1+r^2)^(-1/2)`` in the same loop.  Its
-    covariance is the Gauss-Newton one of the robust cost: Jacobian rows
-    scaled by ``sqrt(max((1+r^2)^(-3/2), eps))`` and chi2 = sum(rho)/dof.
+    covariance is the Gauss-Newton one of the robust cost, with weights
+    ``max((1+r^2)^(-3/2), eps)`` and chi2 = sum(rho)/dof, taken in closed
+    form from the same weighted moments at the fit's own A and T1.
 
     The fit runs on delays mapped onto [0, 1], and on populations divided
     by their largest magnitude where that exceeds 1, so no intermediate
@@ -214,9 +258,10 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     InvalidInputError
         If ``loss`` is not one of :data:`LOSSES`.
     FitFailureError
-        If no decay is visible above the noise floor, the projection turns
-        singular, T1 runs off to infinity, the search does not converge in
-        1000 steps, or T1 or the amplitude are not representable floats.
+        If no decay is visible above the noise floor, the projection or
+        the robust covariance turns singular, T1 runs off to infinity, the
+        search does not converge in 1000 steps, or T1 or the amplitude are
+        not representable floats.
     """
     if loss not in LOSSES:
         raise InvalidInputError(
@@ -239,7 +284,7 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     # form v / hypot(v, r) its weight cannot overflow
     v = 1.0 / y_scale
     n = x.size
-    basis = np.vstack((np.ones(n), y, x, x * y, x * x))
+    basis = _basis(x, y)
     wt = _Weights(basis, np.ones(n))
     s = math.log(_initial_guess(x, y))
     fit = _project(x, y, wt, s)
@@ -273,14 +318,27 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
 
     # variance of s = ln T1; var(T1) = T1^2 var(s)
     if robust:
-        # rows scaled by sqrt(rho' + 2 z rho''), which is (1 + z)^(-3/4) for
-        # soft_l1 with z = (y_scale r)^2, and chi2 = sum(rho) / dof
+        # the Gauss-Newton curvature of the robust cost at the fit's A and k:
+        # weights rho' + 2 z rho'', which is (1 + z)^(-3/2) for soft_l1 with
+        # z = (y_scale r)^2, on the columns (e, A k x e, 1), e = 1 + f, so
+        # that x^2 e^2 needs no cancellation; chi2 = sum(rho) / dof
         u = np.hypot(v, fit.r)
+        rows = basis[::2] * np.maximum((v / u) ** 3, _EPS)
         e = fit.f + 1.0
-        jac = np.column_stack((e, (fit.a * math.exp(-s)) * x * e, np.ones(n)))
-        jac *= np.sqrt(np.maximum((v / u) ** 3, _EPS))[:, None]
+        s1 = float(rows[0].sum())
+        se, sxe = (rows[:2] @ e).tolist()
+        see, sxee, sxxee = (rows @ (e * e)).tolist()
+        det = s1 * see - se * se
+        h = (sxxee - _eliminated(s1, se, see, det, sxee, sxe)
+             if det > _EPS * s1 * see else 0.0)
+        if not h > _EPS * sxxee:
+            raise FitFailureError(
+                "singular projection: the robust covariance does not "
+                "determine T1"
+            )
+        ak = fit.a * math.exp(-s)
         chi2 = 2.0 * v * float(np.sum(u - v)) / (n - 3)
-        var_s = float(np.linalg.pinv(jac.T @ jac)[1, 1]) * chi2
+        var_s = chi2 / (ak * ak) / h
     else:
         var_s = fit.cost / (n - 3) / fit.h
     t1 = 2.0 * half_span * math.exp(s)

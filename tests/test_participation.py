@@ -23,6 +23,7 @@ from qsurfloss import (
     solve_cross_section,
     write_sweep_csv,
 )
+from qsurfloss import participation
 from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
 from qsurfloss.solver import FieldSolution, StripFields
@@ -142,6 +143,30 @@ class TestParticipationSet:
         values = [pset.p_sm, pset.p_sa, pset.p_ma]
         assert all(0.0 < v < 1.0 for v in values)
         assert sum(values) < 0.05
+
+    def test_one_integral_per_field_component(self, interdigital_sol_1um,
+                                              monkeypatch):
+        """SM and MA share one strip integral and SA takes one gap integral,
+        and every ratio is still layer_energy / U to the last bit."""
+        sol = interdigital_sol_1um
+        specs = [
+            DEFAULT_SM_SPEC,
+            DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA),
+            DEFAULT_SM_SPEC.with_region(InterfaceRegion.MA),
+        ]
+        expected = [layer_energy(sol, spec, cutoff_um=0.02) / sol.cell()[2]
+                    for spec in specs]
+        on_gaps = []
+
+        def counted(*args, gaps=False):
+            on_gaps.append(gaps)
+            return integral(*args, gaps=gaps)
+
+        integral = participation.edge_cut_square_integral
+        monkeypatch.setattr(participation, "edge_cut_square_integral", counted)
+        pset = participation_set(sol, specs, cutoff_um=0.02)
+        assert sorted(on_gaps) == [False, True]
+        assert [pset.p_sm, pset.p_sa, pset.p_ma] == expected
 
     def test_duplicate_regions_rejected(self, two_strip_sol):
         with pytest.raises(InvalidInputError, match="duplicate"):

@@ -19,9 +19,14 @@ from qsurfloss import (
     q_statistics_from_rounds,
     t1_statistics,
 )
+from qsurfloss import qubitfit
 from qsurfloss.qubitfit import (
     LOSSES,
+    _basis,
+    _initial_guess,
     _noise_floor,
+    _project,
+    _Weights,
     t1_report_dict,
     write_histogram_csv,
 )
@@ -78,6 +83,38 @@ def reference_fit(trace, loss):
     assert res.success, res.message
     cov = np.linalg.pinv(res.jac.T @ res.jac) * 2.0 * res.cost / (t.size - 3)
     return res.x[1], math.sqrt(cov[1, 1])
+
+
+def pinv_robust_fit_err(trace, estimate):
+    """The soft_l1 fit_err as a 3x3 pseudo-inverse: Jacobian columns
+    (e, A x e / T1, 1) with e = exp(-x/T1) and x the delay from the first,
+    rows weighted by max((1 + r^2)^(-3/2), eps), and chi2 = sum(rho)/dof."""
+    t, y = trace.delays_us, trace.populations
+    t1 = estimate.t1_us
+    e = np.exp(-(t - t[0]) / t1)
+    a = estimate.amplitude * math.exp(-t[0] / t1)
+    r = a * e + estimate.offset - y
+    u = np.hypot(1.0, r)
+    jac = np.column_stack((e, a * (t - t[0]) / t1 * e, np.ones(t.size)))
+    jac *= np.sqrt(np.maximum(u**-3, np.finfo(float).eps))[:, None]
+    chi2 = 2.0 * float(np.sum(u - 1.0)) / (t.size - 3)
+    return t1 * math.sqrt(float(np.linalg.pinv(jac.T @ jac)[1, 1]) * chi2)
+
+
+def unit_weight_problem(trace):
+    """The fit's delays mapped onto [0, 1], its populations scaled into
+    [-1, 1], and unit weights on the moment basis."""
+    t, y = trace.delays_us, trace.populations
+    x = (t - t[0]) / (t[-1] - t[0])
+    y = y / max(1.0, -float(y.min()), float(y.max()))
+    return x, y, _Weights(_basis(x, y), np.ones(x.size))
+
+
+def cost_derivatives(x, y, wt, s, d=1e-3):
+    """Half the first and second central differences of the reduced cost:
+    finite-difference g = phi'/2 and phi''/2."""
+    cp, c0, cm = (_project(x, y, wt, s + e).cost for e in (d, 0.0, -d))
+    return (cp - cm) / (4.0 * d), (cp - 2.0 * c0 + cm) / (2.0 * d * d)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -212,6 +249,37 @@ class TestFitExponential:
         assert worst["soft_l1"][0] < 1e-6
         assert worst["linear"][1] < 1e-3 and worst["soft_l1"][1] < 1e-3
 
+    def test_robust_covariance_matches_the_pseudo_inverse(self):
+        """The closed-form soft_l1 variance, from weighted moments, equals
+        the 3x3 pseudo-inverse covariance at the same fit."""
+        checked = 0
+        for trace, loss in campaign_traces(50):
+            if loss != "soft_l1":
+                continue
+            estimate = fit_exponential(trace, loss=loss)
+            assert estimate.fit_err_us == pytest.approx(
+                pinv_robust_fit_err(trace, estimate), rel=1e-10, abs=0.0)
+            checked += 1
+        assert checked == 8
+
+    def test_singular_robust_covariance_fails_typed(self):
+        """The delays of this trace collapse onto 0 and 1 once mapped onto
+        [0, 1], so nothing determines T1.  The search stops on rounding
+        noise, and the robust curvature of ln T1 comes out <= 0; a 3x3
+        pseudo-inverse would quote a fit_err of 5e-12 T1 here."""
+        t = [-3.997132512874204e16, -1.819669650805153e16,
+             -2.8792846114472372e-43, 1.0803032747940433e-300, 4.0,
+             2902970192309141.0, 3.295576751751434e16, 6.259979501245557e16,
+             7.739680731601954e21, 7.616605554460365e296]
+        y = [159.07012598561607, 159.07059142964732, 159.0704770574992,
+             159.07012598561607, 159.06950666185475, 159.07012604665124,
+             159.06945927632395, 159.06998858262878, 159.069201880117,
+             159.07012598561607]
+        with pytest.raises(FitFailureError,
+                           match="singular projection: the robust covariance"):
+            fit_exponential(DecayTrace(np.array(t), np.array(y)),
+                            loss="soft_l1")
+
     @given(trace=arbitrary_traces(), loss=st.sampled_from(LOSSES))
     @settings(max_examples=300, deadline=None)
     def test_any_finite_trace_fits_or_fails_typed(self, trace, loss):
@@ -224,6 +292,55 @@ class TestFitExponential:
             return
         assert 0.0 < estimate.t1_us < math.inf
         assert estimate.fit_err_us >= 0.0
+
+
+class TestNewtonStep:
+    def test_curvature_matches_finite_differences_of_the_cost(self):
+        """phi''/2 from the moments agrees with a central difference of the
+        reduced cost at the optimum and 0.3 either side of it in ln T1, and
+        the step is -g/curv (or -g/h where curv <= 0)."""
+        for trace, _ in campaign_traces(50):
+            x, y, wt = unit_weight_problem(trace)
+            span = trace.delays_us[-1] - trace.delays_us[0]
+            best = math.log(fit_exponential(trace).t1_us / span)
+            for s in (best - 0.3, best, best + 0.3):
+                fit = _project(x, y, wt, s)
+                g, curv = cost_derivatives(x, y, wt, s)
+                assert fit.curv == pytest.approx(curv, rel=1e-5)
+                if s != best:
+                    newton = fit.curv if fit.curv > 0.0 else fit.h
+                    assert fit.step == pytest.approx(-g / newton, rel=1e-5)
+
+    def test_gauss_newton_fallback_where_curvature_is_negative(self):
+        """At its starting T1 the reduced cost of this outlier trace is
+        concave; the first step is Gauss-Newton's, and the fit still lands
+        on the reference optimum."""
+        trace, loss = next(campaign_traces(1))
+        x, y, wt = unit_weight_problem(trace)
+        s = math.log(_initial_guess(x, y))
+        fit = _project(x, y, wt, s)
+        g, curv = cost_derivatives(x, y, wt, s)
+        assert fit.curv < 0.0 and curv < 0.0
+        assert fit.step == pytest.approx(-g / fit.h, rel=1e-5)
+        t1, _ = reference_fit(trace, loss)
+        assert fit_exponential(trace, loss=loss).t1_us == pytest.approx(
+            t1, rel=1e-6)
+
+    def test_projection_count_stays_at_newton_convergence(self, monkeypatch):
+        """The 50 campaign traces take 289 projections with Newton steps
+        (380 with Gauss-Newton ones); a slide back to linear convergence
+        pushes the count past 10 % above that."""
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _project(*args)
+
+        monkeypatch.setattr(qubitfit, "_project", counted)
+        for trace, loss in campaign_traces(50):
+            fit_exponential(trace, loss=loss)
+        assert calls < 1.1 * 289
 
 
 class TestT1Statistics:

@@ -1,7 +1,8 @@
 """The report-bundle writers against the row-by-row writers they replaced.
 
 Each writer now formats whole columns and writes them with one
-``writerows`` call, and ``report.json`` is encoded once.  The references
+``writerows`` call, and ``report.json`` is emitted in one recursion with
+the C-level quoting and number reprs.  The references
 below are the previous writers, kept here so that every case is compared
 byte for byte.
 """
@@ -31,7 +32,6 @@ from qsurfloss import (
 )
 from qsurfloss.participation import SweepPoint
 from qsurfloss.pipeline import (
-    _nine_digits,
     _write_model_surface,
     _write_q_vs_npr,
     _write_q_vs_psm,
@@ -120,10 +120,30 @@ def reference_solution_csv(sol, path):
                                  f"{ep:.9g}", f"gap{g.index}"])
 
 
+def _nine_digits(obj):
+    """Recursively round floats to 9 significant digits for stable output."""
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}") if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _nine_digits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nine_digits(v) for v in obj]
+    return obj
+
+
 def reference_report_json(report, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_nine_digits(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_nine_digits(report), indent=2, sort_keys=True)
+                 + "\n")
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=40,
+)
 
 
 def assert_same_bytes(tmp_path, write, reference, *args):
@@ -216,6 +236,16 @@ class TestPipelineWriters:
             "a": {"w": 7, "x": None, "y": "text", "z": None},
             "b": [1.0, None, None, 0.666666667],
             "c": [1e-320, 123456790.0]}
+
+
+    @given(report=st.dictionaries(st.text(), json_documents, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_report_json_matches_json_dumps(self, tmp_path_factory, report):
+        """Nested dicts, lists, tuples, strings, any floats, ints, bools and
+        None come out as the indented, key-sorted ``json.dumps`` of the
+        rounded document."""
+        assert_same_bytes(tmp_path_factory.mktemp("report"), write_report_json,
+                          reference_report_json, report)
 
 
 class TestSweepAndFieldWriters:
