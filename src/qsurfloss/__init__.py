@@ -9,6 +9,8 @@ quality factors.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConvergenceError,
     DegenerateFitError,
@@ -78,4 +80,6 @@ from .dataio import (
 )
 from .pipeline import PipelineConfig, SweepConfig, run_pipeline
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind are not API names
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -100,7 +100,6 @@ def fit_loss(input_path, model, weights, group, out) -> None:
             load_device_table(input_path) if input_path else bundled_device_table()
         )
         points = group_for_fit(records, mode=GROUP_MODES[group])
-        points.sort(key=lambda p: (p.p_sm, p.p_j, p.group_id))
         fit = FITTERS[LossModel(model)](points, weighting=weights)
     except QSurfLossError as exc:
         _fail(exc)

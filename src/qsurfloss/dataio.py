@@ -14,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import RecordValidationError, TableFormatError
@@ -39,8 +40,6 @@ _COLUMNS = (
     ("p_j_1e4", "p_j", 1e-4, False),
 )
 COLUMNS = tuple(column for column, *_ in _COLUMNS)
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -92,23 +91,6 @@ class DeviceRecord:
     def die_id(self) -> str:
         """Die label parsed from the device id prefix before the hyphen."""
         return self.device_id.split("-", 1)[0]
-
-    @property
-    def omega_q_rad(self) -> float:
-        return TWO_PI * self.omega_q_ghz * 1e9
-
-    @property
-    def omega_c_rad(self) -> float:
-        return TWO_PI * self.omega_c_ghz * 1e9
-
-    @property
-    def g_rad(self) -> float:
-        return TWO_PI * self.g_mhz * 1e6
-
-    @property
-    def delta_rad(self) -> float:
-        """Qubit-cavity detuning, rad/s (positive for cavity above qubit)."""
-        return self.omega_c_rad - self.omega_q_rad
 
 
 def _record_from_row(row: dict) -> DeviceRecord:
@@ -185,6 +167,10 @@ def save_device_table(records: Iterable[DeviceRecord], path) -> None:
                              else f"{v / factor:.10g}" for v, factor in cells])
 
 
+#: Sort key of loss-fit points: the order of every fit and report row.
+_FIT_ORDER = attrgetter("p_sm", "p_j", "group_id")
+
+
 def group_for_fit(
     records: Sequence[DeviceRecord], mode: str = "per_die_design"
 ) -> list[LossDataPoint]:
@@ -194,12 +180,13 @@ def group_for_fit(
     die and capacitor design, with the mean Q across the group's devices and
     the population standard deviation.  A single-device group falls back to
     that device's own round-statistics spread when published, else 0.
-    ``per_device`` passes every record through unchanged.
+    ``per_device`` passes every record through unchanged.  Points come in
+    ascending ``(p_sm, p_j, group_id)`` order.
     """
     if not records:
         raise TableFormatError("no records to group")
     if mode == "per_device":
-        return [
+        return sorted((
             LossDataPoint(
                 p_sm=r.p_sm,
                 p_j=r.p_j,
@@ -209,7 +196,7 @@ def group_for_fit(
                 n_devices=1,
             )
             for r in records
-        ]
+        ), key=_FIT_ORDER)
     if mode != "per_die_design":
         raise TableFormatError(f"unknown grouping mode {mode!r}")
 
@@ -236,4 +223,4 @@ def group_for_fit(
                 n_devices=n,
             )
         )
-    return points
+    return sorted(points, key=_FIT_ORDER)

@@ -8,6 +8,7 @@ between vacuum (above) and a dielectric substrate half-space (below).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
@@ -44,14 +45,32 @@ class Strip:
         return self.x_start + self.width
 
 
-@dataclass
+def check_edge_cutoff(cutoff_um: float, width_um: float) -> None:
+    """Reject an edge cutoff (um) outside [0, width / 2) of a ``width_um`` strip."""
+    if not 0.0 <= cutoff_um < width_um / 2:
+        raise InvalidInputError(
+            f"edge_cutoff must lie in [0, {width_um / 2}) um, got {cutoff_um}"
+        )
+
+
+def check_interdigital_width(width_um: float) -> None:
+    """Reject a gap/finger width outside ``INTERDIGITAL_WIDTH_RANGE_UM``."""
+    lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
+    if not lo <= width_um <= hi:
+        raise InvalidInputError(
+            f"gap/finger width must lie in [{lo:g}, {hi:g}] um, got {width_um}"
+        )
+
+
+@dataclass(frozen=True)
 class CrossSection:
     """Coplanar strip array over a dielectric half-space.
 
     Parameters
     ----------
     strips:
-        Strips sorted by ``x_start``, non-overlapping, widths > 0.
+        Strips sorted by ``x_start``, non-overlapping, widths > 0; stored
+        as a tuple of :class:`Strip`.
     eps_sub_rel:
         Relative permittivity of the substrate half-space (>= 1).
     eps_vac_rel:
@@ -60,15 +79,19 @@ class CrossSection:
         Exclusion distance (um) around strip edges applied to layer-energy
         integrals; must be smaller than half the narrowest strip.
     discretization:
-        Chebyshev terms per strip (>= 8), where a solve or a refinement
-        starts.
+        Chebyshev terms per strip (>= 8) of a solve, and where a
+        refinement starts.
     representative_cell:
         Index of the strip whose cell (strip plus half of each adjacent
         gap) represents the periodic interior of a finger array; ``None``
         for geometries without one.
+
+    Every number must be finite.  The section is immutable and checked once,
+    when built; :func:`dataclasses.replace` and the methods below check
+    their copy.
     """
 
-    strips: list[Strip]
+    strips: tuple[Strip, ...]
     eps_sub_rel: float = SAPPHIRE_EPS_REL
     eps_vac_rel: float = 1.0
     edge_cutoff: float = DEFAULT_EDGE_CUTOFF_UM
@@ -77,16 +100,22 @@ class CrossSection:
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.strips = [s if isinstance(s, Strip) else Strip(*s) for s in self.strips]
-        self.validate()
-
-    def validate(self) -> None:
-        if len(self.strips) < 1:
+        strips = tuple(s if isinstance(s, Strip) else Strip(*s) for s in self.strips)
+        object.__setattr__(self, "strips", strips)
+        if len(strips) < 1:
             raise InvalidInputError("cross section needs at least one strip")
-        for s in self.strips:
+        numbers = {f"strips[{i}].{name}": getattr(s, name)
+                   for i, s in enumerate(strips)
+                   for name in ("x_start", "width", "potential")}
+        numbers.update((name, getattr(self, name)) for name in
+                       ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"))
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
+        for s in strips:
             if not s.width > 0:
                 raise InvalidInputError(f"strip width must be > 0, got {s.width}")
-        for a, b in zip(self.strips, self.strips[1:]):
+        for a, b in zip(strips, strips[1:]):
             if b.x_start < a.x_end:
                 raise InvalidInputError(
                     f"strips overlap or are unsorted near x={b.x_start} um"
@@ -99,17 +128,13 @@ class CrossSection:
             raise InvalidInputError(f"eps_sub_rel must be >= 1, got {self.eps_sub_rel}")
         if self.eps_vac_rel <= 0.0:
             raise InvalidInputError(f"eps_vac_rel must be > 0, got {self.eps_vac_rel}")
-        min_width = min(s.width for s in self.strips)
-        if not 0.0 <= self.edge_cutoff < min_width / 2:
-            raise InvalidInputError(
-                f"edge_cutoff must lie in [0, {min_width / 2}) um, got {self.edge_cutoff}"
-            )
+        check_edge_cutoff(self.edge_cutoff, min(s.width for s in strips))
         if self.discretization < 8:
             raise InvalidInputError(
                 f"discretization must be >= 8 terms per strip, got {self.discretization}"
             )
         if self.representative_cell is not None and not (
-            0 <= self.representative_cell < len(self.strips)
+            0 <= self.representative_cell < len(strips)
         ):
             raise InvalidInputError(
                 f"representative_cell index {self.representative_cell} out of range"
@@ -118,11 +143,6 @@ class CrossSection:
     @property
     def potentials(self) -> list[float]:
         return [s.potential for s in self.strips]
-
-    @property
-    def extent(self) -> tuple[float, float]:
-        """Leftmost and rightmost metal coordinate (um)."""
-        return self.strips[0].x_start, self.strips[-1].x_end
 
     def with_potentials(self, potentials: Sequence[float]) -> "CrossSection":
         """Copy of this geometry with strip potentials replaced."""
@@ -147,7 +167,7 @@ class CrossSection:
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
-        d["strips"] = [asdict(s) for s in self.strips]
+        d["strips"] = list(d["strips"])
         return d
 
     @classmethod
@@ -157,19 +177,19 @@ class CrossSection:
                 Strip(float(s["x_start"]), float(s["width"]), float(s["potential"]))
                 for s in d["strips"]
             ]
-            return cls(
-                strips,
-                eps_sub_rel=float(d.get("eps_sub_rel", SAPPHIRE_EPS_REL)),
-                eps_vac_rel=float(d.get("eps_vac_rel", 1.0)),
-                edge_cutoff=float(d.get("edge_cutoff", DEFAULT_EDGE_CUTOFF_UM)),
-                discretization=int(d.get("discretization", 16)),
-                representative_cell=d.get("representative_cell"),
-                label=str(d.get("label", "")),
-            )
+            return cls(strips, **{name: convert(d[name]) for name, convert
+                                  in _DOCUMENT_FIELDS.items() if name in d})
         except InvalidInputError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"bad cross-section document: {exc}") from exc
+
+
+#: Converters of the optional fields of a cross-section document; a field the
+#: document leaves out takes the dataclass default.
+_DOCUMENT_FIELDS = {"eps_sub_rel": float, "eps_vac_rel": float, "edge_cutoff": float,
+                    "discretization": int, "representative_cell": lambda i: i,
+                    "label": str}
 
 
 def load_cross_section(path) -> CrossSection:
@@ -210,11 +230,7 @@ def interdigital_unit_cell(
     the cutoff proportional to the feature size.
     """
     w = float(gap_and_finger_width)
-    lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
-    if not lo <= w <= hi:
-        raise InvalidInputError(
-            f"gap/finger width must lie in [{lo:g}, {hi:g}] um, got {w}"
-        )
+    check_interdigital_width(w)
     if n_fingers % 2 == 0:
         raise InvalidInputError(f"n_fingers must be odd, got {n_fingers}")
     if n_fingers < 5:

@@ -35,8 +35,9 @@ from typing import Iterable, Sequence
 from .errors import InvalidInputError
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
-    INTERDIGITAL_WIDTH_RANGE_UM,
     SAPPHIRE_EPS_REL,
+    check_edge_cutoff,
+    check_interdigital_width,
 )
 from .solver import FieldSolution, edge_cut_square_integral, epsilon_0
 
@@ -57,7 +58,7 @@ class InterfaceRegion(str, Enum):
 
 @dataclass(frozen=True)
 class InterfaceSpec:
-    """One lossy layer: region, thickness (nm) and relative permittivity."""
+    """One lossy layer: region, finite thickness (nm) and relative permittivity."""
 
     region: InterfaceRegion
     thickness_nm: float = SM_LAYER_THICKNESS_NM
@@ -66,6 +67,10 @@ class InterfaceSpec:
     def __post_init__(self) -> None:
         region = InterfaceRegion(self.region)
         object.__setattr__(self, "region", region)
+        for name in ("thickness_nm", "eps_rel"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"layer {name} must be finite, got {value}")
         if self.thickness_nm <= 0:
             raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")
         if self.eps_rel < 1.0:
@@ -121,40 +126,40 @@ def layer_energy(
     flags a representative cell (finger arrays), the integral is restricted
     to that cell; otherwise it covers the whole array.
     """
-    cutoff = sol.geometry.edge_cutoff if cutoff_um is None else cutoff_um
-    return _layer_energy(sol, spec, cutoff * UM, {})
+    return _layer_energies(sol, [spec], cutoff_um)[spec.region]
 
 
-def _layer_energy(
+def _layer_energies(
     sol: FieldSolution,
-    spec: InterfaceSpec,
-    cutoff_m: float,
-    integrals: dict[bool, float],
-) -> float:
-    """:func:`layer_energy` at ``cutoff_m``.  The edge-cut square integral
-    over the strips (SM, MA) or the gaps (SA) is read from ``integrals``,
-    keyed by ``gaps``, or evaluated and stored there: SM and MA differ
-    only by a constant factor."""
+    specs: Sequence[InterfaceSpec],
+    cutoff_um: float | None,
+) -> dict[InterfaceRegion, float]:
+    """:func:`layer_energy` of each of ``specs``, keyed by region.  The
+    edge-cut square integral over the strips (SM, MA) and over the gaps
+    (SA) is taken at most once each: SM and MA differ only by a constant
+    factor."""
     geom = sol.geometry
-    eps_i = spec.eps_rel * epsilon_0
-    t = spec.thickness_nm * NM
-
-    gaps = spec.region is InterfaceRegion.SA
-    if gaps and not sol.gaps:
-        raise InvalidInputError(
-            "no gap field samples available for the SA region"
-        )
-    if gaps not in integrals:
-        x_min, x_max, _ = sol.cell()
-        integrals[gaps] = edge_cut_square_integral(
-            sol, cutoff_m, x_min, x_max, gaps=gaps)
-    total = integrals[gaps]
-    if not gaps:
-        scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
-                 else geom.eps_vac_rel) * epsilon_0 / eps_i
-        total = scale**2 * total
-
-    return 0.5 * eps_i * t * total
+    cutoff = geom.edge_cutoff if cutoff_um is None else cutoff_um
+    integrals: dict[bool, float] = {}
+    energies: dict[InterfaceRegion, float] = {}
+    for spec in specs:
+        if spec.region in energies:
+            raise InvalidInputError("duplicate interface regions in specs")
+        gaps = spec.region is InterfaceRegion.SA
+        if gaps and not sol.gaps:
+            raise InvalidInputError(
+                "no gap field samples available for the SA region"
+            )
+        if gaps not in integrals:
+            integrals[gaps] = edge_cut_square_integral(sol, cutoff * UM, gaps=gaps)
+        eps_i = spec.eps_rel * epsilon_0
+        total = integrals[gaps]
+        if not gaps:
+            scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
+                     else geom.eps_vac_rel) * epsilon_0 / eps_i
+            total = scale**2 * total
+        energies[spec.region] = 0.5 * eps_i * (spec.thickness_nm * NM) * total
+    return energies
 
 
 def participation_set(
@@ -169,24 +174,15 @@ def participation_set(
     flags one.  Duplicate regions in ``specs`` are rejected; regions
     not requested come back as ``None``.
     """
-    regions = [InterfaceRegion(s.region) for s in specs]
-    if len(set(regions)) != len(regions):
-        raise InvalidInputError("duplicate interface regions in specs")
     geom = sol.geometry
     u_total = sol.cell()[2]
-    cutoff = geom.edge_cutoff if cutoff_um is None else cutoff_um
-
-    integrals: dict[bool, float] = {}
-    values: dict[InterfaceRegion, float] = {}
-    for spec in specs:
-        u = _layer_energy(sol, spec, cutoff * UM, integrals)
-        values[InterfaceRegion(spec.region)] = u / u_total
-
+    values = {region: u / u_total
+              for region, u in _layer_energies(sol, specs, cutoff_um).items()}
     return ParticipationSet(
         p_sm=values.get(InterfaceRegion.SM),
         p_sa=values.get(InterfaceRegion.SA),
         p_ma=values.get(InterfaceRegion.MA),
-        cutoff_used=cutoff,
+        cutoff_used=geom.edge_cutoff if cutoff_um is None else cutoff_um,
         geometry_id=geom.label or f"{len(geom.strips)}-strip array",
     )
 
@@ -210,10 +206,7 @@ _K_EQUAL_GAP = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
 
 def _check_cutoff(cutoff_um: float, width_um: float) -> None:
     """Reject an edge cutoff that the exact array at ``width_um`` cannot take."""
-    if not 0.0 <= cutoff_um < width_um / 2:
-        raise InvalidInputError(
-            f"edge_cutoff must lie in [0, {width_um / 2}) um, got {cutoff_um}"
-        )
+    check_edge_cutoff(cutoff_um, width_um)
     if cutoff_um / width_um == 0.0:  # zero, or too small against the width
         raise InvalidInputError(
             "edge_cutoff must be > 0: the edge integrals of the exact array "
@@ -274,10 +267,9 @@ def psm_width_sweep(
     widths = [float(w) for w in widths_um]
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise InvalidInputError("widths must be strictly ascending")
-    lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
-    if any(not lo <= w <= hi for w in widths):
-        raise InvalidInputError(f"sweep widths must lie in [{lo:g}, {hi:g}] um")
-    if InterfaceRegion(spec.region) is not InterfaceRegion.SM:
+    for w in widths:
+        check_interdigital_width(w)
+    if spec.region is not InterfaceRegion.SM:
         raise InvalidInputError("sweep spec must describe the SM region")
     if widths and cutoff_um is not None:
         _check_cutoff(cutoff_um, widths[0])
@@ -308,11 +300,10 @@ def cutoff_sensitivity(
     solution at each cutoff (larger cutoffs exclude more of the edge energy,
     so the values decrease smoothly).
     """
-    region = InterfaceRegion(spec.region)
     out = []
     for c in cutoffs_um:
         pset = participation_set(sol, [spec], cutoff_um=c)
-        out.append((float(c), float(pset[region])))
+        out.append((float(c), float(pset[spec.region])))
     return out
 
 

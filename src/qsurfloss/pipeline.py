@@ -91,9 +91,9 @@ class SweepConfig:
     def widths(self) -> list[float]:
         if self.points < 1 or self.width_max_um <= self.width_min_um:
             raise InvalidInputError("bad sweep range")
-        return list(
-            np.linspace(self.width_min_um, self.width_max_um, self.points)
-        )
+        # float() first: numpy holds an int beyond int64 as an object
+        return list(np.linspace(float(self.width_min_um), float(self.width_max_um),
+                                self.points))
 
     @property
     def spec(self) -> InterfaceSpec:
@@ -325,7 +325,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             raise InvalidInputError("dataset contains no device records")
         report["n_devices"] = len(records)
         points = group_for_fit(records, mode=config.grouping)
-        points.sort(key=lambda p: (p.p_sm, p.p_j, p.group_id))
         report["n_fit_points"] = len(points)
 
     try:

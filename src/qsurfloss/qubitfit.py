@@ -379,7 +379,7 @@ class PurcellParams:
 
     Any missing member of {g, chi, delta} is inferred from the dispersive
     relation ``chi = g^2 / delta``; at least two of the three are required
-    (the linewidth ``kappa`` always is).
+    (the linewidth ``kappa`` always is).  Every given value must be finite.
     """
 
     kappa: float
@@ -388,6 +388,10 @@ class PurcellParams:
     chi: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("kappa", "delta", "g", "chi"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.kappa <= 0:
             raise InvalidInputError("cavity linewidth kappa must be > 0")
         known = sum(v is not None for v in (self.delta, self.g, self.chi))

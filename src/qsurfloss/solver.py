@@ -34,7 +34,7 @@ remains in micrometres.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -162,16 +162,15 @@ def _strip_bounds(strips: list[StripFields]) -> tuple[np.ndarray, np.ndarray, np
             np.array([s.coefficients for s in strips]))
 
 
-def solve_cross_section(geom: CrossSection, terms: int | None = None) -> FieldSolution:
+def solve_cross_section(geom: CrossSection) -> FieldSolution:
     """Solve the electrostatic problem for a strip-array cross section.
 
     Parameters
     ----------
     geom:
-        Validated cross section; needs at least two strips at differing
-        potentials.
-    terms:
-        Chebyshev terms per strip, M; defaults to ``geom.discretization``.
+        Cross section with at least two strips at differing potentials,
+        solved at ``geom.discretization`` Chebyshev terms per strip, M.
+        Solve another M with ``dataclasses.replace(geom, discretization=M)``.
 
     Returns
     -------
@@ -188,10 +187,7 @@ def solve_cross_section(geom: CrossSection, terms: int | None = None) -> FieldSo
         If the dense solve leaves a relative residual above
         ``SOLVE_RESIDUAL_TOL``.
     """
-    geom.validate()
-    m = geom.discretization if terms is None else terms
-    if m < 8:
-        raise InvalidInputError(f"need >= 8 terms per strip, got {m}")
+    m = geom.discretization
     pots = geom.potentials
     if len(geom.strips) < 2 or max(pots) == min(pots):
         raise InvalidInputError(
@@ -310,15 +306,12 @@ def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def edge_cut_square_integral(
-    sol: FieldSolution,
-    cutoff_m: float,
-    x_min: float = -np.inf,
-    x_max: float = np.inf,
-    gaps: bool = False,
+    sol: FieldSolution, cutoff_m: float, gaps: bool = False
 ) -> float:
-    """Integral of E_perp^2 dx over the strips inside [x_min, x_max], or with
-    ``gaps=True`` of E_x^2 dx over the gaps clipped to it, cut ``cutoff_m``
-    away from every strip edge; (V/m)^2 m.
+    """Integral of E_perp^2 dx over the strips inside the cell window
+    :meth:`FieldSolution.cell`, or with ``gaps=True`` of E_x^2 dx over the
+    gaps clipped to it, cut ``cutoff_m`` away from every strip edge;
+    (V/m)^2 m.
 
     On a segment [L, R], x = mid + half tanh(s) cancels the inverse-square-
     root ends (dx/ds = half / cosh^2 s), so Gauss-Legendre quadrature in s
@@ -329,6 +322,7 @@ def edge_cut_square_integral(
         raise InvalidInputError(
             "edge cutoff must be > 0: the edge integrals diverge as ln(1 / cutoff)"
         )
+    x_min, x_max, _ = sol.cell()
     segments = sol.gaps if gaps else [
         s for s in sol.strips if x_min <= s.x_left and s.x_right <= x_max]
     cut = [(seg, max(seg.x_left + cutoff_m, x_min), min(seg.x_right - cutoff_m, x_max))
@@ -367,9 +361,9 @@ def _refinement_measures(sol: FieldSolution) -> list[float]:
     cutoff_m = sol.geometry.edge_cutoff * UM
     if cutoff_m == 0.0:
         return [sol.energy_per_len]
-    x_min, x_max, u_cell = sol.cell()
+    u_cell = sol.cell()[2]
     return [sol.energy_per_len] + [
-        edge_cut_square_integral(sol, cutoff_m, x_min, x_max, gaps=on_gaps) / u_cell
+        edge_cut_square_integral(sol, cutoff_m, gaps=on_gaps) / u_cell
         for on_gaps in (False, True)
     ]
 
@@ -381,11 +375,14 @@ def refine_until_converged(
 ) -> FieldSolution:
     """Double the Chebyshev terms per strip until the solution stabilizes.
 
-    Stops once the energy per unit length and the participations at the
+    The first level solves ``geom`` at ``geom.discretization`` terms per
+    strip, and each further level a copy of it at twice the terms.  Stops
+    once the energy per unit length and the participations at the
     geometry's edge cutoff all change by less than ``rel_tol`` between
     successive levels (the energy alone at a zero cutoff, where the layer
-    integrals diverge); the returned solution carries the achieved level and
-    the largest last relative change as the discretization-error estimate.
+    integrals diverge); the returned solution, whose ``geometry`` is the
+    last copy, carries the achieved level and the largest last relative
+    change as the discretization-error estimate.
 
     Raises
     ------
@@ -398,13 +395,13 @@ def refine_until_converged(
         raise InvalidInputError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
     n_strips = len(geom.strips)
     m = geom.discretization
-    prev = solve_cross_section(geom, m)
+    prev = solve_cross_section(geom)
     energies = [prev.energy_per_len]
     measures = _refinement_measures(prev)
     levels = 0
     while 2 * m * n_strips <= max_total_elements:
         m *= 2
-        sol = solve_cross_section(geom, m)
+        sol = solve_cross_section(replace(geom, discretization=m))
         levels += 1
         energies.append(sol.energy_per_len)
         new = _refinement_measures(sol)

@@ -52,6 +52,4 @@ def records():
 
 @pytest.fixture(scope="session")
 def grouped_points(records):
-    points = group_for_fit(records, mode="per_die_design")
-    points.sort(key=lambda p: (p.p_sm, p.p_j, p.group_id))
-    return points
+    return group_for_fit(records, mode="per_die_design")

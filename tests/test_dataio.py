@@ -40,7 +40,6 @@ class TestBundledTable:
         assert d1_1.p_sm == pytest.approx(8.67e-4)
         assert d1_1.p_j == pytest.approx(0.22e-4)
         assert d1_1.q_mean == pytest.approx(1.04e6)
-        assert d1_1.omega_q_rad == pytest.approx(2 * 3.141592653589793 * 4.43e9)
 
     def test_dispersive_ordering_holds_everywhere(self, records):
         assert all(r.omega_c_ghz > r.omega_q_ghz for r in records)
@@ -274,6 +273,14 @@ class TestGrouping:
         points = group_for_fit(records, mode="per_device")
         assert len(points) == 32
         assert {p.group_id for p in points} == {r.device_id for r in records}
+
+    @pytest.mark.parametrize("mode", ["per_die_design", "per_device"])
+    def test_points_come_in_fit_order(self, records, mode):
+        """Fits and report rows take the points in (p_sm, p_j, group_id)
+        order; the table lists devices in another."""
+        points = group_for_fit(records[::-1], mode=mode)
+        keys = [(p.p_sm, p.p_j, p.group_id) for p in points]
+        assert keys == sorted(keys)
 
     def test_empty_and_bad_mode(self, records):
         with pytest.raises(TableFormatError):

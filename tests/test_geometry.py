@@ -1,4 +1,7 @@
 import json
+import math
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -45,6 +48,30 @@ class TestCrossSectionValidation:
                 [Strip(0, 10, 0.5), Strip(20, 10, -0.5)], representative_cell=2
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [
+        "strips[1].x_start", "strips[1].width", "strips[1].potential",
+        "eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"])
+    def test_non_finite_number_rejected(self, field, value):
+        """NaN passes every range comparison, and an infinite width used to
+        reach the solve as a residual of nan."""
+        strips = [Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5)]
+        kwargs = {}
+        if field.startswith("strips[1]."):
+            strips[1] = replace(strips[1], **{field.split(".")[1]: value})
+        else:
+            kwargs[field] = value
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{field} must be finite, got {value}")):
+            CrossSection(strips, **kwargs)
+
+    def test_section_is_immutable(self):
+        geom = CrossSection([[0.0, 10.0, 0.5], (20.0, 10.0, -0.5)])
+        assert geom.strips == (Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5))
+        with pytest.raises(FrozenInstanceError):
+            geom.edge_cutoff = 6.0
+
     def test_potential_replacement_checks_length(self):
         geom = CrossSection([Strip(0, 10, 0.5), Strip(20, 10, -0.5)])
         with pytest.raises(InvalidInputError):
@@ -68,8 +95,7 @@ class TestInterdigitalUnitCell:
     def test_total_extent_five_fingers(self):
         # 5 strips of 1 um and 4 gaps of 1 um span 9 um
         geom = interdigital_unit_cell(1.0, 5)
-        lo, hi = geom.extent
-        assert hi - lo == pytest.approx(9.0)
+        assert geom.strips[-1].x_end - geom.strips[0].x_start == pytest.approx(9.0)
 
     def test_even_finger_count_rejected(self):
         with pytest.raises(InvalidInputError, match="odd"):
@@ -127,6 +153,29 @@ class TestJsonInterface:
         path = tmp_path / "bad.json"
         doc = interdigital_unit_cell(3.0, 5).to_json_dict()
         path.write_text(json.dumps({**doc, "discretization": "a"}))
+        with pytest.raises(InvalidInputError, match="bad cross-section document"):
+            load_cross_section(path)
+
+    def test_absent_fields_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "geom.json"
+        strips = [Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5)]
+        path.write_text(json.dumps({"strips": [vars(s) for s in strips]}))
+        assert load_cross_section(path) == CrossSection(strips)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_permittivity_rejected(self, tmp_path, literal):
+        """A NaN permittivity used to fail in the solve as a stored energy
+        of nan J/m."""
+        path = tmp_path / "bad.json"
+        doc = json.dumps(interdigital_unit_cell(3.0, 5).to_json_dict())
+        path.write_text(doc[:-1] + f', "eps_sub_rel": {literal}}}')
+        with pytest.raises(InvalidInputError, match="eps_sub_rel must be finite"):
+            load_cross_section(path)
+
+    def test_overflowing_discretization_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        doc = interdigital_unit_cell(3.0, 5).to_json_dict()
+        path.write_text(json.dumps({**doc, "discretization": 1e400}))
         with pytest.raises(InvalidInputError, match="bad cross-section document"):
             load_cross_section(path)
 

@@ -533,9 +533,7 @@ REFERENCE_CASES = {
 def case_points(records, source):
     if callable(source):
         return source()
-    points = group_for_fit(records, mode=source)
-    points.sort(key=lambda p: (p.p_sm, p.p_j, p.group_id))
-    return points
+    return group_for_fit(records, mode=source)
 
 
 def assert_same_fit(got, want):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -485,6 +486,7 @@ class TestConfigProperties:
     @given(edit=config_edits())
     @example(edit=(("output_dir",), 5))
     @example(edit=(("sweep", "cutoff_um"), 5e-324))
+    @example(edit=(("sweep", "width_max_um"), 2**64))
     @settings(max_examples=200, deadline=None)
     def test_one_arbitrary_value_gives_a_report_or_a_typed_error(
             self, config_dir, edit):
@@ -508,6 +510,12 @@ class TestConfigProperties:
 
 
 class TestCli:
+    def test_public_names_are_not_modules(self):
+        """The submodules bound by the package's own imports are not API."""
+        assert qsurfloss.__all__
+        assert not [name for name in qsurfloss.__all__
+                    if isinstance(getattr(qsurfloss, name), types.ModuleType)]
+
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         """Neither importing the CLI nor fitting a T1 trace, through the
         Python API with either loss or through ``fit-t1``, loads scipy."""
@@ -632,6 +640,15 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "g = 37.29 MHz" in result.output
         assert "T_Purcell = 9.00" in result.output
+
+    @pytest.mark.parametrize("args, message", [
+        (["--g", "nan", "--delta", "2", "--kappa", "50"], "g must be finite, got nan"),
+        (["--g", "30", "--delta", "2", "--kappa", "inf"], "kappa must be finite, got inf"),
+    ], ids=["nan-g", "inf-kappa"])
+    def test_purcell_non_finite_input_is_one_error_line(self, args, message):
+        """These used to print T_Purcell = nan ms and 0 ms and exit 0."""
+        result = CliRunner().invoke(main, ["purcell", *args])
+        _assert_one_line_error(result, message)
 
     def test_fit_t1_on_trace(self, tmp_path):
         t = np.linspace(0.0, 900.0, 40)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.constants
@@ -241,7 +243,7 @@ class TestChebyshevBasis:
         5e-10 off)."""
         geom = CrossSection([Strip(0.0, width_um, 0.5),
                              Strip(width_um + gap_um, width_um, -0.5)])
-        sol = solve_cross_section(geom, terms)
+        sol = solve_cross_section(replace(geom, discretization=terms))
         assert sol.capacitance_per_len == pytest.approx(
             cps_capacitance(width_um, gap_um, 10.15), rel=1e-10, abs=0.0)
 
@@ -255,8 +257,9 @@ class TestChebyshevBasis:
         """12 terms per strip agree with 64 to 1e-7 in every region
         (measured 7e-9 and 1.8e-8)."""
         specs = [DEFAULT_SM_SPEC.with_region(r) for r in InterfaceRegion]
-        coarse, fine = (participation_set(solve_cross_section(section, m), specs)
-                        for m in (12, 64))
+        coarse, fine = (participation_set(
+            solve_cross_section(replace(section, discretization=m)), specs)
+            for m in (12, 64))
         for region in InterfaceRegion:
             assert coarse[region] == pytest.approx(fine[region], rel=1e-7)
 
