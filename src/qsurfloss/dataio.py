@@ -17,7 +17,7 @@ from importlib import resources
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import RecordValidationError, TableFormatError
+from .errors import RecordValidationError, TableFormatError, is_finite
 from .lossmodel import LossDataPoint
 
 GEOMETRIES = ("interdigital_2d", "dumbbell_2d", "dumbbell_3d")
@@ -72,11 +72,10 @@ class DeviceRecord:
             fail("geometry", f"must be one of {GEOMETRIES}, got {self.geometry!r}")
         if "-" not in self.device_id:
             fail("device_id", "must look like '<die>-<index>'")
-        # math.isfinite refuses NaN and both infinities.
         for name in ("omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us",
                      "t_purcell_ms", "q_mean", "p_sm", "p_j"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (is_finite(value) and value > 0):
                 fail(name, "must be finite and > 0")
         if not self.omega_c_ghz > self.omega_q_ghz:
             fail("omega_c_ghz", "must exceed omega_q_ghz (dispersive readout)")
@@ -84,7 +83,7 @@ class DeviceRecord:
             fail("t_purcell_ms", "must exceed the measured T1")
         for name in ("t1_std_us", "q_std"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
+            if value is not None and not (is_finite(value) and value >= 0):
                 fail(name, "must be finite and >= 0 when present")
 
     @property

@@ -1,4 +1,20 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finiteness test of
+the input checks that raise them."""
+
+import math
+
+
+def is_finite(value) -> bool:
+    """True when a real number is neither NaN nor infinite.
+
+    Unlike :func:`math.isfinite` it answers False, instead of raising
+    ``OverflowError``, for an int beyond the float range, so an input check
+    can report such a value with its own typed error.
+    """
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class QSurfLossError(Exception):

@@ -8,11 +8,10 @@ between vacuum (above) and a dielectric substrate half-space (below).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_finite
 
 #: Relative permittivity of c-plane sapphire used throughout as the default.
 SAPPHIRE_EPS_REL = 10.15
@@ -30,6 +29,9 @@ INTERDIGITAL_CUTOFF_FRACTION = 1e-3
 
 #: Gap/finger widths (um) an interdigital cell, and so a width sweep, accepts.
 INTERDIGITAL_WIDTH_RANGE_UM = (0.1, 100.0)
+
+#: Fewest Chebyshev terms per strip a section is solved at.
+MIN_TERMS_PER_STRIP = 8
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,9 @@ class CrossSection:
         Exclusion distance (um) around strip edges applied to layer-energy
         integrals; must be smaller than half the narrowest strip.
     discretization:
-        Chebyshev terms per strip (>= 8) of a solve, and where a
-        refinement starts.
+        Chebyshev terms per strip (>= ``MIN_TERMS_PER_STRIP``) of a solve,
+        and the fewest a refinement returns; it checks them against half
+        as many.
     representative_cell:
         Index of the strip whose cell (strip plus half of each adjacent
         gap) represents the periodic interior of a finger array; ``None``
@@ -110,7 +113,7 @@ class CrossSection:
         numbers.update((name, getattr(self, name)) for name in
                        ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"))
         for name, value in numbers.items():
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value}")
         for s in strips:
             if not s.width > 0:
@@ -129,9 +132,10 @@ class CrossSection:
         if self.eps_vac_rel <= 0.0:
             raise InvalidInputError(f"eps_vac_rel must be > 0, got {self.eps_vac_rel}")
         check_edge_cutoff(self.edge_cutoff, min(s.width for s in strips))
-        if self.discretization < 8:
+        if self.discretization < MIN_TERMS_PER_STRIP:
             raise InvalidInputError(
-                f"discretization must be >= 8 terms per strip, got {self.discretization}"
+                f"discretization must be >= {MIN_TERMS_PER_STRIP} terms per strip, "
+                f"got {self.discretization}"
             )
         if self.representative_cell is not None and not (
             0 <= self.representative_cell < len(strips)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidInputError
+from .errors import DegenerateFitError, InvalidInputError, is_finite
 
 #: Condition number of the weighted design above which a fit is refused.
 CONDITION_LIMIT = 1e10
@@ -66,14 +66,13 @@ class LossDataPoint:
     n_devices: int = 1
 
     def __post_init__(self) -> None:
-        # math.isfinite refuses NaN and both infinities.
         for name in ("p_sm", "p_j"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not (is_finite(value) and value >= 0):
                 raise InvalidInputError(f"{name} must be finite and >= 0")
-        if not (math.isfinite(self.q_mean) and self.q_mean > 0):
+        if not (is_finite(self.q_mean) and self.q_mean > 0):
             raise InvalidInputError("q_mean must be finite and > 0")
-        if self.q_std is not None and not (math.isfinite(self.q_std)
+        if self.q_std is not None and not (is_finite(self.q_std)
                                            and self.q_std >= 0):
             raise InvalidInputError("q_std must be finite and >= 0 when present")
 

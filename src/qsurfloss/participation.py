@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_finite
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
     SAPPHIRE_EPS_REL,
@@ -69,7 +69,7 @@ class InterfaceSpec:
         object.__setattr__(self, "region", region)
         for name in ("thickness_nm", "eps_rel"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise InvalidInputError(f"layer {name} must be finite, got {value}")
         if self.thickness_nm <= 0:
             raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitFailureError, InvalidInputError
+from .errors import FitFailureError, InvalidInputError, is_finite
 
 #: Purcell lifetimes above this value (s) are reported as unbounded.
 UNBOUNDED_PURCELL_S = 1e6
@@ -390,7 +390,7 @@ class PurcellParams:
     def __post_init__(self) -> None:
         for name in ("kappa", "delta", "g", "chi"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is not None and not is_finite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.kappa <= 0:
             raise InvalidInputError("cavity linewidth kappa must be > 0")

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, NumericalFailureError
-from .geometry import CrossSection
+from .geometry import MIN_TERMS_PER_STRIP, CrossSection
 
 UM = 1e-6
 
@@ -375,14 +375,16 @@ def refine_until_converged(
 ) -> FieldSolution:
     """Double the Chebyshev terms per strip until the solution stabilizes.
 
-    The first level solves ``geom`` at ``geom.discretization`` terms per
-    strip, and each further level a copy of it at twice the terms.  Stops
-    once the energy per unit length and the participations at the
-    geometry's edge cutoff all change by less than ``rel_tol`` between
-    successive levels (the energy alone at a zero cutoff, where the layer
-    integrals diverge); the returned solution, whose ``geometry`` is the
-    last copy, carries the achieved level and the largest last relative
-    change as the discretization-error estimate.
+    The first level solves a copy of ``geom`` at half its
+    ``discretization`` M0, rounded up and at least ``MIN_TERMS_PER_STRIP``
+    terms per strip, and each further level a copy at twice the terms, so
+    the solution returned has at least M0 terms and was checked against
+    half as many.  Stops once the energy per unit length and the
+    participations at the geometry's edge cutoff all change by less than
+    ``rel_tol`` between successive levels (the energy alone at a zero
+    cutoff, where the layer integrals diverge); the returned solution,
+    whose ``geometry`` is the last copy, carries the achieved level and the
+    largest last relative change as the discretization-error estimate.
 
     Raises
     ------
@@ -394,8 +396,8 @@ def refine_until_converged(
     if not 0.0 < rel_tol <= 0.1:
         raise InvalidInputError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
     n_strips = len(geom.strips)
-    m = geom.discretization
-    prev = solve_cross_section(geom)
+    m = max(MIN_TERMS_PER_STRIP, -(-geom.discretization // 2))
+    prev = solve_cross_section(replace(geom, discretization=m))
     energies = [prev.energy_per_len]
     measures = _refinement_measures(prev)
     levels = 0

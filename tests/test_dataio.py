@@ -84,6 +84,20 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize("field", [
+        "omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us", "t1_std_us",
+        "t_purcell_ms", "q_mean", "q_std", "p_sm", "p_j"])
+    def test_huge_int_is_rejected_naming_its_field(self, field):
+        """An int beyond the float range used to raise OverflowError."""
+        values = dict(omega_q_ghz=4.0, omega_c_ghz=6.0, g_mhz=40.0,
+                      t1_mean_us=100.0, t1_std_us=None, t_purcell_ms=10.0,
+                      q_mean=1e6, q_std=None, p_sm=1e-4, p_j=1e-5)
+        values[field] = 10**400
+        with pytest.raises(RecordValidationError,
+                           match=f"field '{field}' must be finite"):
+            DeviceRecord(device_id="X1-1", geometry="dumbbell_2d", **values)
+
+
 class TestLoader:
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -48,14 +48,15 @@ class TestCrossSectionValidation:
                 [Strip(0, 10, 0.5), Strip(20, 10, -0.5)], representative_cell=2
             )
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int1e400"])
     @pytest.mark.parametrize("field", [
         "strips[1].x_start", "strips[1].width", "strips[1].potential",
         "eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"])
     def test_non_finite_number_rejected(self, field, value):
-        """NaN passes every range comparison, and an infinite width used to
-        reach the solve as a residual of nan."""
+        """NaN passes every range comparison, an infinite width used to
+        reach the solve as a residual of nan, and an int beyond the float
+        range made the finiteness test raise OverflowError."""
         strips = [Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5)]
         kwargs = {}
         if field.startswith("strips[1]."):

@@ -89,6 +89,14 @@ class TestLossDataPoint:
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             LossDataPoint(**values)
 
+    @pytest.mark.parametrize("name", ["p_sm", "p_j", "q_mean", "q_std"])
+    def test_huge_int_rejected(self, name):
+        """An int beyond the float range used to raise OverflowError."""
+        values = dict(p_sm=1e-4, p_j=1e-5, q_mean=1e6, q_std=1e5)
+        values[name] = 10**400
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            LossDataPoint(**values)
+
 
 def synthetic_points(tan_sm, tan_j=None, inv_q0=0.0, p_sm=None, p_j=None):
     p_sm = [1e-4, 5e-4, 2e-3] if p_sm is None else p_sm

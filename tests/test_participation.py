@@ -79,11 +79,12 @@ class TestInterfaceSpec:
         with pytest.raises(InvalidInputError):
             InterfaceSpec(InterfaceRegion.SM, thickness_nm=0.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int1e400"])
     @pytest.mark.parametrize("field", ["thickness_nm", "eps_rel"])
     def test_non_finite_number_rejected(self, field, value):
-        """A NaN thickness used to fail every sweep point as p_sm = nan."""
+        """A NaN thickness used to fail every sweep point as p_sm = nan; an
+        int beyond the float range raised OverflowError."""
         with pytest.raises(InvalidInputError,
                            match=f"layer {field} must be finite, got {value}"):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})

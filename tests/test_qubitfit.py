@@ -445,12 +445,13 @@ class TestPurcellLimit:
         with pytest.raises(InvalidInputError):
             PurcellParams.from_cyclic(delta_ghz=2.0, kappa_khz=50.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
-                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int1e400"])
     @pytest.mark.parametrize("field", ["kappa", "delta", "g", "chi"])
     def test_non_finite_parameter_rejected(self, field, value):
         """NaN passes every comparison; it used to give a Purcell limit of
-        nan, and an infinite kappa one of 0."""
+        nan, an infinite kappa one of 0, and an int beyond the float range
+        an OverflowError."""
         given = {"kappa": 2e5, "delta": 1e10, "g": 2e8, "chi": 4e6, field: value}
         with pytest.raises(InvalidInputError,
                            match=f"{field} must be finite, got {value}"):

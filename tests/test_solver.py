@@ -9,6 +9,7 @@ from qsurfloss import (
     ConvergenceError,
     CrossSection,
     InterfaceRegion,
+    InterfaceSpec,
     InvalidInputError,
     Strip,
     participation_set,
@@ -164,8 +165,43 @@ class TestRefinement:
         sol = refine_until_converged(geom, rel_tol=0.01)
         assert sol.estimated_rel_error is not None
         assert sol.estimated_rel_error < 0.01
-        assert sol.refinement_levels >= 1
-        assert sol.elements_per_strip > 16
+        assert sol.refinement_levels == 1
+        assert sol.elements_per_strip == 16
+
+    def test_floor_start_climbs_one_doubling(self, two_strip_geom):
+        """At the 8-term floor half of M0 would fall below it, so the
+        ladder starts at M0 itself and returns twice it."""
+        sol = refine_until_converged(replace(two_strip_geom, discretization=8),
+                                     rel_tol=0.01)
+        assert (sol.refinement_levels, sol.elements_per_strip) == (1, 16)
+        assert sol.geometry.discretization == 16
+
+    def test_odd_discretization_returns_at_least_it(self, two_strip_geom):
+        sol = refine_until_converged(replace(two_strip_geom, discretization=17),
+                                     rel_tol=0.01)
+        assert sol.elements_per_strip == 18
+
+    @pytest.mark.parametrize("n_strips", [3, 4, 5, 6])
+    def test_asymmetric_section_matches_a_solve_at_twice_its_terms(self, n_strips):
+        """A section checked against half its terms agrees with a direct
+        solve at twice them: p_sm, p_sa, p_ma and energy within rel_tol."""
+        rng = np.random.default_rng(n_strips)
+        x, strips = 0.0, []
+        for i in range(n_strips):
+            width = float(rng.uniform(4.0, 12.0))
+            strips.append(Strip(round(x, 4), round(width, 4), 1.0 if i % 2 else -0.5))
+            x += width + float(rng.uniform(4.0, 12.0))
+        geom = CrossSection(strips, discretization=32)
+        rel_tol = 5.5e-5
+        sol = refine_until_converged(geom, rel_tol=rel_tol)
+        assert sol.elements_per_strip >= 32
+        finer = solve_cross_section(
+            replace(geom, discretization=2 * sol.elements_per_strip))
+        specs = [InterfaceSpec(region) for region in InterfaceRegion]
+        got, want = participation_set(sol, specs), participation_set(finer, specs)
+        for name in ("p_sm", "p_sa", "p_ma"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=rel_tol)
+        assert sol.energy_per_len == pytest.approx(finer.energy_per_len, rel=rel_tol)
 
     def test_zero_tolerance_rejected(self, two_strip_geom):
         with pytest.raises(InvalidInputError, match="rel_tol"):
@@ -185,6 +221,12 @@ class TestRefinement:
                             discretization=16)
         with pytest.raises(ConvergenceError, match="J/m"):
             refine_until_converged(geom, rel_tol=1e-4, max_total_elements=128)
+
+    def test_budget_below_the_first_doubling_raises(self, two_strip_geom):
+        """The ladder starts at 8 terms of the 16 asked for; a budget below
+        the 2 x 16 terms of its second level stops it there."""
+        with pytest.raises(ConvergenceError, match="last level 8 terms/strip"):
+            refine_until_converged(two_strip_geom, rel_tol=0.05, max_total_elements=31)
 
     def test_zero_cutoff_converges_on_energy_alone(self, two_strip_geom):
         """The layer integrals diverge at a zero cutoff, so refinement
