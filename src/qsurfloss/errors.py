@@ -17,6 +17,21 @@ def is_finite(value) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """A checked value as an error message shows it: ``str(value)``, except
+    for an int too long for Python's int-to-str conversion (over 4300
+    digits by default), which is shown by its number of digits."""
+    try:
+        return str(value)
+    except ValueError:
+        magnitude = abs(value)
+        # the bit length puts the digit count at this or one less
+        digits = int(magnitude.bit_length() * math.log10(2.0)) + 1
+        if 10 ** (digits - 1) > magnitude:
+            digits -= 1
+        return f"an int of {digits} digits"
+
+
 class QSurfLossError(Exception):
     """Base class for all toolkit errors."""
 

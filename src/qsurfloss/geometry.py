@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
-from .errors import InvalidInputError, is_finite
+from .errors import InvalidInputError, is_finite, shown
 
 #: Relative permittivity of c-plane sapphire used throughout as the default.
 SAPPHIRE_EPS_REL = 10.15
@@ -114,7 +114,8 @@ class CrossSection:
                        ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"))
         for name, value in numbers.items():
             if not is_finite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value}")
+                raise InvalidInputError(
+                    f"{name} must be finite, got {shown(value)}")
         for s in strips:
             if not s.width > 0:
                 raise InvalidInputError(f"strip width must be > 0, got {s.width}")

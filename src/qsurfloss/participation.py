@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, is_finite
+from .errors import InvalidInputError, is_finite, shown
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
     SAPPHIRE_EPS_REL,
@@ -70,7 +70,8 @@ class InterfaceSpec:
         for name in ("thickness_nm", "eps_rel"):
             value = getattr(self, name)
             if not is_finite(value):
-                raise InvalidInputError(f"layer {name} must be finite, got {value}")
+                raise InvalidInputError(
+                    f"layer {name} must be finite, got {shown(value)}")
         if self.thickness_nm <= 0:
             raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")
         if self.eps_rel < 1.0:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitFailureError, InvalidInputError, is_finite
+from .errors import FitFailureError, InvalidInputError, is_finite, shown
 
 #: Purcell lifetimes above this value (s) are reported as unbounded.
 UNBOUNDED_PURCELL_S = 1e6
@@ -88,7 +88,8 @@ def _noise_floor(populations: np.ndarray) -> float:
     # np.diff at a fraction of its call cost
     d1 = populations[1:] - populations[:-1]
     d2 = d1[1:] - d1[:-1]
-    d2 -= d2.mean()
+    # the second differences telescope: their mean is (d1[-1] - d1[0]) / size
+    d2 -= (d1[-1] - d1[0]) / d2.size
     return math.sqrt(float(d2 @ d2) / d2.size) / math.sqrt(6.0)
 
 
@@ -97,7 +98,7 @@ def _initial_guess(delays: np.ndarray, populations: np.ndarray) -> float:
     closest to 1/e of the way from the last population to the first."""
     a0 = populations[0] - populations[-1]
     target = populations[-1] + a0 / math.e
-    idx = int(np.argmin(np.abs(populations - target)))
+    idx = int(np.abs(populations - target).argmin())
     t10 = float(delays[idx])
     if t10 <= delays[0]:
         t10 = float(delays[0] + (delays[-1] - delays[0]) / 3.0)
@@ -122,7 +123,16 @@ _S_MAX = math.log(_T1_MAX_SPANS)
 #: Trial steps below this s (delays mapped onto [0, 1]) are rejected;
 #: exp(-s) stays finite.
 _S_MIN = -700.0
+#: The search gives up as well once T1 falls below the first delay step over
+#: ln 1e4: the decay has then dropped to 1e-4 of its size by the second
+#: delay, only the first delay sees it, and T1 is not determined.
+_T1_MIN_STEPS = 1.0 / math.log(1e4)
 _EPS = float(np.finfo(float).eps)
+#: Roundings counted in the rounding error of an elimination (see
+#: ``_rounding_floor``), with room to spare: the Schur complement of a
+#: trace whose delays collapse onto two values stays below 1 % of the
+#: resulting floor, that of a campaign trace lies 1e8 times above it.
+_ELIMINATION_ROUNDINGS = 16.0
 
 
 def _basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -140,12 +150,19 @@ def _basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 class _Weights:
     """Weights w with the T1-independent rows w * (1, y, x, xy, x^2, x^2 y)
-    and their sums."""
+    and their sums; w = None stands for unit weights, whose rows are the
+    basis itself."""
 
-    def __init__(self, basis: np.ndarray, w: np.ndarray) -> None:
+    def __init__(self, basis: np.ndarray, w: np.ndarray | None = None) -> None:
         self.w = w
-        self.rows = basis * w
+        self.rows = basis if w is None else basis * w
         self.sums = self.rows.sum(axis=1).tolist()
+
+    def moments(self, ff: np.ndarray) -> list[float]:
+        """The weighted moments of f and of f^2, the rows of ff, against
+        every row, in one matrix product: ``sum w f (1, y, x, xy, x^2,
+        x^2 y)`` followed by the same six sums of ``w f^2``."""
+        return (ff @ self.rows.T).ravel().tolist()
 
 
 class _Projection(NamedTuple):
@@ -158,7 +175,7 @@ class _Projection(NamedTuple):
     curv: float      # phi''(s)/2: the same in the full Hessian of cost/2
     a: float
     c: float         # offset of the f basis: B = C - A
-    f: np.ndarray
+    ff: np.ndarray   # f and f^2, as the two rows of one buffer
     r: np.ndarray    # residual, model - y
 
 
@@ -172,13 +189,28 @@ def _eliminated(
     return (s1 * p * p - 2.0 * sf * p * q + sff * q * q) / det
 
 
+def _rounding_floor(s1: float, sff: float, det: float, scale: float) -> float:
+    """The rounding error of a Schur complement ``d - _eliminated(...)`` of
+    the A-C block of determinant det, where scale bounds the diagonal
+    entry d and the magnitudes of the terms it is summed from.  By
+    Cauchy-Schwarz each term of the eliminated numerator is at most
+    ``s1 sff scale``, so each rounding in the moments, the numerator or det
+    costs up to eps times the block's condition ``s1 sff / det`` times
+    scale; a complement below this is rounding noise."""
+    return _ELIMINATION_ROUNDINGS * _EPS * s1 * sff / det * scale
+
+
 def _project(
-    x: np.ndarray, y: np.ndarray, wt: _Weights, s: float
+    x: np.ndarray, y: np.ndarray, wt: _Weights, s: float,
+    ff: np.ndarray | None = None,
 ) -> _Projection | None:
     """Variable projection of ``A exp(-x e^-s) + B`` onto y at fixed s.
 
     A and C = A + B solve the 2x2 weighted normal equations of the basis
     {f, 1}; ``np.expm1`` keeps f accurate as T1 grows past the delays.
+    f and f^2 fill the two rows of one buffer, evaluated once per trial s:
+    a reweighted projection at the same s passes that buffer, ``ff``, back
+    in and changes only the weights.
     With z = x (1 + f), the model's derivative in s is ``A k z`` (k = e^-s).
     Eliminating A and C from the 3x3 system in (A, s, C) leaves the reduced
     gradient g = phi'/2, the Gauss-Newton Schur complement h, and the exact
@@ -186,19 +218,24 @@ def _project(
     Hessian of cost/2, which adds the residual's curvature: ``sum w r f_s``
     to the (A, s) entry and ``A sum w r f_ss`` to the (s, s) one.  The step
     is Newton's, -g/curv; where curv <= 0, away from a minimum, it is
-    Gauss-Newton's, -g/h.  Every sum is a weighted moment, taken in two
-    matrix-vector products.
+    Gauss-Newton's, -g/h.  Every sum is a weighted moment, taken in one
+    matrix product.
 
-    Returns None where the projection is singular: the 2x2 determinant or h
-    vanishes to rounding (f is constant, or the fit does not depend on T1,
-    as when every delay but the first lies far beyond T1), or s < _S_MIN.
+    Returns None where the projection is singular: the 2x2 determinant
+    vanishes to rounding, or h to the rounding error of the elimination (f
+    is constant, or the fit does not depend on T1, as when every delay but
+    the first lies far beyond T1), or s < _S_MIN.
     """
     if s < _S_MIN:
         return None
     k = math.exp(-s)
-    f = np.expm1(x * -k)
-    sf, sfy, sxf, sxyf, sxxf, sxxyf = (wt.rows @ f).tolist()
-    sff, sxff, sxxff = (wt.rows[::2] @ (f * f)).tolist()
+    if ff is None:
+        ff = np.empty((2, x.size))
+        np.expm1(x * -k, out=ff[0])
+        np.multiply(ff[0], ff[0], out=ff[1])
+    f = ff[0]
+    (sf, sfy, sxf, sxyf, sxxf, sxxyf,
+     sff, _, sxff, _, sxxff, _) = wt.moments(ff)
     s1, sy, sx, sxy, sxx, sxxy = wt.sums
     det = s1 * sff - sf * sf
     if not det > _EPS * s1 * sff:
@@ -210,7 +247,9 @@ def _project(
     ak = a * k
     ak2 = ak * ak
     h = ak2 * (szz - _eliminated(s1, sf, sff, det, szf, sz))
-    if not h > _EPS * ak2 * szz:
+    # f <= 0: the terms of szz, sum w x^2 (1 + f)^2, cancel; their
+    # magnitudes, sum w x^2 (1 - f)^2, set its rounding error
+    if not h > _rounding_floor(s1, sff, det, ak2 * (sxxff - 2.0 * sxxf + sxx)):
         return None
     # sum w r z and sum w r x z, with r = A f + C - y; f_s = k z and
     # f_ss = k z (k x - 1), so sum w r f_s = k rz and
@@ -220,9 +259,12 @@ def _project(
     curv = (ak2 * szz + ak * (k * rxz - rz)
             - _eliminated(s1, sf, sff, det, ak * szf + k * rz, ak * sz))
     g = ak * rz
-    r = a * f + (c - y)
-    return _Projection(float((wt.w * r) @ r), -g / (curv if curv > 0.0 else h),
-                       h, curv, a, c, f, r)
+    r = f * a
+    r += c
+    r -= y
+    cost = float(r @ r if wt.w is None else (wt.w * r) @ r)
+    return _Projection(cost, -g / (curv if curv > 0.0 else h),
+                       h, curv, a, c, ff, r)
 
 
 def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
@@ -239,12 +281,15 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     The search starts from a fixed rule, so the fit is deterministic.  It
     cuts a step in s to at most 1 (a factor e in T1), takes it only if the
     cost goes down, halving it until it does, and stops when a step is at
-    most 1e-9.  The quoted ``fit_err`` is the 1-sigma T1 uncertainty from
-    the chi2-scaled Gauss-Newton covariance in (A, T1, B) at the optimum.
+    most 1e-9.  Each trial T1 evaluates ``exp(-t/T1)`` once, and every
+    moment the step needs comes from one matrix product.  The quoted
+    ``fit_err`` is the 1-sigma T1 uncertainty from the chi2-scaled
+    Gauss-Newton covariance in (A, T1, B) at the optimum.
 
     ``loss="soft_l1"`` switches to the robust cost ``sum 2(sqrt(1+r^2)-1)``
     for traces with readout outliers, minimized by iteratively reweighted
-    least squares with weights ``(1+r^2)^(-1/2)`` in the same loop.  Its
+    least squares with weights ``(1+r^2)^(-1/2)`` in the same loop; a
+    reweight projects again at the same T1 and reuses its exponential.  Its
     covariance is the Gauss-Newton one of the robust cost, with weights
     ``max((1+r^2)^(-3/2), eps)`` and chi2 = sum(rho)/dof, taken in closed
     form from the same weighted moments at the fit's own A and T1.
@@ -259,9 +304,11 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
         If ``loss`` is not one of :data:`LOSSES`.
     FitFailureError
         If no decay is visible above the noise floor, the projection or
-        the robust covariance turns singular, T1 runs off to infinity, the
-        search does not converge in 1000 steps, or T1 or the amplitude are
-        not representable floats.
+        the robust covariance turns singular (its Schur complement in T1
+        falls to the rounding error of the elimination), T1 runs off to
+        infinity or falls below the delay spacing, the search does not
+        converge in 1000 steps, or T1 or the amplitude are not
+        representable floats.
     """
     if loss not in LOSSES:
         raise InvalidInputError(
@@ -285,13 +332,15 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     v = 1.0 / y_scale
     n = x.size
     basis = _basis(x, y)
-    wt = _Weights(basis, np.ones(n))
+    wt = _Weights(basis)
+    t1_min = _T1_MIN_STEPS * float(x[1])
     s = math.log(_initial_guess(x, y))
     fit = _project(x, y, wt, s)
     for _ in range(_MAX_ITER):
         if robust and fit is not None:
+            # a reweight stays at s: f and f^2 carry over
             wt = _Weights(basis, v / np.hypot(v, fit.r))
-            fit = _project(x, y, wt, s)
+            fit = _project(x, y, wt, s, fit.ff)
         if fit is None:
             raise FitFailureError(
                 "singular projection: the fit does not determine T1"
@@ -311,6 +360,11 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
                 f"T1 runs off to infinity: beyond {_T1_MAX_SPANS:g} delay "
                 "spans the trace is a straight line"
             )
+        if math.exp(s) < t1_min:
+            raise FitFailureError(
+                "T1 falls below the delay spacing: only the first delay "
+                "sees the decay"
+            )
     else:
         raise FitFailureError(
             f"T1 search did not converge in {_MAX_ITER} steps"
@@ -324,14 +378,14 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
         # that x^2 e^2 needs no cancellation; chi2 = sum(rho) / dof
         u = np.hypot(v, fit.r)
         rows = basis[::2] * np.maximum((v / u) ** 3, _EPS)
-        e = fit.f + 1.0
+        e = fit.ff[0] + 1.0
         s1 = float(rows[0].sum())
         se, sxe = (rows[:2] @ e).tolist()
         see, sxee, sxxee = (rows @ (e * e)).tolist()
         det = s1 * see - se * se
-        h = (sxxee - _eliminated(s1, se, see, det, sxee, sxe)
-             if det > _EPS * s1 * see else 0.0)
-        if not h > _EPS * sxxee:
+        if not (det > _EPS * s1 * see
+                and (h := sxxee - _eliminated(s1, se, see, det, sxee, sxe))
+                > _rounding_floor(s1, see, det, sxxee)):
             raise FitFailureError(
                 "singular projection: the robust covariance does not "
                 "determine T1"
@@ -391,7 +445,8 @@ class PurcellParams:
         for name in ("kappa", "delta", "g", "chi"):
             value = getattr(self, name)
             if value is not None and not is_finite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value}")
+                raise InvalidInputError(
+                    f"{name} must be finite, got {shown(value)}")
         if self.kappa <= 0:
             raise InvalidInputError("cavity linewidth kappa must be > 0")
         known = sum(v is not None for v in (self.delta, self.g, self.chi))

@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from qsurfloss import CrossSection, InvalidInputError, Strip, interdigital_unit_cell
+from qsurfloss.errors import shown
 from qsurfloss.geometry import dump_cross_section, load_cross_section
 
 
@@ -48,15 +49,17 @@ class TestCrossSectionValidation:
                 [Strip(0, 10, 0.5), Strip(20, 10, -0.5)], representative_cell=2
             )
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
-                             ids=["nan", "inf", "-inf", "int1e400"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400, 10**5000],
+        ids=["nan", "inf", "-inf", "int1e400", "int1e5000"])
     @pytest.mark.parametrize("field", [
         "strips[1].x_start", "strips[1].width", "strips[1].potential",
         "eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"])
     def test_non_finite_number_rejected(self, field, value):
         """NaN passes every range comparison, an infinite width used to
         reach the solve as a residual of nan, and an int beyond the float
-        range made the finiteness test raise OverflowError."""
+        range made the finiteness test raise OverflowError, and one of more
+        than 4300 digits the message's int-to-str conversion ValueError."""
         strips = [Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5)]
         kwargs = {}
         if field.startswith("strips[1]."):
@@ -64,8 +67,14 @@ class TestCrossSectionValidation:
         else:
             kwargs[field] = value
         with pytest.raises(InvalidInputError, match=re.escape(
-                f"{field} must be finite, got {value}")):
+                f"{field} must be finite, got {shown(value)}")):
             CrossSection(strips, **kwargs)
+
+    @pytest.mark.parametrize("digits", [4301, 5000, 5001])
+    def test_overlong_int_is_shown_by_its_digit_count(self, digits):
+        """Both ends of the digit count: 10**(d-1) and -(10**d - 1)."""
+        assert shown(10 ** (digits - 1)) == f"an int of {digits} digits"
+        assert shown(-(10**digits - 1)) == f"an int of {digits} digits"
 
     def test_section_is_immutable(self):
         geom = CrossSection([[0.0, 10.0, 0.5], (20.0, 10.0, -0.5)])

@@ -24,6 +24,7 @@ from qsurfloss import (
     write_sweep_csv,
 )
 from qsurfloss import participation
+from qsurfloss.errors import shown
 from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
 from qsurfloss.solver import FieldSolution, StripFields
@@ -79,14 +80,16 @@ class TestInterfaceSpec:
         with pytest.raises(InvalidInputError):
             InterfaceSpec(InterfaceRegion.SM, thickness_nm=0.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
-                             ids=["nan", "inf", "-inf", "int1e400"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400, 10**5000],
+        ids=["nan", "inf", "-inf", "int1e400", "int1e5000"])
     @pytest.mark.parametrize("field", ["thickness_nm", "eps_rel"])
     def test_non_finite_number_rejected(self, field, value):
         """A NaN thickness used to fail every sweep point as p_sm = nan; an
-        int beyond the float range raised OverflowError."""
-        with pytest.raises(InvalidInputError,
-                           match=f"layer {field} must be finite, got {value}"):
+        int beyond the float range raised OverflowError, and one of more
+        than 4300 digits the message's int-to-str conversion ValueError."""
+        with pytest.raises(InvalidInputError, match=(
+                f"layer {field} must be finite, got {shown(value)}")):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})
 
 

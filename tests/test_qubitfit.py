@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsurfloss import (
@@ -20,6 +20,7 @@ from qsurfloss import (
     t1_statistics,
 )
 from qsurfloss import qubitfit
+from qsurfloss.errors import shown
 from qsurfloss.qubitfit import (
     LOSSES,
     _basis,
@@ -107,7 +108,7 @@ def unit_weight_problem(trace):
     t, y = trace.delays_us, trace.populations
     x = (t - t[0]) / (t[-1] - t[0])
     y = y / max(1.0, -float(y.min()), float(y.max()))
-    return x, y, _Weights(_basis(x, y), np.ones(x.size))
+    return x, y, _Weights(_basis(x, y))
 
 
 def cost_derivatives(x, y, wt, s, d=1e-3):
@@ -118,6 +119,31 @@ def cost_derivatives(x, y, wt, s, d=1e-3):
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+#: An ``arbitrary_traces`` draw whose delays collapse onto 0 and 1 once
+#: mapped onto [0, 1], so that nothing determines T1.  Its Schur complement
+#: passed a check against eps times its scale, though it lies below the
+#: rounding error of the elimination, and the soft_l1 fit quoted T1 = 2.1e261
+#: with a fit_err of 3.9e270 computed from that noise.
+COLLAPSED_DELAYS_TRACE = DecayTrace(
+    np.array([-1.2234762120868066e+57, -3.3027701268631028e+16,
+              -2.516728322596197e+16, -2.398069083874845e+16,
+              -1.8589451917613564e+16, -0.3333333333333333,
+              -8.569867881792098e-59, -4.0283593678612525e-100,
+              -5.50256646855022e-298, 2.225073858507203e-309,
+              1.2254219878234174e-250, 3.3614518026437055e-215, 0.1,
+              5521096773117202.0, 3.6271820830567016e+16,
+              5.43780577572513e+16, 6.517153523215273e+16,
+              1.125645315777873e+57, 9.211092885907159e+108,
+              4.773317959093376e+149, 6.281991808019426e+261]),
+    np.array([869.6263862436099, 869.6091220161173, 869.6263862436099,
+              869.6263862436099, 869.6263862436099, 869.6263862436099,
+              869.6980254470822, 869.6263862436099, 869.5263862436099,
+              869.5972419092316, 869.7162275765156, 869.6263862436099,
+              869.6213938645112, 869.6263862436099, 869.6309161090203,
+              869.5263862436099, 869.7032212495393, 869.6263862436099,
+              869.5807124876171, 869.6263862436099, 869.6263862436099]),
+)
 
 
 @st.composite
@@ -264,23 +290,83 @@ class TestFitExponential:
 
     def test_singular_robust_covariance_fails_typed(self):
         """The delays of this trace collapse onto 0 and 1 once mapped onto
-        [0, 1], so nothing determines T1.  The search stops on rounding
-        noise, and the robust curvature of ln T1 comes out <= 0; a 3x3
-        pseudo-inverse would quote a fit_err of 5e-12 T1 here."""
-        t = [-3.997132512874204e16, -1.819669650805153e16,
-             -2.8792846114472372e-43, 1.0803032747940433e-300, 4.0,
-             2902970192309141.0, 3.295576751751434e16, 6.259979501245557e16,
-             7.739680731601954e21, 7.616605554460365e296]
-        y = [159.07012598561607, 159.07059142964732, 159.0704770574992,
-             159.07012598561607, 159.06950666185475, 159.07012604665124,
-             159.06945927632395, 159.06998858262878, 159.069201880117,
-             159.07012598561607]
+        [0, 1], so nothing determines T1.  The search settles where the
+        projection's Schur complement is still 100 times its rounding
+        error, but under the covariance's weights (1+r^2)^(-3/2) the
+        robust one comes out at a fifth of it."""
+        t = [
+            -1.7976931348623155e+308, -1.5253800899421676e+141,
+            -4.215010742454773e+77, -5.475506323615476e+16,
+            -5.3516997526877464e+16, -2.1528203777046616e+16,
+            -1.202570718806977e+16, -6993926543779202.0, -2.0,
+            -2.070574070804395e-45, -1.8223067419505483e-137,
+            -2.1991775143351227e-209, -2.5642969737894468e-216,
+            2.225073858507e-311, 3.9175547884137296e-221, 0.25,
+            394068626512261.0, 3.257184427107004e+16, 4.331923389248555e+16,
+            4.43465125463544e+16, 6.923087351554497e+16, 2.316641913538014e+23,
+            3.062154923094665e+115, 4.1527545217580495e+291,
+            1.5773595729976401e+305]
+        y = [
+            366.320693936784, 121.74156899553991, 40.45932990688783,
+            13.445898764317858, 4.468250461814092, 1.484827396051354,
+            0.492786551536745, 0.1640241953159729, 0.053925627399021486,
+            0.018346746831521724, 0.006598901595067507, 0.0022891085955595103,
+            0.0006649654685345096, -0.00043846688549321075,
+            7.344387182659976e-05, 0.0009492000710017264,
+            8.111702884015372e-06, 2.6958161476818343e-06,
+            -0.0009717719880763849, 0.00025029774655224544,
+            0.0010000989520911868, 0.0006974289498386388,
+            1.0930025710340314e-08, 0.00010000363211577269,
+            1.2070851817746577e-09]
         with pytest.raises(FitFailureError,
                            match="singular projection: the robust covariance"):
             fit_exponential(DecayTrace(np.array(t), np.array(y)),
                             loss="soft_l1")
 
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("trace", [
+        COLLAPSED_DELAYS_TRACE,
+        DecayTrace(
+            np.array([-3.997132512874204e16, -1.819669650805153e16,
+                      -2.8792846114472372e-43, 1.0803032747940433e-300, 4.0,
+                      2902970192309141.0, 3.295576751751434e16,
+                      6.259979501245557e16, 7.739680731601954e21,
+                      7.616605554460365e296]),
+            np.array([159.07012598561607, 159.07059142964732,
+                      159.0704770574992, 159.07012598561607,
+                      159.06950666185475, 159.07012604665124,
+                      159.06945927632395, 159.06998858262878,
+                      159.069201880117, 159.07012598561607])),
+    ], ids=["21-delays", "10-delays"])
+    def test_rounding_noise_schur_complement_fails_typed(self, trace, loss):
+        """Two traces whose delays collapse onto 0 and 1 once mapped onto
+        [0, 1]: the projection's Schur complement is rounding noise from the
+        first T1 on.  Their linear fits used to quote T1 = 2.1e261 and
+        2.5e296 with fit_errs of 2.7e270 and 5.4e304."""
+        with pytest.raises(FitFailureError,
+                           match="singular projection: the fit does not"):
+            fit_exponential(trace, loss=loss)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_t1_below_the_delay_spacing_fails_typed(self, loss):
+        """10 delays over 0-100 us and a true T1 of 2 us: only the first
+        delay sees the decay through the noise.  The linear fit used to
+        creep for 145 projections to T1 = 0.40 us with a fit_err of
+        1022 us."""
+        trace = make_trace(t1=2.0, amplitude=0.9, offset=0.05, n=10,
+                           t_max=100.0, noise=0.01, seed=3)
+        with pytest.raises(FitFailureError, match="below the delay spacing"):
+            fit_exponential(trace, loss=loss)
+
+    def test_t1_below_the_delay_spacing_stays_fitted_without_noise(self):
+        """The same trace without noise still determines T1: the decay
+        keeps 4e-3 of its drop at the second delay."""
+        trace = make_trace(t1=2.0, amplitude=0.9, offset=0.05, n=10,
+                           t_max=100.0)
+        assert fit_exponential(trace).t1_us == pytest.approx(2.0, rel=1e-9)
+
     @given(trace=arbitrary_traces(), loss=st.sampled_from(LOSSES))
+    @example(trace=COLLAPSED_DELAYS_TRACE, loss="soft_l1")
     @settings(max_examples=300, deadline=None)
     def test_any_finite_trace_fits_or_fails_typed(self, trace, loss):
         """Every finite trace gives a finite positive T1 or a FitFailureError;
@@ -341,6 +427,76 @@ class TestNewtonStep:
         for trace, loss in campaign_traces(50):
             fit_exponential(trace, loss=loss)
         assert calls < 1.1 * 289
+
+
+class TestProjectionCost:
+    def test_one_product_moments_match_two_products(self):
+        """The moments of f and f^2 from one matrix product agree with two
+        matrix-vector products to 1e-13 of the sums of their magnitudes, at
+        the start, the optimum and 1 either side of it in ln T1, under unit
+        and uneven weights."""
+        worst = 0.0
+        for i, (trace, _) in enumerate(campaign_traces(50)):
+            x, y, unit = unit_weight_problem(trace)
+            w = np.random.default_rng(i).uniform(0.1, 1.0, x.size)
+            uneven = _Weights(_basis(x, y), w)
+            span = trace.delays_us[-1] - trace.delays_us[0]
+            best = math.log(fit_exponential(trace).t1_us / span)
+            for s in (math.log(_initial_guess(x, y)), best - 1.0, best,
+                      best + 1.0):
+                f = np.expm1(x * -math.exp(-s))
+                ff = np.stack((f, f * f))
+                for wt in (unit, uneven):
+                    two = np.concatenate((wt.rows @ f, wt.rows @ (f * f)))
+                    size = np.concatenate((np.abs(wt.rows) @ np.abs(ff).T).T)
+                    one = np.array(wt.moments(ff))
+                    worst = max(worst, float(np.max(np.abs(one - two) / size)))
+        assert worst < 1e-13
+
+    def test_reweighted_projection_reuses_f(self):
+        """A projection handed the f and f^2 of an earlier one at the same s
+        equals a fresh one under the new weights, to the last bit."""
+        for trace, loss in campaign_traces(50):
+            if loss != "soft_l1":
+                continue
+            x, y, unit = unit_weight_problem(trace)
+            s = math.log(_initial_guess(x, y))
+            fit = _project(x, y, unit, s)
+            wt = _Weights(_basis(x, y), 1.0 / np.hypot(1.0, fit.r))
+            reused = _project(x, y, wt, s, fit.ff)
+            fresh = _project(x, y, wt, s)
+            assert reused.ff is fit.ff
+            for name in ("cost", "step", "h", "curv", "a", "c"):
+                assert getattr(reused, name) == getattr(fresh, name)
+            np.testing.assert_array_equal(reused.ff, fresh.ff)
+            np.testing.assert_array_equal(reused.r, fresh.r)
+
+    def test_robust_fit_calls_expm1_once_per_trial_point(self, monkeypatch):
+        """Every reweight projects again at an s whose f is known; only a
+        new s evaluates the exponential."""
+        expm1, trials, projections = np.expm1, set(), 0
+
+        def counted_expm1(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return expm1(*args, **kwargs)
+
+        def recorded(*args):
+            nonlocal projections
+            projections += 1
+            trials.add(args[3])
+            return _project(*args)
+
+        monkeypatch.setattr(qubitfit, "_project", recorded)
+        for trace, loss in campaign_traces(50):
+            if loss != "soft_l1":
+                continue
+            calls, projections = 0, 0
+            trials.clear()
+            monkeypatch.setattr(np, "expm1", counted_expm1)
+            fit_exponential(trace, loss=loss)
+            monkeypatch.setattr(np, "expm1", expm1)
+            assert calls <= len(trials) < projections
 
 
 class TestT1Statistics:
@@ -445,16 +601,18 @@ class TestPurcellLimit:
         with pytest.raises(InvalidInputError):
             PurcellParams.from_cyclic(delta_ghz=2.0, kappa_khz=50.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
-                             ids=["nan", "inf", "-inf", "int1e400"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400, 10**5000],
+        ids=["nan", "inf", "-inf", "int1e400", "int1e5000"])
     @pytest.mark.parametrize("field", ["kappa", "delta", "g", "chi"])
     def test_non_finite_parameter_rejected(self, field, value):
         """NaN passes every comparison; it used to give a Purcell limit of
-        nan, an infinite kappa one of 0, and an int beyond the float range
-        an OverflowError."""
+        nan, an infinite kappa one of 0, an int beyond the float range an
+        OverflowError, and one of more than 4300 digits the message's
+        int-to-str conversion ValueError."""
         given = {"kappa": 2e5, "delta": 1e10, "g": 2e8, "chi": 4e6, field: value}
-        with pytest.raises(InvalidInputError,
-                           match=f"{field} must be finite, got {value}"):
+        with pytest.raises(InvalidInputError, match=(
+                f"{field} must be finite, got {shown(value)}")):
             PurcellParams(**given)
 
 
