@@ -60,7 +60,8 @@ def check_interdigital_width(width_um: float) -> None:
     lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
     if not lo <= width_um <= hi:
         raise InvalidInputError(
-            f"gap/finger width must lie in [{lo:g}, {hi:g}] um, got {width_um}"
+            f"gap/finger width must lie in [{lo:g}, {hi:g}] um, "
+            f"got {shown(width_um)}"
         )
 
 
@@ -234,8 +235,12 @@ def interdigital_unit_cell(
     rather than the global fixed default, so that sweeping the width keeps
     the cutoff proportional to the feature size.
     """
+    # checked before float(), which overflows on an int beyond the range
+    check_interdigital_width(gap_and_finger_width)
     w = float(gap_and_finger_width)
-    check_interdigital_width(w)
+    if not is_finite(n_fingers):
+        raise InvalidInputError(
+            f"n_fingers must be finite, got {shown(n_fingers)}")
     if n_fingers % 2 == 0:
         raise InvalidInputError(f"n_fingers must be odd, got {n_fingers}")
     if n_fingers < 5:

@@ -19,14 +19,13 @@ import json
 import math
 import numbers
 import os
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import InvalidInputError, QSurfLossError
+from .errors import InvalidInputError, QSurfLossError, is_finite, shown
 from .geometry import SAPPHIRE_EPS_REL
 from .lossmodel import (
     FITTERS,
@@ -79,11 +78,12 @@ class SweepConfig:
                 kind, noun = numbers.Integral, "an integer"
             else:
                 kind, noun = numbers.Real, "a number"
-            # the bound also refuses NaN, infinities and ints beyond a float
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or not abs(value) <= sys.float_info.max):
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise InvalidInputError(
                     f"sweep {f.name} must be {noun}, got {value!r}")
+            if not is_finite(value):
+                raise InvalidInputError(
+                    f"sweep {f.name} must be {noun}, got {shown(value)}")
         if self.points > MAX_SWEEP_POINTS:
             raise InvalidInputError(f"sweep points must be at most "
                                     f"{MAX_SWEEP_POINTS}, got {self.points}")

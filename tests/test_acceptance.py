@@ -83,6 +83,15 @@ def test_criterion_2_junction_model_fit(grouped_points):
     )
 
 
+def test_paper_headline_sm_loss_tangent_bound(grouped_points):
+    """The paper bounds the loss tangent of the 1 nm substrate-metal layer
+    below 8.9e-4: the two-term fit's tan_d_sm plus its 1-sigma error on the
+    bundled table, read to two digits."""
+    fit = fit_sm_plus_j(grouped_points)
+    bound = fit.tan_d_sm + fit.stderr["tan_d_sm"]
+    assert f"{bound:.1e}" == "8.9e-04"
+
+
 def test_criterion_3_q0_model_fit(grouped_points):
     """Q0 variant: tan_d_sm in [6.6e-4, 1.0e-3], Q0 in [5.7e6, 8.5e6]."""
     start = time.perf_counter()

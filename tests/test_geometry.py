@@ -121,6 +121,21 @@ class TestInterdigitalUnitCell:
         with pytest.raises(InvalidInputError):
             interdigital_unit_cell(200.0, 7)
 
+    @pytest.mark.parametrize("width, n_fingers, message", [
+        (3.0, 10**5000, "n_fingers must be finite, got an int of 5001 digits"),
+        (3.0, math.inf, "n_fingers must be finite, got inf"),
+        (10**5000, 5, "um, got an int of 5001 digits"),
+        (10**400, 5, "um, got 1000"),
+        (math.nan, 5, "um, got nan"),
+    ], ids=["n-int1e5000", "n-inf", "width-int1e5000",
+            "width-int1e400", "width-nan"])
+    def test_non_finite_argument_rejected(self, width, n_fingers, message):
+        """An int of more than 4300 digits used to end in the message's
+        int-to-str ValueError, and a width beyond the float range in the
+        OverflowError of float()."""
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            interdigital_unit_cell(width, n_fingers)
+
     def test_cutoff_scales_with_width(self):
         assert interdigital_unit_cell(1.0, 7).edge_cutoff == pytest.approx(1e-3)
         assert interdigital_unit_cell(20.0, 7).edge_cutoff == pytest.approx(2e-2)

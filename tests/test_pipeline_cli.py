@@ -404,6 +404,19 @@ class TestConfigErrors:
                            match="sweep width_max_um must be a number, got inf"):
             SweepConfig(width_max_um=float("inf"))
 
+    @pytest.mark.parametrize("field, noun", [
+        ("points", "an integer"), ("width_max_um", "a number"),
+        ("t_sm_nm", "a number"), ("cutoff_um", "a number"),
+    ])
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)],
+                             ids=["int1e5000", "-int1e5000"])
+    def test_overlong_int_sweep_field_rejected(self, field, noun, value):
+        """An int of more than 4300 digits is shown by its digit count; the
+        message used to end in the int-to-str ValueError."""
+        with pytest.raises(InvalidInputError, match=(
+                f"sweep {field} must be {noun}, got an int of 5001 digits")):
+            SweepConfig(**{field: value})
+
     def test_unknown_top_level_key(self, tmp_path):
         result = _run_report(tmp_path, json.dumps({
             "modles": ["sm+j"],

@@ -24,7 +24,9 @@ from qsurfloss.errors import shown
 from qsurfloss.qubitfit import (
     LOSSES,
     _basis,
+    _T1_MIN_STEPS,
     _initial_guess,
+    _integral_start,
     _noise_floor,
     _project,
     _Weights,
@@ -103,12 +105,21 @@ def pinv_robust_fit_err(trace, estimate):
 
 
 def unit_weight_problem(trace):
-    """The fit's delays mapped onto [0, 1], its populations scaled into
-    [-1, 1], and unit weights on the moment basis."""
+    """The fit's delays mapped onto [0, 1], its populations divided by
+    their largest magnitude, and unit weights on the moment basis."""
     t, y = trace.delays_us, trace.populations
     x = (t - t[0]) / (t[-1] - t[0])
-    y = y / max(1.0, -float(y.min()), float(y.max()))
+    y = y / max(-float(y.min()), float(y.max()))
     return x, y, _Weights(_basis(x, y))
+
+
+def trapezoid_regression_rate(x, y):
+    """c2 of the least-squares fit y ~ c0 + c1 x + c2 I by ``lstsq``, with
+    I the cumulative trapezoid integral of y."""
+    integral = np.concatenate(([0.0], np.cumsum(
+        0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+    design = np.column_stack((np.ones_like(x), x, integral))
+    return np.linalg.lstsq(design, y, rcond=None)[0][2]
 
 
 def cost_derivatives(x, y, wt, s, d=1e-3):
@@ -365,6 +376,33 @@ class TestFitExponential:
                            t_max=100.0)
         assert fit_exponential(trace).t1_us == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+    def test_tiny_populations_do_not_underflow(self, scale, loss):
+        """Every trace is divided by its largest magnitude, so the squared
+        amplitude and the moments of a clean decay of magnitude 1e-160 and
+        below stay representable.  Scaled only above 1, the 1e-160 trace
+        returned 29.03 us and the others failed as singular projections."""
+        trace = make_trace(t1=30.0, amplitude=0.9, offset=0.05, t_max=100.0)
+        estimate = fit_exponential(
+            DecayTrace(trace.delays_us, trace.populations * scale), loss=loss)
+        assert estimate.t1_us == pytest.approx(30.0, rel=1e-9)
+        assert estimate.amplitude == pytest.approx(0.9 * scale, rel=1e-9)
+
+    def test_all_zero_trace_fails_typed(self):
+        """Scaling by the largest magnitude does not divide by zero."""
+        with pytest.raises(FitFailureError, match="no visible decay"):
+            fit_exponential(DecayTrace(np.arange(16.0), np.zeros(16)))
+
+    def test_unrepresentable_fit_err_fails_typed(self):
+        """63 noisy delays over 3.5e306 us: T1 = 1.5e308 us is a float, but
+        its 1-sigma error is not, and the fit used to quote fit_err = inf."""
+        trace = make_trace(t1=1.05e307, n=63, t_max=3.5e306, noise=0.02,
+                           seed=3)
+        with pytest.raises(FitFailureError,
+                           match="fit_err = inf is not a representable"):
+            fit_exponential(trace)
+
     @given(trace=arbitrary_traces(), loss=st.sampled_from(LOSSES))
     @example(trace=COLLAPSED_DELAYS_TRACE, loss="soft_l1")
     @settings(max_examples=300, deadline=None)
@@ -398,9 +436,9 @@ class TestNewtonStep:
                     assert fit.step == pytest.approx(-g / newton, rel=1e-5)
 
     def test_gauss_newton_fallback_where_curvature_is_negative(self):
-        """At its starting T1 the reduced cost of this outlier trace is
-        concave; the first step is Gauss-Newton's, and the fit still lands
-        on the reference optimum."""
+        """At its 1/e crossing the reduced cost of this outlier trace is
+        concave; the step from there is Gauss-Newton's, and the fit still
+        lands on the reference optimum."""
         trace, loss = next(campaign_traces(1))
         x, y, wt = unit_weight_problem(trace)
         s = math.log(_initial_guess(x, y))
@@ -413,9 +451,10 @@ class TestNewtonStep:
             t1, rel=1e-6)
 
     def test_projection_count_stays_at_newton_convergence(self, monkeypatch):
-        """The 50 campaign traces take 289 projections with Newton steps
-        (380 with Gauss-Newton ones); a slide back to linear convergence
-        pushes the count past 10 % above that."""
+        """The 50 campaign traces take 199 projections with Newton steps
+        from the integral-equation start (287 from the 1/e crossing, 380
+        with Gauss-Newton steps); a slide back to linear convergence or to
+        the old start pushes the count past 10 % above that."""
         calls = 0
 
         def counted(*args):
@@ -426,7 +465,41 @@ class TestNewtonStep:
         monkeypatch.setattr(qubitfit, "_project", counted)
         for trace, loss in campaign_traces(50):
             fit_exponential(trace, loss=loss)
-        assert calls < 1.1 * 289
+        assert calls < 1.1 * 199
+
+
+class TestIntegralStart:
+    def test_start_lies_near_the_optimum(self):
+        """On every linear campaign trace the integral-equation start lies
+        within 0.05 of the converged ln T1 (the 1/e crossing lies up to
+        0.19 off), and it is -ln c2 of the same regression by ``lstsq``."""
+        checked = 0
+        for trace, loss in campaign_traces(50):
+            if loss != "linear":
+                continue
+            x, y, wt = unit_weight_problem(trace)
+            s = _integral_start(x, y, wt, _T1_MIN_STEPS * x[1])
+            span = trace.delays_us[-1] - trace.delays_us[0]
+            best = math.log(fit_exponential(trace).t1_us / span)
+            assert abs(s - best) < 0.05
+            assert s == pytest.approx(
+                -math.log(-trapezoid_regression_rate(x, y)), abs=1e-10)
+            checked += 1
+        assert checked == 42
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_growth_takes_the_fallback_and_fails_typed(self, loss):
+        """An exponential growth regresses to c2 > 0: no decay, so the search
+        starts from the 1/e crossing and, as from there before, fails as a
+        T1 that runs off to infinity."""
+        trace = DecayTrace(np.linspace(0.0, 100.0, 32),
+                           np.exp(np.linspace(0.0, 100.0, 32) / 30.0))
+        x, y, wt = unit_weight_problem(trace)
+        assert trapezoid_regression_rate(x, y) > 0.0
+        assert _integral_start(x, y, wt, _T1_MIN_STEPS * x[1]) == math.log(
+            _initial_guess(x, y))
+        with pytest.raises(FitFailureError, match="runs off to infinity"):
+            fit_exponential(trace, loss=loss)
 
 
 class TestProjectionCost:
@@ -616,7 +689,21 @@ class TestPurcellLimit:
             PurcellParams(**given)
 
 
+#: A T1 and a Purcell limit one ulp above it, whose rates 1/T round to the
+#: same float.
+ULP_T1_US = 6369.979911527222
+ULP_T_PURCELL_MS = math.nextafter(ULP_T1_US, math.inf) / 1e3
+
+
 class TestPurcellSubtraction:
+    def test_rates_that_round_to_equal_are_inconsistent(self):
+        """T_Purcell exceeds T1, but not by enough to leave a rate between
+        them; the subtraction used to divide by zero."""
+        assert ULP_T_PURCELL_MS * 1e3 > ULP_T1_US
+        assert 1.0 / ULP_T1_US == 1.0 / (ULP_T_PURCELL_MS * 1e3)
+        with pytest.raises(InvalidInputError, match="inconsistent inputs"):
+            purcell_subtract_q(ULP_T1_US, ULP_T_PURCELL_MS, 4.5)
+
     def test_reference_row_d3_1(self):
         q = purcell_subtract_q(116.3, 9.3, 4.21)
         assert q == pytest.approx(3.12e6, rel=0.01)
@@ -659,6 +746,37 @@ class TestQStatisticsFromRounds:
         a, _ = q_statistics_from_rounds([150.0] * 5, 8.0, 4.2)
         b = purcell_subtract_q(150.0, 8.0, 4.2)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @given(t1=st.floats(min_value=1.0, max_value=1e4),
+           ratio=st.floats(min_value=1.01, max_value=1e4),
+           omega=st.floats(min_value=3.0, max_value=6.0))
+    @settings(max_examples=100, deadline=None)
+    def test_one_round_is_the_per_round_q_to_the_bit(self, t1, ratio, omega):
+        """The array pass performs the per-round operations in their order."""
+        t_purcell_ms = t1 * ratio / 1e3
+        assert q_statistics_from_rounds([t1], t_purcell_ms, omega) == (
+            purcell_subtract_q(t1, t_purcell_ms, omega), 0.0)
+
+    def test_campaign_rounds_match_the_per_round_loop_exactly(self):
+        rounds = np.random.default_rng(4).uniform(50.0, 300.0, 18).tolist()
+        qs = np.array([purcell_subtract_q(r, 4.7, 4.4) for r in rounds])
+        assert q_statistics_from_rounds(rounds, 4.7, 4.4) == (
+            float(qs.mean()), float(qs.std()))
+
+    @pytest.mark.parametrize("rounds, t_purcell_ms, omega_q_ghz, message", [
+        ([180.0, -5.0, 300.0], 0.25, 4.5, "t1 must be > 0"),
+        ([180.0, 300.0, -5.0], 0.25, 4.5, "T1 = 300 us"),
+        ([180.0, float("nan")], 0.25, 4.5, "T1 = nan us"),
+        ([180.0], 0.0, 4.5, "T_Purcell = 0 ms"),
+        ([180.0], 0.25, 0.0, "omega_q must be > 0"),
+        ([180.0, ULP_T1_US], ULP_T_PURCELL_MS, 4.5, "inconsistent"),
+    ])
+    def test_first_offending_round_raises_its_own_error(
+            self, rounds, t_purcell_ms, omega_q_ghz, message):
+        """The checks and messages of the per-round conversion, raised for
+        the first round that fails them."""
+        with pytest.raises(InvalidInputError, match=message):
+            q_statistics_from_rounds(rounds, t_purcell_ms, omega_q_ghz)
 
 
 class TestTraceIO:
