@@ -33,6 +33,10 @@ INTERDIGITAL_WIDTH_RANGE_UM = (0.1, 100.0)
 #: Fewest Chebyshev terms per strip a section is solved at.
 MIN_TERMS_PER_STRIP = 8
 
+#: Most fingers an interdigital cell takes.  At the fewest terms per strip
+#: this many fingers are already a dense solve of 8008 unknowns (0.5 GB).
+MAX_INTERDIGITAL_FINGERS = 1001
+
 
 @dataclass(frozen=True)
 class Strip:
@@ -227,7 +231,8 @@ def interdigital_unit_cell(
     carry alternating potentials ``+0.5, -0.5, ...`` V.  The center strip is
     flagged as the representative cell so that participation extraction sees
     a cell shielded from the finite-array edges; for that reason
-    ``n_fingers`` must be odd and at least 5.  The width sweep evaluates the
+    ``n_fingers`` must be odd and at least 5, and it is at most
+    ``MAX_INTERDIGITAL_FINGERS``.  The width sweep evaluates the
     infinite array in closed form instead; solving this cell with more
     fingers converges to that closed form and so cross-checks it.
 
@@ -245,6 +250,9 @@ def interdigital_unit_cell(
         raise InvalidInputError(f"n_fingers must be odd, got {n_fingers}")
     if n_fingers < 5:
         raise InvalidInputError(f"n_fingers must be >= 5, got {n_fingers}")
+    if n_fingers > MAX_INTERDIGITAL_FINGERS:
+        raise InvalidInputError(
+            f"n_fingers must be <= {MAX_INTERDIGITAL_FINGERS}, got {n_fingers}")
     if edge_cutoff is None:
         edge_cutoff = w * INTERDIGITAL_CUTOFF_FRACTION
     strips = [

@@ -138,7 +138,8 @@ def _layer_energies(
     """:func:`layer_energy` of each of ``specs``, keyed by region.  The
     edge-cut square integral over the strips (SM, MA) and over the gaps
     (SA) is taken at most once each: SM and MA differ only by a constant
-    factor."""
+    factor.  At the geometry's own cutoff it is the one the solution keeps,
+    shared with the refinement level that produced it."""
     geom = sol.geometry
     cutoff = geom.edge_cutoff if cutoff_um is None else cutoff_um
     integrals: dict[bool, float] = {}
@@ -152,7 +153,9 @@ def _layer_energies(
                 "no gap field samples available for the SA region"
             )
         if gaps not in integrals:
-            integrals[gaps] = edge_cut_square_integral(sol, cutoff * UM, gaps=gaps)
+            integrals[gaps] = (
+                sol._edge_integral(gaps) if cutoff == geom.edge_cutoff
+                else edge_cut_square_integral(sol, cutoff * UM, gaps=gaps))
         eps_i = spec.eps_rel * epsilon_0
         total = integrals[gaps]
         if not gaps:
@@ -173,7 +176,11 @@ def participation_set(
     ``p_region = layer_energy / U`` where U is the total energy per unit
     length, or the representative cell's energy share when the geometry
     flags one.  Duplicate regions in ``specs`` are rejected; regions
-    not requested come back as ``None``.
+    not requested come back as ``None``.  At the geometry's edge cutoff
+    the layer integrals are the ones ``sol`` keeps: a solution returned by
+    :func:`~qsurfloss.solver.refine_until_converged` already took them to
+    check its convergence, so no integral is taken again.  Another
+    ``cutoff_um`` integrates afresh.
     """
     geom = sol.geometry
     u_total = sol.cell()[2]

@@ -423,7 +423,8 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
         # the Gauss-Newton curvature of the robust cost at the fit's A and k:
         # weights rho' + 2 z rho'', which is (1 + z)^(-3/2) for soft_l1 with
         # z = (y_scale r)^2, on the columns (e, A k x e, 1), e = 1 + f, so
-        # that x^2 e^2 needs no cancellation; chi2 = sum(rho) / dof
+        # that x^2 e^2 needs no cancellation; chi2 = sum(rho) / dof, with
+        # rho / 2v = u - v summed as r^2 / (u + v), which does not cancel
         u = np.hypot(v, fit.r)
         rows = basis[::2] * np.maximum((v / u) ** 3, _EPS)
         e = fit.ff[0] + 1.0
@@ -439,7 +440,7 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
                 "determine T1"
             )
         ak = fit.a * math.exp(-s)
-        chi2 = 2.0 * v * float(np.sum(u - v)) / (n - 3)
+        chi2 = 2.0 * v * float(np.sum(fit.r * fit.r / (u + v))) / (n - 3)
         var_s = chi2 / (ak * ak) / h
     else:
         var_s = fit.cost / (n - 3) / fit.h

@@ -33,8 +33,7 @@ remains in micrometres.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -96,6 +95,9 @@ class FieldSolution:
     elements_per_strip: int     # Chebyshev terms per strip, M
     refinement_levels: int = 0
     estimated_rel_error: float | None = None
+    # edge_cut_square_integral at the geometry's own cutoff, keyed by gaps
+    _edge_integrals: dict[bool, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def charge_density(self) -> np.ndarray:
@@ -122,6 +124,16 @@ class FieldSolution:
         if ci < len(self.strips) - 1:
             right = 0.5 * (right + self.strips[ci + 1].x_left)
         return left, right, 0.5 * abs(strip.charge * strip.potential)
+
+    def _edge_integral(self, gaps: bool) -> float:
+        """:func:`edge_cut_square_integral` over the strips, or with
+        ``gaps=True`` over the gaps, at ``geometry.edge_cutoff``: taken once
+        per field component and kept, so the refinement's convergence check
+        and the participations of the same level share it."""
+        if gaps not in self._edge_integrals:
+            self._edge_integrals[gaps] = edge_cut_square_integral(
+                self, self.geometry.edge_cutoff * UM, gaps=gaps)
+        return self._edge_integrals[gaps]
 
 
 def _exterior(
@@ -363,8 +375,7 @@ def _refinement_measures(sol: FieldSolution) -> list[float]:
         return [sol.energy_per_len]
     u_cell = sol.cell()[2]
     return [sol.energy_per_len] + [
-        edge_cut_square_integral(sol, cutoff_m, gaps=on_gaps) / u_cell
-        for on_gaps in (False, True)
+        sol._edge_integral(on_gaps) / u_cell for on_gaps in (False, True)
     ]
 
 
@@ -385,6 +396,9 @@ def refine_until_converged(
     cutoff, where the layer integrals diverge); the returned solution,
     whose ``geometry`` is the last copy, carries the achieved level and the
     largest last relative change as the discretization-error estimate.
+    Each level takes its two edge-cut integrals once and keeps them, so
+    :func:`~qsurfloss.participation.participation_set` at the geometry's
+    cutoff reads the last level's instead of integrating again.
 
     Raises
     ------
@@ -429,25 +443,22 @@ def solution_to_csv(sol: FieldSolution, path) -> None:
     (tangential field is zero on a conductor); gap rows sit at the Chebyshev
     points of each gap and carry the tangential field.  An extra
     ``segment`` column identifies the source segment.
-    """
-    def cells(arrays) -> list[str]:
-        return ["%.9g" % v for a in arrays for v in a.tolist()]
 
-    strips, gaps = sol.strips, sol.gaps
-    n_strip = sum(s.centers.size for s in strips)
-    n_gap = sum(g.centers.size for g in gaps)
-    e_perp = cells(s.e_perp for s in strips) + ["0"] * n_gap
-    columns = [
-        cells(seg.centers / UM for seg in [*strips, *gaps]),
-        cells(s.charge_density for s in strips) + ["0"] * n_gap,
-        e_perp,
-        e_perp,
-        ["0"] * n_strip + cells(g.e_par for g in gaps),
-        [f"strip{s.index}" for s in strips for _ in range(s.centers.size)]
-        + [f"gap{g.index}" for g in gaps for _ in range(g.centers.size)],
-    ]
+    The bytes are those of :func:`csv.writer`: numbers as ``%.9g``, a
+    column the segment does not carry as ``0``, no cell quoted (none holds
+    a comma, quote or line break) and every line ended by CRLF.  The file is formatted by one
+    ``%`` on a row template repeated per sample, and written at once.
+    """
+    template = ["x_um,sigma_c_per_m2,e_perp_sub_v_per_m,e_perp_vac_v_per_m,"
+                "e_par_v_per_m,segment\r\n"]
+    values: list[float] = []
+    for s in sol.strips:
+        template.append(f"%.9g,%.9g,%.9g,%.9g,0,strip{s.index}\r\n" * s.centers.size)
+        values += np.column_stack(
+            [s.centers / UM, s.charge_density, s.e_perp, s.e_perp]).ravel().tolist()
+    for g in sol.gaps:
+        template.append(f"%.9g,0,0,0,%.9g,gap{g.index}\r\n" * g.centers.size)
+        values += np.column_stack([g.centers / UM, g.e_par]).ravel().tolist()
+    text = "".join(template) % tuple(values)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_um", "sigma_c_per_m2", "e_perp_sub_v_per_m",
-                         "e_perp_vac_v_per_m", "e_par_v_per_m", "segment"])
-        writer.writerows(zip(*columns))
+        fh.write(text)

@@ -5,9 +5,13 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from qsurfloss import CrossSection, InvalidInputError, Strip, interdigital_unit_cell
+from qsurfloss import CrossSection, InvalidInputError, Strip, geometry, interdigital_unit_cell
 from qsurfloss.errors import shown
-from qsurfloss.geometry import dump_cross_section, load_cross_section
+from qsurfloss.geometry import (
+    MAX_INTERDIGITAL_FINGERS,
+    dump_cross_section,
+    load_cross_section,
+)
 
 
 class TestCrossSectionValidation:
@@ -114,6 +118,20 @@ class TestInterdigitalUnitCell:
     def test_too_few_fingers_rejected(self):
         with pytest.raises(InvalidInputError, match=">= 5"):
             interdigital_unit_cell(10.0, 3)
+
+    def test_too_many_fingers_rejected_before_any_strip_is_built(self, monkeypatch):
+        """One Strip per finger made 10**8 + 1 fingers about 46 GB."""
+        built = []
+        monkeypatch.setattr(geometry, "Strip", lambda *args: built.append(args))
+        with pytest.raises(InvalidInputError,
+                           match=f"<= {MAX_INTERDIGITAL_FINGERS}, got 100000001"):
+            interdigital_unit_cell(10.0, 10**8 + 1)
+        assert built == []
+
+    def test_most_fingers_accepted(self):
+        geom = interdigital_unit_cell(1.0, MAX_INTERDIGITAL_FINGERS)
+        assert len(geom.strips) == MAX_INTERDIGITAL_FINGERS
+        assert geom.representative_cell == MAX_INTERDIGITAL_FINGERS // 2
 
     def test_width_range_enforced(self):
         with pytest.raises(InvalidInputError):

@@ -20,10 +20,11 @@ from qsurfloss import (
     layer_energy,
     participation_set,
     psm_width_sweep,
+    refine_until_converged,
     solve_cross_section,
     write_sweep_csv,
 )
-from qsurfloss import participation
+from qsurfloss import participation, solver
 from qsurfloss.errors import shown
 from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
@@ -180,6 +181,35 @@ class TestParticipationSet:
         pset = participation_set(sol, specs, cutoff_um=0.02)
         assert sorted(on_gaps) == [False, True]
         assert [pset.p_sm, pset.p_sa, pset.p_ma] == expected
+
+    def test_refinement_and_participations_share_the_last_integrals(
+            self, monkeypatch):
+        """The refinement takes each level's strip and gap integrals once,
+        and participation_set at the geometry's cutoff reads the last
+        level's instead of integrating again; its ratios equal fresh
+        integrals of the returned solution to the last bit."""
+        geom = CrossSection([Strip(0.0, 4.0, 1.0), Strip(6.0, 8.0, 0.0),
+                             Strip(17.0, 5.0, -0.3)], discretization=16)
+        specs = [DEFAULT_SM_SPEC.with_region(region) for region in InterfaceRegion]
+        on_gaps = []
+
+        def counted(*args, gaps=False):
+            on_gaps.append(gaps)
+            return integral(*args, gaps=gaps)
+
+        integral = solver.edge_cut_square_integral
+        monkeypatch.setattr(solver, "edge_cut_square_integral", counted)
+        monkeypatch.setattr(participation, "edge_cut_square_integral", counted)
+        sol = refine_until_converged(geom, 1e-4)
+        pset = participation_set(sol, specs)
+        assert sol.refinement_levels >= 1
+        assert len(on_gaps) == 2 * (sol.refinement_levels + 1)
+
+        on_gaps.clear()
+        fresh = participation_set(replace(sol), specs)  # keeps no integral
+        assert sorted(on_gaps) == [False, True]
+        assert [pset.p_sm, pset.p_sa, pset.p_ma] == [
+            fresh.p_sm, fresh.p_sa, fresh.p_ma]
 
     def test_duplicate_regions_rejected(self, two_strip_sol):
         with pytest.raises(InvalidInputError, match="duplicate"):

@@ -260,6 +260,16 @@ class TestFitExponential:
         estimate = fit_exponential(trace, loss="soft_l1")
         assert estimate.t1_us == pytest.approx(T1_REF, rel=0.15)
 
+    def test_robust_fit_err_of_a_nearly_noiseless_trace(self):
+        """At noise 1e-9 the soft_l1 chi2, summed as u - v with
+        u = hypot(v, r), cancelled to exactly 0; summed as r^2 / (u + v) it
+        keeps the size of the linear fit's error."""
+        trace = make_trace(t1=30.0, amplitude=0.9, offset=0.05, noise=1e-9)
+        linear = fit_exponential(trace).fit_err_us
+        robust = fit_exponential(trace, loss="soft_l1").fit_err_us
+        assert 0.0 < linear < 1e-6
+        assert 0.5 * linear < robust < 2.0 * linear
+
     @pytest.mark.parametrize("loss", LOSSES)
     def test_straight_ramp_runs_t1_off_to_infinity(self, loss):
         """A straight line is the limit T1 -> infinity of the model."""

@@ -1,8 +1,9 @@
 """The report-bundle writers against the row-by-row writers they replaced.
 
 Each writer now formats whole columns and writes them with one
-``writerows`` call, and ``report.json`` is emitted in one recursion with
-the C-level quoting and number reprs.  The references
+``writerows`` call, the field CSV with one ``%`` on a repeated row
+template, and ``report.json`` is emitted in one recursion with the C-level
+quoting and number reprs.  The references
 below are the previous writers, kept here so that every case is compared
 byte for byte.
 """
@@ -118,6 +119,19 @@ def reference_solution_csv(sol, path):
             for x, ep in zip(g.centers, g.e_par):
                 writer.writerow([f"{x / UM:.9g}", "0", "0", "0",
                                  f"{ep:.9g}", f"gap{g.index}"])
+
+
+def seeded_section(n_strips, terms):
+    """Asymmetric strip array: unequal widths and gaps on sapphire or
+    silicon, potentials spread over [-1, 0.5] V in a seeded order."""
+    rng = np.random.default_rng([n_strips, terms])
+    x, strips = float(rng.uniform(-50.0, 50.0)), []
+    for v in rng.permutation(np.linspace(-1.0, 0.5, n_strips)):
+        width = float(rng.uniform(4.0, 12.0))
+        strips.append(Strip(round(x, 4), round(width, 4), float(v)))
+        x += width + float(rng.uniform(4.0, 12.0))
+    return CrossSection(strips, eps_sub_rel=float(rng.choice([10.15, 11.7])),
+                        discretization=terms)
 
 
 def _nine_digits(obj):
@@ -267,3 +281,12 @@ class TestSweepAndFieldWriters:
     def test_solution_csv(self, tmp_path, section):
         assert_same_bytes(tmp_path, solution_to_csv, reference_solution_csv,
                           solve_cross_section(section))
+
+    @pytest.mark.parametrize("terms", [16, 32])
+    @pytest.mark.parametrize("n_strips", [3, 4, 5, 6])
+    def test_solution_csv_of_seeded_sections(self, tmp_path, n_strips, terms):
+        """CRLF line ends, no quoting, negative potentials and fields."""
+        sol = solve_cross_section(seeded_section(n_strips, terms))
+        assert min(sol.geometry.potentials) == -1.0
+        assert_same_bytes(tmp_path, solution_to_csv, reference_solution_csv,
+                          sol)
