@@ -8,6 +8,8 @@ between vacuum (above) and a dielectric substrate half-space (below).
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
@@ -86,13 +88,13 @@ class CrossSection:
         Exclusion distance (um) around strip edges applied to layer-energy
         integrals; must be smaller than half the narrowest strip.
     discretization:
-        Chebyshev terms per strip (>= ``MIN_TERMS_PER_STRIP``) of a solve,
-        and the fewest a refinement returns; it checks them against half
-        as many.
+        Chebyshev terms per strip, an integer (>= ``MIN_TERMS_PER_STRIP``),
+        of a solve, and the fewest a refinement returns; it checks them
+        against half as many.
     representative_cell:
-        Index of the strip whose cell (strip plus half of each adjacent
-        gap) represents the periodic interior of a finger array; ``None``
-        for geometries without one.
+        Index of the strip, not at 0 V, whose cell (strip plus half of each
+        adjacent gap) represents the periodic interior of a finger array;
+        ``None`` for geometries without one.
 
     Every number must be finite.  The section is immutable and checked once,
     when built; :func:`dataclasses.replace` and the methods below check
@@ -112,12 +114,12 @@ class CrossSection:
         object.__setattr__(self, "strips", strips)
         if len(strips) < 1:
             raise InvalidInputError("cross section needs at least one strip")
-        numbers = {f"strips[{i}].{name}": getattr(s, name)
-                   for i, s in enumerate(strips)
-                   for name in ("x_start", "width", "potential")}
-        numbers.update((name, getattr(self, name)) for name in
-                       ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"))
-        for name, value in numbers.items():
+        reals = {f"strips[{i}].{name}": getattr(s, name)
+                 for i, s in enumerate(strips)
+                 for name in ("x_start", "width", "potential")}
+        reals.update((name, getattr(self, name)) for name in
+                     ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"))
+        for name, value in reals.items():
             if not is_finite(value):
                 raise InvalidInputError(
                     f"{name} must be finite, got {shown(value)}")
@@ -138,17 +140,24 @@ class CrossSection:
         if self.eps_vac_rel <= 0.0:
             raise InvalidInputError(f"eps_vac_rel must be > 0, got {self.eps_vac_rel}")
         check_edge_cutoff(self.edge_cutoff, min(s.width for s in strips))
+        cell = self.representative_cell
+        for name, value in (("discretization", self.discretization),
+                            ("representative_cell", 0 if cell is None else cell)):
+            # a solve cannot size its arrays by 16.5, and True indexes as 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(
+                    f"{name} must be an integer, got {shown(value)}")
         if self.discretization < MIN_TERMS_PER_STRIP:
             raise InvalidInputError(
                 f"discretization must be >= {MIN_TERMS_PER_STRIP} terms per strip, "
                 f"got {self.discretization}"
             )
-        if self.representative_cell is not None and not (
-            0 <= self.representative_cell < len(strips)
-        ):
+        if cell is not None and not 0 <= cell < len(strips):
             raise InvalidInputError(
-                f"representative_cell index {self.representative_cell} out of range"
-            )
+                f"representative_cell index {shown(cell)} out of range")
+        if cell is not None and strips[cell].potential == 0.0:
+            raise InvalidInputError(f"representative_cell strip {cell} sits at 0 V, "
+                                    "where its cell energy 1/2 |q V| is zero")
 
     @property
     def potentials(self) -> list[float]:
@@ -182,24 +191,25 @@ class CrossSection:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CrossSection":
+        name = "strips"
         try:
-            strips = [
-                Strip(float(s["x_start"]), float(s["width"]), float(s["potential"]))
-                for s in d["strips"]
-            ]
-            return cls(strips, **{name: convert(d[name]) for name, convert
-                                  in _DOCUMENT_FIELDS.items() if name in d})
-        except InvalidInputError:
-            raise
+            strips = [Strip(float(s["x_start"]), float(s["width"]),
+                            float(s["potential"])) for s in d["strips"]]
+            fields = {}
+            for name, convert in _DOCUMENT_FIELDS.items():
+                if name in d:
+                    fields[name] = convert(d[name])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"bad cross-section document: {exc}") from exc
+            raise InvalidInputError(
+                f"bad cross-section document: {name}: {exc}") from exc
+        return cls(strips, **fields)
 
 
 #: Converters of the optional fields of a cross-section document; a field the
-#: document leaves out takes the dataclass default.
+#: document leaves out takes the dataclass default.  ``int`` would truncate 16.5.
 _DOCUMENT_FIELDS = {"eps_sub_rel": float, "eps_vac_rel": float, "edge_cutoff": float,
-                    "discretization": int, "representative_cell": lambda i: i,
-                    "label": str}
+                    "discretization": operator.index,
+                    "representative_cell": lambda i: i, "label": str}
 
 
 def load_cross_section(path) -> CrossSection:

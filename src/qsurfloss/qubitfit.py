@@ -576,33 +576,37 @@ def purcell_limit(params: PurcellParams) -> float:
     return math.inf if t_purcell > UNBOUNDED_PURCELL_S else t_purcell
 
 
-def purcell_subtract_t1(t1_us: float, t_purcell_ms: float) -> float:
-    """Intrinsic T1 (us) after removing the Purcell decay channel."""
-    if t1_us <= 0:
-        raise InvalidInputError("t1 must be > 0")
+def purcell_subtract_t1(t1_us, t_purcell_ms: float):
+    """Intrinsic T1 (us) after removing the Purcell decay channel, a float
+    of one measured T1 or an array of rounds; the first round
+    that fails a check raises its error."""
+    t1 = np.asarray(t1_us, dtype=float)
     t_purcell_us = t_purcell_ms * 1e3
-    # the rates can round to equal where T_Purcell exceeds T1 by an ulp
-    if not (t_purcell_us > t1_us
-            and (rate := 1.0 / t1_us - 1.0 / t_purcell_us) > 0):
+    bad = (t1 <= 0) | ~(t_purcell_us > t1)
+    if not bad.any():
+        # the rates can round to equal where T_Purcell exceeds T1 by an ulp
+        rate = 1.0 / t1 - 1.0 / t_purcell_us
+        bad = ~(rate > 0)
+    if bad.any():
+        first = t1[bad][0]
+        if first <= 0:
+            raise InvalidInputError("t1 must be > 0")
         raise InvalidInputError(
             f"inconsistent inputs: T_Purcell = {t_purcell_ms:g} ms must exceed "
-            f"the measured T1 = {t1_us:g} us"
-        )
-    return 1.0 / rate
+            f"the measured T1 = {first:g} us")
+    return 1.0 / rate if rate.ndim else float(1.0 / rate)
 
 
-def purcell_subtract_q(
-    t1_us: float, t_purcell_ms: float, omega_q_ghz: float
-) -> float:
+def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
     """Quality factor from a measured T1 with the Purcell channel removed.
 
     ``Q = omega_q * T1'`` with ``1/T1' = 1/T1 - 1/T_Purcell``; the qubit
     frequency is cyclic GHz as tabulated and converted to angular internally.
+    Like :func:`purcell_subtract_t1` it takes one T1 or an array of rounds.
     """
     if omega_q_ghz <= 0:
         raise InvalidInputError("omega_q must be > 0")
-    t1_prime_us = purcell_subtract_t1(t1_us, t_purcell_ms)
-    return TWO_PI * omega_q_ghz * 1e9 * t1_prime_us * 1e-6
+    return TWO_PI * omega_q_ghz * 1e9 * purcell_subtract_t1(t1_us, t_purcell_ms) * 1e-6
 
 
 def q_statistics_from_rounds(
@@ -612,26 +616,14 @@ def q_statistics_from_rounds(
 ) -> tuple[float, float]:
     """Mean and population std of Q over repeated T1 measurements.
 
-    Each round is Purcell-subtracted and converted to Q before the
-    statistics are taken (subtract, convert, then apply statistics).  All
-    rounds are converted in one array pass, with the checks of
-    :func:`purcell_subtract_q` and the same floating-point operations in
-    the same order, so each Q equals that function's to the last bit.
+    Each round is Purcell-subtracted and converted to Q by
+    :func:`purcell_subtract_q` before the statistics are taken (subtract,
+    convert, then apply statistics).
     """
     values = np.asarray(list(t1_rounds_us), dtype=float)
     if values.size == 0:
         raise InvalidInputError("need at least one round")
-    t_purcell_us = t_purcell_ms * 1e3
-    bad = (values <= 0) | ~(t_purcell_us > values)
-    if not bad.any():
-        rate = 1.0 / values - 1.0 / t_purcell_us
-        bad = ~(rate > 0)
-    if omega_q_ghz <= 0 or bad.any():
-        # raises the per-round error of the first offending round
-        purcell_subtract_q(float(values[bad.argmax()]), t_purcell_ms,
-                           omega_q_ghz)
-    t1_prime_us = 1.0 / rate
-    qs = TWO_PI * omega_q_ghz * 1e9 * t1_prime_us * 1e-6
+    qs = purcell_subtract_q(values, t_purcell_ms, omega_q_ghz)
     return float(qs.mean()), float(qs.std())
 
 

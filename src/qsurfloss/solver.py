@@ -22,6 +22,8 @@ charge is ``pi h a_0``.
 
 The gap field ``E_x = sum_n a_n sgn(t) u^n / (2 eps_bar sqrt(t^2 - 1))``
 and the gap voltage, a difference of the exterior kernel, are closed forms.
+A solution keeps the a_n alone; only :func:`solution_to_csv` samples sigma
+and E_x, at the Chebyshev points of every strip and gap.
 Beyond a strip, |t| is taken as 1 + d/h from the offset d to the nearest
 edge, so rounding does not enter sqrt(t^2 - 1) there.  The edge-cut
 integrals of sigma^2 and E_x^2 substitute x = mid + half tanh(s), which
@@ -52,16 +54,13 @@ SOLVE_RESIDUAL_TOL = 1e-8
 
 @dataclass
 class StripFields:
-    """Per-strip Chebyshev coefficients and surface solution (SI units)."""
+    """One solved strip: bounds (m), potential (V) and Chebyshev coefficients."""
 
     index: int
     x_left: float
     x_right: float
     potential: float
     coefficients: np.ndarray    # a_n of sigma = sum a_n T_n(t)/sqrt(1-t^2), C/m^2
-    centers: np.ndarray         # Chebyshev-Gauss collocation points, shape (M,)
-    charge_density: np.ndarray  # sigma at the centers, C/m^2
-    e_perp: np.ndarray          # normal field sigma/(2 eps_bar) on both faces, V/m
 
     @property
     def charge(self) -> float:
@@ -71,13 +70,11 @@ class StripFields:
 
 @dataclass
 class GapFields:
-    """Tangential field on the exposed substrate between two adjacent strips."""
+    """Exposed substrate between two adjacent strips, bounds in m."""
 
     index: int
     x_left: float
     x_right: float
-    centers: np.ndarray      # Chebyshev-Gauss points of the gap, shape (M,)
-    e_par: np.ndarray        # tangential field, V/m
 
 
 @dataclass
@@ -90,9 +87,7 @@ class FieldSolution:
     capacitance_per_len: float  # F/m
     energy_per_len: float       # J/m
     eps_bar: float              # effective homogeneous permittivity, F/m
-    reference_offset: float     # floating potential constant, V
     residual_norm: float
-    elements_per_strip: int     # Chebyshev terms per strip, M
     refinement_levels: int = 0
     estimated_rel_error: float | None = None
     # edge_cut_square_integral at the geometry's own cutoff, keyed by gaps
@@ -100,9 +95,9 @@ class FieldSolution:
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def charge_density(self) -> np.ndarray:
-        """Concatenated charge densities at the collocation points."""
-        return np.concatenate([s.charge_density for s in self.strips])
+    def elements_per_strip(self) -> int:
+        """Chebyshev terms per strip, M, the discretization of the geometry."""
+        return self.geometry.discretization
 
     def strip_charges(self) -> list[float]:
         return [s.charge for s in self.strips]
@@ -168,6 +163,17 @@ def _log_kernel(
     return kernel
 
 
+@lru_cache(maxsize=4)
+def _chebyshev_nodes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta_k, T_n(t_k) and 1 + t_k at the m ascending Chebyshev-Gauss points
+    t_k = cos(theta_k) of collocation and sampling, built once, read-only."""
+    theta = np.pi * (m - 0.5 - np.arange(m)) / m
+    cheb = np.cos(np.outer(theta, np.arange(m)))
+    rise = 2.0 * np.cos(0.5 * theta) ** 2
+    theta.flags.writeable = cheb.flags.writeable = rise.flags.writeable = False
+    return theta, cheb, rise
+
+
 def _strip_bounds(strips: list[StripFields]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left edges, right edges and coefficients of the strips, stacked."""
     return (np.array([s.x_left for s in strips]), np.array([s.x_right for s in strips]),
@@ -187,9 +193,8 @@ def solve_cross_section(geom: CrossSection) -> FieldSolution:
     Returns
     -------
     FieldSolution
-        Coefficients and charge density per strip, normal fields on strips,
-        tangential fields at the Chebyshev points of each gap, capacitance
-        and electric energy per unit length.
+        Chebyshev coefficients per strip, the gap bounds, capacitance and
+        electric energy per unit length.
 
     Raises
     ------
@@ -211,9 +216,7 @@ def solve_cross_section(geom: CrossSection) -> FieldSolution:
     left = np.array([s.x_start for s in geom.strips]) * UM
     right = np.array([s.x_end for s in geom.strips]) * UM
     half = 0.5 * (right - left)
-    theta = np.pi * (m - 0.5 - np.arange(m)) / m      # t_k = cos(theta_k) ascending
-    cheb = np.cos(np.outer(theta, np.arange(m)))      # T_n(t_k)
-    rise = 2.0 * np.cos(0.5 * theta) ** 2             # 1 + t_k
+    _, cheb, rise = _chebyshev_nodes(m)
     centers = left[:, None] + half[:, None] * rise
 
     # Row (i, k): sum_j,n b_jn K_n(x_ik) + c = V_i in b_jn = a_jn h_j/(2 eps_bar).
@@ -243,23 +246,9 @@ def solve_cross_section(geom: CrossSection) -> FieldSolution:
             f"linear solve did not converge: relative residual {residual:.3e}"
         )
     coeffs = unknowns[:N].reshape(n_strips, m) * (2.0 * eps_bar / half[:, None])
-    sigma = coeffs @ cheb.T / np.sin(theta)
-
-    strips = [
-        StripFields(index=si, x_left=left[si], x_right=right[si], potential=v,
-                    coefficients=coeffs[si], centers=centers[si],
-                    charge_density=sigma[si], e_perp=sigma[si] / (2.0 * eps_bar))
-        for si, v in enumerate(pots)
-    ]
-
-    gap_left, gap_right = right[:-1], left[1:]
-    gap_centers = gap_left[:, None] + 0.5 * (gap_right - gap_left)[:, None] * rise
-    e_par = tangential_field(gap_centers.ravel(), strips, eps_bar).reshape(-1, m)
-    gaps = [
-        GapFields(index=gi, x_left=gap_left[gi], x_right=gap_right[gi],
-                  centers=gap_centers[gi], e_par=e_par[gi])
-        for gi in range(n_strips - 1)
-    ]
+    strips = [StripFields(si, left[si], right[si], v, coeffs[si])
+              for si, v in enumerate(pots)]
+    gaps = [GapFields(gi, right[gi], left[gi + 1]) for gi in range(n_strips - 1)]
 
     energy = 0.5 * float(np.dot([s.charge for s in strips], pots))
     if not energy > 0.0:
@@ -275,9 +264,7 @@ def solve_cross_section(geom: CrossSection) -> FieldSolution:
         capacitance_per_len=2.0 * energy / dv**2,
         energy_per_len=energy,
         eps_bar=eps_bar,
-        reference_offset=float(unknowns[N]),
         residual_norm=float(residual),
-        elements_per_strip=m,
     )
 
 
@@ -435,30 +422,40 @@ def refine_until_converged(
     )
 
 
+def _surface_samples(sol: FieldSolution) -> tuple[np.ndarray, ...]:
+    """Chebyshev points (m) and sigma (C/m^2) of every strip, and Chebyshev
+    points (m) and E_x (V/m) of every gap, each of shape (segments, M)."""
+    left, right, coeffs = _strip_bounds(sol.strips)
+    theta, cheb, rise = _chebyshev_nodes(coeffs.shape[1])
+    strip_x = left[:, None] + (0.5 * (right - left))[:, None] * rise
+    sigma = coeffs @ cheb.T / np.sin(theta)
+    gap_x = right[:-1, None] + 0.5 * (left[1:] - right[:-1])[:, None] * rise
+    e_par = tangential_field(gap_x.ravel(), sol.strips, sol.eps_bar)
+    return strip_x, sigma, gap_x, e_par.reshape(gap_x.shape)
+
+
 def solution_to_csv(sol: FieldSolution, path) -> None:
     """Write surface samples as CSV: x, sigma, E_perp_sub, E_perp_vac, E_par.
 
     Strip rows sit at the Chebyshev points of each strip and carry the charge
-    density and the normal field, the same in both normal-field columns
-    (tangential field is zero on a conductor); gap rows sit at the Chebyshev
-    points of each gap and carry the tangential field.  An extra
-    ``segment`` column identifies the source segment.
+    density and the normal field sigma / (2 eps_bar), the same in both
+    normal-field columns (tangential field is zero on a conductor); gap rows
+    sit at the Chebyshev points of each gap and carry the tangential field.
+    An extra ``segment`` column identifies the source segment.
 
     The bytes are those of :func:`csv.writer`: numbers as ``%.9g``, a
     column the segment does not carry as ``0``, no cell quoted (none holds
     a comma, quote or line break) and every line ended by CRLF.  The file is formatted by one
     ``%`` on a row template repeated per sample, and written at once.
     """
+    strip_x, sigma, gap_x, e_par = _surface_samples(sol)
+    e_perp, m = sigma / (2.0 * sol.eps_bar), sigma.shape[1]
     template = ["x_um,sigma_c_per_m2,e_perp_sub_v_per_m,e_perp_vac_v_per_m,"
                 "e_par_v_per_m,segment\r\n"]
-    values: list[float] = []
-    for s in sol.strips:
-        template.append(f"%.9g,%.9g,%.9g,%.9g,0,strip{s.index}\r\n" * s.centers.size)
-        values += np.column_stack(
-            [s.centers / UM, s.charge_density, s.e_perp, s.e_perp]).ravel().tolist()
-    for g in sol.gaps:
-        template.append(f"%.9g,0,0,0,%.9g,gap{g.index}\r\n" * g.centers.size)
-        values += np.column_stack([g.centers / UM, g.e_par]).ravel().tolist()
+    template += [f"%.9g,%.9g,%.9g,%.9g,0,strip{s.index}\r\n" * m for s in sol.strips]
+    template += [f"%.9g,0,0,0,%.9g,gap{g.index}\r\n" * m for g in sol.gaps]
+    values = (np.stack([strip_x / UM, sigma, e_perp, e_perp], axis=-1).ravel().tolist()
+              + np.stack([gap_x / UM, e_par], axis=-1).ravel().tolist())
     text = "".join(template) % tuple(values)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

@@ -47,6 +47,22 @@ class TestCrossSectionValidation:
                 [Strip(0, 10, 0.5), Strip(20, 10, -0.5)], discretization=4
             )
 
+    @pytest.mark.parametrize("build", ["constructor", "document"])
+    @pytest.mark.parametrize("field, value", [
+        ("discretization", 16.5), ("representative_cell", 1.5),
+        ("representative_cell", True),
+    ])
+    def test_non_integer_count_rejected(self, build, field, value):
+        """16.5 terms per strip used to end in a TypeError of the solve, a
+        cell index 1.5 in one of ``cell()``, and True was taken as index 1."""
+        strips = [Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5), Strip(40.0, 10.0, 0.5)]
+        with pytest.raises(InvalidInputError, match=field):
+            if build == "constructor":
+                CrossSection(strips, **{field: value})
+            else:
+                CrossSection.from_json_dict(
+                    {**CrossSection(strips).to_json_dict(), field: value})
+
     def test_representative_cell_bounds(self):
         with pytest.raises(InvalidInputError, match="representative_cell"):
             CrossSection(

@@ -48,7 +48,6 @@ def single_term_solution(width_um, e_field, depth_um, eps_sub_rel, cutoff_um):
     )
     eps_bar = 0.5 * (1.0 + eps_sub_rel) * epsilon_0
     half, m = 0.5 * width_um * UM, 16
-    theta = np.pi * (m - 0.5 - np.arange(m)) / m
     coefficients = np.zeros(m)
     coefficients[0] = 2.0 * eps_bar * e_field
     strip = StripFields(
@@ -57,9 +56,6 @@ def single_term_solution(width_um, e_field, depth_um, eps_sub_rel, cutoff_um):
         x_right=2.0 * half,
         potential=1.0,
         coefficients=coefficients,
-        centers=half * (1.0 + np.cos(theta)),
-        charge_density=coefficients[0] / np.sin(theta),
-        e_perp=e_field / np.sin(theta),
     )
     square_integral = 2.0 * half * e_field**2 * math.atanh(1.0 - cutoff_um * UM / half)
     energy = 0.5 * eps_sub_rel * epsilon_0 * depth_um * UM * square_integral
@@ -70,9 +66,7 @@ def single_term_solution(width_um, e_field, depth_um, eps_sub_rel, cutoff_um):
         capacitance_per_len=float("nan"),
         energy_per_len=energy,
         eps_bar=eps_bar,
-        reference_offset=0.0,
         residual_norm=0.0,
-        elements_per_strip=m,
     )
 
 
@@ -134,6 +128,25 @@ class TestLayerEnergy:
         sol = single_term_solution(50.0, 1e5, 1.0, 10.15, cutoff_um=0.05)
         with pytest.raises(InvalidInputError, match="gap field samples"):
             layer_energy(sol, DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA))
+
+
+class TestZeroVoltCell:
+    """A cell on a 0 V strip has cell energy 1/2 |q V| = 0, which every
+    participation divides by."""
+
+    @pytest.mark.parametrize("entry", [
+        lambda geom: refine_until_converged(geom, rel_tol=1e-3),
+        lambda geom: participation_set(solve_cross_section(geom), [DEFAULT_SM_SPEC]),
+    ], ids=["refine_until_converged", "participation_set"])
+    def test_cell_on_a_grounded_strip_is_refused(self, entry):
+        """Both ended in a ZeroDivisionError; the section is refused, typed,
+        when it is built, also as a copy of a valid one."""
+        strips = [Strip(0.0, 10.0, 1.0), Strip(20.0, 10.0, 0.0), Strip(40.0, 10.0, 1.0)]
+        with pytest.raises(InvalidInputError, match="sits at 0 V"):
+            entry(CrossSection(strips, representative_cell=1))
+        valid = CrossSection(strips, representative_cell=0)
+        with pytest.raises(InvalidInputError, match="sits at 0 V"):
+            entry(replace(valid, representative_cell=1))
 
 
 class TestParticipationSet:

@@ -745,6 +745,15 @@ class TestPurcellSubtraction:
 
 
 class TestQStatisticsFromRounds:
+    def test_one_purcell_path_for_rounds_and_scalars(self):
+        """The rounds go through :func:`purcell_subtract_q` as an array; a
+        scalar still comes back as a Python float."""
+        rounds = np.random.default_rng(7).uniform(50.0, 300.0, 9)
+        qs = purcell_subtract_q(rounds, 4.7, 4.4)
+        assert type(purcell_subtract_q(float(rounds[0]), 4.7, 4.4)) is float
+        assert type(purcell_subtract_t1(float(rounds[0]), 4.7)) is float
+        assert qs.tolist() == [purcell_subtract_q(float(r), 4.7, 4.4) for r in rounds]
+
     def test_per_round_matches_explicit_loop(self):
         rounds = [180.0, 200.0, 210.0, 190.0]
         mean, std = q_statistics_from_rounds(rounds, 10.0, 4.5)

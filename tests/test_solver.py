@@ -18,7 +18,8 @@ from qsurfloss import (
     solution_to_csv,
     solve_cross_section,
 )
-from qsurfloss.solver import epsilon_0
+from qsurfloss import solver
+from qsurfloss.solver import _surface_samples, epsilon_0
 
 from conftest import cps_capacitance
 
@@ -61,6 +62,11 @@ def field_energy_quadrature(sol, n_x=700, n_y=360, span_factor=25.0):
     return float(sol.eps_bar * np.trapezoid(np.trapezoid(density, ys, axis=1), xs))
 
 
+def charge_density(sol):
+    """sigma at the Chebyshev points of every strip, shape (strips, M)."""
+    return _surface_samples(sol)[1]
+
+
 class TestOracleAgreement:
     def test_capacitance_matches_conformal_mapping(self, two_strip_sol):
         """Two equal coplanar strips against the elliptic-integral formula."""
@@ -99,15 +105,14 @@ class TestInvariants:
                 [a * x + b * y for x, y in zip(v1, v2)]
             )
         )
-        expected = a * sol1.charge_density + b * sol2.charge_density
+        expected = a * charge_density(sol1) + b * charge_density(sol2)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(combo.charge_density - expected)) / scale < 1e-9
+        assert np.max(np.abs(charge_density(combo) - expected)) / scale < 1e-9
 
     def test_mirror_antisymmetry(self, two_strip_sol):
         """Antisymmetric drive on a mirror-symmetric pair gives
         mirror-antisymmetric charge."""
-        left = two_strip_sol.strips[0].charge_density
-        right = two_strip_sol.strips[1].charge_density
+        left, right = charge_density(two_strip_sol)
         scale = np.max(np.abs(left))
         assert np.max(np.abs(left + right[::-1])) / scale < 1e-9
 
@@ -117,7 +122,7 @@ class TestInvariants:
             two_strip_sol.energy_per_len, rel=1e-12
         )
         assert np.allclose(
-            swapped.charge_density, -two_strip_sol.charge_density, rtol=1e-9
+            charge_density(swapped), -charge_density(two_strip_sol), rtol=1e-9
         )
 
     def test_charge_neutrality(self, two_strip_sol):
@@ -142,7 +147,7 @@ class TestInvariants:
     def test_determinism(self, two_strip_geom):
         a = solve_cross_section(two_strip_geom)
         b = solve_cross_section(two_strip_geom)
-        assert np.array_equal(a.charge_density, b.charge_density)
+        assert np.array_equal(charge_density(a), charge_density(b))
 
 
 class TestErrors:
@@ -266,9 +271,40 @@ class TestCsvExport:
         assert len(lines) - 1 == 3 * 16
         # the one normal field of a strip fills both normal-field columns
         rows = [line.split(",") for line in lines[1:17]]
-        e_perp = two_strip_sol.strips[0].e_perp
+        e_perp = charge_density(two_strip_sol)[0] / (2.0 * two_strip_sol.eps_bar)
         assert [float(r[2]) for r in rows] == pytest.approx(e_perp, rel=1e-8)
         assert all(r[2] == r[3] for r in rows)
+
+
+class TestSurfaceSampling:
+    """A solve keeps only coefficients; the gap field is sampled where the
+    CSV writes it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = solver.tangential_field
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "tangential_field", counting)
+        return counted
+
+    def test_solve_samples_nothing(self, two_strip_geom, calls):
+        solve_cross_section(two_strip_geom)
+        assert calls == []
+
+    def test_csv_samples_the_gaps_once(self, two_strip_sol, calls, tmp_path):
+        solution_to_csv(two_strip_sol, tmp_path / "fields.csv")
+        assert len(calls) == 1
+
+    def test_refinement_at_zero_cutoff_samples_nothing(self, two_strip_geom, calls):
+        """Without a cutoff the refinement follows the energy alone, so no
+        gap integral is taken either."""
+        refine_until_converged(replace(two_strip_geom, edge_cutoff=0.0), rel_tol=1e-6)
+        assert calls == []
 
 
 def test_vacuum_permittivity_literal():
@@ -316,17 +352,19 @@ class TestChebyshevBasis:
         """Gauss-Chebyshev quadrature of the sampled E_par, weighted back by
         sqrt(1 - t^2) against its end singularities."""
         gap = two_strip_sol.gaps[0]
+        _, _, gap_x, e_par = _surface_samples(two_strip_sol)
         half = 0.5 * (gap.x_right - gap.x_left)
-        t = (gap.centers - gap.x_left) / half - 1.0
-        integral = np.pi / t.size * half * np.sum(gap.e_par * np.sqrt(1.0 - t * t))
+        t = (gap_x[0] - gap.x_left) / half - 1.0
+        integral = np.pi / t.size * half * np.sum(e_par[0] * np.sqrt(1.0 - t * t))
         assert integral == pytest.approx(reconstruct_gap_voltage(two_strip_sol),
                                          rel=1e-9)
 
     def test_samples_sit_at_chebyshev_points(self, two_strip_sol):
         m = two_strip_sol.elements_per_strip
         t = np.cos(np.pi * (m - 0.5 - np.arange(m)) / m)
-        strip, gap = two_strip_sol.strips[1], two_strip_sol.gaps[0]
-        assert strip.centers == pytest.approx(25e-6 + 5e-6 * t, rel=1e-12)
-        assert gap.centers == pytest.approx(15e-6 + 5e-6 * t, rel=1e-12)
+        strip = two_strip_sol.strips[1]
+        strip_x, _, gap_x, _ = _surface_samples(two_strip_sol)
+        assert strip_x[1] == pytest.approx(25e-6 + 5e-6 * t, rel=1e-12)
+        assert gap_x[0] == pytest.approx(15e-6 + 5e-6 * t, rel=1e-12)
         assert strip.charge == pytest.approx(
             0.5 * np.pi * 10e-6 * strip.coefficients[0], rel=1e-15)

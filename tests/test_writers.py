@@ -38,7 +38,7 @@ from qsurfloss.pipeline import (
     _write_q_vs_psm,
     write_report_json,
 )
-from qsurfloss.solver import UM
+from qsurfloss.solver import UM, _surface_samples
 
 
 def reference_inverse_q(fit, p_sm, p_j):
@@ -111,12 +111,14 @@ def reference_solution_csv(sol, path):
         writer = csv.writer(fh)
         writer.writerow(["x_um", "sigma_c_per_m2", "e_perp_sub_v_per_m",
                          "e_perp_vac_v_per_m", "e_par_v_per_m", "segment"])
-        for s in sol.strips:
-            for x, sg, en in zip(s.centers, s.charge_density, s.e_perp):
+        strip_x, sigma, gap_x, e_par = _surface_samples(sol)
+        for s, xs, sgs in zip(sol.strips, strip_x, sigma):
+            for x, sg in zip(xs, sgs):
+                en = sg / (2.0 * sol.eps_bar)
                 writer.writerow([f"{x / UM:.9g}", f"{sg:.9g}", f"{en:.9g}",
                                  f"{en:.9g}", "0", f"strip{s.index}"])
-        for g in sol.gaps:
-            for x, ep in zip(g.centers, g.e_par):
+        for g, xs, eps in zip(sol.gaps, gap_x, e_par):
+            for x, ep in zip(xs, eps):
                 writer.writerow([f"{x / UM:.9g}", "0", "0", "0",
                                  f"{ep:.9g}", f"gap{g.index}"])
 
