@@ -2,25 +2,30 @@
 the input checks that raise them."""
 
 import math
+import numbers
 
 
 def is_finite(value) -> bool:
     """True when a real number is neither NaN nor infinite.
 
-    Unlike :func:`math.isfinite` it answers False, instead of raising
-    ``OverflowError``, for an int beyond the float range, so an input check
-    can report such a value with its own typed error.
+    Unlike :func:`math.isfinite` it answers False, instead of raising, for
+    an int beyond the float range (``OverflowError``) and for a value that
+    is not a real number, such as a str or None (``TypeError``), so an input
+    check can report such a value with its own typed error.
     """
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
 def shown(value) -> str:
     """A checked value as an error message shows it: ``str(value)``, except
-    for an int too long for Python's int-to-str conversion (over 4300
-    digits by default), which is shown by its number of digits."""
+    for a non-number, shown by its repr so that ``'3'`` reads apart from
+    ``3``, and an int too long for Python's int-to-str conversion (over
+    4300 digits by default), shown by its number of digits."""
+    if not isinstance(value, numbers.Number):
+        return repr(value)
     try:
         return str(value)
     except ValueError:

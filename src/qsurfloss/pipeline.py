@@ -163,8 +163,19 @@ def _encode(obj, pad: str, out: list) -> None:
 
     ``indent`` keeps ``json.dumps`` on its pure-Python encoder; this one
     recursion formats the same bytes with the C quoting and number reprs.
+    The exact types a report is made of are tried first; a subclass (bool,
+    ``np.float64``) takes the ``isinstance`` chain below them.
     """
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is float:
+        out.append(repr(float(f"{obj:.9g}")) if math.isfinite(obj) else "null")
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is dict:
+        _encode_dict(obj, pad, out)
+    elif kind is list:
+        _encode_list(obj, pad, out)
+    elif isinstance(obj, str):
         out.append(_quote(obj))
     elif obj is None:
         out.append("null")
@@ -177,30 +188,38 @@ def _encode(obj, pad: str, out: list) -> None:
     elif isinstance(obj, float):
         out.append(repr(float(f"{obj:.9g}")) if math.isfinite(obj) else "null")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _encode(item, inner, out)
-            sep = "," + inner
-        out.append(pad + "]")
+        _encode_list(obj, pad, out)
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            out.append(sep + _quote(key) + ": ")
-            _encode(value, inner, out)
-            sep = "," + inner
-        out.append(pad + "}")
+        _encode_dict(obj, pad, out)
     else:
         raise TypeError(
             f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _encode_list(obj, pad: str, out: list) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = "[" + inner
+    for item in obj:
+        out.append(sep)
+        _encode(item, inner, out)
+        sep = "," + inner
+    out.append(pad + "]")
+
+
+def _encode_dict(obj, pad: str, out: list) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    sep = "{" + inner
+    for key, value in sorted(obj.items()):
+        out.append(sep + _quote(key) + ": ")
+        _encode(value, inner, out)
+        sep = "," + inner
+    out.append(pad + "}")
 
 
 def write_report_json(report: dict, path) -> None:
@@ -256,18 +275,36 @@ def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
 
 
 def _write_model_surface(points, fit: LossFitResult, path) -> None:
+    """Write the modeled Q on the 25 x 25 geometric (p_sm, p_j) grid.
+
+    The bytes are those of :func:`csv.writer`: every cell a ``%.9g``
+    number, none quoted, every line ended by CRLF.  Each grid value is
+    formatted once, each p_sm line becomes one row template for its 25 Q
+    values, and the whole file is filled by one ``%`` and written at once.
+
+    Raises
+    ------
+    InvalidInputError
+        If the modeled 1/Q is 0 at a grid point, where Q is unbounded.
+    """
     p_sm = np.geomspace(min(p.p_sm for p in points),
                         max(p.p_sm for p in points), _SURFACE_GRID_POINTS)
     p_j = np.geomspace(min(p.p_j for p in points),
                        max(p.p_j for p in points), _SURFACE_GRID_POINTS)
     inv_q = model_inverse_q(fit, p_sm[:, None], p_j[None, :])
-    sm_cells = ["%.9g" % v for v in p_sm.tolist()]
-    j_cells = ["%.9g" % v for v in p_j.tolist()]
+    if not inv_q.all():
+        i, j = np.argwhere(inv_q == 0)[0]
+        raise InvalidInputError(
+            f"modeled 1/Q is 0 at p_sm={p_sm[i]:.9g}, p_j={p_j[j]:.9g}; "
+            f"Q is unbounded there")
+    # ",<p_j>,%.9g\r\n" per p_j; a line's p_sm cell leads each of them
+    j_rows = [f",{v:.9g},%.9g\r\n" for v in p_j.tolist()]
+    template = "p_sm,p_j,q_model\r\n" + "".join(
+        sm + sm.join(j_rows) for sm in [f"{v:.9g}" for v in p_sm.tolist()])
     # row-major over (p_sm, p_j), the order of the grid's flattened 1/Q
-    _write_rows(path, ["p_sm", "p_j", "q_model"],
-                [[c for c in sm_cells for _ in j_cells],
-                 j_cells * len(sm_cells),
-                 ["%.9g" % (1.0 / v) for v in inv_q.ravel().tolist()]])
+    text = template % tuple((1.0 / inv_q).ravel().tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _emit(manifest, errors, out_dir: Path, kind: str, write, *args,

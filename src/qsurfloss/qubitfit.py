@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -466,16 +467,46 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
 
 
 def t1_statistics(estimates, bins: int = 12) -> T1Statistics:
-    """Mean, population standard deviation and histogram of repeated T1 fits."""
+    """Mean, population standard deviation, median and histogram of
+    repeated T1 fits.
+
+    One sort gives the median and the histogram, which are those of
+    :func:`np.median` and ``np.histogram(values, bins)``: equal-width bins
+    over [min, max], each half-open but the last, and a range of equal
+    values widened by 0.5 on each side.  Where numpy would raise "Too many
+    bins" because the range is too narrow for ``bins`` distinct edges (two
+    T1s one ulp apart), the range is widened on both sides, by 0.5 and
+    then by doubling steps, until the edges are distinct.
+    """
     if not estimates:
         raise InvalidInputError("need at least one estimate")
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral) or bins < 1:
+        raise InvalidInputError(f"bins must be a positive integer, got {bins!r}")
     values = np.array([e.t1_us for e in estimates], dtype=float)
-    counts, edges = np.histogram(values, bins=bins)
+    ordered = np.sort(values)
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"T1 values must be finite, got [{lo}, {hi}]")
+    pad = 0.5 if lo == hi else 0.0
+    while True:
+        if not math.isfinite(hi + pad):
+            raise InvalidInputError(
+                f"no {bins} distinct histogram bins around T1 = {hi} us")
+        edges = np.linspace(lo - pad, hi + pad, bins + 1)
+        if (edges[1:] > edges[:-1]).all():
+            break
+        pad = 2.0 * pad or 0.5
+    # values below each edge; the last bin also holds the values on its edge
+    below = ordered.searchsorted(edges)
+    below[-1] = ordered.size
+    half = ordered.size // 2
+    median = (float(ordered[half]) if ordered.size % 2
+              else (float(ordered[half - 1]) + float(ordered[half])) / 2.0)
     return T1Statistics(
         mean_us=float(values.mean()),
         std_us=float(values.std()),
-        median_us=float(np.median(values)),
-        hist_counts=counts,
+        median_us=median,
+        hist_counts=below[1:] - below[:-1],
         bin_edges=edges,
     )
 
@@ -497,7 +528,8 @@ class PurcellParams:
     def __post_init__(self) -> None:
         for name in ("kappa", "delta", "g", "chi"):
             value = getattr(self, name)
-            if value is not None and not is_finite(value):
+            # kappa is required; None leaves out one of the other three
+            if (value is not None or name == "kappa") and not is_finite(value):
                 raise InvalidInputError(
                     f"{name} must be finite, got {shown(value)}")
         if self.kappa <= 0:

@@ -97,6 +97,24 @@ class TestValidation:
                            match=f"field '{field}' must be finite"):
             DeviceRecord(device_id="X1-1", geometry="dumbbell_2d", **values)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us",
+                      "t1_std_us", "t_purcell_ms", "q_mean", "q_std", "p_sm",
+                      "p_j")
+        for value in ("4.0", None)
+        if value is not None or field not in ("t1_std_us", "q_std")])
+    def test_non_number_is_rejected_naming_its_field(self, field, value):
+        """A str, or None in a required field, used to end in the raw
+        TypeError of the finiteness test (t1_std_us and q_std may be None)."""
+        values = dict(omega_q_ghz=4.0, omega_c_ghz=6.0, g_mhz=40.0,
+                      t1_mean_us=100.0, t1_std_us=None, t_purcell_ms=10.0,
+                      q_mean=1e6, q_std=None, p_sm=1e-4, p_j=1e-5)
+        values[field] = value
+        with pytest.raises(RecordValidationError,
+                           match=f"field '{field}' must be finite"):
+            DeviceRecord(device_id="X1-1", geometry="dumbbell_2d", **values)
+
 
 class TestLoader:
     def test_header_mismatch(self, tmp_path):

@@ -90,6 +90,23 @@ class TestCrossSectionValidation:
                 f"{field} must be finite, got {shown(value)}")):
             CrossSection(strips, **kwargs)
 
+    @pytest.mark.parametrize("value", ["3", None], ids=["str", "None"])
+    @pytest.mark.parametrize("field", [
+        "strips[1].x_start", "strips[1].width", "strips[1].potential",
+        "eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"])
+    def test_non_number_rejected(self, field, value):
+        """A str or None used to end in the raw TypeError of the
+        finiteness test."""
+        strips = [Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5)]
+        kwargs = {}
+        if field.startswith("strips[1]."):
+            strips[1] = replace(strips[1], **{field.split(".")[1]: value})
+        else:
+            kwargs[field] = value
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{field} must be finite, got {value!r}")):
+            CrossSection(strips, **kwargs)
+
     @pytest.mark.parametrize("digits", [4301, 5000, 5001])
     def test_overlong_int_is_shown_by_its_digit_count(self, digits):
         """Both ends of the digit count: 10**(d-1) and -(10**d - 1)."""

@@ -87,6 +87,15 @@ class TestInterfaceSpec:
                 f"layer {field} must be finite, got {shown(value)}")):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})
 
+    @pytest.mark.parametrize("value", ["3", None], ids=["str", "None"])
+    @pytest.mark.parametrize("field", ["thickness_nm", "eps_rel"])
+    def test_non_number_rejected(self, field, value):
+        """A str or None used to end in the raw TypeError of the
+        finiteness test."""
+        with pytest.raises(InvalidInputError, match=(
+                f"layer {field} must be finite, got {value!r}")):
+            InterfaceSpec(InterfaceRegion.SM, **{field: value})
+
 
 class TestLayerEnergy:
     def test_parallel_plate_ratio(self):

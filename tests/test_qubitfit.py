@@ -628,6 +628,78 @@ class TestT1Statistics:
         assert stats.hist_counts.size == 12
         assert stats.hist_counts.sum() == 30
 
+    @staticmethod
+    @st.composite
+    def t1_lists(draw):
+        """Positive T1 lists with repeats and ulp neighbours of one value
+        beside arbitrary floats from subnormal to 1e150, whose squares
+        the std takes without overflow."""
+        base = draw(st.floats(5e-324, 1e150))
+        near = st.sampled_from([base, math.nextafter(base, math.inf),
+                                math.nextafter(base, 0.0) or base])
+        return draw(st.lists(near | st.floats(5e-324, 1e150),
+                             min_size=1, max_size=40))
+
+    @given(values=t1_lists())
+    @example(values=[100.0, 100.0])
+    @example(values=[100.0, 150.0, 200.0, 250.0])
+    @example(values=[100.0, math.nextafter(100.0, 200.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_numpy(self, values):
+        """Mean, std, median, edges and counts carry the bits of
+        ``np.mean``, ``np.std``, ``np.median`` and ``np.histogram``
+        wherever numpy's histogram succeeds; where its range is too narrow
+        for 13 distinct edges, the widened edges are increasing and hold
+        every value."""
+        stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
+        a = np.array(values)
+        for got, want in [(stats.mean_us, a.mean()), (stats.std_us, a.std()),
+                          (stats.median_us, np.median(a))]:
+            assert type(got) is float and got.hex() == float(want).hex()
+        assert stats.hist_counts.dtype == np.intp
+        try:
+            counts, edges = np.histogram(a, bins=12)
+        except ValueError as exc:
+            assert "Too many bins" in str(exc)
+            edges = stats.bin_edges
+            assert (edges[1:] > edges[:-1]).all()
+            assert edges[0] <= a.min() and a.max() <= edges[-1]
+            assert stats.hist_counts.sum() == a.size
+        else:
+            assert stats.bin_edges.tobytes() == edges.tobytes()
+            assert stats.hist_counts.tobytes() == counts.tobytes()
+
+    def test_ulp_adjacent_values_widen_the_range(self):
+        """Two T1s one ulp apart ended in numpy's "Too many bins for data
+        range"; the range now widens by 0.5 on each side, as numpy does
+        for equal values."""
+        values = [100.0, math.nextafter(100.0, 200.0)]
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(values, bins=12)
+        stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
+        assert stats.bin_edges[0] == 99.5
+        assert stats.bin_edges[-1] == values[1] + 0.5
+        assert stats.hist_counts.tolist() == [0] * 6 + [2] + [0] * 5
+
+    def test_equal_huge_values_widen_past_half(self):
+        """At 1e20 the +-0.5 of equal values is below an ulp, so the range
+        widens further, symmetrically about the value."""
+        stats = t1_statistics([T1Estimate(1e20, 1.0, 1.0, 0.0)] * 3)
+        edges = stats.bin_edges
+        assert (edges[1:] > edges[:-1]).all()
+        assert 1e20 - edges[0] == edges[-1] - 1e20 > 0
+        assert stats.hist_counts.sum() == 3
+
+    @pytest.mark.parametrize("bins", [0, -1, 2.0, True, "12"])
+    def test_bad_bin_count_rejected(self, bins):
+        with pytest.raises(InvalidInputError, match="bins"):
+            t1_statistics([T1Estimate(100.0, 1.0, 1.0, 0.0)], bins=bins)
+
+    def test_non_finite_t1_rejected(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0)
+                           for v in (100.0, math.inf)])
+
     def test_histogram_csv(self, tmp_path):
         stats = t1_statistics(
             [T1Estimate(v, 1.0, 1.0, 0.0) for v in (100.0, 150.0, 200.0)]
@@ -696,6 +768,18 @@ class TestPurcellLimit:
         given = {"kappa": 2e5, "delta": 1e10, "g": 2e8, "chi": 4e6, field: value}
         with pytest.raises(InvalidInputError, match=(
                 f"{field} must be finite, got {shown(value)}")):
+            PurcellParams(**given)
+
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", "1"), ("kappa", None), ("delta", "1"), ("g", "1"),
+        ("chi", "1")])
+    def test_non_number_rejected(self, field, value):
+        """A str, or None for the required kappa, used to end in the raw
+        TypeError of the finiteness test; None is how the other three are
+        left out."""
+        given = {"kappa": 2e5, "delta": 1e10, "g": 2e8, "chi": 4e6, field: value}
+        with pytest.raises(InvalidInputError, match=(
+                f"{field} must be finite, got {value!r}")):
             PurcellParams(**given)
 
 

@@ -1,11 +1,13 @@
 """The report-bundle writers against the row-by-row writers they replaced.
 
-Each writer now formats whole columns and writes them with one
-``writerows`` call, the field CSV with one ``%`` on a repeated row
-template, and ``report.json`` is emitted in one recursion with the C-level
-quoting and number reprs.  The references
-below are the previous writers, kept here so that every case is compared
-byte for byte.
+The CSVs with text cells (``q_vs_psm``, ``q_vs_normalized_pr`` and the
+sweep) format whole columns and write them with one ``writerows`` call.
+The all-number CSVs (the model surface and the field samples) skip the
+csv module: each is filled by one ``%`` on its row templates and written
+at once, with the bytes ``csv.writer`` wrote.  ``report.json`` is emitted
+in one recursion with the C-level quoting and number reprs.  The
+references below are the previous writers, kept here so that every case
+is compared byte for byte.
 """
 
 import csv
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from qsurfloss import (
     CrossSection,
+    InvalidInputError,
     LossDataPoint,
     LossFitResult,
     LossModel,
@@ -178,17 +181,53 @@ def bundled_fit(grouped_points):
     return fit_sm_plus_j(grouped_points)
 
 
+#: Two points whose p_sm and p_j each span 1e-7 to 1e-2.
+WIDE_POINTS = [LossDataPoint(p_sm=1e-7, p_j=1e-2, q_mean=3e5),
+               LossDataPoint(p_sm=1e-2, p_j=1e-7, q_mean=8e4)]
+
+
 class TestPipelineWriters:
-    @pytest.mark.parametrize("case", ["sm+j", "clamped tan_d_j", "q0 = inf"])
+    @pytest.mark.parametrize("case", [
+        "sm+j", "clamped tan_d_j", "q0 = inf", "q0 finite",
+        "sm+j, p from 1e-7 to 1e-2", "q0 finite, p from 1e-7 to 1e-2"])
     def test_model_surface(self, tmp_path, grouped_points, bundled_fit, case):
-        """The bundled sm+j fit, a clamped tan_d_j, and an sm+q0 fit whose
-        intercept clamped to zero (q0 = inf)."""
+        """The bundled sm+j fit, a clamped tan_d_j, an sm+q0 fit whose
+        intercept clamped to zero (q0 = inf) and one with a finite q0, on
+        the bundled points and on points spanning five decades."""
         fit = {"sm+j": bundled_fit,
                "clamped tan_d_j": fit_of(LossModel.SM_PLUS_J, 8.9e-4, 0.0),
                "q0 = inf": fit_of(LossModel.SM_PLUS_Q0, 9.3e-4, q0=math.inf),
-               }[case]
+               "q0 finite": fit_of(LossModel.SM_PLUS_Q0, 9.3e-4, q0=2.1e6),
+               }[case.split(",")[0]]
+        points = WIDE_POINTS if "1e-7" in case else grouped_points
         assert_same_bytes(tmp_path, _write_model_surface,
-                          reference_model_surface, grouped_points, fit)
+                          reference_model_surface, points, fit)
+        text = (tmp_path / "new").read_bytes()
+        lines = text.split(b"\r\n")
+        assert len(lines) == 627 and lines[-1] == b""
+        assert text.count(b"\n") == 626 and b'"' not in text
+
+    def test_model_surface_skips_the_csv_module(self, tmp_path, monkeypatch,
+                                                grouped_points, bundled_fit):
+        def no_writer(*args, **kwargs):
+            raise AssertionError("csv.writer called")
+
+        monkeypatch.setattr(csv, "writer", no_writer)
+        _write_model_surface(grouped_points, bundled_fit, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes().count(b"\r\n") == 626
+        # the patch reaches the writers that do use the csv module
+        with pytest.raises(AssertionError, match="csv.writer called"):
+            _write_q_vs_npr(grouped_points, bundled_fit, tmp_path / "n.csv")
+
+    def test_model_surface_refuses_a_zero_inverse_q(self, tmp_path,
+                                                    grouped_points):
+        """A lossless model, whose 1/Q is 0 and Q unbounded, used to end in
+        a raw ZeroDivisionError; no inf cell is written either."""
+        path = tmp_path / "s.csv"
+        with pytest.raises(InvalidInputError, match="modeled 1/Q is 0"):
+            _write_model_surface(grouped_points,
+                                 fit_of(LossModel.SM_PLUS_J, 0.0, 0.0), path)
+        assert not path.exists()
 
     def test_q_vs_psm_quotes_and_empty_cells(self, tmp_path, grouped_points):
         """A group id with a comma and a quote is quoted, a q_std of None or 0
