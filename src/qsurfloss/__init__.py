@@ -56,7 +56,6 @@ from .lossmodel import (
     fit_sm_plus_q0,
     model_inverse_q,
     normalized_pr,
-    predict_inverse_q,
 )
 from .qubitfit import (
     DecayTrace,

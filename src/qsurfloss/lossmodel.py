@@ -88,7 +88,6 @@ class LossFitResult:
     stderr: dict[str, float] = field(default_factory=dict)
     covariance: np.ndarray | None = None
     residuals: np.ndarray | None = None   # per point, in 1/Q
-    predicted_inv_q: np.ndarray | None = None
     weighting: Weighting = Weighting.NONE
     n_points: int = 0
     condition_number: float = 0.0
@@ -112,15 +111,6 @@ class LossFitResult:
             "n_points": self.n_points,
             "condition_number": self.condition_number,
         }
-
-
-def predict_inverse_q(p_sm: float | np.ndarray, p_j: float | np.ndarray,
-                      tan_d_sm: float, tan_d_j: float = 0.0):
-    """Modeled 1/Q, ``p_sm*tan_d_sm + p_j*tan_d_j``, for one device or, with
-    array participations, elementwise over their broadcast."""
-    if any(np.any(np.less(v, 0)) for v in (p_sm, p_j, tan_d_sm, tan_d_j)):
-        raise InvalidInputError("participations and loss tangents must be >= 0")
-    return p_sm * tan_d_sm + p_j * tan_d_j
 
 
 def normalized_pr(p_sm: float, p_j: float, tan_d_sm: float, tan_d_j: float) -> float:
@@ -159,51 +149,58 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     the Gram entry ``g12 >= 0`` then rules out the other face.  The
     covariance of the free parameters is ``(X'WX)^-1`` scaled by the reduced
     chi-square (set to NaN when the system is exactly determined).
+
+    One SVD of the free columns of the weighted design serves each active
+    set: the first, of every column, gives the condition number, and the
+    last the covariance.
     """
     n, k = X.shape
     sw = np.sqrt(w)
     Xw = X * sw[:, None]
     yw = y * sw
-
-    cond = np.linalg.cond(Xw)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateFitError(
-            f"design matrix is rank deficient or nearly collinear "
-            f"(condition number {cond:.3e})"
-        )
+    if not np.isfinite(Xw).all():
+        raise DegenerateFitError("the weighted design is not finite")
 
     free = list(range(k))
     beta = np.zeros(k)
     while free:
-        sol, *_ = np.linalg.lstsq(Xw[:, free], yw, rcond=None)
+        # the design is scaled by a power of two, which is exact, so that
+        # the squared singular values below neither underflow nor overflow
+        x_exp = np.frexp(np.max(np.abs(Xw[:, free])))[1]
+        u, s, vt = np.linalg.svd(np.ldexp(Xw[:, free], -x_exp),
+                                 full_matrices=False)
+        if len(free) == k:
+            cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
+            if not cond <= CONDITION_LIMIT:
+                raise DegenerateFitError(
+                    f"design matrix is rank deficient or nearly collinear "
+                    f"(condition number {cond:.3e})"
+                )
+        # the full design passed the condition check, and dropping columns
+        # cannot raise the condition number (singular values interlace), so
+        # no active set has a singular value below 1e-10 of its largest and
+        # none needs cutting
+        sol = np.ldexp(vt.T @ ((u.T @ yw) / s), -x_exp)
         if np.all(sol >= 0):
-            for idx, val in zip(free, sol):
-                beta[idx] = val
+            beta[free] = sol
             break
-        worst = free[int(np.argmin(sol))]
-        free.remove(worst)
+        free.remove(free[int(np.argmin(sol))])
 
     residuals = y - X @ beta
     dof = n - len(free)
     cov = np.zeros((k, k))
     if free:
-        # the design and the residuals are each scaled by a power of two,
-        # which is exact, so that neither the Gram of a very small or large
-        # design nor chi-square underflows or overflows; one ldexp undoes
-        # both, and a variance beyond the float range reads inf
-        x_exp = np.frexp(np.max(np.abs(Xw[:, free])))[1]
+        # the residuals are scaled by a power of two as well, so that
+        # chi-square does not underflow or overflow; one ldexp undoes both
+        # scalings, and a variance beyond the float range reads inf
         r_exp = np.frexp(np.max(np.abs(residuals)))[1]
-        unit = np.ldexp(Xw[:, free], -x_exp)
         chi2 = float(np.sum(w * np.ldexp(residuals, -r_exp)**2))
         scale = chi2 / dof if dof > 0 else np.nan
         # (X'X)^-1 = V diag(s^-2) V' from the SVD of X, not an inverse of the
         # Gram, whose condition number is the square of the accepted one
-        _, s, vt = np.linalg.svd(unit, full_matrices=False)
         with np.errstate(over="ignore"):
             sub = np.ldexp((vt.T / s**2) @ vt * scale, 2 * (r_exp - x_exp))
-        for a, ia in enumerate(free):
-            for b, ib in enumerate(free):
-                cov[ia, ib] = sub[a, b]
+        cov[np.ix_(free, free)] = sub
     return beta, cov, residuals, cond
 
 
@@ -235,7 +232,6 @@ def _fit(model: LossModel, points: Sequence[LossDataPoint],
         stderr={name: float(np.sqrt(cov[i, i])) for i, name in enumerate(names)},
         covariance=cov,
         residuals=res,
-        predicted_inv_q=X @ beta,
         weighting=weighting,
         n_points=len(points),
         condition_number=float(cond),
@@ -275,8 +271,12 @@ FITTERS = {
 
 def model_inverse_q(result: LossFitResult, p_sm: float | np.ndarray,
                     p_j: float | np.ndarray):
-    """Evaluate a fitted model's 1/Q prediction for one device, or
-    elementwise over array participations."""
-    return predict_inverse_q(p_sm, p_j, result.tan_d_sm, result.tan_d_j or 0.0) + (
+    """A fitted model's 1/Q, ``p_sm*tan_d_sm + p_j*tan_d_j + 1/Q0``, for one
+    device or, with array participations, elementwise over their
+    broadcast."""
+    tan_d_sm, tan_d_j = result.tan_d_sm, result.tan_d_j or 0.0
+    if any(np.any(np.less(v, 0)) for v in (p_sm, p_j, tan_d_sm, tan_d_j)):
+        raise InvalidInputError("participations and loss tangents must be >= 0")
+    return p_sm * tan_d_sm + p_j * tan_d_j + (
         1.0 / result.q0 if result.q0 is not None and math.isfinite(result.q0) else 0.0
     )

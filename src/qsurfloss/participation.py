@@ -39,9 +39,8 @@ from .geometry import (
     check_edge_cutoff,
     check_interdigital_width,
 )
-from .solver import FieldSolution, edge_cut_square_integral, epsilon_0
+from .solver import FieldSolution, epsilon_0
 
-UM = 1e-6
 NM = 1e-9
 
 #: Disordered-layer thickness at the substrate-metal interface, nm.
@@ -76,10 +75,6 @@ class InterfaceSpec:
             raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")
         if self.eps_rel < 1.0:
             raise InvalidInputError(f"layer eps_rel must be >= 1, got {self.eps_rel}")
-
-    def with_region(self, region: InterfaceRegion) -> "InterfaceSpec":
-        """Same layer parameters applied at a different interface."""
-        return replace(self, region=region)
 
 
 #: Default substrate-metal layer (1 nm disordered layer, sapphire-like).
@@ -116,33 +111,25 @@ class ParticipationSet:
         }[InterfaceRegion(region)]
 
 
-def layer_energy(
-    sol: FieldSolution,
-    spec: InterfaceSpec,
-    cutoff_um: float | None = None,
-) -> float:
+def layer_energy(sol: FieldSolution, spec: InterfaceSpec) -> float:
     """Electric energy per unit length stored in one thin interface layer (J/m).
 
-    ``cutoff_um`` overrides the geometry's edge cutoff.  When the geometry
-    flags a representative cell (finger arrays), the integral is restricted
-    to that cell; otherwise it covers the whole array.
+    The integral excludes the geometry's edge cutoff around every strip
+    edge.  When the geometry flags a representative cell (finger arrays),
+    it is restricted to that cell; otherwise it covers the whole array.
     """
-    return _layer_energies(sol, [spec], cutoff_um)[spec.region]
+    return _layer_energies(sol, [spec])[spec.region]
 
 
 def _layer_energies(
-    sol: FieldSolution,
-    specs: Sequence[InterfaceSpec],
-    cutoff_um: float | None,
+    sol: FieldSolution, specs: Sequence[InterfaceSpec]
 ) -> dict[InterfaceRegion, float]:
     """:func:`layer_energy` of each of ``specs``, keyed by region.  The
     edge-cut square integral over the strips (SM, MA) and over the gaps
-    (SA) is taken at most once each: SM and MA differ only by a constant
-    factor.  At the geometry's own cutoff it is the one the solution keeps,
-    shared with the refinement level that produced it."""
+    (SA) is the one the solution keeps, taken at most once each: SM and MA
+    differ only by a constant factor, and a solution from the refinement
+    shares it with the level that produced it."""
     geom = sol.geometry
-    cutoff = geom.edge_cutoff if cutoff_um is None else cutoff_um
-    integrals: dict[bool, float] = {}
     energies: dict[InterfaceRegion, float] = {}
     for spec in specs:
         if spec.region in energies:
@@ -152,12 +139,8 @@ def _layer_energies(
             raise InvalidInputError(
                 "no gap field samples available for the SA region"
             )
-        if gaps not in integrals:
-            integrals[gaps] = (
-                sol._edge_integral(gaps) if cutoff == geom.edge_cutoff
-                else edge_cut_square_integral(sol, cutoff * UM, gaps=gaps))
         eps_i = spec.eps_rel * epsilon_0
-        total = integrals[gaps]
+        total = sol._edge_integral(gaps)
         if not gaps:
             scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
                      else geom.eps_vac_rel) * epsilon_0 / eps_i
@@ -167,30 +150,29 @@ def _layer_energies(
 
 
 def participation_set(
-    sol: FieldSolution,
-    specs: Sequence[InterfaceSpec],
-    cutoff_um: float | None = None,
+    sol: FieldSolution, specs: Sequence[InterfaceSpec]
 ) -> ParticipationSet:
-    """Participation ratio of each requested interface layer.
+    """Participation ratio of each requested interface layer at the
+    geometry's edge cutoff.
 
     ``p_region = layer_energy / U`` where U is the total energy per unit
     length, or the representative cell's energy share when the geometry
     flags one.  Duplicate regions in ``specs`` are rejected; regions
-    not requested come back as ``None``.  At the geometry's edge cutoff
-    the layer integrals are the ones ``sol`` keeps: a solution returned by
+    not requested come back as ``None``.  The layer integrals are the ones
+    ``sol`` keeps: a solution returned by
     :func:`~qsurfloss.solver.refine_until_converged` already took them to
-    check its convergence, so no integral is taken again.  Another
-    ``cutoff_um`` integrates afresh.
+    check its convergence, so no integral is taken again.  Another cutoff
+    is that of the copy ``dataclasses.replace(geom, edge_cutoff=c)``.
     """
     geom = sol.geometry
     u_total = sol.cell()[2]
     values = {region: u / u_total
-              for region, u in _layer_energies(sol, specs, cutoff_um).items()}
+              for region, u in _layer_energies(sol, specs).items()}
     return ParticipationSet(
         p_sm=values.get(InterfaceRegion.SM),
         p_sa=values.get(InterfaceRegion.SA),
         p_ma=values.get(InterfaceRegion.MA),
-        cutoff_used=geom.edge_cutoff if cutoff_um is None else cutoff_um,
+        cutoff_used=geom.edge_cutoff,
         geometry_id=geom.label or f"{len(geom.strips)}-strip array",
     )
 
@@ -305,13 +287,14 @@ def cutoff_sensitivity(
 
     The cutoff regularizes the edge singularity, so its value must always be
     reported next to a participation number; this helper evaluates the same
-    solution at each cutoff (larger cutoffs exclude more of the edge energy,
-    so the values decrease smoothly).
+    solution on a copy of its geometry at each cutoff (larger cutoffs
+    exclude more of the edge energy, so the values decrease smoothly).  A
+    cutoff the geometry refuses, at least half its narrowest strip, fails.
     """
     out = []
     for c in cutoffs_um:
-        pset = participation_set(sol, [spec], cutoff_um=c)
-        out.append((float(c), float(pset[spec.region])))
+        at_c = replace(sol, geometry=replace(sol.geometry, edge_cutoff=c))
+        out.append((float(c), float(participation_set(at_c, [spec])[spec.region])))
     return out
 
 

@@ -271,7 +271,7 @@ def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
                  ["%.9g" % v for v in npr.tolist()],
                  ["%.9g" % p.q_mean for p in points],
                  _q_std_cells(points),
-                 ["%.9g" % (1.0 / v) for v in inv_q]])
+                 ["%.9g" % (1.0 / v) if v > 0 else "" for v in inv_q]])
 
 
 def _write_model_surface(points, fit: LossFitResult, path) -> None:
@@ -285,12 +285,19 @@ def _write_model_surface(points, fit: LossFitResult, path) -> None:
     Raises
     ------
     InvalidInputError
-        If the modeled 1/Q is 0 at a grid point, where Q is unbounded.
+        If a point's p_sm or p_j is 0, where the log-spaced grid cannot
+        start, or the modeled 1/Q is 0 at a grid point, where Q is
+        unbounded.
     """
-    p_sm = np.geomspace(min(p.p_sm for p in points),
-                        max(p.p_sm for p in points), _SURFACE_GRID_POINTS)
-    p_j = np.geomspace(min(p.p_j for p in points),
-                       max(p.p_j for p in points), _SURFACE_GRID_POINTS)
+    axes = []
+    for name in ("p_sm", "p_j"):
+        values = [getattr(p, name) for p in points]
+        if min(values) == 0:
+            raise InvalidInputError(
+                f"{name} is 0 at a fit point; the model surface's "
+                f"log-spaced grid needs {name} > 0")
+        axes.append(np.geomspace(min(values), max(values), _SURFACE_GRID_POINTS))
+    p_sm, p_j = axes
     inv_q = model_inverse_q(fit, p_sm[:, None], p_j[None, :])
     if not inv_q.all():
         i, j = np.argwhere(inv_q == 0)[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -75,9 +74,6 @@ class T1Estimate:
 class T1Statistics:
     mean_us: float
     std_us: float          # population standard deviation
-    median_us: float
-    hist_counts: np.ndarray
-    bin_edges: np.ndarray
 
 
 def _noise_floor(populations: np.ndarray) -> float:
@@ -466,49 +462,24 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     )
 
 
-def t1_statistics(estimates, bins: int = 12) -> T1Statistics:
-    """Mean, population standard deviation, median and histogram of
-    repeated T1 fits.
+def t1_statistics(estimates) -> T1Statistics:
+    """Mean and population standard deviation of repeated T1 fits.
 
-    One sort gives the median and the histogram, which are those of
-    :func:`np.median` and ``np.histogram(values, bins)``: equal-width bins
-    over [min, max], each half-open but the last, and a range of equal
-    values widened by 0.5 on each side.  Where numpy would raise "Too many
-    bins" because the range is too narrow for ``bins`` distinct edges (two
-    T1s one ulp apart), the range is widened on both sides, by 0.5 and
-    then by doubling steps, until the edges are distinct.
+    Both are those of ``np.mean`` and ``np.std``, taken on the values
+    scaled by a power of two, which is exact, so that no sum or square
+    overflows; values below 1 are not scaled, so every mean and std that
+    numpy takes without overflow keeps its bits.
     """
     if not estimates:
         raise InvalidInputError("need at least one estimate")
-    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral) or bins < 1:
-        raise InvalidInputError(f"bins must be a positive integer, got {bins!r}")
     values = np.array([e.t1_us for e in estimates], dtype=float)
-    ordered = np.sort(values)
-    lo, hi = float(ordered[0]), float(ordered[-1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidInputError(f"T1 values must be finite, got [{lo}, {hi}]")
-    pad = 0.5 if lo == hi else 0.0
-    while True:
-        if not math.isfinite(hi + pad):
-            raise InvalidInputError(
-                f"no {bins} distinct histogram bins around T1 = {hi} us")
-        edges = np.linspace(lo - pad, hi + pad, bins + 1)
-        if (edges[1:] > edges[:-1]).all():
-            break
-        pad = 2.0 * pad or 0.5
-    # values below each edge; the last bin also holds the values on its edge
-    below = ordered.searchsorted(edges)
-    below[-1] = ordered.size
-    half = ordered.size // 2
-    median = (float(ordered[half]) if ordered.size % 2
-              else (float(ordered[half - 1]) + float(ordered[half])) / 2.0)
-    return T1Statistics(
-        mean_us=float(values.mean()),
-        std_us=float(values.std()),
-        median_us=median,
-        hist_counts=below[1:] - below[:-1],
-        bin_edges=edges,
-    )
+    hi = float(values.max())
+    if not math.isfinite(hi):
+        raise InvalidInputError(f"T1 values must be finite, got {hi}")
+    exp = max(math.frexp(hi)[1], 0)
+    scaled = np.ldexp(values, -exp)
+    return T1Statistics(mean_us=math.ldexp(float(scaled.mean()), exp),
+                        std_us=math.ldexp(float(scaled.std()), exp))
 
 
 @dataclass
@@ -578,13 +549,6 @@ class PurcellParams:
         if self.chi == 0:
             raise InvalidInputError("cannot infer delta from chi = 0")
         return self.g**2 / self.chi
-
-    @property
-    def chi_effective(self) -> float:
-        """Dispersive shift, ``g^2 / delta`` when not given."""
-        if self.chi is not None:
-            return self.chi
-        return self.g**2 / self.delta
 
 
 def purcell_limit(params: PurcellParams) -> float:
@@ -688,15 +652,6 @@ def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:
             except ValueError as exc:  # malformed JSON or not UTF-8
                 raise InvalidInputError(f"{meta_path}: bad metadata: {exc}") from exc
     return DecayTrace(np.array(delays), np.array(pops), meta=meta)
-
-
-def write_histogram_csv(stats: T1Statistics, path) -> None:
-    """Emit the T1 histogram as CSV rows of ``bin_left, count``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left_us", "count"])
-        for left, count in zip(stats.bin_edges[:-1], stats.hist_counts):
-            writer.writerow([f"{left:.9g}", int(count)])
 
 
 def t1_report_dict(estimate: T1Estimate, trace: DecayTrace | None = None) -> dict:

@@ -384,8 +384,8 @@ def refine_until_converged(
     whose ``geometry`` is the last copy, carries the achieved level and the
     largest last relative change as the discretization-error estimate.
     Each level takes its two edge-cut integrals once and keeps them, so
-    :func:`~qsurfloss.participation.participation_set` at the geometry's
-    cutoff reads the last level's instead of integrating again.
+    :func:`~qsurfloss.participation.participation_set` reads the last
+    level's instead of integrating again.
 
     Raises
     ------

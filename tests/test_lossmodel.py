@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from qsurfloss import (
     group_for_fit,
     model_inverse_q,
     normalized_pr,
-    predict_inverse_q,
 )
 from qsurfloss.lossmodel import (
     CONDITION_LIMIT,
@@ -34,28 +34,54 @@ TAN_SM = 8.9e-4
 TAN_J = 3.5e-3
 
 
-class TestPredictInverseQ:
+#: The two-term model at the extracted tangents.
+REFERENCE_FIT = LossFitResult(LossModel.SM_PLUS_J, tan_d_sm=TAN_SM, tan_d_j=TAN_J)
+
+
+class TestModelInverseQ:
     def test_reference_device_d5_2(self):
         """p_sm = 0.82e-4, p_j = 0.34e-4 with the extracted tangents lands
         within a few percent of the measured Q = 4.92e6."""
-        inv_q = predict_inverse_q(0.82e-4, 0.34e-4, TAN_SM, TAN_J)
+        inv_q = model_inverse_q(REFERENCE_FIT, 0.82e-4, 0.34e-4)
         assert inv_q == pytest.approx(1.92e-7, rel=2e-3)
         assert 1.0 / inv_q == pytest.approx(4.92e6, rel=0.07)
 
     def test_zero_participation_is_lossless(self):
-        assert predict_inverse_q(0.0, 0.0, TAN_SM, TAN_J) == 0.0
+        assert model_inverse_q(REFERENCE_FIT, 0.0, 0.0) == 0.0
 
     def test_junction_dominance_d7_1(self):
         """For the long-lived small-p_sm device, the junction term carries
         roughly 80% of the modeled relaxation."""
         p_sm, p_j = 0.51e-4, 0.59e-4
-        total = predict_inverse_q(p_sm, p_j, TAN_SM, TAN_J)
+        total = model_inverse_q(REFERENCE_FIT, p_sm, p_j)
         fraction = p_j * TAN_J / total
         assert fraction == pytest.approx(0.82, abs=0.01)
 
     def test_negative_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            predict_inverse_q(-1e-4, 0.0, TAN_SM, TAN_J)
+            model_inverse_q(REFERENCE_FIT, -1e-4, 0.0)
+        with pytest.raises(InvalidInputError):
+            model_inverse_q(LossFitResult(LossModel.SM_ONLY, tan_d_sm=-TAN_SM),
+                            1e-4, 0.0)
+
+    @pytest.mark.parametrize("term", ["p_j", "tan_d_j"])
+    def test_negative_junction_term_rejected(self, term):
+        """The junction participation and tangent are refused below 0 as
+        the SM ones are, here with the negative p_j inside an array."""
+        fit = (replace(REFERENCE_FIT, tan_d_j=-TAN_J) if term == "tan_d_j"
+               else REFERENCE_FIT)
+        p_j = np.array([1e-5, -1e-5]) if term == "p_j" else 1e-5
+        with pytest.raises(InvalidInputError, match=">= 0"):
+            model_inverse_q(fit, 1e-4, p_j)
+
+    def test_fit_result_stores_no_prediction(self):
+        """A fit keeps its residuals, not a second copy of the modeled 1/Q:
+        ``model_inverse_q`` is the one place that evaluates it."""
+        assert "predicted_inv_q" not in {f.name for f in fields(LossFitResult)}
+        assert model_inverse_q(REFERENCE_FIT, np.array([0.82e-4, 0.51e-4]),
+                               np.array([0.34e-4, 0.59e-4])).tolist() == [
+            model_inverse_q(REFERENCE_FIT, 0.82e-4, 0.34e-4),
+            model_inverse_q(REFERENCE_FIT, 0.51e-4, 0.59e-4)]
 
 
 class TestNormalizedPr:
@@ -131,12 +157,9 @@ class TestExactRecovery:
     def test_prediction_identity(self):
         points = synthetic_points(8e-4, inv_q0=1e-7, p_sm=[1e-4, 4e-4, 9e-4])
         fit = fit_sm_plus_q0(points, weighting="none")
-        for i, (p, predicted) in enumerate(zip(points, fit.predicted_inv_q)):
+        for p, residual in zip(points, fit.residuals):
             assert model_inverse_q(fit, p.p_sm, p.p_j) == pytest.approx(
-                predicted, rel=1e-14
-            )
-            assert 1.0 / p.q_mean - predicted == pytest.approx(
-                fit.residuals[i], abs=1e-20
+                1.0 / p.q_mean - residual, rel=1e-14
             )
 
 
@@ -156,6 +179,12 @@ class TestDegeneracy:
         ]
         with pytest.raises(DegenerateFitError, match="condition"):
             fit_sm_plus_j(points, weighting="none")
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weighted_design_rejected(self, weight):
+        X = np.array([[1e-4, 0.0], [2e-4, 1e-5], [5e-4, 3e-5]])
+        with pytest.raises(DegenerateFitError, match="not finite"):
+            _clamped_weighted_lstsq(X, np.ones(3), np.array([1.0, weight, 1.0]))
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
@@ -432,7 +461,6 @@ def reference_fit_sm_plus_q0(points, weighting):
         stderr=stderr,
         covariance=cov,
         residuals=res,
-        predicted_inv_q=X @ beta,
         weighting=weighting,
         n_points=len(points),
         condition_number=float(cond),
@@ -456,7 +484,6 @@ def reference_fit_sm_plus_j(points, weighting):
         stderr=stderr,
         covariance=cov,
         residuals=res,
-        predicted_inv_q=X @ beta,
         weighting=weighting,
         n_points=len(points),
         condition_number=float(cond),
@@ -475,7 +502,6 @@ def reference_fit_sm_only(points, weighting):
         stderr={"tan_d_sm": float(np.sqrt(cov[0, 0]))},
         covariance=cov,
         residuals=res,
-        predicted_inv_q=X @ beta,
         weighting=weighting,
         n_points=len(points),
         condition_number=float(cond),
@@ -507,14 +533,18 @@ def reference_json_dict(result):
     }
 
 
+def _reference_predict(p_sm, p_j, tan_d_sm, tan_d_j=0.0):
+    return p_sm * tan_d_sm + p_j * tan_d_j
+
+
 def reference_model_inverse_q(result, p_sm, p_j):
     if result.model is LossModel.SM_PLUS_Q0:
-        return predict_inverse_q(p_sm, 0.0, result.tan_d_sm) + (
+        return _reference_predict(p_sm, 0.0, result.tan_d_sm) + (
             0.0 if math.isinf(result.q0) else 1.0 / result.q0
         )
     if result.model is LossModel.SM_PLUS_J:
-        return predict_inverse_q(p_sm, p_j, result.tan_d_sm, result.tan_d_j)
-    return predict_inverse_q(p_sm, 0.0, result.tan_d_sm)
+        return _reference_predict(p_sm, p_j, result.tan_d_sm, result.tan_d_j)
+    return _reference_predict(p_sm, 0.0, result.tan_d_sm)
 
 
 def negative_intercept_points():
@@ -552,7 +582,6 @@ def assert_same_fit(got, want):
     np.testing.assert_array_equal(list(got.stderr.values()), list(want.stderr.values()))
     np.testing.assert_array_equal(got.covariance, want.covariance)
     np.testing.assert_array_equal(got.residuals, want.residuals)
-    np.testing.assert_array_equal(got.predicted_inv_q, want.predicted_inv_q)
     assert got.condition_number == want.condition_number
     assert json.dumps(got.to_json_dict()) == json.dumps(reference_json_dict(want))
 

@@ -24,7 +24,7 @@ from qsurfloss import (
     solve_cross_section,
     write_sweep_csv,
 )
-from qsurfloss import participation, solver
+from qsurfloss import solver
 from qsurfloss.errors import shown
 from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
@@ -32,6 +32,11 @@ from qsurfloss.solver import FieldSolution, StripFields
 
 UM = 1e-6
 NM = 1e-9
+
+
+def at_cutoff(sol, cutoff_um):
+    """``sol`` on a copy of its geometry with another edge cutoff."""
+    return replace(sol, geometry=replace(sol.geometry, edge_cutoff=cutoff_um))
 
 
 def single_term_solution(width_um, e_field, depth_um, eps_sub_rel, cutoff_um):
@@ -109,10 +114,10 @@ class TestLayerEnergy:
 
     def test_zero_cutoff_rejected(self, two_strip_sol):
         """The edge integrals diverge as ln(1 / cutoff)."""
+        sol = at_cutoff(two_strip_sol, 0.0)
         for region in InterfaceRegion:
             with pytest.raises(InvalidInputError, match="cutoff must be > 0"):
-                layer_energy(two_strip_sol, DEFAULT_SM_SPEC.with_region(region),
-                             cutoff_um=0.0)
+                layer_energy(sol, replace(DEFAULT_SM_SPEC, region=region))
 
     def test_linear_in_thickness(self, two_strip_sol):
         one = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 1.0))
@@ -130,13 +135,13 @@ class TestLayerEnergy:
         """1e-15 um is below one rounding step of x = 10 um, so the cut
         interval would start on the edge itself."""
         with pytest.raises(InvalidInputError, match="below the resolution"):
-            layer_energy(two_strip_sol, DEFAULT_SM_SPEC, cutoff_um=1e-15)
-        assert layer_energy(two_strip_sol, DEFAULT_SM_SPEC, cutoff_um=1e-12) > 0
+            layer_energy(at_cutoff(two_strip_sol, 1e-15), DEFAULT_SM_SPEC)
+        assert layer_energy(at_cutoff(two_strip_sol, 1e-12), DEFAULT_SM_SPEC) > 0
 
     def test_missing_gap_samples_rejected(self):
         sol = single_term_solution(50.0, 1e5, 1.0, 10.15, cutoff_um=0.05)
         with pytest.raises(InvalidInputError, match="gap field samples"):
-            layer_energy(sol, DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA))
+            layer_energy(sol, replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA))
 
 
 class TestZeroVoltCell:
@@ -172,8 +177,8 @@ class TestParticipationSet:
     def test_all_ratios_small_and_positive(self, interdigital_sol_1um):
         specs = [
             DEFAULT_SM_SPEC,
-            DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA),
-            DEFAULT_SM_SPEC.with_region(InterfaceRegion.MA),
+            replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA),
+            replace(DEFAULT_SM_SPEC, region=InterfaceRegion.MA),
         ]
         pset = participation_set(interdigital_sol_1um, specs)
         values = [pset.p_sm, pset.p_sa, pset.p_ma]
@@ -184,35 +189,15 @@ class TestParticipationSet:
                                               monkeypatch):
         """SM and MA share one strip integral and SA takes one gap integral,
         and every ratio is still layer_energy / U to the last bit."""
-        sol = interdigital_sol_1um
+        sol = at_cutoff(interdigital_sol_1um, 0.02)
         specs = [
             DEFAULT_SM_SPEC,
-            DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA),
-            DEFAULT_SM_SPEC.with_region(InterfaceRegion.MA),
+            replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA),
+            replace(DEFAULT_SM_SPEC, region=InterfaceRegion.MA),
         ]
-        expected = [layer_energy(sol, spec, cutoff_um=0.02) / sol.cell()[2]
+        # each on a copy, which keeps no integral
+        expected = [layer_energy(replace(sol), spec) / sol.cell()[2]
                     for spec in specs]
-        on_gaps = []
-
-        def counted(*args, gaps=False):
-            on_gaps.append(gaps)
-            return integral(*args, gaps=gaps)
-
-        integral = participation.edge_cut_square_integral
-        monkeypatch.setattr(participation, "edge_cut_square_integral", counted)
-        pset = participation_set(sol, specs, cutoff_um=0.02)
-        assert sorted(on_gaps) == [False, True]
-        assert [pset.p_sm, pset.p_sa, pset.p_ma] == expected
-
-    def test_refinement_and_participations_share_the_last_integrals(
-            self, monkeypatch):
-        """The refinement takes each level's strip and gap integrals once,
-        and participation_set at the geometry's cutoff reads the last
-        level's instead of integrating again; its ratios equal fresh
-        integrals of the returned solution to the last bit."""
-        geom = CrossSection([Strip(0.0, 4.0, 1.0), Strip(6.0, 8.0, 0.0),
-                             Strip(17.0, 5.0, -0.3)], discretization=16)
-        specs = [DEFAULT_SM_SPEC.with_region(region) for region in InterfaceRegion]
         on_gaps = []
 
         def counted(*args, gaps=False):
@@ -221,7 +206,27 @@ class TestParticipationSet:
 
         integral = solver.edge_cut_square_integral
         monkeypatch.setattr(solver, "edge_cut_square_integral", counted)
-        monkeypatch.setattr(participation, "edge_cut_square_integral", counted)
+        pset = participation_set(sol, specs)
+        assert sorted(on_gaps) == [False, True]
+        assert [pset.p_sm, pset.p_sa, pset.p_ma] == expected
+
+    def test_refinement_and_participations_share_the_last_integrals(
+            self, monkeypatch):
+        """The refinement takes each level's strip and gap integrals once,
+        and participation_set reads the last level's instead of
+        integrating again; its ratios equal fresh integrals of the returned
+        solution to the last bit."""
+        geom = CrossSection([Strip(0.0, 4.0, 1.0), Strip(6.0, 8.0, 0.0),
+                             Strip(17.0, 5.0, -0.3)], discretization=16)
+        specs = [replace(DEFAULT_SM_SPEC, region=region) for region in InterfaceRegion]
+        on_gaps = []
+
+        def counted(*args, gaps=False):
+            on_gaps.append(gaps)
+            return integral(*args, gaps=gaps)
+
+        integral = solver.edge_cut_square_integral
+        monkeypatch.setattr(solver, "edge_cut_square_integral", counted)
         sol = refine_until_converged(geom, 1e-4)
         pset = participation_set(sol, specs)
         assert sol.refinement_levels >= 1
@@ -294,6 +299,40 @@ class TestCutoffSensitivity:
         # smooth variation: each halving of the cutoff adds a bounded slice
         assert values[0] / values[1] < 1.5
         assert values[1] / values[2] < 1.5
+        # each value is the participation of the copy at that cutoff
+        assert values[1] == participation_set(
+            at_cutoff(sol, 0.1), [DEFAULT_SM_SPEC]).p_sm
+
+    def test_cutoff_the_geometry_refuses_fails(self):
+        """A cutoff of half the narrowest strip or more used to drop that
+        strip from the integral; like a negative one, it is now refused."""
+        sol = solve_cross_section(CrossSection(
+            [Strip(0.0, 1.0, 1.0), Strip(5.0, 10.0, -1.0)]))
+        assert cutoff_sensitivity(sol, cutoffs_um=[0.1])[0][1] > 0
+        for cutoff in (0.5, 0.6, -0.1):
+            with pytest.raises(InvalidInputError, match="edge_cutoff must lie"):
+                cutoff_sensitivity(sol, cutoffs_um=[cutoff])
+
+    @pytest.mark.parametrize("cutoff_um", [0.02, 0.1, 0.4])
+    def test_each_value_is_the_copy_at_that_cutoff(self, cutoff_um):
+        """For every region, the value at a cutoff is to the last bit the
+        participation of the geometry copied at that cutoff."""
+        sol = solve_cross_section(CrossSection(
+            [Strip(0.0, 1.0, 1.0), Strip(5.0, 10.0, -1.0)], discretization=16))
+        for region in InterfaceRegion:
+            spec = replace(DEFAULT_SM_SPEC, region=region)
+            [(cutoff, value)] = cutoff_sensitivity(sol, spec, [cutoff_um])
+            want = participation_set(at_cutoff(sol, cutoff_um), [spec])[region]
+            assert cutoff == cutoff_um
+            assert value.hex() == float(want).hex()
+
+    def test_no_per_call_cutoff(self, two_strip_sol):
+        """The cutoff is the geometry's ``edge_cutoff``; neither entry point
+        takes one of its own."""
+        with pytest.raises(TypeError, match="cutoff_um"):
+            participation_set(two_strip_sol, [DEFAULT_SM_SPEC], cutoff_um=0.1)
+        with pytest.raises(TypeError, match="cutoff_um"):
+            layer_energy(two_strip_sol, DEFAULT_SM_SPEC, cutoff_um=0.1)
 
 
 def agm(a: float, b: float) -> float:
@@ -332,7 +371,7 @@ def periodic_reference(width_um, gap_um, cutoff_um, spec, eps_sub=10.15):
 def finite_arrays_1um():
     """Center-cell participation of 1 um interdigital arrays solved with 11,
     21, 41 and 161 fingers at a 0.02 um cutoff."""
-    specs = [DEFAULT_SM_SPEC.with_region(r) for r in InterfaceRegion]
+    specs = [replace(DEFAULT_SM_SPEC, region=r) for r in InterfaceRegion]
     return {
         n: participation_set(solve_cross_section(interdigital_unit_cell(
             1.0, n, discretization=16 if n < 100 else 8, edge_cutoff=0.02)), specs)
@@ -432,7 +471,7 @@ class TestWidthSweep:
             with pytest.raises(InvalidInputError, match=r"\[0\.1, 100\] um"):
                 psm_width_sweep(widths)
         with pytest.raises(InvalidInputError, match="SM"):
-            psm_width_sweep([1.0], spec=DEFAULT_SM_SPEC.with_region(InterfaceRegion.SA))
+            psm_width_sweep([1.0], spec=replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA))
 
     def test_bound_checked_on_each_scaled_point(self):
         """A 300 nm layer breaks the thin-layer bound only at 0.5 um."""

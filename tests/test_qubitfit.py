@@ -1,4 +1,7 @@
 import math
+import statistics
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from qsurfloss import (
     InvalidInputError,
     PurcellParams,
     T1Estimate,
+    T1Statistics,
     fit_exponential,
     load_decay_trace,
     purcell_limit,
@@ -31,7 +35,6 @@ from qsurfloss.qubitfit import (
     _project,
     _Weights,
     t1_report_dict,
-    write_histogram_csv,
 )
 
 T1_REF = 316.8  # us
@@ -620,95 +623,75 @@ class TestT1Statistics:
         b = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in shuffled])
         assert a.mean_us == pytest.approx(b.mean_us, rel=1e-12)
         assert a.std_us == pytest.approx(b.std_us, rel=1e-12)
-        assert np.array_equal(a.hist_counts, b.hist_counts)
-
-    def test_histogram_default_bins(self):
-        values = np.linspace(100, 200, 30)
-        stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
-        assert stats.hist_counts.size == 12
-        assert stats.hist_counts.sum() == 30
 
     @staticmethod
     @st.composite
     def t1_lists(draw):
         """Positive T1 lists with repeats and ulp neighbours of one value
-        beside arbitrary floats from subnormal to 1e150, whose squares
-        the std takes without overflow."""
-        base = draw(st.floats(5e-324, 1e150))
-        near = st.sampled_from([base, math.nextafter(base, math.inf),
+        beside arbitrary floats over the whole positive range, from
+        subnormal to the largest float, where numpy's std can overflow."""
+        largest = np.finfo(float).max
+        base = draw(st.floats(5e-324, largest))
+        near = st.sampled_from([base, min(math.nextafter(base, math.inf), largest),
                                 math.nextafter(base, 0.0) or base])
-        return draw(st.lists(near | st.floats(5e-324, 1e150),
+        return draw(st.lists(near | st.floats(5e-324, largest),
                              min_size=1, max_size=40))
 
     @given(values=t1_lists())
     @example(values=[100.0, 100.0])
     @example(values=[100.0, 150.0, 200.0, 250.0])
     @example(values=[100.0, math.nextafter(100.0, 200.0)])
+    @example(values=[1e200, 3e200])
+    @example(values=[6.038339879714466e+169, 6.038339879714468e+169])
     @settings(max_examples=300, deadline=None)
     def test_bit_equal_to_numpy(self, values):
-        """Mean, std, median, edges and counts carry the bits of
-        ``np.mean``, ``np.std``, ``np.median`` and ``np.histogram``
-        wherever numpy's histogram succeeds; where its range is too narrow
-        for 13 distinct edges, the widened edges are increasing and hold
-        every value."""
+        """Mean and std carry the bits of ``np.mean`` and ``np.std``
+        wherever numpy's std is finite; where its squares overflow, both
+        are finite and match the exact statistics to the rounding of a
+        sum."""
         stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
         a = np.array(values)
-        for got, want in [(stats.mean_us, a.mean()), (stats.std_us, a.std()),
-                          (stats.median_us, np.median(a))]:
-            assert type(got) is float and got.hex() == float(want).hex()
-        assert stats.hist_counts.dtype == np.intp
-        try:
-            counts, edges = np.histogram(a, bins=12)
-        except ValueError as exc:
-            assert "Too many bins" in str(exc)
-            edges = stats.bin_edges
-            assert (edges[1:] > edges[:-1]).all()
-            assert edges[0] <= a.min() and a.max() <= edges[-1]
-            assert stats.hist_counts.sum() == a.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(a.mean()), float(a.std())
+        assert type(stats.mean_us) is float and type(stats.std_us) is float
+        if math.isfinite(std):
+            assert stats.mean_us.hex() == mean.hex()
+            assert stats.std_us.hex() == std.hex()
         else:
-            assert stats.bin_edges.tobytes() == edges.tobytes()
-            assert stats.hist_counts.tobytes() == counts.tobytes()
-
-    def test_ulp_adjacent_values_widen_the_range(self):
-        """Two T1s one ulp apart ended in numpy's "Too many bins for data
-        range"; the range now widens by 0.5 on each side, as numpy does
-        for equal values."""
-        values = [100.0, math.nextafter(100.0, 200.0)]
-        with pytest.raises(ValueError, match="Too many bins"):
-            np.histogram(values, bins=12)
-        stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
-        assert stats.bin_edges[0] == 99.5
-        assert stats.bin_edges[-1] == values[1] + 0.5
-        assert stats.hist_counts.tolist() == [0] * 6 + [2] + [0] * 5
-
-    def test_equal_huge_values_widen_past_half(self):
-        """At 1e20 the +-0.5 of equal values is below an ulp, so the range
-        widens further, symmetrically about the value."""
-        stats = t1_statistics([T1Estimate(1e20, 1.0, 1.0, 0.0)] * 3)
-        edges = stats.bin_edges
-        assert (edges[1:] > edges[:-1]).all()
-        assert 1e20 - edges[0] == edges[-1] - 1e20 > 0
-        assert stats.hist_counts.sum() == 3
-
-    @pytest.mark.parametrize("bins", [0, -1, 2.0, True, "12"])
-    def test_bad_bin_count_rejected(self, bins):
-        with pytest.raises(InvalidInputError, match="bins"):
-            t1_statistics([T1Estimate(100.0, 1.0, 1.0, 0.0)], bins=bins)
+            exact_mean = statistics.mean(values)
+            assert stats.mean_us == pytest.approx(exact_mean, rel=1e-13)
+            assert stats.std_us == pytest.approx(statistics.pstdev(values),
+                                                 rel=1e-13, abs=1e-13 * exact_mean)
 
     def test_non_finite_t1_rejected(self):
         with pytest.raises(InvalidInputError, match="finite"):
             t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0)
                            for v in (100.0, math.inf)])
 
-    def test_histogram_csv(self, tmp_path):
-        stats = t1_statistics(
-            [T1Estimate(v, 1.0, 1.0, 0.0) for v in (100.0, 150.0, 200.0)]
-        )
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(stats, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "bin_left_us,count"
-        assert len(lines) == 13
+    def test_holds_only_mean_and_std(self):
+        """The statistics are the mean and the population std; there is no
+        histogram, median or bin count."""
+        assert [f.name for f in fields(T1Statistics)] == ["mean_us", "std_us"]
+        with pytest.raises(TypeError, match="bins"):
+            t1_statistics([T1Estimate(100.0, 1.0, 1.0, 0.0)], bins=12)
+
+    def test_overflowing_spread_is_finite_without_warning(self):
+        """numpy squares deviations of 1e200 to inf; the scaled std does not
+        overflow and raises no RuntimeWarning."""
+        values = [1e200, 3e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
+        assert stats.mean_us == pytest.approx(statistics.mean(values), rel=1e-15)
+        assert stats.std_us == pytest.approx(statistics.pstdev(values), rel=1e-15)
+
+    @pytest.mark.parametrize("value", [1e-300, 100.0, 1e20, np.finfo(float).max])
+    def test_equal_values_have_zero_spread(self, value):
+        """Four equal T1s give that T1 and std 0 across the float range,
+        including the largest float, whose sum numpy overflows."""
+        stats = t1_statistics([T1Estimate(value, 1.0, 1.0, 0.0)] * 4)
+        assert stats.mean_us == value
+        assert stats.std_us == 0.0
 
 
 class TestPurcellLimit:
@@ -731,12 +714,6 @@ class TestPurcellLimit:
         delta_ghz = params.delta_effective / (2 * math.pi * 1e9)
         assert delta_ghz == pytest.approx(2.031, rel=1e-3)
         assert purcell_limit(params) == pytest.approx(9.0e-3, rel=0.01)
-
-    def test_chi_inferred_from_g_and_delta(self):
-        params = PurcellParams.from_cyclic(delta_ghz=2.03, kappa_khz=52.4,
-                                           g_mhz=37.3)
-        chi_mhz = params.chi_effective / (2 * math.pi * 1e6)
-        assert chi_mhz == pytest.approx(0.685, rel=2e-3)
 
     def test_zero_coupling_unbounded(self):
         params = PurcellParams.from_cyclic(delta_ghz=2.0, kappa_khz=50.0, g_mhz=0.0)

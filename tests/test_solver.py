@@ -334,7 +334,7 @@ class TestChebyshevBasis:
     def test_participations_converge_spectrally(self, section):
         """12 terms per strip agree with 64 to 1e-7 in every region
         (measured 7e-9 and 1.8e-8)."""
-        specs = [DEFAULT_SM_SPEC.with_region(r) for r in InterfaceRegion]
+        specs = [replace(DEFAULT_SM_SPEC, region=r) for r in InterfaceRegion]
         coarse, fine = (participation_set(
             solve_cross_section(replace(section, discretization=m)), specs)
             for m in (12, 64))

@@ -13,7 +13,7 @@ is compared byte for byte.
 import csv
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -79,7 +79,7 @@ def reference_q_vs_npr(points, fit, path):
                 f"{npr:.9g}",
                 f"{p.q_mean:.9g}",
                 "" if not p.q_std else f"{p.q_std:.9g}",
-                f"{1.0 / inv_q:.9g}",
+                f"{1.0 / inv_q:.9g}" if inv_q > 0 else "",
             ])
 
 
@@ -280,6 +280,22 @@ class TestPipelineWriters:
                               reference_model_surface, points, fit)
         assert_same_bytes(tmp_path, _write_q_vs_npr, reference_q_vs_npr,
                           points, fits["sm+j"])
+
+        # the same points with one participation set to 0: the row writers
+        # keep their bytes, and the surface, whose log-spaced grid cannot
+        # start at 0, is refused typed without writing a file
+        name = data.draw(st.sampled_from(["p_sm", "p_j"]))
+        at = data.draw(st.integers(0, n - 1))
+        zeroed = list(points)
+        zeroed[at] = replace(points[at], **{name: 0.0})
+        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+                          zeroed, fits)
+        assert_same_bytes(tmp_path, _write_q_vs_npr, reference_q_vs_npr,
+                          zeroed, fits["sm+j"])
+        for fit in fits.values():
+            with pytest.raises(InvalidInputError, match=f"{name} is 0"):
+                _write_model_surface(zeroed, fit, tmp_path / "surface")
+            assert not (tmp_path / "surface").exists()
 
     def test_report_json_writes_nonfinite_as_null(self, tmp_path):
         report = {"b": [1.0, math.nan, -math.inf, np.float64(2.0 / 3.0)],
