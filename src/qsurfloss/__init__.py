@@ -41,7 +41,6 @@ from .participation import (
     InterfaceSpec,
     ParticipationSet,
     cutoff_sensitivity,
-    layer_energy,
     participation_set,
     psm_width_sweep,
     write_sweep_csv,

@@ -222,17 +222,10 @@ def load_cross_section(path) -> CrossSection:
     return CrossSection.from_json_dict(doc)
 
 
-def dump_cross_section(geom: CrossSection, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(geom.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def interdigital_unit_cell(
     gap_and_finger_width: float,
     n_fingers: int,
     discretization: int = 16,
-    edge_cutoff: float | None = None,
 ) -> CrossSection:
     """Finite interdigital array whose center cell approximates the periodic
     interior.
@@ -246,9 +239,10 @@ def interdigital_unit_cell(
     infinite array in closed form instead; solving this cell with more
     fingers converges to that closed form and so cross-checks it.
 
-    The edge cutoff defaults to ``width * INTERDIGITAL_CUTOFF_FRACTION``
-    rather than the global fixed default, so that sweeping the width keeps
-    the cutoff proportional to the feature size.
+    The edge cutoff is ``width * INTERDIGITAL_CUTOFF_FRACTION`` rather
+    than the global fixed default, so that sweeping the width keeps the
+    cutoff proportional to the feature size; another cutoff is that of the
+    copy ``dataclasses.replace(cell, edge_cutoff=c)``.
     """
     # checked before float(), which overflows on an int beyond the range
     check_interdigital_width(gap_and_finger_width)
@@ -263,15 +257,13 @@ def interdigital_unit_cell(
     if n_fingers > MAX_INTERDIGITAL_FINGERS:
         raise InvalidInputError(
             f"n_fingers must be <= {MAX_INTERDIGITAL_FINGERS}, got {n_fingers}")
-    if edge_cutoff is None:
-        edge_cutoff = w * INTERDIGITAL_CUTOFF_FRACTION
     strips = [
         Strip(i * 2.0 * w, w, 0.5 if i % 2 == 0 else -0.5)
         for i in range(n_fingers)
     ]
     return CrossSection(
         strips,
-        edge_cutoff=edge_cutoff,
+        edge_cutoff=w * INTERDIGITAL_CUTOFF_FRACTION,
         discretization=discretization,
         representative_cell=n_fingers // 2,
         label=f"interdigital w={w:g}um n={n_fingers}",

@@ -135,7 +135,17 @@ def _weights(points: Sequence[LossDataPoint], weighting: Weighting) -> np.ndarra
             f"{len(missing)} of {len(points)} have none ({shown}"
             f"{', ...' if len(missing) > 3 else ''}); use weighting 'none'"
         )
-    return np.array([p.q_mean**4 / p.q_std**2 for p in points])   # 1 / var(1/Q)
+    # 1 / var(1/Q) = q_mean^4 / q_std^2 of q_mean and q_std brought inside
+    # 2**+-128 by exact powers of two, which one even power restores: no
+    # power overflows, a weight beyond the float range reads inf (the fit
+    # refuses it as not finite), and values inside keep the bits of the
+    # plain quotient, taken with python's pow per point (numpy's differs)
+    q = np.array([(p.q_mean, p.q_std) for p in points])
+    shift = np.frexp(q)[1]
+    shift -= np.clip(shift, -128, 128)
+    with np.errstate(over="ignore"):
+        return np.ldexp([a**4 / b**2 for a, b in np.ldexp(q, -shift).tolist()],
+                        shift @ [4, -2])
 
 
 def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -156,7 +166,8 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """
     n, k = X.shape
     sw = np.sqrt(w)
-    Xw = X * sw[:, None]
+    with np.errstate(invalid="ignore"):  # 0 * inf, refused just below
+        Xw = X * sw[:, None]
     yw = y * sw
     if not np.isfinite(Xw).all():
         raise DegenerateFitError("the weighted design is not finite")

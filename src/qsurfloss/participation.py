@@ -91,8 +91,6 @@ class ParticipationSet:
     p_sm: float | None
     p_sa: float | None
     p_ma: float | None
-    cutoff_used: float  # um
-    geometry_id: str
 
     def __post_init__(self) -> None:
         for name in ("p_sm", "p_sa", "p_ma"):
@@ -111,24 +109,17 @@ class ParticipationSet:
         }[InterfaceRegion(region)]
 
 
-def layer_energy(sol: FieldSolution, spec: InterfaceSpec) -> float:
-    """Electric energy per unit length stored in one thin interface layer (J/m).
-
-    The integral excludes the geometry's edge cutoff around every strip
-    edge.  When the geometry flags a representative cell (finger arrays),
-    it is restricted to that cell; otherwise it covers the whole array.
-    """
-    return _layer_energies(sol, [spec])[spec.region]
-
-
 def _layer_energies(
     sol: FieldSolution, specs: Sequence[InterfaceSpec]
 ) -> dict[InterfaceRegion, float]:
-    """:func:`layer_energy` of each of ``specs``, keyed by region.  The
-    edge-cut square integral over the strips (SM, MA) and over the gaps
-    (SA) is the one the solution keeps, taken at most once each: SM and MA
-    differ only by a constant factor, and a solution from the refinement
-    shares it with the level that produced it."""
+    """Energy per unit length (J/m) in the thin layer of each of ``specs``,
+    keyed by region.  Each integral excludes the geometry's edge cutoff
+    around every strip edge and covers the representative cell when the
+    geometry flags one (finger arrays), else the whole array.  The edge-cut
+    square integral over the strips (SM, MA) and over the gaps (SA) is the
+    one the solution keeps, taken at most once each: SM and MA differ only
+    by a constant factor, and a solution from the refinement shares it with
+    the level that produced it."""
     geom = sol.geometry
     energies: dict[InterfaceRegion, float] = {}
     for spec in specs:
@@ -155,16 +146,15 @@ def participation_set(
     """Participation ratio of each requested interface layer at the
     geometry's edge cutoff.
 
-    ``p_region = layer_energy / U`` where U is the total energy per unit
-    length, or the representative cell's energy share when the geometry
-    flags one.  Duplicate regions in ``specs`` are rejected; regions
-    not requested come back as ``None``.  The layer integrals are the ones
-    ``sol`` keeps: a solution returned by
+    ``p_region = u_region / U``: the energy stored in the region's layer
+    over U, the total energy per unit length, or the representative cell's
+    energy share when the geometry flags one.  Duplicate regions in
+    ``specs`` are rejected; regions not requested come back as ``None``.
+    The layer integrals are the ones ``sol`` keeps: a solution returned by
     :func:`~qsurfloss.solver.refine_until_converged` already took them to
     check its convergence, so no integral is taken again.  Another cutoff
     is that of the copy ``dataclasses.replace(geom, edge_cutoff=c)``.
     """
-    geom = sol.geometry
     u_total = sol.cell()[2]
     values = {region: u / u_total
               for region, u in _layer_energies(sol, specs).items()}
@@ -172,8 +162,6 @@ def participation_set(
         p_sm=values.get(InterfaceRegion.SM),
         p_sa=values.get(InterfaceRegion.SA),
         p_ma=values.get(InterfaceRegion.MA),
-        cutoff_used=geom.edge_cutoff,
-        geometry_id=geom.label or f"{len(geom.strips)}-strip array",
     )
 
 
@@ -230,8 +218,6 @@ def _periodic_idc(
         p_sm=base * SAPPHIRE_EPS_REL**2 / spec.eps_rel,
         p_sa=base * spec.eps_rel,
         p_ma=base / spec.eps_rel,
-        cutoff_used=cutoff_um,
-        geometry_id=f"periodic interdigital w={width_um:g}um",
     )
 
 

@@ -36,12 +36,12 @@ remains in micrometres.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, NumericalFailureError
-from .geometry import MIN_TERMS_PER_STRIP, CrossSection
+from .geometry import MIN_TERMS_PER_STRIP, CrossSection, Strip
 
 UM = 1e-6
 
@@ -52,41 +52,21 @@ epsilon_0 = 8.8541878188e-12
 SOLVE_RESIDUAL_TOL = 1e-8
 
 
-@dataclass
-class StripFields:
-    """One solved strip: bounds (m), potential (V) and Chebyshev coefficients."""
-
-    index: int
-    x_left: float
-    x_right: float
-    potential: float
-    coefficients: np.ndarray    # a_n of sigma = sum a_n T_n(t)/sqrt(1-t^2), C/m^2
-
-    @property
-    def charge(self) -> float:
-        """Total line charge of the strip, pi h a_0, C/m."""
-        return float(0.5 * np.pi * (self.x_right - self.x_left) * self.coefficients[0])
-
-
-@dataclass
-class GapFields:
-    """Exposed substrate between two adjacent strips, bounds in m."""
-
-    index: int
-    x_left: float
-    x_right: float
+def _edges(geom: CrossSection) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right edges of the strips of ``geom``, m."""
+    return (np.array([s.x_start for s in geom.strips]) * UM,
+            np.array([s.x_end for s in geom.strips]) * UM)
 
 
 @dataclass
 class FieldSolution:
-    """Self-consistent surface solution of a :class:`CrossSection`."""
+    """Self-consistent surface solution of a :class:`CrossSection`: one row
+    of Chebyshev coefficients per strip.  Strip bounds and charges, gaps,
+    ``eps_bar`` and the capacitance follow from them and the geometry."""
 
     geometry: CrossSection
-    strips: list[StripFields]
-    gaps: list[GapFields]
-    capacitance_per_len: float  # F/m
+    coefficients: np.ndarray    # a_n of sigma = sum a_n T_n(t)/sqrt(1-t^2), C/m^2
     energy_per_len: float       # J/m
-    eps_bar: float              # effective homogeneous permittivity, F/m
     residual_norm: float
     refinement_levels: int = 0
     estimated_rel_error: float | None = None
@@ -94,13 +74,42 @@ class FieldSolution:
     _edge_integrals: dict[bool, float] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right strip edges, m; like the edge integrals, derived
+        afresh by a copy that :func:`dataclasses.replace` makes."""
+        return _edges(self.geometry)
+
+    @property
+    def strips(self) -> tuple[Strip, ...]:
+        return self.geometry.strips
+
+    @property
+    def gaps(self) -> list[tuple[float, float]]:
+        """(left, right) of the exposed substrate between adjacent strips, m."""
+        left, right = self._bounds
+        return list(zip(right[:-1].tolist(), left[1:].tolist()))
+
     @property
     def elements_per_strip(self) -> int:
         """Chebyshev terms per strip, M, the discretization of the geometry."""
         return self.geometry.discretization
 
+    @property
+    def eps_bar(self) -> float:
+        """Effective homogeneous permittivity of the interface problem, F/m."""
+        return 0.5 * (self.geometry.eps_vac_rel + self.geometry.eps_sub_rel) * epsilon_0
+
+    @property
+    def capacitance_per_len(self) -> float:
+        """2 U / dV^2 over the largest potential difference, F/m."""
+        pots = self.geometry.potentials
+        return 2.0 * self.energy_per_len / (max(pots) - min(pots))**2
+
     def strip_charges(self) -> list[float]:
-        return [s.charge for s in self.strips]
+        """Line charge pi h a_0 of every strip, C/m."""
+        left, right = self._bounds
+        return (np.pi * (0.5 * (right - left)) * self.coefficients[:, 0]).tolist()
 
     def cell(self) -> tuple[float, float, float]:
         """x-bounds in metres and energy in J/m of the representative cell.
@@ -112,13 +121,13 @@ class FieldSolution:
         ci = self.geometry.representative_cell
         if ci is None:
             return -np.inf, np.inf, self.energy_per_len
-        strip = self.strips[ci]
-        left, right = strip.x_left, strip.x_right
+        left, right = self._bounds
+        lo, hi = left[ci], right[ci]
         if ci > 0:
-            left = 0.5 * (self.strips[ci - 1].x_right + left)
-        if ci < len(self.strips) - 1:
-            right = 0.5 * (right + self.strips[ci + 1].x_left)
-        return left, right, 0.5 * abs(strip.charge * strip.potential)
+            lo = 0.5 * (right[ci - 1] + lo)
+        if ci < len(left) - 1:
+            hi = 0.5 * (hi + left[ci + 1])
+        return lo, hi, 0.5 * abs(self.strip_charges()[ci] * self.strips[ci].potential)
 
     def _edge_integral(self, gaps: bool) -> float:
         """:func:`edge_cut_square_integral` over the strips, or with
@@ -174,12 +183,6 @@ def _chebyshev_nodes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, cheb, rise
 
 
-def _strip_bounds(strips: list[StripFields]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left edges, right edges and coefficients of the strips, stacked."""
-    return (np.array([s.x_left for s in strips]), np.array([s.x_right for s in strips]),
-            np.array([s.coefficients for s in strips]))
-
-
 def solve_cross_section(geom: CrossSection) -> FieldSolution:
     """Solve the electrostatic problem for a strip-array cross section.
 
@@ -193,8 +196,9 @@ def solve_cross_section(geom: CrossSection) -> FieldSolution:
     Returns
     -------
     FieldSolution
-        Chebyshev coefficients per strip, the gap bounds, capacitance and
-        electric energy per unit length.
+        The Chebyshev coefficients of every strip and the electric energy
+        per unit length; bounds, charges and capacitance follow from them
+        and ``geom``.
 
     Raises
     ------
@@ -213,8 +217,7 @@ def solve_cross_section(geom: CrossSection) -> FieldSolution:
 
     eps_bar = 0.5 * (geom.eps_vac_rel + geom.eps_sub_rel) * epsilon_0
     n_strips = len(geom.strips)
-    left = np.array([s.x_start for s in geom.strips]) * UM
-    right = np.array([s.x_end for s in geom.strips]) * UM
+    left, right = _edges(geom)
     half = 0.5 * (right - left)
     _, cheb, rise = _chebyshev_nodes(m)
     centers = left[:, None] + half[:, None] * rise
@@ -246,38 +249,22 @@ def solve_cross_section(geom: CrossSection) -> FieldSolution:
             f"linear solve did not converge: relative residual {residual:.3e}"
         )
     coeffs = unknowns[:N].reshape(n_strips, m) * (2.0 * eps_bar / half[:, None])
-    strips = [StripFields(si, left[si], right[si], v, coeffs[si])
-              for si, v in enumerate(pots)]
-    gaps = [GapFields(gi, right[gi], left[gi + 1]) for gi in range(n_strips - 1)]
-
-    energy = 0.5 * float(np.dot([s.charge for s in strips], pots))
+    energy = 0.5 * float(np.dot(np.pi * half * coeffs[:, 0], pots))  # 1/2 sum q V
     if not energy > 0.0:
         raise NumericalFailureError(
             f"non-physical solution: stored energy {energy:.3e} J/m"
         )
-    dv = max(pots) - min(pots)
-
-    return FieldSolution(
-        geometry=geom,
-        strips=strips,
-        gaps=gaps,
-        capacitance_per_len=2.0 * energy / dv**2,
-        energy_per_len=energy,
-        eps_bar=eps_bar,
-        residual_norm=float(residual),
-    )
+    return FieldSolution(geom, coeffs, energy, float(residual))
 
 
-def tangential_field(
-    x: np.ndarray, strips: list[StripFields], eps_bar: float
-) -> np.ndarray:
+def tangential_field(x: np.ndarray, sol: FieldSolution) -> np.ndarray:
     """In-plane field E_x at points x on y = 0 outside the metal, the sum of
     ``a_n sgn(t) u^n / (2 eps_bar sqrt(t^2 - 1))`` over every strip and term."""
-    left, right, coeffs = _strip_bounds(strips)
+    left, right = sol._bounds
     sign, _, root, powers = _exterior(np.asarray(x, dtype=float), left, right,
-                                      coeffs.shape[1])
-    series = np.einsum("nps,sn->ps", powers, coeffs)
-    return (series * sign / root).sum(axis=1) / (2.0 * eps_bar)
+                                      sol.coefficients.shape[1])
+    series = np.einsum("nps,sn->ps", powers, sol.coefficients)
+    return (series * sign / root).sum(axis=1) / (2.0 * sol.eps_bar)
 
 
 def reconstruct_gap_voltage(sol: FieldSolution, gap_index: int = 0) -> float:
@@ -290,9 +277,9 @@ def reconstruct_gap_voltage(sol: FieldSolution, gap_index: int = 0) -> float:
     """
     if not sol.gaps:
         raise InvalidInputError("solution has no gaps")
-    g = sol.gaps[gap_index]
-    left, right, coeffs = _strip_bounds(sol.strips)
-    kernel = _log_kernel(np.array([g.x_left, g.x_right]), left, right, coeffs.shape[1])
+    left, right = sol._bounds
+    coeffs = sol.coefficients
+    kernel = _log_kernel(np.array(sol.gaps[gap_index]), left, right, coeffs.shape[1])
     volts = coeffs * (0.5 * (right - left) / (2.0 * sol.eps_bar))[:, None]
     phi = np.einsum("nps,sn->p", kernel, volts)
     return float(phi[0] - phi[1])
@@ -322,15 +309,15 @@ def edge_cut_square_integral(
             "edge cutoff must be > 0: the edge integrals diverge as ln(1 / cutoff)"
         )
     x_min, x_max, _ = sol.cell()
-    segments = sol.gaps if gaps else [
-        s for s in sol.strips if x_min <= s.x_left and s.x_right <= x_max]
-    cut = [(seg, max(seg.x_left + cutoff_m, x_min), min(seg.x_right - cutoff_m, x_max))
-           for seg in segments]
-    cut = [(seg, lo, hi) for seg, lo, hi in cut if lo < hi]
-    if not cut:
+    left, right = sol._bounds
+    keep = (x_min <= left) & (right <= x_max)  # whole strips inside the cell
+    if gaps:  # every gap, clipped to the cell
+        left, right, keep = right[:-1], left[1:], True
+    lo, hi = np.maximum(left + cutoff_m, x_min), np.minimum(right - cutoff_m, x_max)
+    keep = keep & (lo < hi)
+    if not keep.any():
         return 0.0
-    left, right, lo, hi = (np.array(v) for v in zip(
-        *[(seg.x_left, seg.x_right, lo, hi) for seg, lo, hi in cut]))
+    left, right, lo, hi = left[keep], right[keep], lo[keep], hi[keep]
     if np.any(lo <= left) or np.any(hi >= right):
         raise InvalidInputError(
             f"edge cutoff {cutoff_m / UM:g} um is below the resolution of the "
@@ -343,11 +330,11 @@ def edge_cut_square_integral(
     s = 0.5 * (s_lo + s_hi) + 0.5 * np.outer(nodes, s_hi - s_lo)
     if gaps:
         x = left + 2.0 * half / (1.0 + np.exp(-2.0 * s))
-        field = tangential_field(x.ravel(), sol.strips, sol.eps_bar).reshape(x.shape)
+        field = tangential_field(x.ravel(), sol).reshape(x.shape)
         dx_ds = half / np.cosh(s) ** 2
     else:  # sigma^2 dx = h (sum a_n T_n(t))^2 ds at t = tanh(s)
-        coeffs = np.array([seg.coefficients for seg, _, _ in cut])
-        field = np.polynomial.chebyshev.chebval(np.tanh(s), coeffs.T, tensor=False)
+        field = np.polynomial.chebyshev.chebval(np.tanh(s), sol.coefficients[keep].T,
+                                                tensor=False)
         field /= 2.0 * sol.eps_bar
         dx_ds = half
     return float(weights @ (field**2 * dx_ds) @ (0.5 * (s_hi - s_lo)))
@@ -425,12 +412,12 @@ def refine_until_converged(
 def _surface_samples(sol: FieldSolution) -> tuple[np.ndarray, ...]:
     """Chebyshev points (m) and sigma (C/m^2) of every strip, and Chebyshev
     points (m) and E_x (V/m) of every gap, each of shape (segments, M)."""
-    left, right, coeffs = _strip_bounds(sol.strips)
-    theta, cheb, rise = _chebyshev_nodes(coeffs.shape[1])
+    left, right = sol._bounds
+    theta, cheb, rise = _chebyshev_nodes(sol.coefficients.shape[1])
     strip_x = left[:, None] + (0.5 * (right - left))[:, None] * rise
-    sigma = coeffs @ cheb.T / np.sin(theta)
+    sigma = sol.coefficients @ cheb.T / np.sin(theta)
     gap_x = right[:-1, None] + 0.5 * (left[1:] - right[:-1])[:, None] * rise
-    e_par = tangential_field(gap_x.ravel(), sol.strips, sol.eps_bar)
+    e_par = tangential_field(gap_x.ravel(), sol)
     return strip_x, sigma, gap_x, e_par.reshape(gap_x.shape)
 
 
@@ -452,8 +439,8 @@ def solution_to_csv(sol: FieldSolution, path) -> None:
     e_perp, m = sigma / (2.0 * sol.eps_bar), sigma.shape[1]
     template = ["x_um,sigma_c_per_m2,e_perp_sub_v_per_m,e_perp_vac_v_per_m,"
                 "e_par_v_per_m,segment\r\n"]
-    template += [f"%.9g,%.9g,%.9g,%.9g,0,strip{s.index}\r\n" * m for s in sol.strips]
-    template += [f"%.9g,0,0,0,%.9g,gap{g.index}\r\n" * m for g in sol.gaps]
+    template += [f"%.9g,%.9g,%.9g,%.9g,0,strip{i}\r\n" * m for i in range(len(sigma))]
+    template += [f"%.9g,0,0,0,%.9g,gap{i}\r\n" * m for i in range(len(gap_x))]
     values = (np.stack([strip_x / UM, sigma, e_perp, e_perp], axis=-1).ravel().tolist()
               + np.stack([gap_x / UM, e_par], axis=-1).ravel().tolist())
     text = "".join(template) % tuple(values)

@@ -26,7 +26,7 @@ from qsurfloss import (
     refine_until_converged,
     solve_cross_section,
 )
-from qsurfloss.participation import InterfaceRegion, InterfaceSpec, layer_energy
+from qsurfloss.participation import InterfaceRegion, InterfaceSpec
 from qsurfloss.solver import _surface_samples
 
 from conftest import cps_capacitance
@@ -229,8 +229,8 @@ def test_criterion_8_property_suites(two_strip_geom, two_strip_sol):
     ) < 1e-9 * np.max(np.abs(left))
 
     # participation: linear in thickness, 1/s scale law
-    thin = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 1.0))
-    thick = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 2.0))
+    thin = participation_set(two_strip_sol, [InterfaceSpec(InterfaceRegion.SM, 1.0)]).p_sm
+    thick = participation_set(two_strip_sol, [InterfaceSpec(InterfaceRegion.SM, 2.0)]).p_sm
     assert thick == pytest.approx(2.0 * thin, rel=1e-6)
     geom = interdigital_unit_cell(2.0, 7, discretization=96)
     p_small = participation_set(solve_cross_section(geom), [DEFAULT_SM_SPEC]).p_sm

@@ -186,6 +186,18 @@ class TestDegeneracy:
         with pytest.raises(DegenerateFitError, match="not finite"):
             _clamped_weighted_lstsq(X, np.ones(3), np.array([1.0, weight, 1.0]))
 
+    @pytest.mark.parametrize("q_mean, q_std", [(1e80, 1.0), (1e6, 1e-170)],
+                             ids=["q_mean^4-overflows", "q_std^2-underflows"])
+    def test_weight_beyond_float_range_fails_typed(self, q_mean, q_std):
+        """q_mean^4 / q_std^2 ended in a raw OverflowError or
+        ZeroDivisionError on points that every validator accepts; the
+        weight now reads inf, also times a zero p_j, and the fit refuses it."""
+        points = [LossDataPoint(p_sm=s, p_j=j, q_mean=2e6, q_std=2e5)
+                  for s, j in [(1e-4, 1e-5), (2e-4, 3e-5), (5e-4, 2e-5)]]
+        points[1] = LossDataPoint(p_sm=2e-4, p_j=0.0, q_mean=q_mean, q_std=q_std)
+        with pytest.raises(DegenerateFitError, match="not finite"):
+            fit_sm_plus_j(points, weighting="invvar")
+
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
             fit_sm_plus_j([LossDataPoint(1e-4, 1e-5, 1e6)], weighting="none")

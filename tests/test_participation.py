@@ -17,7 +17,6 @@ from qsurfloss import (
     Strip,
     cutoff_sensitivity,
     interdigital_unit_cell,
-    layer_energy,
     participation_set,
     psm_width_sweep,
     refine_until_converged,
@@ -28,7 +27,7 @@ from qsurfloss import solver
 from qsurfloss.errors import shown
 from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
-from qsurfloss.solver import FieldSolution, StripFields
+from qsurfloss.solver import FieldSolution
 
 UM = 1e-6
 NM = 1e-9
@@ -52,27 +51,19 @@ def single_term_solution(width_um, e_field, depth_um, eps_sub_rel, cutoff_um):
         [Strip(0.0, width_um, 1.0)], eps_sub_rel=eps_sub_rel, edge_cutoff=cutoff_um
     )
     eps_bar = 0.5 * (1.0 + eps_sub_rel) * epsilon_0
-    half, m = 0.5 * width_um * UM, 16
-    coefficients = np.zeros(m)
-    coefficients[0] = 2.0 * eps_bar * e_field
-    strip = StripFields(
-        index=0,
-        x_left=0.0,
-        x_right=2.0 * half,
-        potential=1.0,
-        coefficients=coefficients,
-    )
+    half = 0.5 * width_um * UM
+    coefficients = np.zeros((1, geom.discretization))
+    coefficients[0, 0] = 2.0 * eps_bar * e_field
     square_integral = 2.0 * half * e_field**2 * math.atanh(1.0 - cutoff_um * UM / half)
     energy = 0.5 * eps_sub_rel * epsilon_0 * depth_um * UM * square_integral
-    return FieldSolution(
-        geometry=geom,
-        strips=[strip],
-        gaps=[],
-        capacitance_per_len=float("nan"),
-        energy_per_len=energy,
-        eps_bar=eps_bar,
-        residual_norm=0.0,
-    )
+    return FieldSolution(geometry=geom, coefficients=coefficients,
+                         energy_per_len=energy, residual_norm=0.0)
+
+
+def ratio(sol, spec=DEFAULT_SM_SPEC):
+    """Participation of ``spec``'s region in ``sol``: its layer energy over
+    the solution's (cell) energy."""
+    return participation_set(sol, [spec])[spec.region]
 
 
 class TestInterfaceSpec:
@@ -109,39 +100,38 @@ class TestLayerEnergy:
         substrate permittivity: energy ratio must be exactly t/d = 1e-3."""
         sol = single_term_solution(50.0, 1e5, 1.0, 10.15, cutoff_um=0.05)
         spec = InterfaceSpec(InterfaceRegion.SM, thickness_nm=1.0, eps_rel=10.15)
-        ratio = layer_energy(sol, spec) / sol.energy_per_len
-        assert ratio == pytest.approx(1.0e-3, rel=1e-12)
+        assert ratio(sol, spec) == pytest.approx(1.0e-3, rel=1e-12)
 
     def test_zero_cutoff_rejected(self, two_strip_sol):
         """The edge integrals diverge as ln(1 / cutoff)."""
         sol = at_cutoff(two_strip_sol, 0.0)
         for region in InterfaceRegion:
             with pytest.raises(InvalidInputError, match="cutoff must be > 0"):
-                layer_energy(sol, replace(DEFAULT_SM_SPEC, region=region))
+                ratio(sol, replace(DEFAULT_SM_SPEC, region=region))
 
     def test_linear_in_thickness(self, two_strip_sol):
-        one = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 1.0))
-        two = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 2.0))
+        one = ratio(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 1.0))
+        two = ratio(two_strip_sol, InterfaceSpec(InterfaceRegion.SM, 2.0))
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_sm_exceeds_sa_for_equal_layer(self, two_strip_sol):
         """Under-metal normal fields dominate the gap tangential fields for
         coplanar strips."""
-        sm = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SM))
-        sa = layer_energy(two_strip_sol, InterfaceSpec(InterfaceRegion.SA))
+        sm = ratio(two_strip_sol, InterfaceSpec(InterfaceRegion.SM))
+        sa = ratio(two_strip_sol, InterfaceSpec(InterfaceRegion.SA))
         assert sm > sa > 0.0
 
     def test_unresolvable_cutoff_rejected(self, two_strip_sol):
         """1e-15 um is below one rounding step of x = 10 um, so the cut
         interval would start on the edge itself."""
         with pytest.raises(InvalidInputError, match="below the resolution"):
-            layer_energy(at_cutoff(two_strip_sol, 1e-15), DEFAULT_SM_SPEC)
-        assert layer_energy(at_cutoff(two_strip_sol, 1e-12), DEFAULT_SM_SPEC) > 0
+            ratio(at_cutoff(two_strip_sol, 1e-15))
+        assert ratio(at_cutoff(two_strip_sol, 1e-12)) > 0
 
     def test_missing_gap_samples_rejected(self):
         sol = single_term_solution(50.0, 1e5, 1.0, 10.15, cutoff_um=0.05)
         with pytest.raises(InvalidInputError, match="gap field samples"):
-            layer_energy(sol, replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA))
+            ratio(sol, replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA))
 
 
 class TestZeroVoltCell:
@@ -188,7 +178,8 @@ class TestParticipationSet:
     def test_one_integral_per_field_component(self, interdigital_sol_1um,
                                               monkeypatch):
         """SM and MA share one strip integral and SA takes one gap integral,
-        and every ratio is still layer_energy / U to the last bit."""
+        and every ratio is still the one its spec alone gives, to the last
+        bit."""
         sol = at_cutoff(interdigital_sol_1um, 0.02)
         specs = [
             DEFAULT_SM_SPEC,
@@ -196,8 +187,7 @@ class TestParticipationSet:
             replace(DEFAULT_SM_SPEC, region=InterfaceRegion.MA),
         ]
         # each on a copy, which keeps no integral
-        expected = [layer_energy(replace(sol), spec) / sol.cell()[2]
-                    for spec in specs]
+        expected = [ratio(replace(sol), spec) for spec in specs]
         on_gaps = []
 
         def counted(*args, gaps=False):
@@ -327,12 +317,10 @@ class TestCutoffSensitivity:
             assert value.hex() == float(want).hex()
 
     def test_no_per_call_cutoff(self, two_strip_sol):
-        """The cutoff is the geometry's ``edge_cutoff``; neither entry point
-        takes one of its own."""
+        """The cutoff is the geometry's ``edge_cutoff``; the entry point
+        takes none of its own."""
         with pytest.raises(TypeError, match="cutoff_um"):
             participation_set(two_strip_sol, [DEFAULT_SM_SPEC], cutoff_um=0.1)
-        with pytest.raises(TypeError, match="cutoff_um"):
-            layer_energy(two_strip_sol, DEFAULT_SM_SPEC, cutoff_um=0.1)
 
 
 def agm(a: float, b: float) -> float:
@@ -373,8 +361,8 @@ def finite_arrays_1um():
     21, 41 and 161 fingers at a 0.02 um cutoff."""
     specs = [replace(DEFAULT_SM_SPEC, region=r) for r in InterfaceRegion]
     return {
-        n: participation_set(solve_cross_section(interdigital_unit_cell(
-            1.0, n, discretization=16 if n < 100 else 8, edge_cutoff=0.02)), specs)
+        n: participation_set(solve_cross_section(replace(interdigital_unit_cell(
+            1.0, n, discretization=16 if n < 100 else 8), edge_cutoff=0.02)), specs)
         for n in (11, 21, 41, 161)
     }
 

@@ -37,8 +37,8 @@ def field_energy_quadrature(sol, n_x=700, n_y=360, span_factor=25.0):
     independent oracle for ``energy_per_len``; expect agreement at the
     percent level.
     """
-    lo = sol.strips[0].x_left
-    hi = sol.strips[-1].x_right
+    lo = sol.strips[0].x_start * 1e-6
+    hi = sol.strips[-1].x_end * 1e-6
     span = hi - lo
     far = span_factor * span
 
@@ -49,13 +49,13 @@ def field_energy_quadrature(sol, n_x=700, n_y=360, span_factor=25.0):
 
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     field = np.zeros(X.shape, dtype=complex)
-    for strip in sol.strips:
-        half = 0.5 * (strip.x_right - strip.x_left)
-        z = (X + 1j * Y - (strip.x_left + half)) / half
+    for strip, coefficients in zip(sol.strips, sol.coefficients):
+        half = 0.5e-6 * strip.width
+        z = (X + 1j * Y - (strip.x_start * 1e-6 + half)) / half
         root = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)  # ~z at infinity, cut on [-1, 1]
         w = 1.0 / (z + root)
         series = np.zeros_like(z)
-        for a in strip.coefficients[::-1]:
+        for a in coefficients[::-1]:
             series = series * w + a
         field += series / root
     density = np.abs(field / (2.0 * sol.eps_bar)) ** 2
@@ -139,7 +139,7 @@ class TestInvariants:
         potential difference (and with it the energy)."""
         dv = reconstruct_gap_voltage(two_strip_sol, 0)
         assert abs(dv) == pytest.approx(1.0, rel=0.03)
-        q_pos = two_strip_sol.strips[0].charge
+        q_pos = two_strip_sol.strip_charges()[0]
         assert 0.5 * q_pos * abs(dv) == pytest.approx(
             two_strip_sol.energy_per_len, rel=0.03
         )
@@ -351,10 +351,10 @@ class TestChebyshevBasis:
     def test_gap_field_integrates_to_the_gap_voltage(self, two_strip_sol):
         """Gauss-Chebyshev quadrature of the sampled E_par, weighted back by
         sqrt(1 - t^2) against its end singularities."""
-        gap = two_strip_sol.gaps[0]
+        gap_left, gap_right = two_strip_sol.gaps[0]
         _, _, gap_x, e_par = _surface_samples(two_strip_sol)
-        half = 0.5 * (gap.x_right - gap.x_left)
-        t = (gap_x[0] - gap.x_left) / half - 1.0
+        half = 0.5 * (gap_right - gap_left)
+        t = (gap_x[0] - gap_left) / half - 1.0
         integral = np.pi / t.size * half * np.sum(e_par[0] * np.sqrt(1.0 - t * t))
         assert integral == pytest.approx(reconstruct_gap_voltage(two_strip_sol),
                                          rel=1e-9)
@@ -362,9 +362,8 @@ class TestChebyshevBasis:
     def test_samples_sit_at_chebyshev_points(self, two_strip_sol):
         m = two_strip_sol.elements_per_strip
         t = np.cos(np.pi * (m - 0.5 - np.arange(m)) / m)
-        strip = two_strip_sol.strips[1]
         strip_x, _, gap_x, _ = _surface_samples(two_strip_sol)
         assert strip_x[1] == pytest.approx(25e-6 + 5e-6 * t, rel=1e-12)
         assert gap_x[0] == pytest.approx(15e-6 + 5e-6 * t, rel=1e-12)
-        assert strip.charge == pytest.approx(
-            0.5 * np.pi * 10e-6 * strip.coefficients[0], rel=1e-15)
+        assert two_strip_sol.strip_charges()[1] == pytest.approx(
+            0.5 * np.pi * 10e-6 * two_strip_sol.coefficients[1, 0], rel=1e-15)

@@ -115,15 +115,15 @@ def reference_solution_csv(sol, path):
         writer.writerow(["x_um", "sigma_c_per_m2", "e_perp_sub_v_per_m",
                          "e_perp_vac_v_per_m", "e_par_v_per_m", "segment"])
         strip_x, sigma, gap_x, e_par = _surface_samples(sol)
-        for s, xs, sgs in zip(sol.strips, strip_x, sigma):
+        for i, (xs, sgs) in enumerate(zip(strip_x, sigma)):
             for x, sg in zip(xs, sgs):
                 en = sg / (2.0 * sol.eps_bar)
                 writer.writerow([f"{x / UM:.9g}", f"{sg:.9g}", f"{en:.9g}",
-                                 f"{en:.9g}", "0", f"strip{s.index}"])
-        for g, xs, eps in zip(sol.gaps, gap_x, e_par):
+                                 f"{en:.9g}", "0", f"strip{i}"])
+        for i, (xs, eps) in enumerate(zip(gap_x, e_par)):
             for x, ep in zip(xs, eps):
                 writer.writerow([f"{x / UM:.9g}", "0", "0", "0",
-                                 f"{ep:.9g}", f"gap{g.index}"])
+                                 f"{ep:.9g}", f"gap{i}"])
 
 
 def seeded_section(n_strips, terms):
