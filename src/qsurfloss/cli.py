@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import QSurfLossError
+from .errors import InvalidInputError, QSurfLossError
 from .lossmodel import FITTERS, LossModel, Weighting
 from .participation import write_sweep_csv
 from .pipeline import PipelineConfig, SweepConfig, run_pipeline, write_report_json
@@ -154,14 +154,16 @@ def fit_t1(trace, meta, out) -> None:
 @click.option("--delta", "delta_ghz", type=float, default=None,
               help="Qubit-cavity detuning, cyclic GHz (inferred from --g "
                    "and --chi when omitted).")
-@click.option("--kappa", "kappa_khz", type=float, required=True,
-              help="Cavity linewidth, cyclic kHz.")
+@click.option("--kappa", "kappa_khz", type=float, default=None,
+              help="Cavity linewidth, cyclic kHz (required).")
 def purcell(g_mhz, chi_mhz, delta_ghz, kappa_khz) -> None:
     """Estimate the readout-cavity Purcell limit.
 
     Provide any two of --g, --chi and --delta; the third follows from the
     dispersive relation.
     """
+    if kappa_khz is None:  # refused here, not by click, to exit 1 like any error
+        _fail(InvalidInputError("missing option --kappa"))
     try:
         params = PurcellParams.from_cyclic(
             kappa_khz=kappa_khz, delta_ghz=delta_ghz, g_mhz=g_mhz,

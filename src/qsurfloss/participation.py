@@ -39,7 +39,7 @@ from .geometry import (
     check_edge_cutoff,
     check_interdigital_width,
 )
-from .solver import FieldSolution, epsilon_0
+from .solver import FieldSolution, edge_cut_square_integral, epsilon_0
 
 NM = 1e-9
 
@@ -116,12 +116,11 @@ def _layer_energies(
     keyed by region.  Each integral excludes the geometry's edge cutoff
     around every strip edge and covers the representative cell when the
     geometry flags one (finger arrays), else the whole array.  The edge-cut
-    square integral over the strips (SM, MA) and over the gaps (SA) is the
-    one the solution keeps, taken at most once each: SM and MA differ only
-    by a constant factor, and a solution from the refinement shares it with
-    the level that produced it."""
+    square integral over the strips (SM, MA) and over the gaps (SA) is taken
+    at most once each: SM and MA differ only by a constant factor."""
     geom = sol.geometry
     energies: dict[InterfaceRegion, float] = {}
+    integrals: dict[bool, float] = {}
     for spec in specs:
         if spec.region in energies:
             raise InvalidInputError("duplicate interface regions in specs")
@@ -131,7 +130,9 @@ def _layer_energies(
                 "no gap field samples available for the SA region"
             )
         eps_i = spec.eps_rel * epsilon_0
-        total = sol._edge_integral(gaps)
+        if gaps not in integrals:
+            integrals[gaps] = edge_cut_square_integral(sol, gaps=gaps)
+        total = integrals[gaps]
         if not gaps:
             scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
                      else geom.eps_vac_rel) * epsilon_0 / eps_i
@@ -150,10 +151,9 @@ def participation_set(
     over U, the total energy per unit length, or the representative cell's
     energy share when the geometry flags one.  Duplicate regions in
     ``specs`` are rejected; regions not requested come back as ``None``.
-    The layer integrals are the ones ``sol`` keeps: a solution returned by
-    :func:`~qsurfloss.solver.refine_until_converged` already took them to
-    check its convergence, so no integral is taken again.  Another cutoff
-    is that of the copy ``dataclasses.replace(geom, edge_cutoff=c)``.
+    Each call takes one edge-cut integral per field component it needs, over
+    the strips for SM and MA and over the gaps for SA.  Another cutoff is
+    that of the copy ``dataclasses.replace(geom, edge_cutoff=c)``.
     """
     u_total = sol.cell()[2]
     values = {region: u / u_total
@@ -273,9 +273,10 @@ def cutoff_sensitivity(
 
     The cutoff regularizes the edge singularity, so its value must always be
     reported next to a participation number; this helper evaluates the same
-    solution on a copy of its geometry at each cutoff (larger cutoffs
-    exclude more of the edge energy, so the values decrease smoothly).  A
-    cutoff the geometry refuses, at least half its narrowest strip, fails.
+    coefficients on a copy of the solution whose geometry has each cutoff,
+    one edge-cut integral per cutoff (larger cutoffs exclude more of the
+    edge energy, so the values decrease smoothly).  A cutoff the geometry
+    refuses, at least half its narrowest strip, fails.
     """
     out = []
     for c in cutoffs_um:

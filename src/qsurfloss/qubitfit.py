@@ -548,7 +548,12 @@ class PurcellParams:
             return self.delta
         if self.chi == 0:
             raise InvalidInputError("cannot infer delta from chi = 0")
-        return self.g**2 / self.chi
+        try:
+            return self.g**2 / self.chi
+        except OverflowError:
+            raise InvalidInputError(
+                f"cannot infer delta = g^2 / chi: g^2 exceeds the float range "
+                f"at g = {self.g:.3g} rad/s") from None
 
 
 def purcell_limit(params: PurcellParams) -> float:
@@ -568,7 +573,19 @@ def purcell_limit(params: PurcellParams) -> float:
             "dispersive Purcell estimate is unreliable",
             stacklevel=2,
         )
-    t_purcell = delta**2 / (g**2 * params.kappa)
+    try:
+        t_purcell = delta**2 / (g**2 * params.kappa)
+    except (OverflowError, ZeroDivisionError):
+        # delta^2 or g^2 above the float range, or g^2 kappa below it; the
+        # logarithms stay in range and can still prove the limit unbounded
+        log2_t = (2.0 * (math.log2(abs(delta)) - math.log2(g))
+                  - math.log2(params.kappa)) if delta else -math.inf
+        if log2_t > math.log2(UNBOUNDED_PURCELL_S) + 1e-9:
+            return math.inf
+        raise InvalidInputError(
+            f"cannot evaluate the Purcell limit delta^2 / (g^2 kappa) in floating "
+            f"point at delta = {delta:.3g}, g = {g:.3g} and kappa = "
+            f"{params.kappa:.3g} rad/s") from None
     return math.inf if t_purcell > UNBOUNDED_PURCELL_S else t_purcell
 
 

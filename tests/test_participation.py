@@ -23,7 +23,7 @@ from qsurfloss import (
     solve_cross_section,
     write_sweep_csv,
 )
-from qsurfloss import solver
+from qsurfloss import participation, solver
 from qsurfloss.errors import shown
 from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
@@ -186,26 +186,24 @@ class TestParticipationSet:
             replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA),
             replace(DEFAULT_SM_SPEC, region=InterfaceRegion.MA),
         ]
-        # each on a copy, which keeps no integral
-        expected = [ratio(replace(sol), spec) for spec in specs]
+        expected = [ratio(sol, spec) for spec in specs]
         on_gaps = []
 
         def counted(*args, gaps=False):
             on_gaps.append(gaps)
             return integral(*args, gaps=gaps)
 
-        integral = solver.edge_cut_square_integral
-        monkeypatch.setattr(solver, "edge_cut_square_integral", counted)
+        integral = participation.edge_cut_square_integral
+        monkeypatch.setattr(participation, "edge_cut_square_integral", counted)
         pset = participation_set(sol, specs)
         assert sorted(on_gaps) == [False, True]
         assert [pset.p_sm, pset.p_sa, pset.p_ma] == expected
 
-    def test_refinement_and_participations_share_the_last_integrals(
+    def test_refinement_takes_no_integral_and_participations_one_each(
             self, monkeypatch):
-        """The refinement takes each level's strip and gap integrals once,
-        and participation_set reads the last level's instead of
-        integrating again; its ratios equal fresh integrals of the returned
-        solution to the last bit."""
+        """The refinement takes no edge-cut integral, and each
+        participation_set call takes the strip and the gap integral once;
+        its ratios equal those of a copy of the solution to the last bit."""
         geom = CrossSection([Strip(0.0, 4.0, 1.0), Strip(6.0, 8.0, 0.0),
                              Strip(17.0, 5.0, -0.3)], discretization=16)
         specs = [replace(DEFAULT_SM_SPEC, region=region) for region in InterfaceRegion]
@@ -215,18 +213,20 @@ class TestParticipationSet:
             on_gaps.append(gaps)
             return integral(*args, gaps=gaps)
 
-        integral = solver.edge_cut_square_integral
+        integral = participation.edge_cut_square_integral
+        monkeypatch.setattr(participation, "edge_cut_square_integral", counted)
         monkeypatch.setattr(solver, "edge_cut_square_integral", counted)
         sol = refine_until_converged(geom, 1e-4)
-        pset = participation_set(sol, specs)
         assert sol.refinement_levels >= 1
-        assert len(on_gaps) == 2 * (sol.refinement_levels + 1)
+        assert on_gaps == []
+        pset = participation_set(sol, specs)
+        assert sorted(on_gaps) == [False, True]
 
         on_gaps.clear()
-        fresh = participation_set(replace(sol), specs)  # keeps no integral
+        copy = participation_set(replace(sol), specs)
         assert sorted(on_gaps) == [False, True]
         assert [pset.p_sm, pset.p_sa, pset.p_ma] == [
-            fresh.p_sm, fresh.p_sa, fresh.p_ma]
+            copy.p_sm, copy.p_sa, copy.p_ma]
 
     def test_duplicate_regions_rejected(self, two_strip_sol):
         with pytest.raises(InvalidInputError, match="duplicate"):

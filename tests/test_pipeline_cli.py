@@ -684,6 +684,30 @@ class TestCli:
         result = CliRunner().invoke(main, ["purcell", *args])
         _assert_one_line_error(result, message)
 
+    @given(values=st.fixed_dictionaries({
+        name: st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        for name in ("g", "chi", "delta", "kappa")}))
+    @example(values={"g": 1e200, "chi": None, "delta": 1.0, "kappa": 1.0})
+    @example(values={"g": 1e150, "chi": 1e200, "delta": None, "kappa": 1.0})
+    @example(values={"g": 1e-200, "chi": None, "delta": 1e200, "kappa": 1e-300})
+    @example(values={"g": 1e-200, "chi": 1.0, "delta": None, "kappa": 1.0})
+    @example(values={"g": 1.0, "chi": None, "delta": 1.0, "kappa": None})
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:.*dispersive Purcell estimate")
+    def test_any_finite_purcell_input_gives_a_limit_or_one_error_line(self, values):
+        """Any finite or omitted --g/--chi/--delta/--kappa: a squared term
+        beyond the float range used to end in a raw OverflowError, g^2 kappa
+        below it in a ZeroDivisionError, and an omitted --kappa in click's
+        usage error with exit 2."""
+        args = [f"--{name}={value!r}" for name, value in values.items()
+                if value is not None]
+        result = CliRunner().invoke(main, ["purcell", *args])
+        if result.exit_code == 0:
+            assert result.exception is None
+            assert "T_Purcell = " in result.output
+        else:
+            _assert_one_line_error(result, "")
+
     def test_fit_t1_on_trace(self, tmp_path):
         t = np.linspace(0.0, 900.0, 40)
         y = 0.95 * np.exp(-t / 316.8) + 0.02

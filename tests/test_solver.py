@@ -12,6 +12,7 @@ from qsurfloss import (
     InterfaceSpec,
     InvalidInputError,
     Strip,
+    interdigital_unit_cell,
     participation_set,
     reconstruct_gap_voltage,
     refine_until_converged,
@@ -60,6 +61,18 @@ def field_energy_quadrature(sol, n_x=700, n_y=360, span_factor=25.0):
         field += series / root
     density = np.abs(field / (2.0 * sol.eps_bar)) ** 2
     return float(sol.eps_bar * np.trapezoid(np.trapezoid(density, ys, axis=1), xs))
+
+
+def asymmetric_section(seed, n_strips, discretization, edge_cutoff=0.1):
+    """Unequal strips and gaps of 4-12 um, driven alternately at -0.5 and
+    +1 V."""
+    rng = np.random.default_rng(seed)
+    x, strips = 0.0, []
+    for i in range(n_strips):
+        width = float(rng.uniform(4.0, 12.0))
+        strips.append(Strip(round(x, 4), round(width, 4), 1.0 if i % 2 else -0.5))
+        x += width + float(rng.uniform(4.0, 12.0))
+    return CrossSection(strips, discretization=discretization, edge_cutoff=edge_cutoff)
 
 
 def charge_density(sol):
@@ -170,33 +183,29 @@ class TestRefinement:
         sol = refine_until_converged(geom, rel_tol=0.01)
         assert sol.estimated_rel_error is not None
         assert sol.estimated_rel_error < 0.01
-        assert sol.refinement_levels == 1
+        assert sol.refinement_levels == 0
         assert sol.elements_per_strip == 16
 
-    def test_floor_start_climbs_one_doubling(self, two_strip_geom):
-        """At the 8-term floor half of M0 would fall below it, so the
-        ladder starts at M0 itself and returns twice it."""
+    def test_floor_start_is_solved_as_given(self, two_strip_geom):
+        """The ladder starts at the section's own terms, also at the 8-term
+        floor: its tail of 7.4e-4 is accepted there."""
         sol = refine_until_converged(replace(two_strip_geom, discretization=8),
                                      rel_tol=0.01)
-        assert (sol.refinement_levels, sol.elements_per_strip) == (1, 16)
-        assert sol.geometry.discretization == 16
+        assert (sol.refinement_levels, sol.elements_per_strip) == (0, 8)
+        assert sol.geometry.discretization == 8
 
     def test_odd_discretization_returns_at_least_it(self, two_strip_geom):
+        """An odd M is solved as given, not rounded to an even one."""
         sol = refine_until_converged(replace(two_strip_geom, discretization=17),
                                      rel_tol=0.01)
-        assert sol.elements_per_strip == 18
+        assert sol.elements_per_strip == 17
 
     @pytest.mark.parametrize("n_strips", [3, 4, 5, 6])
     def test_asymmetric_section_matches_a_solve_at_twice_its_terms(self, n_strips):
-        """A section checked against half its terms agrees with a direct
-        solve at twice them: p_sm, p_sa, p_ma and energy within rel_tol."""
-        rng = np.random.default_rng(n_strips)
-        x, strips = 0.0, []
-        for i in range(n_strips):
-            width = float(rng.uniform(4.0, 12.0))
-            strips.append(Strip(round(x, 4), round(width, 4), 1.0 if i % 2 else -0.5))
-            x += width + float(rng.uniform(4.0, 12.0))
-        geom = CrossSection(strips, discretization=32)
+        """A section accepted on its coefficient tail agrees with a direct
+        solve at twice its terms: p_sm, p_sa, p_ma and energy within
+        rel_tol."""
+        geom = asymmetric_section(n_strips, n_strips, 32)
         rel_tol = 5.5e-5
         sol = refine_until_converged(geom, rel_tol=rel_tol)
         assert sol.elements_per_strip >= 32
@@ -214,31 +223,35 @@ class TestRefinement:
         with pytest.raises(InvalidInputError, match="rel_tol"):
             refine_until_converged(two_strip_geom, rel_tol=0.5)
 
-    def test_already_converged_returns_after_one_doubling(self, two_strip_geom):
+    def test_already_converged_returns_its_first_level(self, two_strip_geom):
         sol = refine_until_converged(two_strip_geom, rel_tol=0.05)
-        assert sol.refinement_levels == 1
+        assert sol.refinement_levels == 0
 
     def test_budget_exhaustion_reports_energies(self):
-        """w/g = 1000 is still off by 2.6e-3 in energy between 32 and 64
-        terms per strip, so a budget that stops at 64 must raise instead of
-        returning the unconverged solution."""
+        """w/g = 1000 still has a coefficient tail of 5.3e-2 at 64 terms per
+        strip, so a budget that stops at 64 must raise instead of returning
+        the unconverged solution."""
         geom = CrossSection([Strip(0.0, 10.0, 0.5), Strip(10.01, 10.0, -0.5)],
                             discretization=16)
         with pytest.raises(ConvergenceError, match="J/m"):
             refine_until_converged(geom, rel_tol=1e-4, max_total_elements=128)
 
     def test_budget_below_the_first_doubling_raises(self, two_strip_geom):
-        """The ladder starts at 8 terms of the 16 asked for; a budget below
-        the 2 x 16 terms of its second level stops it there."""
-        with pytest.raises(ConvergenceError, match="last level 8 terms/strip"):
-            refine_until_converged(two_strip_geom, rel_tol=0.05, max_total_elements=31)
+        """The first level, 16 terms with a tail of 4.4e-7, misses 1e-9; a
+        budget below the 2 x 32 terms of its second level stops it there,
+        and the error names that level, its tail and its energy."""
+        with pytest.raises(ConvergenceError, match="last level 16 terms/strip") as info:
+            refine_until_converged(two_strip_geom, rel_tol=1e-9, max_total_elements=31)
+        assert "coefficient tail 4.4" in str(info.value)
+        assert "J/m" in str(info.value)
 
-    def test_zero_cutoff_converges_on_energy_alone(self, two_strip_geom):
-        """The layer integrals diverge at a zero cutoff, so refinement
-        follows the energy only."""
+    def test_zero_cutoff_follows_the_same_rule(self, two_strip_geom):
+        """The layer integrals diverge at a zero cutoff, but the coefficient
+        tail does not: 8 terms (7.4e-4) and 16 (4.4e-7) miss 1e-9, and 32
+        is accepted."""
         geom = CrossSection(two_strip_geom.strips, edge_cutoff=0.0, discretization=8)
         sol = refine_until_converged(geom, rel_tol=1e-9)
-        assert sol.refinement_levels == 1
+        assert (sol.refinement_levels, sol.elements_per_strip) == (2, 32)
         assert sol.capacitance_per_len == pytest.approx(
             cps_capacitance(10.0, 10.0, 10.15), rel=1e-10)
 
@@ -252,6 +265,103 @@ class TestRefinement:
         assert sol.capacitance_per_len == pytest.approx(
             cps_capacitance(10.0, 0.1, 10.15), rel=1e-9)
         assert reconstruct_gap_voltage(sol) == pytest.approx(1.0, rel=1e-9)
+
+
+SPECS = [InterfaceSpec(region) for region in InterfaceRegion]
+
+
+def error_against_four_times_the_terms(sol):
+    """Largest relative error of the energy and of p_sm, p_sa and p_ma
+    against a direct solve of the same section at 4x its terms."""
+    fine = solve_cross_section(
+        replace(sol.geometry, discretization=4 * sol.elements_per_strip))
+    got, want = participation_set(sol, SPECS), participation_set(fine, SPECS)
+    errors = [abs(sol.energy_per_len / fine.energy_per_len - 1.0)]
+    errors += [abs(got[region] / want[region] - 1.0) for region in InterfaceRegion]
+    return max(errors)
+
+
+class TestCoefficientTail:
+    """A level is accepted when its upper half of Chebyshev terms holds less
+    than rel_tol of sum |a_n| on every strip; that tail is the error
+    estimate."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("discretization", [8, 16])
+    @pytest.mark.parametrize("cutoff_fraction", [1e-3, 0.025])
+    def test_tail_bounds_the_error_of_asymmetric_sections(
+            self, rel_tol, discretization, cutoff_fraction):
+        """Seeded 3-6 strip sections with cutoffs of 1e-3 and 0.025 of the
+        narrowest possible gap, 4 um (the tail exceeds the true error by at
+        least 590x here)."""
+        for n_strips in (3, 4, 5, 6):
+            sol = refine_until_converged(asymmetric_section(
+                n_strips, n_strips, discretization, 4.0 * cutoff_fraction), rel_tol)
+            assert sol.estimated_rel_error < rel_tol
+            assert sol.estimated_rel_error >= error_against_four_times_the_terms(sol)
+
+    @pytest.mark.parametrize("rel_tol", [0.1, 1e-3])
+    @pytest.mark.parametrize("cutoff_fraction", [1e-3, 0.1])
+    @pytest.mark.parametrize("width_over_gap", [20, 200])
+    def test_tail_bounds_the_error_of_narrow_gaps(
+            self, width_over_gap, cutoff_fraction, rel_tol):
+        """Two 10 um strips with w/g of 20 and 200, cut 1e-3 and 0.1 of the
+        gap from each edge (the true error reaches 0.21x the tail at w/g =
+        20, 0.13x at 200)."""
+        gap = 10.0 / width_over_gap
+        geom = CrossSection([Strip(0.0, 10.0, 0.5), Strip(10.0 + gap, 10.0, -0.5)],
+                            discretization=8, edge_cutoff=cutoff_fraction * gap)
+        sol = refine_until_converged(geom, rel_tol)
+        assert sol.estimated_rel_error >= error_against_four_times_the_terms(sol)
+
+    def test_tail_bounds_the_error_of_the_161_finger_cell(self):
+        """The 161-finger 1 um cell is accepted at 8 terms with a tail of
+        1.45e-3; against 32 terms its error is 2.8e-7."""
+        cell = interdigital_unit_cell(1.0, 161, discretization=8)
+        sol = refine_until_converged(cell, rel_tol=0.01)
+        assert (sol.refinement_levels, sol.elements_per_strip) == (0, 8)
+        assert sol.estimated_rel_error == pytest.approx(1.45e-3, rel=0.01)
+        assert sol.estimated_rel_error >= error_against_four_times_the_terms(sol)
+
+    @pytest.mark.parametrize("discretization", [8, 16, 17, 32])
+    def test_accepted_first_level_is_the_direct_solve(self, discretization):
+        """A section accepted at its own discretization, also 8 or an odd
+        M, returns the coefficients and energy of ``solve_cross_section`` on
+        it, bit for bit."""
+        for n_strips in (3, 4, 5, 6):
+            geom = asymmetric_section(n_strips + 10, n_strips, discretization)
+            sol = refine_until_converged(geom, rel_tol=0.01)
+            direct = solve_cross_section(geom)
+            assert (sol.refinement_levels, sol.elements_per_strip) == (0, discretization)
+            assert sol.coefficients.tobytes() == direct.coefficients.tobytes()
+            assert sol.energy_per_len == direct.energy_per_len
+
+    @pytest.mark.parametrize("edge_cutoff", [0.0, 1e-3, 0.1])
+    @pytest.mark.parametrize("rel_tol, levels", [(0.01, 0), (1e-9, 1)])
+    def test_one_result_per_solve_and_no_integral(
+            self, two_strip_geom, monkeypatch, edge_cutoff, rel_tol, levels):
+        """The refinement calls the module's ``solve_cross_section`` once
+        per level, builds one ``FieldSolution`` per solve and, at any
+        cutoff, takes no edge-cut integral and samples no field (16 terms
+        have a tail of 4.4e-7, 32 of 2.9e-13)."""
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_cross_section", "edge_cut_square_integral",
+                     "tangential_field"):
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        monkeypatch.setattr(solver.FieldSolution, "__init__",
+                            counted("FieldSolution", solver.FieldSolution.__init__))
+        sol = refine_until_converged(
+            replace(two_strip_geom, edge_cutoff=edge_cutoff), rel_tol)
+        assert sol.refinement_levels == levels
+        assert counts == {"solve_cross_section": levels + 1,
+                          "FieldSolution": levels + 1}
 
 
 class TestCsvExport:
@@ -299,12 +409,6 @@ class TestSurfaceSampling:
     def test_csv_samples_the_gaps_once(self, two_strip_sol, calls, tmp_path):
         solution_to_csv(two_strip_sol, tmp_path / "fields.csv")
         assert len(calls) == 1
-
-    def test_refinement_at_zero_cutoff_samples_nothing(self, two_strip_geom, calls):
-        """Without a cutoff the refinement follows the energy alone, so no
-        gap integral is taken either."""
-        refine_until_converged(replace(two_strip_geom, edge_cutoff=0.0), rel_tol=1e-6)
-        assert calls == []
 
 
 def test_vacuum_permittivity_literal():
