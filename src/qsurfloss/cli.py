@@ -38,16 +38,22 @@ GROUP_MODES = {"per-die": "per_die_design", "per-device": "per_device"}
 _SWEEP = SweepConfig()  # qsurfloss sweep takes a report's sweep defaults
 
 
-@click.group()
+class _TypedErrorGroup(click.Group):
+    """The one error boundary: a QSurfLossError ends in one ``error:`` line, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except QSurfLossError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_TypedErrorGroup)
 @click.version_option(version=__version__)
 def main() -> None:
     """Interface participation and dielectric-loss analysis for
     superconducting-qubit capacitors."""
-
-
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
 
 
 @main.command()
@@ -68,13 +74,10 @@ def _fail(exc: Exception) -> None:
               show_default=True, help="Output CSV path.")
 def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, out) -> None:
     """Compute the participation-versus-width curve of the interdigital array."""
-    try:
-        result = SweepConfig(
-            width_min_um=width_min, width_max_um=width_max, points=points,
-            t_sm_nm=t_sm_nm, eps_sm_rel=eps_sm, cutoff_um=cutoff_um,
-        ).run()
-    except QSurfLossError as exc:
-        _fail(exc)
+    result = SweepConfig(
+        width_min_um=width_min, width_max_um=width_max, points=points,
+        t_sm_nm=t_sm_nm, eps_sm_rel=eps_sm, cutoff_um=cutoff_um,
+    ).run()
     write_sweep_csv(result, out)
     n_failed = sum(1 for p in result if p.error)
     click.echo(f"wrote {out} ({len(result)} widths, {n_failed} failed)")
@@ -95,15 +98,11 @@ def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, out) -> None
               help="Write the full fit report JSON here.")
 def fit_loss(input_path, model, weights, group, out) -> None:
     """Fit the loss model to a device table and print the parameters."""
-    try:
-        records = (
-            load_device_table(input_path) if input_path else bundled_device_table()
-        )
-        points = group_for_fit(records, mode=GROUP_MODES[group])
-        fit = FITTERS[LossModel(model)](points, weighting=weights)
-    except QSurfLossError as exc:
-        _fail(exc)
-
+    records = load_device_table(input_path) if input_path else bundled_device_table()
+    points = group_for_fit(records, mode=GROUP_MODES[group])
+    fit = FITTERS[LossModel(model)](points, weighting=weights)
+    if out:  # written first, so a file that cannot be written is the only output
+        write_report_json({**fit.to_json_dict(), "grouping": GROUP_MODES[group]}, out)
     click.echo(f"model {model} on {len(points)} points ({group}, weights={weights})")
     click.echo(
         f"  tan_d_sm = {fit.tan_d_sm:.3e} "
@@ -117,9 +116,6 @@ def fit_loss(input_path, model, weights, group, out) -> None:
     if fit.model is LossModel.SM_PLUS_Q0:
         click.echo(f"  Q0       = {fit.q0:.3e}")
     if out:
-        report = fit.to_json_dict()
-        report["grouping"] = GROUP_MODES[group]
-        write_report_json(report, out)
         click.echo(f"wrote {out}")
 
 
@@ -132,17 +128,15 @@ def fit_loss(input_path, model, weights, group, out) -> None:
               help="Write the fit result as JSON.")
 def fit_t1(trace, meta, out) -> None:
     """Fit a single-exponential decay to a measured trace."""
-    try:
-        data = load_decay_trace(trace, meta_path=meta)
-        estimate = fit_exponential(data)
-    except QSurfLossError as exc:
-        _fail(exc)
+    data = load_decay_trace(trace, meta_path=meta)
+    estimate = fit_exponential(data)
+    if out:  # written first, so a file that cannot be written is the only output
+        write_report_json(t1_report_dict(estimate, data), out)
     click.echo(
         f"T1 = {estimate.t1_us:.1f} us (fit error {estimate.fit_err_us:.1f} us), "
         f"amplitude {estimate.amplitude:.3f}, offset {estimate.offset:.3f}"
     )
     if out:
-        write_report_json(t1_report_dict(estimate, data), out)
         click.echo(f"wrote {out}")
 
 
@@ -163,21 +157,13 @@ def purcell(g_mhz, chi_mhz, delta_ghz, kappa_khz) -> None:
     dispersive relation.
     """
     if kappa_khz is None:  # refused here, not by click, to exit 1 like any error
-        _fail(InvalidInputError("missing option --kappa"))
-    try:
-        params = PurcellParams.from_cyclic(
-            kappa_khz=kappa_khz, delta_ghz=delta_ghz, g_mhz=g_mhz,
-            chi_mhz=chi_mhz
-        )
-        limit = purcell_limit(params)
-    except QSurfLossError as exc:
-        _fail(exc)
-    g_eff = params.g_effective / (2 * math.pi * 1e6)
-    click.echo(f"g = {g_eff:.4g} MHz (cyclic)")
-    if limit == float("inf"):
-        click.echo("T_Purcell = unbounded")
-    else:
-        click.echo(f"T_Purcell = {limit * 1e3:.4g} ms")
+        raise InvalidInputError("missing option --kappa")
+    params = PurcellParams.from_cyclic(
+        kappa_khz=kappa_khz, delta_ghz=delta_ghz, g_mhz=g_mhz, chi_mhz=chi_mhz)
+    limit = purcell_limit(params)
+    click.echo(f"g = {params.g_effective / (2 * math.pi * 1e6):.4g} MHz (cyclic)")
+    click.echo("T_Purcell = unbounded" if limit == math.inf
+               else f"T_Purcell = {limit * 1e3:.4g} ms")
 
 
 @main.command()
@@ -185,11 +171,8 @@ def purcell(g_mhz, chi_mhz, delta_ghz, kappa_khz) -> None:
               help="Pipeline configuration JSON.")
 def report(config) -> None:
     """Run the full pipeline from a JSON config and write the report bundle."""
-    try:
-        cfg = PipelineConfig.from_json(config)
-        result = run_pipeline(cfg)
-    except QSurfLossError as exc:
-        _fail(exc)
+    cfg = PipelineConfig.from_json(config)
+    result = run_pipeline(cfg)
     out_dir = Path(cfg.output_dir)
     for entry in result["outputs"]:
         click.echo(f"wrote {out_dir / entry['path']} [{entry['status']}]")

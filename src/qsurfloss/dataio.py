@@ -11,13 +11,15 @@ statistics are not available for every device).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import RecordValidationError, TableFormatError, is_finite
+from .errors import (RecordValidationError, TableFormatError, is_finite, read_text,
+                     write_csv)
 from .lossmodel import LossDataPoint
 
 GEOMETRIES = ("interdigital_2d", "dumbbell_2d", "dumbbell_3d")
@@ -110,19 +112,16 @@ def _record_from_row(row: dict) -> DeviceRecord:
 def load_device_table(path) -> list[DeviceRecord]:
     """Parse and validate a device table CSV.
 
-    Raises :class:`TableFormatError` for a wrong header or an unparseable
-    row (with its row number) and :class:`RecordValidationError` when a row
-    violates a field invariant.
+    Raises :class:`TableFormatError` for text that is not UTF-8, a wrong
+    header or an unparseable row (with its row number),
+    :class:`RecordValidationError` when a row violates a field invariant
+    and :class:`InvalidInputError` for a file that cannot be read.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return _load_records(fh, str(path))
-        except UnicodeDecodeError as exc:
-            raise TableFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    return _load_records(read_text(path, malformed=TableFormatError), str(path))
 
 
-def _load_records(fh, source: str) -> list[DeviceRecord]:
-    reader = csv.DictReader(fh)
+def _load_records(text: str, source: str) -> list[DeviceRecord]:
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None or tuple(reader.fieldnames) != COLUMNS:
         raise TableFormatError(
             f"{source}: header must be {','.join(COLUMNS)}, "
@@ -150,20 +149,17 @@ def bundled_device_table() -> list[DeviceRecord]:
     identity, so one design appears without its interdigital sibling on
     die D5.
     """
-    ref = resources.files("qsurfloss.data").joinpath("devices.csv")
-    with ref.open("r", encoding="utf-8") as fh:
-        return _load_records(fh, "bundled devices.csv")
+    path = resources.files("qsurfloss.data").joinpath("devices.csv")
+    return _load_records(read_text(path), "bundled devices.csv")
 
 
 def save_device_table(records: Iterable[DeviceRecord], path) -> None:
     """Write records back to the CSV format accepted by the loader."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for r in records:
-            cells = [(getattr(r, name), factor) for _, name, factor, _ in _COLUMNS]
-            writer.writerow([v if factor is None else "" if v is None
-                             else f"{v / factor:.10g}" for v, factor in cells])
+    rows = ([(getattr(r, name), factor) for _, name, factor, _ in _COLUMNS]
+            for r in records)
+    write_csv(path, COLUMNS, ([v if factor is None else "" if v is None
+                               else f"{v / factor:.10g}" for v, factor in row]
+                              for row in rows))
 
 
 #: Sort key of loss-fit points: the order of every fit and report row.

@@ -1,6 +1,10 @@
-"""Exception types shared across the toolkit, and the finiteness test of
-the input checks that raise them."""
+"""Exception types shared across the toolkit, the finiteness test of the
+input checks that raise them, and the one place that opens files: UTF-8
+readers and writers that keep line endings and turn a file that cannot be
+read, written or decoded into an :class:`InvalidInputError` naming it."""
 
+import csv
+import io
 import math
 import numbers
 
@@ -67,3 +71,34 @@ class DegenerateFitError(QSurfLossError, RuntimeError):
 
 class FitFailureError(QSurfLossError, RuntimeError):
     """A nonlinear fit failed to converge or produced an unphysical result."""
+
+
+def read_text(path, malformed: type = InvalidInputError) -> str:
+    """The UTF-8 text of ``path``, line endings kept.  A file that cannot be
+    read raises :class:`InvalidInputError`; one that is not UTF-8 raises
+    ``malformed`` (a device table's is a :class:`TableFormatError`)."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise malformed(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line endings as given; a file
+    that cannot be written raises :class:`InvalidInputError`."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and ``rows`` as :func:`csv.writer` does (a cell
+    with a comma, quote or line break quoted, lines ended by CRLF)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    write_text(path, buf.getvalue())

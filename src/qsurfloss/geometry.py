@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
-from .errors import InvalidInputError, is_finite, shown
+from .errors import InvalidInputError, is_finite, read_text, shown
 
 #: Relative permittivity of c-plane sapphire used throughout as the default.
 SAPPHIRE_EPS_REL = 10.15
@@ -214,11 +214,10 @@ _DOCUMENT_FIELDS = {"eps_sub_rel": float, "eps_vac_rel": float, "edge_cutoff": f
 
 def load_cross_section(path) -> CrossSection:
     """Read a cross section from a JSON document mirroring the field names."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # malformed JSON or not UTF-8
-            raise InvalidInputError(f"bad cross-section document: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"bad cross-section document: {exc}") from exc
     return CrossSection.from_json_dict(doc)
 
 

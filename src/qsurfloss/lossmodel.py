@@ -34,13 +34,19 @@ from .errors import DegenerateFitError, InvalidInputError, is_finite
 CONDITION_LIMIT = 1e10
 
 
-class LossModel(str, Enum):
+class _Option(str, Enum):
+    @classmethod  # the one conversion of an unknown option to a typed error
+    def _missing_(cls, value):
+        raise InvalidInputError(f"unknown {cls.__name__} {value!r}")
+
+
+class LossModel(_Option):
     SM_ONLY = "sm"
     SM_PLUS_Q0 = "sm+q0"
     SM_PLUS_J = "sm+j"
 
 
-class Weighting(str, Enum):
+class Weighting(_Option):
     NONE = "none"
     INVERSE_VARIANCE = "invvar"
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, is_finite, shown
+from .errors import InvalidInputError, is_finite, shown, write_csv
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
     SAPPHIRE_EPS_REL,
@@ -288,12 +288,7 @@ def cutoff_sensitivity(
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:
     """Emit a width sweep as CSV, one row per width and one column per
     ``SweepPoint`` field: numbers at 9 significant digits, None empty."""
-    import csv
-
     names = [f.name for f in fields(SweepPoint)]
     columns = [["" if v is None else v if isinstance(v, str) else "%.9g" % v
                 for v in (getattr(p, name) for p in points)] for name in names]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(zip(*columns))
+    write_csv(path, names, zip(*columns))

@@ -14,7 +14,7 @@ rounded to 9 significant digits and keys are sorted.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import json
 import math
 import numbers
@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import InvalidInputError, QSurfLossError, is_finite, shown
+from .errors import (InvalidInputError, QSurfLossError, is_finite, read_text, shown,
+                     write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL
 from .lossmodel import (
     FITTERS,
@@ -116,13 +117,9 @@ class PipelineConfig:
     sweep: SweepConfig | None = None
 
     def validate(self) -> None:
-        for value, enum in [(m, LossModel) for m in self.models] + [
-                (self.weighting, Weighting)]:
-            try:
-                enum(value)
-            except ValueError:
-                raise InvalidInputError(
-                    f"unknown {enum.__name__} {value!r}") from None
+        for model in self.models:
+            LossModel(model)
+        Weighting(self.weighting)
         if self.grouping not in ("per_die_design", "per_device"):
             raise InvalidInputError(f"unknown grouping {self.grouping!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -135,19 +132,19 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-                sweep = raw.get("sweep")
-                sweep = SweepConfig(**{k: v for k, v in sweep.items()
-                                       if k not in _RETIRED_SWEEP_KEYS}
-                                    ) if sweep else None
-                cfg = cls(**{**raw, "sweep": sweep})
-                cfg.models = tuple(cfg.models)
-                cfg.validate()
-            except (AttributeError, TypeError, ValueError) as exc:
-                # malformed JSON, a non-object, an unknown key or a bad value
-                raise InvalidInputError(f"bad config {path}: {exc}") from exc
+        text = read_text(path)
+        try:
+            raw = json.loads(text)
+            sweep = raw.get("sweep")
+            sweep = SweepConfig(**{k: v for k, v in sweep.items()
+                                   if k not in _RETIRED_SWEEP_KEYS}
+                                ) if sweep else None
+            cfg = cls(**{**raw, "sweep": sweep})
+            cfg.models = tuple(cfg.models)
+            cfg.validate()
+        except (AttributeError, TypeError, ValueError) as exc:
+            # malformed JSON, a non-object, an unknown key or a bad value
+            raise InvalidInputError(f"bad config {path}: {exc}") from exc
         return cfg
 
 
@@ -228,17 +225,7 @@ def write_report_json(report: dict, path) -> None:
     out: list[str] = []
     _encode(report, "\n", out)
     out.append("\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(out))
-
-
-def _write_rows(path, header, columns) -> None:
-    """Write a header and the rows that zip ``columns`` together.  The csv
-    module quotes a cell that needs it and ends each line in CRLF."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    write_text(path, "".join(out))
 
 
 def _q_std_cells(points) -> list[str]:
@@ -256,8 +243,8 @@ def _write_q_vs_psm(points, fits: dict[str, LossFitResult], path) -> None:
     for fit in fits.values():
         inv_q = model_inverse_q(fit, p_sm, p_j).tolist()
         columns.append(["%.9g" % (1.0 / v) if v > 0 else "" for v in inv_q])
-    _write_rows(path, ["group_id", "p_sm", "q_measured", "q_std"]
-                + [f"q_model[{name}]" for name in fits], columns)
+    write_csv(path, ["group_id", "p_sm", "q_measured", "q_std"]
+              + [f"q_model[{name}]" for name in fits], zip(*columns))
 
 
 def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
@@ -265,13 +252,12 @@ def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
                         np.array([p.p_j for p in points]),
                         fit.tan_d_sm, fit.tan_d_j)
     inv_q = (fit.tan_d_sm * npr).tolist()
-    _write_rows(path, ["group_id", "normalized_pr", "q_measured", "q_std",
-                       "q_model"],
-                [[p.group_id for p in points],
-                 ["%.9g" % v for v in npr.tolist()],
-                 ["%.9g" % p.q_mean for p in points],
-                 _q_std_cells(points),
-                 ["%.9g" % (1.0 / v) if v > 0 else "" for v in inv_q]])
+    write_csv(path, ["group_id", "normalized_pr", "q_measured", "q_std", "q_model"],
+              zip([p.group_id for p in points],
+                  ["%.9g" % v for v in npr.tolist()],
+                  ["%.9g" % p.q_mean for p in points],
+                  _q_std_cells(points),
+                  ["%.9g" % (1.0 / v) if v > 0 else "" for v in inv_q]))
 
 
 def _write_model_surface(points, fit: LossFitResult, path) -> None:
@@ -309,9 +295,7 @@ def _write_model_surface(points, fit: LossFitResult, path) -> None:
     template = "p_sm,p_j,q_model\r\n" + "".join(
         sm + sm.join(j_rows) for sm in [f"{v:.9g}" for v in p_sm.tolist()])
     # row-major over (p_sm, p_j), the order of the grid's flattened 1/Q
-    text = template % tuple((1.0 / inv_q).ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_text(path, template % tuple((1.0 / inv_q).ravel().tolist()))
 
 
 def _emit(manifest, errors, out_dir: Path, kind: str, write, *args,
@@ -322,7 +306,8 @@ def _emit(manifest, errors, out_dir: Path, kind: str, write, *args,
     try:
         write(*args, path)
     except QSurfLossError as exc:
-        path.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # a directory there stays
+            path.unlink(missing_ok=True)
         errors.append({"stage": f"write[{kind}]", "error": str(exc)})
     else:
         manifest.append({"path": path.name, "kind": kind, "status": status})

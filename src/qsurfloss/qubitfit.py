@@ -9,15 +9,17 @@ linewidths cyclic in kHz; :class:`PurcellParams` stores angular rad/s.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitFailureError, InvalidInputError, is_finite, shown
+from .errors import FitFailureError, InvalidInputError, is_finite, read_text, shown
 
 #: Purcell lifetimes above this value (s) are reported as unbounded.
 UNBOUNDED_PURCELL_S = 1e6
@@ -536,10 +538,11 @@ class PurcellParams:
         """Coupling strength, derived from chi and delta when not given."""
         if self.g is not None:
             return self.g
-        product = self.chi * self.delta
-        if product < 0:
+        if self.chi < 0 < self.delta or self.delta < 0 < self.chi:
             raise InvalidInputError("chi and delta must have the same sign")
-        return math.sqrt(product)
+        product = self.chi * self.delta  # one root unless it leaves the normal range
+        return math.sqrt(product) if _is_normal(product) else (
+            math.sqrt(abs(self.chi)) * math.sqrt(abs(self.delta)))
 
     @property
     def delta_effective(self) -> float:
@@ -560,33 +563,40 @@ def purcell_limit(params: PurcellParams) -> float:
     """Relaxation-time limit through the readout cavity, in seconds.
 
     ``T = delta^2 / (g^2 * kappa)``; zero coupling (or a limit beyond
-    ``UNBOUNDED_PURCELL_S``) returns ``math.inf``.  Warns when the
-    dispersive assumption ``|delta| >> g`` is marginal.
+    ``UNBOUNDED_PURCELL_S``) returns ``math.inf``.  Where a term leaves the
+    normal float range, ``T`` is taken exactly and rounded once; one below
+    the float range fails.  Warns when ``|delta| >> g`` is marginal.
     """
     g = params.g_effective
     if g == 0.0:
         return math.inf
     delta = params.delta_effective
     if abs(delta) / g < DISPERSIVE_RATIO_WARN:
-        warnings.warn(
-            f"|delta|/g = {abs(delta) / g:.2f} < {DISPERSIVE_RATIO_WARN}: "
-            "dispersive Purcell estimate is unreliable",
-            stacklevel=2,
-        )
+        warnings.warn(f"|delta|/g = {abs(delta) / g:.2f} < {DISPERSIVE_RATIO_WARN}: "
+                      "dispersive Purcell estimate is unreliable", stacklevel=2)
     try:
-        t_purcell = delta**2 / (g**2 * params.kappa)
-    except (OverflowError, ZeroDivisionError):
-        # delta^2 or g^2 above the float range, or g^2 kappa below it; the
-        # logarithms stay in range and can still prove the limit unbounded
-        log2_t = (2.0 * (math.log2(abs(delta)) - math.log2(g))
-                  - math.log2(params.kappa)) if delta else -math.inf
-        if log2_t > math.log2(UNBOUNDED_PURCELL_S) + 1e-9:
-            return math.inf
+        terms = (delta**2, g**2, g**2 * params.kappa)
+    except OverflowError:  # a square beyond the float range
+        terms = (math.inf,)
+    if all(map(_is_normal, terms)):
+        t_purcell = terms[0] / terms[2]
+    else:  # exact arithmetic on the given parameters, rounded once
+        from fractions import Fraction  # imported here: ~3 ms that few runs need
+        chi, exact_delta = (None if v is None else Fraction(v)
+                            for v in (params.chi, params.delta))
+        g2 = chi * exact_delta if params.g is None else Fraction(params.g) ** 2
+        exact_delta = g2 / chi if exact_delta is None else exact_delta
+        exact = exact_delta**2 / (g2 * Fraction(params.kappa))
+        t_purcell = math.inf if exact > UNBOUNDED_PURCELL_S else float(exact)
+    if t_purcell == 0.0:
         raise InvalidInputError(
-            f"cannot evaluate the Purcell limit delta^2 / (g^2 kappa) in floating "
-            f"point at delta = {delta:.3g}, g = {g:.3g} and kappa = "
-            f"{params.kappa:.3g} rad/s") from None
+            f"the Purcell limit delta^2 / (g^2 kappa) lies below the float range at "
+            f"delta = {delta:.3g}, g = {g:.3g} and kappa = {params.kappa:.3g} rad/s")
     return math.inf if t_purcell > UNBOUNDED_PURCELL_S else t_purcell
+
+
+def _is_normal(x: float) -> bool:
+    return sys.float_info.min <= x <= sys.float_info.max
 
 
 def purcell_subtract_t1(t1_us, t_purcell_ms: float):
@@ -642,32 +652,22 @@ def q_statistics_from_rounds(
 
 def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:
     """Read a trace CSV with columns ``delay_us, population`` (+ JSON sidecar)."""
+    reader = csv.DictReader(io.StringIO(read_text(csv_path), newline=""))
+    if not {"delay_us", "population"} <= set(reader.fieldnames or ()):
+        raise InvalidInputError(f"{csv_path}: expected columns delay_us, population")
     delays, pops = [], []
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    for i, row in enumerate(reader, start=2):
         try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"delay_us", "population"} <= set(
-                reader.fieldnames
-            ):
-                raise InvalidInputError(
-                    f"{csv_path}: expected columns delay_us, population"
-                )
-            for i, row in enumerate(reader, start=2):
-                try:
-                    delays.append(float(row["delay_us"]))
-                    pops.append(float(row["population"]))
-                except (TypeError, ValueError) as exc:
-                    raise InvalidInputError(
-                        f"{csv_path}: bad row {i}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{csv_path}: not UTF-8 text: {exc}") from exc
+            delays.append(float(row["delay_us"]))
+            pops.append(float(row["population"]))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{csv_path}: bad row {i}: {exc}") from exc
     meta = {}
     if meta_path is not None:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:  # malformed JSON or not UTF-8
-                raise InvalidInputError(f"{meta_path}: bad metadata: {exc}") from exc
+        try:
+            meta = json.loads(read_text(meta_path))
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{meta_path}: bad metadata: {exc}") from exc
     return DecayTrace(np.array(delays), np.array(pops), meta=meta)
 
 

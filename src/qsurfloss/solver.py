@@ -46,7 +46,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, NumericalFailureError
+from .errors import (ConvergenceError, InvalidInputError, NumericalFailureError,
+                     write_text)
 from .geometry import CrossSection, Strip
 
 UM = 1e-6
@@ -420,6 +421,4 @@ def solution_to_csv(sol: FieldSolution, path) -> None:
     template += [f"%.9g,0,0,0,%.9g,gap{i}\r\n" * m for i in range(len(gap_x))]
     values = (np.stack([strip_x / UM, sigma, e_perp, e_perp], axis=-1).ravel().tolist()
               + np.stack([gap_x / UM, e_par], axis=-1).ravel().tolist())
-    text = "".join(template) % tuple(values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_text(path, "".join(template) % tuple(values))

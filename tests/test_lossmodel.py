@@ -202,6 +202,12 @@ class TestDegeneracy:
         with pytest.raises(InvalidInputError):
             fit_sm_plus_j([LossDataPoint(1e-4, 1e-5, 1e6)], weighting="none")
 
+    def test_unknown_weighting_is_invalid_input(self, grouped_points):
+        """It used to end in the enum's raw ValueError; the text is the one
+        a report config gets."""
+        with pytest.raises(InvalidInputError, match="^unknown Weighting 'bogus'$"):
+            fit_sm_plus_j(grouped_points, weighting="bogus")
+
 
 class TestBundledDatasetFits:
     def test_junction_model_parameters(self, grouped_points):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import types
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from qsurfloss import (
     DEFAULT_SM_SPEC,
     InvalidInputError,
     PipelineConfig,
+    PurcellParams,
     QSurfLossError,
     SweepConfig,
     cutoff_sensitivity,
@@ -323,6 +325,33 @@ class TestRunPipeline:
                      "point; 10 of 32 have none ('D8-1', 'D8-2', 'D8-3', ...); "
                      "use weighting 'none'",
         }]
+
+
+class TestBlockedReportFiles:
+    """A directory where the report bundle puts a file: a CSV becomes a
+    stage error, report.json one error line (both used to end in a raw
+    IsADirectoryError, without report.json)."""
+
+    def test_blocked_csv_is_a_stage_error(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "q_vs_psm.csv").mkdir(parents=True)
+        result = _run_report(tmp_path, json.dumps({"output_dir": str(out)}))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert [e["stage"] for e in report["errors"]] == ["write[q_vs_psm]"]
+        assert report["errors"][0]["error"] == (
+            f"cannot write {out / 'q_vs_psm.csv'}: Is a directory")
+        assert {e["path"] for e in report["outputs"]} == {
+            "q_vs_normalized_pr.csv", "q_model_surface.csv", "report.json"}
+        assert (out / "q_vs_psm.csv").is_dir()
+
+    def test_blocked_report_json_is_one_error_line(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        result = _run_report(tmp_path, json.dumps({"output_dir": str(out)}))
+        _assert_one_line_error(
+            result, f"cannot write {out / 'report.json'}: Is a directory")
 
 
 def _run_report(tmp_path, text):
@@ -664,6 +693,10 @@ class TestCli:
         result = CliRunner().invoke(
             main, ["fit-t1", "--trace", str(trace), "--meta", str(meta)])
         _assert_one_line_error(result, "bad metadata")
+        out = tmp_path / "missing" / "t1.json"
+        result = CliRunner().invoke(
+            main, ["fit-t1", "--trace", str(trace), "--out", str(out)])
+        _assert_one_line_error(result, f"cannot write {out}: No such file")
 
     def test_purcell_from_chi(self):
         runner = CliRunner()
@@ -692,21 +725,47 @@ class TestCli:
     @example(values={"g": 1e-200, "chi": None, "delta": 1e200, "kappa": 1e-300})
     @example(values={"g": 1e-200, "chi": 1.0, "delta": None, "kappa": 1.0})
     @example(values={"g": 1.0, "chi": None, "delta": 1.0, "kappa": None})
+    @example(values={"g": 1e145, "chi": None, "delta": 1.0, "kappa": 1e10})
+    @example(values={"g": None, "chi": 1e-300, "delta": 1e-300, "kappa": 1.0})
     @settings(max_examples=300, deadline=None)
     @pytest.mark.filterwarnings("ignore:.*dispersive Purcell estimate")
     def test_any_finite_purcell_input_gives_a_limit_or_one_error_line(self, values):
-        """Any finite or omitted --g/--chi/--delta/--kappa: a squared term
-        beyond the float range used to end in a raw OverflowError, g^2 kappa
-        below it in a ZeroDivisionError, and an omitted --kappa in click's
-        usage error with exit 2."""
+        """Any finite or omitted --g/--chi/--delta/--kappa gives the limit
+        delta^2 / (g^2 kappa) of the parsed parameters, taken exactly, to the
+        4 printed digits (or ``unbounded`` above 1e6 s), or one error line.
+        A squared term beyond the float range used to end in a raw
+        OverflowError, g^2 kappa below it in a ZeroDivisionError, and an
+        omitted --kappa in click's usage error with exit 2; g^2 kappa
+        overflowing to inf printed 0 ms, and chi delta underflowing to 0
+        printed g = 0 and unbounded."""
         args = [f"--{name}={value!r}" for name, value in values.items()
                 if value is not None]
         result = CliRunner().invoke(main, ["purcell", *args])
-        if result.exit_code == 0:
-            assert result.exception is None
-            assert "T_Purcell = " in result.output
-        else:
+        if result.exit_code != 0:
             _assert_one_line_error(result, "")
+            return
+        assert result.exception is None
+        params = PurcellParams.from_cyclic(**{
+            f"{name}_{unit}": values[name] for name, unit in
+            [("g", "mhz"), ("chi", "mhz"), ("delta", "ghz"), ("kappa", "khz")]})
+        kappa = Fraction(params.kappa)
+        # exact delta^2 / (g^2 kappa); 0 stands for g = 0
+        if params.g is None:  # g^2 = chi delta
+            exact = params.chi and (
+                Fraction(params.delta) / (Fraction(params.chi) * kappa))
+        elif params.delta is None:  # delta = g^2 / chi
+            exact = params.g and (
+                Fraction(params.g) ** 2 / (Fraction(params.chi) ** 2 * kappa))
+        else:
+            exact = params.g and (
+                Fraction(params.delta) ** 2 / (Fraction(params.g) ** 2 * kappa))
+        printed = result.output.split("T_Purcell = ")[1].split()[0]
+        if printed == "unbounded":
+            assert not exact or exact > 1e6 * (1 - 1e-12)
+        else:
+            assert 0 < exact <= 1e6 * (1 + 1e-12)
+            assert float(printed) == pytest.approx(float(exact * 1000), rel=1e-3,
+                                                 abs=1e-320)
 
     def test_fit_t1_on_trace(self, tmp_path):
         t = np.linspace(0.0, 900.0, 40)
@@ -757,6 +816,15 @@ class TestCli:
                    "--cutoff-um", cutoff_um, "--out", str(out)])
         _assert_one_line_error(result, message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--points", "2"], ["fit-loss"]],
+                             ids=["sweep", "fit-loss"])
+    def test_out_into_a_missing_directory_is_one_error_line(self, tmp_path,
+                                                            command):
+        """These used to end in a raw FileNotFoundError."""
+        out = tmp_path / "missing" / "out"
+        result = CliRunner().invoke(main, [*command, "--out", str(out)])
+        _assert_one_line_error(result, f"cannot write {out}: No such file")
 
     def test_sweep_command_bounds_points(self, tmp_path):
         out = tmp_path / "sweep.csv"
