@@ -10,16 +10,14 @@ statistics are not available for every device).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import (RecordValidationError, TableFormatError, is_finite, read_text,
-                     write_csv)
+from .errors import (RecordValidationError, TableFormatError, is_finite, parse_csv,
+                     read_text, write_csv)
 from .lossmodel import LossDataPoint
 
 GEOMETRIES = ("interdigital_2d", "dumbbell_2d", "dumbbell_3d")
@@ -121,14 +119,13 @@ def load_device_table(path) -> list[DeviceRecord]:
 
 
 def _load_records(text: str, source: str) -> list[DeviceRecord]:
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != COLUMNS:
+    header, rows = parse_csv(text, source, malformed=TableFormatError)
+    if header is None or tuple(header) != COLUMNS:
         raise TableFormatError(
-            f"{source}: header must be {','.join(COLUMNS)}, "
-            f"got {reader.fieldnames}"
+            f"{source}: header must be {','.join(COLUMNS)}, got {header}"
         )
     records = []
-    for i, row in enumerate(reader, start=2):
+    for i, row in enumerate(rows, start=2):
         try:
             records.append(_record_from_row(row))
         except RecordValidationError:

@@ -1,10 +1,13 @@
 """Exception types shared across the toolkit, the finiteness test of the
 input checks that raise them, and the one place that opens files: UTF-8
 readers and writers that keep line endings and turn a file that cannot be
-read, written or decoded into an :class:`InvalidInputError` naming it."""
+read, written or decoded into an :class:`InvalidInputError` naming it.
+JSON documents and CSV text that the standard parsers cannot take (nested
+too deep, a cell over the field limit) fail typed here as well."""
 
 import csv
 import io
+import json
 import math
 import numbers
 
@@ -84,6 +87,30 @@ def read_text(path, malformed: type = InvalidInputError) -> str:
         raise malformed(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def read_json(path, prefix: str):
+    """The JSON document in ``path``, read by :func:`read_text`.  Text that
+    is not JSON, or nests deeper than the decoder can recurse, raises
+    ``InvalidInputError(f"{prefix}: <reason>")``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidInputError(f"{prefix}: {exc}") from exc
+
+
+def parse_csv(text: str, source: str, malformed: type = InvalidInputError):
+    """The header and the rows of CSV ``text``, as :class:`csv.DictReader`
+    reads them.  A line the csv module refuses (a cell over its field
+    limit) raises ``malformed`` naming ``source`` and the line."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        return reader.fieldnames, list(reader)
+    except csv.Error as exc:
+        # DictReader.line_num lags a row that fails; its csv.reader's does not
+        raise malformed(
+            f"{source}: unreadable row {reader.reader.line_num}: {exc}") from exc
 
 
 def write_text(path, text: str) -> None:

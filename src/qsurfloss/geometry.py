@@ -7,13 +7,12 @@ between vacuum (above) and a dielectric substrate half-space (below).
 
 from __future__ import annotations
 
-import json
 import numbers
 import operator
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
-from .errors import InvalidInputError, is_finite, read_text, shown
+from .errors import InvalidInputError, is_finite, read_json, shown
 
 #: Relative permittivity of c-plane sapphire used throughout as the default.
 SAPPHIRE_EPS_REL = 10.15
@@ -214,11 +213,7 @@ _DOCUMENT_FIELDS = {"eps_sub_rel": float, "eps_vac_rel": float, "edge_cutoff": f
 
 def load_cross_section(path) -> CrossSection:
     """Read a cross section from a JSON document mirroring the field names."""
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"bad cross-section document: {exc}") from exc
-    return CrossSection.from_json_dict(doc)
+    return CrossSection.from_json_dict(read_json(path, "bad cross-section document"))
 
 
 def interdigital_unit_cell(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import (InvalidInputError, QSurfLossError, is_finite, read_text, shown,
+from .errors import (InvalidInputError, QSurfLossError, is_finite, read_json, shown,
                      write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL
 from .lossmodel import (
@@ -132,9 +132,8 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        text = read_text(path)
+        raw = read_json(path, f"bad config {path}")
         try:
-            raw = json.loads(text)
             sweep = raw.get("sweep")
             sweep = SweepConfig(**{k: v for k, v in sweep.items()
                                    if k not in _RETIRED_SWEEP_KEYS}
@@ -143,7 +142,7 @@ class PipelineConfig:
             cfg.models = tuple(cfg.models)
             cfg.validate()
         except (AttributeError, TypeError, ValueError) as exc:
-            # malformed JSON, a non-object, an unknown key or a bad value
+            # a non-object, an unknown key or a bad value
             raise InvalidInputError(f"bad config {path}: {exc}") from exc
         return cfg
 

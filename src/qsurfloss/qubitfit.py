@@ -8,9 +8,6 @@ linewidths cyclic in kHz; :class:`PurcellParams` stores angular rad/s.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import sys
 import warnings
@@ -19,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitFailureError, InvalidInputError, is_finite, read_text, shown
+from .errors import (FitFailureError, InvalidInputError, is_finite, parse_csv,
+                     read_json, read_text, shown)
 
 #: Purcell lifetimes above this value (s) are reported as unbounded.
 UNBOUNDED_PURCELL_S = 1e6
@@ -552,11 +550,20 @@ class PurcellParams:
         if self.chi == 0:
             raise InvalidInputError("cannot infer delta from chi = 0")
         try:
-            return self.g**2 / self.chi
+            g2 = self.g**2
+        except OverflowError:
+            g2 = math.inf
+        quotient = g2 / self.chi
+        if _is_normal(g2) and _is_normal(abs(quotient)):
+            return quotient
+        # exact g^2 / chi, rounded once, where g^2 or the quotient is not normal
+        from fractions import Fraction  # imported here: ~3 ms that few runs need
+        try:
+            return float(Fraction(self.g) ** 2 / Fraction(self.chi))
         except OverflowError:
             raise InvalidInputError(
-                f"cannot infer delta = g^2 / chi: g^2 exceeds the float range "
-                f"at g = {self.g:.3g} rad/s") from None
+                f"cannot infer delta = g^2 / chi: it exceeds the float range "
+                f"at g = {self.g:.3g} and chi = {self.chi:.3g} rad/s") from None
 
 
 def purcell_limit(params: PurcellParams) -> float:
@@ -652,22 +659,18 @@ def q_statistics_from_rounds(
 
 def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:
     """Read a trace CSV with columns ``delay_us, population`` (+ JSON sidecar)."""
-    reader = csv.DictReader(io.StringIO(read_text(csv_path), newline=""))
-    if not {"delay_us", "population"} <= set(reader.fieldnames or ()):
+    header, rows = parse_csv(read_text(csv_path), str(csv_path))
+    if not {"delay_us", "population"} <= set(header or ()):
         raise InvalidInputError(f"{csv_path}: expected columns delay_us, population")
     delays, pops = [], []
-    for i, row in enumerate(reader, start=2):
+    for i, row in enumerate(rows, start=2):
         try:
             delays.append(float(row["delay_us"]))
             pops.append(float(row["population"]))
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"{csv_path}: bad row {i}: {exc}") from exc
-    meta = {}
-    if meta_path is not None:
-        try:
-            meta = json.loads(read_text(meta_path))
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{meta_path}: bad metadata: {exc}") from exc
+    meta = {} if meta_path is None else read_json(meta_path,
+                                                  f"{meta_path}: bad metadata")
     return DecayTrace(np.array(delays), np.array(pops), meta=meta)
 
 

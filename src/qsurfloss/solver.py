@@ -22,8 +22,9 @@ charge is ``pi h a_0``.
 
 The gap field ``E_x = sum_n a_n sgn(t) u^n / (2 eps_bar sqrt(t^2 - 1))``
 and the gap voltage, a difference of the exterior kernel, are closed forms.
-A solution keeps the a_n alone; only :func:`solution_to_csv` samples sigma
-and E_x, at the Chebyshev points of every strip and gap.
+A solution keeps the a_n and derives the rest: its gap voltages once, from
+one kernel evaluation at every gap end; only :func:`solution_to_csv`
+samples sigma and E_x, at the Chebyshev points of every strip and gap.
 The series shows its own truncation error: the a_n of a resolved strip
 decay geometrically, so the share of sum |a_n| held by the upper half of
 the terms measures what the missing terms would add (Boyd, *Chebyshev and
@@ -84,6 +85,18 @@ class FieldSolution:
         solution; a copy that :func:`dataclasses.replace` makes derives its
         own."""
         return _edges(self.geometry)
+
+    @cached_property
+    def _gap_voltages(self) -> list[float]:
+        """Potential drop across every gap, V: one exterior-kernel evaluation
+        at the 2G gap ends (left, right of each gap in turn), derived once
+        per solution like :attr:`_bounds`."""
+        left, right = self._bounds
+        ends = np.stack([right[:-1], left[1:]], axis=1).ravel()
+        kernel = _log_kernel(ends, left, right, self.coefficients.shape[1])
+        scale = 0.5 * (right - left) / (2.0 * self.eps_bar)  # b_n = a_n h / (2 eps_bar)
+        phi = np.einsum("nps,sn->p", kernel, self.coefficients * scale[:, None])
+        return (phi[0::2] - phi[1::2]).tolist()
 
     @property
     def strips(self) -> tuple[Strip, ...]:
@@ -268,16 +281,12 @@ def reconstruct_gap_voltage(sol: FieldSolution, gap_index: int = 0) -> float:
     It is the difference of the exterior log kernel of every strip at the
     gap's two ends, so it is exact for the solved coefficients; it must
     reproduce the potential difference between the bounding strips, which
-    checks the collocation between the points.
+    checks the collocation between the points.  The solution derives the
+    drops of all its gaps at once, on first use.
     """
     if not sol.gaps:
         raise InvalidInputError("solution has no gaps")
-    left, right = sol._bounds
-    coeffs = sol.coefficients
-    kernel = _log_kernel(np.array(sol.gaps[gap_index]), left, right, coeffs.shape[1])
-    volts = coeffs * (0.5 * (right - left) / (2.0 * sol.eps_bar))[:, None]
-    phi = np.einsum("nps,sn->p", kernel, volts)
-    return float(phi[0] - phi[1])
+    return sol._gap_voltages[gap_index]
 
 
 @lru_cache(maxsize=None)

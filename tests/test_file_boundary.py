@@ -3,7 +3,9 @@
 Files: every read and write goes through ``read_text``, ``write_text`` or
 ``write_csv`` in ``errors.py``, so a file that is missing, is a directory,
 cannot be created or is not UTF-8 ends in an ``InvalidInputError`` that
-names the path.  Commands: one click group handler turns any
+names the path.  JSON goes through ``read_json`` and CSV text through
+``parse_csv``, so a document nested too deep or a cell over the csv field
+limit fails typed too.  Commands: one click group handler turns any
 ``QSurfLossError`` into one ``error:`` line and exit code 1.  The source
 checks below keep both from being bypassed.
 """
@@ -19,6 +21,7 @@ import qsurfloss.cli
 from qsurfloss import (
     DEFAULT_SM_SPEC,
     InvalidInputError,
+    TableFormatError,
     PipelineConfig,
     interdigital_unit_cell,
     load_cross_section,
@@ -96,6 +99,44 @@ class TestUnreadableInput:
         with pytest.raises(InvalidInputError,
                            match=f"^{re.escape(str(path))}: not UTF-8 text: "):
             load(path)
+
+
+class TestUnparseableInput:
+    @pytest.mark.parametrize("load, message", [
+        (load_cross_section, "bad cross-section document: "),
+        (PipelineConfig.from_json, "bad config {path}: "),
+        (lambda path: load_decay_trace(path.with_suffix(".csv"), path),
+         "{path}: bad metadata: "),
+    ], ids=["cross-section", "config", "trace-metadata"])
+    def test_deeply_nested_json_fails_typed(self, tmp_path, load, message):
+        """100000 nested arrays used to end in a raw RecursionError."""
+        path = tmp_path / "doc.json"
+        path.write_text("[" * 100000)
+        path.with_suffix(".csv").write_text("delay_us,population\n0,1\n")
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                message.format(path=path)) + "maximum recursion depth exceeded"):
+            load(path)
+
+    BIG_CELL = "9" * 200000  # over the csv module's default limit of 131072
+
+    def test_oversized_trace_cell_names_the_row(self, tmp_path):
+        """It used to end in a raw _csv.Error: field larger than field limit."""
+        path = tmp_path / "trace.csv"
+        path.write_text(f"delay_us,population\n0,1\n10,{self.BIG_CELL}\n")
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"{path}: unreadable row 3: field larger than field limit")):
+            load_decay_trace(path)
+
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_oversized_table_cell_names_the_row(self, tmp_path, records, row):
+        path = tmp_path / "devices.csv"
+        save_device_table(records[:1], path)
+        lines = path.read_text().splitlines()
+        lines[row - 1] += self.BIG_CELL
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableFormatError, match="^" + re.escape(
+                f"{path}: unreadable row {row}: field larger than field limit")):
+            load_device_table(path)
 
 
 @pytest.fixture(scope="module")

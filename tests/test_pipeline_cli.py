@@ -373,6 +373,12 @@ class TestConfigErrors:
         result = _run_report(tmp_path, '{"models": ["sm+j",]')
         _assert_one_line_error(result, "Expecting value")
 
+    def test_deeply_nested_json(self, tmp_path):
+        """It used to print a RecursionError traceback."""
+        result = _run_report(tmp_path, "[" * 100000)
+        _assert_one_line_error(result, "maximum recursion depth exceeded")
+        assert f"bad config {tmp_path / 'cfg.json'}: " in result.output
+
     def test_unknown_sweep_key(self, tmp_path):
         result = _run_report(tmp_path, json.dumps({
             "output_dir": str(tmp_path / "out"),
@@ -681,6 +687,14 @@ class TestCli:
         result = CliRunner().invoke(main, ["fit-loss", "--input", str(table)])
         _assert_one_line_error(result, "not UTF-8 text")
 
+    def test_fit_t1_oversized_cell_is_one_error_line(self, tmp_path):
+        """A 200000-character cell used to end in a raw _csv.Error."""
+        trace = tmp_path / "big.csv"
+        trace.write_text("delay_us,population\n0," + "1" * 200000 + "\n")
+        result = CliRunner().invoke(main, ["fit-t1", "--trace", str(trace)])
+        _assert_one_line_error(
+            result, f"{trace}: unreadable row 2: field larger than field limit")
+
     def test_fit_t1_bad_files_are_one_error_line(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_bytes(b"delay_us,population\n0,1\xff\n")
@@ -716,6 +730,15 @@ class TestCli:
         """These used to print T_Purcell = nan ms and 0 ms and exit 0."""
         result = CliRunner().invoke(main, ["purcell", *args])
         _assert_one_line_error(result, message)
+
+    @pytest.mark.filterwarnings("ignore:.*dispersive Purcell estimate")
+    def test_purcell_infers_delta_where_g_squared_overflows(self):
+        """g^2 / chi = 6.3e106 rad/s is a float though g^2 is not; this used
+        to exit 1 with 'g^2 exceeds the float range'."""
+        result = CliRunner().invoke(
+            main, ["purcell", "--g", "1e150", "--chi", "1e200", "--kappa", "1"])
+        assert result.exit_code == 0, result.output
+        assert "T_Purcell = 1.592e-101 ms" in result.output
 
     @given(values=st.fixed_dictionaries({
         name: st.none() | st.floats(allow_nan=False, allow_infinity=False)

@@ -2,6 +2,7 @@ import math
 import statistics
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -714,6 +715,18 @@ class TestPurcellLimit:
         delta_ghz = params.delta_effective / (2 * math.pi * 1e9)
         assert delta_ghz == pytest.approx(2.031, rel=1e-3)
         assert purcell_limit(params) == pytest.approx(9.0e-3, rel=0.01)
+
+    @pytest.mark.parametrize("g, chi", [(1e160, 1e200), (1e-160, 1e-300),
+                                        (3e7, 1e6), (1e-200, -1.0)])
+    def test_delta_is_g_squared_over_chi_rounded_once(self, g, chi):
+        """Also where g^2 overflows or is subnormal but the quotient is a
+        float."""
+        params = PurcellParams(kappa=1.0, g=g, chi=chi)
+        assert params.delta_effective == float(Fraction(g) ** 2 / Fraction(chi))
+
+    def test_delta_beyond_the_float_range_is_refused(self):
+        with pytest.raises(InvalidInputError, match="it exceeds the float range"):
+            PurcellParams(kappa=1.0, g=1e200, chi=1e-200).delta_effective
 
     def test_zero_coupling_unbounded(self):
         params = PurcellParams.from_cyclic(delta_ghz=2.0, kappa_khz=50.0, g_mhz=0.0)

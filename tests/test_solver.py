@@ -411,6 +411,71 @@ class TestSurfaceSampling:
         assert len(calls) == 1
 
 
+def per_gap_voltage(sol, i):
+    """The drop across gap i alone: the exterior log kernel of every strip
+    at the gap's two ends, weighted by b_n = a_n h / (2 eps_bar), left end
+    minus right end."""
+    left, right = sol._bounds
+    kernel = solver._log_kernel(np.array(sol.gaps[i]), left, right,
+                                sol.coefficients.shape[1])
+    volts = sol.coefficients * (0.5 * (right - left) / (2.0 * sol.eps_bar))[:, None]
+    phi = np.einsum("nps,sn->p", kernel, volts)
+    return float(phi[0] - phi[1])
+
+
+class TestGapVoltages:
+    """A solution derives the drops across all its gaps once, from one
+    exterior-kernel evaluation at every gap end."""
+
+    @pytest.mark.parametrize("section", [
+        *(asymmetric_section(n + 20, n, 32) for n in (2, 3, 4, 5, 6)),
+        CrossSection([Strip(0.0, 10.0, 0.5), Strip(10.1, 10.0, -0.5),
+                      Strip(26.0, 6.0, 0.2)], discretization=64),
+    ], ids=["2-strip", "3-strip", "4-strip", "5-strip", "6-strip", "narrow-gap"])
+    def test_every_gap_matches_the_per_gap_formula(self, section):
+        """Bit for bit, and each reproduces the drive across its gap."""
+        sol = refine_until_converged(section, rel_tol=1e-6)
+        pots = section.potentials
+        gaps = range(len(sol.gaps))
+        expected = [per_gap_voltage(sol, i) for i in gaps]
+        assert [reconstruct_gap_voltage(sol, i) for i in gaps] == expected
+        assert expected == pytest.approx(np.subtract(pots[:-1], pots[1:]), rel=1e-9)
+
+    def test_all_gaps_cost_one_kernel_evaluation(self, monkeypatch):
+        sol = solve_cross_section(asymmetric_section(26, 6, 16))
+        calls = []
+        original = solver._log_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_log_kernel", counting)
+        for i in [*range(5), -1, 2]:
+            reconstruct_gap_voltage(sol, i)
+        assert len(calls) == 1
+        assert calls[0][0].shape == (10,)  # both ends of the 5 gaps
+
+    def test_a_replaced_copy_reads_its_own_coefficients(self):
+        sol = solve_cross_section(asymmetric_section(27, 4, 16))
+        first = [reconstruct_gap_voltage(sol, i) for i in range(3)]
+        copy = replace(sol, coefficients=2.0 * sol.coefficients)
+        # doubling every coefficient doubles every term and sum exactly
+        assert [reconstruct_gap_voltage(copy, i) for i in range(3)] == [
+            2.0 * v for v in first]
+        assert [reconstruct_gap_voltage(sol, i) for i in range(3)] == first
+
+    def test_errors_are_unchanged(self, two_strip_sol):
+        assert reconstruct_gap_voltage(two_strip_sol, -1) == reconstruct_gap_voltage(
+            two_strip_sol, 0)
+        with pytest.raises(IndexError):
+            reconstruct_gap_voltage(two_strip_sol, 1)
+        lone = solver.FieldSolution(CrossSection([Strip(0.0, 10.0, 1.0)]),
+                                    np.ones((1, 16)), 1.0, 0.0)
+        with pytest.raises(InvalidInputError, match="^solution has no gaps$"):
+            reconstruct_gap_voltage(lone)
+
+
 def test_vacuum_permittivity_literal():
     assert epsilon_0 == scipy.constants.epsilon_0
 
