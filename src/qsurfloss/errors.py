@@ -91,12 +91,14 @@ def read_text(path, malformed: type = InvalidInputError) -> str:
 
 def read_json(path, prefix: str):
     """The JSON document in ``path``, read by :func:`read_text`.  Text that
-    is not JSON, or nests deeper than the decoder can recurse, raises
-    ``InvalidInputError(f"{prefix}: <reason>")``."""
+    is not JSON, nests deeper than the decoder can recurse, or holds an
+    integer over Python's int-to-str digit limit (4300 digits by default)
+    raises ``InvalidInputError(f"{prefix}: <reason>")``."""
     text = read_text(path)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # a JSONDecodeError is a ValueError, as is an overlong integer's error
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"{prefix}: {exc}") from exc
 
 

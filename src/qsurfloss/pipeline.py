@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -151,112 +152,86 @@ class PipelineConfig:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _encode(obj, pad: str, out: list) -> None:
-    """Append the chunks of ``obj`` to ``out`` as ``json.dumps(obj,
-    indent=2, sort_keys=True)`` writes them, with each finite float rounded
-    to 9 significant digits and each other float written as null; ``pad``
-    is the line break and indent that ``obj`` starts after.
+def _scalar(obj) -> str:
+    """The JSON text of a value that is not a dict, list or tuple, as
+    ``json.dumps`` writes it, except that a finite float is written as
+    ``repr(float(f"{obj:.9g}"))`` and any other float as null.
 
-    ``indent`` keeps ``json.dumps`` on its pure-Python encoder; this one
-    recursion formats the same bytes with the C quoting and number reprs.
-    The exact types a report is made of are tried first; a subclass (bool,
-    ``np.float64``) takes the ``isinstance`` chain below them.
+    ``"%.9g"`` writes repr's digits, and in repr's form except at decimal
+    exponents 9 to 15, which repr writes in full, and below the normal
+    range, where the rounded float may hold fewer digits; only there is
+    repr taken.
     """
-    kind = type(obj)
-    if kind is float:
-        out.append(repr(float(f"{obj:.9g}")) if math.isfinite(obj) else "null")
-    elif kind is str:
-        out.append(_quote(obj))
-    elif kind is dict:
-        _encode_dict(obj, pad, out)
-    elif kind is list:
-        _encode_list(obj, pad, out)
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(repr(float(f"{obj:.9g}")) if math.isfinite(obj) else "null")
-    elif isinstance(obj, (list, tuple)):
-        _encode_list(obj, pad, out)
-    elif isinstance(obj, dict):
-        _encode_dict(obj, pad, out)
-    else:
-        raise TypeError(
-            f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _encode_list(obj, pad: str, out: list) -> None:
-    if not obj:
-        out.append("[]")
-        return
-    inner = pad + "  "
-    sep = "[" + inner
-    for item in obj:
-        out.append(sep)
-        _encode(item, inner, out)
-        sep = "," + inner
-    out.append(pad + "]")
-
-
-def _encode_dict(obj, pad: str, out: list) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    inner = pad + "  "
-    sep = "{" + inner
-    for key, value in sorted(obj.items()):
-        out.append(sep + _quote(key) + ": ")
-        _encode(value, inner, out)
-        sep = "," + inner
-    out.append(pad + "}")
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return "null"
+        text = "%.9g" % obj
+        if "e" not in text:  # exponent -4 to 8; repr ends a whole number in ".0"
+            return text if "." in text else text + ".0"
+        # "e-05" and "+100" sort outside "e+09" to "e+15"
+        if "e+09" <= text[-4:] <= "e+15" or abs(obj) < sys.float_info.min:
+            return repr(float(text))
+        return text
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    # a bool; any other type raises json's TypeError
+    return json.dumps(obj)
 
 
 def write_report_json(report: dict, path) -> None:
-    """Write ``report`` as sorted, 2-space-indented JSON, floats rounded to
-    9 significant digits and non-finite ones written as null."""
+    """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)``
+    does, each float rounded to 9 significant digits and each non-finite
+    one written as null (see :func:`_scalar`).
+
+    One loop walks the document over an explicit stack of the open dicts,
+    lists and tuples, so a document of any depth is written.
+    """
     out: list[str] = []
-    _encode(report, "\n", out)
-    out.append("\n")
+    # each open container: its (text before the item, item) pairs still to
+    # write and its closing text; the document is the one item of the first
+    stack = [(iter([("", report)]), "\n")]
+    while stack:
+        items, close = stack[-1]
+        for head, value in items:
+            out.append(head)
+            if not isinstance(value, (dict, list, tuple)):
+                out.append(_scalar(value))
+                continue
+            pad = "\n" + "  " * len(stack)
+            if isinstance(value, dict):
+                keys = sorted(value)
+                heads = [f",{pad}{_quote(key)}: " for key in keys]
+                value, brackets = [value[key] for key in keys], "{}"
+            else:
+                heads, brackets = [f",{pad}"] * len(value), "[]"
+            if not value:
+                out.append(brackets)
+                continue
+            heads[0] = brackets[0] + heads[0][1:]
+            stack.append((zip(heads, value), pad[:-2] + brackets[1]))
+            break
+        else:
+            out.append(close)
+            stack.pop()
     write_text(path, "".join(out))
 
 
-def _q_std_cells(points) -> list[str]:
-    """A point's spread at 9 digits, empty when it is None or 0."""
-    return ["%.9g" % p.q_std if p.q_std else "" for p in points]
-
-
-def _write_q_vs_psm(points, fits: dict[str, LossFitResult], path) -> None:
-    p_sm = np.array([p.p_sm for p in points])
-    p_j = np.array([p.p_j for p in points])
-    columns = [[p.group_id for p in points],
-               ["%.9g" % v for v in p_sm.tolist()],
-               ["%.9g" % p.q_mean for p in points],
-               _q_std_cells(points)]
-    for fit in fits.values():
-        inv_q = model_inverse_q(fit, p_sm, p_j).tolist()
-        columns.append(["%.9g" % (1.0 / v) if v > 0 else "" for v in inv_q])
-    write_csv(path, ["group_id", "p_sm", "q_measured", "q_std"]
-              + [f"q_model[{name}]" for name in fits], zip(*columns))
-
-
-def _write_q_vs_npr(points, fit: LossFitResult, path) -> None:
-    npr = normalized_pr(np.array([p.p_sm for p in points]),
-                        np.array([p.p_j for p in points]),
-                        fit.tan_d_sm, fit.tan_d_j)
-    inv_q = (fit.tan_d_sm * npr).tolist()
-    write_csv(path, ["group_id", "normalized_pr", "q_measured", "q_std", "q_model"],
-              zip([p.group_id for p in points],
-                  ["%.9g" % v for v in npr.tolist()],
-                  ["%.9g" % p.q_mean for p in points],
-                  _q_std_cells(points),
-                  ["%.9g" % (1.0 / v) if v > 0 else "" for v in inv_q]))
+def _write_q_table(points, x_name: str, x, inv_q: dict, path) -> None:
+    """Write the measured Q of each point, and the Q of each model, against
+    the column ``x`` named ``x_name``: p_sm or the normalized PR.  ``inv_q``
+    maps each model column's header to its modeled 1/Q; a 1/Q that is not
+    positive, and a q_std that is None or 0, is an empty cell."""
+    write_csv(path, ["group_id", x_name, "q_measured", "q_std", *inv_q], zip(
+        [p.group_id for p in points],
+        ["%.9g" % v for v in x.tolist()],
+        ["%.9g" % p.q_mean for p in points],
+        ["%.9g" % p.q_std if p.q_std else "" for p in points],
+        *(["%.9g" % (1.0 / v) if v > 0 else "" for v in column.tolist()]
+          for column in inv_q.values())))
 
 
 def _write_model_surface(points, fit: LossFitResult, path) -> None:
@@ -297,13 +272,13 @@ def _write_model_surface(points, fit: LossFitResult, path) -> None:
     write_text(path, template % tuple((1.0 / inv_q).ravel().tolist()))
 
 
-def _emit(manifest, errors, out_dir: Path, kind: str, write, *args,
+def _emit(manifest, errors, out_dir: Path, kind: str, write,
           status: str = "written") -> None:
-    """Write ``<kind>.csv`` with ``write(*args, path)`` and list it; a failed
+    """Write ``<kind>.csv`` with ``write(path)`` and list it; a failed
     writer removes its half-written file and becomes a stage error."""
     path = out_dir / f"{kind}.csv"
     try:
-        write(*args, path)
+        write(path)
     except QSurfLossError as exc:
         with contextlib.suppress(OSError):  # a directory there stays
             path.unlink(missing_ok=True)
@@ -375,15 +350,24 @@ def run_pipeline(config: PipelineConfig) -> dict:
             entry["points"] = [dict(vars(p)) for p in points]
             report["fits"][model.value] = entry
 
+        p_sm = np.array([p.p_sm for p in points])
+        p_j = np.array([p.p_j for p in points])
         if fits:
-            _emit(manifest, errors, out_dir, "q_vs_psm", _write_q_vs_psm,
-                  points, fits)
+            _emit(manifest, errors, out_dir, "q_vs_psm",
+                  lambda path: _write_q_table(points, "p_sm", p_sm, {
+                      f"q_model[{name}]": model_inverse_q(fit, p_sm, p_j)
+                      for name, fit in fits.items()}, path))
         if LossModel.SM_PLUS_J.value in fits:
             fit = fits[LossModel.SM_PLUS_J.value]
-            _emit(manifest, errors, out_dir, "q_vs_normalized_pr",
-                  _write_q_vs_npr, points, fit)
+
+            def write_q_vs_npr(path):  # normalizing refuses tan_d_sm = 0
+                npr = normalized_pr(p_sm, p_j, fit.tan_d_sm, fit.tan_d_j)
+                _write_q_table(points, "normalized_pr", npr,
+                               {"q_model": fit.tan_d_sm * npr}, path)
+
+            _emit(manifest, errors, out_dir, "q_vs_normalized_pr", write_q_vs_npr)
             _emit(manifest, errors, out_dir, "q_model_surface",
-                  _write_model_surface, points, fit)
+                  lambda path: _write_model_surface(points, fit, path))
 
     if config.sweep is not None:
         sweep_cfg = config.sweep
@@ -393,8 +377,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
             errors.append({"stage": "sweep", "error": str(exc)})
         else:
             failed = [p.width_um for p in sweep_points if p.error]
-            _emit(manifest, errors, out_dir, "psm_width_sweep", write_sweep_csv,
-                  sweep_points, status="partial" if failed else "written")
+            _emit(manifest, errors, out_dir, "psm_width_sweep",
+                  lambda path: write_sweep_csv(sweep_points, path),
+                  status="partial" if failed else "written")
             if failed:
                 errors.append({"stage": "sweep", "error": "failed at width "
                                + ", ".join(f"{w:.9g}" for w in failed) + " um"})

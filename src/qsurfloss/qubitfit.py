@@ -323,10 +323,13 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     it starts from the first 1/e crossing instead.  Both rules are fixed,
     so the fit is deterministic.  The search cuts a step in s to at most 1
     (a factor e in T1), takes it only if the cost goes down, halving it
-    until it does, and stops when a step is at most 1e-9.  Each trial T1 evaluates ``exp(-t/T1)`` once, and every
-    moment the step needs comes from one matrix product.  The quoted
-    ``fit_err`` is the 1-sigma T1 uncertainty from the chi2-scaled
-    Gauss-Newton covariance in (A, T1, B) at the optimum.
+    until it does, and stops when a step is at most 1e-9 or when the
+    step's predicted decrease of the cost, g^2/curv, is at most 4 eps times
+    the cost, which is within its rounding.  Each trial T1 evaluates
+    ``exp(-t/T1)`` once, and every moment the step needs comes from one
+    matrix product.  The quoted ``fit_err`` is the 1-sigma T1 uncertainty
+    from the chi2-scaled Gauss-Newton covariance in (A, T1, B) at the
+    optimum.
 
     ``loss="soft_l1"`` switches to the robust cost ``sum 2(sqrt(1+r^2)-1)``
     for traces with readout outliers, minimized by iteratively reweighted
@@ -390,6 +393,11 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
             raise FitFailureError(
                 "singular projection: the fit does not determine T1"
             )
+        # a step whose predicted decrease, g^2 over the curvature it divides
+        # by, is within the cost's rounding cannot show a lower cost
+        if ((fit.curv if fit.curv > 0.0 else fit.h) * fit.step * fit.step
+                <= 4.0 * _EPS * fit.cost):
+            break
         step = min(max(fit.step, -_MAX_STEP), _MAX_STEP)
         while abs(step) > _STEP_TOL:
             trial = _project(x, y, wt, s + step)
@@ -466,9 +474,10 @@ def t1_statistics(estimates) -> T1Statistics:
     """Mean and population standard deviation of repeated T1 fits.
 
     Both are those of ``np.mean`` and ``np.std``, taken on the values
-    scaled by a power of two, which is exact, so that no sum or square
-    overflows; values below 1 are not scaled, so every mean and std that
-    numpy takes without overflow keeps its bits.
+    scaled by the power of two that brings the largest into [0.5, 1),
+    which is exact: no sum or square overflows, and the square of a nonzero
+    deviation does not underflow.  Where numpy's own squares are normal
+    the scaling changes no rounding, so its mean and std keep their bits.
     """
     if not estimates:
         raise InvalidInputError("need at least one estimate")
@@ -476,7 +485,7 @@ def t1_statistics(estimates) -> T1Statistics:
     hi = float(values.max())
     if not math.isfinite(hi):
         raise InvalidInputError(f"T1 values must be finite, got {hi}")
-    exp = max(math.frexp(hi)[1], 0)
+    exp = math.frexp(hi)[1]
     scaled = np.ldexp(values, -exp)
     return T1Statistics(mean_us=math.ldexp(float(scaled.mean()), exp),
                         std_us=math.ldexp(float(scaled.std()), exp))

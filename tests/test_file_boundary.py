@@ -101,13 +101,17 @@ class TestUnreadableInput:
             load(path)
 
 
+#: The three JSON readers, each with the prefix of its typed error.
+json_readers = pytest.mark.parametrize("load, message", [
+    (load_cross_section, "bad cross-section document: "),
+    (PipelineConfig.from_json, "bad config {path}: "),
+    (lambda path: load_decay_trace(path.with_suffix(".csv"), path),
+     "{path}: bad metadata: "),
+], ids=["cross-section", "config", "trace-metadata"])
+
+
 class TestUnparseableInput:
-    @pytest.mark.parametrize("load, message", [
-        (load_cross_section, "bad cross-section document: "),
-        (PipelineConfig.from_json, "bad config {path}: "),
-        (lambda path: load_decay_trace(path.with_suffix(".csv"), path),
-         "{path}: bad metadata: "),
-    ], ids=["cross-section", "config", "trace-metadata"])
+    @json_readers
     def test_deeply_nested_json_fails_typed(self, tmp_path, load, message):
         """100000 nested arrays used to end in a raw RecursionError."""
         path = tmp_path / "doc.json"
@@ -115,6 +119,17 @@ class TestUnparseableInput:
         path.with_suffix(".csv").write_text("delay_us,population\n0,1\n")
         with pytest.raises(InvalidInputError, match="^" + re.escape(
                 message.format(path=path)) + "maximum recursion depth exceeded"):
+            load(path)
+
+    @json_readers
+    def test_overlong_integer_fails_typed(self, tmp_path, load, message):
+        """An integer of 5000 digits, over Python's int-to-str limit, used
+        to end in a raw ValueError."""
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": ' + "7" * 5000 + "}")
+        path.with_suffix(".csv").write_text("delay_us,population\n0,1\n")
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                message.format(path=path)) + "Exceeds the limit \\(4300 digits\\)"):
             load(path)
 
     BIG_CELL = "9" * 200000  # over the csv module's default limit of 131072

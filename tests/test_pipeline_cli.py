@@ -712,6 +712,30 @@ class TestCli:
             main, ["fit-t1", "--trace", str(trace), "--out", str(out)])
         _assert_one_line_error(result, f"cannot write {out}: No such file")
 
+    def test_fit_t1_writes_back_a_deep_sidecar(self, tmp_path):
+        """A sidecar nested 950 deep, which the decoder still reads, used to
+        end in a raw RecursionError in the report writer.  The command and
+        the check each run in a fresh interpreter, whose stack leaves the
+        decoder the depth the test's own stack would take."""
+        src = str(Path(qsurfloss.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        trace = tmp_path / "trace.csv"
+        trace.write_text("delay_us,population\n" + "\n".join(
+            f"{t},{np.exp(-t / 50.0)}" for t in range(0, 100, 10)))
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"nested": ' + "[" * 949 + "1.5" + "]" * 949 + "}")
+        out = tmp_path / "t1.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "qsurfloss.cli", "fit-t1", "--trace", str(trace),
+             "--meta", str(meta), "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        same = ("import json, sys; sys.exit(json.load(open(sys.argv[1]))['meta']"
+                " != json.load(open(sys.argv[2])))")
+        subprocess.run([sys.executable, "-c", same, str(out), str(meta)],
+                       env=env, check=True)
+
     def test_purcell_from_chi(self):
         runner = CliRunner()
         result = runner.invoke(

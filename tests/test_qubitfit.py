@@ -482,6 +482,26 @@ class TestNewtonStep:
         assert calls < 1.1 * 199
 
 
+    def test_search_stops_on_a_decrease_within_rounding(self, monkeypatch):
+        """Campaign trace 45 ends on a Newton step in ln T1 between 1e-9 and
+        1e-8, whose predicted decrease g^2/curv lies below the cost's
+        rounding.  The halving search spent 3 more projections refusing its
+        trials (5 in all); the stop on the predicted decrease takes 2, at
+        the reference T1."""
+        trace, loss = list(campaign_traces(46))[45]
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _project(*args)
+
+        monkeypatch.setattr(qubitfit, "_project", counted)
+        t1 = fit_exponential(trace, loss=loss).t1_us
+        assert calls == 2
+        assert t1 == pytest.approx(reference_fit(trace, loss)[0], rel=1e-6)
+
+
 class TestIntegralStart:
     def test_start_lies_near_the_optimum(self):
         """On every linear campaign trace the integral-equation start lies
@@ -644,25 +664,40 @@ class TestT1Statistics:
     @example(values=[100.0, math.nextafter(100.0, 200.0)])
     @example(values=[1e200, 3e200])
     @example(values=[6.038339879714466e+169, 6.038339879714468e+169])
+    @example(values=[1e-300, 3e-300])
     @settings(max_examples=300, deadline=None)
     def test_bit_equal_to_numpy(self, values):
         """Mean and std carry the bits of ``np.mean`` and ``np.std``
-        wherever numpy's std is finite; where its squares overflow, both
-        are finite and match the exact statistics to the rounding of a
-        sum."""
+        wherever numpy's squared deviations are normal floats or exact
+        zeros; where they overflow or underflow, both are finite and match
+        the exact statistics to the rounding of a sum."""
         stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
         a = np.array(values)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             mean, std = float(a.mean()), float(a.std())
+            deviations = a - a.mean()
+            squares = deviations * deviations
         assert type(stats.mean_us) is float and type(stats.std_us) is float
-        if math.isfinite(std):
+        if np.all((squares >= np.finfo(float).tiny) & np.isfinite(squares)
+                  | (deviations == 0.0)):
             assert stats.mean_us.hex() == mean.hex()
             assert stats.std_us.hex() == std.hex()
         else:
             exact_mean = statistics.mean(values)
-            assert stats.mean_us == pytest.approx(exact_mean, rel=1e-13)
-            assert stats.std_us == pytest.approx(statistics.pstdev(values),
-                                                 rel=1e-13, abs=1e-13 * exact_mean)
+            # a subnormal result holds its rounding to the float below it
+            floor = math.ulp(0.0)
+            assert stats.mean_us == pytest.approx(exact_mean, rel=1e-13, abs=floor)
+            assert stats.std_us == pytest.approx(
+                statistics.pstdev(values), rel=1e-13,
+                abs=max(1e-13 * exact_mean, floor))
+
+    def test_std_of_t1s_whose_squares_underflow(self):
+        """Deviations of 1e-300 us, whose squares underflow in numpy, used
+        to give a std of 0."""
+        stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0)
+                               for v in (1e-300, 3e-300)])
+        assert stats.mean_us == pytest.approx(2e-300, rel=1e-12)
+        assert stats.std_us == pytest.approx(1e-300, rel=1e-12)
 
     def test_non_finite_t1_rejected(self):
         with pytest.raises(InvalidInputError, match="finite"):

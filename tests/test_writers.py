@@ -5,14 +5,16 @@ sweep) format whole columns and write them with one ``writerows`` call.
 The all-number CSVs (the model surface and the field samples) skip the
 csv module: each is filled by one ``%`` on its row templates and written
 at once, with the bytes ``csv.writer`` wrote.  ``report.json`` is emitted
-in one recursion with the C-level quoting and number reprs.  The
-references below are the previous writers, kept here so that every case
-is compared byte for byte.
+in one loop over a stack of open containers, each float formatted once
+by ``%.9g``.  The references below are the previous writers, kept here
+so that every case is compared byte for byte.
 """
 
 import csv
+import hashlib
 import json
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,13 +37,29 @@ from qsurfloss import (
     write_sweep_csv,
 )
 from qsurfloss.participation import SweepPoint
-from qsurfloss.pipeline import (
-    _write_model_surface,
-    _write_q_vs_npr,
-    _write_q_vs_psm,
-    write_report_json,
-)
+from qsurfloss.lossmodel import model_inverse_q, normalized_pr
+from qsurfloss.pipeline import (_scalar, _write_model_surface, _write_q_table,
+                                write_report_json)
 from qsurfloss.solver import UM, _surface_samples
+
+
+def write_q_vs_psm(points, fits, path):
+    """The pipeline's ``q_vs_psm.csv``: each fit's Q against p_sm."""
+    p_sm = np.array([p.p_sm for p in points])
+    p_j = np.array([p.p_j for p in points])
+    _write_q_table(points, "p_sm", p_sm, {
+        f"q_model[{name}]": model_inverse_q(fit, p_sm, p_j)
+        for name, fit in fits.items()}, path)
+
+
+def write_q_vs_npr(points, fit, path):
+    """The pipeline's ``q_vs_normalized_pr.csv``: one sm+j fit's Q against
+    the normalized PR."""
+    npr = normalized_pr(np.array([p.p_sm for p in points]),
+                        np.array([p.p_j for p in points]),
+                        fit.tan_d_sm, fit.tan_d_j)
+    _write_q_table(points, "normalized_pr", npr, {"q_model": fit.tan_d_sm * npr},
+                   path)
 
 
 def reference_inverse_q(fit, p_sm, p_j):
@@ -156,11 +174,28 @@ def reference_report_json(report, path):
                  + "\n")
 
 
+def nested(depth_key_doc):
+    """``doc`` inside ``depth`` one-item containers, dicts of ``key`` and
+    lists in turn."""
+    depth, key, doc = depth_key_doc
+    for level in range(depth):
+        doc = [doc] if level % 2 else {key: doc}
+    return doc
+
+
+#: Any float, and those where repr writes what ``%.9g`` does not: decimal
+#: exponents 9 to 15, written in full, and values below the normal range.
+report_floats = (st.floats() | st.floats(1e9, 1e16, exclude_max=True)
+                 | st.floats(-1e16, -1e9, exclude_min=True)
+                 | st.floats(-sys.float_info.min, sys.float_info.min))
+
 json_documents = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | report_floats | st.text(),
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=3).map(tuple)
-                      | st.dictionaries(st.text(), children, max_size=4)),
+                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.tuples(st.integers(2, 25), st.text(max_size=3),
+                                  children).map(nested)),
     max_leaves=40,
 )
 
@@ -217,7 +252,7 @@ class TestPipelineWriters:
         assert (tmp_path / "s.csv").read_bytes().count(b"\r\n") == 626
         # the patch reaches the writers that do use the csv module
         with pytest.raises(AssertionError, match="csv.writer called"):
-            _write_q_vs_npr(grouped_points, bundled_fit, tmp_path / "n.csv")
+            write_q_vs_npr(grouped_points, bundled_fit, tmp_path / "n.csv")
 
     def test_model_surface_refuses_a_zero_inverse_q(self, tmp_path,
                                                     grouped_points):
@@ -243,16 +278,16 @@ class TestPipelineWriters:
         fits = {"sm+j": fit_of(LossModel.SM_PLUS_J, 8.9e-4, 3.5e-3),
                 "sm": fit_of(LossModel.SM_ONLY, 1.1e-3),
                 "sm+q0": fit_of(LossModel.SM_PLUS_Q0, 7e-4, q0=6.7e6)}
-        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+        assert_same_bytes(tmp_path, write_q_vs_psm, reference_q_vs_psm,
                           points, fits)
         text = (tmp_path / "new").read_bytes()
         assert b'"D1:""a"",b"' in text and text.count(b"\r\n") == 4
         assert b',,' in text
-        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+        assert_same_bytes(tmp_path, write_q_vs_psm, reference_q_vs_psm,
                           grouped_points, fits)
 
     def test_q_vs_npr(self, tmp_path, grouped_points, bundled_fit):
-        assert_same_bytes(tmp_path, _write_q_vs_npr, reference_q_vs_npr,
+        assert_same_bytes(tmp_path, write_q_vs_npr, reference_q_vs_npr,
                           grouped_points, bundled_fit)
 
     @given(data=st.data())
@@ -273,12 +308,12 @@ class TestPipelineWriters:
                                 q0=data.draw(st.just(math.inf)
                                              | st.floats(1e3, 1e9)))}
         tmp_path = tmp_path_factory.mktemp("writers")
-        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+        assert_same_bytes(tmp_path, write_q_vs_psm, reference_q_vs_psm,
                           points, fits)
         for fit in fits.values():
             assert_same_bytes(tmp_path, _write_model_surface,
                               reference_model_surface, points, fit)
-        assert_same_bytes(tmp_path, _write_q_vs_npr, reference_q_vs_npr,
+        assert_same_bytes(tmp_path, write_q_vs_npr, reference_q_vs_npr,
                           points, fits["sm+j"])
 
         # the same points with one participation set to 0: the row writers
@@ -288,9 +323,9 @@ class TestPipelineWriters:
         at = data.draw(st.integers(0, n - 1))
         zeroed = list(points)
         zeroed[at] = replace(points[at], **{name: 0.0})
-        assert_same_bytes(tmp_path, _write_q_vs_psm, reference_q_vs_psm,
+        assert_same_bytes(tmp_path, write_q_vs_psm, reference_q_vs_psm,
                           zeroed, fits)
-        assert_same_bytes(tmp_path, _write_q_vs_npr, reference_q_vs_npr,
+        assert_same_bytes(tmp_path, write_q_vs_npr, reference_q_vs_npr,
                           zeroed, fits["sm+j"])
         for fit in fits.values():
             with pytest.raises(InvalidInputError, match=f"{name} is 0"):
@@ -308,6 +343,47 @@ class TestPipelineWriters:
             "b": [1.0, None, None, 0.666666667],
             "c": [1e-320, 123456790.0]}
 
+
+    def test_float_rule_is_repr_of_the_rounded_float(self):
+        """One ``%.9g``, and repr only at exponents 9 to 15 and below the
+        normal range, writes ``repr(float(f"{x:.9g}"))`` for any finite
+        float: seeded random bit patterns, values log-uniform over the whole
+        range, and the values at each edge of the rule."""
+        rng = np.random.default_rng(25)
+        tiny, eps = sys.float_info.min, sys.float_info.epsilon
+        values = (rng.integers(0, 2**64, 200_000, dtype=np.uint64,
+                               endpoint=False).view(np.float64).tolist()
+                  + (10.0 ** rng.uniform(-325.0, 308.0, 100_000)).tolist()
+                  + [0.0, -0.0, 5e-324, tiny, tiny * (1 - eps), -tiny,
+                     2.2250738585e-308, 1e-4, 9.9999999995e-5, 1.0, 3.0,
+                     123456789.0, 999999999.0, 999999999.4, 999999999.5, 1e9,
+                     9.999999994e15, 9.999999995e15, 1e16, -1e15,
+                     sys.float_info.max])
+        values = [x for x in values if math.isfinite(x)]
+        assert ([_scalar(x) for x in values]
+                == [repr(float(f"{x:.9g}")) for x in values])
+        assert [_scalar(x) for x in (math.nan, math.inf, -math.inf)] == ["null"] * 3
+
+    def test_report_json_writes_a_5000_deep_document(self, tmp_path):
+        """Far deeper than the interpreter's recursion limit, at which a
+        recursive encoder, ``json.dumps`` among them, stops.  The expected
+        text is built level by level and compared by digest."""
+        depth = 5000
+        write_report_json(nested((depth, "k", 0.1)), tmp_path / "deep.json")
+        expected = hashlib.sha256()
+        closes = []
+        for level in range(depth):  # outermost first: a dict at odd depths
+            pad = "\n" + "  " * level
+            key = '"k": ' if (depth - 1 - level) % 2 == 0 else ""
+            expected.update(("{" if key else "[").encode())
+            expected.update((pad + "  " + key).encode())
+            closes.append(pad + ("}" if key else "]"))
+        expected.update(b"0.1")
+        for close in reversed(closes):
+            expected.update(close.encode())
+        expected.update(b"\n")
+        with open(tmp_path / "deep.json", "rb") as fh:
+            assert hashlib.file_digest(fh, "sha256").digest() == expected.digest()
 
     @given(report=st.dictionaries(st.text(), json_documents, max_size=6))
     @settings(max_examples=200, deadline=None)
