@@ -10,6 +10,20 @@ import io
 import json
 import math
 import numbers
+import re
+import sys
+import threading
+from itertools import accumulate
+
+#: Deepest nesting of arrays and objects that a JSON reader decodes.
+MAX_JSON_DEPTH = 1000
+#: A JSON string (to the text's end if it is not closed) or a bracket; a
+#: bracket inside a string does not nest.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|([\[\]{}])', re.DOTALL)
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1, "": 0}
+#: Held while the recursion limit is raised, so that no two readers each
+#: restore the limit that the other raised.
+_DECODING = threading.Lock()
 
 
 def is_finite(value) -> bool:
@@ -91,15 +105,31 @@ def read_text(path, malformed: type = InvalidInputError) -> str:
 
 def read_json(path, prefix: str):
     """The JSON document in ``path``, read by :func:`read_text`.  Text that
-    is not JSON, nests deeper than the decoder can recurse, or holds an
+    is not JSON, nests deeper than :data:`MAX_JSON_DEPTH`, or holds an
     integer over Python's int-to-str digit limit (4300 digits by default)
-    raises ``InvalidInputError(f"{prefix}: <reason>")``."""
+    raises ``InvalidInputError(f"{prefix}: <reason>")``.
+
+    The depth is counted before decoding.  The decoder recurses once per
+    level on top of the caller's stack, so the recursion limit is raised by
+    the bound while it runs: a document within the bound decodes however
+    deep the caller sits.
+    """
     text = read_text(path)
-    try:
-        return json.loads(text)
-    # a JSONDecodeError is a ValueError, as is an overlong integer's error
-    except (ValueError, RecursionError) as exc:
-        raise InvalidInputError(f"{prefix}: {exc}") from exc
+    # more brackets than the bound is the only way to nest deeper than it
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH and max(accumulate(
+            _NESTING[b] for b in _JSON_TOKEN.findall(text))) > MAX_JSON_DEPTH:
+        raise InvalidInputError(
+            f"{prefix}: nested deeper than {MAX_JSON_DEPTH} arrays and objects")
+    with _DECODING:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + MAX_JSON_DEPTH + 50)  # 50: the decoder's frames
+        try:
+            return json.loads(text)
+        # a JSONDecodeError is a ValueError, as is an overlong integer's error
+        except ValueError as exc:
+            raise InvalidInputError(f"{prefix}: {exc}") from exc
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def parse_csv(text: str, source: str, malformed: type = InvalidInputError):

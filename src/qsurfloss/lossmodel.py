@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -154,7 +154,8 @@ def _weights(points: Sequence[LossDataPoint], weighting: Weighting) -> np.ndarra
                         shift @ [4, -2])
 
 
-def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray,
+                            ids: Sequence[str] | None = None):
     """Weighted least squares with parameters clamped to be non-negative.
 
     Returns (beta, covariance, residuals, condition number).  While the
@@ -168,13 +169,20 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
 
     One SVD of the free columns of the weighted design serves each active
     set: the first, of every column, gives the condition number, and the
-    last the covariance.
+    last the covariance.  A ``y``, parameter or modeled ``y`` beyond the
+    float range is refused, naming the row (of the largest weighted ``y``,
+    for a parameter) by its entry of ``ids``, or by its index without them.
     """
+    def refuse(message: str, i) -> NoReturn:
+        raise DegenerateFitError(message.format(repr(i if ids is None else ids[i])))
+
+    if not np.isfinite(y).all():
+        refuse("1/Q of point {} is not a finite float", int(np.argmin(np.isfinite(y))))
     n, k = X.shape
     sw = np.sqrt(w)
-    with np.errstate(invalid="ignore"):  # 0 * inf, refused just below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         Xw = X * sw[:, None]
-    yw = y * sw
+        yw = y * sw
     if not np.isfinite(Xw).all():
         raise DegenerateFitError("the weighted design is not finite")
 
@@ -187,7 +195,8 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         u, s, vt = np.linalg.svd(np.ldexp(Xw[:, free], -x_exp),
                                  full_matrices=False)
         if len(free) == k:
-            cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
+            # a float quotient: one over a subnormal s[-1] reads inf, unwarned
+            cond = float(s[0]) / float(s[-1]) if s[-1] > 0 else math.inf
             if not cond <= CONDITION_LIMIT:
                 raise DegenerateFitError(
                     f"design matrix is rank deficient or nearly collinear "
@@ -197,13 +206,21 @@ def _clamped_weighted_lstsq(X: np.ndarray, y: np.ndarray, w: np.ndarray):
         # cannot raise the condition number (singular values interlace), so
         # no active set has a singular value below 1e-10 of its largest and
         # none needs cutting
-        sol = np.ldexp(vt.T @ ((u.T @ yw) / s), -x_exp)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            sol = np.ldexp(vt.T @ ((u.T @ yw) / s), -x_exp)
+        if not np.isfinite(sol).all():
+            refuse("the fitted parameters are not finite floats; point {} "
+                   "has the largest weighted 1/Q", int(np.argmax(np.abs(yw))))
         if np.all(sol >= 0):
             beta[free] = sol
             break
         free.remove(free[int(np.argmin(sol))])
 
-    residuals = y - X @ beta
+    with np.errstate(over="ignore"):  # refused just below
+        residuals = y - X @ beta
+    if not np.isfinite(residuals).all():
+        refuse("the modeled 1/Q of point {} is not a finite float",
+               int(np.argmin(np.isfinite(residuals))))
     dof = n - len(free)
     cov = np.zeros((k, k))
     if free:
@@ -238,7 +255,8 @@ def _fit(model: LossModel, points: Sequence[LossDataPoint],
         raise DegenerateFitError("all points share the same p_sm; nothing to fit")
     X = np.column_stack([design[c] for c in columns])
     y = np.array([1.0 / p.q_mean for p in points])
-    beta, cov, res, cond = _clamped_weighted_lstsq(X, y, _weights(points, weighting))
+    beta, cov, res, cond = _clamped_weighted_lstsq(
+        X, y, _weights(points, weighting), [p.group_id for p in points])
     params = dict(zip(names, beta.tolist()))
     inv_q0 = params.get("inv_q0")
     return LossFitResult(
@@ -294,6 +312,8 @@ def model_inverse_q(result: LossFitResult, p_sm: float | np.ndarray,
     tan_d_sm, tan_d_j = result.tan_d_sm, result.tan_d_j or 0.0
     if any(np.any(np.less(v, 0)) for v in (p_sm, p_j, tan_d_sm, tan_d_j)):
         raise InvalidInputError("participations and loss tangents must be >= 0")
+    if result.q0 is not None and not result.q0 > 0:
+        raise InvalidInputError(f"Q0 must be > 0, got {result.q0!r}")
     return p_sm * tan_d_sm + p_j * tan_d_j + (
         1.0 / result.q0 if result.q0 is not None and math.isfinite(result.q0) else 0.0
     )

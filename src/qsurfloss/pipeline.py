@@ -272,35 +272,45 @@ def _write_model_surface(points, fit: LossFitResult, path) -> None:
     write_text(path, template % tuple((1.0 / inv_q).ravel().tolist()))
 
 
+@contextlib.contextmanager
+def _stage(errors: list, name: str, output: Path | None = None):
+    """One report stage: a QSurfLossError raised in the ``with`` body is
+    listed under ``errors`` as ``{"stage": name, "error": ...}`` once
+    ``output``, a file the stage left half-written, is removed (a directory
+    there stays), and the run goes on."""
+    try:
+        yield
+    except QSurfLossError as exc:
+        if output is not None:
+            with contextlib.suppress(OSError):
+                output.unlink(missing_ok=True)
+        errors.append({"stage": name, "error": str(exc)})
+
+
 def _emit(manifest, errors, out_dir: Path, kind: str, write,
           status: str = "written") -> None:
-    """Write ``<kind>.csv`` with ``write(path)`` and list it; a failed
-    writer removes its half-written file and becomes a stage error."""
+    """Write ``<kind>.csv`` with ``write(path)`` as stage ``write[<kind>]``
+    and list it in ``manifest`` once written."""
     path = out_dir / f"{kind}.csv"
-    try:
+    with _stage(errors, f"write[{kind}]", path):
         write(path)
-    except QSurfLossError as exc:
-        with contextlib.suppress(OSError):  # a directory there stays
-            path.unlink(missing_ok=True)
-        errors.append({"stage": f"write[{kind}]", "error": str(exc)})
-    else:
         manifest.append({"path": path.name, "kind": kind, "status": status})
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the configured stages and write the report bundle.
 
-    Returns the report dictionary (also written as ``report.json``).  A fit
-    that fails (too few points, a degenerate design, a point without spread
-    under inverse-variance weighting), a failed file writer and a failed
-    sweep do not abort the run; they are recorded under ``errors`` and flip
-    ``status`` to ``"partial"`` so callers can exit nonzero.
+    Returns the report dictionary (also written as ``report.json``).  A
+    failed stage, ``fit[<model>]``, ``write[<kind>]``, ``sweep`` or
+    ``sweep.cutoff_sensitivity``, does not abort the run: it is listed
+    under ``errors`` and flips ``status`` to ``"partial"`` so callers can
+    exit nonzero.
 
     Raises
     ------
     InvalidInputError
-        If the configuration is invalid, the dataset is empty or
-        ``output_dir`` cannot be created (nothing is written in that case).
+        If the configuration or the device table is bad or cannot be grouped,
+        or ``output_dir`` cannot be created (nothing is written in that case).
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -340,15 +350,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if points is not None:
         for model_name in config.models:
             model = LossModel(model_name)
-            try:
-                fit = FITTERS[model](points, weighting=config.weighting)
-            except QSurfLossError as exc:
-                errors.append({"stage": f"fit[{model.value}]", "error": str(exc)})
-                continue
-            fits[model.value] = fit
-            entry = fit.to_json_dict()
-            entry["points"] = [dict(vars(p)) for p in points]
-            report["fits"][model.value] = entry
+            with _stage(errors, f"fit[{model.value}]"):
+                fit = fits[model.value] = FITTERS[model](
+                    points, weighting=config.weighting)
+                report["fits"][model.value] = {
+                    **fit.to_json_dict(), "points": [dict(vars(p)) for p in points]}
 
         p_sm = np.array([p.p_sm for p in points])
         p_j = np.array([p.p_j for p in points])
@@ -371,11 +377,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     if config.sweep is not None:
         sweep_cfg = config.sweep
-        try:
+        with _stage(errors, "sweep"):
             sweep_points = sweep_cfg.run()
-        except QSurfLossError as exc:
-            errors.append({"stage": "sweep", "error": str(exc)})
-        else:
             failed = [p.width_um for p in sweep_points if p.error]
             _emit(manifest, errors, out_dir, "psm_width_sweep",
                   lambda path: write_sweep_csv(sweep_points, path),
@@ -395,17 +398,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 # the largest cutoff would leave the half cell; the block is
                 # closed form, so a narrow sweep takes it at 0.5 um instead
                 width = 0.5
-            try:
-                values = [(c, _periodic_idc(width, c, sweep_cfg.spec).p_sm)
+            with _stage(errors, "sweep.cutoff_sensitivity"):
+                values = [{"cutoff_um": c,
+                           "p_sm": _periodic_idc(width, c, sweep_cfg.spec).p_sm}
                           for c in SENSITIVITY_CUTOFFS_UM]
-            except QSurfLossError as exc:
-                errors.append({"stage": "sweep.cutoff_sensitivity",
-                               "error": str(exc)})
-            else:
-                report["sweep"]["cutoff_sensitivity"] = {
-                    "width_um": width,
-                    "values": [{"cutoff_um": c, "p_sm": p} for c, p in values],
-                }
+                report["sweep"]["cutoff_sensitivity"] = {"width_um": width,
+                                                         "values": values}
 
     report["status"] = "partial" if errors else "ok"
     manifest.append({"path": "report.json", "kind": "report",

@@ -11,7 +11,11 @@ checks below keep both from being bypassed.
 """
 
 import ast
+import inspect
+import json
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,7 @@ from qsurfloss import (
     solve_cross_section,
     write_sweep_csv,
 )
+from qsurfloss.errors import MAX_JSON_DEPTH, read_json
 from qsurfloss.pipeline import write_report_json
 
 SOURCES = sorted(Path(qsurfloss.__file__).parent.glob("*.py"))
@@ -118,8 +123,59 @@ class TestUnparseableInput:
         path.write_text("[" * 100000)
         path.with_suffix(".csv").write_text("delay_us,population\n0,1\n")
         with pytest.raises(InvalidInputError, match="^" + re.escape(
-                message.format(path=path)) + "maximum recursion depth exceeded"):
+                message.format(path=path)) + "nested deeper than 1000 arrays"):
             load(path)
+
+    def test_nesting_is_checked_before_decoding(self, tmp_path, monkeypatch):
+        """A document one level deeper than the bound never reaches the
+        decoder; brackets inside a string do not nest."""
+        path = tmp_path / "doc.json"
+        deeper = MAX_JSON_DEPTH + 1
+        path.write_text("[" * deeper + "]" * deeper)
+        monkeypatch.setattr(json, "loads", lambda text: pytest.fail("decoded"))
+        with pytest.raises(InvalidInputError, match="^doc: nested deeper than"):
+            read_json(path, "doc")
+        monkeypatch.undo()
+        path.write_text('["' + "[{" * deeper + '"]')
+        assert read_json(path, "doc") == ["[{" * deeper]
+
+    @pytest.mark.parametrize("spare", [None, 100, 40],
+                             ids=["top", "100-frames-left", "40-frames-left"])
+    def test_a_document_at_the_bound_decodes_at_any_stack_depth(self, tmp_path,
+                                                                spare):
+        """The decoder used to recurse against the interpreter's one limit,
+        so the caller's own stack depth decided whether a document read.
+        ``spare`` frames are left below the limit when ``read_json`` is
+        called."""
+        path = tmp_path / "doc.json"
+        path.write_text("[" * MAX_JSON_DEPTH + "1" + "]" * MAX_JSON_DEPTH)
+        limit = sys.getrecursionlimit()
+
+        def nested(n):
+            return nested(n - 1) if n else read_json(path, "doc")
+
+        frames = 0 if spare is None else limit - len(inspect.stack(0)) - spare
+        doc = nested(frames)
+        for _ in range(MAX_JSON_DEPTH - 1):
+            (doc,) = doc
+        assert doc == [1]
+        assert sys.getrecursionlimit() == limit
+
+    def test_concurrent_readers_restore_the_recursion_limit(self, tmp_path):
+        """Each reader raises the limit while it decodes; readers in
+        several threads leave it where it was."""
+        path = tmp_path / "doc.json"
+        path.write_text("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH)
+        limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                reads = [pool.submit(read_json, path, "doc") for _ in range(40)]
+                docs = [read.result(timeout=60) for read in reads]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(docs) == 40
+        assert sys.getrecursionlimit() == limit
 
     @json_readers
     def test_overlong_integer_fails_typed(self, tmp_path, load, message):

@@ -74,6 +74,13 @@ class TestModelInverseQ:
         with pytest.raises(InvalidInputError, match=">= 0"):
             model_inverse_q(fit, 1e-4, p_j)
 
+    @pytest.mark.parametrize("q0", [0.0, -1e6, math.nan])
+    def test_q0_without_a_finite_inverse_rejected(self, q0):
+        """A Q0 of 0 used to end in a raw ZeroDivisionError."""
+        fit = LossFitResult(LossModel.SM_PLUS_Q0, tan_d_sm=TAN_SM, q0=q0)
+        with pytest.raises(InvalidInputError, match="^Q0 must be > 0"):
+            model_inverse_q(fit, 1e-4, 0.0)
+
     def test_fit_result_stores_no_prediction(self):
         """A fit keeps its residuals, not a second copy of the modeled 1/Q:
         ``model_inverse_q`` is the one place that evaluates it."""
@@ -201,6 +208,44 @@ class TestDegeneracy:
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
             fit_sm_plus_j([LossDataPoint(1e-4, 1e-5, 1e6)], weighting="none")
+
+    @pytest.mark.parametrize("model", list(LossModel))
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_point_without_a_finite_inverse_q_rejected(self, model, weighting):
+        """1/q_mean overflows below q_mean of about 5.6e-309; such a point
+        used to give a fit of inf and NaN, or one clamped to a Q0 of 0."""
+        points = [LossDataPoint(p_sm=s, p_j=j, q_mean=q, q_std=0.1 * q,
+                                group_id=g)
+                  for s, j, q, g in [(1e-4, 1e-5, 1e6, "A"), (2e-4, 3e-5, 5e-318, "B"),
+                                     (5e-4, 2e-5, 1e6, "C")]]
+        with pytest.raises(DegenerateFitError,
+                           match="^1/Q of point 'B' is not a finite float$"):
+            FITTERS[model](points, weighting=weighting)
+
+    def test_parameters_beyond_float_range_rejected(self):
+        """Every 1/Q is finite, but tan_d_sm = 1/(q_mean p_sm) is 1e600."""
+        points = [LossDataPoint(p_sm=1e-300, p_j=0.0, q_mean=1e-300, group_id="A"),
+                  LossDataPoint(p_sm=2e-300, p_j=0.0, q_mean=2e-300, group_id="B")]
+        with pytest.raises(DegenerateFitError, match=(
+                "^the fitted parameters are not finite floats; point 'A' has "
+                "the largest weighted 1/Q$")):
+            fit_sm_only(points, weighting="none")
+
+    def test_modeled_inverse_q_beyond_float_range_rejected(self):
+        """Point A's weight underflows to 0, so B alone sets tan_d_sm = 1e10,
+        and A's p_sm of 1e300 takes its modeled 1/Q beyond the float range."""
+        points = [LossDataPoint(p_sm=1.0, p_j=0.0, q_mean=1e-10, q_std=1e-20,
+                                group_id="B"),
+                  LossDataPoint(p_sm=1e300, p_j=0.0, q_mean=1e-100, q_std=1e200,
+                                group_id="A")]
+        with pytest.raises(DegenerateFitError, match=(
+                "^the modeled 1/Q of point 'A' is not a finite float$")):
+            fit_sm_only(points, weighting="invvar")
+
+    def test_non_finite_solution_named_by_row_without_ids(self):
+        X = np.array([[1e-300], [2e-300]])
+        with pytest.raises(DegenerateFitError, match="point 0 has the largest"):
+            _clamped_weighted_lstsq(X, np.array([1e300, 5e299]), np.ones(2))
 
     def test_unknown_weighting_is_invalid_input(self, grouped_points):
         """It used to end in the enum's raw ValueError; the text is the one

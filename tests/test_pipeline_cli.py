@@ -27,9 +27,11 @@ from qsurfloss import (
     save_device_table,
     solve_cross_section,
 )
+from qsurfloss import pipeline
 from qsurfloss.cli import main
 from qsurfloss.solver import FieldSolution
 from qsurfloss.dataio import COLUMNS
+from qsurfloss.errors import read_json
 from qsurfloss.pipeline import MAX_SWEEP_POINTS
 
 EXPECTED_FIT_CSVS = {"q_vs_psm.csv", "q_vs_normalized_pr.csv", "q_model_surface.csv"}
@@ -43,6 +45,16 @@ def make_degenerate_table(path):
         for i in range(4)
     ]
     path.write_text(",".join(COLUMNS) + "\n" + "\n".join(rows) + "\n")
+
+
+def make_edited_table(records, path, edits):
+    """Save ``records`` and then set each ``(row, column, text)`` cell of
+    ``edits``; row 0 is the first record."""
+    save_device_table(records, path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    for row, column, text in edits:
+        rows[row][COLUMNS.index(column)] = text
+    path.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
 
 
 def make_rising_q_table(path, n_rows=5):
@@ -228,6 +240,58 @@ class TestRunPipeline:
         assert listed == {"q_vs_psm.csv", "q_model_surface.csv", "report.json"}
         assert {p.name for p in out.iterdir()} == listed
 
+    def test_half_written_file_of_a_failed_writer_is_removed(self, tmp_path,
+                                                             monkeypatch):
+        """A writer that creates its file and then fails leaves no file
+        behind; the failure is a stage error and the file is not listed."""
+        def half_write(points, fit, path):
+            path.write_text("p_sm,p_j,q_model\r\n1e-05,")
+            raise InvalidInputError("failed half-way")
+
+        monkeypatch.setattr(pipeline, "_write_model_surface", half_write)
+        out = tmp_path / "out"
+        report = run_pipeline(PipelineConfig(output_dir=str(out)))
+        assert report["errors"] == [{"stage": "write[q_model_surface]",
+                                     "error": "failed half-way"}]
+        listed = {entry["path"] for entry in report["outputs"]}
+        assert listed == {"q_vs_psm.csv", "q_vs_normalized_pr.csv", "report.json"}
+        assert {p.name for p in out.iterdir()} == listed
+
+    def test_point_without_a_finite_inverse_q_fails_the_fit(self, records,
+                                                            tmp_path):
+        """A q_mean of 5e-324 (file units) used to give status ok with null
+        parameters."""
+        table = tmp_path / "devices.csv"
+        make_edited_table(records, table, [(0, "q_mean_1e6", "5e-324")])
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "dataset": str(table), "models": ["sm+q0"], "weighting": "none",
+            "grouping": "per_device", "output_dir": str(out)}))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert report["fits"] == {}
+        assert report["errors"] == [{
+            "stage": "fit[sm+q0]",
+            "error": "1/Q of point 'D1-1' is not a finite float"}]
+
+    def test_six_row_table_of_extremes_fails_each_fit(self, records, tmp_path):
+        """Such a q_mean among p_sm of 2.3e-98 and 2.3e6 (file units) used to
+        give the sm+q0 fit a Q0 of 0 and end in a raw ZeroDivisionError, with
+        no report.json."""
+        table = tmp_path / "devices.csv"
+        make_edited_table(records[:6], table, [
+            (0, "q_mean_1e6", "5e-324"), (1, "p_sm_1e4", "2.3e-98"),
+            (2, "p_sm_1e4", "2.3e6")])
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "dataset": str(table), "models": ["sm+q0", "sm"], "weighting": "none",
+            "grouping": "per_device", "output_dir": str(out)}))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert [e["stage"] for e in report["errors"]] == ["fit[sm+q0]", "fit[sm]"]
+        assert {p.name for p in out.iterdir()} == {"report.json"}
+
     def test_degenerate_fit_marks_report_partial(self, tmp_path):
         table = tmp_path / "devices.csv"
         make_degenerate_table(table)
@@ -332,19 +396,24 @@ class TestBlockedReportFiles:
     stage error, report.json one error line (both used to end in a raw
     IsADirectoryError, without report.json)."""
 
-    def test_blocked_csv_is_a_stage_error(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["q_vs_psm", "q_vs_normalized_pr",
+                                      "q_model_surface", "psm_width_sweep"])
+    def test_blocked_csv_is_a_stage_error(self, tmp_path, kind):
         out = tmp_path / "out"
-        (out / "q_vs_psm.csv").mkdir(parents=True)
-        result = _run_report(tmp_path, json.dumps({"output_dir": str(out)}))
+        (out / f"{kind}.csv").mkdir(parents=True)
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(out),
+            "sweep": {"width_min_um": 1.0, "width_max_um": 2.0, "points": 2}}))
         assert result.exit_code == 1
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "partial"
-        assert [e["stage"] for e in report["errors"]] == ["write[q_vs_psm]"]
+        assert [e["stage"] for e in report["errors"]] == [f"write[{kind}]"]
         assert report["errors"][0]["error"] == (
-            f"cannot write {out / 'q_vs_psm.csv'}: Is a directory")
+            f"cannot write {out / f'{kind}.csv'}: Is a directory")
         assert {e["path"] for e in report["outputs"]} == {
-            "q_vs_normalized_pr.csv", "q_model_surface.csv", "report.json"}
-        assert (out / "q_vs_psm.csv").is_dir()
+            "q_vs_psm.csv", "q_vs_normalized_pr.csv", "q_model_surface.csv",
+            "psm_width_sweep.csv", "report.json"} - {f"{kind}.csv"}
+        assert (out / f"{kind}.csv").is_dir()
 
     def test_blocked_report_json_is_one_error_line(self, tmp_path):
         out = tmp_path / "out"
@@ -376,7 +445,7 @@ class TestConfigErrors:
     def test_deeply_nested_json(self, tmp_path):
         """It used to print a RecursionError traceback."""
         result = _run_report(tmp_path, "[" * 100000)
-        _assert_one_line_error(result, "maximum recursion depth exceeded")
+        _assert_one_line_error(result, "nested deeper than 1000 arrays")
         assert f"bad config {tmp_path / 'cfg.json'}: " in result.output
 
     def test_unknown_sweep_key(self, tmp_path):
@@ -658,6 +727,15 @@ class TestCli:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    def test_fit_loss_point_without_a_finite_inverse_q(self, records, tmp_path):
+        """It used to print tan_d_sm = inf (+/- nan, nan%) and exit 0."""
+        table = tmp_path / "devices.csv"
+        make_edited_table(records, table, [(0, "q_mean_1e6", "5e-324")])
+        result = CliRunner().invoke(main, [
+            "fit-loss", "--input", str(table), "--model", "sm+q0",
+            "--weights", "none", "--group", "per-device"])
+        _assert_one_line_error(result, "1/Q of point 'D1-1' is not a finite float")
+
     def test_id_only_row_is_one_error_line(self, tmp_path):
         table = tmp_path / "devices.csv"
         table.write_text(",".join(COLUMNS) + "\nD1-1\n")
@@ -735,6 +813,25 @@ class TestCli:
                 " != json.load(open(sys.argv[2])))")
         subprocess.run([sys.executable, "-c", same, str(out), str(meta)],
                        env=env, check=True)
+
+    def test_fit_t1_writes_back_a_deep_sidecar_in_process(self, tmp_path):
+        """The same round trip inside the test's own stack: the reader's
+        depth bound decides what decodes, not how deep the caller sits."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text("delay_us,population\n" + "\n".join(
+            f"{t},{np.exp(-t / 50.0)}" for t in range(0, 100, 10)))
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"nested": ' + "[" * 949 + "1.5" + "]" * 949 + "}")
+        out = tmp_path / "t1.json"
+        result = CliRunner().invoke(main, [
+            "fit-t1", "--trace", str(trace), "--meta", str(meta), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written = read_json(out, "t1")["meta"]
+        assert list(written) == ["nested"]
+        nested = written["nested"]
+        for _ in range(949):  # unwrapped one level at a time: == would recurse
+            (nested,) = nested
+        assert nested == 1.5
 
     def test_purcell_from_chi(self):
         runner = CliRunner()

@@ -224,6 +224,19 @@ class TestFitExponential:
         assert estimate.amplitude == pytest.approx(1.0, abs=1e-9)
         assert estimate.offset == pytest.approx(0.0, abs=1e-9)
 
+    def test_fit_err_is_the_spread_of_the_fitted_t1(self):
+        """At criterion 7's settings (32 delays over three T1, noise 0.02),
+        the std of (T1 - true) / fit_err over 2000 seeded traces lies in
+        [0.90, 1.10].  The band is set in advance: +-4.7 % is the 3-sigma
+        sampling error of a std taken from 2000 draws, and 5 % more allows
+        for the chi^2-scaled Gauss-Newton covariance being asymptotic at 32
+        delays."""
+        pulls = []
+        for seed in range(2000):
+            estimate = fit_exponential(make_trace(noise=0.02, seed=seed))
+            pulls.append((estimate.t1_us - T1_REF) / estimate.fit_err_us)
+        assert 0.90 <= statistics.pstdev(pulls) <= 1.10
+
     def test_single_noisy_trace(self):
         estimate = fit_exponential(make_trace(noise=0.02, seed=42))
         assert estimate.t1_us == pytest.approx(T1_REF, rel=0.15)
