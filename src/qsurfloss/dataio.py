@@ -202,7 +202,12 @@ def group_for_fit(
         n = len(qs)
         mean = sum(qs) / n
         if n > 1:
-            std = math.sqrt(sum((q - mean) ** 2 for q in qs) / n)
+            # the deviations are scaled by a power of two, which one ldexp
+            # undoes, so that no square overflows; the bits are those of the
+            # plain sum wherever it stays in the float range
+            e = math.frexp(max(abs(q - mean) for q in qs))[1]
+            std = math.ldexp(
+                math.sqrt(sum(math.ldexp(q - mean, -e) ** 2 for q in qs) / n), e)
         else:
             std = members[0].q_std if members[0].q_std is not None else 0.0
         points.append(

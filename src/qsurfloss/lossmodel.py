@@ -123,11 +123,12 @@ def normalized_pr(p_sm: float, p_j: float, tan_d_sm: float, tan_d_j: float) -> f
     """Single abscissa collapsing the two-term model onto one line.
 
     ``p_sm + (tan_d_j / tan_d_sm) * p_j``; the modeled 1/Q is then
-    ``tan_d_sm`` times this value.
+    ``tan_d_sm`` times this value.  One beyond the float range reads inf.
     """
     if tan_d_sm <= 0:
         raise InvalidInputError("tan_d_sm must be > 0 to normalize")
-    return p_sm + (tan_d_j / tan_d_sm) * p_j
+    with np.errstate(over="ignore"):
+        return p_sm + (tan_d_j / tan_d_sm) * p_j
 
 
 def _weights(points: Sequence[LossDataPoint], weighting: Weighting) -> np.ndarray:
@@ -308,12 +309,13 @@ def model_inverse_q(result: LossFitResult, p_sm: float | np.ndarray,
                     p_j: float | np.ndarray):
     """A fitted model's 1/Q, ``p_sm*tan_d_sm + p_j*tan_d_j + 1/Q0``, for one
     device or, with array participations, elementwise over their
-    broadcast."""
+    broadcast.  A 1/Q beyond the float range reads inf."""
     tan_d_sm, tan_d_j = result.tan_d_sm, result.tan_d_j or 0.0
     if any(np.any(np.less(v, 0)) for v in (p_sm, p_j, tan_d_sm, tan_d_j)):
         raise InvalidInputError("participations and loss tangents must be >= 0")
     if result.q0 is not None and not result.q0 > 0:
         raise InvalidInputError(f"Q0 must be > 0, got {result.q0!r}")
-    return p_sm * tan_d_sm + p_j * tan_d_j + (
-        1.0 / result.q0 if result.q0 is not None and math.isfinite(result.q0) else 0.0
-    )
+    with np.errstate(over="ignore"):
+        return p_sm * tan_d_sm + p_j * tan_d_j + (
+            1.0 / result.q0 if result.q0 is not None and math.isfinite(result.q0)
+            else 0.0)

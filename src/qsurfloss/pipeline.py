@@ -220,18 +220,45 @@ def write_report_json(report: dict, path) -> None:
     write_text(path, "".join(out))
 
 
+def _model_q(inv_q: np.ndarray, where) -> np.ndarray:
+    """The modeled Q, ``1 / inv_q``, and NaN where ``inv_q`` is 0 or less.
+
+    Raises
+    ------
+    InvalidInputError
+        At the first other 1/Q that is not a finite float or whose inverse
+        is not, named by ``where`` from its flat index.
+    """
+    with np.errstate(over="ignore"):  # an inverse beyond the float range, refused
+        q = 1.0 / np.where(inv_q > 0, inv_q, np.nan)
+    bad = ~((inv_q <= 0) | ((q > 0) & (q < math.inf)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidInputError(f"modeled Q {where(i)} is not a finite float "
+                                f"(1/Q = {inv_q.flat[i]:.9g})")
+    return q
+
+
 def _write_q_table(points, x_name: str, x, inv_q: dict, path) -> None:
     """Write the measured Q of each point, and the Q of each model, against
     the column ``x`` named ``x_name``: p_sm or the normalized PR.  ``inv_q``
     maps each model column's header to its modeled 1/Q; a 1/Q that is not
-    positive, and a q_std that is None or 0, is an empty cell."""
+    positive, and a q_std that is None or 0, is an empty cell.  An ``x``
+    and a modeled Q that are not finite floats are refused."""
+    ids = [p.group_id for p in points]
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
+        raise InvalidInputError(f"{x_name} of point {ids[i]!r} is not a finite "
+                                f"float ({x[i]:.9g})")
+    q_columns = [_model_q(column, lambda i, name=name: f"of point {ids[i]!r} "
+                          f"in column {name}") for name, column in inv_q.items()]
     write_csv(path, ["group_id", x_name, "q_measured", "q_std", *inv_q], zip(
-        [p.group_id for p in points],
+        ids,
         ["%.9g" % v for v in x.tolist()],
         ["%.9g" % p.q_mean for p in points],
         ["%.9g" % p.q_std if p.q_std else "" for p in points],
-        *(["%.9g" % (1.0 / v) if v > 0 else "" for v in column.tolist()]
-          for column in inv_q.values())))
+        *(["%.9g" % v if v == v else "" for v in column.tolist()]
+          for column in q_columns)))
 
 
 def _write_model_surface(points, fit: LossFitResult, path) -> None:
@@ -247,7 +274,7 @@ def _write_model_surface(points, fit: LossFitResult, path) -> None:
     InvalidInputError
         If a point's p_sm or p_j is 0, where the log-spaced grid cannot
         start, or the modeled 1/Q is 0 at a grid point, where Q is
-        unbounded.
+        unbounded, or it or its inverse is not a finite float there.
     """
     axes = []
     for name in ("p_sm", "p_j"):
@@ -256,20 +283,28 @@ def _write_model_surface(points, fit: LossFitResult, path) -> None:
             raise InvalidInputError(
                 f"{name} is 0 at a fit point; the model surface's "
                 f"log-spaced grid needs {name} > 0")
-        axes.append(np.geomspace(min(values), max(values), _SURFACE_GRID_POINTS))
+        # 10**log10(stop) can overflow near the float maximum, but geomspace
+        # sets both ends to the given values
+        with np.errstate(over="ignore"):
+            axes.append(np.geomspace(min(values), max(values), _SURFACE_GRID_POINTS))
     p_sm, p_j = axes
     inv_q = model_inverse_q(fit, p_sm[:, None], p_j[None, :])
+
+    def at(flat: int) -> str:
+        i, j = np.unravel_index(flat, inv_q.shape)
+        return f"at p_sm={p_sm[i]:.9g}, p_j={p_j[j]:.9g}"
+
     if not inv_q.all():
-        i, j = np.argwhere(inv_q == 0)[0]
         raise InvalidInputError(
-            f"modeled 1/Q is 0 at p_sm={p_sm[i]:.9g}, p_j={p_j[j]:.9g}; "
+            f"modeled 1/Q is 0 {at(int(np.argmin(inv_q != 0)))}; "
             f"Q is unbounded there")
+    q = _model_q(inv_q, at)
     # ",<p_j>,%.9g\r\n" per p_j; a line's p_sm cell leads each of them
     j_rows = [f",{v:.9g},%.9g\r\n" for v in p_j.tolist()]
     template = "p_sm,p_j,q_model\r\n" + "".join(
         sm + sm.join(j_rows) for sm in [f"{v:.9g}" for v in p_sm.tolist()])
-    # row-major over (p_sm, p_j), the order of the grid's flattened 1/Q
-    write_text(path, template % tuple((1.0 / inv_q).ravel().tolist()))
+    # row-major over (p_sm, p_j), the order of the grid's flattened Q
+    write_text(path, template % tuple(q.ravel().tolist()))
 
 
 @contextlib.contextmanager
@@ -369,7 +404,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             def write_q_vs_npr(path):  # normalizing refuses tan_d_sm = 0
                 npr = normalized_pr(p_sm, p_j, fit.tan_d_sm, fit.tan_d_j)
                 _write_q_table(points, "normalized_pr", npr,
-                               {"q_model": fit.tan_d_sm * npr}, path)
+                               {"q_model": model_inverse_q(fit, p_sm, p_j)}, path)
 
             _emit(manifest, errors, out_dir, "q_vs_normalized_pr", write_q_vs_npr)
             _emit(manifest, errors, out_dir, "q_model_surface",

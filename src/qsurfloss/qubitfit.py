@@ -9,7 +9,6 @@ linewidths cyclic in kHz; :class:`PurcellParams` stores angular rad/s.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -547,26 +546,18 @@ class PurcellParams:
             return self.g
         if self.chi < 0 < self.delta or self.delta < 0 < self.chi:
             raise InvalidInputError("chi and delta must have the same sign")
-        product = self.chi * self.delta  # one root unless it leaves the normal range
-        return math.sqrt(product) if _is_normal(product) else (
-            math.sqrt(abs(self.chi)) * math.sqrt(abs(self.delta)))
+        # a root of each: unlike chi * delta, neither leaves the float range
+        return math.sqrt(abs(self.chi)) * math.sqrt(abs(self.delta))
 
     @property
     def delta_effective(self) -> float:
-        """Detuning, derived from g and chi when not given."""
+        """Detuning, derived from g and chi when not given: g^2 / chi taken
+        exactly and rounded once."""
         if self.delta is not None:
             return self.delta
         if self.chi == 0:
             raise InvalidInputError("cannot infer delta from chi = 0")
-        try:
-            g2 = self.g**2
-        except OverflowError:
-            g2 = math.inf
-        quotient = g2 / self.chi
-        if _is_normal(g2) and _is_normal(abs(quotient)):
-            return quotient
-        # exact g^2 / chi, rounded once, where g^2 or the quotient is not normal
-        from fractions import Fraction  # imported here: ~3 ms that few runs need
+        from fractions import Fraction  # imported here: ~3 ms that only Purcell runs need
         try:
             return float(Fraction(self.g) ** 2 / Fraction(self.chi))
         except OverflowError:
@@ -578,10 +569,11 @@ class PurcellParams:
 def purcell_limit(params: PurcellParams) -> float:
     """Relaxation-time limit through the readout cavity, in seconds.
 
-    ``T = delta^2 / (g^2 * kappa)``; zero coupling (or a limit beyond
-    ``UNBOUNDED_PURCELL_S``) returns ``math.inf``.  Where a term leaves the
-    normal float range, ``T`` is taken exactly and rounded once; one below
-    the float range fails.  Warns when ``|delta| >> g`` is marginal.
+    ``T = delta^2 / (g^2 * kappa)``, taken exactly from the given
+    parameters (``g^2 = chi * delta`` or ``delta = g^2 / chi`` for the one
+    left out) and rounded once; zero coupling (or a limit beyond
+    ``UNBOUNDED_PURCELL_S``) returns ``math.inf``, and one below the float
+    range fails.  Warns when ``|delta| >> g`` is marginal.
     """
     g = params.g_effective
     if g == 0.0:
@@ -590,29 +582,20 @@ def purcell_limit(params: PurcellParams) -> float:
     if abs(delta) / g < DISPERSIVE_RATIO_WARN:
         warnings.warn(f"|delta|/g = {abs(delta) / g:.2f} < {DISPERSIVE_RATIO_WARN}: "
                       "dispersive Purcell estimate is unreliable", stacklevel=2)
-    try:
-        terms = (delta**2, g**2, g**2 * params.kappa)
-    except OverflowError:  # a square beyond the float range
-        terms = (math.inf,)
-    if all(map(_is_normal, terms)):
-        t_purcell = terms[0] / terms[2]
-    else:  # exact arithmetic on the given parameters, rounded once
-        from fractions import Fraction  # imported here: ~3 ms that few runs need
-        chi, exact_delta = (None if v is None else Fraction(v)
-                            for v in (params.chi, params.delta))
-        g2 = chi * exact_delta if params.g is None else Fraction(params.g) ** 2
-        exact_delta = g2 / chi if exact_delta is None else exact_delta
-        exact = exact_delta**2 / (g2 * Fraction(params.kappa))
-        t_purcell = math.inf if exact > UNBOUNDED_PURCELL_S else float(exact)
+    from fractions import Fraction  # imported here: ~3 ms that only Purcell runs need
+    chi, exact_delta = (None if v is None else Fraction(v)
+                        for v in (params.chi, params.delta))
+    g2 = chi * exact_delta if params.g is None else Fraction(params.g) ** 2
+    exact_delta = g2 / chi if exact_delta is None else exact_delta
+    exact = exact_delta**2 / (g2 * Fraction(params.kappa))
+    if exact > UNBOUNDED_PURCELL_S:
+        return math.inf
+    t_purcell = float(exact)
     if t_purcell == 0.0:
         raise InvalidInputError(
             f"the Purcell limit delta^2 / (g^2 kappa) lies below the float range at "
             f"delta = {delta:.3g}, g = {g:.3g} and kappa = {params.kappa:.3g} rad/s")
-    return math.inf if t_purcell > UNBOUNDED_PURCELL_S else t_purcell
-
-
-def _is_normal(x: float) -> bool:
-    return sys.float_info.min <= x <= sys.float_info.max
+    return t_purcell
 
 
 def purcell_subtract_t1(t1_us, t_purcell_ms: float):

@@ -1,7 +1,9 @@
 import csv
+import sys
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsurfloss import (
@@ -209,26 +211,47 @@ CELLS = st.one_of(st.text(max_size=8), st.floats().map(repr),
                   st.sampled_from(GEOMETRIES), st.just(""))
 
 
+#: Every positive finite float, subnormals and the float extremes included;
+#: two draws in three lie within 1e+-300, which the file's units carry.
+ANY_POSITIVE = st.floats(1e-3, 1e3) | st.floats(1e-300, 1e300) | st.floats(
+    min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
+#: Every finite float from 0 up.
+ANY_SPREAD = st.just(0.0) | ANY_POSITIVE
+
+
 @st.composite
-def valid_records(draw):
+def valid_records(draw, wide=False):
     """Records whose invariants hold with a margin that survives the file's
-    10 significant digits."""
-    positive = st.floats(1e-3, 1e3)
-    omega_q, t1 = draw(positive), draw(positive)
+    10 significant digits; ``wide`` draws every value a record takes
+    instead, subnormals and the float extremes included, with no margin."""
+    if wide:
+        omega_q, omega_c = sorted((draw(ANY_POSITIVE), draw(ANY_POSITIVE)))
+        t1 = draw(ANY_POSITIVE)
+        t_purcell = draw(st.floats(t1 * 1e-3, sys.float_info.max, exclude_min=True))
+        assume(omega_q < omega_c and t_purcell * 1e3 > t1)  # fails rarely
+        positive = q_mean = participation = ANY_POSITIVE
+        t1_std = q_std = ANY_SPREAD
+    else:
+        positive = st.floats(1e-3, 1e3)
+        omega_q, t1 = draw(positive), draw(positive)
+        omega_c = omega_q * draw(st.floats(1.001, 3.0))
+        t_purcell = t1 * draw(st.floats(1.001e-3, 1.0))
+        q_mean, participation = st.floats(1e3, 1e9), st.floats(1e-7, 0.1)
+        t1_std, q_std = st.floats(0.0, 1e3), st.floats(0.0, 1e9)
     return DeviceRecord(
         device_id=draw(st.from_regex(r"[A-Za-z0-9]{1,4}-[A-Za-z0-9]{1,4}",
                                      fullmatch=True)),
         geometry=draw(st.sampled_from(GEOMETRIES)),
         omega_q_ghz=omega_q,
-        omega_c_ghz=omega_q * draw(st.floats(1.001, 3.0)),
+        omega_c_ghz=omega_c,
         g_mhz=draw(positive),
         t1_mean_us=t1,
-        t1_std_us=draw(st.none() | st.floats(0.0, 1e3)),
-        t_purcell_ms=t1 * draw(st.floats(1.001e-3, 1.0)),
-        q_mean=draw(st.floats(1e3, 1e9)),
-        q_std=draw(st.none() | st.floats(0.0, 1e9)),
-        p_sm=draw(st.floats(1e-7, 0.1)),
-        p_j=draw(st.floats(1e-7, 0.1)),
+        t1_std_us=draw(st.none() | t1_std),
+        t_purcell_ms=t_purcell,
+        q_mean=draw(q_mean),
+        q_std=draw(st.none() | q_std),
+        p_sm=draw(participation),
+        p_j=draw(participation),
     )
 
 
@@ -287,6 +310,14 @@ class TestGrouping:
         assert d8.n_devices == 6
         assert d8.q_mean == pytest.approx(7.381667e6, rel=1e-6)
         assert d8.q_std > 0  # spread across the six single-round devices
+
+    def test_spread_whose_square_leaves_the_float_range(self, records):
+        """Deviations of 1.34e154, whose squares overflow, used to end in a
+        raw OverflowError."""
+        pair = [replace(records[0], q_mean=q) for q in (1.0, 2.6815615855e154)]
+        (point,) = group_for_fit(pair, mode="per_die_design")
+        assert point.q_mean == 1.34078079275e154
+        assert point.q_std == pytest.approx(1.34078079275e154, rel=1e-15)
 
     def test_singleton_group_keeps_round_statistics(self, records):
         points = group_for_fit(records, mode="per_die_design")

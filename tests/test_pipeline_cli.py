@@ -1,9 +1,12 @@
+import csv
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 import types
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,10 +20,13 @@ import qsurfloss
 from qsurfloss import (
     DEFAULT_SM_SPEC,
     InvalidInputError,
+    LossFitResult,
+    LossModel,
     PipelineConfig,
     PurcellParams,
     QSurfLossError,
     SweepConfig,
+    Weighting,
     cutoff_sensitivity,
     interdigital_unit_cell,
     run_pipeline,
@@ -33,6 +39,8 @@ from qsurfloss.solver import FieldSolution
 from qsurfloss.dataio import COLUMNS
 from qsurfloss.errors import read_json
 from qsurfloss.pipeline import MAX_SWEEP_POINTS
+from test_dataio import valid_records
+from test_qubitfit import arbitrary_traces
 
 EXPECTED_FIT_CSVS = {"q_vs_psm.csv", "q_vs_normalized_pr.csv", "q_model_surface.csv"}
 
@@ -255,6 +263,28 @@ class TestRunPipeline:
                                      "error": "failed half-way"}]
         listed = {entry["path"] for entry in report["outputs"]}
         assert listed == {"q_vs_psm.csv", "q_vs_normalized_pr.csv", "report.json"}
+        assert {p.name for p in out.iterdir()} == listed
+
+    @pytest.mark.parametrize("tan_d_sm, tan_d_j, failed", [
+        (1e-310, 0.0, ["q_vs_psm", "q_vs_normalized_pr", "q_model_surface"]),
+        (1e-300, 1e10, ["q_vs_normalized_pr"]),
+    ])
+    def test_extreme_fit_fails_each_model_table(self, tmp_path, monkeypatch,
+                                                tan_d_sm, tan_d_j, failed):
+        """An sm+j fit whose modeled Q or normalized PR leaves the float
+        range fails the tables that hold it, each a stage error with no
+        file; the others are written."""
+        fit = LossFitResult(LossModel.SM_PLUS_J, tan_d_sm=tan_d_sm, tan_d_j=tan_d_j)
+        monkeypatch.setitem(pipeline.FITTERS, LossModel.SM_PLUS_J,
+                            lambda points, weighting: fit)
+        out = tmp_path / "out"
+        report = run_pipeline(PipelineConfig(models=("sm+j",), output_dir=str(out)))
+        assert [e["stage"] for e in report["errors"]] == [
+            f"write[{kind}]" for kind in failed]
+        assert all("is not a finite float" in e["error"] for e in report["errors"])
+        listed = {entry["path"] for entry in report["outputs"]}
+        assert listed == EXPECTED_FIT_CSVS - {f"{kind}.csv" for kind in failed} | {
+            "report.json"}
         assert {p.name for p in out.iterdir()} == listed
 
     def test_point_without_a_finite_inverse_q_fails_the_fit(self, records,
@@ -574,8 +604,13 @@ TABLE = "<valid table>"
 
 
 @st.composite
-def config_edits(draw):
-    """One top-level or sweep key of a working config and a value for it."""
+def config_edits(draw, values=None):
+    """One top-level or sweep key of a working config and a value for it:
+    any JSON value, or with ``values``, which maps some keys to strategies,
+    one of those keys and a value of its strategy."""
+    if values is not None:
+        key = draw(st.sampled_from(sorted(values)))
+        return key, draw(values[key])
     key = draw(st.sampled_from([(k,) for k in TOP_KEYS]
                                + [("sweep", k) for k in SWEEP_KEYS]))
     if key[-1] == "points":
@@ -624,6 +659,150 @@ class TestConfigProperties:
             return
         assert report["status"] in ("ok", "partial")
         assert (out / "report.json").exists()
+
+
+#: Edits that run a report under every model set, weighting and grouping,
+#: with the base config's sweep or none.
+REPORT_OPTIONS = {
+    ("models",): st.lists(st.sampled_from([m.value for m in LossModel]),
+                          min_size=1, max_size=3, unique=True),
+    ("weighting",): st.sampled_from([w.value for w in Weighting]),
+    ("grouping",): st.sampled_from(["per_die_design", "per_device"]),
+    ("sweep",): st.none(),
+}
+
+
+@st.composite
+def device_tables(draw):
+    """1-6 records of any values a record takes, on one die or several;
+    each after the first may join the (die, geometry, p_sm, p_j) group of
+    an earlier one."""
+    n_dies = draw(st.integers(1, 3))
+    table = []
+    for i in range(draw(st.integers(1, 6))):
+        record = draw(valid_records(wide=True))
+        if table and draw(st.booleans()):
+            other = draw(st.sampled_from(table))
+            die = other.die_id
+            record = replace(record, geometry=other.geometry, p_sm=other.p_sm,
+                             p_j=other.p_j)
+        else:
+            die = f"D{draw(st.integers(1, n_dies))}"
+        table.append(replace(record, device_id=f"{die}-{i}"))
+    return table
+
+
+def _assert_finite_parameters(parameters):
+    """Each fitted parameter is a finite float >= 0, except a Q0 that is
+    null where its inverse clamped to 0 (Q0 unbounded)."""
+    for name, value in parameters.items():
+        if not (name == "q0" and value is None):
+            assert value is not None and 0.0 <= value < math.inf, (name, value)
+
+
+def _assert_finite_cells(path):
+    """Every cell of the CSV at ``path`` outside its text columns is empty
+    or a finite float."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            for column, cell in row.items():
+                if column not in ("group_id", "error") and cell:
+                    assert math.isfinite(float(cell)), (path.name, column, cell)
+
+
+class TestCommandProperties:
+    """Any device table through ``report`` and ``fit-loss``, and any finite
+    trace through ``fit-t1``: finite numbers, or typed errors that say
+    where."""
+
+    @given(records=device_tables(),
+           edits=st.lists(config_edits(REPORT_OPTIONS), max_size=4,
+                          unique_by=lambda edit: edit[0]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_table_gives_a_finite_report_or_typed_stage_errors(
+            self, config_dir, records, edits):
+        table, out = config_dir / "table.csv", config_dir / "table-out"
+        save_device_table(records, table)
+        config = {"dataset": str(table), "models": ["sm+j"], "weighting": "none",
+                  "output_dir": str(out),
+                  "sweep": {"width_min_um": 1.0, "width_max_um": 20.0,
+                            "points": 3}}
+        for (*path, key), value in edits:
+            (config[path[0]] if path else config)[key] = value
+        cfg_path = config_dir / "table-cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        shutil.rmtree(out, ignore_errors=True)
+        result = CliRunner().invoke(main, ["report", "--config", str(cfg_path)])
+        if not (out / "report.json").exists():  # the table or its groups
+            _assert_one_line_error(result, "")
+            return
+        report = json.loads((out / "report.json").read_text())
+        errors = {e["stage"]: e["error"] for e in report["errors"]}
+        assert len(errors) == len(report["errors"])
+        # the exit code and the stderr lines follow the report
+        assert result.exit_code == (0 if report["status"] == "ok" else 1)
+        assert (report["status"] == "ok") == (not errors)
+        assert isinstance(result.exception, (type(None), SystemExit))
+        assert [line for line in result.output.splitlines()
+                if not line.startswith("wrote ")] == [
+            f"stage {stage} failed: {error}" for stage, error in errors.items()]
+        # each model is fitted or a fit stage error, with finite parameters
+        fits = report["fits"]
+        assert sorted([*fits, *(s[4:-1] for s in errors if s.startswith("fit["))]) \
+            == sorted(config["models"])
+        for fit in fits.values():
+            _assert_finite_parameters(fit["parameters"])
+        # each table is written or a write stage error, and nothing else is
+        kinds = ["q_vs_psm"] * bool(fits) + [
+            "q_vs_normalized_pr", "q_model_surface"] * ("sm+j" in fits) + [
+            "psm_width_sweep"] * ("sweep" in report)
+        written = {entry["path"] for entry in report["outputs"]}
+        for kind in kinds:
+            assert (f"{kind}.csv" in written) != (f"write[{kind}]" in errors)
+        assert set(errors) <= {f"fit[{m}]" for m in config["models"]} | {
+            f"write[{kind}]" for kind in kinds}
+        assert {p.name for p in out.iterdir()} == written
+        for name in written - {"report.json"}:
+            _assert_finite_cells(out / name)
+
+    @given(records=device_tables(),
+           model=st.sampled_from([m.value for m in LossModel]),
+           weights=st.sampled_from([w.value for w in Weighting]),
+           group=st.sampled_from(["per-die", "per-device"]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_table_gives_a_finite_fit_or_one_error_line(
+            self, config_dir, records, model, weights, group):
+        table, out = config_dir / "fit-table.csv", config_dir / "fit.json"
+        save_device_table(records, table)
+        out.unlink(missing_ok=True)
+        result = CliRunner().invoke(main, [
+            "fit-loss", "--input", str(table), "--model", model,
+            "--weights", weights, "--group", group, "--out", str(out)])
+        if result.exit_code:
+            _assert_one_line_error(result, "")
+            assert not out.exists()
+            return
+        assert result.exception is None
+        _assert_finite_parameters(json.loads(out.read_text())["parameters"])
+
+    @given(trace=arbitrary_traces())
+    @settings(max_examples=150, deadline=None)
+    def test_any_finite_trace_gives_a_finite_t1_or_one_error_line(
+            self, config_dir, trace):
+        path, out = config_dir / "trace.csv", config_dir / "t1.json"
+        path.write_text("delay_us,population\n" + "".join(
+            f"{t!r},{y!r}\n" for t, y in zip(trace.delays_us.tolist(),
+                                             trace.populations.tolist())))
+        out.unlink(missing_ok=True)
+        result = CliRunner().invoke(main, ["fit-t1", "--trace", str(path),
+                                           "--out", str(out)])
+        if result.exit_code:
+            _assert_one_line_error(result, "")
+            return
+        assert result.exception is None
+        fit = json.loads(out.read_text())
+        assert 0.0 < fit["t1_us"] < math.inf
+        assert 0.0 <= fit["fit_err_us"] < math.inf
 
 
 class TestCli:

@@ -765,12 +765,23 @@ class TestPurcellLimit:
         assert purcell_limit(params) == pytest.approx(9.0e-3, rel=0.01)
 
     @pytest.mark.parametrize("g, chi", [(1e160, 1e200), (1e-160, 1e-300),
-                                        (3e7, 1e6), (1e-200, -1.0)])
+                                        (3e7, 1e6), (1e-200, -1.0),
+                                        (234362811.95779857, 4303981.935418017)])
     def test_delta_is_g_squared_over_chi_rounded_once(self, g, chi):
         """Also where g^2 overflows or is subnormal but the quotient is a
         float."""
         params = PurcellParams(kappa=1.0, g=g, chi=chi)
         assert params.delta_effective == float(Fraction(g) ** 2 / Fraction(chi))
+
+    @pytest.mark.parametrize("cyclic, limit_s", [
+        # the README's example
+        ({"kappa_khz": 52.4, "delta_ghz": 2.03, "g_mhz": 37.3}, 0.008996286067800981),
+        ({"kappa_khz": 60.0, "delta_ghz": 1.5, "chi_mhz": 0.5}, 0.007957747154594769),
+    ], ids=["g-delta", "chi-delta"])
+    def test_limit_is_exact_and_rounded_once(self, cyclic, limit_s):
+        """Inside the normal range too: the float quotient of the rounded
+        terms read 0.00899628606780098 and 0.007957747154594767 s."""
+        assert purcell_limit(PurcellParams.from_cyclic(**cyclic)) == limit_s
 
     def test_delta_beyond_the_float_range_is_refused(self):
         with pytest.raises(InvalidInputError, match="it exceeds the float range"):

@@ -58,7 +58,8 @@ def write_q_vs_npr(points, fit, path):
     npr = normalized_pr(np.array([p.p_sm for p in points]),
                         np.array([p.p_j for p in points]),
                         fit.tan_d_sm, fit.tan_d_j)
-    _write_q_table(points, "normalized_pr", npr, {"q_model": fit.tan_d_sm * npr},
+    _write_q_table(points, "normalized_pr", npr, {"q_model": model_inverse_q(
+        fit, np.array([p.p_sm for p in points]), np.array([p.p_j for p in points]))},
                    path)
 
 
@@ -91,7 +92,7 @@ def reference_q_vs_npr(points, fit, path):
                          "q_model"])
         for p in points:
             npr = p.p_sm + (fit.tan_d_j / fit.tan_d_sm) * p.p_j
-            inv_q = fit.tan_d_sm * npr
+            inv_q = reference_inverse_q(fit, p.p_sm, p.p_j)
             writer.writerow([
                 p.group_id,
                 f"{npr:.9g}",
@@ -263,6 +264,54 @@ class TestPipelineWriters:
             _write_model_surface(grouped_points,
                                  fit_of(LossModel.SM_PLUS_J, 0.0, 0.0), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("table, tan_d_sm, tan_d_j, message", [
+        ("q_model_surface", 1e-310, 0.0, "modeled Q at p_sm=3.3e-05, p_j=1.8e-05 "
+         "is not a finite float (1/Q = 3.3e-315)"),
+        ("q_vs_psm", 1e-310, 0.0, "modeled Q of point 'D8:dumbbell_3d:psm=0.33e-4' "
+         "in column q_model[sm+j] is not a finite float (1/Q = 3.3e-315)"),
+        ("q_vs_normalized_pr", 1e-300, 1e10, "normalized_pr of point "
+         "'D8:dumbbell_3d:psm=0.33e-4' is not a finite float (inf)"),
+    ], ids=lambda v: v if v in ("q_model_surface", "q_vs_psm",
+                                "q_vs_normalized_pr") else "")
+    def test_extreme_fit_is_refused_by_point(self, tmp_path, grouped_points,
+                                              table, tan_d_sm, tan_d_j, message):
+        """A subnormal modeled 1/Q used to give the surface a numpy overflow
+        warning and q_vs_psm an inf cell, and a tan_d_j / tan_d_sm beyond
+        the float range gave q_vs_normalized_pr an inf abscissa and a model
+        Q of 0; each is refused before a file is written."""
+        fit = fit_of(LossModel.SM_PLUS_J, tan_d_sm, tan_d_j)
+        write = {"q_model_surface": _write_model_surface,
+                 "q_vs_psm": lambda points, fit, path: write_q_vs_psm(
+                     points, {"sm+j": fit}, path),
+                 "q_vs_normalized_pr": write_q_vs_npr}[table]
+        path = tmp_path / f"{table}.csv"
+        with pytest.raises(InvalidInputError) as info:
+            write(grouped_points, fit, path)
+        assert str(info.value) == message
+        assert not path.exists()
+
+    def test_modeled_inverse_q_beyond_the_float_range_is_refused(self, tmp_path):
+        """Fit points at either end of p_sm and p_j put the grid's far
+        corner past the float range: refused by grid point, not written as
+        a Q of 0 after a numpy overflow warning."""
+        points = [LossDataPoint(p_sm=1e308, p_j=1e-300, q_mean=1e-308),
+                  LossDataPoint(p_sm=1e-300, p_j=1e308, q_mean=1e-308)]
+        with pytest.raises(InvalidInputError, match=(
+                r"modeled Q at p_sm=1e\+308, p_j=1e\+308 is not a finite float "
+                r"\(1/Q = inf\)")):
+            _write_model_surface(points, fit_of(LossModel.SM_PLUS_J, 1.0, 1.0),
+                                 tmp_path / "s.csv")
+
+    def test_grid_up_to_the_float_maximum(self, tmp_path):
+        """geomspace's 10**log10(p_sm) overflowed with a numpy warning at the
+        largest float; the grid still ends there."""
+        points = [LossDataPoint(p_sm=1e-300, p_j=1e-300, q_mean=1.0),
+                  LossDataPoint(p_sm=sys.float_info.max, p_j=1.0, q_mean=1.0)]
+        path = tmp_path / "s.csv"
+        _write_model_surface(points, fit_of(LossModel.SM_PLUS_J, 1e-300, 1.0), path)
+        last = path.read_text().splitlines()[-1].split(",")
+        assert last[:2] == ["1.79769313e+308", "1"]
 
     def test_q_vs_psm_quotes_and_empty_cells(self, tmp_path, grouped_points):
         """A group id with a comma and a quote is quoted, a q_std of None or 0
