@@ -10,15 +10,15 @@ statistics are not available for every device).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import (RecordValidationError, TableFormatError, is_finite, parse_csv,
-                     read_text, write_csv)
+from .errors import (InvalidInputError, RecordValidationError, TableFormatError,
+                     is_finite, parse_csv, read_text, write_csv)
 from .lossmodel import LossDataPoint
+from .qubitfit import _mean_std
 
 GEOMETRIES = ("interdigital_2d", "dumbbell_2d", "dumbbell_3d")
 
@@ -150,13 +150,28 @@ def bundled_device_table() -> list[DeviceRecord]:
     return _load_records(read_text(path), "bundled devices.csv")
 
 
+def _table_row(record: DeviceRecord) -> list:
+    """A record's cells as the table file holds them: units of the file,
+    numbers at 10 significant digits, an empty cell for a missing value."""
+    cells = ((getattr(record, name), factor) for _, name, factor, _ in _COLUMNS)
+    return [v if factor is None else "" if v is None else f"{v / factor:.10g}"
+            for v, factor in cells]
+
+
 def save_device_table(records: Iterable[DeviceRecord], path) -> None:
-    """Write records back to the CSV format accepted by the loader."""
-    rows = ([(getattr(r, name), factor) for _, name, factor, _ in _COLUMNS]
-            for r in records)
-    write_csv(path, COLUMNS, ([v if factor is None else "" if v is None
-                               else f"{v / factor:.10g}" for v, factor in row]
-                              for row in rows))
+    """Write records back to the CSV format accepted by the loader; a record
+    whose row the loader would refuse (a value that the file's units or 10
+    digits carry out of range) is refused with its reason before anything
+    is written."""
+    rows = [_table_row(r) for r in records]
+    for row in rows:
+        try:
+            _record_from_row(dict(zip(COLUMNS, row)))
+        except ValueError as exc:  # row[0] is the device id
+            reason = str(exc).removeprefix(f"device {row[0]}: ")
+            raise InvalidInputError(f"cannot save device {row[0]}: its row would "
+                                    f"not load: {reason}") from exc
+    write_csv(path, COLUMNS, rows)
 
 
 #: Sort key of loss-fit points: the order of every fit and report row.
@@ -198,17 +213,11 @@ def group_for_fit(
 
     points = []
     for (die, geometry, p_sm, p_j), members in groups.items():
-        qs = [m.q_mean for m in members]
-        n = len(qs)
-        mean = sum(qs) / n
+        n = len(members)
         if n > 1:
-            # the deviations are scaled by a power of two, which one ldexp
-            # undoes, so that no square overflows; the bits are those of the
-            # plain sum wherever it stays in the float range
-            e = math.frexp(max(abs(q - mean) for q in qs))[1]
-            std = math.ldexp(
-                math.sqrt(sum(math.ldexp(q - mean, -e) ** 2 for q in qs) / n), e)
+            mean, std = _mean_std([m.q_mean for m in members])
         else:
+            mean = members[0].q_mean
             std = members[0].q_std if members[0].q_std is not None else 0.0
         points.append(
             LossDataPoint(

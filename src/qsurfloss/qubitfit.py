@@ -469,25 +469,33 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     )
 
 
-def t1_statistics(estimates) -> T1Statistics:
-    """Mean and population standard deviation of repeated T1 fits.
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and population standard deviation of positive finite floats:
+    ``np.mean`` and ``np.std`` of the values scaled by the power of two that
+    brings the largest into [0.5, 1), so that no sum or square overflows and
+    no nonzero deviation's square underflows.  Where numpy's own squares are
+    normal they keep numpy's bits, except that a mean rounded past the
+    extreme values or a std above half their range (values an ulp apart) is
+    clamped to that bound, which the exact statistics never exceed."""
+    values = np.asarray(values, dtype=float)
+    lo, hi = float(values.min()), float(values.max())
+    exp = math.frexp(hi)[1]
+    scaled = np.ldexp(values, -exp)
+    mean = math.ldexp(float(scaled.mean()), exp)
+    std = math.ldexp(float(scaled.std()), exp)
+    return min(max(mean, lo), hi), min(std, (hi - lo) / 2)
 
-    Both are those of ``np.mean`` and ``np.std``, taken on the values
-    scaled by the power of two that brings the largest into [0.5, 1),
-    which is exact: no sum or square overflows, and the square of a nonzero
-    deviation does not underflow.  Where numpy's own squares are normal
-    the scaling changes no rounding, so its mean and std keep their bits.
-    """
+
+def t1_statistics(estimates) -> T1Statistics:
+    """Mean and population standard deviation of repeated T1 fits, taken
+    by ``_mean_std`` like every mean and spread of the measurement chain."""
     if not estimates:
         raise InvalidInputError("need at least one estimate")
     values = np.array([e.t1_us for e in estimates], dtype=float)
     hi = float(values.max())
     if not math.isfinite(hi):
         raise InvalidInputError(f"T1 values must be finite, got {hi}")
-    exp = math.frexp(hi)[1]
-    scaled = np.ldexp(values, -exp)
-    return T1Statistics(mean_us=math.ldexp(float(scaled.mean()), exp),
-                        std_us=math.ldexp(float(scaled.std()), exp))
+    return T1Statistics(*_mean_std(values))
 
 
 @dataclass
@@ -601,22 +609,27 @@ def purcell_limit(params: PurcellParams) -> float:
 def purcell_subtract_t1(t1_us, t_purcell_ms: float):
     """Intrinsic T1 (us) after removing the Purcell decay channel, a float
     of one measured T1 or an array of rounds; the first round
-    that fails a check raises its error."""
+    that fails a check raises its error, as does one whose 1/T1 or
+    intrinsic T1 is not a finite float."""
     t1 = np.asarray(t1_us, dtype=float)
     t_purcell_us = t_purcell_ms * 1e3
-    bad = (t1 <= 0) | ~(t_purcell_us > t1)
-    if not bad.any():
-        # the rates can round to equal where T_Purcell exceeds T1 by an ulp
-        rate = 1.0 / t1 - 1.0 / t_purcell_us
-        bad = ~(rate > 0)
-    if bad.any():
-        first = t1[bad][0]
+    with np.errstate(all="ignore"):
+        # the rates can round to equal where T_Purcell exceeds T1 by an ulp;
+        # np.divide leaves a T_Purcell of 0 to the checks below
+        rate = 1.0 / t1 - np.divide(1.0, t_purcell_us)
+        t1_prime = 1.0 / rate
+    ok = (t1 > 0) & (t_purcell_us > t1) & (0 < t1_prime) & (t1_prime < math.inf)
+    if not ok.all():
+        first, first_rate = (np.ravel(a)[np.argmin(ok)] for a in (t1, rate))
         if first <= 0:
             raise InvalidInputError("t1 must be > 0")
+        if t_purcell_us > first and first_rate != 0:
+            raise InvalidInputError(f"1/T1 or 1 / (1/T1 - 1/T_Purcell) exceeds "
+                                    f"the float range at T1 = {first:g} us")
         raise InvalidInputError(
             f"inconsistent inputs: T_Purcell = {t_purcell_ms:g} ms must exceed "
             f"the measured T1 = {first:g} us")
-    return 1.0 / rate if rate.ndim else float(1.0 / rate)
+    return t1_prime if t1_prime.ndim else float(t1_prime)
 
 
 def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
@@ -624,11 +637,19 @@ def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
 
     ``Q = omega_q * T1'`` with ``1/T1' = 1/T1 - 1/T_Purcell``; the qubit
     frequency is cyclic GHz as tabulated and converted to angular internally.
-    Like :func:`purcell_subtract_t1` it takes one T1 or an array of rounds.
+    Like :func:`purcell_subtract_t1` it takes one T1 or an array of rounds;
+    a round whose Q is not a positive finite float is refused.
     """
     if omega_q_ghz <= 0:
         raise InvalidInputError("omega_q must be > 0")
-    return TWO_PI * omega_q_ghz * 1e9 * purcell_subtract_t1(t1_us, t_purcell_ms) * 1e-6
+    with np.errstate(all="ignore"):
+        q = TWO_PI * omega_q_ghz * 1e9 * purcell_subtract_t1(t1_us, t_purcell_ms) * 1e-6
+    ok = np.asarray((q > 0) & (q < math.inf))
+    if not ok.all():
+        raise InvalidInputError(
+            f"Q = omega_q T1' is not a positive finite float at T1 = "
+            f"{np.ravel(t1_us)[np.argmin(ok)]:g} us")
+    return q
 
 
 def q_statistics_from_rounds(
@@ -639,14 +660,13 @@ def q_statistics_from_rounds(
     """Mean and population std of Q over repeated T1 measurements.
 
     Each round is Purcell-subtracted and converted to Q by
-    :func:`purcell_subtract_q` before the statistics are taken (subtract,
-    convert, then apply statistics).
+    :func:`purcell_subtract_q` before the statistics are taken by
+    ``_mean_std`` (subtract, convert, then apply statistics).
     """
     values = np.asarray(list(t1_rounds_us), dtype=float)
     if values.size == 0:
         raise InvalidInputError("need at least one round")
-    qs = purcell_subtract_q(values, t_purcell_ms, omega_q_ghz)
-    return float(qs.mean()), float(qs.std())
+    return _mean_std(purcell_subtract_q(values, t_purcell_ms, omega_q_ghz))
 
 
 def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:

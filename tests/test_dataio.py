@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qsurfloss import (
     DeviceRecord,
+    InvalidInputError,
     QSurfLossError,
     RecordValidationError,
     TableFormatError,
@@ -15,7 +16,7 @@ from qsurfloss import (
     load_device_table,
     save_device_table,
 )
-from qsurfloss.dataio import COLUMNS, GEOMETRIES
+from qsurfloss.dataio import _COLUMNS, COLUMNS, GEOMETRIES
 
 HEADER = ",".join(COLUMNS) + "\n"
 
@@ -297,6 +298,49 @@ class TestTableProperties:
         save_device_table(load_device_table(table_path), table_path)
         assert table_path.read_bytes() == first
 
+    @given(records=st.lists(valid_records(wide=True), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_a_save_loads_back_or_is_refused(self, table_path, records):
+        """A save either loads back with every numeric field the record's
+        value at the table's units and 10 digits, or raises one typed error
+        naming a device and writes no file."""
+        table_path.unlink(missing_ok=True)
+        try:
+            save_device_table(records, table_path)
+        except QSurfLossError as exc:
+            assert type(exc) is InvalidInputError
+            assert any(str(exc).startswith(f"cannot save device {r.device_id}: ")
+                       for r in records)
+            assert not table_path.exists()
+            return
+        for record, back in zip(records, load_device_table(table_path), strict=True):
+            for _, name, factor, _ in _COLUMNS:
+                value = getattr(record, name)
+                if factor is not None and value is not None:
+                    value = float(f"{value / factor:.10g}") * factor
+                assert getattr(back, name) == value, name
+
+
+class TestSaveRefusals:
+    """A record whose row the loader would refuse is refused before anything
+    is written; such records used to save a table that did not load."""
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"g_mhz": sys.float_info.max}, "g_mhz"),
+        ({"p_sm": 1e305}, "p_sm"),
+        ({"q_mean": 1e-320}, "q_mean"),
+        ({"omega_q_ghz": 5.0, "omega_c_ghz": 5.0 + 1e-12}, "omega_c_ghz"),
+    ], ids=["largest-float", "p_sm-unit", "q-unit", "rounded-order"])
+    def test_unloadable_row_is_refused_naming_device_and_reason(
+            self, records, tmp_path, edit, field):
+        path = tmp_path / "devices.csv"
+        table = [records[0], replace(records[1], **edit)]
+        with pytest.raises(InvalidInputError, match=(
+                f"^cannot save device {records[1].device_id}: its row would not "
+                f"load: field '{field}'")):
+            save_device_table(table, path)
+        assert not path.exists()
+
 
 class TestGrouping:
     def test_die_design_grouping(self, records):
@@ -318,6 +362,14 @@ class TestGrouping:
         (point,) = group_for_fit(pair, mode="per_die_design")
         assert point.q_mean == 1.34078079275e154
         assert point.q_std == pytest.approx(1.34078079275e154, rel=1e-15)
+
+    def test_group_whose_sum_leaves_the_float_range(self, records):
+        """Two devices at Q = 1.7e308 used to sum to inf, which
+        ``LossDataPoint`` refused without naming the group."""
+        pair = [replace(records[0], device_id=f"D1-{i}", q_mean=1.7e308)
+                for i in (1, 2)]
+        (point,) = group_for_fit(pair, mode="per_die_design")
+        assert (point.q_mean, point.q_std, point.n_devices) == (1.7e308, 0.0, 2)
 
     def test_singleton_group_keeps_round_statistics(self, records):
         points = group_for_fit(records, mode="per_die_design")

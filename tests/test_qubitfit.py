@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from qsurfloss import (
     DecayTrace,
+    DeviceRecord,
     FitFailureError,
     InvalidInputError,
     PurcellParams,
     T1Estimate,
     T1Statistics,
     fit_exponential,
+    group_for_fit,
     load_decay_trace,
     purcell_limit,
     purcell_subtract_q,
@@ -682,8 +684,10 @@ class TestT1Statistics:
     def test_bit_equal_to_numpy(self, values):
         """Mean and std carry the bits of ``np.mean`` and ``np.std``
         wherever numpy's squared deviations are normal floats or exact
-        zeros; where they overflow or underflow, both are finite and match
-        the exact statistics to the rounding of a sum."""
+        zeros, except where numpy's mean leaves [min, max] or its std
+        exceeds half that range, which are clamped to those bounds; where
+        the squares overflow or underflow, both are finite and match the
+        exact statistics to the rounding of a sum."""
         stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
         a = np.array(values)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -693,8 +697,9 @@ class TestT1Statistics:
         assert type(stats.mean_us) is float and type(stats.std_us) is float
         if np.all((squares >= np.finfo(float).tiny) & np.isfinite(squares)
                   | (deviations == 0.0)):
-            assert stats.mean_us.hex() == mean.hex()
-            assert stats.std_us.hex() == std.hex()
+            lo, hi = min(values), max(values)
+            assert stats.mean_us.hex() == min(max(mean, lo), hi).hex()
+            assert stats.std_us.hex() == min(std, (hi - lo) / 2).hex()
         else:
             exact_mean = statistics.mean(values)
             # a subnormal result holds its rounding to the float below it
@@ -863,6 +868,14 @@ class TestPurcellSubtraction:
         with pytest.raises(InvalidInputError, match="exceed"):
             purcell_subtract_q(300.0, 0.2, 4.0)
 
+    def test_subnormal_t1_is_refused(self):
+        """1/T1 of a subnormal T1 used to overflow, with a RuntimeWarning, to
+        a rate of inf and an intrinsic T1 of 0."""
+        with pytest.raises(InvalidInputError, match=(
+                r"1/T1 or 1 / \(1/T1 - 1/T_Purcell\) exceeds the float range "
+                r"at T1 = 2.99997e-320 us")):
+            purcell_subtract_t1(3e-320, 1.0)
+
     @given(
         t1=st.floats(min_value=1.0, max_value=1e4),
         ratio=st.floats(min_value=1.5, max_value=1e4),
@@ -915,6 +928,11 @@ class TestQStatisticsFromRounds:
         assert q_statistics_from_rounds(rounds, 4.7, 4.4) == (
             float(qs.mean()), float(qs.std()))
 
+    def test_spread_whose_square_leaves_the_float_range(self):
+        """Qs near 1e200 used to give a std of inf with a RuntimeWarning."""
+        assert q_statistics_from_rounds([3e195, 6e195], 1e300, 5.0) == (
+            1.4137166941154068e+200, 4.712388980384689e+199)
+
     @pytest.mark.parametrize("rounds, t_purcell_ms, omega_q_ghz, message", [
         ([180.0, -5.0, 300.0], 0.25, 4.5, "t1 must be > 0"),
         ([180.0, 300.0, -5.0], 0.25, 4.5, "T1 = 300 us"),
@@ -922,6 +940,10 @@ class TestQStatisticsFromRounds:
         ([180.0], 0.0, 4.5, "T_Purcell = 0 ms"),
         ([180.0], 0.25, 0.0, "omega_q must be > 0"),
         ([180.0, ULP_T1_US], ULP_T_PURCELL_MS, 4.5, "inconsistent"),
+        ([3e-320, 6e-320], 1.0, 5.0, r"1/T1 or .* exceeds the float range at "
+         r"T1 = 2.99997e-320 us"),
+        ([1e300, 2e300], 1e300, 5.0, r"Q = omega_q T1' is not a positive finite "
+         r"float at T1 = 1e\+300 us"),
     ])
     def test_first_offending_round_raises_its_own_error(
             self, rounds, t_purcell_ms, omega_q_ghz, message):
@@ -929,6 +951,65 @@ class TestQStatisticsFromRounds:
         the first round that fails them."""
         with pytest.raises(InvalidInputError, match=message):
             q_statistics_from_rounds(rounds, t_purcell_ms, omega_q_ghz)
+
+
+def assert_one_rule(values, mean, std):
+    """The mean lies in [min, max] and the std in [0, (max - min) / 2],
+    both finite; wherever numpy's own mean and std raise no floating-point
+    error, they are numpy's bits, clamped to those bounds (numpy's mean of
+    values an ulp apart can round past them, and its std exceed them)."""
+    lo, hi = min(values), max(values)
+    assert isinstance(mean, float) and isinstance(std, float)
+    assert lo <= mean <= hi and math.isfinite(mean)
+    assert 0.0 <= std <= (hi - lo) / 2 and math.isfinite(std)
+    a = np.array(values)
+    try:
+        with np.errstate(all="raise"):
+            np_mean, np_std = float(a.mean()), float(a.std())
+    except FloatingPointError:
+        return
+    assert mean.hex() == min(max(np_mean, lo), hi).hex()
+    assert std.hex() == min(np_std, (hi - lo) / 2).hex()
+
+
+class TestOneRule:
+    """T1 over rounds, Q over rounds and Q over the devices of a group take
+    their mean and spread by one rule."""
+
+    @given(values=TestT1Statistics.t1_lists(),
+           omega_q_ghz=st.floats(1e-12, 10.0))
+    @example(values=[1.0, 1.0000000000000002], omega_q_ghz=4.5)
+    @example(values=[1.5719613796111554e+16, 1.5719613796111556e+16,
+                     1.5719613796111556e+16], omega_q_ghz=4.5)
+    @example(values=[1.7e308, 1.7e308], omega_q_ghz=4.5)
+    @example(values=[3e195, 6e195], omega_q_ghz=4.5)
+    @example(values=[3e-320, 6e-320], omega_q_ghz=4.5)
+    @settings(max_examples=200, deadline=None)
+    def test_every_level_keeps_the_bounds_and_numpys_bits(self, values,
+                                                          omega_q_ghz):
+        """Positive finite lists of 1-40 values, subnormals and the float
+        maximum included.  Q over rounds is refused exactly where a round's
+        own Q is, and otherwise holds to the rule over the per-round Qs."""
+        stats = t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0) for v in values])
+        assert_one_rule(values, stats.mean_us, stats.std_us)
+
+        try:
+            qs = [purcell_subtract_q(v, math.inf, omega_q_ghz) for v in values]
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError):
+                q_statistics_from_rounds(values, math.inf, omega_q_ghz)
+        else:
+            assert_one_rule(qs, *q_statistics_from_rounds(
+                values, math.inf, omega_q_ghz))
+
+        group = [DeviceRecord(
+            device_id=f"D1-{i}", geometry="dumbbell_2d", omega_q_ghz=4.0,
+            omega_c_ghz=6.0, g_mhz=40.0, t1_mean_us=100.0, t1_std_us=None,
+            t_purcell_ms=10.0, q_mean=v, q_std=None, p_sm=1e-4, p_j=1e-5)
+            for i, v in enumerate(values)]
+        (point,) = group_for_fit(group, mode="per_die_design")
+        assert point.n_devices == len(values)
+        assert_one_rule(values, point.q_mean, point.q_std)
 
 
 class TestTraceIO:
