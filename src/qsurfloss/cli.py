@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -39,14 +40,18 @@ _SWEEP = SweepConfig()  # qsurfloss sweep takes a report's sweep defaults
 
 
 class _TypedErrorGroup(click.Group):
-    """The one error boundary: a QSurfLossError ends in one ``error:`` line, exit 1."""
+    """The one error boundary: a QSurfLossError ends in one ``error:`` line,
+    exit 1.  A warning that the active filters show is one ``warning:`` line."""
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except QSurfLossError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+        with warnings.catch_warnings():  # restores the filters and the display
+            warnings.showwarning = lambda message, *_: click.echo(
+                f"warning: {message}", err=True)
+            try:
+                return super().invoke(ctx)
+            except QSurfLossError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
 
 
 @click.group(cls=_TypedErrorGroup)

@@ -43,10 +43,13 @@ def is_finite(value) -> bool:
 def shown(value) -> str:
     """A checked value as an error message shows it: ``str(value)``, except
     for a non-number, shown by its repr so that ``'3'`` reads apart from
-    ``3``, and an int too long for Python's int-to-str conversion (over
-    4300 digits by default), shown by its number of digits."""
+    ``3`` (by its type if the repr is over 60 characters, as a solution's
+    is), and an int too long for Python's int-to-str conversion (over 4300
+    digits by default), shown by its number of digits."""
     if not isinstance(value, numbers.Number):
-        return repr(value)
+        text = repr(value)
+        return (text if len(text) <= 60
+                else f"an object of type {type(value).__name__}")
     try:
         return str(value)
     except ValueError:

@@ -53,17 +53,19 @@ class Strip:
 
 
 def check_edge_cutoff(cutoff_um: float, width_um: float) -> None:
-    """Reject an edge cutoff (um) outside [0, width / 2) of a ``width_um`` strip."""
-    if not 0.0 <= cutoff_um < width_um / 2:
+    """Reject an edge cutoff (um) that is not a finite number in
+    [0, width / 2) of a ``width_um`` strip."""
+    if not (is_finite(cutoff_um) and 0.0 <= cutoff_um < width_um / 2):
         raise InvalidInputError(
-            f"edge_cutoff must lie in [0, {width_um / 2}) um, got {cutoff_um}"
+            f"edge_cutoff must lie in [0, {width_um / 2}) um, got {shown(cutoff_um)}"
         )
 
 
 def check_interdigital_width(width_um: float) -> None:
-    """Reject a gap/finger width outside ``INTERDIGITAL_WIDTH_RANGE_UM``."""
+    """Reject a gap/finger width that is not a finite number in
+    ``INTERDIGITAL_WIDTH_RANGE_UM``."""
     lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
-    if not lo <= width_um <= hi:
+    if not (is_finite(width_um) and lo <= width_um <= hi):
         raise InvalidInputError(
             f"gap/finger width must lie in [{lo:g}, {hi:g}] um, "
             f"got {shown(width_um)}"

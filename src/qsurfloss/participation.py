@@ -21,14 +21,15 @@ every layer integral excludes a cutoff distance around each strip edge; the
 participation ratio is u_i over the total electric energy per unit length.
 
 A solved cross section (:func:`participation_set`) serves any strip layout.
-The width sweep is the infinite interdigital array, whose conformal map gives
-the same integrals in closed form with no solve (:func:`psm_width_sweep`).
+The width sweep (:func:`psm_width_sweep`) and the cutoff-sensitivity block
+(:func:`cutoff_sensitivity`) are the infinite interdigital array, whose
+conformal map gives the same integrals in closed form with no solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -240,11 +241,12 @@ def psm_width_sweep(
     sensitivity comparison.  A ratio outside [0, 1] is recorded on its own
     point; the sweep still returns all points.
     """
-    widths = [float(w) for w in widths_um]
+    widths = list(widths_um)
+    for w in widths:  # before float(), which would take a str
+        check_interdigital_width(w)
+    widths = [float(w) for w in widths]
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise InvalidInputError("widths must be strictly ascending")
-    for w in widths:
-        check_interdigital_width(w)
     if spec.region is not InterfaceRegion.SM:
         raise InvalidInputError("sweep spec must describe the SM region")
     if widths and cutoff_um is not None:
@@ -265,24 +267,22 @@ def psm_width_sweep(
 
 
 def cutoff_sensitivity(
-    sol: FieldSolution,
+    width_um: float,
     spec: InterfaceSpec = DEFAULT_SM_SPEC,
     cutoffs_um: Iterable[float] = SENSITIVITY_CUTOFFS_UM,
 ) -> list[tuple[float, float]]:
-    """Participation of ``spec``'s region at several edge cutoffs.
+    """Participation of ``spec``'s region at several edge cutoffs, in one
+    cell of the infinite interdigital array at gap = finger width ``width_um``.
 
     The cutoff regularizes the edge singularity, so its value must always be
-    reported next to a participation number; this helper evaluates the same
-    coefficients on a copy of the solution whose geometry has each cutoff,
-    one edge-cut integral per cutoff (larger cutoffs exclude more of the
-    edge energy, so the values decrease smoothly).  A cutoff the geometry
-    refuses, at least half its narrowest strip, fails.
+    reported next to a participation number; larger cutoffs exclude more of
+    the edge energy, so the values decrease smoothly.  A width that is not a
+    real number in [0.1, 100] um, or a cutoff outside (0, w / 2), is refused.
     """
-    out = []
-    for c in cutoffs_um:
-        at_c = replace(sol, geometry=replace(sol.geometry, edge_cutoff=c))
-        out.append((float(c), float(participation_set(at_c, [spec])[spec.region])))
-    return out
+    check_interdigital_width(width_um)
+    pairs = [(c, _periodic_idc(float(width_um), c, spec)[spec.region])
+             for c in cutoffs_um]  # checks each cutoff before float() could take a str
+    return [(float(c), p) for c, p in pairs]
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:

@@ -43,7 +43,7 @@ from .participation import (
     InterfaceRegion,
     InterfaceSpec,
     SweepPoint,
-    _periodic_idc,
+    cutoff_sensitivity,
     psm_width_sweep,
     write_sweep_csv,
 )
@@ -434,9 +434,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 # closed form, so a narrow sweep takes it at 0.5 um instead
                 width = 0.5
             with _stage(errors, "sweep.cutoff_sensitivity"):
-                values = [{"cutoff_um": c,
-                           "p_sm": _periodic_idc(width, c, sweep_cfg.spec).p_sm}
-                          for c in SENSITIVITY_CUTOFFS_UM]
+                values = [{"cutoff_um": c, "p_sm": p}
+                          for c, p in cutoff_sensitivity(width, sweep_cfg.spec)]
                 report["sweep"]["cutoff_sensitivity"] = {"width_um": width,
                                                          "values": values}
 

@@ -642,14 +642,18 @@ def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
     """
     if omega_q_ghz <= 0:
         raise InvalidInputError("omega_q must be > 0")
+    t1_prime = np.asarray(purcell_subtract_t1(t1_us, t_purcell_ms))
+    # the units cancel only after the product, which overflows first near the
+    # float maximum; a power-of-two scale on a T1' above 2**900 moves no bit
+    scale = np.where(t1_prime > 2.0**900, 2.0**-128, 1.0)
     with np.errstate(all="ignore"):
-        q = TWO_PI * omega_q_ghz * 1e9 * purcell_subtract_t1(t1_us, t_purcell_ms) * 1e-6
-    ok = np.asarray((q > 0) & (q < math.inf))
+        q = TWO_PI * omega_q_ghz * 1e9 * (t1_prime * scale) * 1e-6 / scale
+    ok = (q > 0) & (q < math.inf)
     if not ok.all():
         raise InvalidInputError(
             f"Q = omega_q T1' is not a positive finite float at T1 = "
             f"{np.ravel(t1_us)[np.argmin(ok)]:g} us")
-    return q
+    return q if q.ndim else float(q)
 
 
 def q_statistics_from_rounds(

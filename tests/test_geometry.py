@@ -174,12 +174,15 @@ class TestInterdigitalUnitCell:
         (10**5000, 5, "um, got an int of 5001 digits"),
         (10**400, 5, "um, got 1000"),
         (math.nan, 5, "um, got nan"),
+        ("2", 7, "um, got '2'"),
+        (None, 7, "um, got None"),
     ], ids=["n-int1e5000", "n-inf", "width-int1e5000",
-            "width-int1e400", "width-nan"])
+            "width-int1e400", "width-nan", "width-str", "width-None"])
     def test_non_finite_argument_rejected(self, width, n_fingers, message):
         """An int of more than 4300 digits used to end in the message's
-        int-to-str ValueError, and a width beyond the float range in the
-        OverflowError of float()."""
+        int-to-str ValueError, a width beyond the float range in the
+        OverflowError of float(), and a str or None width in the raw
+        TypeError of the range test."""
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             interdigital_unit_cell(width, n_fingers)
 

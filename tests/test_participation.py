@@ -281,40 +281,73 @@ class TestParticipationSet:
 
 class TestCutoffSensitivity:
     def test_report_three_cutoffs_smooth(self):
-        sol = solve_cross_section(interdigital_unit_cell(10.0, 7, discretization=128))
-        report = cutoff_sensitivity(sol, DEFAULT_SM_SPEC)
+        report = cutoff_sensitivity(10.0, DEFAULT_SM_SPEC)
         assert [c for c, _ in report] == [0.05, 0.1, 0.2]
         values = [v for _, v in report]
         assert values[0] > values[1] > values[2] > 0
         # smooth variation: each halving of the cutoff adds a bounded slice
         assert values[0] / values[1] < 1.5
         assert values[1] / values[2] < 1.5
-        # each value is the participation of the copy at that cutoff
-        assert values[1] == participation_set(
-            at_cutoff(sol, 0.1), [DEFAULT_SM_SPEC]).p_sm
+        # each value is the closed-form sweep point at that cutoff
+        assert values[1] == psm_width_sweep([10.0], cutoff_um=0.1)[0].p_sm
 
     def test_cutoff_the_geometry_refuses_fails(self):
-        """A cutoff of half the narrowest strip or more used to drop that
-        strip from the integral; like a negative one, it is now refused."""
-        sol = solve_cross_section(CrossSection(
-            [Strip(0.0, 1.0, 1.0), Strip(5.0, 10.0, -1.0)]))
-        assert cutoff_sensitivity(sol, cutoffs_um=[0.1])[0][1] > 0
-        for cutoff in (0.5, 0.6, -0.1):
+        """A cutoff of half the width or more, or a negative one, is refused
+        with the geometry's own message."""
+        assert cutoff_sensitivity(1.0, cutoffs_um=[0.1])[0][1] > 0
+        for cutoff in (0.5, 0.6, -0.1, "0.1", None):
             with pytest.raises(InvalidInputError, match="edge_cutoff must lie"):
-                cutoff_sensitivity(sol, cutoffs_um=[cutoff])
+                cutoff_sensitivity(1.0, cutoffs_um=[cutoff])
 
     @pytest.mark.parametrize("cutoff_um", [0.02, 0.1, 0.4])
     def test_each_value_is_the_copy_at_that_cutoff(self, cutoff_um):
-        """For every region, the value at a cutoff is to the last bit the
-        participation of the geometry copied at that cutoff."""
-        sol = solve_cross_section(CrossSection(
-            [Strip(0.0, 1.0, 1.0), Strip(5.0, 10.0, -1.0)], discretization=16))
+        """For every region, the value at a cutoff is to the last bit that
+        region's column of the one-width sweep at that fixed cutoff."""
+        (point,) = psm_width_sweep([1.0], cutoff_um=cutoff_um)
         for region in InterfaceRegion:
             spec = replace(DEFAULT_SM_SPEC, region=region)
-            [(cutoff, value)] = cutoff_sensitivity(sol, spec, [cutoff_um])
-            want = participation_set(at_cutoff(sol, cutoff_um), [spec])[region]
+            [(cutoff, value)] = cutoff_sensitivity(1.0, spec, [cutoff_um])
+            want = getattr(point, f"p_{region.value.lower()}")
             assert cutoff == cutoff_um
-            assert value.hex() == float(want).hex()
+            assert value.hex() == want.hex()
+
+    @given(width=st.floats(0.1, 10.0), scale=st.floats(1.0, 10.0),
+           cutoff_fraction=st.floats(1e-3, 0.3))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_law(self, width, scale, cutoff_fraction):
+        """p(s w, s c) = p(w, c) / s, the exact 1/width law."""
+        cutoff = cutoff_fraction * width
+        [(_, small)] = cutoff_sensitivity(width, cutoffs_um=[cutoff])
+        [(_, big)] = cutoff_sensitivity(scale * width, cutoffs_um=[scale * cutoff])
+        assert big * scale == pytest.approx(small, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("width", [0.05, 200.0, math.nan, "10", None])
+    def test_width_outside_the_cell_range_is_refused(self, width):
+        with pytest.raises(InvalidInputError, match=r"\[0\.1, 100\] um, got "):
+            cutoff_sensitivity(width)
+
+    def test_a_solution_is_refused_by_its_type(self, two_strip_sol):
+        """The call of the solved form refuses in one short line, without
+        the solution's repr."""
+        with pytest.raises(InvalidInputError) as info:
+            cutoff_sensitivity(two_strip_sol)
+        assert str(info.value) == ("gap/finger width must lie in [0.1, 100] um, "
+                                   "got an object of type FieldSolution")
+
+    @given(width=st.floats(0.1, 100.0) | st.floats(allow_nan=False,
+                                                   allow_infinity=False),
+           cutoffs=st.lists(st.floats(0.0, 50.0) | st.floats(allow_nan=False,
+                                                             allow_infinity=False),
+                            max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_input_gives_ratios_or_one_typed_error(self, width, cutoffs):
+        """Drawn mostly from the cell's own ranges, and from any finite float."""
+        try:
+            values = cutoff_sensitivity(width, cutoffs_um=cutoffs)
+        except InvalidInputError:
+            return
+        assert [c for c, _ in values] == cutoffs
+        assert all(type(p) is float and 0.0 < p <= 1.0 for _, p in values)
 
     def test_no_per_call_cutoff(self, two_strip_sol):
         """The cutoff is the geometry's ``edge_cutoff``; the entry point
@@ -455,9 +488,15 @@ class TestWidthSweep:
     def test_width_validation(self):
         with pytest.raises(InvalidInputError, match="ascending"):
             psm_width_sweep([2.0, 1.0])
-        for widths in ([0.05, 1.0], [1.0, 200.0]):
+        # a str width used to be float()-converted, and None to raise TypeError
+        for widths in ([0.05, 1.0], [1.0, 200.0], [None], ["2"], [1.0, "2"]):
             with pytest.raises(InvalidInputError, match=r"\[0\.1, 100\] um"):
                 psm_width_sweep(widths)
+        with pytest.raises(InvalidInputError, match="edge_cutoff must lie"):
+            psm_width_sweep([2.0], cutoff_um="0.1")
+        # numpy and int widths are numbers, and come back as floats
+        points = psm_width_sweep([np.float64(1.0), 2])
+        assert [type(p.width_um) for p in points] == [float, float]
         with pytest.raises(InvalidInputError, match="SM"):
             psm_width_sweep([1.0], spec=replace(DEFAULT_SM_SPEC, region=InterfaceRegion.SA))
 

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import types
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,7 @@ from qsurfloss import (
     Weighting,
     cutoff_sensitivity,
     interdigital_unit_cell,
+    participation_set,
     run_pipeline,
     save_device_table,
     solve_cross_section,
@@ -130,8 +132,8 @@ class TestRunPipeline:
 
     def test_cutoff_block_matches_a_direct_solve(self, tmp_path):
         """The block is the infinite array in closed form; the solved center
-        cell of a 41-finger array at the block's 10 um width must agree to
-        0.5 % (measured -0.27 %, -0.28 %, -0.30 %)."""
+        cell of a 41-finger array at the block's 10 um width, copied at each
+        cutoff, must agree to 0.5 % (measured -0.27 %, -0.28 %, -0.30 %)."""
         config = PipelineConfig(
             models=(),
             output_dir=str(tmp_path / "out"),
@@ -142,10 +144,28 @@ class TestRunPipeline:
         sol = solve_cross_section(
             interdigital_unit_cell(10.0, 41, discretization=16)
         )
-        direct = cutoff_sensitivity(sol, DEFAULT_SM_SPEC)
-        for entry, (c, p) in zip(block["values"], direct):
-            assert entry["cutoff_um"] == c
-            assert entry["p_sm"] == pytest.approx(p, rel=5e-3)
+        assert [entry["cutoff_um"] for entry in block["values"]] == [0.05, 0.1, 0.2]
+        for entry in block["values"]:
+            at_c = replace(sol, geometry=replace(sol.geometry,
+                                                 edge_cutoff=entry["cutoff_um"]))
+            solved = participation_set(at_c, [DEFAULT_SM_SPEC]).p_sm
+            assert entry["p_sm"] == pytest.approx(solved, rel=5e-3)
+
+    @pytest.mark.parametrize("cutoff_um", [None, 0.02], ids=["scaled", "fixed"])
+    @pytest.mark.parametrize("width_min_um, width_max_um",
+                             [(1.0, 20.0), (2.0, 7.5), (0.1, 0.3)])
+    def test_cutoff_block_is_cutoff_sensitivity(
+            self, tmp_path, cutoff_um, width_min_um, width_max_um):
+        """The report's block is the public closed form at its width, to
+        the bit, whichever cutoff the sweep itself uses."""
+        sweep = SweepConfig(width_min_um=width_min_um, width_max_um=width_max_um,
+                            points=3, t_sm_nm=0.7, eps_sm_rel=9.0, cutoff_um=cutoff_um)
+        report = run_pipeline(PipelineConfig(
+            models=(), output_dir=str(tmp_path / "out"), sweep=sweep))
+        block = report["sweep"]["cutoff_sensitivity"]
+        want = cutoff_sensitivity(block["width_um"], sweep.spec)
+        assert [(v["cutoff_um"], v["p_sm"].hex()) for v in block["values"]] == [
+            (c, p.hex()) for c, p in want]
 
     @pytest.mark.parametrize("width_max_um, block_width_um",
                              [(0.3, 0.5), (0.4, 0.5), (0.45, 0.45)])
@@ -1027,6 +1047,30 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "g = 37.29 MHz" in result.output
         assert "T_Purcell = 9.00" in result.output
+
+    @pytest.mark.parametrize("action, lines", [("default", 1), ("ignore", 0)])
+    def test_a_shown_warning_is_one_line(self, action, lines):
+        """The dispersive-ratio warning used to print the file and line of
+        its call and then that source line; the filters still decide whether
+        it shows, and the display is restored after the command."""
+        display = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            result = CliRunner().invoke(
+                main, ["purcell", "--g", "500", "--delta", "1.0", "--kappa", "50"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == lines * [
+            "warning: |delta|/g = 2.00 < 5.0: dispersive Purcell estimate is unreliable"]
+        assert warnings.showwarning is display
+
+    def test_a_warning_the_filters_make_an_error_still_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(
+                main, ["purcell", "--g", "500", "--delta", "1.0", "--kappa", "50"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, UserWarning)
+        assert result.stderr == ""
 
     @pytest.mark.parametrize("args, message", [
         (["--g", "nan", "--delta", "2", "--kappa", "50"], "g must be finite, got nan"),

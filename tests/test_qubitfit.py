@@ -933,6 +933,16 @@ class TestQStatisticsFromRounds:
         assert q_statistics_from_rounds([3e195, 6e195], 1e300, 5.0) == (
             1.4137166941154068e+200, 4.712388980384689e+199)
 
+    def test_q_whose_product_leaves_the_float_range_before_its_units_cancel(self):
+        """omega_q T1' in Hz * us overflowed before the 1e-6 that brings it
+        back to a float, so these rounds were refused."""
+        assert q_statistics_from_rounds([1e300, 2e300], 1e300, 5.0) == (
+            4.720257125941081e+304, 1.5755197349603075e+304)
+        # exact power-of-two scaling: the bits of the Q of a smaller T1
+        q = purcell_subtract_q(1e300, math.inf, 1.0)
+        assert type(q) is float
+        assert q == purcell_subtract_q(1e300 * 2.0**-128, math.inf, 1.0) * 2.0**128
+
     @pytest.mark.parametrize("rounds, t_purcell_ms, omega_q_ghz, message", [
         ([180.0, -5.0, 300.0], 0.25, 4.5, "t1 must be > 0"),
         ([180.0, 300.0, -5.0], 0.25, 4.5, "T1 = 300 us"),
@@ -942,8 +952,8 @@ class TestQStatisticsFromRounds:
         ([180.0, ULP_T1_US], ULP_T_PURCELL_MS, 4.5, "inconsistent"),
         ([3e-320, 6e-320], 1.0, 5.0, r"1/T1 or .* exceeds the float range at "
          r"T1 = 2.99997e-320 us"),
-        ([1e300, 2e300], 1e300, 5.0, r"Q = omega_q T1' is not a positive finite "
-         r"float at T1 = 1e\+300 us"),
+        ([1e300, 1e308], math.inf, 5.0, r"Q = omega_q T1' is not a positive finite "
+         r"float at T1 = 1e\+308 us"),
     ])
     def test_first_offending_round_raises_its_own_error(
             self, rounds, t_purcell_ms, omega_q_ghz, message):
