@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the finiteness test of the
-input checks that raise them, and the one place that opens files: UTF-8
+"""Exception types shared across the toolkit, the number and integer tests
+of the input checks that raise them, and the one place that opens files: UTF-8
 readers and writers that keep line endings and turn a file that cannot be
 read, written or decoded into an :class:`InvalidInputError` naming it.
 JSON documents and CSV text that the standard parsers cannot take (nested
@@ -29,24 +29,36 @@ _DECODING = threading.Lock()
 def is_finite(value) -> bool:
     """True when a real number is neither NaN nor infinite.
 
-    Unlike :func:`math.isfinite` it answers False, instead of raising, for
-    an int beyond the float range (``OverflowError``) and for a value that
-    is not a real number, such as a str or None (``TypeError``), so an input
-    check can report such a value with its own typed error.
+    A real number is a :class:`numbers.Real` other than a bool, as a float,
+    an int or a numpy scalar is; a str, None, a ``Decimal`` or a bool is
+    not.  Unlike :func:`math.isfinite` it answers False, instead of raising,
+    for an int beyond the float range (``OverflowError``), so an input check
+    can report any value with its own typed error.
     """
+    # a float is a real number; the numbers.Real test is the slow one
+    if not isinstance(value, float) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        return False
     try:
         return math.isfinite(value)
-    except (OverflowError, TypeError):
+    except OverflowError:
         return False
+
+
+def is_integer(value) -> bool:
+    """True for an integer: a :class:`numbers.Integral` other than a bool,
+    which a count or an index takes (``True`` would index as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def shown(value) -> str:
     """A checked value as an error message shows it: ``str(value)``, except
-    for a non-number, shown by its repr so that ``'3'`` reads apart from
-    ``3`` (by its type if the repr is over 60 characters, as a solution's
-    is), and an int too long for Python's int-to-str conversion (over 4300
-    digits by default), shown by its number of digits."""
-    if not isinstance(value, numbers.Number):
+    for a value that is not a real number, shown by its repr so that ``'3'``
+    reads apart from ``3`` and ``Decimal('3')`` from both (by its type if
+    the repr is over 60 characters, as a solution's is), and an int too
+    long for Python's int-to-str conversion (over 4300 digits by default),
+    shown by its number of digits."""
+    if not isinstance(value, numbers.Real):
         text = repr(value)
         return (text if len(text) <= 60
                 else f"an object of type {type(value).__name__}")

@@ -7,12 +7,11 @@ between vacuum (above) and a dielectric substrate half-space (below).
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
-from .errors import InvalidInputError, is_finite, read_json, shown
+from .errors import InvalidInputError, is_finite, is_integer, read_json, shown
 
 #: Relative permittivity of c-plane sapphire used throughout as the default.
 SAPPHIRE_EPS_REL = 10.15
@@ -144,8 +143,8 @@ class CrossSection:
         cell = self.representative_cell
         for name, value in (("discretization", self.discretization),
                             ("representative_cell", 0 if cell is None else cell)):
-            # a solve cannot size its arrays by 16.5, and True indexes as 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            # a solve cannot size its arrays by 16.5
+            if not is_integer(value):
                 raise InvalidInputError(
                     f"{name} must be an integer, got {shown(value)}")
         if self.discretization < MIN_TERMS_PER_STRIP:
@@ -246,6 +245,9 @@ def interdigital_unit_cell(
     if not is_finite(n_fingers):
         raise InvalidInputError(
             f"n_fingers must be finite, got {shown(n_fingers)}")
+    if not is_integer(n_fingers):
+        raise InvalidInputError(
+            f"n_fingers must be an integer, got {shown(n_fingers)}")
     if n_fingers % 2 == 0:
         raise InvalidInputError(f"n_fingers must be odd, got {n_fingers}")
     if n_fingers < 5:

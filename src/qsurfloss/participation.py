@@ -58,7 +58,8 @@ class InterfaceRegion(str, Enum):
 
 @dataclass(frozen=True)
 class InterfaceSpec:
-    """One lossy layer: region, finite thickness (nm) and relative permittivity."""
+    """One lossy layer: region, finite thickness (nm) and relative
+    permittivity, both stored as float."""
 
     region: InterfaceRegion
     thickness_nm: float = SM_LAYER_THICKNESS_NM
@@ -72,6 +73,7 @@ class InterfaceSpec:
             if not is_finite(value):
                 raise InvalidInputError(
                     f"layer {name} must be finite, got {shown(value)}")
+            object.__setattr__(self, name, float(value))
         if self.thickness_nm <= 0:
             raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")
         if self.eps_rel < 1.0:
@@ -183,21 +185,25 @@ class SweepPoint:
 _K_EQUAL_GAP = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
 
 
-def _check_cutoff(cutoff_um: float, width_um: float) -> None:
-    """Reject an edge cutoff that the exact array at ``width_um`` cannot take."""
+def _check_cutoff(cutoff_um: float, width_um: float) -> float:
+    """Reject an edge cutoff that the exact array at ``width_um`` cannot
+    take; return it as a float."""
     check_edge_cutoff(cutoff_um, width_um)
     if cutoff_um / width_um == 0.0:  # zero, or too small against the width
         raise InvalidInputError(
             "edge_cutoff must be > 0: the edge integrals of the exact array "
             "diverge as ln(1 / cutoff)"
         )
+    return float(cutoff_um)
 
 
 def _periodic_idc(
-    width_um: float, cutoff_um: float, spec: InterfaceSpec
+    width_um: float, cutoff_um: float, spec: InterfaceSpec,
+    regions: Iterable[InterfaceRegion] = tuple(InterfaceRegion),
 ) -> ParticipationSet:
-    """SM, SA and MA participation of one cell of the infinite interdigital
-    array on sapphire, gap = finger width = w, every layer set by ``spec``.
+    """Participation of ``regions`` (SM, SA and MA by default) in one cell
+    of the infinite interdigital array on sapphire, gap = finger width = w,
+    every layer set by ``spec``; the other regions are None.
 
     The map t = sin^2(pi x / P), P = 2w, and a Schwarz-Christoffel map take
     the alternately driven (+-V) array to a rectangle (Igreja & Dias, Sens.
@@ -210,15 +216,16 @@ def _periodic_idc(
     eps_sub^2 / eps_i (SM), eps_i (SA) or 1 / eps_i (MA), with relative
     permittivities throughout.
     """
-    _check_cutoff(cutoff_um, width_um)
+    cutoff_um = _check_cutoff(cutoff_um, width_um)
     eps_bar = 0.5 * (SAPPHIRE_EPS_REL + 1.0)
     log_term = -math.log(math.tan(0.5 * math.pi * cutoff_um / width_um))
     base = (spec.thickness_nm * 1e-3 / width_um * math.pi * log_term
             / (4.0 * eps_bar * _K_EQUAL_GAP**2))
     return ParticipationSet(
-        p_sm=base * SAPPHIRE_EPS_REL**2 / spec.eps_rel,
-        p_sa=base * spec.eps_rel,
-        p_ma=base / spec.eps_rel,
+        p_sm=(base * SAPPHIRE_EPS_REL**2 / spec.eps_rel
+              if InterfaceRegion.SM in regions else None),
+        p_sa=base * spec.eps_rel if InterfaceRegion.SA in regions else None,
+        p_ma=base / spec.eps_rel if InterfaceRegion.MA in regions else None,
     )
 
 
@@ -250,7 +257,7 @@ def psm_width_sweep(
     if spec.region is not InterfaceRegion.SM:
         raise InvalidInputError("sweep spec must describe the SM region")
     if widths and cutoff_um is not None:
-        _check_cutoff(cutoff_um, widths[0])
+        cutoff_um = _check_cutoff(cutoff_um, widths[0])
 
     points = []
     for w in widths:
@@ -277,10 +284,12 @@ def cutoff_sensitivity(
     The cutoff regularizes the edge singularity, so its value must always be
     reported next to a participation number; larger cutoffs exclude more of
     the edge energy, so the values decrease smoothly.  A width that is not a
-    real number in [0.1, 100] um, or a cutoff outside (0, w / 2), is refused.
+    real number in [0.1, 100] um, or a cutoff outside (0, w / 2), is refused,
+    as is a value of the requested region outside [0, 1]; the other regions
+    are not checked.
     """
     check_interdigital_width(width_um)
-    pairs = [(c, _periodic_idc(float(width_um), c, spec)[spec.region])
+    pairs = [(c, _periodic_idc(float(width_um), c, spec, (spec.region,))[spec.region])
              for c in cutoffs_um]  # checks each cutoff before float() could take a str
     return [(float(c), p) for c, p in pairs]
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -26,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import (InvalidInputError, QSurfLossError, is_finite, read_json, shown,
-                     write_csv, write_text)
+from .errors import (InvalidInputError, QSurfLossError, is_finite, is_integer,
+                     read_json, shown, write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL
 from .lossmodel import (
     FITTERS,
@@ -76,14 +75,9 @@ class SweepConfig:
             value = getattr(self, f.name)
             if value is None and f.name == "cutoff_um":
                 continue
-            if f.name == "points":
-                kind, noun = numbers.Integral, "an integer"
-            else:
-                kind, noun = numbers.Real, "a number"
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise InvalidInputError(
-                    f"sweep {f.name} must be {noun}, got {value!r}")
-            if not is_finite(value):
+            integer = f.name == "points"
+            if not (is_finite(value) and (is_integer(value) or not integer)):
+                noun = "an integer" if integer else "a number"
                 raise InvalidInputError(
                     f"sweep {f.name} must be {noun}, got {shown(value)}")
         if self.points > MAX_SWEEP_POINTS:

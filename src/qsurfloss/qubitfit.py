@@ -63,10 +63,12 @@ class T1Estimate:
     offset: float
 
     def __post_init__(self) -> None:
-        if self.t1_us <= 0:
-            raise InvalidInputError("t1 must be > 0")
-        if self.fit_err_us < 0:
-            raise InvalidInputError("fit_err must be >= 0")
+        if not (is_finite(self.t1_us) and self.t1_us > 0):
+            raise InvalidInputError(
+                f"t1 must be finite and > 0, got {shown(self.t1_us)}")
+        if not (is_finite(self.fit_err_us) and self.fit_err_us >= 0):
+            raise InvalidInputError(
+                f"fit_err must be finite and >= 0, got {shown(self.fit_err_us)}")
 
 
 @dataclass
@@ -335,8 +337,9 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     least squares with weights ``(1+r^2)^(-1/2)`` in the same loop; a
     reweight projects again at the same T1 and reuses its exponential.  Its
     covariance is the Gauss-Newton one of the robust cost, with weights
-    ``max((1+r^2)^(-3/2), eps)`` and chi2 = sum(rho)/dof, taken in closed
-    form from the same weighted moments at the fit's own A and T1.
+    ``max((1+r^2)^(-3/2), eps)`` and chi2 = sum(rho)/dof: one more
+    projection at the fit's T1 under these curvature weights, whose Schur
+    complement is taken with the fit's own A.
 
     The fit runs on delays mapped onto [0, 1], and on populations divided
     by their largest magnitude, so no intermediate overflows for any finite
@@ -422,32 +425,26 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
             f"T1 search did not converge in {_MAX_ITER} steps"
         )
 
-    # variance of s = ln T1; var(T1) = T1^2 var(s)
+    # variance of s = ln T1, var(T1) = T1^2 var(s): chi2 over the Schur
+    # complement h of a projection at the fit's s, whose own A' enters h as
+    # (A' k)^2; the factor (A' / A)^2 puts the fit's A in its place
     if robust:
-        # the Gauss-Newton curvature of the robust cost at the fit's A and k:
-        # weights rho' + 2 z rho'', which is (1 + z)^(-3/2) for soft_l1 with
-        # z = (y_scale r)^2, on the columns (e, A k x e, 1), e = 1 + f, so
-        # that x^2 e^2 needs no cancellation; chi2 = sum(rho) / dof, with
-        # rho / 2v = u - v summed as r^2 / (u + v), which does not cancel
+        # the Gauss-Newton curvature of the robust cost: weights
+        # rho' + 2 z rho'', which is (1 + z)^(-3/2) for soft_l1 with
+        # z = (y_scale r)^2; chi2 = sum(rho) / dof, with rho / 2v = u - v
+        # summed as r^2 / (u + v), which does not cancel
         u = np.hypot(v, fit.r)
-        rows = basis[::2] * np.maximum((v / u) ** 3, _EPS)
-        e = fit.ff[0] + 1.0
-        s1 = float(rows[0].sum())
-        se, sxe = (rows[:2] @ e).tolist()
-        see, sxee, sxxee = (rows @ (e * e)).tolist()
-        det = s1 * see - se * se
-        if not (det > _EPS * s1 * see
-                and (h := sxxee - _eliminated(s1, se, see, det, sxee, sxe))
-                > _rounding_floor(s1, see, det, sxxee)):
+        cov = _project(x, y, _Weights(basis, np.maximum((v / u) ** 3, _EPS)),
+                       s, fit.ff)
+        if cov is None:
             raise FitFailureError(
                 "singular projection: the robust covariance does not "
                 "determine T1"
             )
-        ak = fit.a * math.exp(-s)
         chi2 = 2.0 * v * float(np.sum(fit.r * fit.r / (u + v))) / (n - 3)
-        var_s = chi2 / (ak * ak) / h
     else:
-        var_s = fit.cost / (n - 3) / fit.h
+        cov, chi2 = fit, fit.cost / (n - 3)
+    var_s = chi2 / cov.h * (cov.a / fit.a) ** 2
     t1 = 2.0 * half_span * math.exp(s)
     if not 0.0 < t1 < math.inf:
         raise FitFailureError(f"T1 = {t1:.3g} is not a representable time")
@@ -610,8 +607,22 @@ def purcell_subtract_t1(t1_us, t_purcell_ms: float):
     """Intrinsic T1 (us) after removing the Purcell decay channel, a float
     of one measured T1 or an array of rounds; the first round
     that fails a check raises its error, as does one whose 1/T1 or
-    intrinsic T1 is not a finite float."""
-    t1 = np.asarray(t1_us, dtype=float)
+    intrinsic T1 is not a finite float.  T1 must be a float or an int, or
+    an array of them; ``t_purcell_ms`` a finite number, or ``math.inf`` for
+    no Purcell channel."""
+    try:
+        t1 = np.asarray(t1_us)
+    except ValueError:  # a ragged nesting of sequences
+        t1 = np.asarray(None)
+    if t1.dtype.kind not in "fiu":  # a bool, a str, a complex or an object
+        raise InvalidInputError(
+            f"t1 must be a number or an array of numbers, got {shown(t1_us)}")
+    if not (is_finite(t_purcell_ms)
+            or isinstance(t_purcell_ms, float) and t_purcell_ms == math.inf):
+        raise InvalidInputError(
+            f"T_Purcell must be a finite number or inf, got {shown(t_purcell_ms)}")
+    t1 = t1.astype(float, copy=False)
+    t_purcell_ms = float(t_purcell_ms)
     t_purcell_us = t_purcell_ms * 1e3
     with np.errstate(all="ignore"):
         # the rates can round to equal where T_Purcell exceeds T1 by an ulp;
@@ -640,8 +651,9 @@ def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
     Like :func:`purcell_subtract_t1` it takes one T1 or an array of rounds;
     a round whose Q is not a positive finite float is refused.
     """
-    if omega_q_ghz <= 0:
-        raise InvalidInputError("omega_q must be > 0")
+    if not (is_finite(omega_q_ghz) and omega_q_ghz > 0):
+        raise InvalidInputError(
+            f"omega_q must be > 0 and finite, got {shown(omega_q_ghz)}")
     t1_prime = np.asarray(purcell_subtract_t1(t1_us, t_purcell_ms))
     # the units cancel only after the product, which overflows first near the
     # float maximum; a power-of-two scale on a T1' above 2**900 moves no bit
@@ -667,10 +679,10 @@ def q_statistics_from_rounds(
     :func:`purcell_subtract_q` before the statistics are taken by
     ``_mean_std`` (subtract, convert, then apply statistics).
     """
-    values = np.asarray(list(t1_rounds_us), dtype=float)
-    if values.size == 0:
+    rounds = list(t1_rounds_us)
+    if not rounds:
         raise InvalidInputError("need at least one round")
-    return _mean_std(purcell_subtract_q(values, t_purcell_ms, omega_q_ghz))
+    return _mean_std(purcell_subtract_q(rounds, t_purcell_ms, omega_q_ghz))
 
 
 def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:

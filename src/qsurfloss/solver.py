@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (ConvergenceError, InvalidInputError, NumericalFailureError,
-                     write_text)
+                     is_finite, is_integer, shown, write_text)
 from .geometry import CrossSection, Strip
 
 UM = 1e-6
@@ -282,10 +282,15 @@ def reconstruct_gap_voltage(sol: FieldSolution, gap_index: int = 0) -> float:
     gap's two ends, so it is exact for the solved coefficients; it must
     reproduce the potential difference between the bounding strips, which
     checks the collocation between the points.  The solution derives the
-    drops of all its gaps at once, on first use.
+    drops of all its gaps at once, on first use.  ``gap_index`` must be an
+    integer in ``range(len(sol.gaps))``; a negative one is refused, not
+    counted from the last gap.
     """
     if not sol.gaps:
         raise InvalidInputError("solution has no gaps")
+    if not (is_integer(gap_index) and 0 <= gap_index < len(sol.gaps)):
+        raise InvalidInputError(f"gap_index must be an integer in [0, "
+                                f"{len(sol.gaps)}), got {shown(gap_index)}")
     return sol._gap_voltages[gap_index]
 
 
@@ -371,13 +376,19 @@ def refine_until_converged(
 
     Raises
     ------
+    InvalidInputError
+        If ``rel_tol`` is not a number in (0, 0.1] or ``max_total_elements``
+        is not an integer.
     ConvergenceError
         If the tail is not below ``rel_tol`` before the next doubling would
         exceed ``max_total_elements`` terms over all strips; the error
         reports the last level's terms per strip, tail and energy.
     """
-    if not 0.0 < rel_tol <= 0.1:
-        raise InvalidInputError(f"rel_tol must lie in (0, 0.1], got {rel_tol}")
+    if not (is_finite(rel_tol) and 0.0 < rel_tol <= 0.1):
+        raise InvalidInputError(f"rel_tol must lie in (0, 0.1], got {shown(rel_tol)}")
+    if not is_integer(max_total_elements):
+        raise InvalidInputError(f"max_total_elements must be an integer, "
+                                f"got {shown(max_total_elements)}")
     levels = 0
     while True:
         sol = solve_cross_section(geom)

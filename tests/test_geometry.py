@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
+from decimal import Decimal
 
 import pytest
 
@@ -86,13 +87,15 @@ class TestCrossSectionValidation:
                 f"{field} must be finite, got {shown(value)}")):
             CrossSection(strips, **kwargs)
 
-    @pytest.mark.parametrize("value", ["3", None], ids=["str", "None"])
+    @pytest.mark.parametrize("value", ["3", None, Decimal("10"), True],
+                             ids=["str", "None", "Decimal", "bool"])
     @pytest.mark.parametrize("field", [
         "strips[1].x_start", "strips[1].width", "strips[1].potential",
         "eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"])
     def test_non_number_rejected(self, field, value):
         """A str or None used to end in the raw TypeError of the
-        finiteness test."""
+        finiteness test, a Decimal in one of the solve, and True was read
+        as 1."""
         strips = [Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5)]
         kwargs = {}
         if field.startswith("strips[1]."):
@@ -176,8 +179,10 @@ class TestInterdigitalUnitCell:
         (math.nan, 5, "um, got nan"),
         ("2", 7, "um, got '2'"),
         (None, 7, "um, got None"),
+        (1.0, 7.0, "n_fingers must be an integer, got 7.0"),
     ], ids=["n-int1e5000", "n-inf", "width-int1e5000",
-            "width-int1e400", "width-nan", "width-str", "width-None"])
+            "width-int1e400", "width-nan", "width-str", "width-None",
+            "n-float"])
     def test_non_finite_argument_rejected(self, width, n_fingers, message):
         """An int of more than 4300 digits used to end in the message's
         int-to-str ValueError, a width beyond the float range in the

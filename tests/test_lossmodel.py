@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,17 @@ class TestLossDataPoint:
         """An int beyond the float range used to raise OverflowError."""
         values = dict(p_sm=1e-4, p_j=1e-5, q_mean=1e6, q_std=1e5)
         values[name] = 10**400
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            LossDataPoint(**values)
+
+    @pytest.mark.parametrize("value", [Decimal("1e-4"), True],
+                             ids=["Decimal", "bool"])
+    @pytest.mark.parametrize("name", ["p_sm", "p_j", "q_mean", "q_std"])
+    def test_non_number_rejected(self, name, value):
+        """A Decimal used to reach the fit and end there in a raw
+        TypeError, and True was read as 1."""
+        values = dict(p_sm=1e-4, p_j=1e-5, q_mean=1e6, q_std=1e5)
+        values[name] = value
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             LossDataPoint(**values)
 

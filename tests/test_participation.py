@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -83,11 +84,12 @@ class TestInterfaceSpec:
                 f"layer {field} must be finite, got {shown(value)}")):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})
 
-    @pytest.mark.parametrize("value", ["3", None], ids=["str", "None"])
+    @pytest.mark.parametrize("value", ["3", None, True],
+                             ids=["str", "None", "bool"])
     @pytest.mark.parametrize("field", ["thickness_nm", "eps_rel"])
     def test_non_number_rejected(self, field, value):
         """A str or None used to end in the raw TypeError of the
-        finiteness test."""
+        finiteness test, and True was read as 1."""
         with pytest.raises(InvalidInputError, match=(
                 f"layer {field} must be finite, got {value!r}")):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})
@@ -295,7 +297,7 @@ class TestCutoffSensitivity:
         """A cutoff of half the width or more, or a negative one, is refused
         with the geometry's own message."""
         assert cutoff_sensitivity(1.0, cutoffs_um=[0.1])[0][1] > 0
-        for cutoff in (0.5, 0.6, -0.1, "0.1", None):
+        for cutoff in (0.5, 0.6, -0.1, "0.1", None, Decimal("0.1")):
             with pytest.raises(InvalidInputError, match="edge_cutoff must lie"):
                 cutoff_sensitivity(1.0, cutoffs_um=[cutoff])
 
@@ -348,6 +350,20 @@ class TestCutoffSensitivity:
             return
         assert [c for c, _ in values] == cutoffs
         assert all(type(p) is float and 0.0 < p <= 1.0 for _, p in values)
+
+    def test_only_the_requested_region_is_checked(self):
+        """The block used to be refused with ``p_sm = 2.915e+01 outside
+        [0, 1]`` when asked for SA.  The sweep still checks all three
+        regions: with eps_rel = 1e6 its p_sa breaks the bound."""
+        [(_, p_sa)] = cutoff_sensitivity(
+            0.1, InterfaceSpec(InterfaceRegion.SA, 1.0, 1.0), [1e-301])
+        assert p_sa == pytest.approx(0.2829, rel=1e-4)
+        spec = InterfaceSpec(InterfaceRegion.SM, 1.0, 1e6)
+        assert all(0.0 < p < 1e-7 for _, p in cutoff_sensitivity(1.0, spec))
+        (point,) = psm_width_sweep([1.0], spec)
+        assert point.error.startswith("p_sa = 2.646e+02 outside [0, 1]")
+        with pytest.raises(InvalidInputError, match=r"^p_sa = .* outside \[0, 1\]"):
+            cutoff_sensitivity(1.0, replace(spec, region=InterfaceRegion.SA))
 
     def test_no_per_call_cutoff(self, two_strip_sol):
         """The cutoff is the geometry's ``edge_cutoff``; the entry point
@@ -489,11 +505,14 @@ class TestWidthSweep:
         with pytest.raises(InvalidInputError, match="ascending"):
             psm_width_sweep([2.0, 1.0])
         # a str width used to be float()-converted, and None to raise TypeError
-        for widths in ([0.05, 1.0], [1.0, 200.0], [None], ["2"], [1.0, "2"]):
+        # True was read as 1 um, and a Decimal cutoff raised TypeError
+        for widths in ([0.05, 1.0], [1.0, 200.0], [None], ["2"], [1.0, "2"],
+                       [True]):
             with pytest.raises(InvalidInputError, match=r"\[0\.1, 100\] um"):
                 psm_width_sweep(widths)
-        with pytest.raises(InvalidInputError, match="edge_cutoff must lie"):
-            psm_width_sweep([2.0], cutoff_um="0.1")
+        for cutoff in ("0.1", Decimal("0.1")):
+            with pytest.raises(InvalidInputError, match="edge_cutoff must lie"):
+                psm_width_sweep([2.0], cutoff_um=cutoff)
         # numpy and int widths are numbers, and come back as floats
         points = psm_width_sweep([np.float64(1.0), 2])
         assert [type(p.width_um) for p in points] == [float, float]

@@ -1,7 +1,9 @@
 import math
+import re
 import statistics
 import warnings
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -332,8 +334,9 @@ class TestFitExponential:
         """The delays of this trace collapse onto 0 and 1 once mapped onto
         [0, 1], so nothing determines T1.  The search settles where the
         projection's Schur complement is still 100 times its rounding
-        error, but under the covariance's weights (1+r^2)^(-3/2) the
-        robust one comes out at a fifth of it."""
+        error.  A closed form of the robust covariance in its own columns
+        refused it there; the projection under the covariance's weights
+        (1+r^2)^(-3/2) does not, and the fit is refused at its T1."""
         t = [
             -1.7976931348623155e+308, -1.5253800899421676e+141,
             -4.215010742454773e+77, -5.475506323615476e+16,
@@ -359,7 +362,37 @@ class TestFitExponential:
             1.0930025710340314e-08, 0.00010000363211577269,
             1.2070851817746577e-09]
         with pytest.raises(FitFailureError,
-                           match="singular projection: the robust covariance"):
+                           match="T1 = inf is not a representable time"):
+            fit_exponential(DecayTrace(np.array(t), np.array(y)),
+                            loss="soft_l1")
+
+    def test_robust_covariance_singular_under_its_own_weights_fails_typed(self):
+        """A seeded arbitrary trace whose delays collapse onto 0, 0.99995
+        and 1 once mapped onto [0, 1]: the search's projection determines T1,
+        but the one under the covariance's weights (1+r^2)^(-3/2) is
+        singular by the same rule.  One of 4 traces in 200,000 seeded
+        arbitrary soft_l1 fits refused there before and after the robust
+        covariance became that projection."""
+        t = [
+            -4.2525462322942207e+250, -2.0342940167852262e+246,
+            -2.9795208527034583e+99, -1.8509622943781362e+95,
+            -2.1462271990441823e+82, -664.3115023520968, -138.56616214465066,
+            -18.08579946161849, -2.0, -0.7600260179728865,
+            -8.818111717257805e-108, -2.5141271165223197e-196, 0.0,
+            2.27613945076147e-161, 0.000942419812761258, 0.015866368809143615,
+            0.18700583299831308, 2.0, 3.0, 12.688015364039192,
+            3.967247830065046e+55]
+        y = [
+            5.0, 1.785040996263378, -0.0003877311499556266, 23.569638412895042,
+            -4.0, 0.0001628321607457585, -0.4383091591159672,
+            2.1832066557846302e-75, 2.0, -6.797531288839426e-92,
+            0.0128835338409585, -1.1655634554505434, -1.63974635161019,
+            -228.15300040980813, 2.0, -3.152776588831989e-195, 1.0,
+            0.22774352939162323, 0.019507217729032536, 3.699620600054696e+19,
+            2.3731391844924247e+63]
+        with pytest.raises(FitFailureError, match=(
+                "^singular projection: the robust covariance does not "
+                "determine T1$")):
             fit_exponential(DecayTrace(np.array(t), np.array(y)),
                             loss="soft_l1")
 
@@ -722,6 +755,19 @@ class TestT1Statistics:
             t1_statistics([T1Estimate(v, 1.0, 1.0, 0.0)
                            for v in (100.0, math.inf)])
 
+    @pytest.mark.parametrize("t1, fit_err, message", [
+        ("1", 1.0, "t1 must be finite and > 0, got '1'"),
+        (math.nan, 1.0, "t1 must be finite and > 0, got nan"),
+        (0.0, 1.0, "t1 must be finite and > 0, got 0.0"),
+        (1.0, None, "fit_err must be finite and >= 0, got None"),
+        (1.0, math.nan, "fit_err must be finite and >= 0, got nan"),
+    ], ids=["t1-str", "t1-nan", "t1-zero", "err-None", "err-nan"])
+    def test_estimate_checks_its_own_numbers(self, t1, fit_err, message):
+        """A str T1 used to end in the raw TypeError of the comparison, and
+        a NaN T1 was accepted."""
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            T1Estimate(t1, fit_err, 1.0, 0.0)
+
     def test_holds_only_mean_and_std(self):
         """The statistics are the mean and the population std; there is no
         histogram, median or bin count."""
@@ -826,11 +872,11 @@ class TestPurcellLimit:
 
     @pytest.mark.parametrize("field, value", [
         ("kappa", "1"), ("kappa", None), ("delta", "1"), ("g", "1"),
-        ("chi", "1")])
+        ("chi", "1"), ("kappa", True), ("g", True)])
     def test_non_number_rejected(self, field, value):
         """A str, or None for the required kappa, used to end in the raw
         TypeError of the finiteness test; None is how the other three are
-        left out."""
+        left out.  True was read as 1 rad/s."""
         given = {"kappa": 2e5, "delta": 1e10, "g": 2e8, "chi": 4e6, field: value}
         with pytest.raises(InvalidInputError, match=(
                 f"{field} must be finite, got {value!r}")):
@@ -867,6 +913,35 @@ class TestPurcellSubtraction:
     def test_unphysical_inputs_rejected(self):
         with pytest.raises(InvalidInputError, match="exceed"):
             purcell_subtract_q(300.0, 0.2, 4.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: purcell_subtract_q(100.0, 10.0, "5"),
+         "omega_q must be > 0 and finite, got '5'"),
+        (lambda: purcell_subtract_q(100.0, 10.0, math.inf),
+         "omega_q must be > 0 and finite, got inf"),
+        (lambda: purcell_subtract_t1(100.0, "10"),
+         "T_Purcell must be a finite number or inf, got '10'"),
+        (lambda: purcell_subtract_t1(100.0, -math.inf),
+         "T_Purcell must be a finite number or inf, got -inf"),
+        (lambda: purcell_subtract_t1(100.0, Decimal("Infinity")),
+         "T_Purcell must be a finite number or inf, got Decimal('Infinity')"),
+        (lambda: purcell_subtract_t1("100", 10.0),
+         "t1 must be a number or an array of numbers, got '100'"),
+        (lambda: purcell_subtract_t1([100.0, None], 10.0),
+         "t1 must be a number or an array of numbers, got [100.0, None]"),
+        (lambda: purcell_subtract_t1(10**400, 10.0),
+         "t1 must be a number or an array of numbers, got 1" + "0" * 400),
+        (lambda: purcell_subtract_t1([1.0, [2.0]], 10.0),
+         "t1 must be a number or an array of numbers, got [1.0, [2.0]]"),
+    ], ids=["omega-str", "omega-inf", "purcell-str", "purcell--inf",
+            "purcell-decimal-inf", "t1-str", "t1-None", "t1-int1e400",
+            "t1-ragged"])
+    def test_non_number_argument_fails_typed(self, call, message):
+        """A str qubit frequency or Purcell limit used to end in a raw
+        TypeError, a str T1 was converted by numpy, and a T1 beyond the
+        float range or a ragged list ended in numpy's own error."""
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_subnormal_t1_is_refused(self):
         """1/T1 of a subnormal T1 used to overflow, with a RuntimeWarning, to
@@ -954,6 +1029,8 @@ class TestQStatisticsFromRounds:
          r"T1 = 2.99997e-320 us"),
         ([1e300, 1e308], math.inf, 5.0, r"Q = omega_q T1' is not a positive finite "
          r"float at T1 = 1e\+308 us"),
+        (["100", 120.0], 0.25, 4.5, r"t1 must be a number or an array of numbers"),
+        ([10**400], 0.25, 4.5, r"t1 must be a number or an array of numbers"),
     ])
     def test_first_offending_round_raises_its_own_error(
             self, rounds, t_purcell_ms, omega_q_ghz, message):

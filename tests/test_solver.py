@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from qsurfloss import (
     solve_cross_section,
 )
 from qsurfloss import solver
+from qsurfloss.errors import shown
 from qsurfloss.solver import _surface_samples, epsilon_0
 
 from conftest import cps_capacitance
@@ -245,6 +247,20 @@ class TestRefinement:
         assert "coefficient tail 4.4" in str(info.value)
         assert "J/m" in str(info.value)
 
+    @pytest.mark.parametrize("rel_tol, budget, message", [
+        ("1e-3", 8192, "rel_tol must lie in (0, 0.1], got '1e-3'"),
+        (float("nan"), 8192, "rel_tol must lie in (0, 0.1], got nan"),
+        (1e-12, "8", "max_total_elements must be an integer, got '8'"),
+        (1e-12, 8192.0, "max_total_elements must be an integer, got 8192.0"),
+        (1e-12, True, "max_total_elements must be an integer, got True"),
+    ], ids=["tol-str", "tol-nan", "budget-str", "budget-float", "budget-bool"])
+    def test_non_number_argument_fails_typed(self, two_strip_geom, rel_tol,
+                                             budget, message):
+        """A str tolerance or budget used to end in the raw TypeError of a
+        comparison."""
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            refine_until_converged(two_strip_geom, rel_tol, budget)
+
     def test_zero_cutoff_follows_the_same_rule(self, two_strip_geom):
         """The layer integrals diverge at a zero cutoff, but the coefficient
         tail does not: 8 terms (7.4e-4) and 16 (4.4e-7) miss 1e-9, and 32
@@ -451,7 +467,7 @@ class TestGapVoltages:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_log_kernel", counting)
-        for i in [*range(5), -1, 2]:
+        for i in [*range(5), 4, 2]:
             reconstruct_gap_voltage(sol, i)
         assert len(calls) == 1
         assert calls[0][0].shape == (10,)  # both ends of the 5 gaps
@@ -465,11 +481,15 @@ class TestGapVoltages:
             2.0 * v for v in first]
         assert [reconstruct_gap_voltage(sol, i) for i in range(3)] == first
 
-    def test_errors_are_unchanged(self, two_strip_sol):
-        assert reconstruct_gap_voltage(two_strip_sol, -1) == reconstruct_gap_voltage(
-            two_strip_sol, 0)
-        with pytest.raises(IndexError):
-            reconstruct_gap_voltage(two_strip_sol, 1)
+    def test_an_index_outside_the_gaps_is_refused(self, two_strip_sol):
+        """-1 used to return the last gap; 5 ended in a raw IndexError and
+        1.0 in a raw TypeError."""
+        for index in (-1, 1, 5, 1.0, 0.0, True, "0", None):
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    f"gap_index must be an integer in [0, 1), got {shown(index)}")):
+                reconstruct_gap_voltage(two_strip_sol, index)
+        assert reconstruct_gap_voltage(two_strip_sol, np.int64(0)) == (
+            reconstruct_gap_voltage(two_strip_sol, 0))
         lone = solver.FieldSolution(CrossSection([Strip(0.0, 10.0, 1.0)]),
                                     np.ones((1, 16)), 1.0, 0.0)
         with pytest.raises(InvalidInputError, match="^solution has no gaps$"):
