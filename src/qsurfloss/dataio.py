@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (InvalidInputError, RecordValidationError, TableFormatError,
-                     is_finite, parse_csv, read_text, write_csv)
+                     parse_csv, read_text, real, write_csv)
 from .lossmodel import LossDataPoint
 from .qubitfit import _mean_std
 
@@ -44,7 +44,7 @@ COLUMNS = tuple(column for column, *_ in _COLUMNS)
 
 @dataclass
 class DeviceRecord:
-    """One measured transmon device."""
+    """One measured transmon device; its numbers are stored as float."""
 
     device_id: str
     geometry: str
@@ -72,19 +72,23 @@ class DeviceRecord:
             fail("geometry", f"must be one of {GEOMETRIES}, got {self.geometry!r}")
         if "-" not in self.device_id:
             fail("device_id", "must look like '<die>-<index>'")
+
+        def number(name: str, rule: str, ok) -> None:  # through the door
+            try:
+                setattr(self, name, real(getattr(self, name), name, ok))
+            except InvalidInputError:
+                fail(name, f"must be finite and {rule}")
+
         for name in ("omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us",
                      "t_purcell_ms", "q_mean", "p_sm", "p_j"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0):
-                fail(name, "must be finite and > 0")
+            number(name, "> 0", lambda v: v > 0)
         if not self.omega_c_ghz > self.omega_q_ghz:
             fail("omega_c_ghz", "must exceed omega_q_ghz (dispersive readout)")
         if not self.t_purcell_ms * 1e3 > self.t1_mean_us:
             fail("t_purcell_ms", "must exceed the measured T1")
         for name in ("t1_std_us", "q_std"):
-            value = getattr(self, name)
-            if value is not None and not (is_finite(value) and value >= 0):
-                fail(name, "must be finite and >= 0 when present")
+            if getattr(self, name) is not None:
+                number(name, ">= 0 when present", lambda v: v >= 0)
 
     @property
     def die_id(self) -> str:

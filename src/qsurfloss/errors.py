@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit, the number and integer tests
-of the input checks that raise them, and the one place that opens files: UTF-8
-readers and writers that keep line endings and turn a file that cannot be
-read, written or decoded into an :class:`InvalidInputError` naming it.
-JSON documents and CSV text that the standard parsers cannot take (nested
-too deep, a cell over the field limit) fail typed here as well."""
+"""Exception types shared across the toolkit; the one door of numbers,
+:func:`real` and :func:`reals`, which converts a finite real number to float
+once (or refuses it with an :class:`InvalidInputError` that shows it), so
+that code past it sees only finite floats; and the one place that opens
+files: UTF-8 readers and writers that keep line endings and turn a file that
+cannot be read, written or decoded into an :class:`InvalidInputError` naming
+it.  JSON documents and CSV text that the standard parsers cannot take
+(nested too deep, a cell over the field limit) fail typed here as well."""
 
 import csv
 import io
@@ -14,6 +16,8 @@ import re
 import sys
 import threading
 from itertools import accumulate
+
+import numpy as np
 
 #: Deepest nesting of arrays and objects that a JSON reader decodes.
 MAX_JSON_DEPTH = 1000
@@ -71,6 +75,35 @@ def shown(value) -> str:
         if 10 ** (digits - 1) > magnitude:
             digits -= 1
         return f"an int of {digits} digits"
+
+
+def real(value, message: str, ok=None) -> float:
+    """``value`` as a float, if it is a finite real number and, given
+    ``ok``, that float satisfies it; otherwise
+    ``InvalidInputError(f"{message}, got {shown(value)}")``."""
+    if is_finite(value):
+        number = float(value)
+        if ok is None or ok(number):
+            return number
+    raise InvalidInputError(f"{message}, got {shown(value)}")
+
+
+def reals(values, message: str) -> np.ndarray:
+    """``values`` as a float64 array, if every entry is a finite real
+    number; otherwise the error of :func:`real`, showing all of ``values``.
+    An int or float ndarray is converted whole; a list, tuple or range entry
+    by entry, so that a bool, a str or an int beyond the float range is
+    refused, not cast as numpy would; any other value is one number (0-d)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        array = np.asarray(values, dtype=float)
+    elif isinstance(values, (list, tuple, range)):
+        array = np.array([float(v) if is_finite(v) else math.nan for v in values],
+                         dtype=float)
+    else:
+        return np.array(real(values, message))
+    if not np.isfinite(array).all():
+        raise InvalidInputError(f"{message}, got {shown(values)}")
+    return array
 
 
 class QSurfLossError(Exception):

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
-from .errors import InvalidInputError, is_finite, is_integer, read_json, shown
+from .errors import InvalidInputError, is_integer, read_json, real, shown
 
 #: Relative permittivity of c-plane sapphire used throughout as the default.
 SAPPHIRE_EPS_REL = 10.15
@@ -51,24 +51,19 @@ class Strip:
         return self.x_start + self.width
 
 
-def check_edge_cutoff(cutoff_um: float, width_um: float) -> None:
-    """Reject an edge cutoff (um) that is not a finite number in
-    [0, width / 2) of a ``width_um`` strip."""
-    if not (is_finite(cutoff_um) and 0.0 <= cutoff_um < width_um / 2):
-        raise InvalidInputError(
-            f"edge_cutoff must lie in [0, {width_um / 2}) um, got {shown(cutoff_um)}"
-        )
+def check_edge_cutoff(cutoff_um: float, width_um: float) -> float:
+    """An edge cutoff (um) as a float; one that is not a finite number in
+    [0, width / 2) of a ``width_um`` strip is refused."""
+    return real(cutoff_um, f"edge_cutoff must lie in [0, {width_um / 2}) um",
+                lambda c: 0.0 <= c < width_um / 2)
 
 
-def check_interdigital_width(width_um: float) -> None:
-    """Reject a gap/finger width that is not a finite number in
-    ``INTERDIGITAL_WIDTH_RANGE_UM``."""
+def check_interdigital_width(width_um: float) -> float:
+    """A gap/finger width as a float; one that is not a finite number in
+    ``INTERDIGITAL_WIDTH_RANGE_UM`` is refused."""
     lo, hi = INTERDIGITAL_WIDTH_RANGE_UM
-    if not (is_finite(width_um) and lo <= width_um <= hi):
-        raise InvalidInputError(
-            f"gap/finger width must lie in [{lo:g}, {hi:g}] um, "
-            f"got {shown(width_um)}"
-        )
+    return real(width_um, f"gap/finger width must lie in [{lo:g}, {hi:g}] um",
+                lambda w: lo <= w <= hi)
 
 
 @dataclass(frozen=True)
@@ -96,8 +91,9 @@ class CrossSection:
         adjacent gap) represents the periodic interior of a finger array;
         ``None`` for geometries without one.
 
-    Every number must be finite.  The section is immutable and checked once,
-    when built; :func:`dataclasses.replace` and the methods below check
+    Every number must be finite; all but the two integers are stored as
+    float.  The section is immutable and checked once, when built;
+    :func:`dataclasses.replace` and the methods below check
     their copy.
     """
 
@@ -110,19 +106,19 @@ class CrossSection:
     label: str = ""
 
     def __post_init__(self) -> None:
-        strips = tuple(s if isinstance(s, Strip) else Strip(*s) for s in self.strips)
-        object.__setattr__(self, "strips", strips)
+        strips = [s if isinstance(s, Strip) else Strip(*s) for s in self.strips]
         if len(strips) < 1:
             raise InvalidInputError("cross section needs at least one strip")
-        reals = {f"strips[{i}].{name}": getattr(s, name)
-                 for i, s in enumerate(strips)
-                 for name in ("x_start", "width", "potential")}
-        reals.update((name, getattr(self, name)) for name in
-                     ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization"))
-        for name, value in reals.items():
-            if not is_finite(value):
-                raise InvalidInputError(
-                    f"{name} must be finite, got {shown(value)}")
+        strips = tuple(
+            Strip(*(real(getattr(s, name), f"strips[{i}].{name} must be finite")
+                    for name in ("x_start", "width", "potential")))
+            for i, s in enumerate(strips))
+        object.__setattr__(self, "strips", strips)
+        for name in ("eps_sub_rel", "eps_vac_rel", "edge_cutoff"):
+            object.__setattr__(self, name, real(getattr(self, name),
+                                                f"{name} must be finite"))
+        # an integer: its finiteness is checked here, its type below
+        real(self.discretization, "discretization must be finite")
         for s in strips:
             if not s.width > 0:
                 raise InvalidInputError(f"strip width must be > 0, got {s.width}")
@@ -169,15 +165,12 @@ class CrossSection:
             raise InvalidInputError(
                 f"expected {len(self.strips)} potentials, got {len(potentials)}"
             )
-        strips = [
-            Strip(s.x_start, s.width, float(v)) for s, v in zip(self.strips, potentials)
-        ]
+        strips = [Strip(s.x_start, s.width, v) for s, v in zip(self.strips, potentials)]
         return replace(self, strips=strips)
 
     def scaled(self, factor: float) -> "CrossSection":
         """Copy with every lateral dimension (including the cutoff) scaled."""
-        if factor <= 0:
-            raise InvalidInputError("scale factor must be positive")
+        factor = real(factor, "scale factor must be positive", lambda f: f > 0)
         strips = [
             Strip(s.x_start * factor, s.width * factor, s.potential)
             for s in self.strips
@@ -239,12 +232,8 @@ def interdigital_unit_cell(
     cutoff proportional to the feature size; another cutoff is that of the
     copy ``dataclasses.replace(cell, edge_cutoff=c)``.
     """
-    # checked before float(), which overflows on an int beyond the range
-    check_interdigital_width(gap_and_finger_width)
-    w = float(gap_and_finger_width)
-    if not is_finite(n_fingers):
-        raise InvalidInputError(
-            f"n_fingers must be finite, got {shown(n_fingers)}")
+    w = check_interdigital_width(gap_and_finger_width)
+    real(n_fingers, "n_fingers must be finite")  # an integer, kept as given
     if not is_integer(n_fingers):
         raise InvalidInputError(
             f"n_fingers must be an integer, got {shown(n_fingers)}")

@@ -28,7 +28,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidInputError, is_finite
+from .errors import DegenerateFitError, InvalidInputError, real
 
 #: Condition number of the weighted design above which a fit is refused.
 CONDITION_LIMIT = 1e10
@@ -62,7 +62,8 @@ _TERMS: dict[LossModel, tuple[tuple[str, str], ...]] = {
 
 @dataclass
 class LossDataPoint:
-    """One fit point: participations and the Purcell-subtracted quality factor."""
+    """One fit point: participations and the Purcell-subtracted quality
+    factor, stored as float."""
 
     p_sm: float
     p_j: float
@@ -72,15 +73,12 @@ class LossDataPoint:
     n_devices: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("p_sm", "p_j"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value >= 0):
-                raise InvalidInputError(f"{name} must be finite and >= 0")
-        if not (is_finite(self.q_mean) and self.q_mean > 0):
-            raise InvalidInputError("q_mean must be finite and > 0")
-        if self.q_std is not None and not (is_finite(self.q_std)
-                                           and self.q_std >= 0):
-            raise InvalidInputError("q_std must be finite and >= 0 when present")
+        self.p_sm = real(self.p_sm, "p_sm must be finite and >= 0", lambda v: v >= 0)
+        self.p_j = real(self.p_j, "p_j must be finite and >= 0", lambda v: v >= 0)
+        self.q_mean = real(self.q_mean, "q_mean must be finite and > 0", lambda v: v > 0)
+        if self.q_std is not None:
+            self.q_std = real(self.q_std, "q_std must be finite and >= 0 when present",
+                              lambda v: v >= 0)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, is_finite, shown, write_csv
+from .errors import InvalidInputError, real, write_csv
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
     SAPPHIRE_EPS_REL,
@@ -69,11 +69,8 @@ class InterfaceSpec:
         region = InterfaceRegion(self.region)
         object.__setattr__(self, "region", region)
         for name in ("thickness_nm", "eps_rel"):
-            value = getattr(self, name)
-            if not is_finite(value):
-                raise InvalidInputError(
-                    f"layer {name} must be finite, got {shown(value)}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real(getattr(self, name),
+                                                f"layer {name} must be finite"))
         if self.thickness_nm <= 0:
             raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")
         if self.eps_rel < 1.0:
@@ -188,13 +185,13 @@ _K_EQUAL_GAP = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
 def _check_cutoff(cutoff_um: float, width_um: float) -> float:
     """Reject an edge cutoff that the exact array at ``width_um`` cannot
     take; return it as a float."""
-    check_edge_cutoff(cutoff_um, width_um)
+    cutoff_um = check_edge_cutoff(cutoff_um, width_um)
     if cutoff_um / width_um == 0.0:  # zero, or too small against the width
         raise InvalidInputError(
             "edge_cutoff must be > 0: the edge integrals of the exact array "
             "diverge as ln(1 / cutoff)"
         )
-    return float(cutoff_um)
+    return cutoff_um
 
 
 def _periodic_idc(
@@ -248,10 +245,7 @@ def psm_width_sweep(
     sensitivity comparison.  A ratio outside [0, 1] is recorded on its own
     point; the sweep still returns all points.
     """
-    widths = list(widths_um)
-    for w in widths:  # before float(), which would take a str
-        check_interdigital_width(w)
-    widths = [float(w) for w in widths]
+    widths = [check_interdigital_width(w) for w in widths_um]
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise InvalidInputError("widths must be strictly ascending")
     if spec.region is not InterfaceRegion.SM:
@@ -288,10 +282,10 @@ def cutoff_sensitivity(
     as is a value of the requested region outside [0, 1]; the other regions
     are not checked.
     """
-    check_interdigital_width(width_um)
-    pairs = [(c, _periodic_idc(float(width_um), c, spec, (spec.region,))[spec.region])
-             for c in cutoffs_um]  # checks each cutoff before float() could take a str
-    return [(float(c), p) for c, p in pairs]
+    width_um = check_interdigital_width(width_um)
+    cutoffs = (_check_cutoff(c, width_um) for c in cutoffs_um)
+    return [(c, _periodic_idc(width_um, c, spec, (spec.region,))[spec.region])
+            for c in cutoffs]
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:

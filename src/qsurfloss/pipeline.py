@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
 from .errors import (InvalidInputError, QSurfLossError, is_finite, is_integer,
-                     read_json, shown, write_csv, write_text)
+                     read_json, real, shown, write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL
 from .lossmodel import (
     FITTERS,
@@ -61,7 +61,8 @@ _RETIRED_SWEEP_KEYS = ("n_fingers", "elements_per_strip")
 
 @dataclass
 class SweepConfig:
-    """Width-sweep stage settings (defaults reproduce the standard curve)."""
+    """Width-sweep stage settings (defaults reproduce the standard curve);
+    every number but the integer ``points`` is stored as float."""
 
     width_min_um: float = 1.0
     width_max_um: float = 20.0
@@ -73,13 +74,12 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None and f.name == "cutoff_um":
-                continue
-            integer = f.name == "points"
-            if not (is_finite(value) and (is_integer(value) or not integer)):
-                noun = "an integer" if integer else "a number"
-                raise InvalidInputError(
-                    f"sweep {f.name} must be {noun}, got {shown(value)}")
+            if f.name == "points":
+                if not (is_finite(value) and is_integer(value)):
+                    raise InvalidInputError(
+                        f"sweep points must be an integer, got {shown(value)}")
+            elif value is not None or f.name != "cutoff_um":
+                setattr(self, f.name, real(value, f"sweep {f.name} must be a number"))
         if self.points > MAX_SWEEP_POINTS:
             raise InvalidInputError(f"sweep points must be at most "
                                     f"{MAX_SWEEP_POINTS}, got {self.points}")
@@ -87,9 +87,7 @@ class SweepConfig:
     def widths(self) -> list[float]:
         if self.points < 1 or self.width_max_um <= self.width_min_um:
             raise InvalidInputError("bad sweep range")
-        # float() first: numpy holds an int beyond int64 as an object
-        return list(np.linspace(float(self.width_min_um), float(self.width_max_um),
-                                self.points))
+        return list(np.linspace(self.width_min_um, self.width_max_um, self.points))
 
     @property
     def spec(self) -> InterfaceSpec:

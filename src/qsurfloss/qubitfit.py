@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (FitFailureError, InvalidInputError, is_finite, parse_csv,
-                     read_json, read_text, shown)
+from .errors import (FitFailureError, InvalidInputError, parse_csv, read_json,
+                     read_text, real, reals)
 
 #: Purcell lifetimes above this value (s) are reported as unbounded.
 UNBOUNDED_PURCELL_S = 1e6
@@ -29,33 +29,31 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class DecayTrace:
-    """Excited-state population versus readout delay for one measurement round."""
+    """Excited-state population versus readout delay for one measurement
+    round, both stored as float64 arrays of finite values."""
 
     delays_us: np.ndarray
     populations: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.delays_us = np.asarray(self.delays_us, dtype=float)
-        self.populations = np.asarray(self.populations, dtype=float)
+        self.delays_us = reals(self.delays_us, "delays must be finite")
+        self.populations = reals(self.populations, "populations must be finite")
         if self.delays_us.shape != self.populations.shape:
             raise InvalidInputError("delays and populations must have equal length")
         if self.delays_us.size < 8:
             raise InvalidInputError(
                 f"need at least 8 samples, got {self.delays_us.size}"
             )
-        if not np.all(np.isfinite(self.delays_us)):
-            raise InvalidInputError("delays must be finite")
         # a comparison, not np.diff, which overflows on delays near +-1e308
         if np.any(self.delays_us[1:] <= self.delays_us[:-1]):
             raise InvalidInputError("delays must be strictly increasing")
-        if not np.all(np.isfinite(self.populations)):
-            raise InvalidInputError("populations must be finite")
 
 
 @dataclass
 class T1Estimate:
-    """Result of a single-exponential decay fit."""
+    """Result of a single-exponential decay fit; T1 and its error are
+    stored as float."""
 
     t1_us: float
     fit_err_us: float
@@ -63,12 +61,10 @@ class T1Estimate:
     offset: float
 
     def __post_init__(self) -> None:
-        if not (is_finite(self.t1_us) and self.t1_us > 0):
-            raise InvalidInputError(
-                f"t1 must be finite and > 0, got {shown(self.t1_us)}")
-        if not (is_finite(self.fit_err_us) and self.fit_err_us >= 0):
-            raise InvalidInputError(
-                f"fit_err must be finite and >= 0, got {shown(self.fit_err_us)}")
+        self.t1_us = real(self.t1_us, "t1 must be finite and > 0",
+                          lambda v: v > 0)
+        self.fit_err_us = real(self.fit_err_us, "fit_err must be finite and >= 0",
+                               lambda v: v >= 0)
 
 
 @dataclass
@@ -488,11 +484,7 @@ def t1_statistics(estimates) -> T1Statistics:
     by ``_mean_std`` like every mean and spread of the measurement chain."""
     if not estimates:
         raise InvalidInputError("need at least one estimate")
-    values = np.array([e.t1_us for e in estimates], dtype=float)
-    hi = float(values.max())
-    if not math.isfinite(hi):
-        raise InvalidInputError(f"T1 values must be finite, got {hi}")
-    return T1Statistics(*_mean_std(values))
+    return T1Statistics(*_mean_std([e.t1_us for e in estimates]))
 
 
 @dataclass
@@ -501,7 +493,8 @@ class PurcellParams:
 
     Any missing member of {g, chi, delta} is inferred from the dispersive
     relation ``chi = g^2 / delta``; at least two of the three are required
-    (the linewidth ``kappa`` always is).  Every given value must be finite.
+    (the linewidth ``kappa`` always is).  Every given value must be finite,
+    and is stored as float.
     """
 
     kappa: float
@@ -513,9 +506,8 @@ class PurcellParams:
         for name in ("kappa", "delta", "g", "chi"):
             value = getattr(self, name)
             # kappa is required; None leaves out one of the other three
-            if (value is not None or name == "kappa") and not is_finite(value):
-                raise InvalidInputError(
-                    f"{name} must be finite, got {shown(value)}")
+            if value is not None or name == "kappa":
+                setattr(self, name, real(value, f"{name} must be finite"))
         if self.kappa <= 0:
             raise InvalidInputError("cavity linewidth kappa must be > 0")
         known = sum(v is not None for v in (self.delta, self.g, self.chi))
@@ -537,12 +529,12 @@ class PurcellParams:
         chi_mhz: float | None = None,
     ) -> "PurcellParams":
         """Build from the cyclic units used in device tables."""
-        return cls(
-            kappa=TWO_PI * kappa_khz * 1e3,
-            delta=None if delta_ghz is None else TWO_PI * delta_ghz * 1e9,
-            g=None if g_mhz is None else TWO_PI * g_mhz * 1e6,
-            chi=None if chi_mhz is None else TWO_PI * chi_mhz * 1e6,
-        )
+        def angular(value, name, unit):  # through the door before a product
+            return (None if value is None
+                    else TWO_PI * real(value, f"{name} must be finite") * unit)
+
+        return cls(angular(kappa_khz, "kappa", 1e3), angular(delta_ghz, "delta", 1e9),
+                   angular(g_mhz, "g", 1e6), angular(chi_mhz, "chi", 1e6))
 
     @property
     def g_effective(self) -> float:
@@ -607,22 +599,13 @@ def purcell_subtract_t1(t1_us, t_purcell_ms: float):
     """Intrinsic T1 (us) after removing the Purcell decay channel, a float
     of one measured T1 or an array of rounds; the first round
     that fails a check raises its error, as does one whose 1/T1 or
-    intrinsic T1 is not a finite float.  T1 must be a float or an int, or
-    an array of them; ``t_purcell_ms`` a finite number, or ``math.inf`` for
-    no Purcell channel."""
-    try:
-        t1 = np.asarray(t1_us)
-    except ValueError:  # a ragged nesting of sequences
-        t1 = np.asarray(None)
-    if t1.dtype.kind not in "fiu":  # a bool, a str, a complex or an object
-        raise InvalidInputError(
-            f"t1 must be a number or an array of numbers, got {shown(t1_us)}")
-    if not (is_finite(t_purcell_ms)
-            or isinstance(t_purcell_ms, float) and t_purcell_ms == math.inf):
-        raise InvalidInputError(
-            f"T_Purcell must be a finite number or inf, got {shown(t_purcell_ms)}")
-    t1 = t1.astype(float, copy=False)
-    t_purcell_ms = float(t_purcell_ms)
+    intrinsic T1 is not a finite float.  T1 must be a finite number, or an
+    array of them; ``t_purcell_ms`` a finite number, or ``math.inf`` for no
+    Purcell channel."""
+    t1 = reals(t1_us, "t1 must be a number or an array of numbers")
+    # a float inf is the one value beyond the door that T_Purcell takes
+    if not (isinstance(t_purcell_ms, float) and t_purcell_ms == math.inf):
+        t_purcell_ms = real(t_purcell_ms, "T_Purcell must be a finite number or inf")
     t_purcell_us = t_purcell_ms * 1e3
     with np.errstate(all="ignore"):
         # the rates can round to equal where T_Purcell exceeds T1 by an ulp;
@@ -651,10 +634,10 @@ def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
     Like :func:`purcell_subtract_t1` it takes one T1 or an array of rounds;
     a round whose Q is not a positive finite float is refused.
     """
-    if not (is_finite(omega_q_ghz) and omega_q_ghz > 0):
-        raise InvalidInputError(
-            f"omega_q must be > 0 and finite, got {shown(omega_q_ghz)}")
-    t1_prime = np.asarray(purcell_subtract_t1(t1_us, t_purcell_ms))
+    omega_q_ghz = real(omega_q_ghz, "omega_q must be > 0 and finite",
+                       lambda v: v > 0)
+    t1 = reals(t1_us, "t1 must be a number or an array of numbers")
+    t1_prime = np.asarray(purcell_subtract_t1(t1, t_purcell_ms))
     # the units cancel only after the product, which overflows first near the
     # float maximum; a power-of-two scale on a T1' above 2**900 moves no bit
     scale = np.where(t1_prime > 2.0**900, 2.0**-128, 1.0)
@@ -664,7 +647,7 @@ def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
     if not ok.all():
         raise InvalidInputError(
             f"Q = omega_q T1' is not a positive finite float at T1 = "
-            f"{np.ravel(t1_us)[np.argmin(ok)]:g} us")
+            f"{np.ravel(t1)[np.argmin(ok)]:g} us")
     return q if q.ndim else float(q)
 
 

@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (ConvergenceError, InvalidInputError, NumericalFailureError,
-                     is_finite, is_integer, shown, write_text)
+                     is_integer, real, shown, write_text)
 from .geometry import CrossSection, Strip
 
 UM = 1e-6
@@ -384,8 +384,7 @@ def refine_until_converged(
         exceed ``max_total_elements`` terms over all strips; the error
         reports the last level's terms per strip, tail and energy.
     """
-    if not (is_finite(rel_tol) and 0.0 < rel_tol <= 0.1):
-        raise InvalidInputError(f"rel_tol must lie in (0, 0.1], got {shown(rel_tol)}")
+    rel_tol = real(rel_tol, "rel_tol must lie in (0, 0.1]", lambda t: 0.0 < t <= 0.1)
     if not is_integer(max_total_elements):
         raise InvalidInputError(f"max_total_elements must be an integer, "
                                 f"got {shown(max_total_elements)}")

@@ -1,12 +1,17 @@
-"""One number rule and one integer rule for every numeric argument.
+"""One door for numbers and one integer rule for every numeric argument.
 
 ``errors.is_finite`` takes a number to be a ``numbers.Real`` other than a
 bool (a float, an int, a numpy scalar or a ``Fraction``), and
 ``errors.is_integer`` a count or an index to be a ``numbers.Integral``
 other than a bool.  ``errors.shown`` quotes any other value by its repr.
+The door, ``errors.real`` and ``errors.reals``, admits a finite number by
+that rule and converts it to float once: every class it feeds stores a
+float (a float64 array for a trace), whatever kind of number it was given.
 """
 
 import math
+import warnings
+from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,13 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsurfloss import (
-    InterfaceRegion,
+    CrossSection,
+    DecayTrace,
+    DeviceRecord,
     InterfaceSpec,
     InvalidInputError,
+    LossDataPoint,
+    PurcellParams,
     QSurfLossError,
+    Strip,
+    SweepConfig,
+    T1Estimate,
     cutoff_sensitivity,
     interdigital_unit_cell,
     psm_width_sweep,
+    purcell_limit,
     purcell_subtract_q,
 )
 from qsurfloss.errors import is_finite, is_integer, shown
@@ -63,12 +76,54 @@ def test_decimal_layer_of_a_sweep_is_refused():
         psm_width_sweep([1.0], InterfaceSpec("SM", Decimal("1"), 10.15))
 
 
-def test_layer_numbers_are_stored_as_float():
-    """A float32 thickness used to carry float32 rounding into p_sm."""
-    spec = InterfaceSpec(InterfaceRegion.SM, np.float32(1.0), Fraction(203, 20))
-    assert type(spec.thickness_nm) is float and type(spec.eps_rel) is float
-    assert spec == InterfaceSpec(InterfaceRegion.SM, 1.0, 10.15)
-    assert psm_width_sweep([1.0], spec)[0].p_sm == 0.0026855403520031954
+#: Each class the door feeds, built with every number of one kind ``k``, and
+#: the fields that store those numbers.
+STORED = {
+    "CrossSection": (lambda k: CrossSection(
+        [Strip(k(0), k(10), k(1)), Strip(k(20), k(10), k(-1))], k(10), k(1), k(1)),
+        ("strips", "eps_sub_rel", "eps_vac_rel", "edge_cutoff")),
+    "DecayTrace": (lambda k: DecayTrace([k(i) for i in range(8)],
+                                        [k(8 - i) for i in range(8)]),
+                   ("delays_us", "populations")),
+    "DeviceRecord": (lambda k: DeviceRecord(
+        "D1-1", "dumbbell_2d", k(4), k(6), k(40), k(100), k(5), k(10), k(10**6),
+        k(10**5), k(1), k(2)),
+        ("omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us", "t1_std_us",
+         "t_purcell_ms", "q_mean", "q_std", "p_sm", "p_j")),
+    "InterfaceSpec": (lambda k: InterfaceSpec("SM", k(1), k(10)),
+                      ("thickness_nm", "eps_rel")),
+    "LossDataPoint": (lambda k: LossDataPoint(k(1), k(2), k(10**6), k(10**5)),
+                      ("p_sm", "p_j", "q_mean", "q_std")),
+    "PurcellParams": (lambda k: PurcellParams(k(2 * 10**5), k(10**10), k(2 * 10**8),
+                                              k(4 * 10**6)),
+                      ("kappa", "delta", "g", "chi")),
+    "SweepConfig": (lambda k: SweepConfig(k(1), k(20), 20, k(1), k(10), k(1)),
+                    ("width_min_um", "width_max_um", "t_sm_nm", "eps_sm_rel",
+                     "cutoff_um")),
+    "T1Estimate": (lambda k: T1Estimate(k(100), k(2), 1.0, 0.0),
+                   ("t1_us", "fit_err_us")),
+}
+
+
+@pytest.mark.parametrize("kind", [np.float32, int, Fraction],
+                         ids=["float32", "int", "Fraction"])
+@pytest.mark.parametrize("name", sorted(STORED))
+def test_numbers_are_stored_as_float(name, kind):
+    """Past the door every number is a float, or a float64 array for a
+    trace, equal to what floats build.  A float32 layer thickness used to
+    carry float32 rounding into p_sm, and a Fraction Purcell parameter to
+    reach a ``:.3g`` message that it does not support."""
+    build, names = STORED[name]
+    built, reference = build(kind), build(float)
+    for field in names:
+        value = getattr(built, field)
+        assert np.array_equal(value, getattr(reference, field)), field
+        if field == "strips":
+            assert {type(v) for s in value for v in astuple(s)} == {float}
+        elif name == "DecayTrace":
+            assert type(value) is np.ndarray and value.dtype == np.float64
+        else:
+            assert type(value) is float, field
 
 
 #: Any value of any type: numbers of every kind, in and out of range, and
@@ -112,3 +167,49 @@ def test_any_value_gives_a_result_or_one_typed_error(argument, value):
         CALLS[argument](value)
     except QSurfLossError:
         pass
+
+
+def _limit(**given):
+    """``purcell_limit`` of the given parameters, without its warning of a
+    small dispersive ratio (a UserWarning; a RuntimeWarning still fails)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return purcell_limit(PurcellParams(**given))
+
+
+#: Each numeric field of the classes that store what the door returns, as a
+#: construction with any value in its place and valid values in the others.
+STORING_CALLS = {
+    "DecayTrace.delays_us": lambda v: DecayTrace(v, range(8)),
+    "DecayTrace.populations": lambda v: DecayTrace(range(8), v),
+    "purcell_limit.kappa": lambda v: _limit(kappa=v, delta=1e10, g=2e8),
+    "purcell_limit.delta": lambda v: _limit(kappa=2e5, delta=v, g=2e8),
+    "purcell_limit.g": lambda v: _limit(kappa=2e5, g=v, chi=4e6),
+    "purcell_limit.chi": lambda v: _limit(kappa=2e5, delta=1e10, chi=v),
+    "T1Estimate.t1_us": lambda v: T1Estimate(v, 1.0, 1.0, 0.0),
+    "T1Estimate.fit_err_us": lambda v: T1Estimate(100.0, v, 1.0, 0.0),
+    "LossDataPoint.p_sm": lambda v: LossDataPoint(v, 1e-5, 1e6, 1e5),
+    "LossDataPoint.p_j": lambda v: LossDataPoint(1e-4, v, 1e6, 1e5),
+    "LossDataPoint.q_mean": lambda v: LossDataPoint(1e-4, 1e-5, v, 1e5),
+    "LossDataPoint.q_std": lambda v: LossDataPoint(1e-4, 1e-5, 1e6, v),
+}
+
+
+@given(argument=st.sampled_from(sorted(STORING_CALLS)), value=ANY_VALUE)
+@settings(max_examples=1000, deadline=None)
+def test_any_value_is_stored_as_a_finite_float_or_refused(argument, value):
+    """The same for the fields the door feeds, kept apart from the entry
+    points above so that each keeps its share of examples; whatever is
+    built stores finite floats."""
+    try:
+        built = STORING_CALLS[argument](value)
+    except QSurfLossError:
+        return
+    if isinstance(built, DecayTrace):
+        for array in (built.delays_us, built.populations):
+            assert array.dtype == np.float64 and np.isfinite(array).all()
+    elif not isinstance(built, float):  # a limit is a float, inf included
+        # None is a left-out q_std; a str or an int is not a stored number
+        assert all(type(v) is float and math.isfinite(v)
+                   for v in vars(built).values()
+                   if not isinstance(v, (str, int, type(None))))

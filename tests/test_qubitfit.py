@@ -208,16 +208,21 @@ class TestDecayTraceValidation:
         with pytest.raises(InvalidInputError, match="increasing"):
             DecayTrace(t, np.ones(10))
 
-    def test_non_finite_delay(self):
-        t = np.arange(10.0)
-        t[-1] = np.inf
+    @pytest.mark.parametrize("delays", [
+        np.r_[np.arange(9.0), np.inf], ["a"] * 8, [10**400] * 8,
+        [str(i) for i in range(8)]], ids=["inf", "str", "int1e400", "numeric-str"])
+    def test_non_finite_delay(self, delays):
+        """numpy's casting used to end ['a'] * 8 in a raw ValueError and
+        [10**400] * 8 in a raw OverflowError, and to read '0', '1', ... as
+        delays."""
         with pytest.raises(InvalidInputError, match="delays must be finite"):
-            DecayTrace(t, np.ones(10))
+            DecayTrace(delays, range(len(delays)))
 
-    def test_non_finite_population(self):
-        y = np.ones(10)
-        y[3] = np.nan
-        with pytest.raises(InvalidInputError, match="finite"):
+    @pytest.mark.parametrize("y", [
+        np.r_[np.ones(3), np.nan, np.ones(6)], [str(i) for i in range(10)]],
+        ids=["nan", "numeric-str"])
+    def test_non_finite_population(self, y):
+        with pytest.raises(InvalidInputError, match="populations must be finite"):
             DecayTrace(np.arange(10.0), y)
 
 
@@ -834,9 +839,13 @@ class TestPurcellLimit:
         terms read 0.00899628606780098 and 0.007957747154594767 s."""
         assert purcell_limit(PurcellParams.from_cyclic(**cyclic)) == limit_s
 
-    def test_delta_beyond_the_float_range_is_refused(self):
+    @pytest.mark.parametrize("g, chi", [(1e200, 1e-200), (Fraction(10**200), 1.0)],
+                             ids=["float", "Fraction"])
+    def test_delta_beyond_the_float_range_is_refused(self, g, chi):
+        """A Fraction g used to be stored as given, and the message's
+        ``:.3g`` of it ended in a raw TypeError."""
         with pytest.raises(InvalidInputError, match="it exceeds the float range"):
-            PurcellParams(kappa=1.0, g=1e200, chi=1e-200).delta_effective
+            purcell_limit(PurcellParams(kappa=1.0, g=g, chi=chi))
 
     def test_zero_coupling_unbounded(self):
         params = PurcellParams.from_cyclic(delta_ghz=2.0, kappa_khz=50.0, g_mhz=0.0)
@@ -933,13 +942,16 @@ class TestPurcellSubtraction:
          "t1 must be a number or an array of numbers, got 1" + "0" * 400),
         (lambda: purcell_subtract_t1([1.0, [2.0]], 10.0),
          "t1 must be a number or an array of numbers, got [1.0, [2.0]]"),
+        (lambda: purcell_subtract_t1([True, 120.0], 5.0),
+         "t1 must be a number or an array of numbers, got [True, 120.0]"),
     ], ids=["omega-str", "omega-inf", "purcell-str", "purcell--inf",
             "purcell-decimal-inf", "t1-str", "t1-None", "t1-int1e400",
-            "t1-ragged"])
+            "t1-ragged", "t1-bool-in-list"])
     def test_non_number_argument_fails_typed(self, call, message):
         """A str qubit frequency or Purcell limit used to end in a raw
-        TypeError, a str T1 was converted by numpy, and a T1 beyond the
-        float range or a ragged list ended in numpy's own error."""
+        TypeError, a str T1 was converted by numpy, a T1 beyond the float
+        range or a ragged list ended in numpy's own error, and numpy read
+        True in a list of floats as a T1 of 1 us."""
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             call()
 
@@ -1021,7 +1033,8 @@ class TestQStatisticsFromRounds:
     @pytest.mark.parametrize("rounds, t_purcell_ms, omega_q_ghz, message", [
         ([180.0, -5.0, 300.0], 0.25, 4.5, "t1 must be > 0"),
         ([180.0, 300.0, -5.0], 0.25, 4.5, "T1 = 300 us"),
-        ([180.0, float("nan")], 0.25, 4.5, "T1 = nan us"),
+        ([180.0, float("nan")], 0.25, 4.5,
+         r"t1 must be a number or an array of numbers, got \[180\.0, nan\]"),
         ([180.0], 0.0, 4.5, "T_Purcell = 0 ms"),
         ([180.0], 0.25, 0.0, "omega_q must be > 0"),
         ([180.0, ULP_T1_US], ULP_T_PURCELL_MS, 4.5, "inconsistent"),
