@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (InvalidInputError, RecordValidationError, TableFormatError,
-                     parse_csv, read_text, real, write_csv)
+                     parse_csv, read_text, real, real_text, write_csv)
 from .lossmodel import LossDataPoint
 from .qubitfit import _mean_std
 
@@ -105,8 +105,8 @@ def _record_from_row(row: dict) -> DeviceRecord:
         if row[column] is None:
             raise ValueError(f"no {column} cell")
         cell = row[column].strip()
-        if factor is not None:
-            cell = None if optional and not cell else float(cell) * factor
+        if factor is not None:  # as written, so that real_text sees any padding
+            cell = None if optional and not cell else real_text(row[column]) * factor
         values[name] = cell
     return DeviceRecord(**values)
 

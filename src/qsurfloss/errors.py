@@ -1,11 +1,11 @@
-"""Exception types shared across the toolkit; the one door of numbers,
-:func:`real` and :func:`reals`, which converts a finite real number to float
-once (or refuses it with an :class:`InvalidInputError` that shows it), so
-that code past it sees only finite floats; and the one place that opens
-files: UTF-8 readers and writers that keep line endings and turn a file that
-cannot be read, written or decoded into an :class:`InvalidInputError` naming
-it.  JSON documents and CSV text that the standard parsers cannot take
-(nested too deep, a cell over the field limit) fail typed here as well."""
+"""Exception types shared across the toolkit; the two doors of numbers,
+:func:`real`/:func:`reals` (to float) and :func:`integer` (counts, to int),
+which convert once or refuse with an :class:`InvalidInputError` showing the
+value, and which a number read from a file reaches as JSON holds it or as
+:func:`real_text` reads its CSV cell; and the one place that opens files:
+UTF-8 readers and writers that keep line endings, name a file that cannot be
+read, written or decoded in an :class:`InvalidInputError`, and fail typed on
+text the JSON and CSV parsers cannot take (too deep, a cell over the limit)."""
 
 import csv
 import io
@@ -49,12 +49,6 @@ def is_finite(value) -> bool:
         return False
 
 
-def is_integer(value) -> bool:
-    """True for an integer: a :class:`numbers.Integral` other than a bool,
-    which a count or an index takes (``True`` would index as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def shown(value) -> str:
     """A checked value as an error message shows it: ``str(value)``, except
     for a value that is not a real number, shown by its repr so that ``'3'``
@@ -86,6 +80,25 @@ def real(value, message: str, ok=None) -> float:
         if ok is None or ok(number):
             return number
     raise InvalidInputError(f"{message}, got {shown(value)}")
+
+
+def integer(value, message: str, ok=None) -> int:
+    """``value`` as an int, if it is a non-bool :class:`numbers.Integral` in
+    the float range and, given ``ok``, satisfies it; else :func:`real`'s error."""
+    if isinstance(value, numbers.Integral) and is_finite(value):
+        number = int(value)
+        if ok is None or ok(number):
+            return number
+    raise InvalidInputError(f"{message}, got {shown(value)}")
+
+
+def real_text(text: str) -> float:
+    """``float(text)``, except that text holding ``_`` or any non-ASCII
+    character (``4_2``, Arabic-Indic digits) raises float's ValueError."""
+    number = float(text)
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return number
 
 
 def reals(values, message: str) -> np.ndarray:

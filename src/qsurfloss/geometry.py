@@ -7,11 +7,10 @@ between vacuum (above) and a dielectric substrate half-space (below).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
 
-from .errors import InvalidInputError, is_integer, read_json, real, shown
+from .errors import InvalidInputError, integer, read_json, real
 
 #: Relative permittivity of c-plane sapphire used throughout as the default.
 SAPPHIRE_EPS_REL = 10.15
@@ -91,8 +90,8 @@ class CrossSection:
         adjacent gap) represents the periodic interior of a finger array;
         ``None`` for geometries without one.
 
-    Every number must be finite; all but the two integers are stored as
-    float.  The section is immutable and checked once, when built;
+    Every number must be finite; the two integers are stored as int and
+    the rest as float.  The section is immutable and checked once, when built;
     :func:`dataclasses.replace` and the methods below check
     their copy.
     """
@@ -117,8 +116,9 @@ class CrossSection:
         for name in ("eps_sub_rel", "eps_vac_rel", "edge_cutoff"):
             object.__setattr__(self, name, real(getattr(self, name),
                                                 f"{name} must be finite"))
-        # an integer: its finiteness is checked here, its type below
-        real(self.discretization, "discretization must be finite")
+        # a solve cannot size its arrays by 16.5
+        object.__setattr__(self, "discretization", integer(
+            self.discretization, "discretization must be an integer"))
         for s in strips:
             if not s.width > 0:
                 raise InvalidInputError(f"strip width must be > 0, got {s.width}")
@@ -136,24 +136,20 @@ class CrossSection:
         if self.eps_vac_rel <= 0.0:
             raise InvalidInputError(f"eps_vac_rel must be > 0, got {self.eps_vac_rel}")
         check_edge_cutoff(self.edge_cutoff, min(s.width for s in strips))
-        cell = self.representative_cell
-        for name, value in (("discretization", self.discretization),
-                            ("representative_cell", 0 if cell is None else cell)):
-            # a solve cannot size its arrays by 16.5
-            if not is_integer(value):
-                raise InvalidInputError(
-                    f"{name} must be an integer, got {shown(value)}")
         if self.discretization < MIN_TERMS_PER_STRIP:
             raise InvalidInputError(
                 f"discretization must be >= {MIN_TERMS_PER_STRIP} terms per strip, "
                 f"got {self.discretization}"
             )
-        if cell is not None and not 0 <= cell < len(strips):
-            raise InvalidInputError(
-                f"representative_cell index {shown(cell)} out of range")
-        if cell is not None and strips[cell].potential == 0.0:
-            raise InvalidInputError(f"representative_cell strip {cell} sits at 0 V, "
-                                    "where its cell energy 1/2 |q V| is zero")
+        cell = self.representative_cell
+        if cell is not None:  # True would index strip 1
+            cell = integer(cell, "representative_cell must be an integer")
+            object.__setattr__(self, "representative_cell", cell)
+            if not 0 <= cell < len(strips):
+                raise InvalidInputError(f"representative_cell index {cell} out of range")
+            if strips[cell].potential == 0.0:
+                raise InvalidInputError(f"representative_cell strip {cell} sits at 0 V, "
+                                        "where its cell energy 1/2 |q V| is zero")
 
     @property
     def potentials(self) -> list[float]:
@@ -184,25 +180,22 @@ class CrossSection:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CrossSection":
-        name = "strips"
-        try:
-            strips = [Strip(float(s["x_start"]), float(s["width"]),
-                            float(s["potential"])) for s in d["strips"]]
-            fields = {}
-            for name, convert in _DOCUMENT_FIELDS.items():
-                if name in d:
-                    fields[name] = convert(d[name])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        try:  # the numbers as JSON holds them, so the doors refuse "0" and true
+            strips = [Strip(s["x_start"], s["width"], s["potential"])
+                      for s in d["strips"]]
+            fields = {name: d[name] for name in _DOCUMENT_FIELDS if name in d}
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(
-                f"bad cross-section document: {name}: {exc}") from exc
+                f"bad cross-section document: strips: {exc}") from exc
+        if "label" in fields:
+            fields["label"] = str(fields["label"])
         return cls(strips, **fields)
 
 
-#: Converters of the optional fields of a cross-section document; a field the
-#: document leaves out takes the dataclass default.  ``int`` would truncate 16.5.
-_DOCUMENT_FIELDS = {"eps_sub_rel": float, "eps_vac_rel": float, "edge_cutoff": float,
-                    "discretization": operator.index,
-                    "representative_cell": lambda i: i, "label": str}
+#: The optional fields of a cross-section document; a field the document
+#: leaves out takes the dataclass default.
+_DOCUMENT_FIELDS = ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization",
+                    "representative_cell", "label")
 
 
 def load_cross_section(path) -> CrossSection:
@@ -233,17 +226,12 @@ def interdigital_unit_cell(
     copy ``dataclasses.replace(cell, edge_cutoff=c)``.
     """
     w = check_interdigital_width(gap_and_finger_width)
-    real(n_fingers, "n_fingers must be finite")  # an integer, kept as given
-    if not is_integer(n_fingers):
-        raise InvalidInputError(
-            f"n_fingers must be an integer, got {shown(n_fingers)}")
-    if n_fingers % 2 == 0:
-        raise InvalidInputError(f"n_fingers must be odd, got {n_fingers}")
-    if n_fingers < 5:
-        raise InvalidInputError(f"n_fingers must be >= 5, got {n_fingers}")
-    if n_fingers > MAX_INTERDIGITAL_FINGERS:
-        raise InvalidInputError(
-            f"n_fingers must be <= {MAX_INTERDIGITAL_FINGERS}, got {n_fingers}")
+    n_fingers = integer(n_fingers, "n_fingers must be an integer")
+    for rule, ok in (("be odd", n_fingers % 2), ("be >= 5", n_fingers >= 5),
+                     (f"be <= {MAX_INTERDIGITAL_FINGERS}",
+                      n_fingers <= MAX_INTERDIGITAL_FINGERS)):
+        if not ok:
+            raise InvalidInputError(f"n_fingers must {rule}, got {n_fingers}")
     strips = [
         Strip(i * 2.0 * w, w, 0.5 if i % 2 == 0 else -0.5)
         for i in range(n_fingers)

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import (InvalidInputError, QSurfLossError, is_finite, is_integer,
-                     read_json, real, shown, write_csv, write_text)
+from .errors import (InvalidInputError, QSurfLossError, integer, read_json, real,
+                     write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL
 from .lossmodel import (
     FITTERS,
@@ -62,7 +62,7 @@ _RETIRED_SWEEP_KEYS = ("n_fingers", "elements_per_strip")
 @dataclass
 class SweepConfig:
     """Width-sweep stage settings (defaults reproduce the standard curve);
-    every number but the integer ``points`` is stored as float."""
+    the count ``points`` is stored as int and every other number as float."""
 
     width_min_um: float = 1.0
     width_max_um: float = 20.0
@@ -75,9 +75,7 @@ class SweepConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "points":
-                if not (is_finite(value) and is_integer(value)):
-                    raise InvalidInputError(
-                        f"sweep points must be an integer, got {shown(value)}")
+                self.points = integer(value, "sweep points must be an integer")
             elif value is not None or f.name != "cutoff_um":
                 setattr(self, f.name, real(value, f"sweep {f.name} must be a number"))
         if self.points > MAX_SWEEP_POINTS:
@@ -110,6 +108,8 @@ class PipelineConfig:
     sweep: SweepConfig | None = None
 
     def validate(self) -> None:
+        if not isinstance(self.models, (list, tuple)):
+            raise InvalidInputError(f"models must be a list, got {self.models!r}")
         for model in self.models:
             LossModel(model)
         Weighting(self.weighting)
@@ -130,10 +130,10 @@ class PipelineConfig:
             sweep = raw.get("sweep")
             sweep = SweepConfig(**{k: v for k, v in sweep.items()
                                    if k not in _RETIRED_SWEEP_KEYS}
-                                ) if sweep else None
+                                ) if sweep is not None else None  # {}: default sweep
             cfg = cls(**{**raw, "sweep": sweep})
-            cfg.models = tuple(cfg.models)
             cfg.validate()
+            cfg.models = tuple(cfg.models)
         except (AttributeError, TypeError, ValueError) as exc:
             # a non-object, an unknown key or a bad value
             raise InvalidInputError(f"bad config {path}: {exc}") from exc

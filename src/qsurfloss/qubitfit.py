@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (FitFailureError, InvalidInputError, parse_csv, read_json,
-                     read_text, real, reals)
+                     read_text, real, real_text, reals)
 
 #: Purcell lifetimes above this value (s) are reported as unbounded.
 UNBOUNDED_PURCELL_S = 1e6
@@ -676,8 +676,8 @@ def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:
     delays, pops = [], []
     for i, row in enumerate(rows, start=2):
         try:
-            delays.append(float(row["delay_us"]))
-            pops.append(float(row["population"]))
+            delays.append(real_text(row["delay_us"]))
+            pops.append(real_text(row["population"]))
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"{csv_path}: bad row {i}: {exc}") from exc
     meta = {} if meta_path is None else read_json(meta_path,

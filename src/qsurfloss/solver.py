@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (ConvergenceError, InvalidInputError, NumericalFailureError,
-                     is_integer, real, shown, write_text)
+                     integer, real, write_text)
 from .geometry import CrossSection, Strip
 
 UM = 1e-6
@@ -286,12 +286,11 @@ def reconstruct_gap_voltage(sol: FieldSolution, gap_index: int = 0) -> float:
     integer in ``range(len(sol.gaps))``; a negative one is refused, not
     counted from the last gap.
     """
-    if not sol.gaps:
+    n = len(sol.gaps)
+    if not n:
         raise InvalidInputError("solution has no gaps")
-    if not (is_integer(gap_index) and 0 <= gap_index < len(sol.gaps)):
-        raise InvalidInputError(f"gap_index must be an integer in [0, "
-                                f"{len(sol.gaps)}), got {shown(gap_index)}")
-    return sol._gap_voltages[gap_index]
+    return sol._gap_voltages[integer(
+        gap_index, f"gap_index must be an integer in [0, {n})", lambda i: 0 <= i < n)]
 
 
 @lru_cache(maxsize=None)
@@ -385,9 +384,8 @@ def refine_until_converged(
         reports the last level's terms per strip, tail and energy.
     """
     rel_tol = real(rel_tol, "rel_tol must lie in (0, 0.1]", lambda t: 0.0 < t <= 0.1)
-    if not is_integer(max_total_elements):
-        raise InvalidInputError(f"max_total_elements must be an integer, "
-                                f"got {shown(max_total_elements)}")
+    max_total_elements = integer(max_total_elements,
+                                 "max_total_elements must be an integer")
     levels = 0
     while True:
         sol = solve_cross_section(geom)

@@ -5,7 +5,9 @@ Files: every read and write goes through ``read_text``, ``write_text`` or
 cannot be created or is not UTF-8 ends in an ``InvalidInputError`` that
 names the path.  JSON goes through ``read_json`` and CSV text through
 ``parse_csv``, so a document nested too deep or a cell over the csv field
-limit fails typed too.  Commands: one click group handler turns any
+limit fails typed too.  A number in a CSV cell is read by ``real_text``:
+what ``float`` reads in ASCII text without ``_``, and otherwise refused.
+Commands: one click group handler turns any
 ``QSurfLossError`` into one ``error:`` line and exit code 1.  The source
 checks below keep both from being bypassed.
 """
@@ -13,12 +15,15 @@ checks below keep both from being bypassed.
 import ast
 import inspect
 import json
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsurfloss
 import qsurfloss.cli
@@ -27,6 +32,7 @@ from qsurfloss import (
     InvalidInputError,
     TableFormatError,
     PipelineConfig,
+    RecordValidationError,
     interdigital_unit_cell,
     load_cross_section,
     load_decay_trace,
@@ -37,7 +43,8 @@ from qsurfloss import (
     solve_cross_section,
     write_sweep_csv,
 )
-from qsurfloss.errors import MAX_JSON_DEPTH, read_json
+from qsurfloss.dataio import _COLUMNS, COLUMNS, _table_row
+from qsurfloss.errors import MAX_JSON_DEPTH, read_json, write_csv
 from qsurfloss.pipeline import write_report_json
 
 SOURCES = sorted(Path(qsurfloss.__file__).parent.glob("*.py"))
@@ -233,3 +240,78 @@ class TestUnwritableOutput:
         with pytest.raises(InvalidInputError,
                            match=f"^cannot write {re.escape(str(path))}: {reason}$"):
             writes[name](path)
+
+
+#: Any text, and text drawn from the characters of numbers, so that cells
+#: that ``float`` reads come up as often as cells that it does not.
+CELL_TEXT = st.text() | st.text(
+    alphabet="0123456789._eE+-infatyINF \t\x1c\xa0\u0660\u0661\u0664", max_size=8)
+
+
+def _float_reads(text):
+    """The number that a cell ``text`` holds: ``float(text)`` for ASCII
+    text without ``_``, or None for text that ``float`` refuses or that is
+    not such text."""
+    if "_" in text or not text.isascii():
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def cell_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cells")
+
+
+class TestCellText:
+    """``float`` read ``4_2`` as 42 and Arabic-Indic digits as their value,
+    so a cell with either loaded as a number."""
+
+    @given(column=st.sampled_from(COLUMNS[2:]), cell=CELL_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_any_table_cell_loads_as_float_reads_it_or_fails_typed(
+            self, records, cell_dir, column, cell):
+        """A blank optional cell is a missing value; any other cell loads
+        as the number that ``float`` reads, is refused by a field rule, or
+        is a malformed row."""
+        path = cell_dir / "devices.csv"
+        row = _table_row(records[0])
+        row[COLUMNS.index(column)] = cell
+        write_csv(path, COLUMNS, [row])
+        _, name, factor, optional = _COLUMNS[COLUMNS.index(column)]
+        number = _float_reads(cell)
+        try:
+            (record,) = load_device_table(path)
+        except RecordValidationError:
+            assert number is not None
+            return
+        except TableFormatError as exc:
+            assert number is None
+            assert str(exc).startswith(f"{path}: malformed row 2: ")
+            return
+        if optional and not cell.strip():
+            assert getattr(record, name) is None
+        else:
+            assert number is not None and getattr(record, name) == number * factor
+
+    @given(row=st.integers(0, 9), column=st.sampled_from([0, 1]), cell=CELL_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_any_trace_cell_loads_as_float_reads_it_or_fails_typed(
+            self, cell_dir, row, column, cell):
+        """A cell loads as the number that ``float`` reads, is refused by
+        the trace's own rules (finite, increasing delays), or is a bad row."""
+        rows = [[repr(float(t)), repr(math.exp(-t / 50.0))] for t in range(0, 100, 10)]
+        rows[row][column] = cell
+        path = cell_dir / "trace.csv"
+        write_csv(path, ["delay_us", "population"], rows)
+        number = _float_reads(cell)
+        try:
+            trace = load_decay_trace(path)
+        except InvalidInputError as exc:
+            assert (number is None) == str(exc).startswith(
+                f"{path}: bad row {row + 2}: ")
+            return
+        values = trace.populations if column else trace.delays_us
+        assert number is not None and values[row] == number

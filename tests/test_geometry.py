@@ -83,8 +83,9 @@ class TestCrossSectionValidation:
             strips[1] = replace(strips[1], **{field.split(".")[1]: value})
         else:
             kwargs[field] = value
+        rule = "be an integer" if field == "discretization" else "be finite"
         with pytest.raises(InvalidInputError, match=re.escape(
-                f"{field} must be finite, got {shown(value)}")):
+                f"{field} must {rule}, got {shown(value)}")):
             CrossSection(strips, **kwargs)
 
     @pytest.mark.parametrize("value", ["3", None, Decimal("10"), True],
@@ -102,8 +103,9 @@ class TestCrossSectionValidation:
             strips[1] = replace(strips[1], **{field.split(".")[1]: value})
         else:
             kwargs[field] = value
+        rule = "be an integer" if field == "discretization" else "be finite"
         with pytest.raises(InvalidInputError, match=re.escape(
-                f"{field} must be finite, got {value!r}")):
+                f"{field} must {rule}, got {value!r}")):
             CrossSection(strips, **kwargs)
 
     @pytest.mark.parametrize("digits", [4301, 5000, 5001])
@@ -172,8 +174,8 @@ class TestInterdigitalUnitCell:
             interdigital_unit_cell(200.0, 7)
 
     @pytest.mark.parametrize("width, n_fingers, message", [
-        (3.0, 10**5000, "n_fingers must be finite, got an int of 5001 digits"),
-        (3.0, math.inf, "n_fingers must be finite, got inf"),
+        (3.0, 10**5000, "n_fingers must be an integer, got an int of 5001 digits"),
+        (3.0, math.inf, "n_fingers must be an integer, got inf"),
         (10**5000, 5, "um, got an int of 5001 digits"),
         (10**400, 5, "um, got 1000"),
         (math.nan, 5, "um, got nan"),
@@ -233,7 +235,36 @@ class TestJsonInterface:
         path = tmp_path / "bad.json"
         doc = interdigital_unit_cell(3.0, 5).to_json_dict()
         path.write_text(json.dumps({**doc, "discretization": "a"}))
-        with pytest.raises(InvalidInputError, match="bad cross-section document"):
+        with pytest.raises(InvalidInputError,
+                           match="^discretization must be an integer, got 'a'$"):
+            load_cross_section(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x_start", "0", "strips[0].x_start must be finite, got '0'"),
+        ("width", "10", "strips[0].width must be finite, got '10'"),
+        ("potential", True, "strips[0].potential must be finite, got True"),
+        ("eps_sub_rel", "10.15", "eps_sub_rel must be finite, got '10.15'"),
+        ("eps_vac_rel", True, "eps_vac_rel must be finite, got True"),
+        ("edge_cutoff", False, "edge_cutoff must be finite, got False"),
+        ("discretization", "16", "discretization must be an integer, got '16'"),
+        ("representative_cell", True,
+         "representative_cell must be an integer, got True"),
+    ], ids=["x_start-str", "width-str", "potential-bool", "eps_sub_rel-str",
+            "eps_vac_rel-bool", "edge_cutoff-bool", "discretization-str",
+            "representative_cell-bool"])
+    def test_string_or_bool_number_rejected(self, tmp_path, field, value, message):
+        """The reader cast a document's numbers with ``float()``, so
+        ``"x_start": "0"`` loaded as 0.0, ``"potential": true`` as 1.0 V and
+        ``"edge_cutoff": false`` as 0.0; they now reach the door as JSON
+        holds them."""
+        path = tmp_path / "bad.json"
+        doc = interdigital_unit_cell(3.0, 5).to_json_dict()
+        if field in Strip.__dataclass_fields__:
+            doc["strips"][0][field] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             load_cross_section(path)
 
     def test_absent_fields_take_the_dataclass_defaults(self, tmp_path):
@@ -257,7 +288,8 @@ class TestJsonInterface:
         path = tmp_path / "bad.json"
         doc = interdigital_unit_cell(3.0, 5).to_json_dict()
         path.write_text(json.dumps({**doc, "discretization": 1e400}))
-        with pytest.raises(InvalidInputError, match="bad cross-section document"):
+        with pytest.raises(InvalidInputError,
+                           match="^discretization must be an integer, got inf$"):
             load_cross_section(path)
 
     def test_invalid_geometry_keeps_its_message(self, tmp_path):

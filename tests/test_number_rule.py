@@ -1,15 +1,20 @@
-"""One door for numbers and one integer rule for every numeric argument.
+"""Two doors for every numeric argument: one for numbers, one for counts.
 
 ``errors.is_finite`` takes a number to be a ``numbers.Real`` other than a
-bool (a float, an int, a numpy scalar or a ``Fraction``), and
-``errors.is_integer`` a count or an index to be a ``numbers.Integral``
-other than a bool.  ``errors.shown`` quotes any other value by its repr.
-The door, ``errors.real`` and ``errors.reals``, admits a finite number by
+bool (a float, an int, a numpy scalar or a ``Fraction``) within the float
+range.  ``errors.shown`` quotes any other value by its repr.  The door of
+numbers, ``errors.real`` and ``errors.reals``, admits a finite number by
 that rule and converts it to float once: every class it feeds stores a
 float (a float64 array for a trace), whatever kind of number it was given.
+The door of counts, ``errors.integer``, admits a ``numbers.Integral``
+other than a bool within the float range and converts it to int once:
+every count and index is stored as a Python int.  A cross-section document
+passes its JSON values to both doors as they are.
 """
 
+import json
 import math
+import re
 import warnings
 from dataclasses import astuple
 from decimal import Decimal
@@ -34,11 +39,12 @@ from qsurfloss import (
     T1Estimate,
     cutoff_sensitivity,
     interdigital_unit_cell,
+    load_cross_section,
     psm_width_sweep,
     purcell_limit,
     purcell_subtract_q,
 )
-from qsurfloss.errors import is_finite, is_integer, shown
+from qsurfloss.errors import integer, is_finite, shown
 
 
 class TestPredicates:
@@ -55,11 +61,15 @@ class TestPredicates:
         assert not is_finite(value)
 
     def test_integers(self):
-        for value in (0, -5, 10**5000, np.int64(3), np.uint8(7)):
-            assert is_integer(value)
-        for value in (True, np.bool_(True), 7.0, Fraction(7), Decimal(7),
-                      "7", None):
-            assert not is_integer(value)
+        """A count is an int within the float range: 10**5000 is refused."""
+        for value in (0, -5, np.int64(3), np.uint8(7)):
+            count = integer(value, "n")
+            assert type(count) is int and count == value
+        for value in (10**5000, True, np.bool_(True), 7.0, Fraction(7),
+                      Decimal(7), "7", None):
+            with pytest.raises(InvalidInputError,
+                               match=f"^n, got {re.escape(shown(value))}$"):
+                integer(value, "n")
 
     @pytest.mark.parametrize("value, text", [
         (Decimal("0.1"), "Decimal('0.1')"), ("3", "'3'"), (1j, "1j"),
@@ -124,6 +134,29 @@ def test_numbers_are_stored_as_float(name, kind):
             assert type(value) is np.ndarray and value.dtype == np.float64
         else:
             assert type(value) is float, field
+
+
+#: Each class that stores what the door of counts returns, built with one
+#: count of kind ``k``, and the field that stores it.
+COUNTS = {
+    "SweepConfig.points": (lambda k: SweepConfig(points=k(20)), "points"),
+    "CrossSection.discretization": (
+        lambda k: CrossSection([Strip(0, 10, 1), Strip(20, 10, -1)],
+                               discretization=k(16)), "discretization"),
+    "CrossSection.representative_cell": (
+        lambda k: CrossSection([Strip(0, 10, 1), Strip(20, 10, -1)],
+                               representative_cell=k(1)), "representative_cell"),
+}
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8], ids=["int64", "uint8"])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_counts_are_stored_as_int(name, kind):
+    """Past the door every count is a Python int.  A uint8 count used to be
+    kept as given, so a product of it with the strip count wrapped."""
+    build, field = COUNTS[name]
+    value = getattr(build(kind), field)
+    assert type(value) is int and value == getattr(build(int), field)
 
 
 #: Any value of any type: numbers of every kind, in and out of range, and
@@ -213,3 +246,57 @@ def test_any_value_is_stored_as_a_finite_float_or_refused(argument, value):
         assert all(type(v) is float and math.isfinite(v)
                    for v in vars(built).values()
                    if not isinstance(v, (str, int, type(None))))
+
+
+#: Any JSON value: a scalar of each kind, or an array or object of them.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4))
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3) | st.dictionaries(
+    st.text(max_size=4), JSON_SCALARS, max_size=3)
+
+#: A cross-section document with three strips, the middle one representative.
+DOCUMENT = CrossSection([Strip(0.0, 10.0, 0.5), Strip(20.0, 10.0, -0.5),
+                         Strip(40.0, 10.0, 0.5)], representative_cell=1).to_json_dict()
+#: The path of each numeric field of ``DOCUMENT``, and whether it is a count.
+DOCUMENT_NUMBERS = {
+    **{("strips", i, name): False for i in range(3)
+       for name in ("x_start", "width", "potential")},
+    **{(name,): False for name in ("eps_sub_rel", "eps_vac_rel", "edge_cutoff")},
+    **{(name,): True for name in ("discretization", "representative_cell")},
+}
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "section.json"
+
+
+@given(path=st.sampled_from(sorted(DOCUMENT_NUMBERS, key=str)), value=JSON_VALUES)
+@settings(max_examples=1000, deadline=None)
+def test_any_json_value_in_a_document_is_stored_or_refused(document_path, path,
+                                                           value):
+    """A document's number reaches the doors as JSON holds it: a number of
+    the field's kind is stored as float (or int, for a count) or refused
+    typed, and a string, a bool, an array or an object is refused, as is
+    null except as a ``representative_cell``, where it means none.  The
+    reader used to cast with ``float()``, so ``"0"`` and ``true`` loaded."""
+    doc = json.loads(json.dumps(DOCUMENT))
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    document_path.write_text(json.dumps(doc))
+    try:
+        section = load_cross_section(document_path)
+    except QSurfLossError:
+        return
+    stored = section.strips[path[1]] if path[0] == "strips" else section
+    stored = getattr(stored, key)
+    if value is None:
+        assert key == "representative_cell" and stored is None
+    elif DOCUMENT_NUMBERS[path]:
+        assert type(value) is int and type(stored) is int and stored == value
+    else:
+        assert type(value) in (int, float) and type(stored) is float
+        assert stored == float(value)

@@ -64,7 +64,8 @@ def make_edited_table(records, path, edits):
     header, *rows = [line.split(",") for line in path.read_text().splitlines()]
     for row, column, text in edits:
         rows[row][COLUMNS.index(column)] = text
-    path.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
+    path.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n",
+                    encoding="utf-8")
 
 
 def make_rising_q_table(path, n_rows=5):
@@ -608,6 +609,39 @@ class TestConfigErrors:
         assert sweep == SweepConfig(width_min_um=1, width_max_um=2.5, points=2)
         assert sweep.widths() == [1.0, 2.5]
 
+    def test_empty_sweep_runs_the_default_sweep(self, tmp_path):
+        """``"sweep": {}`` used to be dropped as falsy, so no sweep ran and
+        no ``psm_width_sweep.csv`` was written."""
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "models": [], "output_dir": str(out), "sweep": {}}))
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["sweep"]["points"]) == SweepConfig().points
+        rows = (out / "psm_width_sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + SweepConfig().points
+
+    @pytest.mark.parametrize("sweep", [[], 0, False], ids=["list", "zero", "false"])
+    def test_sweep_that_is_not_an_object_is_refused(self, tmp_path, sweep):
+        """Each used to be dropped as falsy, so the run went on without a
+        sweep; it is refused as a config whose sweep is not an object."""
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(tmp_path / "out"), "sweep": sweep}))
+        _assert_one_line_error(result, "bad config")
+        assert (f"'{type(sweep).__name__}' object has no attribute 'items'"
+                in result.output)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("models", ["sm+j", {"sm+j": 1}], ids=["str", "object"])
+    def test_models_that_is_not_a_list_is_refused(self, tmp_path, models):
+        """A string used to be split into its characters, and refused as
+        the unknown model 's'; an object was read as the list of its keys."""
+        result = _run_report(tmp_path, json.dumps({
+            "models": models, "output_dir": str(tmp_path / "out")}))
+        _assert_one_line_error(result, "bad config")
+        assert f"models must be a list, got {models!r}" in result.output
+        assert not (tmp_path / "out").exists()
+
 
 #: Any JSON value; an integer ``points`` is drawn from a small range or
 #: above ``MAX_SWEEP_POINTS``, so that no draw runs a long sweep.
@@ -963,6 +997,35 @@ class TestCli:
         table.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
         result = CliRunner().invoke(main, ["fit-loss", "--input", str(table)])
         _assert_one_line_error(result, f"field '{field}'")
+
+    @pytest.mark.parametrize("cell", ["4_2", "\u0664\u0662"],
+                             ids=["underscore", "arabic-indic"])
+    def test_cell_that_float_misreads_is_one_error_line(self, records, tmp_path,
+                                                        cell):
+        """``float()`` read ``4_2`` and Arabic-Indic ``42`` as 42.0, so a
+        p_sm cell with either loaded as 4.2e-3 and was fitted."""
+        table = tmp_path / "devices.csv"
+        make_edited_table(records, table, [(0, "p_sm_1e4", cell)])
+        result = CliRunner().invoke(main, ["fit-loss", "--input", str(table)])
+        _assert_one_line_error(result, f"{table}: malformed row 2: could not "
+                                       f"convert string to float: {cell!r}")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0660"],
+                             ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["delay", "population"])
+    def test_fit_t1_cell_that_float_misreads_is_one_error_line(self, tmp_path,
+                                                               column, cell):
+        """``float()`` read ``1_0`` and Arabic-Indic ``10`` as 10.0, so the
+        trace was fitted with that delay or population."""
+        rows = [[str(t), repr(float(np.exp(-t / 50.0)))] for t in range(0, 100, 10)]
+        rows[1][column] = cell
+        trace = tmp_path / "trace.csv"
+        trace.write_text("delay_us,population\n"
+                         + "".join(",".join(row) + "\n" for row in rows),
+                         encoding="utf-8")
+        result = CliRunner().invoke(main, ["fit-t1", "--trace", str(trace)])
+        _assert_one_line_error(result, f"{trace}: bad row 3: could not convert "
+                                       f"string to float: {cell!r}")
 
     def test_non_utf8_table_is_one_error_line(self, tmp_path):
         table = tmp_path / "devices.csv"

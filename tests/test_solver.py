@@ -261,6 +261,17 @@ class TestRefinement:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             refine_until_converged(two_strip_geom, rel_tol, budget)
 
+    def test_a_numpy_count_solves_as_its_int(self):
+        """128 terms per strip as ``np.uint8`` used to be kept as given, so
+        5 strips x 128 overflowed in uint8 and the solve ended in a raw
+        ``ValueError: cannot reshape``; the count is stored as an int."""
+        geom = interdigital_unit_cell(2.0, 5, np.uint8(128))
+        assert type(geom.discretization) is int
+        sol = refine_until_converged(geom, 1e-3)
+        reference = refine_until_converged(interdigital_unit_cell(2.0, 5, 128), 1e-3)
+        assert sol.energy_per_len == reference.energy_per_len
+        assert np.array_equal(sol.coefficients, reference.coefficients)
+
     def test_zero_cutoff_follows_the_same_rule(self, two_strip_geom):
         """The layer integrals diverge at a zero cutoff, but the coefficient
         tail does not: 8 terms (7.4e-4) and 16 (4.4e-7) miss 1e-9, and 32
