@@ -23,7 +23,7 @@ import click
 
 from . import __version__
 from .dataio import bundled_device_table, group_for_fit, load_device_table
-from .errors import InvalidInputError, QSurfLossError
+from .errors import InvalidInputError, QSurfLossError, integer, real_text, shown
 from .lossmodel import FITTERS, LossModel, Weighting
 from .participation import write_sweep_csv
 from .pipeline import PipelineConfig, SweepConfig, run_pipeline, write_report_json
@@ -37,6 +37,31 @@ from .qubitfit import (
 
 GROUP_MODES = {"per-die": "per_die_design", "per-device": "per_device"}
 _SWEEP = SweepConfig()  # qsurfloss sweep takes a report's sweep defaults
+
+
+class _Number(click.ParamType):
+    """A numeric option read by the number doors: its text by
+    :func:`~qsurfloss.errors.real_text`, and a count on to an int by
+    :func:`~qsurfloss.errors.integer`.  Text they refuse (``1_0``,
+    Arabic-Indic digits, ``2.5`` for a count) is an ``InvalidInputError``,
+    which ends in one ``error:`` line like any other bad input."""
+
+    def __init__(self, count: bool) -> None:
+        self.count = count
+        self.name = "integer" if count else "float"
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):  # a default, a number already
+            return value
+        message = f"{param.opts[0]} must be {'an integer' if self.count else 'a number'}"
+        try:
+            number = real_text(value)
+            return integer(int(value), message) if self.count else number
+        except ValueError:  # integer's InvalidInputError is one too
+            raise InvalidInputError(f"{message}, got {shown(value)}") from None
+
+
+_REAL, _COUNT = _Number(count=False), _Number(count=True)
 
 
 class _TypedErrorGroup(click.Group):
@@ -62,18 +87,18 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--width-min", type=float, default=_SWEEP.width_min_um,
+@click.option("--width-min", type=_REAL, default=_SWEEP.width_min_um,
               show_default=True, help="Smallest gap/finger width, um.")
-@click.option("--width-max", type=float, default=_SWEEP.width_max_um,
+@click.option("--width-max", type=_REAL, default=_SWEEP.width_max_um,
               show_default=True, help="Largest gap/finger width, um.")
-@click.option("--points", type=int, default=_SWEEP.points, show_default=True,
+@click.option("--points", type=_COUNT, default=_SWEEP.points, show_default=True,
               help="Number of sweep points.")
-@click.option("--t-sm-nm", type=float, default=_SWEEP.t_sm_nm, show_default=True,
+@click.option("--t-sm-nm", type=_REAL, default=_SWEEP.t_sm_nm, show_default=True,
               help="Substrate-metal layer thickness, nm.")
-@click.option("--eps-sm", type=float, default=_SWEEP.eps_sm_rel, show_default=True,
+@click.option("--eps-sm", type=_REAL, default=_SWEEP.eps_sm_rel, show_default=True,
               help="Relative permittivity of the SM layer; the substrate "
                    "stays sapphire.")
-@click.option("--cutoff-um", type=float, default=_SWEEP.cutoff_um,
+@click.option("--cutoff-um", type=_REAL, default=_SWEEP.cutoff_um,
               help="Fixed edge cutoff in um; default scales with the width.")
 @click.option("--out", type=click.Path(dir_okay=False), default="psm_width_sweep.csv",
               show_default=True, help="Output CSV path.")
@@ -146,14 +171,14 @@ def fit_t1(trace, meta, out) -> None:
 
 
 @main.command()
-@click.option("--g", "g_mhz", type=float, default=None,
+@click.option("--g", "g_mhz", type=_REAL, default=None,
               help="Qubit-cavity coupling, cyclic MHz.")
-@click.option("--chi", "chi_mhz", type=float, default=None,
+@click.option("--chi", "chi_mhz", type=_REAL, default=None,
               help="Dispersive shift, cyclic MHz (alternative to --g).")
-@click.option("--delta", "delta_ghz", type=float, default=None,
+@click.option("--delta", "delta_ghz", type=_REAL, default=None,
               help="Qubit-cavity detuning, cyclic GHz (inferred from --g "
                    "and --chi when omitted).")
-@click.option("--kappa", "kappa_khz", type=float, default=None,
+@click.option("--kappa", "kappa_khz", type=_REAL, default=None,
               help="Cavity linewidth, cyclic kHz (required).")
 def purcell(g_mhz, chi_mhz, delta_ghz, kappa_khz) -> None:
     """Estimate the readout-cavity Purcell limit.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def _noise_floor(populations: np.ndarray) -> float:
     d2 = d1[1:] - d1[:-1]
     # the second differences telescope: their mean is (d1[-1] - d1[0]) / size
     d2 -= (d1[-1] - d1[0]) / d2.size
-    return math.sqrt(float(d2 @ d2) / d2.size) / math.sqrt(6.0)
+    return math.sqrt(float(d2.dot(d2)) / d2.size) / math.sqrt(6.0)
 
 
 def _initial_guess(delays: np.ndarray, populations: np.ndarray) -> float:
@@ -125,7 +124,7 @@ _EPS = float(np.finfo(float).eps)
 #: The smallest normal float, the floor of the population scale.
 _TINY = float(np.finfo(float).tiny)
 #: Roundings counted in the rounding error of an elimination (see
-#: ``_rounding_floor``), with room to spare: the Schur complement of a
+#: ``_project``), with room to spare: the Schur complement of a
 #: trace whose delays collapse onto two values stays below 1 % of the
 #: resulting floor, that of a campaign trace lies 1e8 times above it.
 _ELIMINATION_ROUNDINGS = 16.0
@@ -133,36 +132,28 @@ _ELIMINATION_ROUNDINGS = 16.0
 
 def _basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The T1-independent rows (1, y, x, xy, x^2, x^2 y) of the weighted
-    moments; rows 0, 2 and 4 depend on the delays alone."""
+    moments; rows 0, 2 and 4 depend on the delays alone, and each row after
+    them is that row times y."""
     basis = np.empty((6, x.size))
-    basis[0] = 1.0
-    basis[1] = y
-    basis[2] = x
-    np.multiply(x, y, out=basis[3])
-    np.multiply(x, x, out=basis[4])
-    np.multiply(basis[4], y, out=basis[5])
+    pairs = basis.reshape(3, 2, x.size)  # a view: pairs[i] = (row, row * y)
+    pairs[0, 0] = 1.0
+    pairs[1, 0] = x
+    np.multiply(x, x, pairs[2, 0])
+    np.multiply(pairs[:, 0], y, pairs[:, 1])
     return basis
 
 
-class _Weights:
-    """Weights w with the T1-independent rows w * (1, y, x, xy, x^2, x^2 y)
-    and their sums; w = None stands for unit weights, whose rows are the
-    basis itself."""
-
-    def __init__(self, basis: np.ndarray, w: np.ndarray | None = None) -> None:
-        self.w = w
-        self.rows = basis if w is None else basis * w
-        self.sums = self.rows.sum(axis=1).tolist()
-
-    def moments(self, ff: np.ndarray) -> list[float]:
-        """The weighted moments of f and of f^2, the rows of ff, against
-        every row, in one matrix product: ``sum w f (1, y, x, xy, x^2,
-        x^2 y)`` followed by the same six sums of ``w f^2``."""
-        return (ff @ self.rows.T).ravel().tolist()
+def _weights(basis: np.ndarray, w: np.ndarray | None = None) -> tuple:
+    """Weights w, None for unit weights, as ``(w, rows.T, sums)``: the
+    T1-independent rows w * (1, y, x, xy, x^2, x^2 y), transposed into the
+    right factor of the moment product, and their sums."""
+    rows = basis if w is None else basis * w
+    return w, rows.T, np.add.reduce(rows, 1).tolist()
 
 
 def _integral_start(
-    x: np.ndarray, y: np.ndarray, unit: _Weights, t1_min: float
+    x: np.ndarray, y: np.ndarray, basis: np.ndarray, sums: list[float],
+    t1_min: float,
 ) -> float:
     """Start of the search in s = ln T1: the integral-equation estimate
     (Foss, Biometrics 26, 815 (1970)).
@@ -170,8 +161,8 @@ def _integral_start(
     With I(x) the integral of y from the first delay, ``A exp(-x/T1) + B``
     satisfies y = c0 + c1 x + c2 I exactly, with c2 = -1/T1.  The
     unit-weight regression of y on (1, x, I), with I from the cumulative
-    trapezoid rule, takes its sums from ``unit`` and from two products with
-    I, and c2 from Cramer's rule.  Where the
+    trapezoid rule, takes its sums from the ``basis`` rows and their
+    ``sums``, and c2 from Cramer's rule.  Where the
     determinant of its normal matrix is not positive, the regression shows
     no decay (c2 >= 0), or its T1 lies outside the bounds the search
     enforces, the start falls back to :func:`_initial_guess`.
@@ -182,9 +173,10 @@ def _integral_start(
     steps *= x[1:] - x[:-1]
     integral = steps.cumsum()
     integral *= 0.5
-    si, syi, sxi = (unit.rows[:3, 1:] @ integral).tolist()
-    sii = float(integral @ integral)
-    s1, sy, sx, sxy, sxx, _ = unit.sums
+    # @, not ndarray.dot, which would copy this strided view first
+    si, syi, sxi = (basis[:3, 1:] @ integral).tolist()
+    sii = float(integral.dot(integral))
+    s1, sy, sx, sxy, sxx, _ = sums
     # cofactors of the I column of the normal matrix in (1, x, I): the
     # determinant expands along that column, and det * c2 along the
     # right-hand side that Cramer's rule puts in its place
@@ -200,78 +192,54 @@ def _integral_start(
     return math.log(_initial_guess(x, y))
 
 
-class _Projection(NamedTuple):
-    """The weighted least-squares ``A f + C`` at one T1, with f =
-    exp(-x/T1) - 1, and the step in s = ln T1 from there."""
-
-    cost: float      # weighted sum of squared residuals, phi(s)
-    step: float      # Newton step -g/curv, or -g/h where curv <= 0
-    h: float         # Schur complement of s in the 3x3 Gauss-Newton matrix
-    curv: float      # phi''(s)/2: the same in the full Hessian of cost/2
-    a: float
-    c: float         # offset of the f basis: B = C - A
-    ff: np.ndarray   # f and f^2, as the two rows of one buffer
-    r: np.ndarray    # residual, model - y
-
-
-def _eliminated(
-    s1: float, sf: float, sff: float, det: float, p: float, q: float
-) -> float:
-    """What eliminating A and C takes off the s-diagonal of a symmetric
-    matrix in (A, s, C): ``(p, q) M^-1 (p, q)^T`` for the A-C block
-    ``M = [[sff, sf], [sf, s1]]`` of determinant det, where p and q are
-    the s-row entries against A and C."""
-    return (s1 * p * p - 2.0 * sf * p * q + sff * q * q) / det
-
-
-def _rounding_floor(s1: float, sff: float, det: float, scale: float) -> float:
-    """The rounding error of a Schur complement ``d - _eliminated(...)`` of
-    the A-C block of determinant det, where scale bounds the diagonal
-    entry d and the magnitudes of the terms it is summed from.  By
-    Cauchy-Schwarz each term of the eliminated numerator is at most
-    ``s1 sff scale``, so each rounding in the moments, the numerator or det
-    costs up to eps times the block's condition ``s1 sff / det`` times
-    scale; a complement below this is rounding noise."""
-    return _ELIMINATION_ROUNDINGS * _EPS * s1 * sff / det * scale
-
-
 def _project(
-    x: np.ndarray, y: np.ndarray, wt: _Weights, s: float,
+    x: np.ndarray, y: np.ndarray, wt: tuple, s: float,
     ff: np.ndarray | None = None,
-) -> _Projection | None:
-    """Variable projection of ``A exp(-x e^-s) + B`` onto y at fixed s.
+) -> tuple | None:
+    """Variable projection of ``A exp(-x e^-s) + B`` onto y at fixed s,
+    under the weights ``wt`` of :func:`_weights`.
 
     A and C = A + B solve the 2x2 weighted normal equations of the basis
-    {f, 1}; ``np.expm1`` keeps f accurate as T1 grows past the delays.
+    {f, 1}, with f = exp(-x/T1) - 1; ``np.expm1`` keeps f accurate as T1
+    grows past the delays.
     f and f^2 fill the two rows of one buffer, evaluated once per trial s:
     a reweighted projection at the same s passes that buffer, ``ff``, back
     in and changes only the weights.
     With z = x (1 + f), the model's derivative in s is ``A k z`` (k = e^-s).
-    Eliminating A and C from the 3x3 system in (A, s, C) leaves the reduced
-    gradient g = phi'/2, the Gauss-Newton Schur complement h, and the exact
-    curvature phi''/2.  The last is the Schur complement of the full
-    Hessian of cost/2, which adds the residual's curvature: ``sum w r f_s``
-    to the (A, s) entry and ``A sum w r f_ss`` to the (s, s) one.  The step
-    is Newton's, -g/curv; where curv <= 0, away from a minimum, it is
-    Gauss-Newton's, -g/h.  Every sum is a weighted moment, taken in one
+    Eliminating A and C from the 3x3 system in (A, s, C) takes ``(p, q)
+    M^-1 (p, q)^T`` off its s-diagonal, for the A-C block ``M = [[sff, sf],
+    [sf, s1]]`` and the s-row entries p and q against A and C.  That leaves
+    the reduced gradient g = phi'/2, the Gauss-Newton Schur complement h,
+    and the exact curvature phi''/2.  The last is the Schur complement of
+    the full Hessian of cost/2, which adds the residual's curvature: ``sum
+    w r f_s`` to the (A, s) entry and ``A sum w r f_ss`` to the (s, s) one.
+    The step is Newton's, -g/curv; where curv <= 0, away from a minimum, it
+    is Gauss-Newton's, -g/h.  Every sum is a weighted moment, taken in one
     matrix product.
 
-    Returns None where the projection is singular: the 2x2 determinant
-    vanishes to rounding, or h to the rounding error of the elimination (f
-    is constant, or the fit does not depend on T1, as when every delay but
-    the first lies far beyond T1), or s < _S_MIN.
+    Returns ``(cost, step, h, curv, a, c, ff, r)``: the weighted sum of
+    squared residuals phi(s), the step in s, h, curv, A, the offset C of
+    the f basis (B = C - A), the buffer of f and f^2, and the residual
+    ``model - y``.  Returns None where the projection is singular: the 2x2
+    determinant vanishes to rounding, or h to the rounding error of the
+    elimination (f is constant, or the fit does not depend on T1, as when
+    every delay but the first lies far beyond T1), or s < _S_MIN.
     """
     if s < _S_MIN:
         return None
+    w, rows_t, (s1, sy, sx, sxy, sxx, sxxy) = wt
     k = math.exp(-s)
     if ff is None:
         ff = np.empty((2, x.size))
-        np.expm1(x * -k, out=ff[0])
-        np.multiply(ff[0], ff[0], out=ff[1])
-    f = ff[0]
-    (sf, sfy, sxf, sxyf, sxxf, sxxyf,
-     sff, _, sxff, _, sxxff, _) = wt.moments(ff)
-    s1, sy, sx, sxy, sxx, sxxy = wt.sums
+        f = np.multiply(x, -k, ff[0])
+        np.expm1(f, f)
+        np.multiply(f, f, ff[1])
+    else:
+        f = ff[0]
+    # the moments of f and f^2 against every row; ndarray.dot makes the
+    # same BLAS call as @ at a fraction of its dispatch cost
+    ((sf, sfy, sxf, sxyf, sxxf, sxxyf),
+     (sff, _, sxff, _, sxxff, _)) = ff.dot(rows_t).tolist()
     det = s1 * sff - sf * sf
     if not det > _EPS * s1 * sff:
         return None
@@ -281,25 +249,30 @@ def _project(
     szz = sxxff + 2.0 * sxxf + sxx
     ak = a * k
     ak2 = ak * ak
-    h = ak2 * (szz - _eliminated(s1, sf, sff, det, szf, sz))
-    # f <= 0: the terms of szz, sum w x^2 (1 + f)^2, cancel; their
-    # magnitudes, sum w x^2 (1 - f)^2, set its rounding error
-    if not h > _rounding_floor(s1, sff, det, ak2 * (sxxff - 2.0 * sxxf + sxx)):
+    h = ak2 * (szz - (s1 * szf * szf - 2.0 * sf * szf * sz + sff * sz * sz) / det)
+    # the rounding error of h: by Cauchy-Schwarz each term of the eliminated
+    # numerator is at most s1 sff scale, where scale bounds the terms of
+    # szz, so each rounding in the moments, the numerator or det costs up
+    # to eps times the block's condition s1 sff / det times scale.  f <= 0:
+    # the terms of szz, sum w x^2 (1 + f)^2, cancel; their magnitudes,
+    # sum w x^2 (1 - f)^2, are that scale
+    if not h > (_ELIMINATION_ROUNDINGS * _EPS * s1 * sff / det
+                * (ak2 * (sxxff - 2.0 * sxxf + sxx))):
         return None
     # sum w r z and sum w r x z, with r = A f + C - y; f_s = k z and
     # f_ss = k z (k x - 1), so sum w r f_s = k rz and
     # sum w r f_ss = k (k rxz - rz)
     rz = a * szf + c * sz - szy
     rxz = a * (sxxff + sxxf) + c * (sxxf + sxx) - (sxxyf + sxxy)
+    p, q = ak * szf + k * rz, ak * sz
     curv = (ak2 * szz + ak * (k * rxz - rz)
-            - _eliminated(s1, sf, sff, det, ak * szf + k * rz, ak * sz))
+            - (s1 * p * p - 2.0 * sf * p * q + sff * q * q) / det)
     g = ak * rz
     r = f * a
     r += c
     r -= y
-    cost = float(r @ r if wt.w is None else (wt.w * r) @ r)
-    return _Projection(cost, -g / (curv if curv > 0.0 else h),
-                       h, curv, a, c, ff, r)
+    cost = float(r.dot(r) if w is None else (w * r).dot(r))
+    return cost, -g / (curv if curv > 0.0 else h), h, curv, a, c, ff, r
 
 
 def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
@@ -322,11 +295,14 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     (a factor e in T1), takes it only if the cost goes down, halving it
     until it does, and stops when a step is at most 1e-9 or when the
     step's predicted decrease of the cost, g^2/curv, is at most 4 eps times
-    the cost, which is within its rounding.  Each trial T1 evaluates
-    ``exp(-t/T1)`` once, and every moment the step needs comes from one
-    matrix product.  The quoted ``fit_err`` is the 1-sigma T1 uncertainty
-    from the chi2-scaled Gauss-Newton covariance in (A, T1, B) at the
-    optimum.
+    the cost, which is within its rounding.  On traces of 16-64 delays the
+    time goes on the fixed cost of each numpy call and Python object, so a
+    projection makes ten numpy calls and builds no object beyond its
+    arrays and the plain tuple it returns: each trial T1 evaluates
+    ``exp(-t/T1)`` once, in place, and every moment the step needs comes
+    from one matrix product.  The quoted ``fit_err`` is the 1-sigma T1
+    uncertainty from the chi2-scaled Gauss-Newton covariance in (A, T1, B)
+    at the optimum.
 
     ``loss="soft_l1"`` switches to the robust cost ``sum 2(sqrt(1+r^2)-1)``
     for traces with readout outliers, minimized by iteratively reweighted
@@ -361,7 +337,8 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     half = 0.5 * trace.delays_us
     half_span = float(half[-1] - half[0])
     x = (half - half[0]) / half_span
-    lo, hi = float(trace.populations.min()), float(trace.populations.max())
+    lo = float(np.minimum.reduce(trace.populations))
+    hi = float(np.maximum.reduce(trace.populations))
     # every trace is scaled to a largest magnitude of 1; the floor keeps
     # 1 / y_scale finite and leaves an all-zero trace at zero, which fails
     # just below
@@ -378,28 +355,29 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     v = 1.0 / y_scale
     n = x.size
     basis = _basis(x, y)
-    wt = _Weights(basis)
+    wt = _weights(basis)
     t1_min = _T1_MIN_STEPS * float(x[1])
-    s = _integral_start(x, y, wt, t1_min)
+    s = _integral_start(x, y, basis, wt[2], t1_min)
     fit = _project(x, y, wt, s)
     for _ in range(_MAX_ITER):
         if robust and fit is not None:
             # a reweight stays at s: f and f^2 carry over
-            wt = _Weights(basis, v / np.hypot(v, fit.r))
-            fit = _project(x, y, wt, s, fit.ff)
+            wt = _weights(basis, v / np.hypot(v, fit[7]))
+            fit = _project(x, y, wt, s, fit[6])
         if fit is None:
             raise FitFailureError(
                 "singular projection: the fit does not determine T1"
             )
+        cost, newton, h, curv, a, c, ff, r = fit
         # a step whose predicted decrease, g^2 over the curvature it divides
         # by, is within the cost's rounding cannot show a lower cost
-        if ((fit.curv if fit.curv > 0.0 else fit.h) * fit.step * fit.step
-                <= 4.0 * _EPS * fit.cost):
+        if (curv if curv > 0.0 else h) * newton * newton <= 4.0 * _EPS * cost:
             break
-        step = min(max(fit.step, -_MAX_STEP), _MAX_STEP)
+        step = (-_MAX_STEP if newton < -_MAX_STEP
+                else _MAX_STEP if newton > _MAX_STEP else newton)
         while abs(step) > _STEP_TOL:
             trial = _project(x, y, wt, s + step)
-            if trial is not None and trial.cost < fit.cost:
+            if trial is not None and trial[0] < cost:
                 break
             step *= 0.5
         else:
@@ -429,23 +407,24 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
         # rho' + 2 z rho'', which is (1 + z)^(-3/2) for soft_l1 with
         # z = (y_scale r)^2; chi2 = sum(rho) / dof, with rho / 2v = u - v
         # summed as r^2 / (u + v), which does not cancel
-        u = np.hypot(v, fit.r)
-        cov = _project(x, y, _Weights(basis, np.maximum((v / u) ** 3, _EPS)),
-                       s, fit.ff)
+        u = np.hypot(v, r)
+        cov = _project(x, y, _weights(basis, np.maximum((v / u) ** 3, _EPS)),
+                       s, ff)
         if cov is None:
             raise FitFailureError(
                 "singular projection: the robust covariance does not "
                 "determine T1"
             )
-        chi2 = 2.0 * v * float(np.sum(fit.r * fit.r / (u + v))) / (n - 3)
+        h, cov_a = cov[2], cov[4]
+        chi2 = 2.0 * v * float(np.add.reduce(r * r / (u + v))) / (n - 3)
     else:
-        cov, chi2 = fit, fit.cost / (n - 3)
-    var_s = chi2 / cov.h * (cov.a / fit.a) ** 2
+        cov_a, chi2 = a, cost / (n - 3)
+    var_s = chi2 / h * (cov_a / a) ** 2
     t1 = 2.0 * half_span * math.exp(s)
     if not 0.0 < t1 < math.inf:
         raise FitFailureError(f"T1 = {t1:.3g} is not a representable time")
     try:
-        amplitude = fit.a * y_scale * math.exp(float(trace.delays_us[0]) / t1)
+        amplitude = a * y_scale * math.exp(float(trace.delays_us[0]) / t1)
     except OverflowError:
         raise FitFailureError(
             "the amplitude at zero delay is not a representable float"
@@ -458,25 +437,35 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
         t1_us=t1,
         fit_err_us=fit_err,
         amplitude=amplitude,
-        offset=(fit.c - fit.a) * y_scale,
+        offset=(c - a) * y_scale,
     )
 
 
 def _mean_std(values) -> tuple[float, float]:
-    """Mean and population standard deviation of positive finite floats:
-    ``np.mean`` and ``np.std`` of the values scaled by the power of two that
-    brings the largest into [0.5, 1), so that no sum or square overflows and
-    no nonzero deviation's square underflows.  Where numpy's own squares are
-    normal they keep numpy's bits, except that a mean rounded past the
-    extreme values or a std above half their range (values an ulp apart) is
-    clamped to that bound, which the exact statistics never exceed."""
+    """Mean and population standard deviation of positive finite floats,
+    taken as ``np.mean`` and ``np.std`` take them, of the values scaled by
+    the power of two that brings the largest into [0.5, 1), so that no sum
+    or square overflows and no nonzero deviation's square underflows.  The
+    mean is the pairwise ``np.add.reduce`` of the scaled values over their
+    count, the std the root of the same of their squared deviations from
+    it: numpy's own two passes, without the Python wrappers around them,
+    which cost several times the sums themselves on the 1-64 values of a
+    device's rounds or a group's devices.  Where numpy's own
+    squares are normal they keep numpy's bits, except that a mean rounded
+    past the extreme values or a std above half their range (values an ulp
+    apart) is clamped to that bound, which the exact statistics never
+    exceed."""
     values = np.asarray(values, dtype=float)
-    lo, hi = float(values.min()), float(values.max())
+    lo = float(np.minimum.reduce(values))
+    hi = float(np.maximum.reduce(values))
     exp = math.frexp(hi)[1]
     scaled = np.ldexp(values, -exp)
-    mean = math.ldexp(float(scaled.mean()), exp)
-    std = math.ldexp(float(scaled.std()), exp)
-    return min(max(mean, lo), hi), min(std, (hi - lo) / 2)
+    mean = float(np.add.reduce(scaled)) / scaled.size
+    scaled -= mean
+    scaled *= scaled
+    std = math.sqrt(float(np.add.reduce(scaled)) / scaled.size)
+    return (min(max(math.ldexp(mean, exp), lo), hi),
+            min(math.ldexp(std, exp), (hi - lo) / 2))
 
 
 def t1_statistics(estimates) -> T1Statistics:
@@ -548,15 +537,19 @@ class PurcellParams:
 
     @property
     def delta_effective(self) -> float:
-        """Detuning, derived from g and chi when not given: g^2 / chi taken
-        exactly and rounded once."""
+        """Detuning, derived from g and chi when not given: g^2 / chi as one
+        ratio of integers, exact from the floats' integer ratios, and one
+        int true division, which CPython rounds correctly."""
         if self.delta is not None:
             return self.delta
         if self.chi == 0:
             raise InvalidInputError("cannot infer delta from chi = 0")
-        from fractions import Fraction  # imported here: ~3 ms that only Purcell runs need
+        (gn, gd), (cn, cd) = self.g.as_integer_ratio(), self.chi.as_integer_ratio()
+        num, den = gn * gn * cd, gd * gd * cn
+        if den < 0:  # the sign on the numerator: 0 / -1 would round to -0.0
+            num, den = -num, -den
         try:
-            return float(Fraction(self.g) ** 2 / Fraction(self.chi))
+            return num / den
         except OverflowError:
             raise InvalidInputError(
                 f"cannot infer delta = g^2 / chi: it exceeds the float range "
@@ -566,9 +559,12 @@ class PurcellParams:
 def purcell_limit(params: PurcellParams) -> float:
     """Relaxation-time limit through the readout cavity, in seconds.
 
-    ``T = delta^2 / (g^2 * kappa)``, taken exactly from the given
-    parameters (``g^2 = chi * delta`` or ``delta = g^2 / chi`` for the one
-    left out) and rounded once; zero coupling (or a limit beyond
+    ``T = delta^2 / (g^2 * kappa)`` from the given parameters (``g^2 = chi
+    * delta`` or ``delta = g^2 / chi`` for the one left out), taken exactly
+    as integer ratios, one correctly rounded division: each float is the
+    ratio of the integers ``float.as_integer_ratio()`` gives, so T is one
+    ratio of integer products, and CPython rounds the true division of two
+    ints correctly.  Zero coupling (or a limit beyond
     ``UNBOUNDED_PURCELL_S``) returns ``math.inf``, and one below the float
     range fails.  Warns when ``|delta| >> g`` is marginal.
     """
@@ -579,15 +575,20 @@ def purcell_limit(params: PurcellParams) -> float:
     if abs(delta) / g < DISPERSIVE_RATIO_WARN:
         warnings.warn(f"|delta|/g = {abs(delta) / g:.2f} < {DISPERSIVE_RATIO_WARN}: "
                       "dispersive Purcell estimate is unreliable", stacklevel=2)
-    from fractions import Fraction  # imported here: ~3 ms that only Purcell runs need
-    chi, exact_delta = (None if v is None else Fraction(v)
-                        for v in (params.chi, params.delta))
-    g2 = chi * exact_delta if params.g is None else Fraction(params.g) ** 2
-    exact_delta = g2 / chi if exact_delta is None else exact_delta
-    exact = exact_delta**2 / (g2 * Fraction(params.kappa))
-    if exact > UNBOUNDED_PURCELL_S:
+    (kn, kd), (gn, gd), (cn, cd), (dn, dd) = (
+        (1, 1) if v is None else v.as_integer_ratio()
+        for v in (params.kappa, params.g, params.chi, params.delta))
+    if params.g is None:  # g^2 = chi delta: T = delta / (chi kappa)
+        num, den = dn * cd * kd, dd * cn * kn
+    elif params.delta is None:  # delta = g^2 / chi: T = g^2 / (chi^2 kappa)
+        num, den = (gn * cd) ** 2 * kd, (gd * cn) ** 2 * kn
+    else:
+        num, den = (dn * gd) ** 2 * kd, (dd * gn) ** 2 * kn
+    num, den = abs(num), abs(den)  # chi and delta share their sign
+    limit_num, limit_den = UNBOUNDED_PURCELL_S.as_integer_ratio()
+    if num * limit_den > den * limit_num:
         return math.inf
-    t_purcell = float(exact)
+    t_purcell = num / den
     if t_purcell == 0.0:
         raise InvalidInputError(
             f"the Purcell limit delta^2 / (g^2 kappa) lies below the float range at "
@@ -595,13 +596,12 @@ def purcell_limit(params: PurcellParams) -> float:
     return t_purcell
 
 
-def purcell_subtract_t1(t1_us, t_purcell_ms: float):
-    """Intrinsic T1 (us) after removing the Purcell decay channel, a float
-    of one measured T1 or an array of rounds; the first round
-    that fails a check raises its error, as does one whose 1/T1 or
-    intrinsic T1 is not a finite float.  T1 must be a finite number, or an
-    array of them; ``t_purcell_ms`` a finite number, or ``math.inf`` for no
-    Purcell channel."""
+def _purcell_subtract(t1_us, t_purcell_ms, omega_q_ghz: float | None = None):
+    """T1' = 1 / (1/T1 - 1/T_Purcell) of one T1 or an array of rounds or,
+    given the checked ``omega_q_ghz``, ``Q = omega_q T1'``, in one pass
+    under one errstate.  T1 and then T_Purcell go through their doors; then
+    the first round that fails a check of T1' raises its error, and after
+    those the first whose Q is not a positive finite float."""
     t1 = reals(t1_us, "t1 must be a number or an array of numbers")
     # a float inf is the one value beyond the door that T_Purcell takes
     if not (isinstance(t_purcell_ms, float) and t_purcell_ms == math.inf):
@@ -611,7 +611,13 @@ def purcell_subtract_t1(t1_us, t_purcell_ms: float):
         # the rates can round to equal where T_Purcell exceeds T1 by an ulp;
         # np.divide leaves a T_Purcell of 0 to the checks below
         rate = 1.0 / t1 - np.divide(1.0, t_purcell_us)
-        t1_prime = 1.0 / rate
+        out = t1_prime = 1.0 / rate
+        if omega_q_ghz is not None:
+            # the units cancel only after the product, which overflows first
+            # near the float maximum; a power-of-two scale on a T1' above
+            # 2**900 moves no bit
+            scale = np.where(t1_prime > 2.0**900, 2.0**-128, 1.0)
+            out = TWO_PI * omega_q_ghz * 1e9 * (t1_prime * scale) * 1e-6 / scale
     ok = (t1 > 0) & (t_purcell_us > t1) & (0 < t1_prime) & (t1_prime < math.inf)
     if not ok.all():
         first, first_rate = (np.ravel(a)[np.argmin(ok)] for a in (t1, rate))
@@ -623,7 +629,23 @@ def purcell_subtract_t1(t1_us, t_purcell_ms: float):
         raise InvalidInputError(
             f"inconsistent inputs: T_Purcell = {t_purcell_ms:g} ms must exceed "
             f"the measured T1 = {first:g} us")
-    return t1_prime if t1_prime.ndim else float(t1_prime)
+    if omega_q_ghz is not None:
+        ok = (out > 0) & (out < math.inf)
+        if not ok.all():
+            raise InvalidInputError(
+                f"Q = omega_q T1' is not a positive finite float at T1 = "
+                f"{np.ravel(t1)[np.argmin(ok)]:g} us")
+    return out if out.ndim else float(out)
+
+
+def purcell_subtract_t1(t1_us, t_purcell_ms: float):
+    """Intrinsic T1 (us) after removing the Purcell decay channel, a float
+    of one measured T1 or an array of rounds; the first round
+    that fails a check raises its error, as does one whose 1/T1 or
+    intrinsic T1 is not a finite float.  T1 must be a finite number, or an
+    array of them; ``t_purcell_ms`` a finite number, or ``math.inf`` for no
+    Purcell channel."""
+    return _purcell_subtract(t1_us, t_purcell_ms)
 
 
 def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
@@ -636,19 +658,7 @@ def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
     """
     omega_q_ghz = real(omega_q_ghz, "omega_q must be > 0 and finite",
                        lambda v: v > 0)
-    t1 = reals(t1_us, "t1 must be a number or an array of numbers")
-    t1_prime = np.asarray(purcell_subtract_t1(t1, t_purcell_ms))
-    # the units cancel only after the product, which overflows first near the
-    # float maximum; a power-of-two scale on a T1' above 2**900 moves no bit
-    scale = np.where(t1_prime > 2.0**900, 2.0**-128, 1.0)
-    with np.errstate(all="ignore"):
-        q = TWO_PI * omega_q_ghz * 1e9 * (t1_prime * scale) * 1e-6 / scale
-    ok = (q > 0) & (q < math.inf)
-    if not ok.all():
-        raise InvalidInputError(
-            f"Q = omega_q T1' is not a positive finite float at T1 = "
-            f"{np.ravel(t1)[np.argmin(ok)]:g} us")
-    return q if q.ndim else float(q)
+    return _purcell_subtract(t1_us, t_purcell_ms, omega_q_ghz)
 
 
 def q_statistics_from_rounds(
@@ -659,8 +669,9 @@ def q_statistics_from_rounds(
     """Mean and population std of Q over repeated T1 measurements.
 
     Each round is Purcell-subtracted and converted to Q by
-    :func:`purcell_subtract_q` before the statistics are taken by
-    ``_mean_std`` (subtract, convert, then apply statistics).
+    :func:`purcell_subtract_q`, all rounds in one array pass, before the
+    statistics are taken by ``_mean_std`` (subtract, convert, then apply
+    statistics).
     """
     rounds = list(t1_rounds_us)
     if not rounds:

@@ -1111,6 +1111,45 @@ class TestCli:
         assert "g = 37.29 MHz" in result.output
         assert "T_Purcell = 9.00" in result.output
 
+    @pytest.mark.parametrize("args, message", [
+        (["sweep", "--points", "1_0"], "--points must be an integer, got '1_0'"),
+        (["sweep", "--points", "١٠"], "--points must be an integer, got '١٠'"),
+        (["sweep", "--points", "2.5"], "--points must be an integer, got '2.5'"),
+        (["sweep", "--width-min", "1_0"], "--width-min must be a number, got '1_0'"),
+        (["sweep", "--cutoff-um", "٠.١"], "--cutoff-um must be a number, got '٠.١'"),
+        (["purcell", "--chi", "٠.٦٨٥", "--delta", "2.03", "--kappa", "52.4"],
+         "--chi must be a number, got '٠.٦٨٥'"),
+        (["purcell", "--g", "37.3", "--delta", "2_03", "--kappa", "52.4"],
+         "--delta must be a number, got '2_03'"),
+        (["purcell", "--g", "37.3", "--delta", "2.03", "--kappa", "abc"],
+         "--kappa must be a number, got 'abc'"),
+    ], ids=["points-underscore", "points-arabic-indic", "points-fraction",
+            "width-underscore", "cutoff-arabic-indic", "chi-arabic-indic",
+            "delta-underscore", "kappa-text"])
+    def test_number_option_text_the_doors_refuse_is_one_error_line(
+            self, tmp_path, args, message):
+        """click's own int and float types read ``1_0`` as 10 and Arabic-Indic
+        ``0.685`` as 0.685, so ``sweep --points 1_0`` ran 10 widths and
+        ``purcell --chi`` of Arabic-Indic digits printed T_Purcell = 9.001 ms."""
+        out = tmp_path / "sweep.csv"
+        command = [*args, "--out", str(out)] if args[0] == "sweep" else args
+        result = CliRunner().invoke(main, command)
+        _assert_one_line_error(result, message)
+        assert not out.exists()
+
+    def test_number_options_read_plain_text(self, tmp_path):
+        """ASCII decimal text still reads as ``float()`` reads it: a count of
+        10 widths, and chi 0.685 MHz written three ways to one output."""
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(main, ["sweep", "--points", "10",
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "(10 widths, 0 failed)" in result.output
+        outputs = {CliRunner().invoke(main, ["purcell", "--chi", chi, "--delta",
+                                             "2.03", "--kappa", "52.4"]).output
+                   for chi in ("0.685", " 0.685", "+6.85e-1")}
+        assert outputs == {"g = 37.29 MHz (cyclic)\nT_Purcell = 9.001 ms\n"}
+
     @pytest.mark.parametrize("action, lines", [("default", 1), ("ignore", 0)])
     def test_a_shown_warning_is_one_line(self, action, lines):
         """The dispersive-ratio warning used to print the file and line of

@@ -2,6 +2,7 @@ import math
 import re
 import statistics
 import warnings
+from collections import namedtuple
 from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
@@ -32,13 +33,15 @@ from qsurfloss import qubitfit
 from qsurfloss.errors import shown
 from qsurfloss.qubitfit import (
     LOSSES,
+    UNBOUNDED_PURCELL_S,
     _basis,
     _T1_MIN_STEPS,
     _initial_guess,
     _integral_start,
+    _mean_std,
     _noise_floor,
     _project,
-    _Weights,
+    _weights,
     t1_report_dict,
 )
 
@@ -118,7 +121,17 @@ def unit_weight_problem(trace):
     t, y = trace.delays_us, trace.populations
     x = (t - t[0]) / (t[-1] - t[0])
     y = y / max(-float(y.min()), float(y.max()))
-    return x, y, _Weights(_basis(x, y))
+    return x, y, _weights(_basis(x, y))
+
+
+#: The entries of the tuple that ``_project`` returns, in its order.
+Projection = namedtuple("Projection", "cost step h curv a c ff r")
+
+
+def project(*args):
+    """``_project`` with its tuple named by the fields of Projection."""
+    fit = _project(*args)
+    return None if fit is None else Projection(*fit)
 
 
 def trapezoid_regression_rate(x, y):
@@ -133,11 +146,13 @@ def trapezoid_regression_rate(x, y):
 def cost_derivatives(x, y, wt, s, d=1e-3):
     """Half the first and second central differences of the reduced cost:
     finite-difference g = phi'/2 and phi''/2."""
-    cp, c0, cm = (_project(x, y, wt, s + e).cost for e in (d, 0.0, -d))
+    cp, c0, cm = (project(x, y, wt, s + e).cost for e in (d, 0.0, -d))
     return (cp - cm) / (4.0 * d), (cp - 2.0 * c0 + cm) / (2.0 * d * d)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+nonzero_floats = positive_floats | positive_floats.map(lambda v: -v)
 
 #: An ``arbitrary_traces`` draw whose delays collapse onto 0 and 1 once
 #: mapped onto [0, 1], so that nothing determines T1.  Its Schur complement
@@ -495,7 +510,7 @@ class TestNewtonStep:
             span = trace.delays_us[-1] - trace.delays_us[0]
             best = math.log(fit_exponential(trace).t1_us / span)
             for s in (best - 0.3, best, best + 0.3):
-                fit = _project(x, y, wt, s)
+                fit = project(x, y, wt, s)
                 g, curv = cost_derivatives(x, y, wt, s)
                 assert fit.curv == pytest.approx(curv, rel=1e-5)
                 if s != best:
@@ -509,7 +524,7 @@ class TestNewtonStep:
         trace, loss = next(campaign_traces(1))
         x, y, wt = unit_weight_problem(trace)
         s = math.log(_initial_guess(x, y))
-        fit = _project(x, y, wt, s)
+        fit = project(x, y, wt, s)
         g, curv = cost_derivatives(x, y, wt, s)
         assert fit.curv < 0.0 and curv < 0.0
         assert fit.step == pytest.approx(-g / fit.h, rel=1e-5)
@@ -521,7 +536,9 @@ class TestNewtonStep:
         """The 50 campaign traces take 199 projections with Newton steps
         from the integral-equation start (287 from the 1/e crossing, 380
         with Gauss-Newton steps); a slide back to linear convergence or to
-        the old start pushes the count past 10 % above that."""
+        the old start pushes the count past 10 % above that.  Every fit
+        projects at least once, so a fit that bypasses the counted
+        ``_project`` cannot pass."""
         calls = 0
 
         def counted(*args):
@@ -531,7 +548,9 @@ class TestNewtonStep:
 
         monkeypatch.setattr(qubitfit, "_project", counted)
         for trace, loss in campaign_traces(50):
+            before = calls
             fit_exponential(trace, loss=loss)
+            assert calls > before
         assert calls < 1.1 * 199
 
 
@@ -565,7 +584,7 @@ class TestIntegralStart:
             if loss != "linear":
                 continue
             x, y, wt = unit_weight_problem(trace)
-            s = _integral_start(x, y, wt, _T1_MIN_STEPS * x[1])
+            s = _integral_start(x, y, _basis(x, y), wt[2], _T1_MIN_STEPS * x[1])
             span = trace.delays_us[-1] - trace.delays_us[0]
             best = math.log(fit_exponential(trace).t1_us / span)
             assert abs(s - best) < 0.05
@@ -583,7 +602,8 @@ class TestIntegralStart:
                            np.exp(np.linspace(0.0, 100.0, 32) / 30.0))
         x, y, wt = unit_weight_problem(trace)
         assert trapezoid_regression_rate(x, y) > 0.0
-        assert _integral_start(x, y, wt, _T1_MIN_STEPS * x[1]) == math.log(
+        assert _integral_start(x, y, _basis(x, y), wt[2],
+                               _T1_MIN_STEPS * x[1]) == math.log(
             _initial_guess(x, y))
         with pytest.raises(FitFailureError, match="runs off to infinity"):
             fit_exponential(trace, loss=loss)
@@ -594,12 +614,13 @@ class TestProjectionCost:
         """The moments of f and f^2 from one matrix product agree with two
         matrix-vector products to 1e-13 of the sums of their magnitudes, at
         the start, the optimum and 1 either side of it in ln T1, under unit
-        and uneven weights."""
+        and uneven weights; ``ndarray.dot`` gives them with the bits of
+        ``@``."""
         worst = 0.0
         for i, (trace, _) in enumerate(campaign_traces(50)):
             x, y, unit = unit_weight_problem(trace)
             w = np.random.default_rng(i).uniform(0.1, 1.0, x.size)
-            uneven = _Weights(_basis(x, y), w)
+            uneven = _weights(_basis(x, y), w)
             span = trace.delays_us[-1] - trace.delays_us[0]
             best = math.log(fit_exponential(trace).t1_us / span)
             for s in (math.log(_initial_guess(x, y)), best - 1.0, best,
@@ -607,9 +628,11 @@ class TestProjectionCost:
                 f = np.expm1(x * -math.exp(-s))
                 ff = np.stack((f, f * f))
                 for wt in (unit, uneven):
-                    two = np.concatenate((wt.rows @ f, wt.rows @ (f * f)))
-                    size = np.concatenate((np.abs(wt.rows) @ np.abs(ff).T).T)
-                    one = np.array(wt.moments(ff))
+                    rows = wt[1].T
+                    two = np.concatenate((rows @ f, rows @ (f * f)))
+                    size = np.concatenate((np.abs(rows) @ np.abs(ff).T).T)
+                    one = ff.dot(wt[1]).ravel()
+                    np.testing.assert_array_equal(one, (ff @ wt[1]).ravel())
                     worst = max(worst, float(np.max(np.abs(one - two) / size)))
         assert worst < 1e-13
 
@@ -621,10 +644,10 @@ class TestProjectionCost:
                 continue
             x, y, unit = unit_weight_problem(trace)
             s = math.log(_initial_guess(x, y))
-            fit = _project(x, y, unit, s)
-            wt = _Weights(_basis(x, y), 1.0 / np.hypot(1.0, fit.r))
-            reused = _project(x, y, wt, s, fit.ff)
-            fresh = _project(x, y, wt, s)
+            fit = project(x, y, unit, s)
+            wt = _weights(_basis(x, y), 1.0 / np.hypot(1.0, fit.r))
+            reused = project(x, y, wt, s, fit.ff)
+            fresh = project(x, y, wt, s)
             assert reused.ff is fit.ff
             for name in ("cost", "step", "h", "curv", "a", "c"):
                 assert getattr(reused, name) == getattr(fresh, name)
@@ -633,7 +656,8 @@ class TestProjectionCost:
 
     def test_robust_fit_calls_expm1_once_per_trial_point(self, monkeypatch):
         """Every reweight projects again at an s whose f is known; only a
-        new s evaluates the exponential."""
+        new s evaluates the exponential, and each fit evaluates it through
+        the counted ``np.expm1``."""
         expm1, trials, projections = np.expm1, set(), 0
 
         def counted_expm1(*args, **kwargs):
@@ -656,7 +680,7 @@ class TestProjectionCost:
             monkeypatch.setattr(np, "expm1", counted_expm1)
             fit_exponential(trace, loss=loss)
             monkeypatch.setattr(np, "expm1", expm1)
-            assert calls <= len(trials) < projections
+            assert 0 < calls <= len(trials) < projections
 
 
 class TestT1Statistics:
@@ -846,6 +870,68 @@ class TestPurcellLimit:
         ``:.3g`` of it ended in a raw TypeError."""
         with pytest.raises(InvalidInputError, match="it exceeds the float range"):
             purcell_limit(PurcellParams(kappa=1.0, g=g, chi=chi))
+
+    @given(pair=st.sampled_from(["g-delta", "chi-delta", "g-chi"]),
+           g=st.just(0.0) | positive_floats, chi=nonzero_floats,
+           delta=nonzero_floats, kappa=positive_floats)
+    # the unbounded edge: exactly 1e6 s, an ulp of kappa above and below it
+    @example(pair="g-delta", g=1.0, chi=1.0, delta=1e3, kappa=1.0)
+    @example(pair="g-delta", g=1.0, chi=1.0, delta=1e3,
+             kappa=math.nextafter(1.0, 0.0))
+    @example(pair="g-delta", g=1.0, chi=1.0, delta=1e3,
+             kappa=math.nextafter(1.0, 2.0))
+    @example(pair="chi-delta", g=1.0, chi=-1.0, delta=-1e6, kappa=1.0)
+    @example(pair="g-chi", g=1e3, chi=1.0, delta=1.0, kappa=1.0)
+    # delta = g^2 / chi beyond the float range, and a limit below it
+    @example(pair="g-chi", g=1e200, chi=1e-200, delta=1.0, kappa=1.0)
+    @example(pair="g-delta", g=1e200, chi=1.0, delta=1e-200, kappa=1e10)
+    @example(pair="chi-delta", g=1.0, chi=1e300, delta=5e-324, kappa=1e10)
+    # g^2 overflows or is subnormal while the quotient is a float
+    @example(pair="g-chi", g=1e160, chi=1e200, delta=1.0, kappa=1.0)
+    @example(pair="g-chi", g=1e-160, chi=-1e-300, delta=1.0, kappa=1.0)
+    # zero coupling: no limit, and a delta of +0.0 whatever the sign of chi
+    @example(pair="g-chi", g=0.0, chi=-1.0, delta=1.0, kappa=1.0)
+    @example(pair="g-delta", g=0.0, chi=1.0, delta=1.0, kappa=1.0)
+    @settings(max_examples=1000, deadline=None)
+    @pytest.mark.filterwarnings("ignore:.*dispersive Purcell estimate")
+    def test_limit_and_delta_are_the_exact_quotients_rounded_once(
+            self, pair, g, chi, delta, kappa):
+        """For each pair of (g, chi, delta), ``delta_effective`` and
+        ``purcell_limit`` carry the bits of the exact quotient of the given
+        floats rounded once, as ``float(Fraction)`` rounds it; a limit above
+        ``UNBOUNDED_PURCELL_S`` or at zero coupling is inf, and a delta above
+        the float range or a limit below it is refused."""
+        if pair == "chi-delta":  # the dispersive relation needs one sign
+            g, delta = None, math.copysign(delta, chi)
+        elif pair == "g-chi":
+            delta = None
+        else:
+            chi = None
+        params = PurcellParams(kappa=kappa, delta=delta, g=g, chi=chi)
+        g2 = Fraction(chi) * Fraction(delta) if g is None else Fraction(g) ** 2
+        exact_delta = g2 / Fraction(chi) if delta is None else Fraction(delta)
+        try:
+            expected_delta = float(exact_delta)
+        except OverflowError:
+            for call in (lambda: params.delta_effective, lambda: purcell_limit(params)):
+                with pytest.raises(InvalidInputError, match=(
+                        r"^cannot infer delta = g\^2 / chi: it exceeds the float range")):
+                    call()
+            return
+        assert params.delta_effective.hex() == expected_delta.hex()
+        if g2 == 0:
+            assert purcell_limit(params) == math.inf
+            return
+        exact = exact_delta**2 / (g2 * Fraction(kappa))
+        if exact > UNBOUNDED_PURCELL_S:
+            assert purcell_limit(params) == math.inf
+        elif float(exact) == 0.0:
+            with pytest.raises(InvalidInputError, match=(
+                    r"^the Purcell limit delta\^2 / \(g\^2 kappa\) lies below "
+                    r"the float range")):
+                purcell_limit(params)
+        else:
+            assert purcell_limit(params).hex() == float(exact).hex()
 
     def test_zero_coupling_unbounded(self):
         params = PurcellParams.from_cyclic(delta_ghz=2.0, kappa_khz=50.0, g_mhz=0.0)
@@ -1051,6 +1137,31 @@ class TestQStatisticsFromRounds:
         the first round that fails them."""
         with pytest.raises(InvalidInputError, match=message):
             q_statistics_from_rounds(rounds, t_purcell_ms, omega_q_ghz)
+
+
+    @given(rounds=st.lists(st.floats(1.0, 1e4) | finite_floats, min_size=1,
+                           max_size=12),
+           t_purcell_ms=st.floats(0.01, 1e3) | st.floats(),
+           omega_q_ghz=st.floats(3.0, 6.0) | st.floats())
+    @example(rounds=[180.0, ULP_T1_US], t_purcell_ms=ULP_T_PURCELL_MS,
+             omega_q_ghz=4.5)
+    @example(rounds=[1e300, 1e308], t_purcell_ms=math.inf, omega_q_ghz=5.0)
+    @example(rounds=[3e-320, 6e-320], t_purcell_ms=1.0, omega_q_ghz=5.0)
+    @settings(max_examples=500, deadline=None)
+    def test_statistics_are_mean_std_of_the_subtracted_q(
+            self, rounds, t_purcell_ms, omega_q_ghz):
+        """``q_statistics_from_rounds`` is ``_mean_std`` of
+        ``purcell_subtract_q`` to the bit; where a round or parameter is
+        bad, both refuse the first with the same typed error text."""
+        try:
+            expected = _mean_std(purcell_subtract_q(rounds, t_purcell_ms, omega_q_ghz))
+        except InvalidInputError as exc:
+            with pytest.raises(type(exc)) as raised:
+                q_statistics_from_rounds(rounds, t_purcell_ms, omega_q_ghz)
+            assert str(raised.value) == str(exc)
+            return
+        got = q_statistics_from_rounds(rounds, t_purcell_ms, omega_q_ghz)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def assert_one_rule(values, mean, std):
