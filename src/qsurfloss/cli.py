@@ -183,8 +183,8 @@ def fit_t1(trace, meta, out) -> None:
 def purcell(g_mhz, chi_mhz, delta_ghz, kappa_khz) -> None:
     """Estimate the readout-cavity Purcell limit.
 
-    Provide any two of --g, --chi and --delta; the third follows from the
-    dispersive relation.
+    Provide exactly two of --g, --chi and --delta; the third follows from
+    the dispersive relation.
     """
     if kappa_khz is None:  # refused here, not by click, to exit 1 like any error
         raise InvalidInputError("missing option --kappa")

@@ -5,7 +5,8 @@ value, and which a number read from a file reaches as JSON holds it or as
 :func:`real_text` reads its CSV cell; and the one place that opens files:
 UTF-8 readers and writers that keep line endings, name a file that cannot be
 read, written or decoded in an :class:`InvalidInputError`, and fail typed on
-text the JSON and CSV parsers cannot take (too deep, a cell over the limit)."""
+text the JSON and CSV parsers cannot take (a cell over the limit, or JSON
+nested deeper than 16 levels, where the documents read nest at most 3)."""
 
 import csv
 import io
@@ -13,21 +14,16 @@ import json
 import math
 import numbers
 import re
-import sys
-import threading
 from itertools import accumulate
 
 import numpy as np
 
 #: Deepest nesting of arrays and objects that a JSON reader decodes.
-MAX_JSON_DEPTH = 1000
+MAX_JSON_DEPTH = 16
 #: A JSON string (to the text's end if it is not closed) or a bracket; a
 #: bracket inside a string does not nest.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|([\[\]{}])', re.DOTALL)
 _NESTING = {"[": 1, "{": 1, "]": -1, "}": -1, "": 0}
-#: Held while the recursion limit is raised, so that no two readers each
-#: restore the limit that the other raised.
-_DECODING = threading.Lock()
 
 
 def is_finite(value) -> bool:
@@ -166,14 +162,14 @@ def read_text(path, malformed: type = InvalidInputError) -> str:
 
 def read_json(path, prefix: str):
     """The JSON document in ``path``, read by :func:`read_text`.  Text that
-    is not JSON, nests deeper than :data:`MAX_JSON_DEPTH`, or holds an
-    integer over Python's int-to-str digit limit (4300 digits by default)
-    raises ``InvalidInputError(f"{prefix}: <reason>")``.
+    is not JSON, nests deeper than :data:`MAX_JSON_DEPTH` (16; the documents
+    the toolkit reads nest at most 3), or holds an integer over Python's
+    int-to-str digit limit (4300 digits by default) raises
+    ``InvalidInputError(f"{prefix}: <reason>")``.
 
     The depth is counted before decoding.  The decoder recurses once per
-    level on top of the caller's stack, so the recursion limit is raised by
-    the bound while it runs: a document within the bound decodes however
-    deep the caller sits.
+    level on the caller's stack; a caller too near the recursion limit for
+    that gets the :class:`InvalidInputError`, not a raw RecursionError.
     """
     text = read_text(path)
     # more brackets than the bound is the only way to nest deeper than it
@@ -181,16 +177,11 @@ def read_json(path, prefix: str):
             _NESTING[b] for b in _JSON_TOKEN.findall(text))) > MAX_JSON_DEPTH:
         raise InvalidInputError(
             f"{prefix}: nested deeper than {MAX_JSON_DEPTH} arrays and objects")
-    with _DECODING:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + MAX_JSON_DEPTH + 50)  # 50: the decoder's frames
-        try:
-            return json.loads(text)
-        # a JSONDecodeError is a ValueError, as is an overlong integer's error
-        except ValueError as exc:
-            raise InvalidInputError(f"{prefix}: {exc}") from exc
-        finally:
-            sys.setrecursionlimit(limit)
+    try:
+        return json.loads(text)
+    # a JSONDecodeError is a ValueError, as is an overlong integer's error
+    except (RecursionError, ValueError) as exc:
+        raise InvalidInputError(f"{prefix}: {exc}") from exc
 
 
 def parse_csv(text: str, source: str, malformed: type = InvalidInputError):

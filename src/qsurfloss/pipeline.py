@@ -174,42 +174,33 @@ def _scalar(obj) -> str:
     return json.dumps(obj)
 
 
+def _json_text(value, pad: str) -> str:
+    """The JSON text of ``value`` as :func:`write_report_json` writes it;
+    ``pad`` is the line break and indent before its closing bracket."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _scalar(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json_text(value[key], inner)}"
+                 for key in sorted(value)]
+        brackets = "{}"
+    else:
+        items, brackets = [_json_text(item, inner) for item in value], "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def write_report_json(report: dict, path) -> None:
     """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)``
     does, each float rounded to 9 significant digits and each non-finite
     one written as null (see :func:`_scalar`).
 
-    One loop walks the document over an explicit stack of the open dicts,
-    lists and tuples, so a document of any depth is written.
+    The walk recurses once per level.  A report holds documents read
+    within :data:`~qsurfloss.errors.MAX_JSON_DEPTH` (16) levels, and those
+    the toolkit reads nest at most 3.
     """
-    out: list[str] = []
-    # each open container: its (text before the item, item) pairs still to
-    # write and its closing text; the document is the one item of the first
-    stack = [(iter([("", report)]), "\n")]
-    while stack:
-        items, close = stack[-1]
-        for head, value in items:
-            out.append(head)
-            if not isinstance(value, (dict, list, tuple)):
-                out.append(_scalar(value))
-                continue
-            pad = "\n" + "  " * len(stack)
-            if isinstance(value, dict):
-                keys = sorted(value)
-                heads = [f",{pad}{_quote(key)}: " for key in keys]
-                value, brackets = [value[key] for key in keys], "{}"
-            else:
-                heads, brackets = [f",{pad}"] * len(value), "[]"
-            if not value:
-                out.append(brackets)
-                continue
-            heads[0] = brackets[0] + heads[0][1:]
-            stack.append((zip(heads, value), pad[:-2] + brackets[1]))
-            break
-        else:
-            out.append(close)
-            stack.pop()
-    write_text(path, "".join(out))
+    write_text(path, _json_text(report, "\n") + "\n")
 
 
 def _model_q(inv_q: np.ndarray, where) -> np.ndarray:

@@ -480,9 +480,9 @@ def t1_statistics(estimates) -> T1Statistics:
 class PurcellParams:
     """Dispersive-readout parameters in angular units (rad/s).
 
-    Any missing member of {g, chi, delta} is inferred from the dispersive
-    relation ``chi = g^2 / delta``; at least two of the three are required
-    (the linewidth ``kappa`` always is).  Every given value must be finite,
+    Exactly two of {g, chi, delta} are given, and the third is inferred
+    from the dispersive relation ``chi = g^2 / delta`` (the linewidth
+    ``kappa`` is always required).  Every given value must be finite,
     and is stored as float.
     """
 
@@ -500,10 +500,8 @@ class PurcellParams:
         if self.kappa <= 0:
             raise InvalidInputError("cavity linewidth kappa must be > 0")
         known = sum(v is not None for v in (self.delta, self.g, self.chi))
-        if known < 2:
-            raise InvalidInputError(
-                "provide at least two of delta, g and chi"
-            )
+        if known != 2:  # a third value could contradict the other two
+            raise InvalidInputError("provide exactly two of delta, g and chi")
         if self.delta is not None and self.delta == 0:
             raise InvalidInputError("detuning delta must be nonzero")
         if self.g is not None and self.g < 0:

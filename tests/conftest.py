@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.constants import epsilon_0
@@ -23,6 +25,15 @@ def cps_capacitance(width_um: float, gap_um: float, eps_sub_rel: float) -> float
     k = gap_um / (gap_um + 2.0 * width_um)
     kp = np.sqrt(1.0 - k * k)
     return epsilon_0 * 0.5 * (1.0 + eps_sub_rel) * ellipk(kp**2) / ellipk(k**2)
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_kept():
+    """Fail a test after which the interpreter's recursion limit differs
+    from its value before the test: nothing may change that global."""
+    limit = sys.getrecursionlimit()
+    yield
+    assert sys.getrecursionlimit() == limit, "the test changed the recursion limit"
 
 
 @pytest.fixture(scope="session")

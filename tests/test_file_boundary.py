@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from pathlib import Path
 
 import pytest
@@ -130,7 +130,7 @@ class TestUnparseableInput:
         path.write_text("[" * 100000)
         path.with_suffix(".csv").write_text("delay_us,population\n0,1\n")
         with pytest.raises(InvalidInputError, match="^" + re.escape(
-                message.format(path=path)) + "nested deeper than 1000 arrays"):
+                message.format(path=path)) + "nested deeper than 16 arrays"):
             load(path)
 
     def test_nesting_is_checked_before_decoding(self, tmp_path, monkeypatch):
@@ -150,10 +150,10 @@ class TestUnparseableInput:
                              ids=["top", "100-frames-left", "40-frames-left"])
     def test_a_document_at_the_bound_decodes_at_any_stack_depth(self, tmp_path,
                                                                 spare):
-        """The decoder used to recurse against the interpreter's one limit,
-        so the caller's own stack depth decided whether a document read.
-        ``spare`` frames are left below the limit when ``read_json`` is
-        called."""
+        """The decoder recurses against the interpreter's one limit, which
+        the reader no longer raises, so the bound is sized for a document at
+        it to decode with ``spare`` frames left below the limit when
+        ``read_json`` is called."""
         path = tmp_path / "doc.json"
         path.write_text("[" * MAX_JSON_DEPTH + "1" + "]" * MAX_JSON_DEPTH)
         limit = sys.getrecursionlimit()
@@ -168,21 +168,30 @@ class TestUnparseableInput:
         assert doc == [1]
         assert sys.getrecursionlimit() == limit
 
-    def test_concurrent_readers_restore_the_recursion_limit(self, tmp_path):
-        """Each reader raises the limit while it decodes; readers in
-        several threads leave it where it was."""
+    def test_a_caller_near_the_recursion_limit_gets_a_typed_error(self, tmp_path):
+        """Called at each stack depth down to the limit, the reader decodes
+        a document at the bound, or refuses it with the typed error once the
+        decoder runs out of stack; a RecursionError is raised only before
+        the decoder runs."""
         path = tmp_path / "doc.json"
-        path.write_text("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH)
-        limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                reads = [pool.submit(read_json, path, "doc") for _ in range(40)]
-                docs = [read.result(timeout=60) for read in reads]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(docs) == 40
-        assert sys.getrecursionlimit() == limit
+        path.write_text("[" * MAX_JSON_DEPTH + "1" + "]" * MAX_JSON_DEPTH)
+
+        def nested(n):
+            return nested(n - 1) if n else read_json(path, "doc")
+
+        outcomes = set()
+        for spare in range(40, -1, -1):
+            try:
+                nested(sys.getrecursionlimit() - len(inspect.stack(0)) - spare)
+                outcomes.add("decoded")
+            except InvalidInputError as exc:
+                assert str(exc).startswith("doc: maximum recursion depth exceeded")
+                outcomes.add("refused")
+            except RecursionError as exc:
+                frames = traceback.extract_tb(exc.__traceback__)
+                assert "loads" not in {frame.name for frame in frames}
+                outcomes.add("no stack")
+        assert outcomes == {"decoded", "refused", "no stack"}
 
     @json_readers
     def test_overlong_integer_fails_typed(self, tmp_path, load, message):

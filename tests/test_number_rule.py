@@ -104,9 +104,12 @@ STORED = {
                       ("thickness_nm", "eps_rel")),
     "LossDataPoint": (lambda k: LossDataPoint(k(1), k(2), k(10**6), k(10**5)),
                       ("p_sm", "p_j", "q_mean", "q_std")),
-    "PurcellParams": (lambda k: PurcellParams(k(2 * 10**5), k(10**10), k(2 * 10**8),
-                                              k(4 * 10**6)),
-                      ("kappa", "delta", "g", "chi")),
+    "PurcellParams.delta+g": (
+        lambda k: PurcellParams(k(2 * 10**5), delta=k(10**10), g=k(2 * 10**8)),
+        ("kappa", "delta", "g")),
+    "PurcellParams.g+chi": (
+        lambda k: PurcellParams(k(2 * 10**5), g=k(2 * 10**8), chi=k(4 * 10**6)),
+        ("kappa", "g", "chi")),
     "SweepConfig": (lambda k: SweepConfig(k(1), k(20), 20, k(1), k(10), k(1)),
                     ("width_min_um", "width_max_um", "t_sm_nm", "eps_sm_rel",
                      "cutoff_um")),

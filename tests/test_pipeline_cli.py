@@ -39,7 +39,7 @@ from qsurfloss import pipeline
 from qsurfloss.cli import main
 from qsurfloss.solver import FieldSolution
 from qsurfloss.dataio import COLUMNS, _table_row
-from qsurfloss.errors import read_json, write_csv
+from qsurfloss.errors import MAX_JSON_DEPTH, read_json, write_csv
 from qsurfloss.pipeline import MAX_SWEEP_POINTS
 from test_dataio import valid_records
 from test_qubitfit import arbitrary_traces
@@ -488,6 +488,16 @@ def _assert_one_line_error(result, match):
     assert match in lines[0]
 
 
+def _t1_files(tmp_path, depth):
+    """Write a decay trace and a sidecar nested ``depth`` deep; return their
+    paths and a ``--out`` path."""
+    trace, meta = tmp_path / "trace.csv", tmp_path / "meta.json"
+    trace.write_text("delay_us,population\n" + "\n".join(
+        f"{t},{np.exp(-t / 50.0)}" for t in range(0, 100, 10)))
+    meta.write_text('{"nested": ' + "[" * (depth - 1) + "1.5" + "]" * (depth - 1) + "}")
+    return trace, meta, tmp_path / "t1.json"
+
+
 class TestConfigErrors:
     def test_malformed_json(self, tmp_path):
         result = _run_report(tmp_path, '{"models": ["sm+j",]')
@@ -496,7 +506,7 @@ class TestConfigErrors:
     def test_deeply_nested_json(self, tmp_path):
         """It used to print a RecursionError traceback."""
         result = _run_report(tmp_path, "[" * 100000)
-        _assert_one_line_error(result, "nested deeper than 1000 arrays")
+        _assert_one_line_error(result, "nested deeper than 16 arrays")
         assert f"bad config {tmp_path / 'cfg.json'}: " in result.output
 
     def test_unknown_sweep_key(self, tmp_path):
@@ -1059,47 +1069,34 @@ class TestCli:
         _assert_one_line_error(result, f"cannot write {out}: No such file")
 
     def test_fit_t1_writes_back_a_deep_sidecar(self, tmp_path):
-        """A sidecar nested 950 deep, which the decoder still reads, used to
-        end in a raw RecursionError in the report writer.  The command and
-        the check each run in a fresh interpreter, whose stack leaves the
-        decoder the depth the test's own stack would take."""
+        """A sidecar at the depth bound comes back in the ``meta`` of
+        ``--out``, and one a level deeper is one error line, through
+        ``python -m qsurfloss.cli`` in a fresh interpreter."""
         src = str(Path(qsurfloss.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        trace = tmp_path / "trace.csv"
-        trace.write_text("delay_us,population\n" + "\n".join(
-            f"{t},{np.exp(-t / 50.0)}" for t in range(0, 100, 10)))
-        meta = tmp_path / "meta.json"
-        meta.write_text('{"nested": ' + "[" * 949 + "1.5" + "]" * 949 + "}")
-        out = tmp_path / "t1.json"
-        result = subprocess.run(
-            [sys.executable, "-m", "qsurfloss.cli", "fit-t1", "--trace", str(trace),
-             "--meta", str(meta), "--out", str(out)],
-            env=env, capture_output=True, text=True)
+        trace, meta, out = _t1_files(tmp_path, MAX_JSON_DEPTH)
+        command = [sys.executable, "-m", "qsurfloss.cli", "fit-t1", "--trace",
+                   str(trace), "--meta", str(meta), "--out", str(out)]
+        result = subprocess.run(command, env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        same = ("import json, sys; sys.exit(json.load(open(sys.argv[1]))['meta']"
-                " != json.load(open(sys.argv[2])))")
-        subprocess.run([sys.executable, "-c", same, str(out), str(meta)],
-                       env=env, check=True)
+        assert json.loads(out.read_text())["meta"] == json.loads(meta.read_text())
+        _t1_files(tmp_path, MAX_JSON_DEPTH + 1)
+        result = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {meta}: bad metadata: nested deeper "
+                                 f"than {MAX_JSON_DEPTH} arrays and objects\n")
 
     def test_fit_t1_writes_back_a_deep_sidecar_in_process(self, tmp_path):
-        """The same round trip inside the test's own stack: the reader's
-        depth bound decides what decodes, not how deep the caller sits."""
-        trace = tmp_path / "trace.csv"
-        trace.write_text("delay_us,population\n" + "\n".join(
-            f"{t},{np.exp(-t / 50.0)}" for t in range(0, 100, 10)))
-        meta = tmp_path / "meta.json"
-        meta.write_text('{"nested": ' + "[" * 949 + "1.5" + "]" * 949 + "}")
-        out = tmp_path / "t1.json"
-        result = CliRunner().invoke(main, [
-            "fit-t1", "--trace", str(trace), "--meta", str(meta), "--out", str(out)])
+        """The same inside the test's own stack."""
+        trace, meta, out = _t1_files(tmp_path, MAX_JSON_DEPTH)
+        args = ["fit-t1", "--trace", str(trace), "--meta", str(meta), "--out", str(out)]
+        result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, result.output
-        written = read_json(out, "t1")["meta"]
-        assert list(written) == ["nested"]
-        nested = written["nested"]
-        for _ in range(949):  # unwrapped one level at a time: == would recurse
-            (nested,) = nested
-        assert nested == 1.5
+        assert json.loads(out.read_text())["meta"] == read_json(meta, "meta")
+        _t1_files(tmp_path, MAX_JSON_DEPTH + 1)
+        _assert_one_line_error(CliRunner().invoke(main, args), (
+            f"bad metadata: nested deeper than {MAX_JSON_DEPTH} arrays and objects"))
 
     def test_purcell_from_chi(self):
         runner = CliRunner()
@@ -1110,6 +1107,15 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "g = 37.29 MHz" in result.output
         assert "T_Purcell = 9.00" in result.output
+
+    @pytest.mark.parametrize("delta, chi", [("2.03", "5"), ("-2.03", "0.685")],
+                             ids=["chi-5", "negative-delta"])
+    def test_purcell_refuses_all_three_dispersive_parameters(self, delta, chi):
+        """Given --g and --delta, --chi used to be ignored: both printed
+        T_Purcell = 8.996 ms and exited 0."""
+        result = CliRunner().invoke(main, ["purcell", "--g", "37.3", "--delta", delta,
+                                           "--chi", chi, "--kappa", "52.4"])
+        _assert_one_line_error(result, "provide exactly two of delta, g and chi")
 
     @pytest.mark.parametrize("args, message", [
         (["sweep", "--points", "1_0"], "--points must be an integer, got '1_0'"),
