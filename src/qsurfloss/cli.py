@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dataio import bundled_device_table, group_for_fit, load_device_table
+from .dataio import GROUPINGS, bundled_device_table, group_for_fit, load_device_table
 from .errors import InvalidInputError, QSurfLossError, integer, real_text, shown
 from .lossmodel import FITTERS, LossModel, Weighting
 from .participation import write_sweep_csv
@@ -35,7 +35,7 @@ from .qubitfit import (
     t1_report_dict,
 )
 
-GROUP_MODES = {"per-die": "per_die_design", "per-device": "per_device"}
+GROUP_MODES = dict(zip(("per-die", "per-device"), GROUPINGS))  # --group: mode
 _SWEEP = SweepConfig()  # qsurfloss sweep takes a report's sweep defaults
 
 

@@ -180,6 +180,8 @@ def save_device_table(records: Iterable[DeviceRecord], path) -> None:
 
 #: Sort key of loss-fit points: the order of every fit and report row.
 _FIT_ORDER = attrgetter("p_sm", "p_j", "group_id")
+#: The grouping modes of :func:`group_for_fit`, its default first.
+GROUPINGS = ("per_die_design", "per_device")
 
 
 def group_for_fit(
@@ -187,50 +189,33 @@ def group_for_fit(
 ) -> list[LossDataPoint]:
     """Aggregate device records into loss-fit points.
 
-    ``per_die_design`` groups by (die, geometry, p_sm, p_j) — one point per
-    die and capacitor design, with the mean Q across the group's devices and
-    the population standard deviation.  A single-device group falls back to
-    that device's own round-statistics spread when published, else 0.
-    ``per_device`` passes every record through unchanged.  Points come in
-    ascending ``(p_sm, p_j, group_id)`` order.
+    ``per_die_design`` groups by (die, geometry, p_sm, p_j), one point per
+    die and capacitor design; ``per_device`` makes every record a group of
+    its own.  Both modes take a point's Q by one rule: a group of several
+    devices has the mean Q of its devices and their population standard
+    deviation, and a single device keeps its own Q and its published
+    round-statistics spread, else 0.  Points come in ascending
+    ``(p_sm, p_j, group_id)`` order.
     """
     if not records:
         raise TableFormatError("no records to group")
-    if mode == "per_device":
-        return sorted((
-            LossDataPoint(
-                p_sm=r.p_sm,
-                p_j=r.p_j,
-                q_mean=r.q_mean,
-                q_std=r.q_std,
-                group_id=r.device_id,
-                n_devices=1,
-            )
-            for r in records
-        ), key=_FIT_ORDER)
-    if mode != "per_die_design":
+    if mode not in GROUPINGS:
         raise TableFormatError(f"unknown grouping mode {mode!r}")
-
-    groups: dict[tuple, list[DeviceRecord]] = {}
-    for r in records:
-        groups.setdefault((r.die_id, r.geometry, r.p_sm, r.p_j), []).append(r)
+    per_device = mode == "per_device"
+    groups: dict[object, list[DeviceRecord]] = {}
+    for i, r in enumerate(records):
+        key = i if per_device else (r.die_id, r.geometry, r.p_sm, r.p_j)
+        groups.setdefault(key, []).append(r)
 
     points = []
-    for (die, geometry, p_sm, p_j), members in groups.items():
-        n = len(members)
+    for members in groups.values():
+        first, n = members[0], len(members)
         if n > 1:
             mean, std = _mean_std([m.q_mean for m in members])
         else:
-            mean = members[0].q_mean
-            std = members[0].q_std if members[0].q_std is not None else 0.0
-        points.append(
-            LossDataPoint(
-                p_sm=p_sm,
-                p_j=p_j,
-                q_mean=mean,
-                q_std=std,
-                group_id=f"{die}:{geometry}:psm={p_sm / 1e-4:g}e-4",
-                n_devices=n,
-            )
-        )
+            mean, std = first.q_mean, 0.0 if first.q_std is None else first.q_std
+        points.append(LossDataPoint(
+            p_sm=first.p_sm, p_j=first.p_j, q_mean=mean, q_std=std, n_devices=n,
+            group_id=first.device_id if per_device
+            else f"{first.die_id}:{first.geometry}:psm={first.p_sm / 1e-4:g}e-4"))
     return sorted(points, key=_FIT_ORDER)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import bundled_device_table, group_for_fit, load_device_table
+from .dataio import GROUPINGS, bundled_device_table, group_for_fit, load_device_table
 from .errors import (InvalidInputError, QSurfLossError, integer, read_json, real,
                      write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL
@@ -113,7 +113,7 @@ class PipelineConfig:
         for model in self.models:
             LossModel(model)
         Weighting(self.weighting)
-        if self.grouping not in ("per_die_design", "per_device"):
+        if self.grouping not in GROUPINGS:
             raise InvalidInputError(f"unknown grouping {self.grouping!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise InvalidInputError(

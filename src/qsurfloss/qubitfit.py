@@ -73,9 +73,8 @@ class T1Statistics:
 
 
 def _noise_floor(populations: np.ndarray) -> float:
-    """Noise scale from second differences (insensitive to smooth decay)."""
-    if populations.size < 3:
-        return 0.0
+    """Noise scale from second differences (insensitive to smooth decay) of
+    at least 3 populations; a ``DecayTrace`` holds at least 8."""
     # the standard deviation of the second differences, with the sum of
     # squares taken as one dot product; the slice differences are those of
     # np.diff at a fraction of its call cost

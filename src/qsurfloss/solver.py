@@ -303,7 +303,8 @@ def edge_cut_square_integral(sol: FieldSolution, gaps: bool = False) -> float:
     """Integral of E_perp^2 dx over the strips inside the cell window
     :meth:`FieldSolution.cell`, or with ``gaps=True`` of E_x^2 dx over the
     gaps clipped to it, cut the geometry's ``edge_cutoff`` away from every
-    strip edge; (V/m)^2 m.
+    strip edge; (V/m)^2 m.  It is 0.0 when the cut leaves no segment, as
+    with gaps that are all narrower than twice the cutoff.
 
     On a segment [L, R], x = mid + half tanh(s) cancels the inverse-square-
     root ends (dx/ds = half / cosh^2 s), so Gauss-Legendre quadrature in s

@@ -12,6 +12,7 @@ from qsurfloss import (
     QSurfLossError,
     RecordValidationError,
     TableFormatError,
+    fit_sm_plus_j,
     group_for_fit,
     load_device_table,
     save_device_table,
@@ -52,6 +53,11 @@ class TestBundledTable:
 
 
 class TestValidation:
+    def test_device_id_without_die_prefix_rejected(self, records):
+        with pytest.raises(RecordValidationError,
+                           match="^device D11: field 'device_id' must look like"):
+            replace(records[0], device_id="D11")
+
     def test_cavity_below_qubit_rejected(self):
         with pytest.raises(RecordValidationError, match="omega_c"):
             DeviceRecord(
@@ -388,6 +394,36 @@ class TestGrouping:
         points = group_for_fit(records, mode="per_device")
         assert len(points) == 32
         assert {p.group_id for p in points} == {r.device_id for r in records}
+
+    def test_per_device_point_without_spread_reads_zero(self, records):
+        """A device without a published spread gives a q_std of 0.0 (it
+        used to pass None through), which inverse-variance weighting refuses
+        as it refused None, naming the same points."""
+        points = group_for_fit(records, mode="per_device")
+        bare = {r.device_id for r in records if r.q_std is None}
+        assert bare and {p.group_id for p in points if p.q_std == 0.0} == bare
+        as_none = [replace(p, q_std=None) if p.group_id in bare else p
+                   for p in points]
+        refusals = []
+        for table in (points, as_none):
+            with pytest.raises(InvalidInputError) as info:
+                fit_sm_plus_j(table, weighting="invvar")
+            refusals.append(str(info.value))
+        assert refusals[0] == refusals[1]
+        assert "10 of 32 have none" in refusals[0]
+
+    def test_single_device_groups_agree_in_both_modes(self, records):
+        """One rule takes every point's Q: where each die-design group is one
+        device, both modes give the same points but for their ids."""
+        lone = list({(r.die_id, r.geometry, r.p_sm, r.p_j): r
+                     for r in records}.values())
+        assert {r.q_std is None for r in lone} == {True, False}
+
+        def fields_but_id(mode):
+            return sorted((p.p_sm, p.p_j, p.q_mean, p.q_std, p.n_devices)
+                          for p in group_for_fit(lone, mode=mode))
+
+        assert fields_but_id("per_die_design") == fields_but_id("per_device")
 
     @pytest.mark.parametrize("mode", ["per_die_design", "per_device"])
     def test_points_come_in_fit_order(self, records, mode):

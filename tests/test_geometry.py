@@ -12,6 +12,10 @@ from qsurfloss.geometry import MAX_INTERDIGITAL_FINGERS, load_cross_section
 
 
 class TestCrossSectionValidation:
+    def test_no_strips_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one strip"):
+            CrossSection([])
+
     def test_overlapping_strips_rejected(self):
         with pytest.raises(InvalidInputError, match="overlap"):
             CrossSection([Strip(0, 10, 0.5), Strip(5, 10, -0.5)])

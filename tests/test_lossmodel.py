@@ -367,6 +367,16 @@ class TestNonNegativity:
         only = fit_sm_only(points, weighting="none")
         assert fit.tan_d_sm == pytest.approx(only.tan_d_sm, rel=1e-12)
 
+    def test_clamped_sm_tangent_has_infinite_relative_error(self):
+        """Data with a negative SM coefficient clamp tan_d_sm to 0, whose
+        relative error has no finite value."""
+        points = [replace(p, q_mean=1.0 / (-1e-4 * p.p_sm + 2e-2 * p.p_j))
+                  for p in negative_junction_points()]
+        fit = fit_sm_plus_j(points, weighting="none")
+        assert (fit.tan_d_sm, fit.stderr["tan_d_sm"]) == (0.0, 0.0)
+        assert fit.relative_stderr("tan_d_sm") == math.inf
+        assert math.isfinite(fit.relative_stderr("tan_d_j"))
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_active_set_reaches_nnls_minimum(self, data):

@@ -123,6 +123,15 @@ class TestLayerEnergy:
         sa = ratio(two_strip_sol, InterfaceSpec(InterfaceRegion.SA))
         assert sm > sa > 0.0
 
+    def test_gap_narrower_than_twice_the_cutoff_holds_no_sa_energy(self):
+        """The cut takes a 0.1 um gap whole at a 0.06 um cutoff, so nothing
+        of the gap is left to integrate; the strips keep their SM share."""
+        sol = solve_cross_section(CrossSection(
+            [Strip(0.0, 10.0, 0.5), Strip(10.1, 10.0, -0.5)], eps_sub_rel=10.15,
+            edge_cutoff=0.06))
+        assert ratio(sol, InterfaceSpec(InterfaceRegion.SA)) == 0.0
+        assert ratio(sol) > 0.0
+
     def test_unresolvable_cutoff_rejected(self, two_strip_sol):
         """1e-15 um is below one rounding step of x = 10 um, so the cut
         interval would start on the edge itself."""

@@ -1285,6 +1285,18 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "(4 widths, 0 failed)" in result.output
 
+    def test_sweep_command_exits_1_when_a_width_fails(self, tmp_path):
+        """A fixed cutoff of 5e-324 um is a positive float, but its ratio to
+        a 20 um width underflows to 0, so that width fails on its own row."""
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main, ["sweep", "--width-min", "1", "--width-max", "20", "--points", "2",
+                   "--cutoff-um", "5e-324", "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"wrote {out} (2 widths, 1 failed)" in result.output
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [bool(row["error"]) for row in rows] == [False, True]
+
     @pytest.mark.parametrize("cutoff_um, message", [
         ("0", "edge_cutoff must be > 0"),
         ("0.6", "edge_cutoff must lie in [0, 0.5) um, got 0.6"),

@@ -1080,6 +1080,10 @@ class TestQStatisticsFromRounds:
         assert mean == pytest.approx(np.mean(qs), rel=1e-12)
         assert std == pytest.approx(np.std(qs), rel=1e-12)
 
+    def test_no_rounds_rejected(self):
+        with pytest.raises(InvalidInputError, match="^need at least one round$"):
+            q_statistics_from_rounds([], 1.0, 4.0)
+
     def test_identical_rounds_coincide(self):
         a, _ = q_statistics_from_rounds([150.0] * 5, 8.0, 4.2)
         b = purcell_subtract_q(150.0, 8.0, 4.2)
