@@ -109,20 +109,29 @@ class ParticipationSet:
         }[InterfaceRegion(region)]
 
 
-def _layer_energies(
+def participation_set(
     sol: FieldSolution, specs: Sequence[InterfaceSpec]
-) -> dict[InterfaceRegion, float]:
-    """Energy per unit length (J/m) in the thin layer of each of ``specs``,
-    keyed by region.  Each integral excludes the geometry's edge cutoff
-    around every strip edge and covers the representative cell when the
-    geometry flags one (finger arrays), else the whole array.  The edge-cut
-    square integral over the strips (SM, MA) and over the gaps (SA) is taken
-    at most once each: SM and MA differ only by a constant factor."""
+) -> ParticipationSet:
+    """Participation ratio of each requested interface layer at the
+    geometry's edge cutoff.
+
+    ``p_region = u_region / U``: the energy stored in the region's layer,
+    whose integral excludes the cutoff around every strip edge, over U, the
+    total energy per unit length, both over the representative cell when the
+    geometry flags one (finger arrays).  The geometry checked its cutoff
+    when it was built and the edge-cut integral refuses a zero one; this
+    entry refuses duplicate regions in ``specs``.  Regions not requested
+    come back as ``None``.  Each call takes one edge-cut integral per field
+    component it needs, over the strips for SM and MA (which differ by a
+    constant factor) and over the gaps for SA.  Another cutoff is that of
+    the copy ``dataclasses.replace(geom, edge_cutoff=c)``.
+    """
     geom = sol.geometry
-    energies: dict[InterfaceRegion, float] = {}
+    u_total = sol.cell()[2]
+    values: dict[InterfaceRegion, float] = {}
     integrals: dict[bool, float] = {}
     for spec in specs:
-        if spec.region in energies:
+        if spec.region in values:
             raise InvalidInputError("duplicate interface regions in specs")
         gaps = spec.region is InterfaceRegion.SA
         if gaps and not sol.gaps:
@@ -137,32 +146,9 @@ def _layer_energies(
             scale = (geom.eps_sub_rel if spec.region is InterfaceRegion.SM
                      else geom.eps_vac_rel) * epsilon_0 / eps_i
             total = scale**2 * total
-        energies[spec.region] = 0.5 * eps_i * (spec.thickness_nm * NM) * total
-    return energies
-
-
-def participation_set(
-    sol: FieldSolution, specs: Sequence[InterfaceSpec]
-) -> ParticipationSet:
-    """Participation ratio of each requested interface layer at the
-    geometry's edge cutoff.
-
-    ``p_region = u_region / U``: the energy stored in the region's layer
-    over U, the total energy per unit length, or the representative cell's
-    energy share when the geometry flags one.  Duplicate regions in
-    ``specs`` are rejected; regions not requested come back as ``None``.
-    Each call takes one edge-cut integral per field component it needs, over
-    the strips for SM and MA and over the gaps for SA.  Another cutoff is
-    that of the copy ``dataclasses.replace(geom, edge_cutoff=c)``.
-    """
-    u_total = sol.cell()[2]
-    values = {region: u / u_total
-              for region, u in _layer_energies(sol, specs).items()}
-    return ParticipationSet(
-        p_sm=values.get(InterfaceRegion.SM),
-        p_sa=values.get(InterfaceRegion.SA),
-        p_ma=values.get(InterfaceRegion.MA),
-    )
+        u_layer = 0.5 * eps_i * (spec.thickness_nm * NM) * total
+        values[spec.region] = u_layer / u_total
+    return ParticipationSet(*(values.get(region) for region in InterfaceRegion))
 
 
 @dataclass
@@ -182,25 +168,27 @@ class SweepPoint:
 _K_EQUAL_GAP = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
 
 
-def _check_cutoff(cutoff_um: float, width_um: float) -> float:
-    """Reject an edge cutoff that the exact array at ``width_um`` cannot
-    take; return it as a float."""
-    cutoff_um = check_edge_cutoff(cutoff_um, width_um)
-    if cutoff_um / width_um == 0.0:  # zero, or too small against the width
+def _check_cutoff(cutoff_um: float, narrowest_um: float, widest_um: float) -> float:
+    """Reject an edge cutoff that the exact array cannot take at some width
+    from ``narrowest_um`` to ``widest_um``: one outside [0, w / 2) at the
+    narrowest, or one whose ratio to the widest is zero, where ln(1 / cutoff)
+    has no finite value.  Return it as a float."""
+    cutoff_um = check_edge_cutoff(cutoff_um, narrowest_um)
+    if cutoff_um / widest_um == 0.0:  # zero, or too small against the width
         raise InvalidInputError(
-            "edge_cutoff must be > 0: the edge integrals of the exact array "
-            "diverge as ln(1 / cutoff)"
+            f"edge_cutoff must be > 0 against a width of {widest_um} um: the "
+            "edge integrals of the exact array diverge as ln(1 / cutoff)"
         )
     return cutoff_um
 
 
 def _periodic_idc(
-    width_um: float, cutoff_um: float, spec: InterfaceSpec,
-    regions: Iterable[InterfaceRegion] = tuple(InterfaceRegion),
-) -> ParticipationSet:
-    """Participation of ``regions`` (SM, SA and MA by default) in one cell
-    of the infinite interdigital array on sapphire, gap = finger width = w,
-    every layer set by ``spec``; the other regions are None.
+    width_um: float, cutoff_um: float, spec: InterfaceSpec
+) -> dict[InterfaceRegion, float]:
+    """Participation of the SM, SA and MA layers, keyed by region in that
+    order, in one cell of the infinite interdigital array on sapphire, gap =
+    finger width = w, every layer set by ``spec``.  Nothing is checked: the
+    callers check the cutoff and hold the values to [0, 1].
 
     The map t = sin^2(pi x / P), P = 2w, and a Schwarz-Christoffel map take
     the alternately driven (+-V) array to a rectangle (Igreja & Dias, Sens.
@@ -213,17 +201,13 @@ def _periodic_idc(
     eps_sub^2 / eps_i (SM), eps_i (SA) or 1 / eps_i (MA), with relative
     permittivities throughout.
     """
-    cutoff_um = _check_cutoff(cutoff_um, width_um)
     eps_bar = 0.5 * (SAPPHIRE_EPS_REL + 1.0)
     log_term = -math.log(math.tan(0.5 * math.pi * cutoff_um / width_um))
     base = (spec.thickness_nm * 1e-3 / width_um * math.pi * log_term
             / (4.0 * eps_bar * _K_EQUAL_GAP**2))
-    return ParticipationSet(
-        p_sm=(base * SAPPHIRE_EPS_REL**2 / spec.eps_rel
-              if InterfaceRegion.SM in regions else None),
-        p_sa=base * spec.eps_rel if InterfaceRegion.SA in regions else None,
-        p_ma=base / spec.eps_rel if InterfaceRegion.MA in regions else None,
-    )
+    return {InterfaceRegion.SM: base * SAPPHIRE_EPS_REL**2 / spec.eps_rel,
+            InterfaceRegion.SA: base * spec.eps_rel,
+            InterfaceRegion.MA: base / spec.eps_rel}
 
 
 def psm_width_sweep(
@@ -237,13 +221,16 @@ def psm_width_sweep(
     (equal gap and finger width, alternating drive), evaluated in closed
     form from its conformal map, so no cross section is solved.  With
     ``cutoff_um=None`` each width keeps its width-proportional edge cutoff,
-    which makes p * width constant across the sweep; a fixed cutoff must lie
-    in (0, w / 2) at the first, narrowest width.
+    which makes p * width constant across the sweep.  A fixed cutoff is
+    checked once, before any point: it must lie in [0, w / 2) at the first,
+    narrowest width and be above zero against every width of the sweep, so
+    its ratio to the last, widest width must not round to 0.
 
     SA and MA companion layers with the same thickness and permittivity are
     evaluated alongside, so the emitted curve carries all three columns for
     sensitivity comparison.  A ratio outside [0, 1] is recorded on its own
-    point; the sweep still returns all points.
+    point, the only error a point can carry; the sweep still returns all
+    points.
     """
     widths = [check_interdigital_width(w) for w in widths_um]
     if any(b <= a for a, b in zip(widths, widths[1:])):
@@ -251,19 +238,16 @@ def psm_width_sweep(
     if spec.region is not InterfaceRegion.SM:
         raise InvalidInputError("sweep spec must describe the SM region")
     if widths and cutoff_um is not None:
-        cutoff_um = _check_cutoff(cutoff_um, widths[0])
+        cutoff_um = _check_cutoff(cutoff_um, widths[0], widths[-1])
 
     points = []
     for w in widths:
         c = w * INTERDIGITAL_CUTOFF_FRACTION if cutoff_um is None else cutoff_um
-        point = SweepPoint(width_um=w, cutoff_um=c)
         try:
-            pset = _periodic_idc(w, c, spec)
+            values = vars(ParticipationSet(*_periodic_idc(w, c, spec).values()))
         except InvalidInputError as exc:
-            point.error = str(exc)
-        else:
-            point.p_sm, point.p_sa, point.p_ma = pset.p_sm, pset.p_sa, pset.p_ma
-        points.append(point)
+            values = {"error": str(exc)}
+        points.append(SweepPoint(width_um=w, cutoff_um=c, **values))
     return points
 
 
@@ -278,14 +262,18 @@ def cutoff_sensitivity(
     The cutoff regularizes the edge singularity, so its value must always be
     reported next to a participation number; larger cutoffs exclude more of
     the edge energy, so the values decrease smoothly.  A width that is not a
-    real number in [0.1, 100] um, or a cutoff outside (0, w / 2), is refused,
-    as is a value of the requested region outside [0, 1]; the other regions
-    are not checked.
+    real number in [0.1, 100] um is refused, as is a cutoff outside
+    [0, w / 2) or one whose ratio to the width rounds to 0, each checked
+    once against the width, and a value of the requested region outside
+    [0, 1]; the other regions are not checked.
     """
     width_um = check_interdigital_width(width_um)
-    cutoffs = (_check_cutoff(c, width_um) for c in cutoffs_um)
-    return [(c, _periodic_idc(width_um, c, spec, (spec.region,))[spec.region])
-            for c in cutoffs]
+    cutoffs = (_check_cutoff(c, width_um, width_um) for c in cutoffs_um)
+    ratios = ((c, _periodic_idc(width_um, c, spec)[spec.region]) for c in cutoffs)
+    # the [0, 1] bound is held on the requested region only
+    return [(c, ParticipationSet(*(p if region is spec.region else None
+                                   for region in InterfaceRegion))[spec.region])
+            for c, p in ratios]
 
 
 def write_sweep_csv(points: Sequence[SweepPoint], path) -> None:

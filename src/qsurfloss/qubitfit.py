@@ -693,10 +693,7 @@ def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:
     return DecayTrace(np.array(delays), np.array(pops), meta=meta)
 
 
-def t1_report_dict(estimate: T1Estimate, trace: DecayTrace | None = None) -> dict:
-    """JSON-ready summary of one T1 fit."""
-    report = dict(vars(estimate))
-    if trace is not None:
-        report["n_points"] = int(trace.delays_us.size)
-        report["meta"] = trace.meta
-    return report
+def t1_report_dict(estimate: T1Estimate, trace: DecayTrace) -> dict:
+    """JSON-ready summary of one T1 fit of ``trace``."""
+    return {**vars(estimate), "n_points": int(trace.delays_us.size),
+            "meta": trace.meta}

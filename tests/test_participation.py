@@ -1,10 +1,11 @@
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import epsilon_0
 from scipy.special import ellipk
@@ -545,12 +546,57 @@ class TestWidthSweep:
                                match=r"edge_cutoff must lie in \[0, 0\.5\) um"):
                 psm_width_sweep([1.0, 2.0], cutoff_um=cutoff_um)
 
-    def test_cutoff_too_small_for_a_width_fails_that_point(self):
-        """At 20 um the smallest subnormal cutoff underflows against the
-        width, where ln(1 / cutoff) has no finite value."""
-        points = psm_width_sweep([1.0, 20.0], cutoff_um=5e-324)
-        assert points[0].error is None
-        assert points[1].error.startswith("edge_cutoff must be > 0")
+    def test_a_thick_layer_fails_only_its_point_at_a_fixed_cutoff(self):
+        """A 300 nm layer breaks the thin-layer bound at 0.5 um and not at
+        20 um; the failed point keeps its width and cutoff, and no ratio."""
+        spec = InterfaceSpec(InterfaceRegion.SM, thickness_nm=300.0)
+        points = psm_width_sweep([0.5, 20.0], spec, cutoff_um=5e-4)
+        assert points[0].error.startswith("p_sm = ")
+        assert "outside [0, 1]" in points[0].error
+        assert (points[0].width_um, points[0].cutoff_um) == (0.5, 5e-4)
+        assert points[0].p_sm is points[0].p_sa is points[0].p_ma is None
+        assert points[1].error is None and 0.0 < points[1].p_sm < 1.0
+
+    def test_a_fixed_cutoff_that_rounds_to_0_at_the_widest_width_is_refused_at_entry(
+            self, monkeypatch):
+        """5e-324 um over 20 um rounds to 0, where ln(1 / cutoff) has no
+        finite value: the sweep is refused, naming that width, before any
+        point is computed.  At 1 um alone the same cutoff is taken."""
+        calls = []
+        closed_form = participation._periodic_idc
+        monkeypatch.setattr(participation, "_periodic_idc",
+                            lambda *args: calls.append(args) or closed_form(*args))
+        with pytest.raises(InvalidInputError, match=(
+                r"^edge_cutoff must be > 0 against a width of 20\.0 um: ")):
+            psm_width_sweep([1.0, 5.0, 20.0], cutoff_um=5e-324)
+        assert calls == []
+        (point,) = psm_width_sweep([1.0], cutoff_um=5e-324)
+        assert point.error is None and "%.9g" % point.p_sm == "0.309372559"
+        with pytest.raises(InvalidInputError, match="a width of 20.0 um"):
+            cutoff_sensitivity(20.0, cutoffs_um=[0.1, 5e-324])
+
+    @given(cutoff=st.floats(0.0, 50.0) | st.floats(0.0, 1e-320)
+           | st.floats(allow_nan=False, allow_infinity=False),
+           widths=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=6,
+                           unique=True).map(sorted),
+           thickness_nm=st.floats(0.1, 1e3))
+    @example(cutoff=5e-324, widths=[1.0, 20.0], thickness_nm=300.0)
+    @settings(max_examples=300, deadline=None)
+    def test_a_fixed_cutoff_is_refused_at_entry_or_fails_no_point(
+            self, cutoff, widths, thickness_nm):
+        """Any finite fixed cutoff over any ascending widths: a refusal
+        before the first point, or points whose only error is the
+        thin-layer bound."""
+        spec = InterfaceSpec(InterfaceRegion.SM, thickness_nm)
+        try:
+            points = psm_width_sweep(widths, spec, cutoff)
+        except InvalidInputError:
+            return
+        assert [p.width_um for p in points] == widths
+        for point in points:
+            assert point.error is None or re.fullmatch(
+                r"p_(sm|sa|ma) = \S+ outside \[0, 1\]; the thin-layer "
+                r"approximation has broken down", point.error)
 
     def test_cutoff_rule_over_the_width_range(self):
         widths = [0.1, 1.0, 2.5, 40.0, 100.0]  # the cell's whole width range

@@ -251,6 +251,24 @@ class TestRunPipeline:
         assert report["errors"][0]["error"].startswith(message)
         assert "sweep" not in report
 
+    def test_a_cutoff_that_rounds_to_0_at_the_widest_width_fails_the_sweep_stage(
+            self, tmp_path):
+        """The sweep is refused before any point: one ``sweep`` stage error,
+        no sweep CSV and no cutoff-sensitivity block."""
+        out = tmp_path / "out"
+        report = run_pipeline(PipelineConfig(
+            models=[], output_dir=out,
+            sweep=SweepConfig(width_min_um=1.0, width_max_um=20.0, points=2,
+                              cutoff_um=5e-324)))
+        assert report["status"] == "partial"
+        [error] = report["errors"]
+        assert error["stage"] == "sweep"
+        assert error["error"].startswith(
+            "edge_cutoff must be > 0 against a width of 20.0 um")
+        assert "sweep" not in report
+        assert [o["kind"] for o in report["outputs"]] == ["report"]
+        assert not (out / "psm_width_sweep.csv").exists()
+
     def test_writer_failure_is_a_stage_error(self, tmp_path):
         """A clamped tan_d_sm makes the normalized-participation writer fail;
         the run still writes report.json and lists no half-written file."""
@@ -1286,16 +1304,28 @@ class TestCli:
         assert "(4 widths, 0 failed)" in result.output
 
     def test_sweep_command_exits_1_when_a_width_fails(self, tmp_path):
-        """A fixed cutoff of 5e-324 um is a positive float, but its ratio to
-        a 20 um width underflows to 0, so that width fails on its own row."""
+        """A 300 nm layer breaks the thin-layer bound at 0.5 um, so that
+        width fails on its own row and the command exits 1."""
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main, ["sweep", "--width-min", "0.5", "--width-max", "20", "--points", "2",
+                   "--t-sm-nm", "300", "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"wrote {out} (2 widths, 1 failed)" in result.output
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [bool(row["error"]) for row in rows] == [True, False]
+
+    def test_sweep_command_refuses_a_cutoff_that_rounds_to_0_at_the_widest_width(
+            self, tmp_path):
+        """5e-324 um is above 0, but its ratio to 20 um rounds to 0: one
+        error line naming that width, and no CSV."""
         out = tmp_path / "sweep.csv"
         result = CliRunner().invoke(
             main, ["sweep", "--width-min", "1", "--width-max", "20", "--points", "2",
                    "--cutoff-um", "5e-324", "--out", str(out)])
-        assert result.exit_code == 1
-        assert f"wrote {out} (2 widths, 1 failed)" in result.output
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert [bool(row["error"]) for row in rows] == [False, True]
+        _assert_one_line_error(result, "edge_cutoff must be > 0 against a width "
+                                       "of 20.0 um")
+        assert not out.exists()
 
     @pytest.mark.parametrize("cutoff_um, message", [
         ("0", "edge_cutoff must be > 0"),

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from qsurfloss import (
     CrossSection,
+    InterfaceRegion,
+    InterfaceSpec,
     InvalidInputError,
     LossDataPoint,
     LossFitResult,
@@ -423,8 +425,8 @@ class TestPipelineWriters:
 
 class TestSweepAndFieldWriters:
     def test_sweep_csv_with_a_failed_point(self, tmp_path):
-        points = psm_width_sweep([1.0, 20.0], cutoff_um=5e-324)
-        assert points[1].error
+        points = psm_width_sweep([0.5, 20.0], InterfaceSpec(InterfaceRegion.SM, 300.0))
+        assert points[0].error
         points.append(SweepPoint(width_um=3.0, cutoff_um=0.6,
                                  error="edge_cutoff must lie in [0, 1.5) um"))
         assert_same_bytes(tmp_path, write_sweep_csv, reference_sweep_csv,
