@@ -72,28 +72,30 @@ class CrossSection:
     Parameters
     ----------
     strips:
-        Strips sorted by ``x_start``, non-overlapping, widths > 0; stored
-        as a tuple of :class:`Strip`.
+        Strips sorted by ``x_start``, neither overlapping nor touching, each
+        ``width`` > 0; stored as a tuple of :class:`Strip`.
     eps_sub_rel:
-        Relative permittivity of the substrate half-space (>= 1).
+        Relative permittivity of the substrate half-space, >= 1.
     eps_vac_rel:
-        Relative permittivity of the upper half-space, normally 1.0.
+        Relative permittivity of the upper half-space, > 0; normally 1.0.
     edge_cutoff:
         Exclusion distance (um) around strip edges applied to layer-energy
-        integrals; must be smaller than half the narrowest strip.
+        integrals, in [0, w / 2) for the narrowest strip width w.
     discretization:
-        Chebyshev terms per strip, an integer (>= ``MIN_TERMS_PER_STRIP``),
-        of a solve, and the fewest a refinement returns; it checks them
-        against half as many.
+        Chebyshev terms per strip of a solve, an integer >=
+        ``MIN_TERMS_PER_STRIP``, and the fewest a refinement returns; it
+        checks them against half as many.
     representative_cell:
-        Index of the strip, not at 0 V, whose cell (strip plus half of each
-        adjacent gap) represents the periodic interior of a finger array;
-        ``None`` for geometries without one.
+        Index in [0, len(strips) - 1] of the strip, not at 0 V, whose cell
+        (strip plus half of each adjacent gap) represents the periodic
+        interior of a finger array; ``None`` for geometries without one.
 
-    Every number must be finite; the two integers are stored as int and
-    the rest as float.  The section is immutable and checked once, when built;
-    :func:`dataclasses.replace` and the methods below check
-    their copy.
+    Each number passes one door with its whole rule, stored as float (the
+    two counts as int), or is refused as ``<field> must be finite and
+    <rule>, got <value>`` (``must be an integer <rule>`` for a count, ``must
+    lie in [0, w / 2) um`` for the cutoff).  The section is immutable and
+    checked once, when built; :func:`dataclasses.replace` and the methods
+    below check their copy.
     """
 
     strips: tuple[Strip, ...]
@@ -109,44 +111,34 @@ class CrossSection:
         if len(strips) < 1:
             raise InvalidInputError("cross section needs at least one strip")
         strips = tuple(
-            Strip(*(real(getattr(s, name), f"strips[{i}].{name} must be finite")
-                    for name in ("x_start", "width", "potential")))
+            Strip(real(s.x_start, f"strips[{i}].x_start must be finite"),
+                  real(s.width, f"strips[{i}].width must be finite and > 0",
+                       lambda w: w > 0),
+                  real(s.potential, f"strips[{i}].potential must be finite"))
             for i, s in enumerate(strips))
-        object.__setattr__(self, "strips", strips)
-        for name in ("eps_sub_rel", "eps_vac_rel", "edge_cutoff"):
-            object.__setattr__(self, name, real(getattr(self, name),
-                                                f"{name} must be finite"))
-        # a solve cannot size its arrays by 16.5
-        object.__setattr__(self, "discretization", integer(
-            self.discretization, "discretization must be an integer"))
-        for s in strips:
-            if not s.width > 0:
-                raise InvalidInputError(f"strip width must be > 0, got {s.width}")
         for a, b in zip(strips, strips[1:]):
             if b.x_start < a.x_end:
                 raise InvalidInputError(
-                    f"strips overlap or are unsorted near x={b.x_start} um"
-                )
+                    f"strips overlap or are unsorted near x={b.x_start} um")
             if b.x_start == a.x_end:
                 raise InvalidInputError(
-                    f"strips touch at x={b.x_start} um; merge them or open a gap"
-                )
-        if self.eps_sub_rel < 1.0:
-            raise InvalidInputError(f"eps_sub_rel must be >= 1, got {self.eps_sub_rel}")
-        if self.eps_vac_rel <= 0.0:
-            raise InvalidInputError(f"eps_vac_rel must be > 0, got {self.eps_vac_rel}")
-        check_edge_cutoff(self.edge_cutoff, min(s.width for s in strips))
-        if self.discretization < MIN_TERMS_PER_STRIP:
-            raise InvalidInputError(
-                f"discretization must be >= {MIN_TERMS_PER_STRIP} terms per strip, "
-                f"got {self.discretization}"
-            )
+                    f"strips touch at x={b.x_start} um; merge them or open a gap")
+        object.__setattr__(self, "strips", strips)
+        for name, rule, ok in (("eps_sub_rel", ">= 1", lambda e: e >= 1.0),
+                               ("eps_vac_rel", "> 0", lambda e: e > 0.0)):
+            object.__setattr__(self, name, real(
+                getattr(self, name), f"{name} must be finite and {rule}", ok))
+        object.__setattr__(self, "edge_cutoff", check_edge_cutoff(
+            self.edge_cutoff, min(s.width for s in strips)))
+        # a solve cannot size its arrays by 16.5
+        object.__setattr__(self, "discretization", integer(
+            self.discretization, "discretization must be an integer >= "
+            f"{MIN_TERMS_PER_STRIP}", lambda n: n >= MIN_TERMS_PER_STRIP))
         cell = self.representative_cell
         if cell is not None:  # True would index strip 1
-            cell = integer(cell, "representative_cell must be an integer")
+            cell = integer(cell, "representative_cell must be an integer in "
+                           f"[0, {len(strips) - 1}]", lambda c: 0 <= c < len(strips))
             object.__setattr__(self, "representative_cell", cell)
-            if not 0 <= cell < len(strips):
-                raise InvalidInputError(f"representative_cell index {cell} out of range")
             if strips[cell].potential == 0.0:
                 raise InvalidInputError(f"representative_cell strip {cell} sits at 0 V, "
                                         "where its cell energy 1/2 |q V| is zero")
@@ -215,10 +207,10 @@ def interdigital_unit_cell(
     carry alternating potentials ``+0.5, -0.5, ...`` V.  The center strip is
     flagged as the representative cell so that participation extraction sees
     a cell shielded from the finite-array edges; for that reason
-    ``n_fingers`` must be odd and at least 5, and it is at most
-    ``MAX_INTERDIGITAL_FINGERS``.  The width sweep evaluates the
-    infinite array in closed form instead; solving this cell with more
-    fingers converges to that closed form and so cross-checks it.
+    ``n_fingers`` is an odd integer in [5, ``MAX_INTERDIGITAL_FINGERS``].
+    The width sweep evaluates the infinite array in closed form instead;
+    solving this cell with more fingers converges to that closed form and
+    so cross-checks it.
 
     The edge cutoff is ``width * INTERDIGITAL_CUTOFF_FRACTION`` rather
     than the global fixed default, so that sweeping the width keeps the
@@ -226,12 +218,9 @@ def interdigital_unit_cell(
     copy ``dataclasses.replace(cell, edge_cutoff=c)``.
     """
     w = check_interdigital_width(gap_and_finger_width)
-    n_fingers = integer(n_fingers, "n_fingers must be an integer")
-    for rule, ok in (("be odd", n_fingers % 2), ("be >= 5", n_fingers >= 5),
-                     (f"be <= {MAX_INTERDIGITAL_FINGERS}",
-                      n_fingers <= MAX_INTERDIGITAL_FINGERS)):
-        if not ok:
-            raise InvalidInputError(f"n_fingers must {rule}, got {n_fingers}")
+    n_fingers = integer(
+        n_fingers, f"n_fingers must be an odd integer in [5, {MAX_INTERDIGITAL_FINGERS}]",
+        lambda n: n % 2 == 1 and 5 <= n <= MAX_INTERDIGITAL_FINGERS)
     strips = [
         Strip(i * 2.0 * w, w, 0.5 if i % 2 == 0 else -0.5)
         for i in range(n_fingers)

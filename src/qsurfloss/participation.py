@@ -58,8 +58,9 @@ class InterfaceRegion(str, Enum):
 
 @dataclass(frozen=True)
 class InterfaceSpec:
-    """One lossy layer: region, finite thickness (nm) and relative
-    permittivity, both stored as float."""
+    """One lossy layer: region, thickness (nm) > 0 and relative permittivity
+    >= 1, both stored as float; a refusal reads ``layer <field> must be
+    finite and <rule>, got <value>``."""
 
     region: InterfaceRegion
     thickness_nm: float = SM_LAYER_THICKNESS_NM
@@ -68,13 +69,10 @@ class InterfaceSpec:
     def __post_init__(self) -> None:
         region = InterfaceRegion(self.region)
         object.__setattr__(self, "region", region)
-        for name in ("thickness_nm", "eps_rel"):
-            object.__setattr__(self, name, real(getattr(self, name),
-                                                f"layer {name} must be finite"))
-        if self.thickness_nm <= 0:
-            raise InvalidInputError(f"layer thickness must be > 0, got {self.thickness_nm}")
-        if self.eps_rel < 1.0:
-            raise InvalidInputError(f"layer eps_rel must be >= 1, got {self.eps_rel}")
+        for name, rule, ok in (("thickness_nm", "> 0", lambda t: t > 0),
+                               ("eps_rel", ">= 1", lambda e: e >= 1.0)):
+            object.__setattr__(self, name, real(
+                getattr(self, name), f"layer {name} must be finite and {rule}", ok))
 
 
 #: Default substrate-metal layer (1 nm disordered layer, sapphire-like).

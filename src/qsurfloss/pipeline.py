@@ -61,8 +61,9 @@ _RETIRED_SWEEP_KEYS = ("n_fingers", "elements_per_strip")
 
 @dataclass
 class SweepConfig:
-    """Width-sweep stage settings (defaults reproduce the standard curve);
-    the count ``points`` is stored as int and every other number as float."""
+    """Width-sweep stage settings (defaults reproduce the standard curve):
+    ``points`` an integer in [1, ``MAX_SWEEP_POINTS``], stored as int, every
+    other number finite, as float; :meth:`widths` needs max > min width."""
 
     width_min_um: float = 1.0
     width_max_um: float = 20.0
@@ -75,16 +76,16 @@ class SweepConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "points":
-                self.points = integer(value, "sweep points must be an integer")
+                self.points = integer(
+                    value, f"sweep points must be an integer in [1, {MAX_SWEEP_POINTS}]",
+                    lambda n: 1 <= n <= MAX_SWEEP_POINTS)
             elif value is not None or f.name != "cutoff_um":
                 setattr(self, f.name, real(value, f"sweep {f.name} must be a number"))
-        if self.points > MAX_SWEEP_POINTS:
-            raise InvalidInputError(f"sweep points must be at most "
-                                    f"{MAX_SWEEP_POINTS}, got {self.points}")
 
     def widths(self) -> list[float]:
-        if self.points < 1 or self.width_max_um <= self.width_min_um:
-            raise InvalidInputError("bad sweep range")
+        if self.width_max_um <= self.width_min_um:
+            raise InvalidInputError(f"sweep width_max_um = {self.width_max_um} must "
+                                    f"be > width_min_um = {self.width_min_um}")
         return list(np.linspace(self.width_min_um, self.width_max_um, self.points))
 
     @property

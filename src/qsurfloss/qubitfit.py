@@ -481,8 +481,9 @@ class PurcellParams:
 
     Exactly two of {g, chi, delta} are given, and the third is inferred
     from the dispersive relation ``chi = g^2 / delta`` (the linewidth
-    ``kappa`` is always required).  Every given value must be finite,
-    and is stored as float.
+    ``kappa`` is always required).  Each given value is finite and stored
+    as float, kappa > 0, delta != 0 and g >= 0, or is refused as ``<field>
+    (rad/s) must be finite and <rule>, got <value>``.
     """
 
     kappa: float
@@ -491,20 +492,17 @@ class PurcellParams:
     chi: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "delta", "g", "chi"):
+        for name, rule, ok in (("kappa", "finite and > 0", lambda k: k > 0),
+                               ("delta", "finite and != 0", lambda d: d != 0),
+                               ("g", "finite and >= 0", lambda g: g >= 0),
+                               ("chi", "finite", None)):
             value = getattr(self, name)
             # kappa is required; None leaves out one of the other three
             if value is not None or name == "kappa":
-                setattr(self, name, real(value, f"{name} must be finite"))
-        if self.kappa <= 0:
-            raise InvalidInputError("cavity linewidth kappa must be > 0")
+                setattr(self, name, real(value, f"{name} (rad/s) must be {rule}", ok))
         known = sum(v is not None for v in (self.delta, self.g, self.chi))
         if known != 2:  # a third value could contradict the other two
             raise InvalidInputError("provide exactly two of delta, g and chi")
-        if self.delta is not None and self.delta == 0:
-            raise InvalidInputError("detuning delta must be nonzero")
-        if self.g is not None and self.g < 0:
-            raise InvalidInputError("g must be >= 0")
 
     @classmethod
     def from_cyclic(
@@ -515,12 +513,16 @@ class PurcellParams:
         chi_mhz: float | None = None,
     ) -> "PurcellParams":
         """Build from the cyclic units used in device tables."""
-        def angular(value, name, unit):  # through the door before a product
-            return (None if value is None
-                    else TWO_PI * real(value, f"{name} must be finite") * unit)
+        def angular(value, name, unit, scale):  # an overflow is shown as given
+            if value is None:
+                return None
+            value = real(value, f"{name} must be finite")
+            return TWO_PI * real(value, f"{name} must be finite in {unit} and in rad/s",
+                                 lambda v: math.isfinite(TWO_PI * v * scale)) * scale
 
-        return cls(angular(kappa_khz, "kappa", 1e3), angular(delta_ghz, "delta", 1e9),
-                   angular(g_mhz, "g", 1e6), angular(chi_mhz, "chi", 1e6))
+        return cls(angular(kappa_khz, "kappa", "kHz", 1e3),
+                   angular(delta_ghz, "delta", "GHz", 1e9),
+                   angular(g_mhz, "g", "MHz", 1e6), angular(chi_mhz, "chi", "MHz", 1e6))
 
     @property
     def g_effective(self) -> float:

@@ -11,6 +11,19 @@ from qsurfloss.errors import shown
 from qsurfloss.geometry import MAX_INTERDIGITAL_FINGERS, load_cross_section
 
 
+#: The whole rule of each numeric field of a two-strip section of 10 um
+#: strips, as its refusal states it.
+FIELD_RULES = {
+    "strips[1].x_start": "strips[1].x_start must be finite",
+    "strips[1].width": "strips[1].width must be finite and > 0",
+    "strips[1].potential": "strips[1].potential must be finite",
+    "eps_sub_rel": "eps_sub_rel must be finite and >= 1",
+    "eps_vac_rel": "eps_vac_rel must be finite and > 0",
+    "edge_cutoff": "edge_cutoff must lie in [0, 5.0) um",
+    "discretization": "discretization must be an integer >= 8",
+}
+
+
 class TestCrossSectionValidation:
     def test_no_strips_rejected(self):
         with pytest.raises(InvalidInputError, match="at least one strip"):
@@ -87,9 +100,8 @@ class TestCrossSectionValidation:
             strips[1] = replace(strips[1], **{field.split(".")[1]: value})
         else:
             kwargs[field] = value
-        rule = "be an integer" if field == "discretization" else "be finite"
         with pytest.raises(InvalidInputError, match=re.escape(
-                f"{field} must {rule}, got {shown(value)}")):
+                f"{FIELD_RULES[field]}, got {shown(value)}")):
             CrossSection(strips, **kwargs)
 
     @pytest.mark.parametrize("value", ["3", None, Decimal("10"), True],
@@ -107,9 +119,8 @@ class TestCrossSectionValidation:
             strips[1] = replace(strips[1], **{field.split(".")[1]: value})
         else:
             kwargs[field] = value
-        rule = "be an integer" if field == "discretization" else "be finite"
         with pytest.raises(InvalidInputError, match=re.escape(
-                f"{field} must {rule}, got {value!r}")):
+                f"{FIELD_RULES[field]}, got {value!r}")):
             CrossSection(strips, **kwargs)
 
     @pytest.mark.parametrize("digits", [4301, 5000, 5001])
@@ -154,15 +165,16 @@ class TestInterdigitalUnitCell:
             interdigital_unit_cell(10.0, 6)
 
     def test_too_few_fingers_rejected(self):
-        with pytest.raises(InvalidInputError, match=">= 5"):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "n_fingers must be an odd integer in [5, 1001], got 3")):
             interdigital_unit_cell(10.0, 3)
 
     def test_too_many_fingers_rejected_before_any_strip_is_built(self, monkeypatch):
         """One Strip per finger made 10**8 + 1 fingers about 46 GB."""
         built = []
         monkeypatch.setattr(geometry, "Strip", lambda *args: built.append(args))
-        with pytest.raises(InvalidInputError,
-                           match=f"<= {MAX_INTERDIGITAL_FINGERS}, got 100000001"):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"in [5, {MAX_INTERDIGITAL_FINGERS}], got 100000001")):
             interdigital_unit_cell(10.0, 10**8 + 1)
         assert built == []
 
@@ -178,14 +190,15 @@ class TestInterdigitalUnitCell:
             interdigital_unit_cell(200.0, 7)
 
     @pytest.mark.parametrize("width, n_fingers, message", [
-        (3.0, 10**5000, "n_fingers must be an integer, got an int of 5001 digits"),
-        (3.0, math.inf, "n_fingers must be an integer, got inf"),
+        (3.0, 10**5000,
+         "n_fingers must be an odd integer in [5, 1001], got an int of 5001 digits"),
+        (3.0, math.inf, "n_fingers must be an odd integer in [5, 1001], got inf"),
         (10**5000, 5, "um, got an int of 5001 digits"),
         (10**400, 5, "um, got 1000"),
         (math.nan, 5, "um, got nan"),
         ("2", 7, "um, got '2'"),
         (None, 7, "um, got None"),
-        (1.0, 7.0, "n_fingers must be an integer, got 7.0"),
+        (1.0, 7.0, "n_fingers must be an odd integer in [5, 1001], got 7.0"),
     ], ids=["n-int1e5000", "n-inf", "width-int1e5000",
             "width-int1e400", "width-nan", "width-str", "width-None",
             "n-float"])
@@ -240,19 +253,19 @@ class TestJsonInterface:
         doc = interdigital_unit_cell(3.0, 5).to_json_dict()
         path.write_text(json.dumps({**doc, "discretization": "a"}))
         with pytest.raises(InvalidInputError,
-                           match="^discretization must be an integer, got 'a'$"):
+                           match="^discretization must be an integer >= 8, got 'a'$"):
             load_cross_section(path)
 
     @pytest.mark.parametrize("field, value, message", [
         ("x_start", "0", "strips[0].x_start must be finite, got '0'"),
-        ("width", "10", "strips[0].width must be finite, got '10'"),
+        ("width", "10", "strips[0].width must be finite and > 0, got '10'"),
         ("potential", True, "strips[0].potential must be finite, got True"),
-        ("eps_sub_rel", "10.15", "eps_sub_rel must be finite, got '10.15'"),
-        ("eps_vac_rel", True, "eps_vac_rel must be finite, got True"),
-        ("edge_cutoff", False, "edge_cutoff must be finite, got False"),
-        ("discretization", "16", "discretization must be an integer, got '16'"),
+        ("eps_sub_rel", "10.15", "eps_sub_rel must be finite and >= 1, got '10.15'"),
+        ("eps_vac_rel", True, "eps_vac_rel must be finite and > 0, got True"),
+        ("edge_cutoff", False, "edge_cutoff must lie in [0, 1.5) um, got False"),
+        ("discretization", "16", "discretization must be an integer >= 8, got '16'"),
         ("representative_cell", True,
-         "representative_cell must be an integer, got True"),
+         "representative_cell must be an integer in [0, 4], got True"),
     ], ids=["x_start-str", "width-str", "potential-bool", "eps_sub_rel-str",
             "eps_vac_rel-bool", "edge_cutoff-bool", "discretization-str",
             "representative_cell-bool"])
@@ -293,7 +306,7 @@ class TestJsonInterface:
         doc = interdigital_unit_cell(3.0, 5).to_json_dict()
         path.write_text(json.dumps({**doc, "discretization": 1e400}))
         with pytest.raises(InvalidInputError,
-                           match="^discretization must be an integer, got inf$"):
+                           match="^discretization must be an integer >= 8, got inf$"):
             load_cross_section(path)
 
     def test_invalid_geometry_keeps_its_message(self, tmp_path):
@@ -303,4 +316,4 @@ class TestJsonInterface:
         with pytest.raises(InvalidInputError) as info:
             load_cross_section(path)
         assert str(info.value) == (
-            "discretization must be >= 8 terms per strip, got 4")
+            "discretization must be an integer >= 8, got 4")

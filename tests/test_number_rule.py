@@ -82,7 +82,7 @@ def test_decimal_layer_of_a_sweep_is_refused():
     """A Decimal thickness used to reach the sweep and end there in a raw
     TypeError."""
     with pytest.raises(InvalidInputError, match=(
-            r"^layer thickness_nm must be finite, got Decimal\('1'\)$")):
+            r"^layer thickness_nm must be finite and > 0, got Decimal\('1'\)$")):
         psm_width_sweep([1.0], InterfaceSpec("SM", Decimal("1"), 10.15))
 
 
@@ -213,9 +213,41 @@ def _limit(**given):
         return purcell_limit(PurcellParams(**given))
 
 
+def _section(**given):
+    """A section of two 10 um strips, at +1 and -1 V, with the given fields."""
+    return CrossSection([Strip(0.0, 10.0, 1.0), Strip(20.0, 10.0, -1.0)], **given)
+
+
+#: Each field that one door checks with its whole rule, as a construction
+#: with any value in that field and valid values in the others; the key
+#: names the field after its class.  The strip whose width varies is the
+#: last, so that no width makes the strips overlap, and the cutoff is 0.
+FIELD_DOORS = {
+    "CrossSection.strips[1].width": lambda v: CrossSection(
+        [Strip(0.0, 10.0, 1.0), Strip(20.0, v, -1.0)], edge_cutoff=0.0),
+    "CrossSection.eps_sub_rel": lambda v: _section(eps_sub_rel=v),
+    "CrossSection.eps_vac_rel": lambda v: _section(eps_vac_rel=v),
+    "CrossSection.edge_cutoff": lambda v: _section(edge_cutoff=v),
+    "CrossSection.discretization": lambda v: _section(discretization=v),
+    "CrossSection.representative_cell": lambda v: _section(representative_cell=v),
+    "InterfaceSpec.thickness_nm": lambda v: InterfaceSpec("SM", v, 10.15),
+    "InterfaceSpec.eps_rel": lambda v: InterfaceSpec("SM", 1.0, v),
+    "PurcellParams.kappa": lambda v: PurcellParams(v, delta=1e10, g=2e8),
+    "PurcellParams.delta": lambda v: PurcellParams(2e5, delta=v, g=2e8),
+    "PurcellParams.g": lambda v: PurcellParams(2e5, g=v, chi=4e6),
+    "SweepConfig.points": lambda v: SweepConfig(points=v),
+}
+
+#: The refusals of a rule between fields, which name no one value: a None
+#: that leaves out a second of delta, g and chi, and a strip width whose
+#: half rounds to 0, leaving no cutoff in [0, w / 2).
+CROSS_FIELD_RULES = ("provide exactly two of delta, g and chi",
+                     "edge_cutoff must lie in [0, 0.0) um")
+
 #: Each numeric field of the classes that store what the door returns, as a
 #: construction with any value in its place and valid values in the others.
 STORING_CALLS = {
+    **FIELD_DOORS,
     "DecayTrace.delays_us": lambda v: DecayTrace(v, range(8)),
     "DecayTrace.populations": lambda v: DecayTrace(range(8), v),
     "purcell_limit.kappa": lambda v: _limit(kappa=v, delta=1e10, g=2e8),
@@ -236,18 +268,27 @@ STORING_CALLS = {
 def test_any_value_is_stored_as_a_finite_float_or_refused(argument, value):
     """The same for the fields the door feeds, kept apart from the entry
     points above so that each keeps its share of examples; whatever is
-    built stores finite floats."""
+    built stores finite floats.  A field checked by one door is refused
+    with a message whose subject names it and that ends in the value."""
     try:
         built = STORING_CALLS[argument](value)
-    except QSurfLossError:
+    except QSurfLossError as exc:
+        message = str(exc)
+        if argument in FIELD_DOORS and not message.startswith(CROSS_FIELD_RULES):
+            field = argument.split(".", 1)[1]
+            assert field in message.split(" must ")[0].split(), message
+            assert message.endswith(f", got {shown(value)}"), message
         return
     if isinstance(built, DecayTrace):
         for array in (built.delays_us, built.populations):
             assert array.dtype == np.float64 and np.isfinite(array).all()
     elif not isinstance(built, float):  # a limit is a float, inf included
+        stored = list(vars(built).values())
+        if isinstance(built, CrossSection):  # the strips' numbers, not their tuple
+            stored = [v for v in stored if not isinstance(v, tuple)] + [
+                v for strip in built.strips for v in astuple(strip)]
         # None is a left-out q_std; a str or an int is not a stored number
-        assert all(type(v) is float and math.isfinite(v)
-                   for v in vars(built).values()
+        assert all(type(v) is float and math.isfinite(v) for v in stored
                    if not isinstance(v, (str, int, type(None))))
 
 

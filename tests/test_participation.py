@@ -68,6 +68,10 @@ def ratio(sol, spec=DEFAULT_SM_SPEC):
     return participation_set(sol, [spec])[spec.region]
 
 
+#: The range rule of each number of a layer.
+LAYER_RULES = {"thickness_nm": "> 0", "eps_rel": ">= 1"}
+
+
 class TestInterfaceSpec:
     def test_bad_thickness(self):
         with pytest.raises(InvalidInputError):
@@ -82,7 +86,7 @@ class TestInterfaceSpec:
         int beyond the float range raised OverflowError, and one of more
         than 4300 digits the message's int-to-str conversion ValueError."""
         with pytest.raises(InvalidInputError, match=(
-                f"layer {field} must be finite, got {shown(value)}")):
+                f"layer {field} must be finite and {LAYER_RULES[field]}, got {shown(value)}")):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})
 
     @pytest.mark.parametrize("value", ["3", None, True],
@@ -92,7 +96,7 @@ class TestInterfaceSpec:
         """A str or None used to end in the raw TypeError of the
         finiteness test, and True was read as 1."""
         with pytest.raises(InvalidInputError, match=(
-                f"layer {field} must be finite, got {value!r}")):
+                f"layer {field} must be finite and {LAYER_RULES[field]}, got {value!r}")):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -267,6 +268,22 @@ class TestRunPipeline:
             "edge_cutoff must be > 0 against a width of 20.0 um")
         assert "sweep" not in report
         assert [o["kind"] for o in report["outputs"]] == ["report"]
+        assert not (out / "psm_width_sweep.csv").exists()
+
+    def test_a_descending_sweep_range_fails_the_sweep_stage_naming_both_bounds(
+            self, tmp_path):
+        """The stage error used to read 'bad sweep range', naming neither."""
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "models": [], "output_dir": str(out),
+            "sweep": {"width_min_um": 5, "width_max_um": 1},
+        }))
+        assert result.exit_code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert report["errors"] == [{
+            "stage": "sweep",
+            "error": "sweep width_max_um = 1.0 must be > width_min_um = 5.0"}]
         assert not (out / "psm_width_sweep.csv").exists()
 
     def test_writer_failure_is_a_stage_error(self, tmp_path):
@@ -558,17 +575,27 @@ class TestConfigErrors:
     def test_sweep_points_are_bounded(self, tmp_path):
         """Each sweep point costs a row of the CSV and of report.json;
         MAX_SWEEP_POINTS bounds them in a config and in the Python API."""
-        message = f"sweep points must be at most {MAX_SWEEP_POINTS}, got "
+        message = f"sweep points must be an integer in [1, {MAX_SWEEP_POINTS}], got "
         result = _run_report(tmp_path, json.dumps({
             "output_dir": str(tmp_path / "out"),
             "sweep": {"points": MAX_SWEEP_POINTS + 1},
         }))
         _assert_one_line_error(result, message + str(MAX_SWEEP_POINTS + 1))
         assert not (tmp_path / "out").exists()
-        with pytest.raises(InvalidInputError, match=message + "100000000"):
+        with pytest.raises(InvalidInputError, match=re.escape(message + "100000000")):
             SweepConfig(points=10**8)
         assert len(SweepConfig(points=MAX_SWEEP_POINTS).widths()) == (
             MAX_SWEEP_POINTS)
+
+    def test_zero_sweep_points_is_a_bad_config(self, tmp_path):
+        """Zero points used to pass the config; the fits ran and wrote their
+        CSVs, and only the sweep stage failed, with 'bad sweep range'."""
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(tmp_path / "out"), "sweep": {"points": 0},
+        }))
+        _assert_one_line_error(result, "bad config")
+        assert "sweep points must be an integer in [1, 10000], got 0" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_surface_grid_points_is_not_a_config_key(self, tmp_path):
         """The model surface is a fixed 25 x 25 grid."""
@@ -580,15 +607,15 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_config_checks_its_own_types(self):
-        with pytest.raises(InvalidInputError,
-                           match="sweep points must be an integer, got '3'"):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "sweep points must be an integer in [1, 10000], got '3'")):
             SweepConfig(points="3").run()
         with pytest.raises(InvalidInputError,
                            match="sweep width_max_um must be a number, got inf"):
             SweepConfig(width_max_um=float("inf"))
 
     @pytest.mark.parametrize("field, noun", [
-        ("points", "an integer"), ("width_max_um", "a number"),
+        ("points", "an integer in [1, 10000]"), ("width_max_um", "a number"),
         ("t_sm_nm", "a number"), ("cutoff_um", "a number"),
     ])
     @pytest.mark.parametrize("value", [10**5000, -(10**5000)],
@@ -596,7 +623,7 @@ class TestConfigErrors:
     def test_overlong_int_sweep_field_rejected(self, field, noun, value):
         """An int of more than 4300 digits is shown by its digit count; the
         message used to end in the int-to-str ValueError."""
-        with pytest.raises(InvalidInputError, match=(
+        with pytest.raises(InvalidInputError, match=re.escape(
                 f"sweep {field} must be {noun}, got an int of 5001 digits")):
             SweepConfig(**{field: value})
 
@@ -609,8 +636,8 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sweep, message", [
-        ({"points": "3"}, "sweep points must be an integer, got '3'"),
-        ({"points": 3.0}, "sweep points must be an integer, got 3.0"),
+        ({"points": "3"}, "sweep points must be an integer in [1, 10000], got '3'"),
+        ({"points": 3.0}, "sweep points must be an integer in [1, 10000], got 3.0"),
         ({"width_max_um": None}, "sweep width_max_um must be a number, got None"),
         ({"eps_sm_rel": [10]}, "sweep eps_sm_rel must be a number, got [10]"),
         ({"width_min_um": "1"}, "sweep width_min_um must be a number, got '1'"),
@@ -1207,6 +1234,26 @@ class TestCli:
         result = CliRunner().invoke(main, ["purcell", *args])
         _assert_one_line_error(result, message)
 
+    def test_purcell_names_a_value_beyond_the_float_range_in_rad_s_as_given(self):
+        """2 pi x 1e300 GHz overflows in rad/s; the error used to read
+        'delta must be finite, got inf', a value that was never given."""
+        result = CliRunner().invoke(
+            main, ["purcell", "--g", "30", "--delta", "1e300", "--kappa", "50"])
+        _assert_one_line_error(
+            result, "delta must be finite in GHz and in rad/s, got 1e+300")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--chi", "-0.5", "--delta", "2", "--kappa", "50"],
+         "chi and delta must have the same sign"),
+        (["--g", "30", "--chi", "0", "--kappa", "50"],
+         "cannot infer delta from chi = 0"),
+    ], ids=["opposite-signs", "zero-chi"])
+    def test_purcell_refuses_parameters_that_fix_no_coupling(self, args, message):
+        """g = sqrt(chi delta) needs chi and delta of one sign, and
+        delta = g^2 / chi a nonzero chi."""
+        result = CliRunner().invoke(main, ["purcell", *args])
+        _assert_one_line_error(result, message)
+
     @pytest.mark.filterwarnings("ignore:.*dispersive Purcell estimate")
     def test_purcell_infers_delta_where_g_squared_overflows(self):
         """g^2 / chi = 6.3e106 rad/s is a float though g^2 is not; this used
@@ -1354,7 +1401,9 @@ class TestCli:
         result = CliRunner().invoke(
             main, ["sweep", "--points", str(MAX_SWEEP_POINTS + 1),
                    "--out", str(out)])
-        _assert_one_line_error(result, f"at most {MAX_SWEEP_POINTS}")
+        _assert_one_line_error(result, (
+            f"sweep points must be an integer in [1, {MAX_SWEEP_POINTS}], "
+            f"got {MAX_SWEEP_POINTS + 1}"))
         assert not out.exists()
 
     def test_sweep_command_rejects_zero_points(self, tmp_path):
@@ -1363,7 +1412,16 @@ class TestCli:
             main, ["sweep", "--points", "0", "--out", str(out)]
         )
         assert result.exit_code == 1
-        assert "bad sweep range" in result.output
+        assert "sweep points must be an integer in [1, 10000], got 0" in result.output
+        assert not out.exists()
+
+    def test_sweep_command_names_both_bounds_of_a_descending_range(self, tmp_path):
+        """This used to read 'bad sweep range', naming neither bound."""
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main, ["sweep", "--width-min", "5", "--width-max", "1", "--out", str(out)])
+        _assert_one_line_error(
+            result, "sweep width_max_um = 1.0 must be > width_min_um = 5.0")
         assert not out.exists()
 
     def test_report_command(self, tmp_path):

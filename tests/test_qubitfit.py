@@ -823,6 +823,11 @@ class TestT1Statistics:
         assert stats.std_us == 0.0
 
 
+#: The rule of each Purcell parameter, in rad/s.
+PURCELL_RULES = {"kappa": "finite and > 0", "delta": "finite and != 0",
+                 "g": "finite and >= 0", "chi": "finite"}
+
+
 class TestPurcellLimit:
     def test_reference_coupling_triple(self):
         """g = 2pi*37.3 MHz, delta = 2pi*2.03 GHz and kappa = 2pi*52.4 kHz
@@ -961,8 +966,8 @@ class TestPurcellLimit:
         OverflowError, and one of more than 4300 digits the message's
         int-to-str conversion ValueError."""
         given = {"kappa": 2e5, "delta": 1e10, "g": 2e8, "chi": 4e6, field: value}
-        with pytest.raises(InvalidInputError, match=(
-                f"{field} must be finite, got {shown(value)}")):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{field} (rad/s) must be {PURCELL_RULES[field]}, got {shown(value)}")):
             PurcellParams(**given)
 
     @pytest.mark.parametrize("field, value", [
@@ -973,9 +978,32 @@ class TestPurcellLimit:
         TypeError of the finiteness test; None is how the other three are
         left out.  True was read as 1 rad/s."""
         given = {"kappa": 2e5, "delta": 1e10, "g": 2e8, "chi": 4e6, field: value}
-        with pytest.raises(InvalidInputError, match=(
-                f"{field} must be finite, got {value!r}")):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{field} (rad/s) must be {PURCELL_RULES[field]}, got {value!r}")):
             PurcellParams(**given)
+
+    @pytest.mark.parametrize("given, message", [
+        ({"kappa_khz": 1e306, "delta_ghz": 2.0, "g_mhz": 30.0},
+         "kappa must be finite in kHz and in rad/s, got 1e+306"),
+        ({"kappa_khz": 50.0, "delta_ghz": 1e300, "g_mhz": 30.0},
+         "delta must be finite in GHz and in rad/s, got 1e+300"),
+        ({"kappa_khz": 50.0, "delta_ghz": 2.0, "g_mhz": -1e304},
+         "g must be finite in MHz and in rad/s, got -1e+304"),
+        ({"kappa_khz": 50.0, "delta_ghz": 2.0, "chi_mhz": 1e304},
+         "chi must be finite in MHz and in rad/s, got 1e+304"),
+    ], ids=["kappa", "delta", "g", "chi"])
+    def test_cyclic_value_beyond_the_float_range_in_rad_s_is_shown_as_given(
+            self, given, message):
+        """2 pi times the value in rad/s overflows; the refusal used to name
+        inf, the product, and not the value given."""
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            PurcellParams.from_cyclic(**given)
+
+    def test_largest_cyclic_value_finite_in_rad_s_is_taken(self):
+        """2.8e298 GHz is 1.76e308 rad/s, just below the float maximum."""
+        params = PurcellParams.from_cyclic(kappa_khz=50.0, delta_ghz=2.8e298,
+                                           g_mhz=30.0)
+        assert params.delta == 2.0 * math.pi * 2.8e298 * 1e9
 
 
 #: A T1 and a Purcell limit one ulp above it, whose rates 1/T round to the
