@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit; the two doors of numbers,
+"""Exception types shared across the toolkit, and the base of the named
+options, whose unknown value is one of them; the two doors of numbers,
 :func:`real`/:func:`reals` (to float) and :func:`integer` (counts, to int),
 which convert once or refuse with an :class:`InvalidInputError` showing the
 value, and which a number read from a file reaches as JSON holds it or as
@@ -14,6 +15,7 @@ import json
 import math
 import numbers
 import re
+from enum import Enum
 from itertools import accumulate
 
 import numpy as np
@@ -121,6 +123,15 @@ class QSurfLossError(Exception):
 
 class InvalidInputError(QSurfLossError, ValueError):
     """An argument or data record violates a documented precondition."""
+
+
+class _Option(str, Enum):
+    """A str enum whose unknown value is an :class:`InvalidInputError`
+    reading ``unknown <class> <value!r>``."""
+
+    @classmethod  # the one conversion of an unknown option to a typed error
+    def _missing_(cls, value):
+        raise InvalidInputError(f"unknown {cls.__name__} {value!r}")
 
 
 class TableFormatError(InvalidInputError):

@@ -7,8 +7,7 @@ between vacuum (above) and a dielectric substrate half-space (below).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
-from typing import Sequence
+from dataclasses import dataclass, asdict
 
 from .errors import InvalidInputError, integer, read_json, real
 
@@ -94,8 +93,8 @@ class CrossSection:
     two counts as int), or is refused as ``<field> must be finite and
     <rule>, got <value>`` (``must be an integer <rule>`` for a count, ``must
     lie in [0, w / 2) um`` for the cutoff).  The section is immutable and
-    checked once, when built; :func:`dataclasses.replace` and the methods
-    below check their copy.
+    checked once, when built; a copy with other strips, potentials or
+    cutoff is built, and checked, by :func:`dataclasses.replace`.
     """
 
     strips: tuple[Strip, ...]
@@ -146,24 +145,6 @@ class CrossSection:
     @property
     def potentials(self) -> list[float]:
         return [s.potential for s in self.strips]
-
-    def with_potentials(self, potentials: Sequence[float]) -> "CrossSection":
-        """Copy of this geometry with strip potentials replaced."""
-        if len(potentials) != len(self.strips):
-            raise InvalidInputError(
-                f"expected {len(self.strips)} potentials, got {len(potentials)}"
-            )
-        strips = [Strip(s.x_start, s.width, v) for s, v in zip(self.strips, potentials)]
-        return replace(self, strips=strips)
-
-    def scaled(self, factor: float) -> "CrossSection":
-        """Copy with every lateral dimension (including the cutoff) scaled."""
-        factor = real(factor, "scale factor must be positive", lambda f: f > 0)
-        strips = [
-            Strip(s.x_start * factor, s.width * factor, s.potential)
-            for s in self.strips
-        ]
-        return replace(self, strips=strips, edge_cutoff=self.edge_cutoff * factor)
 
     def to_json_dict(self) -> dict:
         d = asdict(self)

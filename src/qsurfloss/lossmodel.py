@@ -23,21 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidInputError, real
+from .errors import DegenerateFitError, InvalidInputError, _Option, real
 
 #: Condition number of the weighted design above which a fit is refused.
 CONDITION_LIMIT = 1e10
-
-
-class _Option(str, Enum):
-    @classmethod  # the one conversion of an unknown option to a typed error
-    def _missing_(cls, value):
-        raise InvalidInputError(f"unknown {cls.__name__} {value!r}")
 
 
 class LossModel(_Option):

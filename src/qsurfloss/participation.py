@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, real, write_csv
+from .errors import InvalidInputError, _Option, real, write_csv
 from .geometry import (
     INTERDIGITAL_CUTOFF_FRACTION,
     SAPPHIRE_EPS_REL,
@@ -50,7 +49,7 @@ SM_LAYER_THICKNESS_NM = 1.0
 SENSITIVITY_CUTOFFS_UM = (0.05, 0.1, 0.2)
 
 
-class InterfaceRegion(str, Enum):
+class InterfaceRegion(_Option):
     SM = "SM"
     SA = "SA"
     MA = "MA"
@@ -208,6 +207,20 @@ def _periodic_idc(
             InterfaceRegion.MA: base / spec.eps_rel}
 
 
+def _check_sweep(widths_um: Sequence[float], spec: InterfaceSpec,
+                 cutoff_um: float | None) -> tuple[list[float], float | None]:
+    """The checks of :func:`psm_width_sweep`: its widths, as floats, and
+    its cutoff, None or a float, or an :class:`InvalidInputError`."""
+    widths = [check_interdigital_width(w) for w in widths_um]
+    if any(b <= a for a, b in zip(widths, widths[1:])):
+        raise InvalidInputError("widths must be strictly ascending")
+    if spec.region is not InterfaceRegion.SM:
+        raise InvalidInputError("sweep spec must describe the SM region")
+    if widths and cutoff_um is not None:
+        cutoff_um = _check_cutoff(cutoff_um, widths[0], widths[-1])
+    return widths, cutoff_um
+
+
 def psm_width_sweep(
     widths_um: Sequence[float],
     spec: InterfaceSpec = DEFAULT_SM_SPEC,
@@ -230,14 +243,7 @@ def psm_width_sweep(
     point, the only error a point can carry; the sweep still returns all
     points.
     """
-    widths = [check_interdigital_width(w) for w in widths_um]
-    if any(b <= a for a, b in zip(widths, widths[1:])):
-        raise InvalidInputError("widths must be strictly ascending")
-    if spec.region is not InterfaceRegion.SM:
-        raise InvalidInputError("sweep spec must describe the SM region")
-    if widths and cutoff_um is not None:
-        cutoff_um = _check_cutoff(cutoff_um, widths[0], widths[-1])
-
+    widths, cutoff_um = _check_sweep(widths_um, spec, cutoff_um)
     points = []
     for w in widths:
         c = w * INTERDIGITAL_CUTOFF_FRACTION if cutoff_um is None else cutoff_um

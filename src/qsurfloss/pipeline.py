@@ -27,7 +27,7 @@ import numpy as np
 from .dataio import GROUPINGS, bundled_device_table, group_for_fit, load_device_table
 from .errors import (InvalidInputError, QSurfLossError, integer, read_json, real,
                      write_csv, write_text)
-from .geometry import SAPPHIRE_EPS_REL
+from .geometry import SAPPHIRE_EPS_REL, check_interdigital_width
 from .lossmodel import (
     FITTERS,
     LossFitResult,
@@ -42,6 +42,7 @@ from .participation import (
     InterfaceRegion,
     InterfaceSpec,
     SweepPoint,
+    _check_sweep,
     cutoff_sensitivity,
     psm_width_sweep,
     write_sweep_csv,
@@ -59,11 +60,14 @@ _SURFACE_GRID_POINTS = 25
 _RETIRED_SWEEP_KEYS = ("n_fingers", "elements_per_strip")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
-    """Width-sweep stage settings (defaults reproduce the standard curve):
-    ``points`` an integer in [1, ``MAX_SWEEP_POINTS``], stored as int, every
-    other number finite, as float; :meth:`widths` needs max > min width."""
+    """Width-sweep stage settings (defaults reproduce the standard curve),
+    immutable and checked whole when built: ``points`` an int in [1,
+    ``MAX_SWEEP_POINTS``], every other number finite, as float; the layer,
+    built once as ``spec``; both widths; max > min width; then the checks
+    of :func:`psm_width_sweep`.  So :meth:`run` fails only on a point
+    outside [0, 1]."""
 
     width_min_um: float = 1.0
     width_max_um: float = 20.0
@@ -76,30 +80,34 @@ class SweepConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "points":
-                self.points = integer(
+                value = integer(
                     value, f"sweep points must be an integer in [1, {MAX_SWEEP_POINTS}]",
                     lambda n: 1 <= n <= MAX_SWEEP_POINTS)
             elif value is not None or f.name != "cutoff_um":
-                setattr(self, f.name, real(value, f"sweep {f.name} must be a number"))
-
-    def widths(self) -> list[float]:
+                value = real(value, f"sweep {f.name} must be finite")
+            object.__setattr__(self, f.name, value)
+        object.__setattr__(self, "spec", InterfaceSpec(
+            InterfaceRegion.SM, thickness_nm=self.t_sm_nm, eps_rel=self.eps_sm_rel))
+        # each end first, so that a refusal shows the width as configured
+        for width in (self.width_min_um, self.width_max_um):
+            check_interdigital_width(width)
         if self.width_max_um <= self.width_min_um:
             raise InvalidInputError(f"sweep width_max_um = {self.width_max_um} must "
                                     f"be > width_min_um = {self.width_min_um}")
-        return list(np.linspace(self.width_min_um, self.width_max_um, self.points))
+        _check_sweep(self.widths(), self.spec, self.cutoff_um)
 
-    @property
-    def spec(self) -> InterfaceSpec:
-        return InterfaceSpec(InterfaceRegion.SM, thickness_nm=self.t_sm_nm,
-                             eps_rel=self.eps_sm_rel)
+    def widths(self) -> list[float]:
+        return list(np.linspace(self.width_min_um, self.width_max_um, self.points))
 
     def run(self) -> list[SweepPoint]:
         return psm_width_sweep(self.widths(), self.spec, self.cutoff_um)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Settings for one report run; see ``from_json`` for the file format."""
+    """Settings for one report run, immutable and checked whole when built;
+    ``models`` is stored as a tuple of :class:`LossModel` and ``weighting``
+    as a :class:`Weighting`.  See ``from_json`` for the file format."""
 
     dataset: str | None = None  # None: bundled device table
     models: tuple[str, ...] = ("sm+j", "sm+q0")
@@ -108,12 +116,11 @@ class PipelineConfig:
     output_dir: str = "."
     sweep: SweepConfig | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.models, (list, tuple)):
             raise InvalidInputError(f"models must be a list, got {self.models!r}")
-        for model in self.models:
-            LossModel(model)
-        Weighting(self.weighting)
+        object.__setattr__(self, "models", tuple(LossModel(m) for m in self.models))
+        object.__setattr__(self, "weighting", Weighting(self.weighting))
         if self.grouping not in GROUPINGS:
             raise InvalidInputError(f"unknown grouping {self.grouping!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -132,13 +139,10 @@ class PipelineConfig:
             sweep = SweepConfig(**{k: v for k, v in sweep.items()
                                    if k not in _RETIRED_SWEEP_KEYS}
                                 ) if sweep is not None else None  # {}: default sweep
-            cfg = cls(**{**raw, "sweep": sweep})
-            cfg.validate()
-            cfg.models = tuple(cfg.models)
+            return cls(**{**raw, "sweep": sweep})
         except (AttributeError, TypeError, ValueError) as exc:
             # a non-object, an unknown key or a bad value
             raise InvalidInputError(f"bad config {path}: {exc}") from exc
-        return cfg
 
 
 #: json's string quoting, in C where the interpreter has it.
@@ -328,10 +332,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Raises
     ------
     InvalidInputError
-        If the configuration or the device table is bad or cannot be grouped,
-        or ``output_dir`` cannot be created (nothing is written in that case).
+        If the device table is bad or cannot be grouped, or ``output_dir``
+        cannot be created (nothing is written in that case); the config
+        was checked whole when it was built.
     """
-    config.validate()
     out_dir = Path(config.output_dir)
 
     manifest: list[dict] = []
@@ -339,7 +343,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "grouping": config.grouping,
-        "weighting": config.weighting,
+        "weighting": config.weighting.value,
         "fits": {},
         "errors": errors,
         "outputs": manifest,
@@ -367,8 +371,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     fits: dict[str, LossFitResult] = {}
     if points is not None:
-        for model_name in config.models:
-            model = LossModel(model_name)
+        for model in config.models:
             with _stage(errors, f"fit[{model.value}]"):
                 fit = fits[model.value] = FITTERS[model](
                     points, weighting=config.weighting)

@@ -475,6 +475,14 @@ def t1_statistics(estimates) -> T1Statistics:
     return T1Statistics(*_mean_std([e.t1_us for e in estimates]))
 
 
+#: Each Purcell parameter, in order, with its cyclic unit, that unit in Hz
+#: and its rule, as text and as a test of the value.
+_PURCELL_RULES = (("kappa", "kHz", 1e3, "finite and > 0", lambda k: k > 0),
+                  ("delta", "GHz", 1e9, "finite and != 0", lambda d: d != 0),
+                  ("g", "MHz", 1e6, "finite and >= 0", lambda g: g >= 0),
+                  ("chi", "MHz", 1e6, "finite", None))
+
+
 @dataclass
 class PurcellParams:
     """Dispersive-readout parameters in angular units (rad/s).
@@ -492,10 +500,7 @@ class PurcellParams:
     chi: float | None = None
 
     def __post_init__(self) -> None:
-        for name, rule, ok in (("kappa", "finite and > 0", lambda k: k > 0),
-                               ("delta", "finite and != 0", lambda d: d != 0),
-                               ("g", "finite and >= 0", lambda g: g >= 0),
-                               ("chi", "finite", None)):
+        for name, _, _, rule, ok in _PURCELL_RULES:
             value = getattr(self, name)
             # kappa is required; None leaves out one of the other three
             if value is not None or name == "kappa":
@@ -512,17 +517,17 @@ class PurcellParams:
         g_mhz: float | None = None,
         chi_mhz: float | None = None,
     ) -> "PurcellParams":
-        """Build from the cyclic units used in device tables."""
-        def angular(value, name, unit, scale):  # an overflow is shown as given
-            if value is None:
-                return None
-            value = real(value, f"{name} must be finite")
-            return TWO_PI * real(value, f"{name} must be finite in {unit} and in rad/s",
-                                 lambda v: math.isfinite(TWO_PI * v * scale)) * scale
-
-        return cls(angular(kappa_khz, "kappa", "kHz", 1e3),
-                   angular(delta_ghz, "delta", "GHz", 1e9),
-                   angular(g_mhz, "g", "MHz", 1e6), angular(chi_mhz, "chi", "MHz", 1e6))
+        """Build from the cyclic units used in device tables; each value is
+        checked by its field's rule in the unit given, then in rad/s."""
+        given = {"kappa": kappa_khz, "delta": delta_ghz, "g": g_mhz, "chi": chi_mhz}
+        for name, unit, scale, rule, ok in _PURCELL_RULES:
+            if given[name] is not None or name == "kappa":
+                value = real(given[name], f"{name} ({unit}) must be {rule}", ok)
+                given[name] = TWO_PI * value * scale
+                if not math.isfinite(given[name]):
+                    raise InvalidInputError(
+                        f"{name} must be finite in {unit} and in rad/s, got {value}")
+        return cls(**given)
 
     @property
     def g_effective(self) -> float:

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ def cps_capacitance(width_um: float, gap_um: float, eps_sub_rel: float) -> float
     k = gap_um / (gap_um + 2.0 * width_um)
     kp = np.sqrt(1.0 - k * k)
     return epsilon_0 * 0.5 * (1.0 + eps_sub_rel) * ellipk(kp**2) / ellipk(k**2)
+
+
+def scaled(geom: CrossSection, factor: float) -> CrossSection:
+    """The copy of ``geom`` with every lateral length, its edge cutoff
+    too, times ``factor``."""
+    strips = [Strip(s.x_start * factor, s.width * factor, s.potential)
+              for s in geom.strips]
+    return replace(geom, strips=strips, edge_cutoff=geom.edge_cutoff * factor)
+
+
+def with_potentials(geom: CrossSection, potentials) -> CrossSection:
+    """The copy of ``geom`` with one potential per strip, in order."""
+    return replace(geom, strips=[replace(s, potential=v) for s, v in
+                                 zip(geom.strips, potentials, strict=True)])
 
 
 @pytest.fixture(autouse=True)

@@ -40,7 +40,7 @@ from qsurfloss.dataio import _COLUMNS
 from qsurfloss.participation import InterfaceRegion, InterfaceSpec
 from qsurfloss.solver import _surface_samples
 
-from conftest import cps_capacitance
+from conftest import cps_capacitance, scaled, with_potentials
 
 
 def _pass(label: str, detail: str, elapsed: float, budget: float) -> None:
@@ -300,14 +300,14 @@ def test_criterion_8_property_suites(two_strip_geom, two_strip_sol):
     start = time.perf_counter()
 
     # solver: scale invariance
-    doubled = solve_cross_section(two_strip_geom.scaled(2.0))
+    doubled = solve_cross_section(scaled(two_strip_geom, 2.0))
     assert doubled.capacitance_per_len == pytest.approx(
         two_strip_sol.capacitance_per_len, rel=0.01
     )
     # solver: superposition
-    sol_a = solve_cross_section(two_strip_geom.with_potentials([0.5, -0.5]))
-    sol_b = solve_cross_section(two_strip_geom.with_potentials([0.2, 0.7]))
-    combo = solve_cross_section(two_strip_geom.with_potentials([0.7, 0.2]))
+    sol_a = solve_cross_section(with_potentials(two_strip_geom, [0.5, -0.5]))
+    sol_b = solve_cross_section(with_potentials(two_strip_geom, [0.2, 0.7]))
+    combo = solve_cross_section(with_potentials(two_strip_geom, [0.7, 0.2]))
     expected = _surface_samples(sol_a)[1] + _surface_samples(sol_b)[1]
     assert np.max(np.abs(_surface_samples(combo)[1] - expected)) < 1e-9 * np.max(
         np.abs(expected)
@@ -325,7 +325,7 @@ def test_criterion_8_property_suites(two_strip_geom, two_strip_sol):
     geom = interdigital_unit_cell(2.0, 7, discretization=96)
     p_small = participation_set(solve_cross_section(geom), [DEFAULT_SM_SPEC]).p_sm
     p_big = participation_set(
-        solve_cross_section(geom.scaled(2.0)), [DEFAULT_SM_SPEC]
+        solve_cross_section(scaled(geom, 2.0)), [DEFAULT_SM_SPEC]
     ).p_sm
     assert p_big == pytest.approx(0.5 * p_small, rel=0.02)
 

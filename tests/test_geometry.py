@@ -10,6 +10,8 @@ from qsurfloss import CrossSection, InvalidInputError, Strip, geometry, interdig
 from qsurfloss.errors import shown
 from qsurfloss.geometry import MAX_INTERDIGITAL_FINGERS, load_cross_section
 
+from conftest import scaled
+
 
 #: The whole rule of each numeric field of a two-strip section of 10 um
 #: strips, as its refusal states it.
@@ -135,13 +137,6 @@ class TestCrossSectionValidation:
         with pytest.raises(FrozenInstanceError):
             geom.edge_cutoff = 6.0
 
-    def test_potential_replacement_checks_length(self):
-        geom = CrossSection([Strip(0, 10, 0.5), Strip(20, 10, -0.5)])
-        with pytest.raises(InvalidInputError):
-            geom.with_potentials([1.0])
-        swapped = geom.with_potentials([-0.5, 0.5])
-        assert swapped.potentials == [-0.5, 0.5]
-
 
 class TestInterdigitalUnitCell:
     def test_seven_finger_layout(self):
@@ -217,15 +212,12 @@ class TestInterdigitalUnitCell:
 
 class TestScaling:
     def test_scaled_copy(self):
+        """The copy that the scale-law tests solve scales every length."""
         geom = interdigital_unit_cell(2.0, 5)
-        big = geom.scaled(3.0)
+        big = scaled(geom, 3.0)
         assert big.strips[1].x_start == pytest.approx(3 * geom.strips[1].x_start)
+        assert big.strips[1].width == pytest.approx(3 * geom.strips[1].width)
         assert big.edge_cutoff == pytest.approx(3 * geom.edge_cutoff)
-
-    def test_bad_scale_factor(self):
-        geom = interdigital_unit_cell(2.0, 5)
-        with pytest.raises(InvalidInputError):
-            geom.scaled(0.0)
 
 
 class TestJsonInterface:

@@ -16,7 +16,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -110,7 +110,7 @@ STORED = {
     "PurcellParams.g+chi": (
         lambda k: PurcellParams(k(2 * 10**5), g=k(2 * 10**8), chi=k(4 * 10**6)),
         ("kappa", "g", "chi")),
-    "SweepConfig": (lambda k: SweepConfig(k(1), k(20), 20, k(1), k(10), k(1)),
+    "SweepConfig": (lambda k: SweepConfig(k(4), k(20), 20, k(1), k(10), k(1)),
                     ("width_min_um", "width_max_um", "t_sm_nm", "eps_sm_rel",
                      "cutoff_um")),
     "T1Estimate": (lambda k: T1Estimate(k(100), k(2), 1.0, 0.0),
@@ -283,7 +283,7 @@ def test_any_value_is_stored_as_a_finite_float_or_refused(argument, value):
         for array in (built.delays_us, built.populations):
             assert array.dtype == np.float64 and np.isfinite(array).all()
     elif not isinstance(built, float):  # a limit is a float, inf included
-        stored = list(vars(built).values())
+        stored = [getattr(built, f.name) for f in fields(built)]
         if isinstance(built, CrossSection):  # the strips' numbers, not their tuple
             stored = [v for v in stored if not isinstance(v, tuple)] + [
                 v for strip in built.strips for v in astuple(strip)]

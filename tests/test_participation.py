@@ -31,6 +31,8 @@ from qsurfloss.geometry import INTERDIGITAL_CUTOFF_FRACTION
 from qsurfloss.participation import _K_EQUAL_GAP, _periodic_idc
 from qsurfloss.solver import FieldSolution
 
+from conftest import scaled
+
 UM = 1e-6
 NM = 1e-9
 
@@ -98,6 +100,13 @@ class TestInterfaceSpec:
         with pytest.raises(InvalidInputError, match=(
                 f"layer {field} must be finite and {LAYER_RULES[field]}, got {value!r}")):
             InterfaceSpec(InterfaceRegion.SM, **{field: value})
+
+    @pytest.mark.parametrize("region", ["XX", "sm", None])
+    def test_unknown_region_is_a_typed_error(self, region):
+        """It used to end in the raw ValueError of the enum lookup."""
+        with pytest.raises(InvalidInputError,
+                           match=f"^unknown InterfaceRegion {re.escape(repr(region))}$"):
+            InterfaceSpec(region)
 
 
 class TestLayerEnergy:
@@ -254,7 +263,7 @@ class TestParticipationSet:
         geom = interdigital_unit_cell(2.0, 7, discretization=128)
         small = participation_set(solve_cross_section(geom), [DEFAULT_SM_SPEC])
         big = participation_set(
-            solve_cross_section(geom.scaled(2.0)), [DEFAULT_SM_SPEC]
+            solve_cross_section(scaled(geom, 2.0)), [DEFAULT_SM_SPEC]
         )
         assert big.p_sm == pytest.approx(0.5 * small.p_sm, rel=1e-6)
 

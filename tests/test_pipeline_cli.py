@@ -8,7 +8,7 @@ import subprocess
 import sys
 import types
 import warnings
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,57 +234,44 @@ class TestRunPipeline:
         assert (out / "psm_width_sweep.csv").exists()
 
     @pytest.mark.parametrize("cutoff_um, message", [
-        (0.0, "edge_cutoff must be > 0"),
+        (0.0, "edge_cutoff must be > 0 against a width of 2.0 um"),
         (0.6, "edge_cutoff must lie in [0, 0.5) um, got 0.6"),
     ], ids=["zero", "half-width"])
-    def test_bad_fixed_cutoff_fails_the_sweep_stage(self, tmp_path, cutoff_um,
-                                                    message):
+    def test_bad_fixed_cutoff_is_a_bad_config(self, tmp_path, cutoff_um, message):
+        """Each used to pass the config and fail the sweep stage."""
         out = tmp_path / "out"
         result = _run_report(tmp_path, json.dumps({
             "models": [], "output_dir": str(out),
             "sweep": {"width_min_um": 1.0, "width_max_um": 2.0, "points": 2,
                       "cutoff_um": cutoff_um},
         }))
-        assert result.exit_code == 1
-        report = json.loads((out / "report.json").read_text())
-        assert report["status"] == "partial"
-        assert [e["stage"] for e in report["errors"]] == ["sweep"]
-        assert report["errors"][0]["error"].startswith(message)
-        assert "sweep" not in report
+        _assert_one_line_error(result, f"bad config {tmp_path / 'cfg.json'}: {message}")
+        assert not out.exists()
 
-    def test_a_cutoff_that_rounds_to_0_at_the_widest_width_fails_the_sweep_stage(
-            self, tmp_path):
-        """The sweep is refused before any point: one ``sweep`` stage error,
-        no sweep CSV and no cutoff-sensitivity block."""
-        out = tmp_path / "out"
-        report = run_pipeline(PipelineConfig(
-            models=[], output_dir=out,
-            sweep=SweepConfig(width_min_um=1.0, width_max_um=20.0, points=2,
-                              cutoff_um=5e-324)))
-        assert report["status"] == "partial"
-        [error] = report["errors"]
-        assert error["stage"] == "sweep"
-        assert error["error"].startswith(
-            "edge_cutoff must be > 0 against a width of 20.0 um")
-        assert "sweep" not in report
-        assert [o["kind"] for o in report["outputs"]] == ["report"]
-        assert not (out / "psm_width_sweep.csv").exists()
+    def test_a_cutoff_that_rounds_to_0_at_the_widest_width_is_refused_when_built(
+            self):
+        """It used to pass the config and fail the ``sweep`` stage of a run
+        that had written ``report.json``."""
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "edge_cutoff must be > 0 against a width of 20.0 um")):
+            SweepConfig(width_min_um=1.0, width_max_um=20.0, points=2,
+                        cutoff_um=5e-324)
 
-    def test_a_descending_sweep_range_fails_the_sweep_stage_naming_both_bounds(
-            self, tmp_path):
-        """The stage error used to read 'bad sweep range', naming neither."""
-        out = tmp_path / "out"
-        result = _run_report(tmp_path, json.dumps({
-            "models": [], "output_dir": str(out),
-            "sweep": {"width_min_um": 5, "width_max_um": 1},
-        }))
-        assert result.exit_code == 1
-        report = json.loads((out / "report.json").read_text())
-        assert report["status"] == "partial"
-        assert report["errors"] == [{
-            "stage": "sweep",
-            "error": "sweep width_max_um = 1.0 must be > width_min_um = 5.0"}]
-        assert not (out / "psm_width_sweep.csv").exists()
+    def test_a_one_point_sweep_takes_a_cutoff_against_its_one_width(self):
+        """One point is taken at width_min_um alone, so a cutoff whose ratio
+        to width_max_um rounds to 0 still serves it."""
+        [point] = SweepConfig(width_min_um=1.0, width_max_um=20.0, points=1,
+                              cutoff_um=1e-323).run()
+        assert point.width_um == 1.0 and point.error is None
+
+    @pytest.mark.parametrize("width_max_um", [1, 5], ids=["descending", "equal"])
+    def test_a_sweep_range_that_does_not_ascend_is_refused_naming_both_bounds(
+            self, width_max_um):
+        """It used to be refused by the ``sweep`` stage of a run that had
+        written its fits and ``report.json``."""
+        message = f"sweep width_max_um = {width_max_um:.1f} must be > width_min_um = 5.0"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            SweepConfig(width_min_um=5, width_max_um=width_max_um)
 
     def test_writer_failure_is_a_stage_error(self, tmp_path):
         """A clamped tan_d_sm makes the normalized-participation writer fail;
@@ -611,12 +598,12 @@ class TestConfigErrors:
                 "sweep points must be an integer in [1, 10000], got '3'")):
             SweepConfig(points="3").run()
         with pytest.raises(InvalidInputError,
-                           match="sweep width_max_um must be a number, got inf"):
+                           match="sweep width_max_um must be finite, got inf"):
             SweepConfig(width_max_um=float("inf"))
 
     @pytest.mark.parametrize("field, noun", [
-        ("points", "an integer in [1, 10000]"), ("width_max_um", "a number"),
-        ("t_sm_nm", "a number"), ("cutoff_um", "a number"),
+        ("points", "an integer in [1, 10000]"), ("width_max_um", "finite"),
+        ("t_sm_nm", "finite"), ("cutoff_um", "finite"),
     ])
     @pytest.mark.parametrize("value", [10**5000, -(10**5000)],
                              ids=["int1e5000", "-int1e5000"])
@@ -638,11 +625,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize("sweep, message", [
         ({"points": "3"}, "sweep points must be an integer in [1, 10000], got '3'"),
         ({"points": 3.0}, "sweep points must be an integer in [1, 10000], got 3.0"),
-        ({"width_max_um": None}, "sweep width_max_um must be a number, got None"),
-        ({"eps_sm_rel": [10]}, "sweep eps_sm_rel must be a number, got [10]"),
-        ({"width_min_um": "1"}, "sweep width_min_um must be a number, got '1'"),
-        ({"t_sm_nm": False}, "sweep t_sm_nm must be a number, got False"),
-        ({"cutoff_um": "0.1"}, "sweep cutoff_um must be a number, got '0.1'"),
+        ({"width_max_um": None}, "sweep width_max_um must be finite, got None"),
+        ({"eps_sm_rel": [10]}, "sweep eps_sm_rel must be finite, got [10]"),
+        ({"width_min_um": "1"}, "sweep width_min_um must be finite, got '1'"),
+        ({"t_sm_nm": False}, "sweep t_sm_nm must be finite, got False"),
+        ({"cutoff_um": "0.1"}, "sweep cutoff_um must be finite, got '0.1'"),
     ])
     def test_wrongly_typed_sweep_field(self, tmp_path, sweep, message):
         result = _run_report(tmp_path, json.dumps({
@@ -651,6 +638,41 @@ class TestConfigErrors:
         _assert_one_line_error(result, "bad config")
         assert message in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ({"t_sm_nm": 0}, "layer thickness_nm must be finite and > 0, got 0.0"),
+        ({"eps_sm_rel": 0.5}, "layer eps_rel must be finite and >= 1, got 0.5"),
+        ({"width_min_um": 0.01},
+         "gap/finger width must lie in [0.1, 100] um, got 0.01"),
+        ({"width_min_um": 5, "width_max_um": 1},
+         "sweep width_max_um = 1.0 must be > width_min_um = 5.0"),
+        ({"cutoff_um": 5, "width_min_um": 1},
+         "edge_cutoff must lie in [0, 0.5) um, got 5.0"),
+        ({"cutoff_um": 5e-324, "width_min_um": 1, "width_max_um": 20},
+         "edge_cutoff must be > 0 against a width of 20.0 um: "),
+        ({"width_min_um": 1, "width_max_um": 1.0000000000000002, "points": 3},
+         "widths must be strictly ascending"),
+    ], ids=["zero-layer", "thin-permittivity", "narrow-width", "descending",
+            "half-width-cutoff", "cutoff-rounds-to-0", "widths-round-to-equal"])
+    def test_a_sweep_the_run_cannot_take_is_a_bad_config(self, tmp_path, sweep,
+                                                          message):
+        """Each used to pass the config: the run fitted, wrote three CSVs and
+        ``report.json``, and only then failed the ``sweep`` stage."""
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "output_dir": str(out), "sweep": sweep}))
+        _assert_one_line_error(result, f"bad config {tmp_path / 'cfg.json'}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["models", "output_dir", "sweep.t_sm_nm"])
+    def test_a_built_config_cannot_be_changed(self, tmp_path, field):
+        """The run takes the config as it was checked when built; the sweep's
+        layer is built then too, so a later t_sm_nm would not reach it."""
+        config = PipelineConfig(models=[], output_dir=str(tmp_path),
+                                sweep=SweepConfig())
+        *owner, name = field.split(".")
+        with pytest.raises(FrozenInstanceError):
+            setattr(config.sweep if owner else config, name, 0)
 
     def test_typed_sweep_fields_accepted(self, tmp_path):
         """The finite-array keys ``n_fingers`` and ``elements_per_strip`` are
@@ -1226,13 +1248,30 @@ class TestCli:
         assert result.stderr == ""
 
     @pytest.mark.parametrize("args, message", [
-        (["--g", "nan", "--delta", "2", "--kappa", "50"], "g must be finite, got nan"),
-        (["--g", "30", "--delta", "2", "--kappa", "inf"], "kappa must be finite, got inf"),
+        (["--g", "nan", "--delta", "2", "--kappa", "50"],
+         "g (MHz) must be finite and >= 0, got nan"),
+        (["--g", "30", "--delta", "2", "--kappa", "inf"],
+         "kappa (kHz) must be finite and > 0, got inf"),
     ], ids=["nan-g", "inf-kappa"])
     def test_purcell_non_finite_input_is_one_error_line(self, args, message):
         """These used to print T_Purcell = nan ms and 0 ms and exit 0."""
         result = CliRunner().invoke(main, ["purcell", *args])
         _assert_one_line_error(result, message)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--g", "30", "--delta", "2", "--kappa", "-50"],
+         "kappa (kHz) must be finite and > 0, got -50.0"),
+        (["--g", "-1", "--delta", "2", "--kappa", "50"],
+         "g (MHz) must be finite and >= 0, got -1.0"),
+        (["--g", "30", "--delta", "0", "--kappa", "50"],
+         "delta (GHz) must be finite and != 0, got 0.0"),
+    ], ids=["kappa", "g", "delta"])
+    def test_purcell_refuses_a_value_in_the_unit_it_was_typed_in(self, args, message):
+        """The refusal used to name the value in rad/s, one never typed:
+        ``kappa (rad/s) must be finite and > 0, got -314159.26535897935``."""
+        result = CliRunner().invoke(main, ["purcell", *args])
+        _assert_one_line_error(result, message)
+        assert result.output.strip() == f"error: {message}"
 
     def test_purcell_names_a_value_beyond_the_float_range_in_rad_s_as_given(self):
         """2 pi x 1e300 GHz overflows in rad/s; the error used to read

@@ -987,8 +987,8 @@ class TestPurcellLimit:
          "kappa must be finite in kHz and in rad/s, got 1e+306"),
         ({"kappa_khz": 50.0, "delta_ghz": 1e300, "g_mhz": 30.0},
          "delta must be finite in GHz and in rad/s, got 1e+300"),
-        ({"kappa_khz": 50.0, "delta_ghz": 2.0, "g_mhz": -1e304},
-         "g must be finite in MHz and in rad/s, got -1e+304"),
+        ({"kappa_khz": 50.0, "delta_ghz": 2.0, "g_mhz": 1e304},
+         "g must be finite in MHz and in rad/s, got 1e+304"),
         ({"kappa_khz": 50.0, "delta_ghz": 2.0, "chi_mhz": 1e304},
          "chi must be finite in MHz and in rad/s, got 1e+304"),
     ], ids=["kappa", "delta", "g", "chi"])

@@ -24,7 +24,7 @@ from qsurfloss import solver
 from qsurfloss.errors import shown
 from qsurfloss.solver import _surface_samples, epsilon_0
 
-from conftest import cps_capacitance
+from conftest import cps_capacitance, scaled, with_potentials
 
 
 def field_energy_quadrature(sol, n_x=700, n_y=360, span_factor=25.0):
@@ -104,7 +104,7 @@ class TestOracleAgreement:
 class TestInvariants:
     def test_scale_invariance(self, two_strip_geom, two_strip_sol):
         """2D capacitance is unchanged under uniform lateral scaling."""
-        doubled = solve_cross_section(two_strip_geom.scaled(2.0))
+        doubled = solve_cross_section(scaled(two_strip_geom, 2.0))
         assert doubled.capacitance_per_len == pytest.approx(
             two_strip_sol.capacitance_per_len, rel=1e-9
         )
@@ -113,12 +113,10 @@ class TestInvariants:
         v1 = [0.5, -0.5]
         v2 = [0.3, 0.1]
         a, b = 1.7, -0.4
-        sol1 = solve_cross_section(two_strip_geom.with_potentials(v1))
-        sol2 = solve_cross_section(two_strip_geom.with_potentials(v2))
+        sol1 = solve_cross_section(with_potentials(two_strip_geom, v1))
+        sol2 = solve_cross_section(with_potentials(two_strip_geom, v2))
         combo = solve_cross_section(
-            two_strip_geom.with_potentials(
-                [a * x + b * y for x, y in zip(v1, v2)]
-            )
+            with_potentials(two_strip_geom, [a * x + b * y for x, y in zip(v1, v2)])
         )
         expected = a * charge_density(sol1) + b * charge_density(sol2)
         scale = np.max(np.abs(expected))
@@ -132,7 +130,7 @@ class TestInvariants:
         assert np.max(np.abs(left + right[::-1])) / scale < 1e-9
 
     def test_potential_swap_negates_charge(self, two_strip_geom, two_strip_sol):
-        swapped = solve_cross_section(two_strip_geom.with_potentials([-0.5, 0.5]))
+        swapped = solve_cross_section(with_potentials(two_strip_geom, [-0.5, 0.5]))
         assert swapped.energy_per_len == pytest.approx(
             two_strip_sol.energy_per_len, rel=1e-12
         )
