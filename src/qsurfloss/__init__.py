@@ -18,8 +18,6 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
     QSurfLossError,
-    RecordValidationError,
-    TableFormatError,
 )
 from .geometry import (
     SAPPHIRE_EPS_REL,

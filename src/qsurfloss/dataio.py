@@ -15,8 +15,8 @@ from importlib import resources
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import (InvalidInputError, RecordValidationError, TableFormatError,
-                     parse_csv, read_text, real, real_text, write_csv)
+from .errors import (InvalidInputError, parse_csv, read_text, real, real_text,
+                     shown, write_csv)
 from .lossmodel import LossDataPoint
 from .qubitfit import _mean_std
 
@@ -40,6 +40,13 @@ _COLUMNS = (
     ("p_j_1e4", "p_j", 1e-4, False),
 )
 COLUMNS = tuple(column for column, *_ in _COLUMNS)
+#: Each number column's field, whether it may be left empty, and its rule as
+#: a refusal reads it and as a test: a field that may be empty may hold 0.
+_NUMBER_FIELDS = tuple(
+    (name, optional, f"field '{name}' must be finite and "
+     + (">= 0 when present" if optional else "> 0"),
+     (lambda v: v >= 0) if optional else (lambda v: v > 0))
+    for _, name, _, optional in _COLUMNS[2:])
 
 
 @dataclass
@@ -60,35 +67,26 @@ class DeviceRecord:
     p_j: float
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        def fail(field_name: str, message: str):
-            raise RecordValidationError(
-                f"device {self.device_id}: field '{field_name}' {message}"
-            )
-
+        """Check each field once, each number by :func:`real`, stored as the
+        float it returns; then the id's form and the rules across fields."""
+        device = self.device_id if isinstance(self.device_id, str) else shown(
+            self.device_id)  # str() of a huge int raises
         if self.geometry not in GEOMETRIES:
-            fail("geometry", f"must be one of {GEOMETRIES}, got {self.geometry!r}")
-        if "-" not in self.device_id:
-            fail("device_id", "must look like '<die>-<index>'")
-
-        def number(name: str, rule: str, ok) -> None:  # through the door
-            try:
-                setattr(self, name, real(getattr(self, name), name, ok))
-            except InvalidInputError:
-                fail(name, f"must be finite and {rule}")
-
-        for name in ("omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us",
-                     "t_purcell_ms", "q_mean", "p_sm", "p_j"):
-            number(name, "> 0", lambda v: v > 0)
-        if not self.omega_c_ghz > self.omega_q_ghz:
-            fail("omega_c_ghz", "must exceed omega_q_ghz (dispersive readout)")
-        if not self.t_purcell_ms * 1e3 > self.t1_mean_us:
-            fail("t_purcell_ms", "must exceed the measured T1")
-        for name in ("t1_std_us", "q_std"):
-            if getattr(self, name) is not None:
-                number(name, ">= 0 when present", lambda v: v >= 0)
+            raise InvalidInputError(f"device {device}: field 'geometry' must be one "
+                                    f"of {GEOMETRIES}, got {shown(self.geometry)}")
+        for name, optional, rule, ok in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if value is not None or not optional:
+                setattr(self, name, real(value, f"device {device}: {rule}", ok))
+        for name, holds, rule in (
+                ("device_id", isinstance(self.device_id, str) and "-" in self.device_id,
+                 "look like '<die>-<index>'"),
+                ("omega_c_ghz", self.omega_c_ghz > self.omega_q_ghz,
+                 "exceed omega_q_ghz (dispersive readout)"),
+                ("t_purcell_ms", self.t_purcell_ms * 1e3 > self.t1_mean_us,
+                 "exceed the measured T1")):
+            if not holds:
+                raise InvalidInputError(f"device {device}: field '{name}' must {rule}")
 
     @property
     def die_id(self) -> str:
@@ -114,28 +112,27 @@ def _record_from_row(row: dict) -> DeviceRecord:
 def load_device_table(path) -> list[DeviceRecord]:
     """Parse and validate a device table CSV.
 
-    Raises :class:`TableFormatError` for text that is not UTF-8, a wrong
-    header or an unparseable row (with its row number),
-    :class:`RecordValidationError` when a row violates a field invariant
-    and :class:`InvalidInputError` for a file that cannot be read.
+    Raises :class:`InvalidInputError` for a file that cannot be read or is
+    not UTF-8, a wrong header, and a row that does not parse or that a
+    field rule refuses, named by its row number:
+    ``<path>: malformed row <i>: <reason>``, where a field rule's reason
+    reads ``device <id>: field '<name>' must ...``.
     """
-    return _load_records(read_text(path, malformed=TableFormatError), str(path))
+    return _load_records(read_text(path), str(path))
 
 
 def _load_records(text: str, source: str) -> list[DeviceRecord]:
-    header, rows = parse_csv(text, source, malformed=TableFormatError)
+    header, rows = parse_csv(text, source)
     if header is None or tuple(header) != COLUMNS:
-        raise TableFormatError(
+        raise InvalidInputError(
             f"{source}: header must be {','.join(COLUMNS)}, got {header}"
         )
     records = []
     for i, row in enumerate(rows, start=2):
         try:
             records.append(_record_from_row(row))
-        except RecordValidationError:
-            raise
-        except ValueError as exc:
-            raise TableFormatError(f"{source}: malformed row {i}: {exc}") from exc
+        except ValueError as exc:  # a cell float cannot read, or a field rule
+            raise InvalidInputError(f"{source}: malformed row {i}: {exc}") from exc
     return records
 
 
@@ -195,12 +192,13 @@ def group_for_fit(
     devices has the mean Q of its devices and their population standard
     deviation, and a single device keeps its own Q and its published
     round-statistics spread, else 0.  Points come in ascending
-    ``(p_sm, p_j, group_id)`` order.
+    ``(p_sm, p_j, group_id)`` order.  No records, or a ``mode`` not in
+    :data:`GROUPINGS`, raises :class:`InvalidInputError`.
     """
     if not records:
-        raise TableFormatError("no records to group")
+        raise InvalidInputError("no records to group")
     if mode not in GROUPINGS:
-        raise TableFormatError(f"unknown grouping mode {mode!r}")
+        raise InvalidInputError(f"unknown grouping mode {mode!r}")
     per_device = mode == "per_device"
     groups: dict[object, list[DeviceRecord]] = {}
     for i, r in enumerate(records):

@@ -1,13 +1,14 @@
-"""Exception types shared across the toolkit, and the base of the named
-options, whose unknown value is one of them; the two doors of numbers,
-:func:`real`/:func:`reals` (to float) and :func:`integer` (counts, to int),
-which convert once or refuse with an :class:`InvalidInputError` showing the
-value, and which a number read from a file reaches as JSON holds it or as
-:func:`real_text` reads its CSV cell; and the one place that opens files:
-UTF-8 readers and writers that keep line endings, name a file that cannot be
-read, written or decoded in an :class:`InvalidInputError`, and fail typed on
-text the JSON and CSV parsers cannot take (a cell over the limit, or JSON
-nested deeper than 16 levels, where the documents read nest at most 3)."""
+"""Exception types shared across the toolkit, with one, InvalidInputError,
+for bad input of every kind (argument, config, device table, trace), and
+the base of the named options, whose unknown value is one; the two doors of
+numbers, :func:`real`/:func:`reals` (to float) and :func:`integer` (counts,
+to int), which convert once or refuse showing the value, and which a number
+read from a file reaches as JSON holds it or as :func:`real_text` reads its
+CSV cell; and the one place that opens files: UTF-8 readers and writers
+that keep line endings, name a file that cannot be read, written or decoded
+in an :class:`InvalidInputError`, and fail typed on text the JSON and CSV
+parsers cannot take (a cell over the limit, or JSON nested deeper than 16
+levels, where the documents read nest at most 3)."""
 
 import csv
 import io
@@ -51,13 +52,16 @@ def shown(value) -> str:
     """A checked value as an error message shows it: ``str(value)``, except
     for a value that is not a real number, shown by its repr so that ``'3'``
     reads apart from ``3`` and ``Decimal('3')`` from both (by its type if
-    the repr is over 60 characters, as a solution's is), and an int too
-    long for Python's int-to-str conversion (over 4300 digits by default),
-    shown by its number of digits."""
+    the repr is over 60 characters or fails, as a solution's and a list's
+    holding the int below do), and an int too long for Python's int-to-str
+    conversion (over 4300 digits by default), shown by its number of digits."""
     if not isinstance(value, numbers.Real):
-        text = repr(value)
-        return (text if len(text) <= 60
-                else f"an object of type {type(value).__name__}")
+        try:
+            if len(text := repr(value)) <= 60:
+                return text
+        except ValueError:  # it holds an int over the digit limit
+            pass
+        return f"an object of type {type(value).__name__}"
     try:
         return str(value)
     except ValueError:
@@ -134,14 +138,6 @@ class _Option(str, Enum):
         raise InvalidInputError(f"unknown {cls.__name__} {value!r}")
 
 
-class TableFormatError(InvalidInputError):
-    """A device-table file is malformed (bad header, unparseable row)."""
-
-
-class RecordValidationError(InvalidInputError):
-    """A parsed device record violates a field invariant."""
-
-
 class NumericalFailureError(QSurfLossError, RuntimeError):
     """A linear solve or quadrature did not reach the required residual."""
 
@@ -158,15 +154,14 @@ class FitFailureError(QSurfLossError, RuntimeError):
     """A nonlinear fit failed to converge or produced an unphysical result."""
 
 
-def read_text(path, malformed: type = InvalidInputError) -> str:
+def read_text(path) -> str:
     """The UTF-8 text of ``path``, line endings kept.  A file that cannot be
-    read raises :class:`InvalidInputError`; one that is not UTF-8 raises
-    ``malformed`` (a device table's is a :class:`TableFormatError`)."""
+    read or is not UTF-8 raises :class:`InvalidInputError`."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise malformed(f"{path}: not UTF-8 text: {exc}") from exc
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -195,16 +190,16 @@ def read_json(path, prefix: str):
         raise InvalidInputError(f"{prefix}: {exc}") from exc
 
 
-def parse_csv(text: str, source: str, malformed: type = InvalidInputError):
+def parse_csv(text: str, source: str):
     """The header and the rows of CSV ``text``, as :class:`csv.DictReader`
-    reads them.  A line the csv module refuses (a cell over its field
-    limit) raises ``malformed`` naming ``source`` and the line."""
+    reads them.  A line the csv module refuses (a cell over its field limit)
+    raises :class:`InvalidInputError` naming ``source`` and the line."""
     reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
         return reader.fieldnames, list(reader)
     except csv.Error as exc:
         # DictReader.line_num lags a row that fails; its csv.reader's does not
-        raise malformed(
+        raise InvalidInputError(
             f"{source}: unreadable row {reader.reader.line_num}: {exc}") from exc
 
 

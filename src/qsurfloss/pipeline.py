@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import GROUPINGS, bundled_device_table, group_for_fit, load_device_table
 from .errors import (InvalidInputError, QSurfLossError, integer, read_json, real,
-                     write_csv, write_text)
+                     shown, write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL, check_interdigital_width
 from .lossmodel import (
     FITTERS,
@@ -106,8 +106,9 @@ class SweepConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     """Settings for one report run, immutable and checked whole when built;
-    ``models`` is stored as a tuple of :class:`LossModel` and ``weighting``
-    as a :class:`Weighting`.  See ``from_json`` for the file format."""
+    ``models`` is stored as a tuple of :class:`LossModel`, each at most
+    once, ``weighting`` as a :class:`Weighting`, and ``sweep`` is None or a
+    :class:`SweepConfig`.  See ``from_json`` for the file format."""
 
     dataset: str | None = None  # None: bundled device table
     models: tuple[str, ...] = ("sm+j", "sm+q0")
@@ -117,15 +118,21 @@ class PipelineConfig:
     sweep: SweepConfig | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.models, (list, tuple)):
-            raise InvalidInputError(f"models must be a list, got {self.models!r}")
-        object.__setattr__(self, "models", tuple(LossModel(m) for m in self.models))
+        for name, kinds, kind in (("models", (list, tuple), "a list"),
+                                  ("output_dir", (str, os.PathLike), "a path"),
+                                  ("sweep", (SweepConfig, type(None)),
+                                   "a SweepConfig or None")):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise InvalidInputError(f"{name} must be {kind}, got {shown(value)}")
+        models = tuple(LossModel(m) for m in self.models)
+        for i, model in enumerate(models):
+            if model in models[:i]:  # a second fit would replace the first
+                raise InvalidInputError(f"models lists {model.value!r} more than once")
+        object.__setattr__(self, "models", models)
         object.__setattr__(self, "weighting", Weighting(self.weighting))
         if self.grouping not in GROUPINGS:
             raise InvalidInputError(f"unknown grouping {self.grouping!r}")
-        if not isinstance(self.output_dir, (str, os.PathLike)):
-            raise InvalidInputError(
-                f"output_dir must be a path, got {self.output_dir!r}")
         if self.dataset is not None and not (
                 isinstance(self.dataset, (str, os.PathLike))
                 and Path(self.dataset).is_file()):

@@ -1,4 +1,5 @@
 import csv
+import re
 import sys
 from dataclasses import replace
 
@@ -10,8 +11,6 @@ from qsurfloss import (
     DeviceRecord,
     InvalidInputError,
     QSurfLossError,
-    RecordValidationError,
-    TableFormatError,
     fit_sm_plus_j,
     group_for_fit,
     load_device_table,
@@ -53,13 +52,16 @@ class TestBundledTable:
 
 
 class TestValidation:
-    def test_device_id_without_die_prefix_rejected(self, records):
-        with pytest.raises(RecordValidationError,
-                           match="^device D11: field 'device_id' must look like"):
-            replace(records[0], device_id="D11")
+    @pytest.mark.parametrize("device_id", ["D11", None, 11, b"D1-1"])
+    def test_device_id_without_die_prefix_rejected(self, records, device_id):
+        """An id that is not a str used to end in the raw TypeError of the
+        ``-`` test."""
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"device {device_id}: field 'device_id' must look like")):
+            replace(records[0], device_id=device_id)
 
     def test_cavity_below_qubit_rejected(self):
-        with pytest.raises(RecordValidationError, match="omega_c"):
+        with pytest.raises(InvalidInputError, match="omega_c"):
             DeviceRecord(
                 device_id="X1-1",
                 geometry="dumbbell_2d",
@@ -76,7 +78,7 @@ class TestValidation:
             )
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(RecordValidationError, match="geometry"):
+        with pytest.raises(InvalidInputError, match="geometry"):
             DeviceRecord(
                 device_id="X1-1",
                 geometry="coax",
@@ -93,6 +95,14 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize("field, rule", [
+        ("p_sm", "> 0"), ("q_std", ">= 0 when present")])
+    def test_number_refusal_shows_rule_and_value(self, records, field, rule):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"device {records[0].device_id}: field '{field}' must be finite "
+                f"and {rule}, got -1.0") + "$"):
+            replace(records[0], **{field: -1.0})
+
     @pytest.mark.parametrize("field", [
         "omega_q_ghz", "omega_c_ghz", "g_mhz", "t1_mean_us", "t1_std_us",
         "t_purcell_ms", "q_mean", "q_std", "p_sm", "p_j"])
@@ -102,7 +112,7 @@ class TestValidation:
                       t1_mean_us=100.0, t1_std_us=None, t_purcell_ms=10.0,
                       q_mean=1e6, q_std=None, p_sm=1e-4, p_j=1e-5)
         values[field] = 10**400
-        with pytest.raises(RecordValidationError,
+        with pytest.raises(InvalidInputError,
                            match=f"field '{field}' must be finite"):
             DeviceRecord(device_id="X1-1", geometry="dumbbell_2d", **values)
 
@@ -120,7 +130,7 @@ class TestValidation:
                       t1_mean_us=100.0, t1_std_us=None, t_purcell_ms=10.0,
                       q_mean=1e6, q_std=None, p_sm=1e-4, p_j=1e-5)
         values[field] = value
-        with pytest.raises(RecordValidationError,
+        with pytest.raises(InvalidInputError,
                            match=f"field '{field}' must be finite"):
             DeviceRecord(device_id="X1-1", geometry="dumbbell_2d", **values)
 
@@ -129,7 +139,7 @@ class TestLoader:
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(TableFormatError, match="header"):
+        with pytest.raises(InvalidInputError, match="header"):
             load_device_table(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -139,7 +149,7 @@ class TestLoader:
             + "\nD1-1,interdigital_2d,4.4,6.5,37,36.8,5.7,9.0,1.04,0.16,8.67,0.22"
             + "\nD1-2,interdigital_2d,oops,6.4,36,29.8,4.3,19.9,0.76,0.11,13.5,0.19\n"
         )
-        with pytest.raises(TableFormatError, match="row 3"):
+        with pytest.raises(InvalidInputError, match="row 3"):
             load_device_table(path)
 
     def test_validation_error_names_field(self, tmp_path):
@@ -148,13 +158,15 @@ class TestLoader:
             ",".join(COLUMNS)
             + "\nD1-1,interdigital_2d,7.4,6.5,37,36.8,5.7,9.0,1.04,0.16,8.67,0.22\n"
         )
-        with pytest.raises(RecordValidationError, match="omega_c_ghz"):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"{path}: malformed row 2: device D1-1: field 'omega_c_ghz' must "
+                "exceed omega_q_ghz (dispersive readout)") + "$"):
             load_device_table(path)
 
     def test_row_with_only_an_id_is_a_format_error(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text(HEADER + "D1-1\n")
-        with pytest.raises(TableFormatError, match="row 2: no geometry cell"):
+        with pytest.raises(InvalidInputError, match="row 2: no geometry cell"):
             load_device_table(path)
 
     @pytest.mark.parametrize("extra", [",x,y", ","])
@@ -165,14 +177,14 @@ class TestLoader:
         path = tmp_path / "long.csv"
         path.write_text(HEADER + row + "\n" + row + extra + "\n")
         n = 12 + extra.count(",")
-        with pytest.raises(TableFormatError, match=f"malformed row 3: {n} "
+        with pytest.raises(InvalidInputError, match=f"malformed row 3: {n} "
                            f"cells, header has 12$"):
             load_device_table(path)
 
     def test_non_utf8_table_is_a_format_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(HEADER.encode() + "D1-1,g\xe9om\n".encode("latin-1"))
-        with pytest.raises(TableFormatError, match="not UTF-8"):
+        with pytest.raises(InvalidInputError, match="not UTF-8"):
             load_device_table(path)
 
     @staticmethod
@@ -184,7 +196,7 @@ class TestLoader:
         cells[COLUMNS.index(column)] = cell
         path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
         field = column.removesuffix("_1e6").removesuffix("_1e4")
-        with pytest.raises(RecordValidationError, match=f"field '{field}'"):
+        with pytest.raises(InvalidInputError, match=f"field '{field}'"):
             load_device_table(path)
 
     @pytest.mark.parametrize("column", COLUMNS[2:])
@@ -277,8 +289,8 @@ class TestTableProperties:
         try:
             load_device_table(table_path)
         except QSurfLossError as exc:
-            if long_first:  # an overlong first row fails before any check
-                assert isinstance(exc, TableFormatError)
+            if long_first:  # an overlong first row fails before any field rule
+                assert "field '" not in str(exc)
                 assert str(exc).endswith(f"malformed row 2: {len(rows[0])} "
                                          f"cells, header has {len(COLUMNS)}")
         else:
@@ -434,7 +446,7 @@ class TestGrouping:
         assert keys == sorted(keys)
 
     def test_empty_and_bad_mode(self, records):
-        with pytest.raises(TableFormatError):
+        with pytest.raises(InvalidInputError, match="^no records to group$"):
             group_for_fit([], mode="per_die_design")
-        with pytest.raises(TableFormatError, match="mode"):
+        with pytest.raises(InvalidInputError, match="mode"):
             group_for_fit(records, mode="per_wafer")

@@ -30,9 +30,7 @@ import qsurfloss.cli
 from qsurfloss import (
     DEFAULT_SM_SPEC,
     InvalidInputError,
-    TableFormatError,
     PipelineConfig,
-    RecordValidationError,
     interdigital_unit_cell,
     load_cross_section,
     load_decay_trace,
@@ -221,7 +219,7 @@ class TestUnparseableInput:
         lines = path.read_text().splitlines()
         lines[row - 1] += self.BIG_CELL
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TableFormatError, match="^" + re.escape(
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
                 f"{path}: unreadable row {row}: field larger than field limit")):
             load_device_table(path)
 
@@ -293,12 +291,13 @@ class TestCellText:
         number = _float_reads(cell)
         try:
             (record,) = load_device_table(path)
-        except RecordValidationError:
-            assert number is not None
-            return
-        except TableFormatError as exc:
-            assert number is None
-            assert str(exc).startswith(f"{path}: malformed row 2: ")
+        except InvalidInputError as exc:
+            reason = str(exc).removeprefix(f"{path}: malformed row 2: ")
+            assert reason != str(exc)
+            # a field rule's refusal names its field; a cell that float
+            # cannot read is refused before any rule
+            by_rule = reason.startswith(f"device {records[0].device_id}: field '")
+            assert by_rule == (number is not None)
             return
         if optional and not cell.strip():
             assert getattr(record, name) is None

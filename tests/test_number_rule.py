@@ -73,7 +73,8 @@ class TestPredicates:
 
     @pytest.mark.parametrize("value, text", [
         (Decimal("0.1"), "Decimal('0.1')"), ("3", "'3'"), (1j, "1j"),
-        (None, "None"), (True, "True"), (2.5, "2.5"), (Fraction(1, 3), "1/3")])
+        (None, "None"), (True, "True"), (2.5, "2.5"), (Fraction(1, 3), "1/3"),
+        ([10**5000], "an object of type list")])
     def test_shown(self, value, text):
         assert shown(value) == text
 
@@ -174,8 +175,15 @@ ANY_VALUE = st.one_of(
     st.lists(st.floats(), max_size=3), st.builds(object),
 )
 
-#: Each numeric argument of the checked entry points, as a call with any
-#: value in its place and valid values in the others.
+
+def _record(device_id, geometry):
+    """A device record with the given text fields and valid numbers."""
+    return DeviceRecord(device_id, geometry, 4.0, 6.0, 40.0, 100.0, None, 10.0,
+                        1e6, None, 1e-4, 1e-5)
+
+
+#: Each argument of the checked entry points, as a call with any value in
+#: its place and valid values in the others.
 CALLS = {
     "InterfaceSpec.thickness_nm": lambda v: InterfaceSpec("SM", v, 10.15),
     "InterfaceSpec.eps_rel": lambda v: InterfaceSpec("SM", 1.0, v),
@@ -191,6 +199,8 @@ CALLS = {
     "purcell_subtract_q.t1_us": lambda v: purcell_subtract_q(v, 10.0, 5.0),
     "purcell_subtract_q.t_purcell_ms": lambda v: purcell_subtract_q(100.0, v, 5.0),
     "purcell_subtract_q.omega_q_ghz": lambda v: purcell_subtract_q(100.0, 10.0, v),
+    "DeviceRecord.device_id": lambda v: _record(v, "dumbbell_2d"),
+    "DeviceRecord.geometry": lambda v: _record("D1-1", v),
 }
 
 

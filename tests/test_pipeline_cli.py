@@ -719,6 +719,26 @@ class TestConfigErrors:
         assert f"models must be a list, got {models!r}" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_model_is_refused(self, tmp_path):
+        """``sm`` listed twice used to be fitted twice, the second fit
+        replacing the first, and the report read ``ok``."""
+        out = tmp_path / "out"
+        result = _run_report(tmp_path, json.dumps({
+            "models": ["sm", "sm", "sm+j"], "output_dir": str(out)}))
+        _assert_one_line_error(result, f"bad config {tmp_path / 'cfg.json'}: "
+                                       "models lists 'sm' more than once")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, shown", [
+        ({"points": 3}, "{'points': 3}"),
+        ({"points": 10**5000}, "an object of type dict")], ids=["dict", "long-int"])
+    def test_sweep_that_is_not_a_sweep_config_is_refused(self, tmp_path, sweep, shown):
+        """A dict used to pass the config; the run created ``output_dir`` and
+        ended in a raw AttributeError."""
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"sweep must be a SweepConfig or None, got {shown}") + "$"):
+            PipelineConfig(output_dir=str(tmp_path / "out"), sweep=sweep)
+
 
 #: Any JSON value; an integer ``points`` is drawn from a small range or
 #: above ``MAX_SWEEP_POINTS``, so that no draw runs a long sweep.
@@ -945,7 +965,7 @@ class TestCommandProperties:
 class TestCli:
     def test_public_names_are_not_modules(self):
         """The submodules bound by the package's own imports are not API,
-        and the public names are exactly these 54: a change that adds or
+        and the public names are exactly these 52: a change that adds or
         removes one edits this list."""
         assert sorted(qsurfloss.__all__) == [
             "ConvergenceError", "CrossSection", "DEFAULT_SM_SPEC", "DecayTrace",
@@ -953,9 +973,8 @@ class TestCli:
             "FitFailureError", "InterfaceRegion", "InterfaceSpec",
             "InvalidInputError", "LossDataPoint", "LossFitResult", "LossModel",
             "NumericalFailureError", "ParticipationSet", "PipelineConfig",
-            "PurcellParams", "QSurfLossError", "RecordValidationError",
-            "SAPPHIRE_EPS_REL", "Strip", "SweepConfig", "T1Estimate",
-            "T1Statistics", "TableFormatError", "Weighting",
+            "PurcellParams", "QSurfLossError", "SAPPHIRE_EPS_REL", "Strip",
+            "SweepConfig", "T1Estimate", "T1Statistics", "Weighting",
             "bundled_device_table", "cutoff_sensitivity", "fit_exponential",
             "fit_sm_only", "fit_sm_plus_j", "fit_sm_plus_q0", "group_for_fit",
             "interdigital_unit_cell", "load_cross_section",
