@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dataio import GROUPINGS, bundled_device_table, group_for_fit, load_device_table
+from .dataio import Grouping, bundled_device_table, group_for_fit, load_device_table
 from .errors import InvalidInputError, QSurfLossError, integer, real_text, shown
 from .lossmodel import FITTERS, LossModel, Weighting
 from .participation import write_sweep_csv
@@ -35,7 +35,7 @@ from .qubitfit import (
     t1_report_dict,
 )
 
-GROUP_MODES = dict(zip(("per-die", "per-device"), GROUPINGS))  # --group: mode
+GROUP_MODES = dict(zip(("per-die", "per-device"), Grouping))  # --group: mode
 _SWEEP = SweepConfig()  # qsurfloss sweep takes a report's sweep defaults
 
 
@@ -129,10 +129,11 @@ def sweep(width_min, width_max, points, t_sm_nm, eps_sm, cutoff_um, out) -> None
 def fit_loss(input_path, model, weights, group, out) -> None:
     """Fit the loss model to a device table and print the parameters."""
     records = load_device_table(input_path) if input_path else bundled_device_table()
-    points = group_for_fit(records, mode=GROUP_MODES[group])
+    mode = GROUP_MODES[group]
+    points = group_for_fit(records, mode=mode)
     fit = FITTERS[LossModel(model)](points, weighting=weights)
     if out:  # written first, so a file that cannot be written is the only output
-        write_report_json({**fit.to_json_dict(), "grouping": GROUP_MODES[group]}, out)
+        write_report_json({**fit.to_json_dict(), "grouping": mode.value}, out)
     click.echo(f"model {model} on {len(points)} points ({group}, weights={weights})")
     click.echo(
         f"  tan_d_sm = {fit.tan_d_sm:.3e} "

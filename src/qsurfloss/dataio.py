@@ -15,8 +15,8 @@ from importlib import resources
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import (InvalidInputError, parse_csv, read_text, real, real_text,
-                     shown, write_csv)
+from .errors import (InvalidInputError, _Option, parse_csv, read_text, real,
+                     real_text, shown, write_csv)
 from .lossmodel import LossDataPoint
 from .qubitfit import _mean_std
 
@@ -177,12 +177,15 @@ def save_device_table(records: Iterable[DeviceRecord], path) -> None:
 
 #: Sort key of loss-fit points: the order of every fit and report row.
 _FIT_ORDER = attrgetter("p_sm", "p_j", "group_id")
-#: The grouping modes of :func:`group_for_fit`, its default first.
-GROUPINGS = ("per_die_design", "per_device")
+
+
+class Grouping(_Option):  # how group_for_fit makes its points
+    PER_DIE_DESIGN = "per_die_design"
+    PER_DEVICE = "per_device"
 
 
 def group_for_fit(
-    records: Sequence[DeviceRecord], mode: str = "per_die_design"
+    records: Sequence[DeviceRecord], mode: Grouping | str = Grouping.PER_DIE_DESIGN
 ) -> list[LossDataPoint]:
     """Aggregate device records into loss-fit points.
 
@@ -192,14 +195,12 @@ def group_for_fit(
     devices has the mean Q of its devices and their population standard
     deviation, and a single device keeps its own Q and its published
     round-statistics spread, else 0.  Points come in ascending
-    ``(p_sm, p_j, group_id)`` order.  No records, or a ``mode`` not in
-    :data:`GROUPINGS`, raises :class:`InvalidInputError`.
+    ``(p_sm, p_j, group_id)`` order.  A ``mode`` not a :class:`Grouping`
+    (checked first), or no records, raises :class:`InvalidInputError`.
     """
+    per_device = Grouping(mode) is Grouping.PER_DEVICE
     if not records:
         raise InvalidInputError("no records to group")
-    if mode not in GROUPINGS:
-        raise InvalidInputError(f"unknown grouping mode {mode!r}")
-    per_device = mode == "per_device"
     groups: dict[object, list[DeviceRecord]] = {}
     for i, r in enumerate(records):
         key = i if per_device else (r.die_id, r.geometry, r.p_sm, r.p_j)

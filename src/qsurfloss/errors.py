@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, with one, InvalidInputError,
 for bad input of every kind (argument, config, device table, trace), and
-the base of the named options, whose unknown value is one; the two doors of
+the base of the named options (``unknown <kind> <value>``); the two doors of
 numbers, :func:`real`/:func:`reals` (to float) and :func:`integer` (counts,
 to int), which convert once or refuse showing the value, and which a number
 read from a file reaches as JSON holds it or as :func:`real_text` reads its
@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import re
-from enum import Enum
+from enum import Enum, EnumMeta
 from itertools import accumulate
 
 import numpy as np
@@ -129,13 +129,16 @@ class InvalidInputError(QSurfLossError, ValueError):
     """An argument or data record violates a documented precondition."""
 
 
-class _Option(str, Enum):
-    """A str enum whose unknown value is an :class:`InvalidInputError`
-    reading ``unknown <class> <value!r>``."""
+class _OptionType(EnumMeta):
+    def __call__(cls, value):  # Enum's refusal reprs the value, failing on a long int
+        try:
+            return cls._value2member_map_[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise InvalidInputError(f"unknown {cls.__name__} {shown(value)}") from None
 
-    @classmethod  # the one conversion of an unknown option to a typed error
-    def _missing_(cls, value):
-        raise InvalidInputError(f"unknown {cls.__name__} {value!r}")
+
+class _Option(str, Enum, metaclass=_OptionType):
+    """A str enum refusing an unknown value as ``unknown <class> <value>``."""
 
 
 class NumericalFailureError(QSurfLossError, RuntimeError):

@@ -66,8 +66,7 @@ class InterfaceSpec:
     eps_rel: float = SAPPHIRE_EPS_REL
 
     def __post_init__(self) -> None:
-        region = InterfaceRegion(self.region)
-        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "region", InterfaceRegion(self.region))
         for name, rule, ok in (("thickness_nm", "> 0", lambda t: t > 0),
                                ("eps_rel", ">= 1", lambda e: e >= 1.0)):
             object.__setattr__(self, name, real(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import GROUPINGS, bundled_device_table, group_for_fit, load_device_table
+from .dataio import Grouping, bundled_device_table, group_for_fit, load_device_table
 from .errors import (InvalidInputError, QSurfLossError, integer, read_json, real,
                      shown, write_csv, write_text)
 from .geometry import SAPPHIRE_EPS_REL, check_interdigital_width
@@ -105,10 +105,10 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Settings for one report run, immutable and checked whole when built;
-    ``models`` is stored as a tuple of :class:`LossModel`, each at most
-    once, ``weighting`` as a :class:`Weighting`, and ``sweep`` is None or a
-    :class:`SweepConfig`.  See ``from_json`` for the file format."""
+    """Settings for one report run, immutable and checked whole when built:
+    ``models`` is stored as a tuple of :class:`LossModel`, each at most once,
+    ``weighting`` and ``grouping`` as their options, ``dataset`` is None or
+    a file and ``sweep`` None or a :class:`SweepConfig`; see ``from_json``."""
 
     dataset: str | None = None  # None: bundled device table
     models: tuple[str, ...] = ("sm+j", "sm+q0")
@@ -118,7 +118,9 @@ class PipelineConfig:
     sweep: SweepConfig | None = None
 
     def __post_init__(self) -> None:
-        for name, kinds, kind in (("models", (list, tuple), "a list"),
+        for name, kinds, kind in (("dataset", (str, os.PathLike, type(None)),
+                                   "a path or None"),
+                                  ("models", (list, tuple), "a list"),
                                   ("output_dir", (str, os.PathLike), "a path"),
                                   ("sweep", (SweepConfig, type(None)),
                                    "a SweepConfig or None")):
@@ -131,11 +133,8 @@ class PipelineConfig:
                 raise InvalidInputError(f"models lists {model.value!r} more than once")
         object.__setattr__(self, "models", models)
         object.__setattr__(self, "weighting", Weighting(self.weighting))
-        if self.grouping not in GROUPINGS:
-            raise InvalidInputError(f"unknown grouping {self.grouping!r}")
-        if self.dataset is not None and not (
-                isinstance(self.dataset, (str, os.PathLike))
-                and Path(self.dataset).is_file()):
+        object.__setattr__(self, "grouping", Grouping(self.grouping))
+        if self.dataset is not None and not Path(self.dataset).is_file():
             raise InvalidInputError(f"dataset not found: {self.dataset}")
 
     @classmethod
@@ -349,7 +348,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     errors: list[dict] = []
     report: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "grouping": config.grouping,
+        "grouping": config.grouping.value,
         "weighting": config.weighting.value,
         "fits": {},
         "errors": errors,
@@ -364,8 +363,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         else:
             records = load_device_table(config.dataset)
             report["dataset"] = str(config.dataset)
-        if not records:
-            raise InvalidInputError("dataset contains no device records")
         report["n_devices"] = len(records)
         points = group_for_fit(records, mode=config.grouping)
         report["n_fit_points"] = len(points)

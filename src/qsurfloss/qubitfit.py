@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FitFailureError, InvalidInputError, parse_csv, read_json,
-                     read_text, real, real_text, reals)
+from .errors import (FitFailureError, InvalidInputError, _Option, parse_csv,
+                     read_json, read_text, real, real_text, reals)
 
 #: Purcell lifetimes above this value (s) are reported as unbounded.
 UNBOUNDED_PURCELL_S = 1e6
@@ -97,8 +97,10 @@ def _initial_guess(delays: np.ndarray, populations: np.ndarray) -> float:
     return t10
 
 
-#: Losses ``fit_exponential`` accepts.
-LOSSES = ("linear", "soft_l1")
+class T1Loss(_Option):  # the cost fit_exponential minimizes
+    LINEAR = "linear"
+    SOFT_L1 = "soft_l1"
+
 
 #: A step in s = ln T1 is cut to at most this length, so that
 #: one step changes T1 by at most a factor e ...
@@ -274,7 +276,7 @@ def _project(
     return cost, -g / (curv if curv > 0.0 else h), h, curv, a, c, ff, r
 
 
-def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
+def fit_exponential(trace: DecayTrace, loss: T1Loss | str = "linear") -> T1Estimate:
     """Least-squares fit of ``A exp(-t/T1) + B`` to one decay trace.
 
     A and B enter linearly, so for every T1 they are a closed-form weighted
@@ -319,7 +321,7 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
     Raises
     ------
     InvalidInputError
-        If ``loss`` is not one of :data:`LOSSES`.
+        If ``loss`` is not a :class:`T1Loss`, before the trace is read.
     FitFailureError
         If no decay is visible above the noise floor, the projection or
         the robust covariance turns singular (its Schur complement in T1
@@ -328,10 +330,7 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
         converge in 1000 steps, or T1, its error or the amplitude are not
         representable floats.
     """
-    if loss not in LOSSES:
-        raise InvalidInputError(
-            f"loss must be one of {', '.join(LOSSES)}, got {loss!r}"
-        )
+    robust = T1Loss(loss) is T1Loss.SOFT_L1
     # halving first keeps the span finite for any finite delays
     half = 0.5 * trace.delays_us
     half_span = float(half[-1] - half[0])
@@ -348,7 +347,6 @@ def fit_exponential(trace: DecayTrace, loss: str = "linear") -> T1Estimate:
             "no visible decay: population range is within the noise floor"
         )
 
-    robust = loss == "soft_l1"
     # soft_l1 acts on residuals in the trace's units, y_scale * r; in the
     # form v / hypot(v, r) its weight cannot overflow
     v = 1.0 / y_scale

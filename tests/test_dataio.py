@@ -448,5 +448,5 @@ class TestGrouping:
     def test_empty_and_bad_mode(self, records):
         with pytest.raises(InvalidInputError, match="^no records to group$"):
             group_for_fit([], mode="per_die_design")
-        with pytest.raises(InvalidInputError, match="mode"):
+        with pytest.raises(InvalidInputError, match="^unknown Grouping 'per_wafer'$"):
             group_for_fit(records, mode="per_wafer")

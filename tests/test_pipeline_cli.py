@@ -30,6 +30,8 @@ from qsurfloss import (
     SweepConfig,
     Weighting,
     cutoff_sensitivity,
+    fit_exponential,
+    group_for_fit,
     interdigital_unit_cell,
     participation_set,
     run_pipeline,
@@ -110,7 +112,7 @@ class TestRunPipeline:
         empty.write_text(",".join(COLUMNS) + "\n")
         out = tmp_path / "out"
         config = PipelineConfig(dataset=str(empty), output_dir=str(out))
-        with pytest.raises(InvalidInputError, match="no device records"):
+        with pytest.raises(InvalidInputError, match="^no records to group$"):
             run_pipeline(config)
         assert not out.exists()
 
@@ -396,14 +398,34 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             PipelineConfig.from_json(cfg_path)
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"models": ("sm+cubic",)}, "unknown LossModel 'sm+cubic'"),
-        ({"weighting": "uniform"}, "unknown Weighting 'uniform'"),
+    @pytest.mark.parametrize("door, kwargs, message", [
+        (PipelineConfig, {"models": ("sm+cubic",)}, "unknown LossModel 'sm+cubic'"),
+        (PipelineConfig, {"weighting": "uniform"}, "unknown Weighting 'uniform'"),
+        (PipelineConfig, {"grouping": "per_wafer"}, "unknown Grouping 'per_wafer'"),
+        # the choice is checked first: the records and the trace are not read
+        (group_for_fit, {"records": [], "mode": "per_wafer"},
+         "unknown Grouping 'per_wafer'"),
+        (fit_exponential, {"trace": None, "loss": "bogus"}, "unknown T1Loss 'bogus'"),
+        # an int over the int-to-str digit limit used to end in a raw ValueError
+        (PipelineConfig, {"models": [10**5000]},
+         "unknown LossModel an int of 5001 digits"),
+        (PipelineConfig, {"weighting": 10**5000},
+         "unknown Weighting an int of 5001 digits"),
+        (PipelineConfig, {"grouping": 10**5000},
+         "unknown Grouping an int of 5001 digits"),
+        (PipelineConfig, {"dataset": 10**5000},
+         "dataset must be a path or None, got an int of 5001 digits"),
     ])
-    def test_unknown_enum_value_is_invalid_input(self, tmp_path, kwargs, message):
+    def test_unknown_enum_value_is_invalid_input(self, tmp_path, door, kwargs, message):
+        """Every named choice is refused where it enters, by the one option
+        door, as ``unknown <kind> <value>``, and a ``dataset`` that is not a
+        path by the config's type table; a report config before anything
+        is written."""
         out = tmp_path / "out"
+        if door is PipelineConfig:
+            kwargs = {**kwargs, "output_dir": str(out)}
         with pytest.raises(InvalidInputError) as info:
-            run_pipeline(PipelineConfig(output_dir=str(out), **kwargs))
+            door(**kwargs)
         assert str(info.value) == message
         assert not out.exists()
 

@@ -32,7 +32,7 @@ from qsurfloss import (
 from qsurfloss import qubitfit
 from qsurfloss.errors import shown
 from qsurfloss.qubitfit import (
-    LOSSES,
+    T1Loss,
     UNBOUNDED_PURCELL_S,
     _basis,
     _T1_MIN_STEPS,
@@ -311,7 +311,7 @@ class TestFitExponential:
         assert 0.0 < linear < 1e-6
         assert 0.5 * linear < robust < 2.0 * linear
 
-    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("loss", T1Loss)
     def test_straight_ramp_runs_t1_off_to_infinity(self, loss):
         """A straight line is the limit T1 -> infinity of the model."""
         t = np.linspace(0.0, 100.0, 32)
@@ -326,7 +326,7 @@ class TestFitExponential:
         """Traces shaped like a measurement campaign against scipy run to
         its tightest tolerances: T1 to 1e-7 (linear) and 1e-6 (soft_l1),
         fit_err to 1e-3 of the reference covariance."""
-        worst = {loss: [0.0, 0.0] for loss in LOSSES}
+        worst = {loss: [0.0, 0.0] for loss in T1Loss}
         for trace, loss in campaign_traces(50):
             estimate = fit_exponential(trace, loss=loss)
             t1, t1_err = reference_fit(trace, loss)
@@ -416,7 +416,7 @@ class TestFitExponential:
             fit_exponential(DecayTrace(np.array(t), np.array(y)),
                             loss="soft_l1")
 
-    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("loss", T1Loss)
     @pytest.mark.parametrize("trace", [
         COLLAPSED_DELAYS_TRACE,
         DecayTrace(
@@ -440,7 +440,7 @@ class TestFitExponential:
                            match="singular projection: the fit does not"):
             fit_exponential(trace, loss=loss)
 
-    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("loss", T1Loss)
     def test_t1_below_the_delay_spacing_fails_typed(self, loss):
         """10 delays over 0-100 us and a true T1 of 2 us: only the first
         delay sees the decay through the noise.  The linear fit used to
@@ -458,7 +458,7 @@ class TestFitExponential:
                            t_max=100.0)
         assert fit_exponential(trace).t1_us == pytest.approx(2.0, rel=1e-9)
 
-    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("loss", T1Loss)
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
     def test_tiny_populations_do_not_underflow(self, scale, loss):
         """Every trace is divided by its largest magnitude, so the squared
@@ -485,7 +485,7 @@ class TestFitExponential:
                            match="fit_err = inf is not a representable"):
             fit_exponential(trace)
 
-    @given(trace=arbitrary_traces(), loss=st.sampled_from(LOSSES))
+    @given(trace=arbitrary_traces(), loss=st.sampled_from(T1Loss))
     @example(trace=COLLAPSED_DELAYS_TRACE, loss="soft_l1")
     @settings(max_examples=300, deadline=None)
     def test_any_finite_trace_fits_or_fails_typed(self, trace, loss):
@@ -593,7 +593,7 @@ class TestIntegralStart:
             checked += 1
         assert checked == 42
 
-    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("loss", T1Loss)
     def test_growth_takes_the_fallback_and_fails_typed(self, loss):
         """An exponential growth regresses to c2 > 0: no decay, so the search
         starts from the 1/e crossing and, as from there before, fails as a
