@@ -162,8 +162,8 @@ def _table_row(record: DeviceRecord) -> list:
 def save_device_table(records: Iterable[DeviceRecord], path) -> None:
     """Write records back to the CSV format accepted by the loader; a record
     whose row the loader would refuse (a value that the file's units or 10
-    digits carry out of range) is refused with its reason before anything
-    is written."""
+    digits carry out of range, or cavity and qubit frequencies that round
+    to equal) is refused with its reason before anything is written."""
     rows = [_table_row(r) for r in records]
     for row in rows:
         try:

@@ -21,7 +21,8 @@ from itertools import accumulate
 
 import numpy as np
 
-#: Deepest nesting of arrays and objects that a JSON reader decodes.
+#: Deepest nesting of arrays and objects that a JSON reader decodes; it
+#: decodes with 40 frames to spare below the default recursion limit.
 MAX_JSON_DEPTH = 16
 #: A JSON string (to the text's end if it is not closed) or a bracket; a
 #: bracket inside a string does not nest.
@@ -51,14 +52,18 @@ def is_finite(value) -> bool:
 def shown(value) -> str:
     """A checked value as an error message shows it: ``str(value)``, except
     for a value that is not a real number, shown by its repr so that ``'3'``
-    reads apart from ``3`` and ``Decimal('3')`` from both (by its type if
-    the repr is over 60 characters or fails, as a solution's and a list's
-    holding the int below do), and an int too long for Python's int-to-str
-    conversion (over 4300 digits by default), shown by its number of digits."""
+    reads apart from ``3`` and ``Decimal('3')`` from both (a str's repr over
+    60 characters cut to its first 57 and ``...``; any other repr over 60
+    characters, or one that fails, as a solution's and a list's holding the
+    int below do, by the value's type), and an int too long for Python's
+    int-to-str conversion (over 4300 digits by default), shown by its number
+    of digits."""
     if not isinstance(value, numbers.Real):
         try:
             if len(text := repr(value)) <= 60:
                 return text
+            if isinstance(value, str):  # a quoted prefix still names it
+                return text[:57] + "..."
         except ValueError:  # it holds an int over the digit limit
             pass
         return f"an object of type {type(value).__name__}"
@@ -86,7 +91,8 @@ def real(value, message: str, ok=None) -> float:
 
 def integer(value, message: str, ok=None) -> int:
     """``value`` as an int, if it is a non-bool :class:`numbers.Integral` in
-    the float range and, given ``ok``, satisfies it; else :func:`real`'s error."""
+    the float range and, given ``ok``, satisfies it; else :func:`real`'s error.
+    The int is Python's, so a ``np.uint8`` count cannot wrap in a product."""
     if isinstance(value, numbers.Integral) and is_finite(value):
         number = int(value)
         if ok is None or ok(number):

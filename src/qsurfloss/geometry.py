@@ -28,7 +28,8 @@ INTERDIGITAL_CUTOFF_FRACTION = 1e-3
 #: Gap/finger widths (um) an interdigital cell, and so a width sweep, accepts.
 INTERDIGITAL_WIDTH_RANGE_UM = (0.1, 100.0)
 
-#: Fewest Chebyshev terms per strip a section is solved at.
+#: Fewest Chebyshev terms per strip a section is solved at; two coplanar
+#: strips match their conformal map to 1e-10 at 8 to 16 terms.
 MIN_TERMS_PER_STRIP = 8
 
 #: Most fingers an interdigital cell takes.  At the fewest terms per strip
@@ -172,7 +173,8 @@ _DOCUMENT_FIELDS = ("eps_sub_rel", "eps_vac_rel", "edge_cutoff", "discretization
 
 
 def load_cross_section(path) -> CrossSection:
-    """Read a cross section from a JSON document mirroring the field names."""
+    """Read a cross section from a JSON document mirroring the field names,
+    its numbers as JSON holds them: a str or bool in a number field is refused."""
     return CrossSection.from_json_dict(read_json(path, "bad cross-section document"))
 
 

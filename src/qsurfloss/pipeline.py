@@ -158,7 +158,8 @@ _quote = json.encoder.encode_basestring_ascii
 def _scalar(obj) -> str:
     """The JSON text of a value that is not a dict, list or tuple, as
     ``json.dumps`` writes it, except that a finite float is written as
-    ``repr(float(f"{obj:.9g}"))`` and any other float as null.
+    ``repr(float(f"{obj:.9g}"))`` (``123456789.5`` reads ``123456790.0``,
+    ``1e-320`` stays ``1e-320``) and any other float as null.
 
     ``"%.9g"`` writes repr's digits, and in repr's form except at decimal
     exponents 9 to 15, which repr writes in full, and below the normal

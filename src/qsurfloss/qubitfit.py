@@ -290,20 +290,20 @@ def fit_exponential(trace: DecayTrace, loss: T1Loss | str = "linear") -> T1Estim
     The search starts from the closed-form integral-equation estimate of
     T1, a linear regression of the trace on its own running integral (see
     :func:`_integral_start`), which lies a median 2e-3 from the optimum in
-    ln T1; where that regression shows no decay in the search's bounds,
-    it starts from the first 1/e crossing instead.  Both rules are fixed,
-    so the fit is deterministic.  The search cuts a step in s to at most 1
-    (a factor e in T1), takes it only if the cost goes down, halving it
-    until it does, and stops when a step is at most 1e-9 or when the
-    step's predicted decrease of the cost, g^2/curv, is at most 4 eps times
-    the cost, which is within its rounding.  On traces of 16-64 delays the
-    time goes on the fixed cost of each numpy call and Python object, so a
-    projection makes ten numpy calls and builds no object beyond its
-    arrays and the plain tuple it returns: each trial T1 evaluates
-    ``exp(-t/T1)`` once, in place, and every moment the step needs comes
-    from one matrix product.  The quoted ``fit_err`` is the 1-sigma T1
-    uncertainty from the chi2-scaled Gauss-Newton covariance in (A, T1, B)
-    at the optimum.
+    ln T1, so a linear fit takes about 3 projections; where that regression
+    shows no decay in the search's bounds, it starts from the first 1/e
+    crossing instead.  Both rules are fixed, so the fit is deterministic.
+    The search cuts a step in s to at most 1 (a factor e in T1), takes it
+    only if the cost goes down, halving it until it does, and stops when a
+    step is at most 1e-9 or when the step's predicted decrease of the cost,
+    g^2/curv, is at most 4 eps times the cost, which is within its
+    rounding.  On traces of 16-64 delays the time goes on the fixed cost
+    of each numpy call and Python object, so a projection makes ten numpy
+    calls and builds no object beyond its arrays and the plain tuple it
+    returns: each trial T1 evaluates ``exp(-t/T1)`` once, in place, and
+    every moment the step needs comes from one matrix product.  The quoted
+    ``fit_err`` is the 1-sigma T1 uncertainty from the chi2-scaled
+    Gauss-Newton covariance in (A, T1, B) at the optimum.
 
     ``loss="soft_l1"`` switches to the robust cost ``sum 2(sqrt(1+r^2)-1)``
     for traces with readout outliers, minimized by iteratively reweighted
@@ -312,7 +312,8 @@ def fit_exponential(trace: DecayTrace, loss: T1Loss | str = "linear") -> T1Estim
     covariance is the Gauss-Newton one of the robust cost, with weights
     ``max((1+r^2)^(-3/2), eps)`` and chi2 = sum(rho)/dof: one more
     projection at the fit's T1 under these curvature weights, whose Schur
-    complement is taken with the fit's own A.
+    complement is taken with the fit's own A: one variance formula serves
+    both losses.
 
     The fit runs on delays mapped onto [0, 1], and on populations divided
     by their largest magnitude, so no intermediate overflows for any finite
@@ -451,7 +452,8 @@ def _mean_std(values) -> tuple[float, float]:
     squares are normal they keep numpy's bits, except that a mean rounded
     past the extreme values or a std above half their range (values an ulp
     apart) is clamped to that bound, which the exact statistics never
-    exceed."""
+    exceed.  So 1e-300 and 3e-300 have a std of 1e-300, and two values of
+    1.7e308 a mean of 1.7e308."""
     values = np.asarray(values, dtype=float)
     lo = float(np.minimum.reduce(values))
     hi = float(np.maximum.reduce(values))
@@ -466,8 +468,9 @@ def _mean_std(values) -> tuple[float, float]:
 
 
 def t1_statistics(estimates) -> T1Statistics:
-    """Mean and population standard deviation of repeated T1 fits, taken
-    by ``_mean_std`` like every mean and spread of the measurement chain."""
+    """Mean and population standard deviation of repeated T1 fits, a device
+    table's ``t1_mean_us`` and ``t1_std_us``, taken by ``_mean_std`` like
+    every mean and spread of the measurement chain."""
     if not estimates:
         raise InvalidInputError("need at least one estimate")
     return T1Statistics(*_mean_std([e.t1_us for e in estimates]))
@@ -488,8 +491,9 @@ class PurcellParams:
     Exactly two of {g, chi, delta} are given, and the third is inferred
     from the dispersive relation ``chi = g^2 / delta`` (the linewidth
     ``kappa`` is always required).  Each given value is finite and stored
-    as float, kappa > 0, delta != 0 and g >= 0, or is refused as ``<field>
-    (rad/s) must be finite and <rule>, got <value>``.
+    as float (an int above 2^53 or a Fraction rounded once, when given),
+    kappa > 0, delta != 0 and g >= 0, or is refused as ``<field> (rad/s)
+    must be finite and <rule>, got <value>``.
     """
 
     kappa: float
@@ -642,11 +646,11 @@ def _purcell_subtract(t1_us, t_purcell_ms, omega_q_ghz: float | None = None):
 
 def purcell_subtract_t1(t1_us, t_purcell_ms: float):
     """Intrinsic T1 (us) after removing the Purcell decay channel, a float
-    of one measured T1 or an array of rounds; the first round
-    that fails a check raises its error, as does one whose 1/T1 or
-    intrinsic T1 is not a finite float.  T1 must be a finite number, or an
-    array of them; ``t_purcell_ms`` a finite number, or ``math.inf`` for no
-    Purcell channel."""
+    of one measured T1 or an array of rounds.  The first round that fails
+    a check raises its error: a T1 not above 0 or not below T_Purcell, one
+    whose rates round to equal, or whose 1/T1 or intrinsic T1 is not a
+    finite float.  T1 must be a finite number, or an array of them;
+    ``t_purcell_ms`` a finite number, or ``math.inf`` for no Purcell channel."""
     return _purcell_subtract(t1_us, t_purcell_ms)
 
 
@@ -654,9 +658,11 @@ def purcell_subtract_q(t1_us, t_purcell_ms: float, omega_q_ghz: float):
     """Quality factor from a measured T1 with the Purcell channel removed.
 
     ``Q = omega_q * T1'`` with ``1/T1' = 1/T1 - 1/T_Purcell``; the qubit
-    frequency is cyclic GHz as tabulated and converted to angular internally.
-    Like :func:`purcell_subtract_t1` it takes one T1 or an array of rounds;
-    a round whose Q is not a positive finite float is refused.
+    frequency, finite and > 0, is cyclic GHz as tabulated and converted to
+    angular internally.  Like :func:`purcell_subtract_t1` it takes one T1 or
+    an array of rounds; a round whose Q is not a positive finite float is
+    refused.  A T1' above 2^900 us is scaled by 2^-128 and back, so the
+    product cannot overflow before its units cancel.
     """
     omega_q_ghz = real(omega_q_ghz, "omega_q must be > 0 and finite",
                        lambda v: v > 0)
@@ -682,7 +688,8 @@ def q_statistics_from_rounds(
 
 
 def load_decay_trace(csv_path, meta_path=None) -> DecayTrace:
-    """Read a trace CSV with columns ``delay_us, population`` (+ JSON sidecar)."""
+    """Read a trace CSV with columns ``delay_us, population`` (+ JSON sidecar);
+    a cell is read by ``real_text``, so ``1_0`` is a bad row, named by number."""
     header, rows = parse_csv(read_text(csv_path), str(csv_path))
     if not {"delay_us", "population"} <= set(header or ()):
         raise InvalidInputError(f"{csv_path}: expected columns delay_us, population")

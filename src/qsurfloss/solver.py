@@ -370,9 +370,10 @@ def refine_until_converged(
     it takes no layer integral.  The returned solution, whose ``geometry``
     is the last copy, carries the number of doublings as
     ``refinement_levels`` and its tail as ``estimated_rel_error``.  On the
-    sections tested, down to w/g = 200 and cutoffs of 1e-3 of the gap, the
-    tail is at least the relative change of the energy and of every
-    participation against four times the terms.
+    sections tested, down to w/g = 200, cutoffs of 1e-3 of the gap and the
+    161-finger cell, the tail is at least the relative change of the energy
+    and of every participation against four times the terms; narrow gaps,
+    w/g of 100 and more, need more terms.
 
     Raises
     ------

@@ -149,7 +149,9 @@ class TestLoader:
             + "\nD1-1,interdigital_2d,4.4,6.5,37,36.8,5.7,9.0,1.04,0.16,8.67,0.22"
             + "\nD1-2,interdigital_2d,oops,6.4,36,29.8,4.3,19.9,0.76,0.11,13.5,0.19\n"
         )
-        with pytest.raises(InvalidInputError, match="row 3"):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"{path}: malformed row 3: could not convert string to float: "
+                "'oops'") + "$"):
             load_device_table(path)
 
     def test_validation_error_names_field(self, tmp_path):

@@ -156,7 +156,8 @@ class TestInterdigitalUnitCell:
         assert geom.strips[-1].x_end - geom.strips[0].x_start == pytest.approx(9.0)
 
     def test_even_finger_count_rejected(self):
-        with pytest.raises(InvalidInputError, match="odd"):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "n_fingers must be an odd integer in [5, 1001], got 6")):
             interdigital_unit_cell(10.0, 6)
 
     def test_too_few_fingers_rejected(self):

@@ -74,7 +74,9 @@ class TestPredicates:
     @pytest.mark.parametrize("value, text", [
         (Decimal("0.1"), "Decimal('0.1')"), ("3", "'3'"), (1j, "1j"),
         (None, "None"), (True, "True"), (2.5, "2.5"), (Fraction(1, 3), "1/3"),
-        ([10**5000], "an object of type list")])
+        ([10**5000], "an object of type list"),
+        # a long str by a quoted prefix of 60 characters, not by its type
+        ("x" * 70, "'" + "x" * 56 + "...")])
     def test_shown(self, value, text):
         assert shown(value) == text
 

@@ -415,6 +415,10 @@ class TestRunPipeline:
          "unknown Grouping an int of 5001 digits"),
         (PipelineConfig, {"dataset": 10**5000},
          "dataset must be a path or None, got an int of 5001 digits"),
+        # a str over 60 characters used to be shown as "an object of type str"
+        (PipelineConfig, {"weighting": "inverse_variance_weighting_with_the_"
+                                       "published_round_statistics_spread"},
+         "unknown Weighting 'inverse_variance_weighting_with_the_published_round_stat..."),
     ])
     def test_unknown_enum_value_is_invalid_input(self, tmp_path, door, kwargs, message):
         """Every named choice is refused where it enters, by the one option
@@ -652,6 +656,7 @@ class TestConfigErrors:
         ({"width_min_um": "1"}, "sweep width_min_um must be finite, got '1'"),
         ({"t_sm_nm": False}, "sweep t_sm_nm must be finite, got False"),
         ({"cutoff_um": "0.1"}, "sweep cutoff_um must be finite, got '0.1'"),
+        ({"t_sm_nm": math.inf}, "sweep t_sm_nm must be finite, got inf"),
     ])
     def test_wrongly_typed_sweep_field(self, tmp_path, sweep, message):
         result = _run_report(tmp_path, json.dumps({
@@ -1514,3 +1519,40 @@ class TestCli:
         result = runner.invoke(main, ["report", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "report.json").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(language):
+    """The fenced ``language`` code blocks of README, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+
+
+class TestReadme:
+    """README's examples are checked against the code and run, so that they
+    cannot drift from it."""
+
+    def test_command_block_names_each_option_of_each_command(self):
+        """Every ``qsurfloss <command> --option`` of the command block is an
+        option of that click command, and every command and option shows."""
+        (block,) = [b for b in _readme_blocks("bash") if "qsurfloss report" in b]
+        used: dict[str, set] = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.split("#")[0].split()
+            if words[:1] == ["qsurfloss"]:
+                used.setdefault(words[1], set()).update(
+                    w for w in words if w.startswith("--"))
+        options = {name: {o for p in command.params for o in p.opts if o.startswith("--")}
+                   for name, command in main.commands.items()}
+        assert used == options
+
+    def test_python_sketch_runs(self, tmp_path, monkeypatch, capsys):
+        """The sketch runs as written, in an empty directory, and prints the
+        exactly rounded Purcell limit that its comment quotes."""
+        (sketch,) = _readme_blocks("python")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(sketch, str(README), "exec"), {})
+        assert "0.008996286067800981" in capsys.readouterr().out.splitlines()
+        assert list(tmp_path.iterdir()) == []

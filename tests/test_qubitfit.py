@@ -1160,7 +1160,8 @@ class TestQStatisticsFromRounds:
          r"T1 = 2.99997e-320 us"),
         ([1e300, 1e308], math.inf, 5.0, r"Q = omega_q T1' is not a positive finite "
          r"float at T1 = 1e\+308 us"),
-        (["100", 120.0], 0.25, 4.5, r"t1 must be a number or an array of numbers"),
+        (["100", 120.0], 0.25, 4.5,
+         r"t1 must be a number or an array of numbers, got \['100', 120\.0\]"),
         ([10**400], 0.25, 4.5, r"t1 must be a number or an array of numbers"),
     ])
     def test_first_offending_round_raises_its_own_error(
